@@ -978,7 +978,7 @@ let audit_cmd =
 module L = Subscale.Lint
 
 let lint_selftest () =
-  let results = L.Selftest.run () in
+  let results = L.selftest () in
   let failures = ref 0 in
   List.iter
     (fun (r : L.Selftest.result) ->
@@ -1086,32 +1086,6 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  let units =
-    let on =
-      "Run the UNT dimensional-analysis pass (the default).  UNT errors are \
-       advisory unless $(b,--strict)."
-    in
-    let off = "Skip the UNT dimensional-analysis pass." in
-    Arg.(value & vflag true [ (true, info [ "units" ] ~doc:on); (false, info [ "no-units" ] ~doc:off) ])
-  in
-  let alias =
-    let on =
-      "Run the ALS buffer-ownership/aliasing pass (the default): \
-       interprocedural summaries over the whole --root tree.  ALS errors are \
-       advisory unless $(b,--strict)."
-    in
-    let off = "Skip the ALS buffer-ownership pass." in
-    Arg.(value & vflag true [ (true, info [ "alias" ] ~doc:on); (false, info [ "no-alias" ] ~doc:off) ])
-  in
-  let races =
-    let on =
-      "Run the RAC lockset/race-analysis pass (the default): held-lockset \
-       walk and effect summaries over the whole --root tree.  RAC errors are \
-       advisory unless $(b,--strict)."
-    in
-    let off = "Skip the RAC lockset/race-analysis pass." in
-    Arg.(value & vflag true [ (true, info [ "races" ] ~doc:on); (false, info [ "no-races" ] ~doc:off) ])
-  in
   let format =
     let doc =
       "Output format: $(b,text) (human-readable, the default) or $(b,json) \
@@ -1146,7 +1120,7 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "update-baseline" ] ~doc)
   in
-  let run () selftest strict units alias races format rules baseline_path root update =
+  let run () selftest strict format rules baseline_path root update =
     if rules then print_string (L.rules_markdown ())
     else if selftest then lint_selftest ()
     else begin
@@ -1157,7 +1131,7 @@ let lint_cmd =
           root;
         exit 2
       end;
-      let reports = L.lint_root ~units ~alias ~races root in
+      let reports = L.lint_root root in
       let baseline =
         match L.Baseline.load baseline_path with
         | b -> b
@@ -1235,33 +1209,31 @@ let lint_cmd =
           (LNT002), exception-swallowing catch-alls (LNT003), diagnostic rule \
           ids minted outside Check.Rules (LNT004) and direct printing in \
           library code (LNT005).";
-      `P "The UNT series (on by default, $(b,--no-units) to skip) infers \
-          physical dimensions for float expressions from a signature table \
-          over Physics.Constants/Silicon/Mobility, the parameter records and \
-          the Tcad accessors: incompatible additive combinations (UNT001), \
-          dimensioned transcendental arguments (UNT002), display/SI unit \
-          mixes (UNT003), arguments contradicting the table (UNT004) and \
-          dimensions lost through container round-trips (UNT005, info).  \
-          Unknown dimensions never fire; $(b,[@units \"V/dec\"]) asserts a \
-          deliberate cast.";
-      `P "The ALS series (on by default, $(b,--no-alias) to skip) runs an \
-          interprocedural buffer ownership/aliasing analysis over the \
-          Bigarray hot path: per-function summaries (which parameters are \
-          mutated, stored, returned) computed to fixpoint over the call \
-          graph, then checked — parallel closures mutating captured buffers \
-          (ALS001), solver scratch escaping or shared by overlapping solves \
-          (ALS002), output buffers aliasing inputs (ALS003) and returned \
-          buffers that are also retained (ALS004, $(b,[@owned]) to assert).";
-      `P "The RAC series (on by default, $(b,--no-races) to skip) runs an \
-          interprocedural lockset and domain-safety analysis over the \
-          concurrent exec/serve stack: per-function may-raise/may-block/\
-          acquires summaries to fixpoint, a held-lockset walk of every body, \
-          and domain-crossing reachability from Exec.map/Pool.map/\
-          Domain.spawn closures — shared state with an inconsistent lockset \
-          (RAC001), exception-unsafe critical sections (RAC002), \
-          self-deadlock and lock-order inversion (RAC003), torn atomic \
-          read-modify-writes (RAC004) and blocking syscalls under a lock \
-          (RAC005, $(b,[@blocking_ok]) to assert).";
+      `P "The UNT series infers physical dimensions for float expressions \
+          from a signature table over Physics.Constants/Silicon/Mobility, the \
+          parameter records and the Tcad accessors: incompatible additive \
+          combinations (UNT001), dimensioned transcendental arguments \
+          (UNT002), display/SI unit mixes (UNT003), arguments contradicting \
+          the table (UNT004) and dimensions lost through container \
+          round-trips (UNT005, info).  Unknown dimensions never fire; \
+          $(b,[@units \"V/dec\"]) asserts a deliberate cast.";
+      `P "LNT001 and the ALS and RAC series share one interprocedural effect \
+          engine over the whole $(b,--root) tree: one summary per function \
+          (which parameters are mutated, stored or returned; may it raise, \
+          may it block, which locks it acquires), computed to one fixpoint \
+          over the call graph.  The ALS series checks buffer ownership on \
+          the Bigarray hot path: parallel closures mutating buffers reachable \
+          from captures (ALS001), solver scratch escaping or shared by \
+          overlapping solves (ALS002), output buffers aliasing inputs \
+          (ALS003) and returned buffers that are also retained (ALS004, \
+          $(b,[@owned]) to assert).";
+      `P "The RAC series adds a held-lockset walk of every body and \
+          domain-crossing reachability from Exec.map/Pool.map/Domain.spawn \
+          closures: shared state with an inconsistent lockset (RAC001), \
+          exception-unsafe critical sections (RAC002), self-deadlock and \
+          lock-order inversion (RAC003), torn atomic read-modify-writes \
+          (RAC004) and blocking syscalls under a lock (RAC005, \
+          $(b,[@blocking_ok]) to assert).  Every pass always runs.";
       `P "Exit code 0 when no non-baselined LNT errors were found (warnings \
           and advisory UNT/ALS/RAC errors allowed unless $(b,--strict)), 1 \
           otherwise.  Like $(b,check) and $(b,audit), findings are structured \
@@ -1270,7 +1242,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
-      const run $ log_term $ selftest $ strict $ units $ alias $ races $ format
+      const run $ log_term $ selftest $ strict $ format
       $ rules $ baseline_arg $ root_arg $ update)
 
 let serve_cmd =

@@ -1,20 +1,25 @@
-(** ALS001-004 — interprocedural buffer ownership/aliasing analysis over
-    the Bigarray hot path.
+(** LNT001 and ALS001-004 — parallel-closure purity and buffer ownership,
+    judged over the shared {!Summary} engine.
 
-    Convicts only on positive evidence from the {!Summary} fixpoint:
-    - ALS001: a closure entering [Exec.map]/[Pool.map] mutates a flat
-      buffer rooted in a capture (directly or through resolved calls);
-    - ALS002: solver scratch escapes into long-lived state, or a parallel
-      closure reenters the solver with one shared workspace;
-    - ALS003: a call's mutated (output) buffer argument aliases another
-      argument of the same call;
+    One walk per literal closure passed to [Exec.map]/[map2]/[mapi]/
+    [map_array]/[Pool.map] picks the rule:
+    - LNT001 (error): the closure captures a ref/Hashtbl/Buffer/Queue/
+      Stack or flat buffer (even read-only), or writes a container, array
+      or record field rooted outside it — or with no root at all.  State
+      reached through [Exec.Memo]/[Obs] is sanctioned; [Atomic.t] is
+      exempt;
+    - ALS001 (error): it mutates a flat buffer reachable only indirectly
+      from a capture (a record field, through resolved helpers);
+    - ALS002 (error): it reenters the solver with captured scratch — or,
+      anywhere, scratch escapes into long-lived state;
+    - ALS003 (error): a call's mutated (output) buffer argument aliases
+      another argument of the same call;
     - ALS004 (warning): a function returns a buffer it also retains;
       [@owned] on the binding asserts deliberate sharing.
 
-    Unresolved roots and callees never fire.  Captures whose own type is
-    directly hazardous are LNT001's findings, not ALS's. *)
+    Unresolved roots and callees never fire ALS; LNT001 convicts a
+    mutation it cannot root (sound but conservative, see DESIGN.md). *)
 
 val check : Summary.env -> source:string -> Check.Diagnostic.t list
-(** All ALS findings for the definitions recorded from [source]. *)
-
-val selftest : unit -> int
+(** All LNT001 and ALS findings for the definitions and top-level code
+    recorded from [source]. *)

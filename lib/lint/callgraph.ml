@@ -20,6 +20,7 @@ type param = {
 }
 
 type def = {
+  id : int;                (* dense index: definitions first, then top-level code *)
   qname : string;          (* "Unit.Sub.f" — unit module, nested modules, name *)
   unit_module : string;    (* "Unit": capitalized basename of the source *)
   source : string;         (* the .cmt's recorded source path *)
@@ -32,7 +33,7 @@ type def = {
   loc : Location.t;
 }
 
-type t = { defs : def list; by_name : (string, def list) Hashtbl.t }
+type t = { defs : def list; code : def list; by_name : (string, def list) Hashtbl.t }
 
 let unit_module_of_source source =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename source))
@@ -67,14 +68,27 @@ let split_params (e : expression) =
 let is_function (e : expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
 
-let defs_of_unit (u : Cmt_load.unit_info) : def list =
+(* Definitions and top-level code of one unit.  Top-level code — a
+   [let () = ...], a non-function binding — becomes a parameterless entry
+   that checking passes walk like a definition but call sites never
+   resolve to.  Ids are assigned by [build]. *)
+let defs_of_unit (u : Cmt_load.unit_info) : def list * def list =
   let unit_module = unit_module_of_source u.Cmt_load.source in
-  let acc = ref [] in
+  let defs = ref [] and code = ref [] in
+  let entry ~qname ~params ~prelude ~body ~attrs ~loc =
+    { id = -1; qname; unit_module; source = u.Cmt_load.source; params; prelude;
+      body; def_attrs = attrs; loc }
+  in
   let rec walk_structure prefix (str : structure) =
     List.iter
       (fun item ->
         match item.str_desc with
         | Tstr_value (_, vbs) -> List.iter (walk_binding prefix) vbs
+        | Tstr_eval (e, attrs) ->
+          code :=
+            entry ~qname:(prefix ^ "(toplevel)") ~params:[] ~prelude:[] ~body:e ~attrs
+              ~loc:item.str_loc
+            :: !code
         | Tstr_module mb ->
           let name =
             match mb.mb_id with Some id -> Ident.name id | None -> "_"
@@ -100,34 +114,43 @@ let defs_of_unit (u : Cmt_load.unit_info) : def list =
     match vb.vb_pat.pat_desc with
     | Tpat_var (id, _) when is_function vb.vb_expr ->
       let params, prelude, body = split_params vb.vb_expr in
-      acc :=
-        { qname = prefix ^ Ident.name id;
-          unit_module;
-          source = u.Cmt_load.source;
-          params;
-          prelude;
-          body;
-          def_attrs = vb.vb_attributes;
-          loc = vb.vb_pat.pat_loc }
-        :: !acc
-    | _ -> ()
+      defs :=
+        entry ~qname:(prefix ^ Ident.name id) ~params ~prelude ~body
+          ~attrs:vb.vb_attributes ~loc:vb.vb_pat.pat_loc
+        :: !defs
+    | _ ->
+      code :=
+        entry ~qname:(prefix ^ "(toplevel)") ~params:[] ~prelude:[] ~body:vb.vb_expr
+          ~attrs:vb.vb_attributes ~loc:vb.vb_pat.pat_loc
+        :: !code
   in
   walk_structure (unit_module ^ ".") u.Cmt_load.structure;
-  List.rev !acc
+  (List.rev !defs, List.rev !code)
 
 let build (units : Cmt_load.unit_info list) : t =
-  let defs = List.concat_map defs_of_unit units in
+  let per_unit = List.map defs_of_unit units in
+  let defs = List.concat_map fst per_unit in
+  let code = List.concat_map snd per_unit in
+  let defs = List.mapi (fun id d -> { d with id }) defs in
+  let base = List.length defs in
+  let code = List.mapi (fun i d -> { d with id = base + i }) code in
   let by_name = Hashtbl.create 256 in
   List.iter
     (fun d ->
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_name d.qname) in
       Hashtbl.replace by_name d.qname (d :: prev))
     defs;
-  { defs; by_name }
+  { defs; code; by_name }
 
 let defs t = t.defs
 
-let defs_of_source t source = List.filter (fun d -> d.source = source) t.defs
+let code t = t.code
+
+let size t = List.length t.defs + List.length t.code
+
+let defs_of_source t source =
+  List.filter (fun d -> d.source = source) t.defs
+  @ List.filter (fun d -> d.source = source) t.code
 
 (* Resolve a call-site path against the table.  The recorded [qname]s are
    fully qualified; the call may be any suffix of one ("solve",

@@ -13,6 +13,8 @@ type param = {
 }
 
 type def = {
+  id : int;
+      (** dense index in [0, size): definitions first, then top-level code *)
   qname : string;        (** "Unit.Sub.f" *)
   unit_module : string;  (** capitalized basename of the source file *)
   source : string;
@@ -30,9 +32,18 @@ type t
 val build : Cmt_load.unit_info list -> t
 
 val defs : t -> def list
+(** The let-bound functions call sites can resolve to. *)
+
+val code : t -> def list
+(** Top-level code outside any function ([let () = ...], non-function
+    bindings) as parameterless entries; never a call target. *)
+
+val size : t -> int
+(** Number of ids handed out over [defs] and [code]. *)
 
 val defs_of_source : t -> string -> def list
-(** Definitions recorded from one source file, in declaration order. *)
+(** Definitions, then top-level code, recorded from one source file, in
+    declaration order. *)
 
 val find : ?current_unit:string -> t -> Path.t -> def option
 (** Resolve a call-site path: exact qualified match first, then unique

@@ -4,17 +4,20 @@
     -bin-annot output) — no re-typechecking, `dune build` is the only
     prerequisite.  Rule families:
 
-    - {!Purity} — LNT001: closures entering the domain-parallel engine
-      must not capture or mutate unsanctioned mutable state;
     - {!Hygiene} — LNT002 float discipline, LNT003 exception hygiene,
       LNT005 output hygiene;
     - {!Discipline} — LNT004: rule ids minted via [Check.Rules] only;
     - {!Units} — UNT001-005: static dimensional analysis over the Eq. 1-8
-      model chain, seeded from the {!Unit_sig} tables (on by default,
-      disable with [~units:false] / [--no-units]);
+      model chain, seeded from the {!Unit_sig} tables;
+    - {!Alias} — LNT001 and ALS001-004: closures entering the
+      domain-parallel engine must not capture or mutate unsanctioned
+      mutable state, and solver buffers keep one owner;
     - {!Races} — RAC001-005: interprocedural lockset & domain-safety
-      analysis over the same {!Callgraph}/{!Summary} fixpoint (on by
-      default, disable with [~races:false] / [--no-races]).
+      analysis.
+
+    LNT001, ALS and RAC read one shared {!Summary} effect engine: one
+    context per {!Callgraph} definition, one summary record, one
+    fixpoint.  Every pass always runs.
 
     Findings are {!Check.Diagnostic}s, so reports and exit codes behave
     exactly like [subscale check]/[audit]; deliberate keeps live in the
@@ -22,7 +25,6 @@
 
 module Rules = Lint_rules
 module Baseline = Baseline
-module Purity = Purity
 module Hygiene = Hygiene
 module Discipline = Discipline
 module Dimension = Dimension
@@ -52,66 +54,47 @@ let starts_with ~prefix s =
 let exempt_output source =
   List.exists (fun prefix -> starts_with ~prefix source) output_exempt_dirs
 
-(* The ALS and RAC passes need whole-tree context: summaries of callees
-   live in other units.  [alias_env] carries the fixpoint computed once
-   per root (or once per single unit for lint_cmt); [races_env] builds the
-   lockset analysis on top of it. *)
-let alias_env units = Summary.compute (Callgraph.build units)
+(* The LNT001, ALS and RAC passes read whole-tree context: summaries of
+   callees live in other units.  [analyze] runs the shared effect engine
+   once per root (or once per single unit for lint_cmt). *)
+type env = { summary : Summary.env; races : Races.t }
 
-let races_env env = Races.analyze env
+let analyze units =
+  let summary = Summary.compute (Callgraph.build units) in
+  { summary; races = Races.analyze summary }
 
-let lint_unit ?(units = true) ?alias_env:env ?races_env:renv
-    (u : Cmt_load.unit_info) : file_report =
-  let source = u.Cmt_load.source in
-  let diags =
-    Purity.check ~source u.Cmt_load.structure
-    @ Hygiene.check ~source ~exempt_output:(exempt_output source) u.Cmt_load.structure
-    @ Discipline.check ~source u.Cmt_load.structure
-    @ (if units then Units.check ~source u.Cmt_load.structure else [])
-    @ (match env with Some e -> Alias.check e ~source | None -> [])
-    @ (match renv with Some r -> Races.check r ~source | None -> [])
-  in
-  { source; diags = D.sort diags }
+(* Every pass, in one place. *)
+let lint_unit env (u : Cmt_load.unit_info) : file_report =
+  let source = u.Cmt_load.source and str = u.Cmt_load.structure in
+  { source;
+    diags =
+      D.sort
+        (Hygiene.check ~source ~exempt_output:(exempt_output source) str
+         @ Discipline.check ~source str
+         @ Units.check ~source str
+         @ Alias.check env.summary ~source
+         @ Races.check env.races ~source) }
 
-let lint_cmt ?units ?(alias = true) ?(races = true) path =
+let unreadable_report (p, msg) =
+  { source = p;
+    diags =
+      [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
+          (Printf.sprintf "unreadable .cmt artifact: %s" msg)
+          ~hint:"stale build? re-run `dune build` and lint again" ] }
+
+let lint_cmt path =
   match Cmt_load.load path with
-  | Cmt_load.Unit u ->
-    let env = if alias || races then Some (alias_env [ u ]) else None in
-    let renv =
-      match env with Some e when races -> Some (races_env e) | _ -> None
-    in
-    let env = if alias then env else None in
-    Some (lint_unit ?units ?alias_env:env ?races_env:renv u)
+  | Cmt_load.Unit u -> Some (lint_unit (analyze [ u ]) u)
   | Cmt_load.Skipped -> None
-  | Cmt_load.Unreadable (p, msg) ->
-    Some
-      { source = p;
-        diags =
-          [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
-              (Printf.sprintf "unreadable .cmt artifact: %s" msg)
-              ~hint:"stale build? re-run `dune build` and lint again" ] }
+  | Cmt_load.Unreadable (p, msg) -> Some (unreadable_report (p, msg))
 
-let lint_root ?units:(units_on = true) ?(alias = true) ?(races = true) root =
+let lint_root root =
   let units, unreadable = Cmt_load.load_root root in
-  let env = if alias || races then Some (alias_env units) else None in
-  let renv =
-    match env with Some e when races -> Some (races_env e) | _ -> None
-  in
-  let env = if alias then env else None in
-  let reports =
-    List.map (lint_unit ~units:units_on ?alias_env:env ?races_env:renv) units
-  in
-  let unreadable_reports =
-    List.map
-      (fun (p, msg) ->
-        { source = p;
-          diags =
-            [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
-                (Printf.sprintf "unreadable .cmt artifact: %s" msg)
-                ~hint:"stale build? re-run `dune build` and lint again" ] })
-      unreadable
-  in
-  reports @ unreadable_reports
+  let env = analyze units in
+  List.map (lint_unit env) units @ List.map unreadable_report unreadable
+
+let selftest () =
+  Selftest.run ~lint:(fun u -> (lint_unit (analyze [ u ]) u).diags)
 
 let all_diags reports = List.concat_map (fun r -> r.diags) reports
 

@@ -7,7 +7,6 @@
 
 module Rules = Lint_rules
 module Baseline = Baseline
-module Purity = Purity
 module Hygiene = Hygiene
 module Discipline = Discipline
 module Dimension = Dimension
@@ -27,37 +26,28 @@ val exempt_output : string -> bool
 (** True for the sanctioned output layers (lib/report, lib/obs), where
     LNT005 does not apply. *)
 
-val alias_env : Cmt_load.unit_info list -> Summary.env
-(** The interprocedural ownership fixpoint over a set of loaded units —
-    build it once per tree and thread it to {!lint_unit}. *)
+type env
+(** The shared effect engine and the lockset analysis over a set of loaded
+    units: callee summaries cross unit boundaries. *)
 
-val races_env : Summary.env -> Races.t
-(** The lockset/race analysis over an already-computed summary fixpoint —
-    build it once per tree and thread it to {!lint_unit}. *)
+val analyze : Cmt_load.unit_info list -> env
 
-val lint_unit :
-  ?units:bool ->
-  ?alias_env:Summary.env ->
-  ?races_env:Races.t ->
-  Cmt_load.unit_info ->
-  file_report
-(** Run every pass over one loaded unit; diagnostics come back sorted.
-    [units] (default true) enables the UNT dimensional-analysis pass;
-    passing [alias_env] enables the ALS buffer-ownership pass and
-    [races_env] the RAC lockset pass. *)
+val lint_unit : env -> Cmt_load.unit_info -> file_report
+(** Run every pass over one loaded unit; diagnostics come back sorted. *)
 
-val lint_cmt : ?units:bool -> ?alias:bool -> ?races:bool -> string -> file_report option
-(** Lint one .cmt file.  [None] when the artifact holds no implementation
-    typedtree (interfaces, packed or generated modules); unreadable
-    artifacts yield a [lint-unreadable-cmt] warning report.  [alias] and
-    [races] (default true) run ALS/RAC with summaries from this unit
-    alone. *)
+val lint_cmt : string -> file_report option
+(** Lint one .cmt file, with summaries from this unit alone.  [None] when
+    the artifact holds no implementation typedtree (interfaces, packed or
+    generated modules); unreadable artifacts yield a
+    [lint-unreadable-cmt] warning report. *)
 
-val lint_root : ?units:bool -> ?alias:bool -> ?races:bool -> string -> file_report list
-(** Lint every .cmt under a directory tree (sorted by source path).
-    [alias]/[races] (default true) compute the interprocedural fixpoint
-    over the whole tree first, so ALS and RAC see cross-unit call
-    chains. *)
+val lint_root : string -> file_report list
+(** Lint every .cmt under a directory tree (sorted by source path), with
+    one engine over the whole tree so LNT001, ALS and RAC see cross-unit
+    call chains. *)
+
+val selftest : unit -> Selftest.result list
+(** {!Selftest.run} through {!lint_unit}. *)
 
 val all_diags : file_report list -> Check.Diagnostic.t list
 

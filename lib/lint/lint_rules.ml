@@ -328,6 +328,20 @@ let severity_of_id id =
 
 let find id = List.find_opt (fun m -> m.id = id) all
 
+(* Findings at each rule's registered severity, keeping the first message
+   per rule and location. *)
+let emitter () =
+  let seen = Hashtbl.create 8 and out = ref [] in
+  let emit ~rule ~location ~hint msg =
+    let key = rule ^ "|" ^ location in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      out :=
+        Diagnostic.make ~rule ~severity:(severity_of_id rule) ~location ~hint msg :: !out
+    end
+  in
+  (emit, fun () -> List.rev !out)
+
 (* The --rules markdown table; checked in under docs/lint-rules.md and
    diffed in CI so docs can never drift from the implementation. *)
 let markdown () =

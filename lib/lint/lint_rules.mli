@@ -80,5 +80,13 @@ val all : meta list
 val find : string -> meta option
 val severity_of_id : string -> Check.Diagnostic.severity
 
+val emitter :
+  unit ->
+  (rule:string -> location:string -> hint:string -> string -> unit)
+  * (unit -> Check.Diagnostic.t list)
+(** A fresh emit function and the findings it collected, in emission
+    order: each at its rule's registered severity, the first message per
+    rule and location kept. *)
+
 val markdown : unit -> string
 (** The rule table as markdown (checked in as docs/lint-rules.md). *)

@@ -1,34 +1,19 @@
-(** Lockset analysis engine for the RAC race/deadlock pass.
+(** The held-lockset walk behind the RAC race/deadlock pass.
 
-    Computes, over the whole {!Callgraph}, per-definition concurrency
-    summaries (may-raise / may-block / locks-acquired) and walks every
-    definition body with a path-sensitive *held lockset* — which mutexes
-    are held, and whether each is exception-protected — emitting typed
-    events the {!Races} pass turns into RAC001-005 diagnostics.
+    Reads the {!Summary} engine (contexts, lock identity, may-raise /
+    may-block / locks-acquired summaries), computes which definitions are
+    reachable from a domain-crossing closure, and walks every definition
+    body with a path-sensitive *held lockset* — which mutexes are held,
+    and whether each is exception-protected — emitting typed events the
+    {!Races} pass turns into RAC001-005 diagnostics.
 
     Polarity differs deliberately from UNT/ALS: an *unresolved* call made
-    while a lock is held counts as "may raise" (RAC002 evidence), because
-    exception-unsafe critical sections are exactly the places where an
-    optimistic default ships a wedged process.  Everything else keeps the
-    conservative "unknown never fires" contract: unknown lock identities
-    are not tracked, unknown aliasing convicts nothing. *)
+    while a lock is held counts as "may raise" (RAC002 evidence).
+    Everything else keeps the conservative "unknown never fires"
+    contract: unknown lock identities are not tracked, unknown aliasing
+    convicts nothing. *)
 
-type lock_kind =
-  | Kmod    (** module-level mutex: the class names one instance *)
-  | Kfield  (** record-field mutex: one class, many instances *)
-  | Klocal  (** let-bound in the current definition *)
-  | Kparam  (** passed in as a bare parameter *)
-
-type lock = {
-  l_cls : string option;
-      (** static class: ["Store.t.pending_lock"], ["Memo.registry_lock"] *)
-  l_kind : lock_kind;
-  l_roots : Summary.Flow.root list;  (** instance identity within one def *)
-  l_name : string;                   (** printable site name ("t.pending_lock") *)
-  l_site : Location.t;               (** acquisition site *)
-}
-
-type hlock = { h_lock : lock; h_protected : bool }
+type hlock = { h_lock : Summary.lock; h_protected : bool }
 (** A held lock; [h_protected] when its release is guaranteed on raise
     ([Mutex.protect] or [Fun.protect ~finally] unlocking it). *)
 
@@ -42,11 +27,11 @@ type access_kind = Read | Write | Use
     conviction — consistency is the question, not direction). *)
 
 type event =
-  | Reacquire of { lock : lock; site : Location.t }
+  | Reacquire of { lock : Summary.lock; site : Location.t }
       (** acquiring a mutex provably already held: self-deadlock *)
-  | Raise_evidence of { op : string; site : Location.t; locks : lock list }
+  | Raise_evidence of { op : string; site : Location.t; locks : Summary.lock list }
       (** a may-raise operation while holding unprotected [locks] *)
-  | Block_evidence of { op : string; site : Location.t; locks : lock list }
+  | Block_evidence of { op : string; site : Location.t; locks : Summary.lock list }
       (** a blocking operation while holding [locks] *)
   | Order_edge of { held_cls : string; acq_cls : string; site : Location.t }
   | Access of {
@@ -66,16 +51,11 @@ type event =
 type t
 
 val analyze : Summary.env -> t
-(** Fixpoint of the per-definition summaries (monotone, bounded rounds)
-    plus the domain-crossing reachability set seeded at
+(** The domain-crossing reachability set, seeded at
     [Exec.map*]/[Pool.map]/[Domain.spawn] call sites. *)
 
-val crossing : t -> string -> bool
-(** Is the named definition reachable from a domain-crossing closure? *)
-
-val blocking_ok : Parsetree.attributes -> bool
-(** [[@blocking_ok]] on the binding: by-design IO under a lock; suppresses
-    RAC005 in the definition and stops may-block propagation to callers. *)
+val crossing : t -> Callgraph.def -> bool
+(** Is the definition reachable from a domain-crossing closure? *)
 
 val walk_def : t -> Callgraph.def -> emit:(event -> unit) -> unit
 (** Walk one definition with the held-lockset abstract interpretation,

@@ -24,5 +24,3 @@ val analyze : Summary.env -> t
 
 val check : t -> source:string -> Check.Diagnostic.t list
 (** Diagnostics attributed to one source file, deduplicated per site. *)
-
-val selftest : unit -> int
