@@ -1,22 +1,23 @@
 exception No_convergence of string
 
-(* One damped Newton run at a fixed source scale.  Returns None on failure
-   rather than raising, so the homotopy driver can retreat. *)
-let newton sys ~overrides ~source_scale ~tol ~max_iter x0 =
-  let n = Mna.size sys in
+(* One damped Newton run on [assemble x = (F(x), dF/dx)]: updates clamped
+   to 0.3 V in the infinity norm, dense LU.  Returns None on failure rather
+   than raising, so the callers can retreat (source stepping, a smaller
+   time step). *)
+let newton assemble ~tol ~max_iter x0 =
   let x = Array.copy x0 in
   let clamp = 0.3 in
   let rec loop iter =
     if iter >= max_iter then None
     else begin
-      let f, jac = Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x () in
+      let f, jac = assemble x in
       match Numerics.Matrix.lu_factor jac with
       | exception Numerics.Matrix.Singular _ -> None
       | lu ->
         let dx = Numerics.Matrix.lu_solve lu (Array.map (fun v -> -.v) f) in
         let maxd = Numerics.Vec.norm_inf dx in
         let scale = if maxd > clamp then clamp /. maxd else 1.0 in
-        for i = 0 to n - 1 do
+        for i = 0 to Array.length x - 1 do
           x.(i) <- x.(i) +. (scale *. dx.(i))
         done;
         if maxd *. scale < tol && Float.equal scale 1.0 then Some x else loop (iter + 1)
@@ -24,26 +25,29 @@ let newton sys ~overrides ~source_scale ~tol ~max_iter x0 =
   in
   loop 0
 
+(* The operating-point Newton at one source scale. *)
+let newton_at_scale sys ~overrides ~source_scale ~tol ~max_iter x0 =
+  newton
+    (fun x -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ())
+    ~tol ~max_iter x0
+
 let solve ?x0 ?(overrides = []) ?(tol = 1e-9) ?(max_iter = 120) sys =
   let n = Mna.size sys in
   let start = match x0 with Some v -> Array.copy v | None -> Array.make n 0.0 in
   let _ = Numerics.Guard.vec ~origin:"Dcop.solve: initial guess" start in
   let guarded x = Numerics.Guard.vec ~origin:"Dcop.solve: solution" x in
-  match newton sys ~overrides ~source_scale:1.0 ~tol ~max_iter start with
+  match newton_at_scale sys ~overrides ~source_scale:1.0 ~tol ~max_iter start with
   | Some x -> guarded x
   | None ->
     (* Source stepping: ramp all sources from zero. *)
     let steps = 20 in
     let x = ref (Array.make n 0.0) in
-    (try
-       for i = 1 to steps do
-         let scale = float_of_int i /. float_of_int steps in
-         match newton sys ~overrides ~source_scale:scale ~tol ~max_iter !x with
-         | Some sol -> x := sol
-         | None ->
-           raise
-             (No_convergence
-                (Printf.sprintf "source stepping failed at scale %.2f" scale))
-       done
-     with No_convergence _ as e -> raise e);
+    for i = 1 to steps do
+      let scale = float_of_int i /. float_of_int steps in
+      match newton_at_scale sys ~overrides ~source_scale:scale ~tol ~max_iter !x with
+      | Some sol -> x := sol
+      | None ->
+        raise
+          (No_convergence (Printf.sprintf "source stepping failed at scale %.2f" scale))
+    done;
     guarded !x

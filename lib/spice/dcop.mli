@@ -4,6 +4,18 @@
 
 exception No_convergence of string
 
+val newton :
+  (Numerics.Vec.t -> Numerics.Vec.t * Numerics.Matrix.t) ->
+  tol:float ->
+  max_iter:int ->
+  Numerics.Vec.t ->
+  Numerics.Vec.t option
+(** [newton assemble ~tol ~max_iter x0]: damped Newton on
+    [assemble x = (F(x), dF/dx)] (typically a {!Mna.assemble} closure) from
+    [x0], which is not mutated.  Each update is clamped to 0.3 in the
+    infinity norm; converged when an unclamped update is below [tol].
+    [None] on a singular Jacobian or after [max_iter] iterations. *)
+
 val solve :
   ?x0:Numerics.Vec.t ->
   ?overrides:(string * float) list ->

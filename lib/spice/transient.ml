@@ -6,26 +6,7 @@ type result = {
 
 (* Newton at one time point with frozen capacitor companions. *)
 let newton_at sys ~time ~caps ~x0 ~tol ~max_iter =
-  let n = Mna.size sys in
-  let x = Array.copy x0 in
-  let clamp = 0.3 in
-  let rec loop iter =
-    if iter >= max_iter then None
-    else begin
-      let f, jac = Mna.assemble sys ~time ~caps ~x () in
-      match Numerics.Matrix.lu_factor jac with
-      | exception Numerics.Matrix.Singular _ -> None
-      | lu ->
-        let dx = Numerics.Matrix.lu_solve lu (Array.map (fun v -> -.v) f) in
-        let maxd = Numerics.Vec.norm_inf dx in
-        let scale = if maxd > clamp then clamp /. maxd else 1.0 in
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +. (scale *. dx.(i))
-        done;
-        if maxd *. scale < tol && Float.equal scale 1.0 then Some x else loop (iter + 1)
-    end
-  in
-  loop 0
+  Dcop.newton (fun x -> Mna.assemble sys ~time ~caps ~x ()) ~tol ~max_iter x0
 
 let backward_euler_caps sys ~h vcap =
   Array.init (Array.length vcap) (fun i ->

@@ -1,16 +1,13 @@
 open Subscale
 module Vec = Numerics.Vec
 module Matrix = Numerics.Matrix
-module Tridiag = Numerics.Tridiag
 module Banded = Numerics.Banded
-module Sparse = Numerics.Sparse
 module Root = Numerics.Root
 module Minimize = Numerics.Minimize
 module Interp = Numerics.Interp
 module Integrate = Numerics.Integrate
 module Grid = Numerics.Grid
 module Stats = Numerics.Stats
-module Newton = Numerics.Newton
 module Fvec = Numerics.Fvec
 module Stencil5 = Numerics.Stencil5
 
@@ -107,34 +104,6 @@ let matrix_tests =
           (Float.max
              (Vec.max_abs_diff a.(0) copy.(0))
              (Vec.max_abs_diff a.(1) copy.(1))));
-  ]
-
-let tridiag_tests =
-  [
-    prop "tridiagonal solve matches dense (n = 8)"
-      QCheck2.Gen.(
-        let* d = array_size (pure 8) (float_range 3.0 6.0) in
-        let* l = array_size (pure 8) (float_range (-1.0) 1.0) in
-        let* up = array_size (pure 8) (float_range (-1.0) 1.0) in
-        let* b = gen_small_vec 8 in
-        pure (d, l, up, b))
-      (fun (diag, lower, upper, rhs) ->
-        let n = 8 in
-        let dense = Matrix.create n n in
-        for i = 0 to n - 1 do
-          dense.(i).(i) <- diag.(i);
-          if i > 0 then dense.(i).(i - 1) <- lower.(i);
-          if i < n - 1 then dense.(i).(i + 1) <- upper.(i)
-        done;
-        let x_tri = Tridiag.solve ~lower ~diag ~upper ~rhs in
-        let x_dense = Matrix.solve dense rhs in
-        Vec.max_abs_diff x_tri x_dense < 1e-8);
-    u "1-D Poisson with unit rhs is symmetric" (fun () ->
-        let n = 11 in
-        let diag = Vec.create n 2.0 and lower = Vec.create n (-1.0) in
-        let upper = Vec.create n (-1.0) and rhs = Vec.create n 1.0 in
-        let x = Tridiag.solve ~lower ~diag ~upper ~rhs in
-        Test_util.check_rel "symmetry" ~rel:1e-9 x.(0) x.(n - 1));
   ]
 
 let banded_tests =
@@ -383,37 +352,6 @@ let stencil5_tests =
             Stencil5.solve a ~dst:(Fvec.create 6)));
   ]
 
-let sparse_tests =
-  [
-    u "duplicate triplets are summed" (fun () ->
-        let a = Sparse.of_triplets ~n:2 [ (0, 0, 1.0); (0, 0, 2.0); (1, 1, 1.0) ] in
-        Test_util.check_float "nnz" 2.0 (float_of_int (Sparse.nnz a));
-        Test_util.check_float "diag" 3.0 (Sparse.diagonal a).(0));
-    u "mat_vec on a known matrix" (fun () ->
-        let a = Sparse.of_triplets ~n:2 [ (0, 0, 2.0); (0, 1, 1.0); (1, 1, 3.0) ] in
-        let y = Sparse.mat_vec a [| 1.0; 2.0 |] in
-        Test_util.check_float "y0" 4.0 y.(0);
-        Test_util.check_float "y1" 6.0 y.(1));
-    u "out-of-range triplet raises" (fun () ->
-        Alcotest.check_raises "range"
-          (Invalid_argument "Sparse.of_triplets: (2, 0) out of range") (fun () ->
-            ignore (Sparse.of_triplets ~n:2 [ (2, 0, 1.0) ])));
-    u "bicgstab solves a 1-D Laplacian" (fun () ->
-        let n = 40 in
-        let triplets = ref [] in
-        for i = 0 to n - 1 do
-          triplets := (i, i, 2.0) :: !triplets;
-          if i > 0 then triplets := (i, i - 1, -1.0) :: !triplets;
-          if i < n - 1 then triplets := (i, i + 1, -1.0) :: !triplets
-        done;
-        let a = Sparse.of_triplets ~n !triplets in
-        let x_true = Array.init n (fun i -> sin (float_of_int i)) in
-        let b = Sparse.mat_vec a x_true in
-        let r = Sparse.bicgstab ~tol:1e-12 a b in
-        Alcotest.(check bool) "converged" true r.Sparse.converged;
-        Alcotest.(check bool) "accurate" true (Vec.max_abs_diff r.Sparse.x x_true < 1e-6));
-  ]
-
 let root_tests =
   [
     u "bisect finds pi/2 as root of cos" (fun () ->
@@ -626,43 +564,17 @@ let stats_tests =
         Test_util.check_float "max" 4.0 (Stats.maximum xs));
   ]
 
-let newton_tests =
-  [
-    u "solves a 2x2 nonlinear system" (fun () ->
-        (* x^2 + y^2 = 4, x = y -> x = y = sqrt 2. *)
-        let f x = [| (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) -. 4.0; x.(0) -. x.(1) |] in
-        let jacobian x =
-          [| [| 2.0 *. x.(0); 2.0 *. x.(1) |]; [| 1.0; -1.0 |] |]
-        in
-        let r = Newton.solve ~f ~jacobian [| 1.0; 2.0 |] in
-        Alcotest.(check bool) "converged" true r.Newton.converged;
-        Test_util.check_rel "x" ~rel:1e-8 (sqrt 2.0) r.Newton.x.(0));
-    u "reports non-convergence on a rootless problem" (fun () ->
-        let f x = [| (x.(0) *. x.(0)) +. 1.0 |] in
-        let jacobian x = [| [| 2.0 *. x.(0) |] |] in
-        let r = Newton.solve ~max_iter:20 ~f ~jacobian [| 3.0 |] in
-        Alcotest.(check bool) "not converged" true (not r.Newton.converged));
-    u "max_step clamps the update" (fun () ->
-        let f x = [| x.(0) -. 100.0 |] in
-        let jacobian _ = [| [| 1.0 |] |] in
-        let r = Newton.solve ~max_iter:3 ~max_step:1.0 ~f ~jacobian [| 0.0 |] in
-        Alcotest.(check bool) "still far" true (r.Newton.x.(0) <= 3.0 +. 1e-9));
-  ]
-
 let suite =
   [
     ("numerics.vec", vec_tests);
     ("numerics.matrix", matrix_tests);
-    ("numerics.tridiag", tridiag_tests);
     ("numerics.banded", banded_tests);
     ("numerics.fvec", fvec_tests);
     ("numerics.stencil5", stencil5_tests);
-    ("numerics.sparse", sparse_tests);
     ("numerics.root", root_tests);
     ("numerics.minimize", minimize_tests);
     ("numerics.interp", interp_tests);
     ("numerics.integrate", integrate_tests);
     ("numerics.grid", grid_tests);
     ("numerics.stats", stats_tests);
-    ("numerics.newton", newton_tests);
   ]
