@@ -44,29 +44,12 @@ let print_reproduction ctx =
 (* --- Bechamel tests ------------------------------------------------- *)
 
 let experiment_tests ctx =
-  let stage name f = Test.make ~name (Staged.stage f) in
-  [
-    stage "table1" (fun () -> Subscale.Experiments.table1 ());
-    stage "table2" (fun () -> Subscale.Experiments.table2 ctx);
-    stage "table3" (fun () -> Subscale.Experiments.table3 ctx);
-    stage "fig2" (fun () -> Subscale.Experiments.fig2 ctx);
-    stage "fig3" (fun () -> Subscale.Experiments.fig3 ctx);
-    stage "fig4" (fun () -> Subscale.Experiments.fig4 ctx);
-    stage "fig5" (fun () -> Subscale.Experiments.fig5 ~measured:false ctx);
-    stage "fig6" (fun () -> Subscale.Experiments.fig6 ctx);
-    stage "fig7" (fun () -> Subscale.Experiments.fig7 ());
-    stage "fig8" (fun () -> Subscale.Experiments.fig8 ());
-    stage "fig9" (fun () -> Subscale.Experiments.fig9 ctx);
-    stage "fig10" (fun () -> Subscale.Experiments.fig10 ctx);
-    stage "fig11" (fun () -> Subscale.Experiments.fig11 ctx);
-    stage "fig12" (fun () -> Subscale.Experiments.fig12 ctx);
-    stage "ext-variability" (fun () -> Subscale.Experiments.ext_variability ctx);
-    stage "ext-multivth" (fun () -> Subscale.Experiments.ext_multi_vth ());
-    stage "ext-bitline" (fun () -> Subscale.Experiments.ext_bitline ctx);
-    stage "ext-temperature" (fun () -> Subscale.Experiments.ext_temperature ());
-    stage "ext-corners" (fun () -> Subscale.Experiments.ext_corners ctx);
-    stage "ext-pareto" (fun () -> Subscale.Experiments.ext_pareto ctx);
-  ]
+  let ctx = Lazy.from_val ctx in
+  List.map
+    (fun (e : Subscale.Experiments.experiment) ->
+      Test.make ~name:e.Subscale.Experiments.id
+        (Staged.stage (fun () -> e.Subscale.Experiments.run ~measured:false ctx)))
+    Subscale.Experiments.registry
 
 let kernel_tests () =
   let phys = List.hd Subscale.Device.Params.paper_table2 in
@@ -112,16 +95,7 @@ let kernel_tests () =
     Test.make ~name:"kernel/sta-adder8"
       (Staged.stage
          (let lib = Subscale.Sta.Cell_lib.characterize pair ~vdd:0.3 in
-          let d = Subscale.Sta.Design.create () in
-          let a = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-          let b = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-          let cin = Subscale.Sta.Design.fresh_net d in
-          Array.iter (Subscale.Sta.Design.mark_input d) a;
-          Array.iter (Subscale.Sta.Design.mark_input d) b;
-          Subscale.Sta.Design.mark_input d cin;
-          let sums, cout = Subscale.Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-          Array.iter (Subscale.Sta.Design.mark_output d) sums;
-          Subscale.Sta.Design.mark_output d cout;
+          let d = (Subscale.Sta.Design.adder ~bits:8).Subscale.Sta.Design.design in
           fun () -> Subscale.Sta.Engine.analyze lib d));
     Test.make ~name:"kernel/repeater-plan"
       (Staged.stage (fun () ->
@@ -134,16 +108,7 @@ let kernel_tests () =
     Test.make ~name:"kernel/power-adder8"
       (Staged.stage
          (let lib = Subscale.Sta.Cell_lib.characterize pair ~vdd:0.3 in
-          let d = Subscale.Sta.Design.create () in
-          let a = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-          let b = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-          let cin = Subscale.Sta.Design.fresh_net d in
-          Array.iter (Subscale.Sta.Design.mark_input d) a;
-          Array.iter (Subscale.Sta.Design.mark_input d) b;
-          Subscale.Sta.Design.mark_input d cin;
-          let sums, cout = Subscale.Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-          Array.iter (Subscale.Sta.Design.mark_output d) sums;
-          Subscale.Sta.Design.mark_output d cout;
+          let d = (Subscale.Sta.Design.adder ~bits:8).Subscale.Sta.Design.design in
           fun () -> Subscale.Sta.Power.analyze lib d ~frequency:1e5));
   ]
 

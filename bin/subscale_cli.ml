@@ -106,14 +106,9 @@ let warn_non_converged () =
       Printf.eprintf "warning: %d non-converged solver exit(s) recorded under %s\n%!" n name)
     (Subscale.Obs.non_converged_counters ())
 
-let experiment_ids =
-  [ "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7";
-    "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
+module E = Subscale.Experiments
 
-let extension_ids =
-  [ "ext-variability"; "ext-multivth"; "ext-bitline"; "ext-temperature"; "ext-datapath";
-    "ext-interconnect"; "ext-sta"; "ext-yield"; "ext-projection"; "ext-corners";
-    "ext-pareto" ]
+let known_ids = List.map (fun (e : E.experiment) -> e.E.id) E.registry
 
 let print_output ~plots ~csv_dir (o : Subscale.Experiments.output) =
   Subscale.Report.Table.print o.Subscale.Experiments.table;
@@ -137,9 +132,10 @@ let print_output ~plots ~csv_dir (o : Subscale.Experiments.output) =
 let run_cmd =
   let ids =
     let doc =
-      "Experiments to run: table1..table3, fig2..fig12, ext-variability, \
-       ext-multivth, ext-bitline, ext-temperature, ext-datapath, 'all' \
-       (paper set) or 'everything' (paper set plus extensions)."
+      Printf.sprintf
+        "Experiments to run: %s, 'all' (paper set) or 'everything' (paper set \
+         plus extensions)."
+        (String.concat ", " known_ids)
     in
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"ID" ~doc)
   in
@@ -156,64 +152,24 @@ let run_cmd =
     Arg.(value & opt (some dir) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
   let run () () () ids no_measured plots csv_dir =
-    let ids =
+    let experiments =
       List.concat_map
         (fun id ->
-          if id = "all" then experiment_ids
-          else if id = "everything" then experiment_ids @ extension_ids
-          else [ id ])
+          match (id, E.find id) with
+          | "all", _ -> List.filter (fun (e : E.experiment) -> e.E.group = E.Paper) E.registry
+          | "everything", _ -> E.registry
+          | _, Some e -> [ e ]
+          | _, None ->
+            Printf.eprintf "unknown experiment %S (known: %s, all, everything)\n" id
+              (String.concat ", " known_ids);
+            exit 2)
         ids
     in
+    let ctx = E.context_for experiments in
     List.iter
-      (fun id ->
-        if not (List.mem id (experiment_ids @ extension_ids)) then begin
-          Printf.eprintf "unknown experiment %S (known: %s, all, everything)\n" id
-            (String.concat ", " (experiment_ids @ extension_ids));
-          exit 2
-        end)
-      ids;
-    let ctx_free =
-      [ "table1"; "fig7"; "fig8"; "ext-multivth"; "ext-temperature"; "ext-projection" ]
-    in
-    let needs_ctx = List.exists (fun id -> not (List.mem id ctx_free)) ids in
-    let with_130 = List.mem "fig12" ids in
-    let ctx =
-      if needs_ctx then Some (Subscale.Experiments.make_context ~with_130 ()) else None
-    in
-    let get_ctx () = Option.get ctx in
-    List.iter
-      (fun id ->
-        let output =
-          match id with
-          | "table1" -> Subscale.Experiments.table1 ()
-          | "table2" -> Subscale.Experiments.table2 (get_ctx ())
-          | "table3" -> Subscale.Experiments.table3 (get_ctx ())
-          | "fig2" -> Subscale.Experiments.fig2 (get_ctx ())
-          | "fig3" -> Subscale.Experiments.fig3 (get_ctx ())
-          | "fig4" -> Subscale.Experiments.fig4 (get_ctx ())
-          | "fig5" -> Subscale.Experiments.fig5 ~measured:(not no_measured) (get_ctx ())
-          | "fig6" -> Subscale.Experiments.fig6 (get_ctx ())
-          | "fig7" -> Subscale.Experiments.fig7 ()
-          | "fig8" -> Subscale.Experiments.fig8 ()
-          | "fig9" -> Subscale.Experiments.fig9 (get_ctx ())
-          | "fig10" -> Subscale.Experiments.fig10 (get_ctx ())
-          | "fig11" -> Subscale.Experiments.fig11 (get_ctx ())
-          | "fig12" -> Subscale.Experiments.fig12 (get_ctx ())
-          | "ext-variability" -> Subscale.Experiments.ext_variability (get_ctx ())
-          | "ext-multivth" -> Subscale.Experiments.ext_multi_vth ()
-          | "ext-bitline" -> Subscale.Experiments.ext_bitline (get_ctx ())
-          | "ext-temperature" -> Subscale.Experiments.ext_temperature ()
-          | "ext-datapath" -> Subscale.Experiments.ext_datapath (get_ctx ())
-          | "ext-interconnect" -> Subscale.Experiments.ext_interconnect (get_ctx ())
-          | "ext-sta" -> Subscale.Experiments.ext_sta (get_ctx ())
-          | "ext-yield" -> Subscale.Experiments.ext_yield (get_ctx ())
-          | "ext-projection" -> Subscale.Experiments.ext_projection ()
-          | "ext-corners" -> Subscale.Experiments.ext_corners (get_ctx ())
-          | "ext-pareto" -> Subscale.Experiments.ext_pareto (get_ctx ())
-          | _ -> assert false
-        in
-        print_output ~plots ~csv_dir output)
-      ids;
+      (fun (e : E.experiment) ->
+        print_output ~plots ~csv_dir (e.E.run ~measured:(not no_measured) ctx))
+      experiments;
     warn_non_converged ()
   in
   let doc = "Reproduce the paper's tables and figures" in
@@ -228,35 +184,22 @@ let strategy_arg =
   let doc = "Scaling strategy: 'super' or 'sub'." in
   Arg.(value & opt string "super" & info [ "strategy" ] ~docv:"S" ~doc)
 
-let select_device node strategy =
-  let n =
-    match Subscale.Scaling.Roadmap.find node with
-    | n -> n
-    | exception Not_found ->
-      Printf.eprintf "unknown node %d (known: 130, 90, 65, 45, 32)\n" node;
-      exit 2
-  in
-  match strategy with
-  | "super" ->
-    let s = Subscale.Scaling.Super_vth.select_node n in
-    (n, s.Subscale.Scaling.Super_vth.phys, s.Subscale.Scaling.Super_vth.pair)
-  | "sub" ->
-    let s = Subscale.Scaling.Sub_vth.select_node n in
-    (n, s.Subscale.Scaling.Sub_vth.phys, s.Subscale.Scaling.Sub_vth.pair)
-  | other ->
-    Printf.eprintf "unknown strategy %S (super or sub)\n" other;
+module Strategy = Subscale.Scaling.Strategy
+module Roadmap = Subscale.Scaling.Roadmap
+
+(* An unknown node or strategy is a usage error: message on stderr, exit 2. *)
+let resolve node strategy =
+  match Strategy.resolve ~node ~strategy with
+  | Ok device -> device
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
     exit 2
 
 let device_cmd =
   let run () () () node strategy =
-    let roadmap_node, phys, pair = select_device node strategy in
+    let roadmap_node, kind, phys, pair = resolve node strategy in
     validate_device ~what:(Printf.sprintf "%d nm %s device" node strategy) phys pair;
-    let e =
-      Subscale.Scaling.Strategy.evaluate
-        (if strategy = "super" then Subscale.Scaling.Strategy.Super_vth
-         else Subscale.Scaling.Strategy.Sub_vth)
-        roadmap_node phys pair
-    in
+    let e = Strategy.evaluate kind roadmap_node phys pair in
     let nfet = pair.Subscale.Circuits.Inverter.nfet in
     let f = Printf.printf in
     f "node           : %d nm (%s strategy)\n" node strategy;
@@ -284,7 +227,7 @@ let device_cmd =
 
 let tcad_cmd =
   let run () () () node strategy =
-    let _, _, pair = select_device node strategy in
+    let _, _, _, pair = resolve node strategy in
     let nfet = pair.Subscale.Circuits.Inverter.nfet in
     let desc = Subscale.Device.Compact.to_tcad_description nfet in
     let what = Printf.sprintf "%d nm %s TCAD deck" node strategy in
@@ -315,7 +258,7 @@ let sweep_cmd =
     Arg.(value & opt float 0.25 & info [ "vd" ] ~docv:"V" ~doc)
   in
   let run () () () node strategy vd =
-    let _, phys, pair = select_device node strategy in
+    let _, _, phys, pair = resolve node strategy in
     validate_device ~what:(Printf.sprintf "%d nm %s device" node strategy) phys pair;
     let nfet = pair.Subscale.Circuits.Inverter.nfet in
     print_endline "vgs,id_per_um";
@@ -338,7 +281,7 @@ let out_arg ~default =
 
 let liberty_cmd =
   let run () () () node strategy vdd path =
-    let _, phys, pair = select_device node strategy in
+    let _, _, phys, pair = resolve node strategy in
     validate_device ~what:(Printf.sprintf "%d nm %s device" node strategy) phys pair;
     Printf.printf "characterizing INV/NAND2/NOR2 at %.0f mV...\n%!" (1000.0 *. vdd);
     let lib = Subscale.Sta.Cell_lib.characterize pair ~vdd in
@@ -357,7 +300,7 @@ let export_cmd =
     Arg.(value & opt string "inverter" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
   let run () () () node strategy vdd circuit path =
-    let _, _, pair = select_device node strategy in
+    let _, _, _, pair = resolve node strategy in
     let netlist =
       match circuit with
       | "inverter" ->
@@ -388,16 +331,7 @@ let verilog_cmd =
     Arg.(value & opt int 8 & info [ "bits" ] ~docv:"N" ~doc)
   in
   let run () bits path =
-    let d = Subscale.Sta.Design.create () in
-    let a = Array.init bits (fun _ -> Subscale.Sta.Design.fresh_net d) in
-    let b = Array.init bits (fun _ -> Subscale.Sta.Design.fresh_net d) in
-    let cin = Subscale.Sta.Design.fresh_net d in
-    Array.iter (Subscale.Sta.Design.mark_input d) a;
-    Array.iter (Subscale.Sta.Design.mark_input d) b;
-    Subscale.Sta.Design.mark_input d cin;
-    let sums, cout = Subscale.Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-    Array.iter (Subscale.Sta.Design.mark_output d) sums;
-    Subscale.Sta.Design.mark_output d cout;
+    let d = (Subscale.Sta.Design.adder ~bits).Subscale.Sta.Design.design in
     let name = Printf.sprintf "rca%d" bits in
     gate_on_errors ~what:name (Subscale.Check.design d);
     let oc = open_out path in
@@ -411,43 +345,74 @@ let verilog_cmd =
 
 (* --- subscale check: the whole static-analysis pass as a subcommand --- *)
 
+(* check and audit report alike: one line per target, ok or warn/FAIL
+   with the target's summary and each diagnostic beneath, every
+   diagnostic collected into [all] for the exit code. *)
+let report_target all what diags =
+  all := !all @ diags;
+  let e, w, _ = Diag.count diags in
+  if e = 0 && w = 0 then Printf.printf "  ok    %s\n" what
+  else begin
+    Printf.printf "  %-5s %s (%s)\n" (if e > 0 then "FAIL" else "warn") what (Diag.summary diags);
+    List.iter (fun d -> Printf.printf "        %s\n" (Diag.to_string d)) (Diag.sort diags)
+  end
+
+(* The closing summary line, then exit 1 on errors (on warnings too under
+   --strict). *)
+let finish_pass ~pass ~strict all =
+  let _, w, _ = Diag.count all in
+  Printf.printf "%s: %s\n" pass (Diag.summary all);
+  let code = Diag.exit_code all in
+  exit (if code <> 0 then code else if strict && w > 0 then 1 else 0)
+
+(* Both selftests first prove the rule-id registry collision-free; an
+   exception becomes a FAIL line so the remaining cases still run. *)
+let selftest_rule_registry ~width failures =
+  match Subscale.Check.Rules.selftest () with
+  | n -> Printf.printf "  ok    %-*s -> %d unique rule id(s)\n" width "rule-id registry" n
+  | exception e ->
+    incr failures;
+    Printf.printf "  FAIL  %-*s %s\n" width "rule-id registry" (Printexc.to_string e)
+
+(* All eight shipped configurations (4 nodes x both scaling strategies). *)
+let shipped_devices () =
+  List.concat_map
+    (fun node ->
+      List.map
+        (fun kind ->
+          let phys, pair = Strategy.select kind node in
+          (node, kind, phys, pair))
+        Strategy.kinds)
+    Roadmap.nodes
+
+let device_label (node, kind, _, _) =
+  Printf.sprintf "%d nm %s" node.Roadmap.nm (Strategy.kind_key kind)
+
+let device_90 kind = Strategy.select kind (Roadmap.find 90)
+
 (* Run every checker over the shipped devices, generated circuits and the
    STA design; print one line per target (plus any diagnostics) and return
    the full diagnostic list for the exit code. *)
 let check_targets ~with_tcad =
   let all = ref [] in
-  let target what diags =
-    all := diags @ !all;
-    if diags = [] then Printf.printf "  ok    %s\n" what
-    else begin
-      let e, _, _ = Diag.count diags in
-      Printf.printf "  %-5s %s (%s)\n" (if e > 0 then "FAIL" else "warn") what
-        (Diag.summary diags);
-      List.iter (fun d -> Printf.printf "        %s\n" (Diag.to_string d)) (Diag.sort diags)
-    end
-  in
+  let target = report_target all in
   print_endline "devices:";
   List.iter
-    (fun node ->
-      List.iter
-        (fun strategy ->
-          let _, phys, pair = select_device node strategy in
-          let what = Printf.sprintf "%d nm %s" node strategy in
-          let vdd = phys.Subscale.Device.Params.vdd in
-          let nfet = pair.Subscale.Circuits.Inverter.nfet in
-          let pfet = pair.Subscale.Circuits.Inverter.pfet in
-          target (what ^ " physical parameters") (Subscale.Check.physical phys);
-          target (what ^ " nfet Id model") (Subscale.Check.compact nfet ~vdd);
-          target (what ^ " pfet Id model") (Subscale.Check.compact pfet ~vdd);
-          let desc = Subscale.Device.Compact.to_tcad_description nfet in
-          target (what ^ " TCAD deck") (Subscale.Check.description desc);
-          if with_tcad then
-            target (what ^ " TCAD mesh")
-              (Subscale.Check.structure (Subscale.Tcad.Structure.build desc)))
-        [ "super"; "sub" ])
-    [ 90; 65; 45; 32 ];
+    (fun ((_, _, phys, pair) as device) ->
+      let what = device_label device in
+      let vdd = phys.Subscale.Device.Params.vdd in
+      let nfet = pair.Subscale.Circuits.Inverter.nfet in
+      let pfet = pair.Subscale.Circuits.Inverter.pfet in
+      target (what ^ " physical parameters") (Subscale.Check.physical phys);
+      target (what ^ " nfet Id model") (Subscale.Check.compact nfet ~vdd);
+      target (what ^ " pfet Id model") (Subscale.Check.compact pfet ~vdd);
+      let desc = Subscale.Device.Compact.to_tcad_description nfet in
+      target (what ^ " TCAD deck") (Subscale.Check.description desc);
+      if with_tcad then
+        target (what ^ " TCAD mesh") (Subscale.Check.structure (Subscale.Tcad.Structure.build desc)))
+    (shipped_devices ());
   print_endline "circuits (90 nm sub-Vth device):";
-  let _, phys, pair = select_device 90 "sub" in
+  let phys, pair = device_90 Strategy.Sub_vth in
   let vdd = phys.Subscale.Device.Params.vdd in
   let net what c = target what (Subscale.Check.netlist c) in
   net "inverter VTC deck"
@@ -467,17 +432,8 @@ let check_targets ~with_tcad =
   net "4-bit ripple-carry adder"
     (Subscale.Circuits.Adder.ripple_carry pair ~vdd ~bits:4).Subscale.Circuits.Adder.circuit;
   print_endline "designs:";
-  let d = Subscale.Sta.Design.create () in
-  let a = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-  let b = Array.init 8 (fun _ -> Subscale.Sta.Design.fresh_net d) in
-  let cin = Subscale.Sta.Design.fresh_net d in
-  Array.iter (Subscale.Sta.Design.mark_input d) a;
-  Array.iter (Subscale.Sta.Design.mark_input d) b;
-  Subscale.Sta.Design.mark_input d cin;
-  let sums, cout = Subscale.Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-  Array.iter (Subscale.Sta.Design.mark_output d) sums;
-  Subscale.Sta.Design.mark_output d cout;
-  target "rca8 gate-level design" (Subscale.Check.design d);
+  target "rca8 gate-level design"
+    (Subscale.Check.design (Subscale.Sta.Design.adder ~bits:8).Subscale.Sta.Design.design);
   !all
 
 (* Crafted bad decks, one per netlist-DRC rule class: each must raise
@@ -485,7 +441,7 @@ let check_targets ~with_tcad =
    shipped inverter must come back clean. *)
 let check_selftest () =
   let module N = Subscale.Spice.Netlist in
-  let _, phys, pair = select_device 90 "sub" in
+  let phys, pair = device_90 Strategy.Sub_vth in
   let nfet = pair.Subscale.Circuits.Inverter.nfet in
   let pfet = pair.Subscale.Circuits.Inverter.pfet in
   let deck build =
@@ -537,11 +493,7 @@ let check_selftest () =
   (* Satellite of the audit work: rule ids across every lib/check table are
      minted through Rules.register, so a collision or malformed id is a hard
      selftest failure here, not a silent shadowing in reports. *)
-  (match Subscale.Check.Rules.selftest () with
-   | n -> Printf.printf "  ok    %-28s -> %d unique rule id(s)\n" "rule-id registry" n
-   | exception e ->
-     incr failures;
-     Printf.printf "  FAIL  %-28s %s\n" "rule-id registry" (Printexc.to_string e));
+  selftest_rule_registry ~width:28 failures;
   List.iter
     (fun (what, rule, c) ->
       let diags = Subscale.Check.netlist c in
@@ -590,11 +542,7 @@ let check_cmd =
   let run () () () selftest strict with_tcad =
     if selftest then check_selftest ()
     else begin
-      let all = check_targets ~with_tcad in
-      let _, w, _ = Diag.count all in
-      Printf.printf "check: %s\n" (Diag.summary all);
-      let code = Diag.exit_code all in
-      exit (if code <> 0 then code else if strict && w > 0 then 1 else 0)
+      finish_pass ~pass:"check" ~strict (check_targets ~with_tcad)
     end
   in
   let doc = "Static-analysis pass over shipped devices, circuits and designs" in
@@ -618,26 +566,6 @@ module MS = Subscale.Check.Memo_soundness
 module IV = Subscale.Check.Interval
 module Pm = Subscale.Device.Params
 
-(* All eight shipped configurations (4 nodes x both scaling strategies). *)
-let audit_configs () =
-  List.concat_map
-    (fun node ->
-      List.map
-        (fun strategy ->
-          let rnode, phys, pair = select_device node strategy in
-          (node, strategy, rnode, phys, pair))
-        [ "super"; "sub" ])
-    [ 90; 65; 45; 32 ]
-
-let audit_target all what diags =
-  all := !all @ diags;
-  let e, w, _ = Diag.count diags in
-  if e = 0 && w = 0 then Printf.printf "  ok    %s\n" what
-  else begin
-    Printf.printf "  %-5s %s\n" (if e > 0 then "FAIL" else "warn") what;
-    List.iter (fun d -> Printf.printf "        %s\n" (Diag.to_string d)) (Diag.sort diags)
-  end
-
 let iv_fmt ?(scale = 1.0) ?(digits = 1) i =
   Printf.sprintf "[%.*f, %.*f]" digits (scale *. IV.lo i) digits (scale *. IV.hi i)
 
@@ -646,30 +574,28 @@ let iv_fmt ?(scale = 1.0) ?(digits = 1) i =
    point of the (possibly widened) parameter box trips a hazard. *)
 let audit_validity ~op_vdd ~widen =
   let all = ref [] in
-  let target = audit_target all in
+  let target = report_target all in
   Printf.printf "validity (interval abstract interpretation at V_dd = %.0f mV%s):\n"
     (1000.0 *. op_vdd)
     (if widen > 0.0 then Printf.sprintf ", box widened %g%%" (100.0 *. widen) else "");
   List.iter
-    (fun (node, strategy, _, phys, _) ->
-      let what = Printf.sprintf "%d nm %s" node strategy in
+    (fun ((_, _, phys, _) as device) ->
+      let what = device_label device in
       let r = VR.audit_physical ~widen ~op_vdd ~what phys in
       target
         (Printf.sprintf "%-11s S_S in %s mV/dec, I_on/I_off in %s" what
            (iv_fmt ~scale:1000.0 r.VR.nfet.VR.ss)
            (iv_fmt ~digits:0 r.VR.nfet.VR.on_off))
         r.VR.diags)
-    (audit_configs ());
+    (shipped_devices ());
   print_endline "mesh-resolution preconditions (AUD008):";
   List.iter
-    (fun (node, strategy, _, _, pair) ->
+    (fun ((_, _, _, pair) as device) ->
       let desc =
         Subscale.Device.Compact.to_tcad_description pair.Subscale.Circuits.Inverter.nfet
       in
-      target
-        (Printf.sprintf "%d nm %s TCAD mesh" node strategy)
-        (VR.check_mesh desc))
-    (audit_configs ());
+      target (device_label device ^ " TCAD mesh") (VR.check_mesh desc))
+    (shipped_devices ());
   !all
 
 (* Perturbation helpers for the key-sensitivity differential: every field a
@@ -716,12 +642,12 @@ let perturb_calibration field (c : Pm.calibration) =
    hit is recomputed and compared bit-for-bit against the cached value. *)
 let audit_memo () =
   let all = ref [] in
-  let target = audit_target all in
+  let target = report_target all in
   let covered = Pm.physical_key_fields @ Pm.calibration_key_fields in
   print_endline "memo soundness (traced read-set vs Exec.Key coverage, AUD011):";
   List.iter
-    (fun (node, strategy, _, phys, _) ->
-      let what = Printf.sprintf "%d nm %s device build" node strategy in
+    (fun ((_, _, phys, _) as device) ->
+      let what = device_label device ^ " device build" in
       let (_ : Subscale.Circuits.Inverter.pair), reads =
         Pm.Trace.collect (fun () -> Subscale.Circuits.Inverter.pair_of_physical phys)
       in
@@ -729,23 +655,22 @@ let audit_memo () =
         (Printf.sprintf "%-24s reads %d parameter field(s), all keyed" what
            (List.length reads))
         (MS.cross_check ~what ~covered ~reads))
-    (audit_configs ());
+    (shipped_devices ());
   List.iter
-    (fun (kind, node, strategy) ->
-      let rnode, phys, pair = select_device node strategy in
-      let what = Printf.sprintf "%d nm %s full evaluation" node strategy in
-      let (_ : Subscale.Scaling.Strategy.evaluation), reads =
+    (fun kind ->
+      let phys, pair = device_90 kind in
+      let what = Printf.sprintf "90 nm %s full evaluation" (Strategy.kind_key kind) in
+      let (_ : Strategy.evaluation), reads =
         Pm.Trace.collect (fun () ->
-            Subscale.Scaling.Strategy.evaluate_uncached kind rnode phys pair)
+            Strategy.evaluate_uncached kind (Roadmap.find 90) phys pair)
       in
       target
         (Printf.sprintf "%-24s reads %d parameter field(s), all keyed" what
            (List.length reads))
         (MS.cross_check ~what ~covered ~reads))
-    [ (Subscale.Scaling.Strategy.Super_vth, 90, "super");
-      (Subscale.Scaling.Strategy.Sub_vth, 90, "sub") ];
+    Strategy.kinds;
   print_endline "memo key sensitivity (every keyed field must move the key):";
-  let _, phys0, _ = select_device 90 "super" in
+  let phys0, _ = device_90 Strategy.Super_vth in
   let base_pk = Pm.physical_key phys0 in
   target
     (Printf.sprintf "physical_key    %2d field(s) differentially perturbed"
@@ -772,13 +697,9 @@ let audit_memo () =
       (* First sweep fills every table; the second replays it so that every
          lookup is a hit and gets shadow-recomputed. *)
       for _ = 1 to 2 do
-        let (_ : Subscale.Scaling.Strategy.evaluation list) =
-          Subscale.Scaling.Strategy.super_vth_trajectory ()
-        in
-        let (_ : Subscale.Scaling.Strategy.evaluation list) =
-          Subscale.Scaling.Strategy.sub_vth_trajectory ()
-        in
-        ()
+        List.iter
+          (fun kind -> ignore (Strategy.trajectory kind : Strategy.evaluation list))
+          Strategy.kinds
       done);
   let hits =
     List.fold_left
@@ -796,17 +717,16 @@ let audit_memo () =
    pool schedules must fingerprint bit-exactly against the natural order. *)
 let audit_schedules ~n =
   let all = ref [] in
-  let target = audit_target all in
+  let target = report_target all in
   Printf.printf "schedule perturbation (%d adversarial schedule(s), %d domain(s), AUD013):\n"
     n (Subscale.Exec.jobs ());
   let fingerprint () =
     (* Flush the memo tables so every replay recomputes from scratch —
        otherwise the cache would hand back the baseline values trivially. *)
     Subscale.Exec.Memo.clear_all ();
-    let sup = Subscale.Scaling.Strategy.super_vth_trajectory () in
-    let sub = Subscale.Scaling.Strategy.sub_vth_trajectory () in
     String.concat "\n"
-      (List.map Subscale.Scaling.Strategy.evaluation_fingerprint (sup @ sub))
+      (List.map Strategy.evaluation_fingerprint
+         (List.concat_map (fun kind -> Strategy.trajectory kind) Strategy.kinds))
   in
   Subscale.Exec.set_schedule_seed None;
   let baseline = fingerprint () in
@@ -839,18 +759,14 @@ let audit_selftest () =
         (String.concat "; " (List.map Diag.to_string diags))
     end
   in
-  (match Subscale.Check.Rules.selftest () with
-   | n -> Printf.printf "  ok    %-42s -> %d unique rule id(s)\n" "rule-id registry" n
-   | exception e ->
-     incr failures;
-     Printf.printf "  FAIL  %-42s %s\n" "rule-id registry" (Printexc.to_string e));
+  selftest_rule_registry ~width:42 failures;
   (match Subscale.Check.Rules.register ~summary:"deliberate collision" "AUD001" with
    | (_ : string) ->
      incr failures;
      Printf.printf "  FAIL  duplicate rule id accepted at registration\n"
    | exception Subscale.Check.Rules.Duplicate_rule _ ->
      Printf.printf "  ok    %-42s -> Duplicate_rule\n" "duplicate rule id rejected");
-  let _, phys90, _ = select_device 90 "super" in
+  let phys90, _ = device_90 Strategy.Super_vth in
   case "moderate-inversion supply (V_dd = 0.6 V)" ~expect:"AUD001"
     (VR.audit_physical ~op_vdd:0.6 ~what:"selftest" phys90).VR.diags;
   case "20% box: I_off straddles zero in I_on/I_off" ~expect:"AUD003"
@@ -949,10 +865,7 @@ let audit_cmd =
       if validity || run_all then all := !all @ audit_validity ~op_vdd ~widen;
       if memo || run_all then all := !all @ audit_memo ();
       if n_schedules > 0 then all := !all @ audit_schedules ~n:n_schedules;
-      let _, w, _ = Diag.count !all in
-      Printf.printf "audit: %s\n" (Diag.summary !all);
-      let code = Diag.exit_code !all in
-      exit (if code <> 0 then code else if strict && w > 0 then 1 else 0)
+      finish_pass ~pass:"audit" ~strict !all
     end
   in
   let doc = "Interval-validity and memo/determinism audit of the model chain" in
@@ -1035,20 +948,6 @@ let lint_update_baseline ~baseline_path (app : L.Baseline.application) old_basel
 
 (* --format json: one finding per line, machine-readable, matched in CI by
    .github/lint-problem-matcher.json — keep the field order in sync. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let diag_json (d : Diag.t) =
   let file, line, col =
     match String.split_on_char ':' d.Diag.location with
@@ -1059,15 +958,17 @@ let diag_json (d : Diag.t) =
     | [ f; l ] -> (f, Option.value ~default:0 (int_of_string_opt l), 0)
     | _ -> (d.Diag.location, 0, 0)
   in
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"%s}"
-    (json_escape d.Diag.rule)
-    (Diag.severity_label d.Diag.severity)
-    (json_escape file) line col
-    (json_escape d.Diag.message)
-    (match d.Diag.hint with
-     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (json_escape h)
-     | None -> "")
+  let module J = Subscale.Report.Json in
+  let int n = J.Num (float_of_int n) in
+  J.render
+    (J.Obj
+       ([ ("rule", J.Str d.Diag.rule);
+          ("severity", J.Str (Diag.severity_label d.Diag.severity));
+          ("file", J.Str file);
+          ("line", int line);
+          ("col", int col);
+          ("message", J.Str d.Diag.message) ]
+       @ Option.fold ~none:[] ~some:(fun h -> [ ("hint", J.Str h) ]) d.Diag.hint))
 
 let lint_cmd =
   let selftest =

@@ -32,17 +32,8 @@ let () =
   List.iter show [ Sta.Cell_lib.Inv; Sta.Cell_lib.Nand2; Sta.Cell_lib.Nor2 ];
 
   Printf.printf "\n2. building the 8-bit ripple-carry adder netlist...\n";
-  let d = Sta.Design.create () in
   let bits = 8 in
-  let a = Array.init bits (fun _ -> Sta.Design.fresh_net d) in
-  let b = Array.init bits (fun _ -> Sta.Design.fresh_net d) in
-  let cin = Sta.Design.fresh_net d in
-  Array.iter (Sta.Design.mark_input d) a;
-  Array.iter (Sta.Design.mark_input d) b;
-  Sta.Design.mark_input d cin;
-  let sums, cout = Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-  Array.iter (Sta.Design.mark_output d) sums;
-  Sta.Design.mark_output d cout;
+  let d = (Sta.Design.adder ~bits).Sta.Design.design in
   Printf.printf "   %d NAND2 gates, %d nets\n" (List.length (Sta.Design.gates d))
     (Sta.Design.n_nets d);
 

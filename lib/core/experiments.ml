@@ -22,8 +22,8 @@ let make_context ?cal ?(with_130 = false) () =
   Obs.Trace.with_span ~cat:"experiments" "experiments.make_context" @@ fun () ->
   let ctx =
     {
-      super = Scaling.Strategy.super_vth_trajectory ?cal ~with_130 ();
-      sub = Scaling.Strategy.sub_vth_trajectory ?cal ~with_130 ();
+      super = Scaling.Strategy.trajectory ?cal ~with_130 Scaling.Strategy.Super_vth;
+      sub = Scaling.Strategy.trajectory ?cal ~with_130 Scaling.Strategy.Sub_vth;
     }
   in
   List.iter (validate_evaluation "super-Vth") ctx.super;
@@ -555,13 +555,6 @@ let fig12 ctx =
     plots = [];
   }
 
-let all ?(measured_delay = true) ctx =
-  [
-    table1 (); table2 ctx; table3 ctx; fig2 ctx; fig3 ctx; fig4 ctx;
-    fig5 ~measured:measured_delay ctx; fig6 ctx; fig7 (); fig8 ();
-    fig9 ctx; fig10 ctx; fig11 ctx; fig12 ctx;
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Extensions                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -774,18 +767,8 @@ let ext_sta ctx =
       (fun e ->
         let pair = e.Scaling.Strategy.pair in
         let lib = Sta.Cell_lib.characterize pair ~vdd:0.25 in
-        let d = Sta.Design.create () in
         let bits = 8 in
-        let a = Array.init bits (fun _ -> Sta.Design.fresh_net d) in
-        let b = Array.init bits (fun _ -> Sta.Design.fresh_net d) in
-        let cin = Sta.Design.fresh_net d in
-        Array.iter (Sta.Design.mark_input d) a;
-        Array.iter (Sta.Design.mark_input d) b;
-        Sta.Design.mark_input d cin;
-        let sums, cout = Sta.Design.ripple_carry_adder d ~a ~b ~cin in
-        Array.iter (Sta.Design.mark_output d) sums;
-        Sta.Design.mark_output d cout;
-        let report = Sta.Engine.analyze lib d in
+        let report = Sta.Engine.analyze lib (Sta.Design.adder ~bits).Sta.Design.design in
         let spice = Circuits.Adder.carry_delay pair ~vdd:0.25 ~bits in
         [ fmt "%d" (node_of e);
           fmt "%.2f" (1e6 *. report.Sta.Engine.critical_time);
@@ -984,7 +967,62 @@ let ext_pareto ctx =
     plots = [];
   }
 
-let all_extensions ctx =
-  [ ext_variability ctx; ext_multi_vth (); ext_bitline ctx; ext_temperature ();
-    ext_datapath ctx; ext_interconnect ctx; ext_sta ctx; ext_yield ctx;
-    ext_projection (); ext_corners ctx; ext_pareto ctx ]
+(* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type group = Paper | Extension
+
+type experiment = {
+  id : string;
+  group : group;
+  run : measured:bool -> context Lazy.t -> output;
+}
+
+(* Drivers that read the context force it; the others never touch it. *)
+let needs f ~measured:_ ctx = f (Lazy.force ctx)
+let free f ~measured:_ _ = f ()
+
+let registry =
+  let paper id run = { id; group = Paper; run } in
+  let ext id run = { id; group = Extension; run } in
+  [ paper "table1" (free table1);
+    paper "table2" (needs table2);
+    paper "table3" (needs table3);
+    paper "fig2" (needs fig2);
+    paper "fig3" (needs fig3);
+    paper "fig4" (needs fig4);
+    paper "fig5" (fun ~measured ctx -> fig5 ~measured (Lazy.force ctx));
+    paper "fig6" (needs fig6);
+    paper "fig7" (free fig7);
+    paper "fig8" (free fig8);
+    paper "fig9" (needs fig9);
+    paper "fig10" (needs fig10);
+    paper "fig11" (needs fig11);
+    paper "fig12" (needs fig12);
+    ext "ext-variability" (needs ext_variability);
+    ext "ext-multivth" (free ext_multi_vth);
+    ext "ext-bitline" (needs ext_bitline);
+    ext "ext-temperature" (free ext_temperature);
+    ext "ext-datapath" (needs ext_datapath);
+    ext "ext-interconnect" (needs ext_interconnect);
+    ext "ext-sta" (needs ext_sta);
+    ext "ext-yield" (needs ext_yield);
+    ext "ext-projection" (free ext_projection);
+    ext "ext-corners" (needs ext_corners);
+    ext "ext-pareto" (needs ext_pareto) ]
+
+let find id = List.find_opt (fun e -> e.id = id) registry
+
+(* Fig. 12 is the only artefact that reads the 130 nm back-extrapolation. *)
+let context_for experiments =
+  let with_130 = List.exists (fun e -> e.id = "fig12") experiments in
+  lazy (make_context ~with_130 ())
+
+let run_group group ~measured ctx =
+  let ctx = Lazy.from_val ctx in
+  List.filter_map (fun e -> if e.group = group then Some (e.run ~measured ctx) else None) registry
+
+let all ?(measured_delay = true) ctx = run_group Paper ~measured:measured_delay ctx
+
+let all_extensions ctx = run_group Extension ~measured:true ctx

@@ -65,7 +65,8 @@ val fig12 : context -> output
     (context must include the 130 nm node for the paper's V_min remark). *)
 
 val all : ?measured_delay:bool -> context -> output list
-(** Every table and figure, in paper order. *)
+(** Every table and figure, in paper order (the registry's [Paper]
+    entries). *)
 
 (** {2 Extensions}
 
@@ -124,3 +125,28 @@ val ext_pareto : context -> output
     the EDP optimum, and iso-delay energy for both strategies. *)
 
 val all_extensions : context -> output list
+(** Every extension, in registry order. *)
+
+(** {2 Registry}
+
+    Every artefact above, once, in [subscale run everything] order: the
+    paper's tables and figures first, then the extensions.  The CLI, the
+    bench harness and the golden tests all dispatch through it. *)
+
+type group = Paper | Extension
+
+type experiment = {
+  id : string;  (** the CLI id, e.g. ["fig5"] or ["ext-pareto"] *)
+  group : group;
+  run : measured:bool -> context Lazy.t -> output;
+      (** Runs the driver.  Only drivers that read the context force it;
+          [measured] is fig5's transient-delay switch, ignored elsewhere. *)
+}
+
+val registry : experiment list
+
+val find : string -> experiment option
+
+val context_for : experiment list -> context Lazy.t
+(** A context built on first force, with the 130 nm node when fig12 is
+    among the experiments. *)

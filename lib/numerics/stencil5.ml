@@ -107,8 +107,8 @@ let mat_vec a x y =
 
 (* Expand diagonals into the band, factor (LU, no pivoting; fill stays
    within the band) and solve.  Elimination is column-by-column in the same
-   order as [Banded.solve_in_place], so the float sequence — hence the
-   result — matches the generic path bit for bit on the same matrix. *)
+   order as the generic band LU in test/banded.ml, so the float sequence —
+   hence the result — matches that oracle bit for bit on the same matrix. *)
 let solve a ~dst =
   if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
   let { n; m; dl2; dl1; d0; du1; du2; rhs; band } = a in

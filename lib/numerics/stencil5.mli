@@ -2,13 +2,13 @@
     tensor mesh with nodes ordered [k = ix * ny + iy]: nonzero diagonals
     only at offsets 0, +-1 and +-m (m = ny).
 
-    Unlike the generic {!Banded} path — which stores and clears the full
+    Unlike a generic banded LU — which stores and clears the full
     (2m+1)-diagonal band on every assembly — assembly here touches exactly
     the five stencil diagonals, and the LU workspace (where fill-in lives)
     is owned by the value, so a solver reusing one stencil across Newton /
     Gummel iterations allocates nothing per solve.  On the same matrix the
-    solve is bit-identical to [Banded.solve_in_place] (same elimination
-    order, no pivoting). *)
+    solve is bit-identical to the generic band LU the tests keep as its
+    oracle, [test/banded.ml] (same elimination order, no pivoting). *)
 
 type t
 

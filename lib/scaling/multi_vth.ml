@@ -41,12 +41,9 @@ let family ?(cal = Device.Params.default_calibration) ~(base : Device.Params.phy
     [ Low_vth; Standard_vth; High_vth ]
 
 let for_node ?cal ~strategy (node : Roadmap.node) =
+  let base, _ = Strategy.select ?cal strategy node in
   match strategy with
   | Strategy.Super_vth ->
-    let sel = Super_vth.select_node ?cal node in
-    family ?cal ~base:sel.Super_vth.phys ~ioff_vdd:node.Roadmap.vdd
-      ~base_target:node.Roadmap.ileak_max ()
+    family ?cal ~base ~ioff_vdd:node.Roadmap.vdd ~base_target:node.Roadmap.ileak_max ()
   | Strategy.Sub_vth ->
-    let sel = Sub_vth.select_node ?cal node in
-    family ?cal ~base:sel.Sub_vth.phys ~ioff_vdd:Sub_vth.operating_vdd
-      ~base_target:Roadmap.sub_vth_ioff_target ()
+    family ?cal ~base ~ioff_vdd:Sub_vth.operating_vdd ~base_target:Roadmap.sub_vth_ioff_target ()

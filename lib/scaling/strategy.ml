@@ -2,6 +2,42 @@ type kind = Super_vth | Sub_vth
 
 let kind_name = function Super_vth -> "super-Vth" | Sub_vth -> "sub-Vth"
 
+(* The one strategy-name table: the CLI's --strategy, the daemon's
+   "strategy" field, memo keys and trace attributes all read it. *)
+let keys = [ (Super_vth, "super"); (Sub_vth, "sub") ]
+
+let kinds = List.map fst keys
+
+let kind_key kind = List.assoc kind keys
+
+let kind_of_key s = List.find_map (fun (k, name) -> if name = s then Some k else None) keys
+
+let select ?cal kind node =
+  match kind with
+  | Super_vth ->
+    let s = Super_vth.select_node ?cal node in
+    (s.Super_vth.phys, s.Super_vth.pair)
+  | Sub_vth ->
+    let s = Sub_vth.select_node ?cal node in
+    (s.Sub_vth.phys, s.Sub_vth.pair)
+
+let resolve ~node ~strategy =
+  match Roadmap.find node with
+  | exception Not_found ->
+    Error
+      (Printf.sprintf "unknown node %d (known: %s)" node
+         (String.concat ", "
+            (List.map (fun n -> string_of_int n.Roadmap.nm) Roadmap.nodes_with_130)))
+  | n -> (
+    match kind_of_key strategy with
+    | None ->
+      Error
+        (Printf.sprintf "unknown strategy %S (%s)" strategy
+           (String.concat " or " (List.map snd keys)))
+    | Some kind ->
+      let phys, pair = select kind n in
+      Ok (n, kind, phys, pair))
+
 type evaluation = {
   kind : kind;
   node : Roadmap.node;
@@ -42,7 +78,7 @@ let evaluation_key kind node (phys : Device.Params.physical)
   let nfet_key = dev_key pair.Circuits.Inverter.nfet in
   let pfet_key = dev_key pair.Circuits.Inverter.pfet in
   Exec.Key.fields "evaluate"
-    [ ("kind", (match kind with Super_vth -> "super" | Sub_vth -> "sub"));
+    [ ("kind", kind_key kind);
       ("node", Roadmap.node_key node);
       ("phys", Device.Params.physical_key phys);
       ("nfet", nfet_key);
@@ -50,11 +86,7 @@ let evaluation_key kind node (phys : Device.Params.physical)
 
 let evaluate_uncached kind node phys pair =
   Obs.Trace.with_span ~cat:"scaling"
-    ~attrs:
-      [
-        ("kind", Obs.Trace.S (match kind with Super_vth -> "super" | Sub_vth -> "sub"));
-        ("node_nm", Obs.Trace.I node.Roadmap.nm);
-      ]
+    ~attrs:[ ("kind", Obs.Trace.S (kind_key kind)); ("node_nm", Obs.Trace.I node.Roadmap.nm) ]
     "strategy.evaluate"
   @@ fun () ->
   let sizing = Circuits.Inverter.balanced_sizing () in
@@ -110,15 +142,7 @@ let evaluate kind node phys pair =
   Exec.Memo.find_or_compute evaluate_memo ~key:(evaluation_key kind node phys pair)
     (fun () -> evaluate_uncached kind node phys pair)
 
-let super_vth_trajectory ?cal ?(with_130 = false) () =
-  let selections = if with_130 then Super_vth.all_with_130 ?cal () else Super_vth.all ?cal () in
-  Exec.map
-    (fun s ->
-      evaluate Super_vth s.Super_vth.node s.Super_vth.phys s.Super_vth.pair)
-    selections
-
-let sub_vth_trajectory ?cal ?(with_130 = false) () =
-  let selections = if with_130 then Sub_vth.all_with_130 ?cal () else Sub_vth.all ?cal () in
-  Exec.map
-    (fun s -> evaluate Sub_vth s.Sub_vth.node s.Sub_vth.phys s.Sub_vth.pair)
-    selections
+let trajectory ?cal ?(with_130 = false) kind =
+  let nodes = if with_130 then Roadmap.nodes_with_130 else Roadmap.nodes in
+  let selections = Exec.map (fun n -> (n, select ?cal kind n)) nodes in
+  Exec.map (fun (n, (phys, pair)) -> evaluate kind n phys pair) selections

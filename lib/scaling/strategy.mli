@@ -1,9 +1,36 @@
 (** Side-by-side evaluation of the two scaling strategies — the common
-    record every Sec. 3.3 comparison figure (Figs. 9-12) reads from. *)
+    record every Sec. 3.3 comparison figure (Figs. 9-12) reads from — and
+    the one place a strategy name maps to a device selection. *)
 
 type kind = Super_vth | Sub_vth
 
 val kind_name : kind -> string
+(** Display name: ["super-Vth"] or ["sub-Vth"]. *)
+
+val kinds : kind list
+(** Both strategies, super-V_th first. *)
+
+val kind_key : kind -> string
+(** The short name, ["super"] or ["sub"]: what the CLI's [--strategy] and
+    the daemon's ["strategy"] field accept, and what memo keys and trace
+    attributes record. *)
+
+val select :
+  ?cal:Device.Params.calibration ->
+  kind ->
+  Roadmap.node ->
+  Device.Params.physical * Circuits.Inverter.pair
+(** The device the strategy selects at a node ({!Super_vth.select_node} or
+    {!Sub_vth.select_node}). *)
+
+val resolve :
+  node:int ->
+  strategy:string ->
+  (Roadmap.node * kind * Device.Params.physical * Circuits.Inverter.pair, string) result
+(** Look up a node label and a strategy key, then {!select}.  The error
+    strings, e.g. ["unknown node 14 (known: 130, 90, 65, 45, 32)"] and
+    ["unknown strategy \"x\" (super or sub)"], are what the CLI prints and
+    the daemon returns. *)
 
 type evaluation = {
   kind : kind;
@@ -37,8 +64,7 @@ val evaluation_fingerprint : evaluation -> string
     the audit's schedule-perturbation diff: outputs of a sweep replayed
     under a perturbed pool schedule must fingerprint identically. *)
 
-val super_vth_trajectory : ?cal:Device.Params.calibration -> ?with_130:bool -> unit ->
-  evaluation list
-
-val sub_vth_trajectory : ?cal:Device.Params.calibration -> ?with_130:bool -> unit ->
-  evaluation list
+val trajectory : ?cal:Device.Params.calibration -> ?with_130:bool -> kind -> evaluation list
+(** The strategy over the roadmap, 90 to 32 nm (130 nm first when
+    [with_130]): every node's device selected, then every device
+    evaluated. *)

@@ -18,22 +18,8 @@ let coalesced_counter = Obs.Metrics.counter "serve.coalesced"
 
 (* --- device resolution ------------------------------------------------ *)
 
-let select_device ~node ~strategy =
-  match Scaling.Roadmap.find node with
-  | exception Not_found ->
-    Error (Printf.sprintf "unknown node %d (known: 130, 90, 65, 45, 32)" node)
-  | n -> (
-    match strategy with
-    | "super" ->
-      let s = Scaling.Super_vth.select_node n in
-      Ok (n, Scaling.Strategy.Super_vth, s.Scaling.Super_vth.phys, s.Scaling.Super_vth.pair)
-    | "sub" ->
-      let s = Scaling.Sub_vth.select_node n in
-      Ok (n, Scaling.Strategy.Sub_vth, s.Scaling.Sub_vth.phys, s.Scaling.Sub_vth.pair)
-    | other -> Error (Printf.sprintf "unknown strategy %S (super or sub)" other))
-
 let build_structure ~node ~strategy ~nx ~ny =
-  match select_device ~node ~strategy with
+  match Scaling.Strategy.resolve ~node ~strategy with
   | Error _ as e -> e
   | Ok (_, _, _, pair) ->
     let desc = Device.Compact.to_tcad_description pair.Circuits.Inverter.nfet in
@@ -463,7 +449,7 @@ let run ?on_ready config =
               (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ])
           | Protocol.Device { node; strategy } ->
             let resp =
-              match select_device ~node ~strategy with
+              match Scaling.Strategy.resolve ~node ~strategy with
               | Error msg ->
                 Obs.Metrics.incr errors_counter;
                 Protocol.error_response ~id msg

@@ -107,6 +107,28 @@ let ripple_carry_adder d ~a ~b ~cin =
   done;
   (sums, !carry)
 
+type adder = {
+  design : t;
+  a : net array;
+  b : net array;
+  cin : net;
+  sums : net array;
+  cout : net;
+}
+
+let adder ~bits =
+  let design = create () in
+  let a = Array.init bits (fun _ -> fresh_net design) in
+  let b = Array.init bits (fun _ -> fresh_net design) in
+  let cin = fresh_net design in
+  Array.iter (mark_input design) a;
+  Array.iter (mark_input design) b;
+  mark_input design cin;
+  let sums, cout = ripple_carry_adder design ~a ~b ~cin in
+  Array.iter (mark_output design) sums;
+  mark_output design cout;
+  { design; a; b; cin; sums; cout }
+
 let evaluate d ~inputs =
   let values = Array.make (n_nets d) false in
   List.iter (fun n -> values.(n) <- inputs n) (primary_inputs d);

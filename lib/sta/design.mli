@@ -48,3 +48,17 @@ val full_adder : t -> a:net -> b:net -> cin:net -> net * net
 
 val ripple_carry_adder : t -> a:net array -> b:net array -> cin:net -> net array * net
 (** N-bit adder over existing nets; returns (sums, cout). *)
+
+type adder = {
+  design : t;
+  a : net array;
+  b : net array;
+  cin : net;
+  sums : net array;
+  cout : net;
+}
+
+val adder : bits:int -> adder
+(** A fresh design holding an N-bit {!ripple_carry_adder}, with [a], [b]
+    and [cin] marked as primary inputs and [sums] and [cout] as primary
+    outputs. *)

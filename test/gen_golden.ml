@@ -12,19 +12,11 @@ let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   Subscale.Exec.set_jobs 1;
   Subscale.Exec.Memo.clear_all ();
-  let ctx = Subscale.Experiments.make_context () in
-  let output = function
-    | "table1" -> Subscale.Experiments.table1 ()
-    | "table2" -> Subscale.Experiments.table2 ctx
-    | "table3" -> Subscale.Experiments.table3 ctx
-    | "fig2" -> Subscale.Experiments.fig2 ctx
-    | "fig3" -> Subscale.Experiments.fig3 ctx
-    | "fig4" -> Subscale.Experiments.fig4 ctx
-    | id -> failwith ("gen_golden: unknown id " ^ id)
-  in
+  let ctx = lazy (Subscale.Experiments.make_context ()) in
   List.iter
     (fun id ->
-      let o = output id in
+      let e = Option.get (Subscale.Experiments.find id) in
+      let o = e.Subscale.Experiments.run ~measured:true ctx in
       let path = Filename.concat dir (id ^ ".txt") in
       let oc = open_out path in
       output_string oc (Subscale.Report.Table.render o.Subscale.Experiments.table);

@@ -276,7 +276,7 @@ let schedule_tests =
           Exec.Memo.clear_all ();
           String.concat "\n"
             (List.map Scaling.Strategy.evaluation_fingerprint
-               (Scaling.Strategy.super_vth_trajectory ()))
+               (Scaling.Strategy.trajectory Scaling.Strategy.Super_vth))
         in
         Exec.set_schedule_seed None;
         let baseline = fingerprint () in
@@ -288,7 +288,7 @@ let schedule_tests =
         Alcotest.(check bool) "fingerprint is non-trivial" true
           (String.length baseline > 100));
     u "evaluation fingerprints distinguish distinct evaluations" (fun () ->
-        match Scaling.Strategy.super_vth_trajectory () with
+        match Scaling.Strategy.trajectory Scaling.Strategy.Super_vth with
         | a :: b :: _ ->
           Alcotest.(check bool) "distinct" true
             (Scaling.Strategy.evaluation_fingerprint a

@@ -288,17 +288,7 @@ let design_tests =
         ignore (Design.inverter_chain d ~length:1 a);
         check_fires "no outputs" "sta-no-outputs" (Check.design d));
     u "generated adder is lint-clean" (fun () ->
-        let d = Design.create () in
-        let a = Array.init 4 (fun _ -> Design.fresh_net d) in
-        let b = Array.init 4 (fun _ -> Design.fresh_net d) in
-        let cin = Design.fresh_net d in
-        Array.iter (Design.mark_input d) a;
-        Array.iter (Design.mark_input d) b;
-        Design.mark_input d cin;
-        let sums, cout = Design.ripple_carry_adder d ~a ~b ~cin in
-        Array.iter (Design.mark_output d) sums;
-        Design.mark_output d cout;
-        check_clean "rca4" (Check.design d));
+        check_clean "rca4" (Check.design (Design.adder ~bits:4).Design.design));
   ]
 
 (* --- numerics guard ---------------------------------------------------- *)

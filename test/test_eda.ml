@@ -192,16 +192,9 @@ let design_tests =
         Design.add_gate d Cell_lib.Inv ~inputs:[| a |] ~output:o2;
         Alcotest.(check int) "fanout 2" 2 (Design.fanout_count d a));
     u "ripple-carry adder generator wires 9 nands per bit" (fun () ->
-        let d = Design.create () in
-        let a = Array.init 4 (fun _ -> Design.fresh_net d) in
-        let b = Array.init 4 (fun _ -> Design.fresh_net d) in
-        let cin = Design.fresh_net d in
-        Array.iter (Design.mark_input d) a;
-        Array.iter (Design.mark_input d) b;
-        Design.mark_input d cin;
-        let sums, _ = Design.ripple_carry_adder d ~a ~b ~cin in
-        Alcotest.(check int) "sum bits" 4 (Array.length sums);
-        Alcotest.(check int) "gates" 36 (List.length (Design.gates d)));
+        let adder = Design.adder ~bits:4 in
+        Alcotest.(check int) "sum bits" 4 (Array.length adder.Design.sums);
+        Alcotest.(check int) "gates" 36 (List.length (Design.gates adder.Design.design)));
   ]
 
 let engine_tests =
@@ -225,17 +218,8 @@ let engine_tests =
         let r = Engine.analyze (Lazy.force lib) d in
         Alcotest.(check int) "depth" 6 (List.length r.Engine.critical_path));
     slow "STA is conservative but within 2.5x of SPICE on the adder" (fun () ->
-        let d = Design.create () in
         let bits = 4 in
-        let a = Array.init bits (fun _ -> Design.fresh_net d) in
-        let b = Array.init bits (fun _ -> Design.fresh_net d) in
-        let cin = Design.fresh_net d in
-        Array.iter (Design.mark_input d) a;
-        Array.iter (Design.mark_input d) b;
-        Design.mark_input d cin;
-        let sums, cout = Design.ripple_carry_adder d ~a ~b ~cin in
-        Array.iter (Design.mark_output d) sums;
-        Design.mark_output d cout;
+        let d = (Design.adder ~bits).Design.design in
         let sta = (Engine.analyze (Lazy.force lib) d).Engine.critical_time in
         let spice = Circuits.Adder.carry_delay ~steps:500 pair ~vdd:0.25 ~bits in
         Test_util.check_in_range "ratio" ~lo:1.0 ~hi:2.5 (sta /. spice));
@@ -494,20 +478,7 @@ let verilog_tests =
           [ "module subscale_design"; "input n0;"; "output n2;"; "wire n1;";
             "INV g0 (.A(n0), .Y(n1));"; "endmodule" ]);
     u "round trip preserves the adder's structure and timing" (fun () ->
-        let build () =
-          let d = Design.create () in
-          let a = Array.init 3 (fun _ -> Design.fresh_net d) in
-          let b = Array.init 3 (fun _ -> Design.fresh_net d) in
-          let cin = Design.fresh_net d in
-          Array.iter (Design.mark_input d) a;
-          Array.iter (Design.mark_input d) b;
-          Design.mark_input d cin;
-          let sums, cout = Design.ripple_carry_adder d ~a ~b ~cin in
-          Array.iter (Design.mark_output d) sums;
-          Design.mark_output d cout;
-          d
-        in
-        let original = build () in
+        let original = (Design.adder ~bits:3).Design.design in
         let parsed, _ = Sta.Verilog.of_verilog (Sta.Verilog.to_verilog original) in
         Alcotest.(check int) "gates" (List.length (Design.gates original))
           (List.length (Design.gates parsed));
@@ -659,24 +630,11 @@ let mesh_convergence_tests =
 (* Logic-level property tests: the Design evaluator is pure and fast, so
    qcheck can sweep it hard. *)
 let logic_tests =
-  let build_adder bits =
-    let d = Design.create () in
-    let a = Array.init bits (fun _ -> Design.fresh_net d) in
-    let b = Array.init bits (fun _ -> Design.fresh_net d) in
-    let cin = Design.fresh_net d in
-    Array.iter (Design.mark_input d) a;
-    Array.iter (Design.mark_input d) b;
-    Design.mark_input d cin;
-    let sums, cout = Design.ripple_carry_adder d ~a ~b ~cin in
-    Array.iter (Design.mark_output d) sums;
-    Design.mark_output d cout;
-    (d, a, b, cin, sums, cout)
-  in
   [
     prop "gate-level adder equals integer addition" ~count:200
       QCheck2.Gen.(triple (int_range 0 255) (int_range 0 255) (int_range 0 1))
       (fun (av, bv, cv) ->
-        let d, a, b, cin, sums, cout = build_adder 8 in
+        let { Design.design = d; a; b; cin; sums; cout } = Design.adder ~bits:8 in
         let assign net =
           let bit word arr =
             let rec find i = if arr.(i) = net then Some i else if i + 1 < 8 then find (i + 1) else None in
@@ -732,7 +690,7 @@ let logic_tests =
         Test_util.check_in_range "tree root" ~lo:(mc -. 0.03) ~hi:(mc +. 0.03)
           stats.(root).Sta.Power.probability);
     u "adder probabilities stay in [0, 1] with exact inputs" (fun () ->
-        let d, _, _, _, _, _ = build_adder 4 in
+        let d = (Design.adder ~bits:4).Design.design in
         let stats = Sta.Power.propagate_probabilities d in
         Array.iter
           (fun st -> Test_util.check_in_range "p" ~lo:0.0 ~hi:1.0 st.Sta.Power.probability)

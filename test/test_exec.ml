@@ -470,20 +470,13 @@ let test_golden jobs () =
   restore_jobs (fun () ->
       Exec.set_jobs jobs;
       Memo.clear_all ();
-      let ctx = Subscale.Experiments.make_context () in
-      let output = function
-        | "table1" -> Subscale.Experiments.table1 ()
-        | "table2" -> Subscale.Experiments.table2 ctx
-        | "table3" -> Subscale.Experiments.table3 ctx
-        | "fig2" -> Subscale.Experiments.fig2 ctx
-        | "fig3" -> Subscale.Experiments.fig3 ctx
-        | "fig4" -> Subscale.Experiments.fig4 ctx
-        | id -> Alcotest.failf "unknown golden id %s" id
-      in
+      let ctx = lazy (Subscale.Experiments.make_context ()) in
       List.iter
         (fun id ->
           let expected = read_file (Filename.concat "golden" (id ^ ".txt")) in
-          let actual = Subscale.Report.Table.render (output id).Subscale.Experiments.table in
+          let e = Option.get (Subscale.Experiments.find id) in
+          let o = e.Subscale.Experiments.run ~measured:true ctx in
+          let actual = Subscale.Report.Table.render o.Subscale.Experiments.table in
           Alcotest.(check string) (Printf.sprintf "%s @ jobs=%d" id jobs) expected actual)
         golden_ids)
 

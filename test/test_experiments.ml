@@ -30,14 +30,60 @@ let structure_tests =
         let outputs = E.all ~measured_delay:false (Lazy.force ctx) in
         Alcotest.(check int) "count" 14 (List.length outputs);
         List.iter
-          (fun o -> Alcotest.(check bool) (o.E.id ^ " rows") true (rows o <> []))
+          (fun (o : E.output) -> Alcotest.(check bool) (o.E.id ^ " rows") true (rows o <> []))
           outputs);
     slow "experiment ids are unique and in paper order" (fun () ->
-        let ids = List.map (fun o -> o.E.id) (E.all ~measured_delay:false (Lazy.force ctx)) in
+        let outputs = E.all ~measured_delay:false (Lazy.force ctx) in
+        let ids = List.map (fun (o : E.output) -> o.E.id) outputs in
         Alcotest.(check (list string)) "ids"
           [ "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6";
             "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
           ids);
+  ]
+
+let ids experiments = List.map (fun (e : E.experiment) -> e.E.id) experiments
+
+let in_group g = List.filter (fun (e : E.experiment) -> e.E.group = g) E.registry
+
+let context_free =
+  [ "table1"; "fig7"; "fig8"; "ext-multivth"; "ext-temperature"; "ext-projection" ]
+
+let registry_tests =
+  [
+    u "registry ids are unique and in `run everything` order" (fun () ->
+        Alcotest.(check (list string)) "ids"
+          [ "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7";
+            "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "ext-variability"; "ext-multivth";
+            "ext-bitline"; "ext-temperature"; "ext-datapath"; "ext-interconnect"; "ext-sta";
+            "ext-yield"; "ext-projection"; "ext-corners"; "ext-pareto" ]
+          (ids E.registry);
+        Alcotest.(check int) "unique" (List.length E.registry)
+          (List.length (List.sort_uniq compare (ids E.registry)));
+        List.iter
+          (fun id ->
+            Alcotest.(check (option string)) id (Some id)
+              (Option.map (fun (e : E.experiment) -> e.E.id) (E.find id)))
+          (ids E.registry);
+        Alcotest.(check bool) "unknown id" true (Option.is_none (E.find "fig13")));
+    slow "all and all_extensions are the registry's two partitions" (fun () ->
+        Alcotest.(check (list string)) "paper then extensions" (ids E.registry)
+          (ids (in_group E.Paper) @ ids (in_group E.Extension));
+        Alcotest.(check (list string)) "all runs the paper partition" (ids (in_group E.Paper))
+          (List.map (fun (o : E.output) -> o.E.id) (E.all ~measured_delay:false (Lazy.force ctx))));
+    slow "context-free drivers never force the context; the rest do" (fun () ->
+        let poisoned : E.context Lazy.t = lazy (failwith "context forced") in
+        List.iter
+          (fun (e : E.experiment) ->
+            match e.E.run ~measured:false poisoned with
+            | o ->
+              Alcotest.(check bool) (e.E.id ^ " is context-free") true
+                (List.mem e.E.id context_free);
+              Alcotest.(check string) "output id" e.E.id o.E.id
+            | exception Failure msg ->
+              Alcotest.(check string) (e.E.id ^ " forced the context") "context forced" msg;
+              Alcotest.(check bool) (e.E.id ^ " needs the context") false
+                (List.mem e.E.id context_free))
+          E.registry);
   ]
 
 let headline_tests =
@@ -99,4 +145,6 @@ let headline_tests =
   ]
 
 let suite =
-  [ ("experiments.structure", structure_tests); ("experiments.headline", headline_tests) ]
+  [ ("experiments.structure", structure_tests);
+    ("experiments.registry", registry_tests);
+    ("experiments.headline", headline_tests) ]

@@ -1,7 +1,6 @@
 open Subscale
 module Vec = Numerics.Vec
 module Matrix = Numerics.Matrix
-module Banded = Numerics.Banded
 module Root = Numerics.Root
 module Minimize = Numerics.Minimize
 module Interp = Numerics.Interp

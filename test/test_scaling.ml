@@ -13,8 +13,8 @@ let prop = Test_util.prop
 (* Shared trajectories: building them runs the optimizers once. *)
 let super = lazy (Super.all ())
 let sub = lazy (Sub.all ())
-let super_evals = lazy (Strategy.super_vth_trajectory ())
-let sub_evals = lazy (Strategy.sub_vth_trajectory ())
+let super_evals = lazy (Strategy.trajectory Strategy.Super_vth)
+let sub_evals = lazy (Strategy.trajectory Strategy.Sub_vth)
 
 let generalized_tests =
   [
@@ -202,6 +202,33 @@ let strategy_tests =
     u "kind names" (fun () ->
         Alcotest.(check string) "super" "super-Vth" (Strategy.kind_name Strategy.Super_vth);
         Alcotest.(check string) "sub" "sub-Vth" (Strategy.kind_name Strategy.Sub_vth));
+    u "resolve returns the daemon's error strings" (fun () ->
+        let error ~node ~strategy =
+          match Strategy.resolve ~node ~strategy with
+          | Error msg -> msg
+          | Ok _ -> Alcotest.failf "node %d strategy %s resolved" node strategy
+        in
+        Alcotest.(check string) "unknown node"
+          "unknown node 14 (known: 130, 90, 65, 45, 32)" (error ~node:14 ~strategy:"sub");
+        Alcotest.(check string) "unknown strategy"
+          "unknown strategy \"medium\" (super or sub)" (error ~node:90 ~strategy:"medium"));
+    slow "resolve selects the same device as each strategy's select_node" (fun () ->
+        let key phys = Device.Params.physical_key phys in
+        let direct =
+          List.map (fun s -> (Strategy.Super_vth, s.Super.node, key s.Super.phys)) (Lazy.force super)
+          @ List.map (fun s -> (Strategy.Sub_vth, s.Sub.node, key s.Sub.phys)) (Lazy.force sub)
+        in
+        List.iter
+          (fun (kind, node, expected) ->
+            let strategy = Strategy.kind_key kind in
+            match Strategy.resolve ~node:node.Roadmap.nm ~strategy with
+            | Ok (n, k, phys, _) ->
+              let what = Printf.sprintf "%d nm %s" node.Roadmap.nm strategy in
+              Alcotest.(check int) (what ^ " node") node.Roadmap.nm n.Roadmap.nm;
+              Alcotest.(check bool) (what ^ " kind") true (k = kind);
+              Alcotest.(check string) (what ^ " phys bits") expected (key phys)
+            | Error msg -> Alcotest.fail msg)
+          direct);
   ]
 
 let suite =
