@@ -11,7 +11,8 @@ type t = {
   flush_threshold : int;
   locks : Mutex.t array; (* one per shard directory *)
   pending : (string * string, string) Hashtbl.t; (* (name, key) -> payload *)
-  pending_lock : Mutex.t;
+  writing : (string * string, string) Hashtbl.t; (* taken by a drain, not yet written *)
+  pending_lock : Mutex.t; (* guards pending and writing *)
   closed : bool Atomic.t; (* read unlocked by check_open on every operation *)
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -135,17 +136,34 @@ let[@blocking_ok] read_entry t ~name ~key =
 
 (* --- write-behind queue ----------------------------------------------- *)
 
-let drain t batch =
-  if batch <> [] then begin
-    List.iter (fun ((name, key), payload) -> write_entry t ~name ~key payload) batch;
-    Atomic.incr t.flushes
-  end
-
+(* A drained record stays in [writing], where [find] still sees it,
+   until its batch has been written or has failed; then it is dropped
+   unless a newer drain of the same key has replaced it.  Releasing
+   takes [pending_lock] only after the shard locks are back, so the two
+   are never nested. *)
 let take_pending t =
   Mutex.protect t.pending_lock (fun () ->
       let batch = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending [] in
+      List.iter (fun (k, v) -> Hashtbl.replace t.writing k v) batch;
       Hashtbl.reset t.pending;
       batch)
+
+let release t batch =
+  Mutex.protect t.pending_lock (fun () ->
+      List.iter
+        (fun (k, payload) ->
+          match Hashtbl.find_opt t.writing k with
+          | Some p when p == payload -> Hashtbl.remove t.writing k
+          | Some _ | None -> ())
+        batch)
+
+let drain t batch =
+  if batch <> [] then
+    Fun.protect
+      ~finally:(fun () -> release t batch)
+      (fun () ->
+        List.iter (fun ((name, key), payload) -> write_entry t ~name ~key payload) batch;
+        Atomic.incr t.flushes)
 
 let flush t =
   check_open t ~ctx:"flush";
@@ -163,7 +181,10 @@ let add t ~name ~key payload =
 let find t ~name ~key =
   check_open t ~ctx:"find";
   let queued =
-    Mutex.protect t.pending_lock (fun () -> Hashtbl.find_opt t.pending (name, key))
+    Mutex.protect t.pending_lock (fun () ->
+        match Hashtbl.find_opt t.pending (name, key) with
+        | Some _ as v -> v
+        | None -> Hashtbl.find_opt t.writing (name, key))
   in
   let found =
     match queued with Some _ as v -> v | None -> read_entry t ~name ~key
@@ -204,6 +225,7 @@ let open_store ?(flush_threshold = 16) ~dir () =
       flush_threshold;
       locks = Array.init shards (fun _ -> Mutex.create ());
       pending = Hashtbl.create 32;
+      writing = Hashtbl.create 32;
       pending_lock = Mutex.create ();
       closed = Atomic.make false;
       hits = Atomic.make 0;

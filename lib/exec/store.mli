@@ -38,8 +38,9 @@ val open_store : ?flush_threshold:int -> dir:string -> unit -> t
 
 val find : t -> name:string -> key:string -> string option
 (** Look up the encoded payload for [key] in table [name].  Consults
-    the pending write-behind queue before the disk, so a store never
-    misses its own recent {!add}. *)
+    the pending write-behind queue, and the records a drain is still
+    writing, before the disk, so a store never misses its own recent
+    {!add}. *)
 
 val add : t -> name:string -> key:string -> string -> unit
 (** Enqueue [key -> payload] for table [name]; drains to disk once the

@@ -19,20 +19,6 @@ exception Bad of string
    deliberately deep line must not escape as [Stack_overflow]. *)
 let max_depth = 64
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Numbers must round-trip: 17 significant digits recover the exact double.
    Integral values print without the fraction so counters stay readable. *)
 let render_num f =
@@ -42,14 +28,27 @@ let render_num f =
 
 let render v =
   let buf = Buffer.create 256 in
+  (* A quoted string with its body escaped: quotes, backslash, control
+     bytes. *)
+  let str s =
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> Buffer.add_string buf (render_num f)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+    | Str s -> str s
     | Arr xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -63,9 +62,8 @@ let render v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
+          str k;
+          Buffer.add_char buf ':';
           go x)
         kvs;
       Buffer.add_char buf '}'

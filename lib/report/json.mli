@@ -1,6 +1,6 @@
 (** Dependency-free JSON subset: the value type, a recursive-descent
-    parser and a compact renderer shared by the bench interchange format
-    ({!Bench_json}) and the serving protocol ([Serve.Protocol]).
+    parser and a compact renderer for the serving protocol
+    ([Serve.Protocol]) and the benchmark's documents.
 
     The subset is exactly what those schemas contain — objects, arrays,
     strings, finite numbers, booleans and null.  Non-finite floats cannot
@@ -30,10 +30,6 @@ val render : t -> string
 (** Compact single-line rendering.  Finite numbers round-trip: integral
     values print without a fraction, everything else with 17 significant
     digits (enough to recover the exact IEEE-754 double). *)
-
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslash, control bytes) —
-    exposed for renderers that build documents with [Printf]. *)
 
 (** {2 Typed accessors}
 

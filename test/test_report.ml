@@ -90,115 +90,9 @@ let plot_tests =
             ignore (Plot.render ~title:"x" [ { Plot.name = "e"; points = [||] } ])));
   ]
 
-module Bj = Report.Bench_json
-
-(* The series the bench harness records in BENCH_tcad.json.  Renaming or
-   dropping one breaks trajectory comparisons across commits, so the list is
-   pinned here and checked against the committed seed. *)
-let tcad_series =
-  [
-    "tcad/poisson-zero-bias";
-    "tcad/gummel-equilibrium";
-    "tcad/gummel-bias-point";
-    "tcad/extract-idvg-7pt";
-    "tcad/extract-slope-vth";
-    "tcad/extract-characterize-memo";
-  ]
-
-let sample_doc =
-  {
-    Bj.suite = "tcad";
-    quota_s = 0.4;
-    results =
-      [
-        { Bj.bench = "tcad/a"; ns_per_run = Some 123.456 };
-        { Bj.bench = "tcad/b \"quoted\""; ns_per_run = None };
-      ];
-    memo = [ { Bj.table = "tcad.characterize"; hits = 3; misses = 1; size = 1 } ];
-  }
-
-let bench_json_tests =
-  [
-    u "render/parse round trip" (fun () ->
-        match Bj.parse (Bj.render sample_doc) with
-        | Error e -> Alcotest.failf "parse failed: %s" e
-        | Ok t ->
-          Alcotest.(check string) "suite" "tcad" t.Bj.suite;
-          Alcotest.(check (float 1e-6)) "quota" 0.4 t.Bj.quota_s;
-          Alcotest.(check int) "results" 2 (List.length t.Bj.results);
-          Alcotest.(check (option (float 1e-6))) "ns" (Some 123.456) (Bj.find t "tcad/a");
-          Alcotest.(check (option (float 1e-6))) "null ns" None (Bj.find t "tcad/b \"quoted\"");
-          let m = List.hd t.Bj.memo in
-          Alcotest.(check int) "hits" 3 m.Bj.hits);
-    u "rejects a wrong schema tag" (fun () ->
-        let doc = Bj.render sample_doc in
-        let bad =
-          match find_substring doc "subscale-bench/1" with
-          | None -> Alcotest.fail "render lost the schema tag"
-          | Some i ->
-            String.sub doc 0 i ^ "subscale-bench/2"
-            ^ String.sub doc (i + 16) (String.length doc - i - 16)
-        in
-        match Bj.parse bad with
-        | Ok _ -> Alcotest.fail "parsed a wrong schema"
-        | Error e -> Alcotest.(check bool) "mentions schema" true (contains e "schema"));
-    u "rejects malformed JSON and missing fields" (fun () ->
-        (match Bj.parse "{ not json" with
-         | Ok _ -> Alcotest.fail "parsed garbage"
-         | Error _ -> ());
-        match Bj.parse "{ \"schema\": \"subscale-bench/1\" }" with
-        | Ok _ -> Alcotest.fail "parsed a document without results"
-        | Error e -> Alcotest.(check bool) "mentions field" true (contains e "missing field"));
-    u "rejects duplicate series and negative timings" (fun () ->
-        let dup =
-          { sample_doc with
-            Bj.results =
-              [
-                { Bj.bench = "x"; ns_per_run = Some 1.0 };
-                { Bj.bench = "x"; ns_per_run = Some 2.0 };
-              ]
-          }
-        in
-        (match Bj.parse (Bj.render dup) with
-         | Ok _ -> Alcotest.fail "accepted duplicate series"
-         | Error e -> Alcotest.(check bool) "mentions duplicate" true (contains e "duplicate"));
-        match
-          Bj.parse
-            "{ \"schema\": \"subscale-bench/1\", \"suite\": \"t\", \"quota_s\": 0.1,\n\
-            \  \"results\": [ { \"name\": \"x\", \"ns_per_run\": -4.0 } ], \"memo\": [] }"
-        with
-        | Ok _ -> Alcotest.fail "accepted a negative timing"
-        | Error _ -> ());
-    u "missing_series reports baseline series the candidate dropped" (fun () ->
-        let candidate =
-          { sample_doc with Bj.results = [ { Bj.bench = "tcad/a"; ns_per_run = Some 1.0 } ] }
-        in
-        Alcotest.(check (list string))
-          "missing" [ "tcad/b \"quoted\"" ]
-          (Bj.missing_series ~baseline:sample_doc candidate));
-    u "committed seed parses and still names every series" (fun () ->
-        (* Under `dune runtest` the cwd is _build/default/test with the seed
-           dep copied one level up; under `dune exec` from the source root it
-           is the checkout itself. *)
-        let seed_path =
-          if Sys.file_exists "../BENCH_tcad.json" then "../BENCH_tcad.json"
-          else "BENCH_tcad.json"
-        in
-        match Bj.load seed_path with
-        | Error e -> Alcotest.failf "seed unreadable: %s" e
-        | Ok seed ->
-          List.iter
-            (fun series ->
-              match Bj.find seed series with
-              | Some ns when ns > 0.0 -> ()
-              | Some _ | None -> Alcotest.failf "seed lacks a timing for %s" series)
-            tcad_series);
-  ]
-
 let suite =
   [
     ("report.table", table_tests);
     ("report.csv", csv_tests);
     ("report.plot", plot_tests);
-    ("report.bench-json", bench_json_tests);
   ]
