@@ -16,11 +16,6 @@ type margins = {
   snm : float;
 }
 
-val of_curve : Vtc.curve -> margins
-(** Raises [Failure] if the curve does not have two gain = -1 points (i.e.
-    the inverter has lost regenerative gain — itself a meaningful failure
-    the tests probe at very low V_dd). *)
-
 val inverter :
   ?engine:[ `Analytic | `Spice ] ->
   Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> vdd:float -> margins

@@ -12,7 +12,6 @@ module Netlist_drc = Netlist_drc
 module Device_rules = Device_rules
 module Structure_rules = Structure_rules
 module Design_rules = Design_rules
-module Finite = Finite
 module Validity_rules = Validity_rules
 module Memo_soundness = Memo_soundness
 module Solver_rules = Solver_rules

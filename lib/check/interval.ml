@@ -23,24 +23,14 @@ let make lo hi =
   else { lo; hi }
 
 let point v = make v v
-let of_floats lo hi = if lo <= hi then make lo hi else make hi lo
 let top = { lo = neg_infinity; hi = infinity }
 
 let lo i = i.lo
 let hi i = i.hi
-let width i = i.hi -. i.lo
-let is_point i = Float.equal i.lo i.hi
 let mem x i = Float.is_nan x = false && x >= i.lo && x <= i.hi
-let subset a b = a.lo >= b.lo && a.hi <= b.hi
 let straddles_zero i = i.lo < 0.0 && i.hi > 0.0
 let contains_zero i = i.lo <= 0.0 && i.hi >= 0.0
 let is_finite i = Float.is_finite i.lo && Float.is_finite i.hi
-
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-
-let inter a b =
-  let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
-  if lo > hi then None else Some { lo; hi }
 
 let to_string i = Printf.sprintf "[%.6g, %.6g]" i.lo i.hi
 
@@ -68,7 +58,7 @@ let scale k i = mul (point k) i
 
 (* [inv] of a zero-straddling interval is the whole line (the true image is
    two unbounded rays); callers that care distinguish the case up front via
-   [straddles_zero] / [contains_zero]. *)
+   [straddles_zero]. *)
 let inv i =
   if contains_zero i then
     if Float.equal i.lo 0.0 && Float.equal i.hi 0.0 then top
@@ -82,25 +72,18 @@ let inv i =
 let div a b = mul a (inv b)
 
 (* Monotone lifting: [f] non-decreasing over the interval's domain. *)
-let mono_incr ?(slop = 2) f i =
-  let rec d n x = if n = 0 then x else d (n - 1) (down x) in
-  let rec u n x = if n = 0 then x else u (n - 1) (up x) in
+let mono_incr f i =
   let lo = f i.lo and hi = f i.hi in
   if Float.is_nan lo || Float.is_nan hi then
     raise (Invalid "Interval.mono_incr: function returned NaN on an endpoint")
-  else make (d slop lo) (u slop hi)
+  else make (down2 lo) (up2 hi)
 
-let mono_decr ?slop f i = neg (mono_incr ?slop (fun x -> -.f x) i)
+let mono_decr f i = neg (mono_incr (fun x -> -.f x) i)
 
 let exp i = mono_incr Stdlib.exp i
 
-(* [log]/[sqrt] on the positive part only; the caller clamps (and flags)
-   nonpositive boxes first. *)
-let log i =
-  if i.hi <= 0.0 then raise (Invalid "Interval.log: nonpositive interval");
-  let lo = if i.lo <= 0.0 then neg_infinity else down2 (Stdlib.log i.lo) in
-  { lo; hi = up2 (Stdlib.log i.hi) }
-
+(* [sqrt] on the nonnegative part only; the caller clamps (and flags)
+   negative boxes first. *)
 let sqrt i =
   if i.hi < 0.0 then raise (Invalid "Interval.sqrt: negative interval");
   let lo = if i.lo <= 0.0 then 0.0 else down (Stdlib.sqrt i.lo) in
@@ -116,13 +99,6 @@ let pow_const i c =
   else mono_decr (fun x -> x ** c) clamped
 
 let min_ a b = { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
-let max_ a b = { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
-
-let abs_ i =
-  if i.lo >= 0.0 then i
-  else if i.hi <= 0.0 then neg i
-  else { lo = 0.0; hi = Float.max (-.i.lo) i.hi }
-
 let clamp_lo floor i = { lo = Float.max floor i.lo; hi = Float.max floor i.hi }
 
 let widen ~rel i =

@@ -12,32 +12,22 @@ type t = private { lo : float; hi : float }
 
 exception Invalid of string
 (** Raised on NaN endpoints, crossed endpoints, or domain violations the
-    caller was expected to screen ([log] of an entirely nonpositive
-    interval, [sqrt] of a negative one). *)
+    caller was expected to screen ([sqrt] of a negative interval). *)
 
 val make : float -> float -> t
 (** [make lo hi] with [lo <= hi]; raises {!Invalid} otherwise. *)
 
 val point : float -> t
-val of_floats : float -> float -> t
-(** Like {!make} but reorders crossed endpoints instead of raising. *)
-
 val top : t
 (** The whole real line. *)
 
 val lo : t -> float
 val hi : t -> float
-val width : t -> float
-val is_point : t -> bool
 val mem : float -> t -> bool
-val subset : t -> t -> bool
 val straddles_zero : t -> bool
 (** Strictly: [lo < 0 < hi]. *)
 
-val contains_zero : t -> bool
 val is_finite : t -> bool
-val hull : t -> t -> t
-val inter : t -> t -> t option
 val to_string : t -> string
 
 val neg : t -> t
@@ -52,14 +42,11 @@ val inv : t -> t
 
 val div : t -> t -> t
 val exp : t -> t
-val log : t -> t
 val sqrt : t -> t
 val pow_const : t -> float -> t
 (** [pow_const x c] is x{^c} for x >= 0 (negative parts are clamped away). *)
 
 val min_ : t -> t -> t
-val max_ : t -> t -> t
-val abs_ : t -> t
 val clamp_lo : float -> t -> t
 (** Intersect with [[floor, +inf)] (used after flagging an invalid region
     to keep propagating over the surviving part of the box). *)
@@ -68,10 +55,10 @@ val widen : rel:float -> t -> t
 (** Relative outward widening: each endpoint moves out by [rel *. abs
     endpoint]. *)
 
-val mono_incr : ?slop:int -> (float -> float) -> t -> t
+val mono_incr : (float -> float) -> t -> t
 (** Lift a non-decreasing function by endpoint evaluation, stepping the
-    results outward by [slop] ulps (default 2). *)
+    results outward by two ulps. *)
 
-val mono_decr : ?slop:int -> (float -> float) -> t -> t
+val mono_decr : (float -> float) -> t -> t
 val softplus : t -> t
 (** The EKV [log1p (exp x)] kernel (with the model's large-x branch). *)

@@ -17,5 +17,5 @@
     - [net-bad-waveform] — empty or unsorted [Pwl] source waveforms. *)
 
 val check : Spice.Netlist.t -> Diagnostic.t list
-(** All diagnostics, sorted per {!Diagnostic.compare}.  Node locations use
+(** All diagnostics, sorted per {!Diagnostic.sort}.  Node locations use
     {!Spice.Netlist.node_name}. *)

@@ -19,9 +19,6 @@ val register : ?summary:string -> string -> string
 
 val is_registered : string -> bool
 
-val all : unit -> entry list
-(** Every registered rule, in registration order. *)
-
 val selftest : unit -> int
 (** Re-validate the registry (uniqueness, id shape: kebab-case, [AUDnnn],
     [LNTnnn] or [UNTnnn]); returns the rule count.  Raises on any

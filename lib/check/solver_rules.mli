@@ -6,8 +6,6 @@
     a run so every non-convergence — wherever it happened — surfaces as a
     named rule violation. *)
 
-val rule_non_converged : string
-
 val check_poisson : Tcad.Poisson.solution -> Diagnostic.t list
 (** Empty when the solution converged; one [solver-non-converged] error
     (with iteration count and residual) otherwise. *)

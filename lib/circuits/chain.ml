@@ -16,12 +16,11 @@ let estimated_stage_delay pair sizing ~vdd =
   let i_avg = 0.5 *. (i_n +. i_p) in
   0.69 *. cl *. vdd /. i_avg
 
-let build ?(sizing = Inverter.balanced_sizing ()) ?(stages = 30) ?(period_factor = 4.0) pair
-    ~vdd =
+let build ?(sizing = Inverter.balanced_sizing ()) ?(stages = 30) pair ~vdd =
   if vdd <= 0.0 then invalid_arg "Chain.build: vdd must be positive";
   let tp = estimated_stage_delay pair sizing ~vdd in
   let chain_time = float_of_int stages *. tp in
-  let period = period_factor *. chain_time in
+  let period = 4.0 *. chain_time in
   let rise = 0.05 *. period in
   let input =
     Spice.Netlist.Pulse

@@ -14,12 +14,11 @@ type t = {
 val build :
   ?sizing:Inverter.sizing ->
   ?stages:int ->
-  ?period_factor:float ->
   Inverter.pair ->
   vdd:float ->
   t
 (** A [stages]-inverter chain (default 30) driven by a single input pulse.
-    The input period is sized to [period_factor] (default 4) times the
+    The input period is sized to 4 times the
     estimated worst-case chain propagation time at this V_dd, so the chain
     settles fully within one cycle — the operating point of a circuit
     clocked at its natural frequency. *)

@@ -4,4 +4,4 @@ let gate ?(fringe = 0.25e-9) ~tox ~leff ~overlap () =
   let cox = oxide_area_capacitance ~tox in
   (cox *. leff) +. (2.0 *. ((cox *. overlap) +. fringe))
 
-let fo1_load ?(load_factor = 1.6) ~cg_n ~cg_p () = load_factor *. (cg_n +. cg_p)
+let fo1_load ~cg_n ~cg_p = 1.6 *. (cg_n +. cg_p)

@@ -13,7 +13,6 @@ val gate :
 (** Gate capacitance per width [F/m]; [fringe] is per side (default 0.25 nF/m
     = 0.25 fF/um). *)
 
-val fo1_load : ?load_factor:float -> cg_n:float -> cg_p:float -> unit -> float
-(** Switched load of an FO1 inverter: the fan-out gate pair plus local
-    drain-junction and wiring parasitics folded into [load_factor]
-    (default 1.6). *)
+val fo1_load : cg_n:float -> cg_p:float -> float
+(** Switched load of an FO1 inverter: the fan-out gate pair times 1.6, the
+    factor that folds in local drain-junction and wiring parasitics. *)

@@ -15,13 +15,11 @@ val all : t list
 
 val name : t -> string
 
-val vth_shift : ?magnitude:float -> t -> Params.polarity -> float
-(** Signed threshold shift [V]; [magnitude] defaults to 30 mV (a typical
-    3-sigma die-to-die budget). *)
+val vth_shift : t -> Params.polarity -> float
+(** Signed threshold shift [V] of 30 mV magnitude (a typical 3-sigma
+    die-to-die budget). *)
 
-val mobility_scale : ?fraction:float -> t -> Params.polarity -> float
-(** Multiplicative mobility factor; [fraction] defaults to 0.08. *)
-
-val apply : ?magnitude:float -> ?fraction:float -> t -> Compact.t -> Compact.t
-(** A corner-shifted copy of the device (threshold and mobility moved
-    together, fast = low V_th + high mu). *)
+val apply : t -> Compact.t -> Compact.t
+(** A corner-shifted copy of the device: threshold moved by {!vth_shift}
+    and mobility scaled by 1 +- 0.08 together (fast = low V_th + high
+    mu). *)

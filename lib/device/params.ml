@@ -88,13 +88,10 @@ module Trace = struct
     (v, reads)
 end
 
-(* Traced accessors, one per field the device model consumes. *)
-let read_node_nm p = Trace.record "node_nm"; p.node_nm
 let read_lpoly p = Trace.record "lpoly"; p.lpoly
 let read_tox p = Trace.record "tox"; p.tox
 let read_nsub p = Trace.record "nsub"; p.nsub
 let read_np_halo p = Trace.record "np_halo"; p.np_halo
-let read_vdd p = Trace.record "vdd"; p.vdd
 let read_xj p = Trace.record "xj"; p.xj
 let read_overlap p = Trace.record "overlap"; p.overlap
 
@@ -105,7 +102,6 @@ let read_k_body c = Trace.record "k_body"; c.k_body
 let read_k_sce c = Trace.record "k_sce"; c.k_sce
 let read_k_lambda c = Trace.record "k_lambda"; c.k_lambda
 let read_lambda_xj_exp c = Trace.record "lambda_xj_exp"; c.lambda_xj_exp
-let read_halo_sce_exp c = Trace.record "halo_sce_exp"; c.halo_sce_exp
 let read_ss_offset c = Trace.record "ss_offset"; c.ss_offset
 let read_k_vth_sce c = Trace.record "k_vth_sce"; c.k_vth_sce
 let read_k_dibl c = Trace.record "k_dibl"; c.k_dibl

@@ -68,21 +68,15 @@ type polarity = Nfet | Pfet
     with no trace active an accessor costs a single ref read. *)
 
 module Trace : sig
-  val record : string -> unit
-  (** Note a field read (no-op unless a trace is active). *)
-
   val collect : (unit -> 'a) -> 'a * string list
   (** [collect f] runs [f] under a fresh trace and returns its result with
       the sorted, deduplicated list of field names read.  Nested collects
       restore the outer trace on exit. *)
 end
 
-val read_node_nm : physical -> int
 val read_lpoly : physical -> float
 val read_tox : physical -> float
 val read_nsub : physical -> float
-val read_np_halo : physical -> float
-val read_vdd : physical -> float
 val read_xj : physical -> float option
 val read_overlap : physical -> float option
 
@@ -93,7 +87,6 @@ val read_k_body : calibration -> float
 val read_k_sce : calibration -> float
 val read_k_lambda : calibration -> float
 val read_lambda_xj_exp : calibration -> float
-val read_halo_sce_exp : calibration -> float
 val read_ss_offset : calibration -> float
 val read_k_vth_sce : calibration -> float
 val read_k_dibl : calibration -> float

@@ -1,5 +1,7 @@
-let long_channel ?(t = Physics.Constants.t_room) ?(gate_doping = Physics.Constants.per_cm3 1e20)
-    ~neff ~cox () =
+(* The n+-poly gate's doping. *)
+let gate_doping = Physics.Constants.per_cm3 1e20
+
+let long_channel ?(t = Physics.Constants.t_room) ~neff ~cox () =
   let phi_f = Physics.Silicon.fermi_potential ~t neff in
   let phi_gate = Physics.Silicon.fermi_potential ~t gate_doping in
   let vfb = -.(phi_gate +. phi_f) in

@@ -3,10 +3,9 @@
     roll-up (the roll-up is carried by the halo's contribution to the
     effective channel doping used in V_th0). *)
 
-val long_channel :
-  ?t:float -> ?gate_doping:float -> neff:float -> cox:float -> unit -> float
+val long_channel : ?t:float -> neff:float -> cox:float -> unit -> float
 (** V_th0 = V_fb + 2 phi_F + sqrt(2 q eps_Si N_eff 2 phi_F)/C_ox for an
-    n+-poly gate over a p-body of effective doping [neff]. *)
+    n+-poly gate (1e20 cm^-3) over a p-body of effective doping [neff]. *)
 
 val characteristic_length : tox:float -> wdep:float -> float
 (** The SCE decay length l_t = sqrt(eps_Si T_ox W_dep / eps_Ox). *)

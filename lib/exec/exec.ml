@@ -159,6 +159,4 @@ let map2 f xs ys =
   if List.length xs <> List.length ys then invalid_arg "Exec.map2: length mismatch";
   map (fun (x, y) -> f x y) (List.combine xs ys)
 
-let mapi f xs = map (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)
-
 let map_array f arr = Array.of_list (map f (Array.to_list arr))

@@ -33,7 +33,6 @@ val map : ('a -> 'b) -> 'a list -> 'b list
 (** Drop-in parallel [List.map]; order-preserving, exception-faithful. *)
 
 val map2 : ('a -> 'b -> 'c) -> 'a list -> 'b list -> 'c list
-val mapi : (int -> 'a -> 'b) -> 'a list -> 'b list
 val map_array : ('a -> 'b) -> 'a array -> 'b array
 
 (** {2 Schedule perturbation}
@@ -49,5 +48,3 @@ val map_array : ('a -> 'b) -> 'a array -> 'b array
 val set_schedule_seed : int option -> unit
 (** [Some seed] perturbs every subsequent [map]; [None] restores the
     natural ascending order. *)
-
-val schedule_seed : unit -> int option

@@ -8,15 +8,8 @@
 
 let float f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
 let int = string_of_int
-let bool b = if b then "t" else "f"
-
-(* Length-prefixed so that embedded separators cannot alias. *)
-let string s = Printf.sprintf "%d:%s" (String.length s) s
-
 let option enc = function None -> "-" | Some v -> "+" ^ enc v
 let list enc xs = "[" ^ String.concat "," (List.map enc xs) ^ "]"
-let pair enc_a enc_b (a, b) = "(" ^ enc_a a ^ "," ^ enc_b b ^ ")"
-
 (* A named record: [fields "physical" [("lpoly", ...); ...]]. *)
 let fields name kvs =
   name ^ "{" ^ String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) ^ "}"

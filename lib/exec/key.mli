@@ -11,15 +11,8 @@ val float : float -> string
 (** Bit-exact: the hex of the IEEE-754 representation. *)
 
 val int : int -> string
-val bool : bool -> string
-
-val string : string -> string
-(** Length-prefixed so that embedded separators cannot alias. *)
-
 val option : ('a -> string) -> 'a option -> string
 val list : ('a -> string) -> 'a list -> string
-val pair : ('a -> string) -> ('b -> string) -> 'a * 'b -> string
-
 val fields : string -> (string * string) list -> string
 (** A named record: [fields "physical" [("lpoly", ...); ...]].  The field
     names listed here are exactly what the memo-soundness auditor

@@ -14,7 +14,7 @@
    table forever through its closures, so a daemon that builds scoped
    tables holds the registry at a constant size.
 
-   Audit mode ([set_audit] / [with_audit]) turns every cache hit into a
+   Audit mode ([with_audit]) turns every cache hit into a
    shadow recompute: the memoized thunk runs again and its fresh value is
    compared against the cached one with the table's equality.  A mismatch
    means the key failed to capture an input the computation depends on —
@@ -36,10 +36,8 @@ type 'a tier = { store : Store.t; codec : 'a Store.codec }
 
 type 'a t = {
   name : string;
-  id : int; (* unique per [create]; guards the registry against ABA *)
   tbl : (string, 'a) Hashtbl.t;
   lock : Mutex.t;
-  equal : 'a -> 'a -> bool;
   mutable hits : int;
   mutable misses : int;
   mutable store_hits : int;
@@ -59,13 +57,12 @@ type 'a t = {
    than [=] because [compare nan nan = 0] while [nan = nan] is false: a
    cached NaN sentinel must match its bit-identical shadow recompute
    instead of firing a spurious AUD012. *)
-let default_equal a b = try compare a b = 0 with Invalid_argument _ -> true
+let audit_equal a b = try compare a b = 0 with Invalid_argument _ -> true
 
-type reg_entry = { reg_id : int; clear_fn : unit -> unit; stats_fn : unit -> stats }
+type reg_entry = { clear_fn : unit -> unit; stats_fn : unit -> stats }
 
 let registry : (string, reg_entry) Hashtbl.t = Hashtbl.create 32
 let registry_lock = Mutex.create ()
-let next_id = Atomic.make 0
 
 let registry_size () =
   Mutex.lock registry_lock;
@@ -94,9 +91,6 @@ let violations : (string * string) list ref = ref []
 let violations_count = ref 0
 let violations_dropped = ref 0
 let violations_lock = Mutex.create ()
-
-let set_audit on = Atomic.set audit_mode on
-let auditing () = Atomic.get audit_mode
 
 let audit_violations () =
   Mutex.lock violations_lock;
@@ -130,14 +124,12 @@ let record_violation name key =
   else incr violations_dropped;
   Mutex.unlock violations_lock
 
-let create ?(equal = default_equal) ~name () =
+let create ~name () =
   let t =
     {
       name;
-      id = Atomic.fetch_and_add next_id 1;
       tbl = Hashtbl.create 64;
       lock = Mutex.create ();
-      equal;
       hits = 0;
       misses = 0;
       store_hits = 0;
@@ -172,18 +164,9 @@ let create ?(equal = default_equal) ~name () =
   (* Hashtbl.replace, not add: a re-created table takes over its name's
      slot, releasing the dropped table's closures (and the Hashtbl they
      pin) to the GC, and keeping [stats ()] one-row-per-name. *)
-  Hashtbl.replace registry name { reg_id = t.id; clear_fn; stats_fn };
+  Hashtbl.replace registry name { clear_fn; stats_fn };
   Mutex.unlock registry_lock;
   t
-
-let unregister t =
-  Mutex.lock registry_lock;
-  (match Hashtbl.find_opt registry t.name with
-  | Some entry when entry.reg_id = t.id -> Hashtbl.remove registry t.name
-  | Some _ | None ->
-    (* a newer table took the name, or it's already gone: nothing to do *)
-    ());
-  Mutex.unlock registry_lock
 
 let attach_store t ~store ~codec =
   Mutex.lock t.lock;
@@ -215,7 +198,7 @@ let find_or_compute t ~key f =
       Obs.Metrics.incr t.obs_hits;
       if Atomic.get audit_mode then begin
         let fresh = f () in
-        if not (t.equal v fresh) then record_violation t.name key
+        if not (audit_equal v fresh) then record_violation t.name key
       end;
       v
     | None -> (
@@ -230,7 +213,7 @@ let find_or_compute t ~key f =
         Obs.Metrics.incr t.obs_hits;
         if Atomic.get audit_mode then begin
           let fresh = f () in
-          if not (t.equal v fresh) then record_violation t.name key
+          if not (audit_equal v fresh) then record_violation t.name key
         end;
         v
       | None ->

@@ -19,15 +19,11 @@ type stats = {
 (** Per-lookup accounting: every [find_or_compute] call lands in exactly
     one of [hits], [store_hits] or [misses]. *)
 
-val create : ?equal:('a -> 'a -> bool) -> name:string -> unit -> 'a t
+val create : name:string -> unit -> 'a t
 (** A fresh table, registered process-wide for {!clear_all} / {!stats}.
     The registry is keyed by [name]: re-creating a table replaces the
     previous entry, so dropped tables are not pinned by their
-    registered closures and [stats ()] reports one row per name.
-    [equal] is only consulted by the audit shadow recompute; it defaults
-    to comparison via the polymorphic total order (so NaN payloads
-    compare equal to themselves), with values that cannot be compared
-    structurally (captured closures) treated as equal. *)
+    registered closures and [stats ()] reports one row per name. *)
 
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
 (** Return the cached value for [key] — from memory, else from the
@@ -44,10 +40,6 @@ val store_hits : 'a t -> int
 
 val size : 'a t -> int
 val clear : 'a t -> unit
-
-val unregister : 'a t -> unit
-(** Drop [t]'s registry entry so {!clear_all}/{!stats} stop seeing it.
-    A no-op if a newer table has already taken over the name. *)
 
 val clear_all : unit -> unit
 (** Reset every registered table in the process (test/bench isolation). *)
@@ -81,14 +73,13 @@ val enabled : unit -> bool
 
     With auditing on, every cache {e hit} triggers a shadow recompute:
     the memoized thunk runs again and its fresh value is compared against
-    the cached one with the table's [equal].  A mismatch means the key
+    the cached one via the polymorphic total order (so NaN payloads
+    compare equal to themselves; values holding closures count as
+    equal).  A mismatch means the key
     failed to capture an input the computation depends on — the
     stale-cache hazard [subscale audit --memo] reports as AUD012.  The
     cached value is still returned, so behaviour under audit differs only
     in time. *)
-
-val set_audit : bool -> unit
-val auditing : unit -> bool
 
 val with_audit : (unit -> 'a) -> 'a
 (** Run with auditing on, restoring it to off afterwards. *)

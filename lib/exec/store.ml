@@ -309,5 +309,3 @@ let floats_codec =
             if !ok then Some out else None
           | Some _ | None -> None));
   }
-
-let string_codec = { encode = Fun.id; decode = (fun s -> Some s) }

@@ -83,5 +83,3 @@ val float_codec : float codec
 
 val floats_codec : float array codec
 (** A float array, length-prefixed, each element bit-exact. *)
-
-val string_codec : string codec

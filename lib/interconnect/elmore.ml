@@ -7,29 +7,3 @@ let driven_wire_delay ~r_per_l ~c_per_l ~length ~r_driver ~c_load =
   (0.69 *. r_driver *. (c_wire +. c_load))
   +. distributed_delay ~r_per_l ~c_per_l ~length
   +. (0.69 *. r_wire *. c_load)
-
-let pi_ladder circuit ~segments ~r_total ~c_total ~from_node =
-  if segments < 1 then invalid_arg "Elmore.pi_ladder: need at least one segment";
-  if r_total <= 0.0 || c_total < 0.0 then invalid_arg "Elmore.pi_ladder: bad parasitics";
-  let n = float_of_int segments in
-  let r_seg = r_total /. n in
-  let c_half = c_total /. (2.0 *. n) in
-  let add_cap node farads =
-    if farads > 0.0 then
-      Spice.Netlist.add circuit
-        (Spice.Netlist.Capacitor { plus = node; minus = Spice.Netlist.ground; farads })
-  in
-  let rec build node i =
-    if i = segments then node
-    else begin
-      (* Caps at interior junctions merge the two adjacent half-caps. *)
-      add_cap node (if i = 0 then c_half else 2.0 *. c_half);
-      let next = Spice.Netlist.fresh_node circuit in
-      Spice.Netlist.add circuit
-        (Spice.Netlist.Resistor { plus = node; minus = next; ohms = r_seg });
-      build next (i + 1)
-    end
-  in
-  let far = build from_node 0 in
-  add_cap far c_half;
-  far

@@ -10,14 +10,3 @@ val driven_wire_delay :
     0.69 (R_drv (C_wire + C_L) + r L (0.5 C_wire... )) — the usual
     first-order expression 0.69 R_drv (C_w + C_L) + 0.38 r c L^2
     + 0.69 r L C_L. *)
-
-val pi_ladder :
-  Spice.Netlist.t ->
-  segments:int ->
-  r_total:float ->
-  c_total:float ->
-  from_node:int ->
-  int
-(** Append an N-segment RC pi ladder between [from_node] and a fresh far-end
-    node (returned).  Each segment is R/N with C/2N at both ends (adjacent
-    halves merge), converging on the distributed line as N grows. *)

@@ -5,11 +5,6 @@
     grows enormously — most on-chip wires never need repeaters, a
     qualitative difference this module quantifies. *)
 
-val driver_resistance :
-  Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> vdd:float -> float
-(** Equivalent switching resistance R_drv = V_dd / (2 I_on,avg) [ohm] of the
-    inverter at the given supply (average of the N and P drives). *)
-
 val optimal_segment_length :
   Circuits.Inverter.pair ->
   sizing:Circuits.Inverter.sizing ->

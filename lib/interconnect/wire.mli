@@ -14,10 +14,10 @@ type geometry = {
   ild_thickness : float;  (** dielectric below/above [m] *)
 }
 
-val geometry_for_node : ?aspect_ratio:float -> int -> geometry
+val geometry_for_node : int -> geometry
 (** Intermediate-level wire at a node label in nm: width = spacing =
-    half-pitch = the node dimension, thickness = AR x width (default
-    AR 1.8), ILD = width. *)
+    half-pitch = the node dimension, thickness = 1.8 x width (the aspect
+    ratio), ILD = width. *)
 
 val resistivity : geometry -> float
 (** Effective copper resistivity [ohm m]: bulk 17.2 nohm m divided among
@@ -28,9 +28,9 @@ val resistivity : geometry -> float
 val resistance_per_length : geometry -> float
 (** [ohm/m]. *)
 
-val capacitance_per_length : ?k_dielectric:float -> geometry -> float
+val capacitance_per_length : geometry -> float
 (** [F/m]: two parallel-plate ground components plus two lateral coupling
-    components (default low-k, k = 3.0). *)
+    components, in a low-k (k = 3.0) dielectric. *)
 
-val rc_per_length2 : ?k_dielectric:float -> geometry -> float
+val rc_per_length2 : geometry -> float
 (** r c product [s/m^2] — the figure of merit that grows as wires shrink. *)

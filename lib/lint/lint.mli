@@ -22,18 +22,9 @@ module Selftest = Selftest
 
 type file_report = { source : string; diags : Check.Diagnostic.t list }
 
-val exempt_output : string -> bool
-(** True for the sanctioned output layers (lib/report, lib/obs), where
-    LNT005 does not apply. *)
-
 type env
 (** The shared effect engine and the lockset analysis over a set of loaded
     units: callee summaries cross unit boundaries. *)
-
-val analyze : Cmt_load.unit_info list -> env
-
-val lint_unit : env -> Cmt_load.unit_info -> file_report
-(** Run every pass over one loaded unit; diagnostics come back sorted. *)
 
 val lint_cmt : string -> file_report option
 (** Lint one .cmt file, with summaries from this unit alone.  [None] when
@@ -47,7 +38,7 @@ val lint_root : string -> file_report list
     call chains. *)
 
 val selftest : unit -> Selftest.result list
-(** {!Selftest.run} through {!lint_unit}. *)
+(** {!Selftest.run} through the same passes as {!lint_root}. *)
 
 val all_diags : file_report list -> Check.Diagnostic.t list
 

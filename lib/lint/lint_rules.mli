@@ -78,8 +78,6 @@ val unreadable_cmt : string
 
 val all : meta list
 val find : string -> meta option
-val severity_of_id : string -> Check.Diagnostic.severity
-
 val emitter :
   unit ->
   (rule:string -> location:string -> hint:string -> string -> unit)

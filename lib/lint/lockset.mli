@@ -54,9 +54,6 @@ val analyze : Summary.env -> t
 (** The domain-crossing reachability set, seeded at
     [Exec.map*]/[Pool.map]/[Domain.spawn] call sites. *)
 
-val crossing : t -> Callgraph.def -> bool
-(** Is the definition reachable from a domain-crossing closure? *)
-
 val walk_def : t -> Callgraph.def -> emit:(event -> unit) -> unit
 (** Walk one definition with the held-lockset abstract interpretation,
     emitting events.  Branch joins keep a lock held only when every

@@ -85,11 +85,6 @@ let is_mutable_container ty =
   | Some (name, _) -> suffix_matches ~candidates:mutable_container_names name
   | None -> false
 
-let is_array ty =
-  match head_constr ty with
-  | Some (name, _) -> name = "array" || name = "bytes" || name = "floatarray"
-  | None -> false
-
 (* --- flat-buffer classification (the TCAD hot-path state) --------------- *)
 
 (* Like [head_constr] but with dune's wrapped-library mangling undone, so

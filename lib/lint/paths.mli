@@ -27,28 +27,13 @@ val head_constr : Types.type_expr -> (string * Types.type_expr list) option
 (** Normalized name and arguments of the type's head constructor, without
     expanding abbreviations (abstract stays abstract). *)
 
-val mutable_container_names : string list
-(** Containers whose capture is always a race hazard: ref, Hashtbl.t,
-    Buffer.t, Queue.t, Stack.t.  [Atomic.t] is deliberately exempt. *)
-
 val is_mutable_container : Types.type_expr -> bool
-
-val is_array : Types.type_expr -> bool
-(** array, bytes or floatarray: flagged only when mutated, not captured. *)
 
 val demangled_head : Types.type_expr -> (string * Types.type_expr list) option
 (** [head_constr] with dune's wrapped-library mangling undone, so
     "Tcad__Poisson.scratch" reads as "Poisson.scratch". *)
 
-val scratch_type_names : string list
-(** Caller-owned solver workspaces (Poisson.scratch, Stencil5.t): reusable
-    across sequential solves, never shareable or storable. *)
-
 val is_scratch : Types.type_expr -> bool
-
-val buffer_type_names : string list
-(** Mutable flat buffers of the TCAD hot path: Fvec.t, Field.t,
-    Bigarray.Array1.t (any [Array1.t]), Field.Mask.t. *)
 
 val is_flat_buffer : Types.type_expr -> bool
 (** A flat buffer or an owned workspace: capture by a parallel closure is

@@ -7,5 +7,3 @@
 let to_string ~source (loc : Location.t) =
   let p = loc.Location.loc_start in
   Printf.sprintf "%s:%d:%d" source p.Lexing.pos_lnum (p.Lexing.pos_cnum - p.Lexing.pos_bol)
-
-let line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum

@@ -1,4 +1,3 @@
 (** Typedtree locations rendered as "file:line:col". *)
 
 val to_string : source:string -> Location.t -> string
-val line : Location.t -> int

@@ -13,11 +13,6 @@ let create n =
   Bigarray.Array1.fill v 0.0;
   v
 
-let make n x =
-  let v = raw n in
-  Bigarray.Array1.fill v x;
-  v
-
 let init n f =
   let v = raw n in
   for i = 0 to n - 1 do
@@ -29,7 +24,6 @@ let length = Bigarray.Array1.dim
 let get (v : t) i = Bigarray.Array1.get v i
 let set (v : t) i x = Bigarray.Array1.set v i x
 let unsafe_get (v : t) i = Bigarray.Array1.unsafe_get v i
-let unsafe_set (v : t) i x = Bigarray.Array1.unsafe_set v i x
 let fill (v : t) x = Bigarray.Array1.fill v x
 
 let blit (src : t) (dst : t) = Bigarray.Array1.blit src dst
@@ -43,11 +37,6 @@ let of_array a = init (Array.length a) (Array.unsafe_get a)
 let to_array v = Array.init (length v) (unsafe_get v)
 
 let map f v = init (length v) (fun i -> f (unsafe_get v i))
-
-let iteri f v =
-  for i = 0 to length v - 1 do
-    f i (unsafe_get v i)
-  done
 
 let for_all p v =
   let n = length v in

@@ -10,9 +10,6 @@ type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 val create : int -> t
 (** Zero-filled vector of the given length. *)
 
-val make : int -> float -> t
-(** [make n x] is a length-[n] vector filled with [x]. *)
-
 val init : int -> (int -> float) -> t
 
 val length : t -> int
@@ -22,8 +19,6 @@ val set : t -> int -> float -> unit
 
 val unsafe_get : t -> int -> float
 (** No bounds check — hot loops only. *)
-
-val unsafe_set : t -> int -> float -> unit
 
 val fill : t -> float -> unit
 
@@ -36,8 +31,6 @@ val of_array : float array -> t
 val to_array : t -> float array
 
 val map : (float -> float) -> t -> t
-
-val iteri : (int -> float -> unit) -> t -> unit
 
 val for_all : (float -> bool) -> t -> bool
 

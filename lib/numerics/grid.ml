@@ -1,5 +1,3 @@
-let uniform a b n = Vec.linspace a b n
-
 let geometric a b ~h0 ~ratio =
   if h0 <= 0.0 then invalid_arg "Grid.geometric: h0 must be positive";
   if ratio < 1.0 then invalid_arg "Grid.geometric: ratio must be >= 1";

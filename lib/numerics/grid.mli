@@ -1,9 +1,6 @@
 (** 1-D mesh generators for the TCAD discretization.  All grids are strictly
     increasing float arrays of node coordinates. *)
 
-val uniform : float -> float -> int -> Vec.t
-(** [uniform a b n] — [n] nodes from [a] to [b]. *)
-
 val geometric : float -> float -> h0:float -> ratio:float -> Vec.t
 (** [geometric a b ~h0 ~ratio] starts with spacing [h0] at [a] and grows each
     step by [ratio] (>= 1) until reaching [b]; the final node is clamped to

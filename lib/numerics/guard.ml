@@ -17,8 +17,6 @@ let () =
 
 let enabled = ref false
 
-let enable () = enabled := true
-let disable () = enabled := false
 let is_enabled () = !enabled
 
 let with_guard f =
@@ -51,11 +49,3 @@ let fvec ~origin (v : Fvec.t) =
     done
   end;
   v
-
-let describe = function
-  | Non_finite { origin; index; value } ->
-    let where =
-      match index with None -> origin | Some i -> Printf.sprintf "%s, element %d" origin i
-    in
-    Some (Printf.sprintf "non-finite value (%h) at %s" value where)
-  | _ -> None

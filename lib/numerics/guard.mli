@@ -3,15 +3,13 @@
     Solvers thread state vectors through long iterations; one NaN born in a
     badly scaled exponent silently poisons every later result.  This module
     provides zero-cost-when-disabled checks that solvers call on their
-    inputs and outputs.  When {!enable}d (or inside {!with_guard}), the
+    inputs and outputs.  Inside {!with_guard}, the
     first non-finite value raises {!Non_finite} carrying the origin label
     of the call site, so the failure is located instead of laundered into a
     downstream "did not converge". *)
 
 exception Non_finite of { origin : string; index : int option; value : float }
 
-val enable : unit -> unit
-val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val with_guard : (unit -> 'a) -> 'a
@@ -26,7 +24,3 @@ val vec : origin:string -> float array -> float array
 
 val fvec : origin:string -> Fvec.t -> Fvec.t
 (** {!vec} for flat {!Fvec.t} buffers. *)
-
-val describe : exn -> string option
-(** Human-readable rendering of a {!Non_finite}; [None] on other
-    exceptions. *)

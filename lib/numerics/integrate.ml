@@ -6,39 +6,3 @@ let trapezoid_samples xs ys =
     s := !s +. (0.5 *. (ys.(i) +. ys.(i + 1)) *. (xs.(i + 1) -. xs.(i)))
   done;
   !s
-
-let cumulative_trapezoid xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Integrate.cumulative_trapezoid: length mismatch";
-  let out = Array.make n 0.0 in
-  for i = 1 to n - 1 do
-    out.(i) <- out.(i - 1) +. (0.5 *. (ys.(i) +. ys.(i - 1)) *. (xs.(i) -. xs.(i - 1)))
-  done;
-  out
-
-let simpson ?(n = 128) f a b =
-  let n = if n mod 2 = 0 then n else n + 1 in
-  let h = (b -. a) /. float_of_int n in
-  let s = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let x = a +. (h *. float_of_int i) in
-    s := !s +. ((if i mod 2 = 1 then 4.0 else 2.0) *. f x)
-  done;
-  !s *. h /. 3.0
-
-let adaptive_simpson ?(tol = 1e-12) f a b =
-  let simpson3 fa fm fb a b = (b -. a) /. 6.0 *. (fa +. (4.0 *. fm) +. fb) in
-  let rec go a b fa fm fb whole tol depth =
-    let m = 0.5 *. (a +. b) in
-    let lm = 0.5 *. (a +. m) and rm = 0.5 *. (m +. b) in
-    let flm = f lm and frm = f rm in
-    let left = simpson3 fa flm fm a m in
-    let right = simpson3 fm frm fb m b in
-    if depth > 48 || Float.abs (left +. right -. whole) <= 15.0 *. tol then
-      left +. right +. ((left +. right -. whole) /. 15.0)
-    else
-      go a m fa flm fm left (tol /. 2.0) (depth + 1)
-      +. go m b fm frm fb right (tol /. 2.0) (depth + 1)
-  in
-  let fa = f a and fb = f b and fm = f (0.5 *. (a +. b)) in
-  go a b fa fm fb (simpson3 fa fm fb a b) tol 0

@@ -3,12 +3,3 @@
 val trapezoid_samples : Vec.t -> Vec.t -> float
 (** [trapezoid_samples xs ys] integrates tabulated data by the trapezoid
     rule.  Abscissae must be increasing. *)
-
-val cumulative_trapezoid : Vec.t -> Vec.t -> Vec.t
-(** Running integral; result.(0) = 0. *)
-
-val simpson : ?n:int -> (float -> float) -> float -> float -> float
-(** Composite Simpson with [n] (even, default 128) panels. *)
-
-val adaptive_simpson : ?tol:float -> (float -> float) -> float -> float -> float
-(** Recursive adaptive Simpson to absolute tolerance [tol] (default 1e-12). *)

@@ -31,46 +31,6 @@ let linear xs ys x =
     ((1.0 -. t) *. ys.(i)) +. (t *. ys.(i + 1))
   end
 
-type spline = { xs : Vec.t; ys : Vec.t; y2 : Vec.t }
-
-(* Natural cubic spline second derivatives (NR spline). *)
-let cubic_spline xs ys =
-  check xs ys "cubic_spline";
-  let n = Array.length xs in
-  let y2 = Array.make n 0.0 in
-  let u = Array.make n 0.0 in
-  for i = 1 to n - 2 do
-    let sig_ = (xs.(i) -. xs.(i - 1)) /. (xs.(i + 1) -. xs.(i - 1)) in
-    let p = (sig_ *. y2.(i - 1)) +. 2.0 in
-    y2.(i) <- (sig_ -. 1.0) /. p;
-    let du =
-      ((ys.(i + 1) -. ys.(i)) /. (xs.(i + 1) -. xs.(i)))
-      -. ((ys.(i) -. ys.(i - 1)) /. (xs.(i) -. xs.(i - 1)))
-    in
-    u.(i) <- (((6.0 *. du) /. (xs.(i + 1) -. xs.(i - 1))) -. (sig_ *. u.(i - 1))) /. p
-  done;
-  for k = n - 2 downto 0 do
-    y2.(k) <- (y2.(k) *. y2.(k + 1)) +. u.(k)
-  done;
-  { xs = Array.copy xs; ys = Array.copy ys; y2 }
-
-let spline_eval { xs; ys; y2 } x =
-  let i = search xs x in
-  let h = xs.(i + 1) -. xs.(i) in
-  let a = (xs.(i + 1) -. x) /. h in
-  let b = (x -. xs.(i)) /. h in
-  (a *. ys.(i)) +. (b *. ys.(i + 1))
-  +. ((((a *. a *. a) -. a) *. y2.(i) +. (((b *. b *. b) -. b) *. y2.(i + 1))) *. h *. h /. 6.0)
-
-let spline_derivative { xs; ys; y2 } x =
-  let i = search xs x in
-  let h = xs.(i + 1) -. xs.(i) in
-  let a = (xs.(i + 1) -. x) /. h in
-  let b = (x -. xs.(i)) /. h in
-  ((ys.(i + 1) -. ys.(i)) /. h)
-  -. (((3.0 *. a *. a) -. 1.0) *. h *. y2.(i) /. 6.0)
-  +. (((3.0 *. b *. b) -. 1.0) *. h *. y2.(i + 1) /. 6.0)
-
 let crossings xs ys level =
   check xs ys "crossings";
   let n = Array.length xs in

@@ -8,15 +8,6 @@ val search : Vec.t -> float -> int
 (** [search xs x] is the index [i] such that [xs.(i) <= x < xs.(i+1)]
     (clamped to [[0, n-2]]). *)
 
-type spline
-
-val cubic_spline : Vec.t -> Vec.t -> spline
-(** Natural cubic spline through the points. *)
-
-val spline_eval : spline -> float -> float
-
-val spline_derivative : spline -> float -> float
-
 val crossings : Vec.t -> Vec.t -> float -> float list
 (** [crossings xs ys level] returns the linearly interpolated [x] positions
     where the sampled curve crosses [level], in order. *)

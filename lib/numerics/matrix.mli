@@ -10,8 +10,6 @@ val identity : int -> t
 
 val copy : t -> t
 
-val dims : t -> int * int
-
 val mat_vec : t -> Vec.t -> Vec.t
 
 val mat_mul : t -> t -> t

@@ -48,14 +48,6 @@ let order a = a.n
 let offset a = a.m
 let rhs a = a.rhs
 
-let clear a =
-  Fvec.fill a.dl2 0.0;
-  Fvec.fill a.dl1 0.0;
-  Fvec.fill a.d0 0.0;
-  Fvec.fill a.du1 0.0;
-  Fvec.fill a.du2 0.0;
-  Fvec.fill a.rhs 0.0
-
 let diag_of a i j =
   if i < 0 || j < 0 || i >= a.n || j >= a.n then None
   else
@@ -73,11 +65,6 @@ let set a i j v =
   match diag_of a i j with
   | Some d -> Fvec.set d i v
   | None -> invalid_arg (Printf.sprintf "Stencil5.set: (%d, %d) off the stencil" i j)
-
-let add a i j v =
-  match diag_of a i j with
-  | Some d -> Fvec.set d i (Fvec.get d i +. v)
-  | None -> invalid_arg (Printf.sprintf "Stencil5.add: (%d, %d) off the stencil" i j)
 
 (* Write a whole row at once; entries whose column falls outside the matrix
    (first/last rows and columns) are simply never read by [solve]/[mat_vec],

@@ -23,17 +23,11 @@ val rhs : t -> Fvec.t
 (** The right-hand-side buffer; assembly writes it, {!clear} zeroes it,
     {!solve} reads it (and leaves it intact). *)
 
-val clear : t -> unit
-(** Zero the five diagonals and the right-hand side, keeping the storage. *)
-
 val get : t -> int -> int -> float
 (** [get a i j] is A(i,j); zero off the stencil. *)
 
 val set : t -> int -> int -> float -> unit
 (** Raises [Invalid_argument] when [j - i] is not one of 0, +-1, +-m. *)
-
-val add : t -> int -> int -> float -> unit
-(** Stamping accumulate; same domain as {!set}. *)
 
 val set_row :
   t -> int -> west:float -> south:float -> diag:float -> north:float -> east:float ->

@@ -1,9 +1,6 @@
 type t = float array
 
 let create n x = Array.make n x
-let init = Array.init
-let copy = Array.copy
-
 let check_same_length name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: length mismatch (%d vs %d)" name (Array.length x) (Array.length y))
@@ -25,8 +22,6 @@ let dot x y =
   done;
   !s
 
-let norm2 x = sqrt (dot x x)
-
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
 
 let axpy a x y =
@@ -35,20 +30,9 @@ let axpy a x y =
     y.(i) <- y.(i) +. (a *. x.(i))
   done
 
-let scale a x =
-  for i = 0 to Array.length x - 1 do
-    x.(i) <- a *. x.(i)
-  done
-
 let add x y =
   check_same_length "add" x y;
   Array.init (Array.length x) (fun i -> x.(i) +. y.(i))
-
-let sub x y =
-  check_same_length "sub" x y;
-  Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
-
-let map = Array.map
 
 let max_abs_diff x y =
   check_same_length "max_abs_diff" x y;

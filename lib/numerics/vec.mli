@@ -7,10 +7,6 @@ type t = float array
 val create : int -> float -> t
 (** [create n x] is a vector of [n] copies of [x]. *)
 
-val init : int -> (int -> float) -> t
-
-val copy : t -> t
-
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n] points evenly spaced from [a] to [b] inclusive.
     Requires [n >= 2]. *)
@@ -21,22 +17,12 @@ val logspace : float -> float -> int -> t
 
 val dot : t -> t -> float
 
-val norm2 : t -> float
-(** Euclidean norm. *)
-
 val norm_inf : t -> float
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] updates [y <- a*x + y] in place. *)
 
-val scale : float -> t -> unit
-(** In-place scaling. *)
-
 val add : t -> t -> t
-
-val sub : t -> t -> t
-
-val map : (float -> float) -> t -> t
 
 val max_abs_diff : t -> t -> float
 (** Infinity norm of the difference. *)

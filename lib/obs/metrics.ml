@@ -13,12 +13,11 @@
    what makes a silently-stalling solver visible in the profile and
    grep-able in CI. *)
 
-type counter = { c_name : string; c_count : int Atomic.t }
+type counter = { c_count : int Atomic.t }
 
-type gauge = { g_name : string; g_lock : Mutex.t; mutable g_value : float }
+type gauge = { g_lock : Mutex.t; mutable g_value : float }
 
 type histogram = {
-  h_name : string;
   bounds : float array;  (* upper bucket bounds, strictly increasing *)
   buckets : int Atomic.t array;  (* length bounds + 1; last is overflow *)
   h_lock : Mutex.t;  (* guards the moment accumulators below *)
@@ -62,20 +61,16 @@ let get_or_create name make describe =
 
 let counter name =
   get_or_create name
-    (fun () -> M_counter { c_name = name; c_count = Atomic.make 0 })
+    (fun () -> M_counter { c_count = Atomic.make 0 })
     (function M_counter c -> Some c | M_gauge _ | M_histogram _ -> None)
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_count by : int)
 let counter_value c = Atomic.get c.c_count
 let reset_counter c = Atomic.set c.c_count 0
-let counter_name c = c.c_name
-
 let gauge name =
   get_or_create name
-    (fun () -> M_gauge { g_name = name; g_lock = Mutex.create (); g_value = 0.0 })
+    (fun () -> M_gauge { g_lock = Mutex.create (); g_value = 0.0 })
     (function M_gauge g -> Some g | M_counter _ | M_histogram _ -> None)
-
-let gauge_name g = g.g_name
 
 let set g v =
   Mutex.lock g.g_lock;
@@ -99,7 +94,6 @@ let histogram ?(bounds = default_bounds) name =
     (fun () ->
       M_histogram
         {
-          h_name = name;
           bounds = Array.copy bounds;
           buckets = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
           h_lock = Mutex.create ();
@@ -109,8 +103,6 @@ let histogram ?(bounds = default_bounds) name =
           h_max = neg_infinity;
         })
     (function M_histogram h -> Some h | M_counter _ | M_gauge _ -> None)
-
-let histogram_name h = h.h_name
 
 let observe h v =
   let n = Array.length h.bounds in

@@ -27,24 +27,13 @@ val counter : string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 val reset_counter : counter -> unit
-val counter_name : counter -> string
-
 val gauge : string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
-
-val default_bounds : float array
-(** [1, 2, 5, 10, ... 1000] — suited to iteration counts. *)
-
 val histogram : ?bounds:float array -> string -> histogram
 (** [bounds] are strictly-increasing inclusive upper bucket bounds; an
     extra overflow bucket catches everything above the last. *)
 
 val observe : histogram -> float -> unit
 val hist_stats : histogram -> hist_stats
-val histogram_name : histogram -> string
-
 val snapshot : unit -> (string * value) list
 (** Every registered metric with its current value, sorted by name. *)
 

@@ -15,8 +15,6 @@ module Trace = Trace
 module Metrics = Metrics
 module Export = Export
 
-let enabled = Trace.enabled
-
 (* The one structured event every solver emits when it exits without
    meeting its tolerance: a "<solver>.non_converged" counter bump (always)
    plus an instant trace event (when tracing).  CI greps the trace for
@@ -43,6 +41,8 @@ let profile_requested = ref false
 let exit_hook_installed = ref false
 let config_lock = Mutex.create ()
 
+(* Write the trace file / print the profile; registered via [at_exit] by
+   [set_trace_file] and [enable_profile]. *)
 let flush () =
   (match !trace_path with
    | Some path -> Export.write_chrome ~path (Trace.events ())

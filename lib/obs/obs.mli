@@ -6,9 +6,6 @@ module Trace = Trace
 module Metrics = Metrics
 module Export = Export
 
-val enabled : unit -> bool
-(** Whether span tracing is currently on ({!Trace.enabled}). *)
-
 val non_converged :
   solver:string -> ?attrs:(string * Trace.attr) list -> string -> unit
 (** [non_converged ~solver detail] is the canonical non-convergence exit
@@ -32,7 +29,3 @@ val enable_profile : unit -> unit
 val init_from_env : unit -> unit
 (** Honour [SUBSCALE_TRACE=FILE]: when set and non-empty, behaves like
     {!set_trace_file}. *)
-
-val flush : unit -> unit
-(** Write the trace file / print the profile now (registered via [at_exit]
-    by {!set_trace_file} and {!enable_profile}; callable directly). *)

@@ -36,8 +36,6 @@ type event =
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-
 (* Bounded buffer: a runaway sweep cannot eat the heap.  Drops are counted
    and reported by the export so truncation is visible, never silent. *)
 let default_capacity = 1_000_000
@@ -82,6 +80,8 @@ let tid () = (Domain.self () :> int)
 
 type span = Off | On of { name : string; cat : string; t0 : float; tid : int }
 
+(* A span is a no-op constant while tracing is off; [stop] attaches the
+   attributes only known at the end (iteration counts, residuals). *)
 let start ?(cat = "") name =
   if Atomic.get enabled_flag then On { name; cat; t0 = now (); tid = tid () } else Off
 

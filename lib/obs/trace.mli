@@ -30,20 +30,10 @@ type event =
 
 val enabled : unit -> bool
 val enable : unit -> unit
-val disable : unit -> unit
-
 val with_tracing : (unit -> 'a) -> 'a
 (** Run [f] with tracing enabled, restoring the previous state after. *)
 
 type span
-
-val start : ?cat:string -> string -> span
-(** Begin a span.  When tracing is disabled this is a no-op returning a
-    constant. *)
-
-val stop : ?attrs:(string * attr) list -> span -> unit
-(** End a span, attaching final attributes (iteration counts, residuals,
-    convergence flags — values only known at the end). *)
 
 val with_span : ?cat:string -> ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] wraps [f] in a span.  An escaping exception still

@@ -8,9 +8,6 @@
 val q : float
 (** Elementary charge [C]. *)
 
-val k_boltzmann : float
-(** Boltzmann constant [J/K]. *)
-
 val eps0 : float
 (** Vacuum permittivity [F/m]. *)
 

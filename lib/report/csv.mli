@@ -2,8 +2,6 @@
 
 val escape_cell : string -> string
 
-val of_rows : string list list -> string
-
 val write : path:string -> string list list -> unit
 (** Raises [Sys_error] on I/O failure. *)
 

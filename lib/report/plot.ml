@@ -2,7 +2,10 @@ type series = { name : string; points : (float * float) array }
 
 let markers = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let render ?(width = 64) ?(height = 18) ?(x_label = "") ?(y_label = "") ~title series =
+let width = 64
+let height = 18
+
+let render ?(x_label = "") ?(y_label = "") ~title series =
   let all_points = List.concat_map (fun s -> Array.to_list s.points) series in
   if List.is_empty all_points then invalid_arg "Plot.render: no points";
   let xs = List.map fst all_points and ys = List.map snd all_points in

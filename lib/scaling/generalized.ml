@@ -18,8 +18,6 @@ let factors ~alpha ~epsilon =
     power = epsilon *. epsilon /. (alpha *. alpha);
   }
 
-let table1 = factors ~alpha:(1.0 /. 0.7) ~epsilon:1.1
-
 let apply ~generations ~alpha ~epsilon (p : Device.Params.physical) =
   if generations < 0 then invalid_arg "Generalized.apply: negative generations";
   let f = factors ~alpha ~epsilon in

@@ -14,11 +14,6 @@ type factors = {
 
 val factors : alpha:float -> epsilon:float -> factors
 
-val table1 : factors
-(** The canonical generation step: alpha = 1/0.7, epsilon = 1 would be
-    constant-field; the table is parameterized, so this instance uses
-    alpha = 1.43, epsilon = 1.1 — a representative modern step. *)
-
 val apply :
   generations:int -> alpha:float -> epsilon:float ->
   Device.Params.physical -> Device.Params.physical

@@ -36,19 +36,6 @@ type request =
 type envelope = { id : Report.Json.t; req : request }
 (** [id] is [Json.Null] when the request carried none. *)
 
-val max_points : int
-(** Upper bound on [Idvg.points], enforced by {!parse_request}: a sweep
-    request sizes a server-side allocation, so an unbounded value is a
-    denial-of-service vector, not a big query. *)
-
-val min_mesh : int
-
-val max_mesh : int
-(** Bounds on the optional [nx]/[ny] mesh overrides, enforced by
-    {!parse_request} ([{!min_mesh}, {!max_mesh}] inclusive): zero would
-    degenerate the mesher's minimum spacing and huge values size a 2-D
-    solve quadratically. *)
-
 val parse_request : string -> (envelope, string) result
 (** Parse one request line.  Errors name the offending field (or the
     byte offset, for malformed JSON); out-of-bounds resource parameters

@@ -10,6 +10,8 @@ type config = {
   cache_dir : string option;
 }
 
+(* The in-memory tier for coalesced Id-Vg sweeps, keyed by device
+   description, mesh dims, drain bias and the exact gate grid. *)
 let idvg_memo : Tcad.Extract.sweep Exec.Memo.t = Exec.Memo.create ~name:"serve.idvg" ()
 
 let requests_counter = Obs.Metrics.counter "serve.requests"

@@ -25,11 +25,6 @@ type config = {
           next. *)
 }
 
-val idvg_memo : Tcad.Extract.sweep Exec.Memo.t
-(** The in-memory tier for coalesced Id–Vg sweeps, keyed by device
-    description, mesh dims, drain bias and the exact gate grid
-    (["serve.idvg"] in [Exec.Memo.stats]). *)
-
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit
 (** Bind, listen and serve until a [shutdown] request arrives.
     [on_ready] fires once the socket is listening (with the bound

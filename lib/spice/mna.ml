@@ -89,7 +89,9 @@ let pmos_current dev width ~vd ~vg ~vs =
     (width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
   end
 
-let assemble s ~time ?(source_scale = 1.0) ?(gmin = 1e-12) ?(overrides = []) ?caps ~x () =
+let gmin = 1e-12
+
+let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
   let n = s.n in
   if Array.length x <> n then invalid_arg "Mna.assemble: unknown vector length mismatch";
   let f = Array.make n 0.0 in

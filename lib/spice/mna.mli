@@ -32,15 +32,14 @@ val assemble :
   system ->
   time:float ->
   ?source_scale:float ->
-  ?gmin:float ->
   ?overrides:(string * float) list ->
   ?caps:cap_companion array ->
   x:Numerics.Vec.t ->
   unit ->
   Numerics.Vec.t * Numerics.Matrix.t
 (** KCL residual F(x) and Jacobian dF/dx.  [source_scale] multiplies every
-    independent source value (for source-stepping homotopy).  [gmin]
-    (default 1e-12 S) is a leak conductance from every node to ground.
+    independent source value (for source-stepping homotopy).  A 1e-12 S
+    leak conductance (gmin) ties every node to ground.
     [overrides] replaces the waveform value of named voltage sources — how
     DC sweeps move their swept source.  Without [caps], capacitors are open
     (DC); with [caps] (length {!n_caps}), each capacitor stamps its

@@ -11,15 +11,9 @@ type result = {
           drawn from a supply is the negative of this (see {!Mna}) *)
 }
 
-val run :
-  ?dt:float ->
-  ?x0:Numerics.Vec.t ->
-  Mna.system ->
-  t_stop:float ->
-  steps:int ->
-  result
+val run : ?x0:Numerics.Vec.t -> Mna.system -> t_stop:float -> steps:int -> result
 (** Integrate from a DC operating point at t = 0 (or from [x0]) to [t_stop]
-    in [steps] equal steps (or of size [dt] if given, overriding [steps]).
+    in [steps] equal steps.
     Raises {!Dcop.No_convergence} if a time-point Newton fails after step
     halving. *)
 
@@ -36,16 +30,10 @@ type adaptive_result = {
   steps_rejected : int;
 }
 
-val run_adaptive :
-  ?tol:float ->
-  ?dt_min:float ->
-  ?dt_max:float ->
-  ?x0:Numerics.Vec.t ->
-  Mna.system ->
-  t_stop:float ->
-  adaptive_result
-(** Variable-step trapezoidal integration.  Each step also solves a
-    backward-Euler companion; their difference estimates the local
-    truncation error, and the step shrinks or grows (at most 2x) to hold it
-    at [tol] volts (default 1e-4).  Slower per step than {!run} but far
+val run_adaptive : ?tol:float -> Mna.system -> t_stop:float -> adaptive_result
+(** Variable-step trapezoidal integration from the DC operating point.
+    Each step also solves a backward-Euler companion; their difference
+    estimates the local truncation error, and the step shrinks or grows (at
+    most 2x, between t_stop * 1e-9 and t_stop / 20) to hold it at [tol]
+    volts (default 1e-4).  Slower per step than {!run} but far
     fewer steps on stiff waveforms with long quiet stretches. *)

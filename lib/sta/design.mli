@@ -43,9 +43,6 @@ val evaluate : t -> inputs:(net -> bool) -> bool array
 val inverter_chain : t -> length:int -> net -> net
 (** Append a chain of inverters from the given net; returns the final net. *)
 
-val full_adder : t -> a:net -> b:net -> cin:net -> net * net
-(** The nine-NAND full adder; returns (sum, cout). *)
-
 val ripple_carry_adder : t -> a:net array -> b:net array -> cin:net -> net array * net
 (** N-bit adder over existing nets; returns (sums, cout). *)
 

@@ -15,18 +15,12 @@ type report = {
    and the input edge that produced it. *)
 type origin = Primary | Through of Design.gate * int * edge
 
-let analyze ?input_slew ?wire_cap ?output_load (lib : Cell_lib.library) design =
+let analyze ?wire_cap (lib : Cell_lib.library) design =
   let n = Design.n_nets design in
   if Design.primary_outputs design = [] then failwith "Engine.analyze: no primary outputs";
   let inv = Cell_lib.find lib Cell_lib.Inv in
-  let default_slew =
-    match input_slew with
-    | Some s -> s
-    | None ->
-      let slews = Lut.slews (inv.Cell_lib.arcs.(0)).Cell_lib.delay_output_rise in
-      slews.(0)
-  in
-  let out_load = Option.value output_load ~default:inv.Cell_lib.input_cap in
+  let input_slew = (Lut.slews (inv.Cell_lib.arcs.(0)).Cell_lib.delay_output_rise).(0) in
+  let out_load = inv.Cell_lib.input_cap in
   let wire net = match wire_cap with Some f -> f net | None -> 0.0 in
   (* Load per net: fanout input pins + wire + primary-output load. *)
   let load = Array.make n 0.0 in
@@ -41,13 +35,13 @@ let analyze ?input_slew ?wire_cap ?output_load (lib : Cell_lib.library) design =
         g.Design.inputs)
     (Design.gates design);
   List.iter (fun o -> load.(o) <- load.(o) +. out_load) (Design.primary_outputs design);
-  let minus_inf = { time = neg_infinity; slew = default_slew } in
+  let minus_inf = { time = neg_infinity; slew = input_slew } in
   let rise = Array.make n minus_inf and fall = Array.make n minus_inf in
   let rise_from = Array.make n Primary and fall_from = Array.make n Primary in
   List.iter
     (fun i ->
-      rise.(i) <- { time = 0.0; slew = default_slew };
-      fall.(i) <- { time = 0.0; slew = default_slew })
+      rise.(i) <- { time = 0.0; slew = input_slew };
+      fall.(i) <- { time = 0.0; slew = input_slew })
     (Design.primary_inputs design);
   let ordered = Design.topological_gates design in
   List.iter

@@ -25,14 +25,8 @@ type report = {
           output edge each contributes *)
 }
 
-val analyze :
-  ?input_slew:float ->
-  ?wire_cap:(Design.net -> float) ->
-  ?output_load:float ->
-  Cell_lib.library ->
-  Design.t ->
-  report
-(** [input_slew] defaults to the library's fastest characterized slew;
-    [wire_cap] (default none) adds capacitance per net; [output_load]
-    (default one inverter input) loads the primary outputs.  Raises
+val analyze : ?wire_cap:(Design.net -> float) -> Cell_lib.library -> Design.t -> report
+(** Primary inputs switch with the library's fastest characterized slew;
+    [wire_cap] (default none) adds capacitance per net; one inverter input
+    loads each primary output.  Raises
     [Failure] if the design has no primary outputs or is not acyclic. *)

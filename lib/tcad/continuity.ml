@@ -176,6 +176,3 @@ let terminal_current dev ~carrier ~psi ~u =
     total := !total +. (sign *. q *. g *. (Field.get u k' -. Field.get u k) *. dy)
   done;
   !total
-
-let drain_current dev ~psi ~u =
-  Float.abs (terminal_current dev ~carrier:Electrons ~psi ~u)

@@ -47,7 +47,3 @@ val terminal_current :
 (** Signed conventional current [A per metre of width] carried by this
     carrier through a vertical mid-channel cut, positive flowing from
     source side to drain side. *)
-
-val drain_current : Structure.t -> psi:Field.t -> u:Field.t -> float
-(** Electron-only magnitude (compatibility helper for N-channel sweeps):
-    |{!terminal_current} Electrons|. *)

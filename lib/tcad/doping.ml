@@ -1,8 +1,6 @@
 type profile = x:float -> y:float -> float
 
 let uniform n ~x:_ ~y:_ = n
-let zero ~x:_ ~y:_ = 0.0
-
 let sum profiles ~x ~y = List.fold_left (fun acc p -> acc +. p ~x ~y) 0.0 profiles
 
 let gaussian2d ~peak ~x0 ~y0 ~sigma_x ~sigma_y ~x ~y =

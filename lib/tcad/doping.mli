@@ -6,8 +6,6 @@ type profile = x:float -> y:float -> float
 
 val uniform : float -> profile
 
-val zero : profile
-
 val sum : profile list -> profile
 
 val gaussian2d :

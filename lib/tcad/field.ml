@@ -26,8 +26,5 @@ module Mask = struct
     Bigarray.Array1.fill m interior;
     m
 
-  let length : t -> int = Bigarray.Array1.dim
-  let get (m : t) i = Bigarray.Array1.get m i
   let set (m : t) i v = Bigarray.Array1.set m i v
-  let unsafe_get (m : t) i = Bigarray.Array1.unsafe_get m i
 end

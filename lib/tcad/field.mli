@@ -31,8 +31,5 @@ module Mask : sig
   val create : int -> t
   (** Filled with {!interior}. *)
 
-  val length : t -> int
-  val get : t -> int -> int
   val set : t -> int -> int -> unit
-  val unsafe_get : t -> int -> int
 end

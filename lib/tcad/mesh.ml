@@ -71,4 +71,3 @@ let find_nearest axis v =
   !best
 
 let find_ix m x = find_nearest m.xs x
-let find_iy m y = find_nearest m.ys y

@@ -40,5 +40,3 @@ val box_area : t -> int -> float
 
 val find_ix : t -> float -> int
 (** Nearest column index to a lateral coordinate. *)
-
-val find_iy : t -> float -> int

@@ -51,21 +51,11 @@ let description_key (d : description) =
         ("gate_doping", float d.gate_doping);
         ("temperature", float d.temperature) ])
 
-(* Kept in sync with [description_key] above; the memo-soundness auditor
-   cross-checks this list against the fields a characterization reads. *)
-let description_key_fields =
-  [ "polarity"; "lpoly"; "tox"; "nsub"; "np_halo"; "xj"; "nsd"; "overlap";
-    "halo_depth_frac"; "halo_sigma_frac"; "gate_doping"; "temperature" ]
-
-let scale_description ?lpoly ?tox ?nsub ?np_halo d =
-  let lpoly' = Option.value lpoly ~default:d.lpoly in
-  let ratio = lpoly' /. d.lpoly in
+let scale_description ~lpoly d =
+  let ratio = lpoly /. d.lpoly in
   {
     d with
-    lpoly = lpoly';
-    tox = Option.value tox ~default:d.tox;
-    nsub = Option.value nsub ~default:d.nsub;
-    np_halo = Option.value np_halo ~default:d.np_halo;
+    lpoly;
     xj = d.xj *. ratio;
     overlap = d.overlap *. ratio;
   }
@@ -258,9 +248,3 @@ let effective_channel_length dev =
     let x_right = List.fold_left (fun _ x -> x) x_left rest in
     x_right -. x_left
   | [] -> 0.0
-
-let bias_of_terminal ~source ~drain ~gate ~substrate = function
-  | Source -> source
-  | Drain -> drain
-  | Gate -> gate
-  | Substrate -> substrate

@@ -30,21 +30,15 @@ val description_key : description -> string
     deterministic function of the description, so this key also identifies
     the compiled structure. *)
 
-val description_key_fields : string list
-(** The field names encoded by {!description_key}, in key order — the
-    coverage set the memo-soundness auditor checks characterization reads
-    against. *)
-
 val gate_span : description -> float * float
 (** Lateral extent [x_g0, x_g1] of the gate in the simulated structure's
     coordinates — the window in which the mesh-resolution audit counts
     channel mesh lines. *)
 
-val scale_description :
-  ?lpoly:float -> ?tox:float -> ?nsub:float -> ?np_halo:float -> description -> description
-(** Derive a new description: explicitly given fields are set, and all other
-    physical dimensions (x_j, overlap, halo geometry) are rescaled in
-    proportion to the L_poly change, per the paper's scaling assumption. *)
+val scale_description : lpoly:float -> description -> description
+(** Derive a new description with L_poly set to [lpoly]: x_j and the
+    overlap are rescaled in proportion to the L_poly change, per the
+    paper's scaling assumption. *)
 
 type terminal = Source | Drain | Gate | Substrate
 
@@ -80,6 +74,3 @@ val build : ?nx:int -> ?ny:int -> description -> t
 val effective_channel_length : t -> float
 (** Metallurgical channel length: surface distance between the points where
     net doping changes sign. *)
-
-val bias_of_terminal : source:float -> drain:float -> gate:float -> substrate:float ->
-  terminal -> float

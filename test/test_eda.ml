@@ -54,7 +54,23 @@ let wire_tests =
                { name = "V"; plus = src; minus = Spice.Netlist.ground;
                  wave = Spice.Netlist.Pwl [ (0.0, 0.0); (1e-12, 1.0) ] });
           Spice.Netlist.add c (Spice.Netlist.Resistor { plus = src; minus = inp; ohms = r_drv });
-          let far = Elmore.pi_ladder c ~segments ~r_total ~c_total ~from_node:inp in
+          (* N-segment pi ladder: R/N per segment, C/2N at each end of it. *)
+          let cap node farads =
+            Spice.Netlist.add c
+              (Spice.Netlist.Capacitor { plus = node; minus = Spice.Netlist.ground; farads })
+          in
+          let c_half = c_total /. (2.0 *. float_of_int segments) in
+          let far = ref inp in
+          for _ = 1 to segments do
+            let next = Spice.Netlist.fresh_node c in
+            cap !far c_half;
+            Spice.Netlist.add c
+              (Spice.Netlist.Resistor
+                 { plus = !far; minus = next; ohms = r_total /. float_of_int segments });
+            cap next c_half;
+            far := next
+          done;
+          let far = !far in
           let sys = Spice.Mna.build c in
           let result = Spice.Transient.run sys ~t_stop:2e-7 ~steps:800 in
           match
@@ -508,46 +524,6 @@ let verilog_tests =
         | _ -> Alcotest.fail "expected parse error");
   ]
 
-let logical_effort_tests =
-  [
-    u "plan scales grow geometrically to reach the load" (fun () ->
-        let cin = Circuits.Inverter.gate_capacitance pair sizing in
-        let plan = Analysis.Logical_effort.plan_driver pair ~vdd:0.3 ~c_load:(64.0 *. cin) in
-        Alcotest.(check int) "three stages" 3 plan.Analysis.Logical_effort.stages;
-        Test_util.check_rel "effort" ~rel:1e-9 4.0 plan.Analysis.Logical_effort.stage_effort;
-        Test_util.check_rel "last scale" ~rel:1e-9 16.0
-          plan.Analysis.Logical_effort.scales.(2));
-    u "small loads need one stage" (fun () ->
-        let cin = Circuits.Inverter.gate_capacitance pair sizing in
-        let plan = Analysis.Logical_effort.plan_driver pair ~vdd:0.3 ~c_load:(2.0 *. cin) in
-        Alcotest.(check int) "one" 1 plan.Analysis.Logical_effort.stages);
-    slow "planned taper beats a single driver in SPICE" (fun () ->
-        let cin = Circuits.Inverter.gate_capacitance pair sizing in
-        let c_load = 64.0 *. cin in
-        let vdd = 0.3 in
-        let plan = Analysis.Logical_effort.plan_driver pair ~vdd ~c_load in
-        let tapered =
-          Analysis.Logical_effort.measured_delay ~steps:700 pair ~vdd ~c_load
-            ~scales:plan.Analysis.Logical_effort.scales
-        in
-        let direct =
-          Analysis.Logical_effort.measured_delay ~steps:700 pair ~vdd ~c_load
-            ~scales:[| 1.0 |]
-        in
-        Alcotest.(check bool) "taper wins" true (tapered < 0.75 *. direct));
-    slow "estimate tracks the measurement within 2x" (fun () ->
-        let cin = Circuits.Inverter.gate_capacitance pair sizing in
-        let c_load = 32.0 *. cin in
-        let vdd = 0.3 in
-        let plan = Analysis.Logical_effort.plan_driver pair ~vdd ~c_load in
-        let measured =
-          Analysis.Logical_effort.measured_delay ~steps:700 pair ~vdd ~c_load
-            ~scales:plan.Analysis.Logical_effort.scales
-        in
-        Test_util.check_in_range "ratio" ~lo:0.5 ~hi:2.0
-          (plan.Analysis.Logical_effort.estimated_delay /. measured));
-  ]
-
 let adaptive_tests =
   [
     u "adaptive RC step matches the analytic exponential" (fun () ->
@@ -734,7 +710,6 @@ let suite =
     ("device.corners", corner_tests);
     ("analysis.pareto", pareto_tests);
     ("sta.verilog", verilog_tests);
-    ("analysis.logical_effort", logical_effort_tests);
     ("spice.adaptive", adaptive_tests);
     ("tcad.convergence", mesh_convergence_tests);
     ("sta.logic", logic_tests);

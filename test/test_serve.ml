@@ -298,7 +298,6 @@ let store_tests =
         let cold = Memo.find_or_compute t1 ~key:"k" compute in
         Alcotest.(check int) "cold computes" 1 !computes;
         Alcotest.(check int) "miss recorded" 1 (Memo.misses t1);
-        Memo.unregister t1;
         Store.close s1;
         (* Second lifetime: fresh table, reopened store. *)
         let s2 = Store.open_store ~dir () in
@@ -315,7 +314,6 @@ let store_tests =
         Alcotest.(check int) "now cached in memory" 1
           (Memo.find_or_compute t2 ~key:"k" (fun () -> [||]) |> Array.length |> fun n ->
            if n = 3 then 1 else 0);
-        Memo.unregister t2;
         Store.close s2);
   ]
 
