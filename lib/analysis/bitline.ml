@@ -11,8 +11,12 @@ type swing = {
   swing_time : float;
 }
 
-let read_swing ?(bitline_cap_per_bit = 0.08e-15 /. 1e-6) ?(sense_margin = 0.05) dev ~vdd
-    ~bits =
+(* 0.08 fF/um of device width per bit (wire plus drain junction), sensed at
+   a 50 mV differential. *)
+let bitline_cap_per_bit = 0.08e-15 /. 1e-6
+let sense_margin = 0.05
+
+let read_swing dev ~vdd ~bits =
   if bits < 1 then invalid_arg "Bitline.read_swing: need at least one bit";
   let read_current = Device.Iv_model.ion dev ~vdd in
   let leak_current = float_of_int (bits - 1) *. Device.Iv_model.ioff dev ~vdd in

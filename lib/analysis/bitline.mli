@@ -20,11 +20,8 @@ type swing = {
   swing_time : float;  (** time to develop a 50 mV swing on the line [s] *)
 }
 
-val read_swing :
-  ?bitline_cap_per_bit:float -> ?sense_margin:float ->
-  Device.Compact.t -> vdd:float -> bits:int -> swing
-(** Bitline discharge budget for an N-bit line: capacitance
-    N x [bitline_cap_per_bit] (default 0.08 fF/um of device width per bit —
-    wire plus drain junction), target differential [sense_margin]
-    (default 50 mV).  Raises [Invalid_argument] if the leakage exceeds the
+val read_swing : Device.Compact.t -> vdd:float -> bits:int -> swing
+(** Bitline discharge budget for an N-bit line: capacitance N x 0.08 fF/um
+    of device width per bit (wire plus drain junction), target differential
+    50 mV.  Raises [Invalid_argument] if the leakage exceeds the
     read current (the line never develops the swing). *)

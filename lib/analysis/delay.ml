@@ -20,9 +20,8 @@ let eq6_factor pair ~sizing =
 
 type measured = { tp : float; tp_rise : float; tp_fall : float }
 
-let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = 4) ?(steps = 600)
-    pair ~vdd =
-  if stages < 4 then invalid_arg "Delay.measured: need at least 4 stages";
+let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(steps = 600) pair ~vdd =
+  let stages = 4 in
   let tp_est = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
   let edge = 2.0 *. tp_est in
   let settle = 8.0 *. tp_est *. float_of_int stages in

@@ -27,11 +27,10 @@ type measured = {
 
 val measured :
   ?sizing:Circuits.Inverter.sizing ->
-  ?stages:int ->
   ?steps:int ->
   Circuits.Inverter.pair ->
   vdd:float ->
   measured
-(** Transient measurement on stage 3 of a [stages]-stage (default 4) chain,
+(** Transient measurement on stage 3 of a 4-stage chain,
     so the input edge has a realistic slope.  Raises [Failure] if the output
     fails to switch within the simulated window. *)

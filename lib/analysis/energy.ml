@@ -37,8 +37,8 @@ let analytic ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default
   let e_leak = i_leak *. vdd *. t_cycle in
   { vdd; e_dyn; e_leak; e_total = e_dyn +. e_leak; t_cycle }
 
-let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default_stages)
-    ?(alpha = default_alpha) ?(steps = 900) pair ~vdd =
+let measured ?(stages = default_stages) ?(steps = 900) pair ~vdd =
+  let sizing = Circuits.Inverter.balanced_sizing () and alpha = default_alpha in
   let chain = Circuits.Chain.build ~sizing ~stages pair ~vdd in
   let sys = Spice.Mna.build chain.Circuits.Chain.fixture.Circuits.Inverter.circuit in
   let period = chain.Circuits.Chain.period in
@@ -69,13 +69,13 @@ let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default
 
 type vmin_result = { vmin : float; e_min : float; curve : (float * breakdown) list }
 
-let vmin ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default_stages)
-    ?(alpha = default_alpha) ?(lo = vmin_bracket_lo) ?(hi = vmin_bracket_hi) pair =
-  let energy vdd = (analytic ~sizing ~stages ~alpha pair ~vdd).e_total in
+let vmin ?(sizing = Circuits.Inverter.balanced_sizing ()) pair =
+  let lo = vmin_bracket_lo and hi = vmin_bracket_hi in
+  let energy vdd = (analytic ~sizing pair ~vdd).e_total in
   let vmin, e_min = Numerics.Minimize.grid_then_golden ~samples:40 ~tol:1e-7 energy lo hi in
   let samples = Numerics.Vec.linspace lo hi 40 in
   let curve =
-    Array.to_list (Array.map (fun v -> (v, analytic ~sizing ~stages ~alpha pair ~vdd:v)) samples)
+    Array.to_list (Array.map (fun v -> (v, analytic ~sizing pair ~vdd:v)) samples)
   in
   { vmin; e_min; curve }
 

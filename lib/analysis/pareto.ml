@@ -1,12 +1,12 @@
 type point = { vdd : float; delay : float; energy : float }
 
-let curve ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = 30) ?(alpha = 0.1)
-    ?(points = 30) pair ~lo ~hi =
+let curve ?(points = 30) pair ~lo ~hi =
   if lo <= 0.0 || hi <= lo then invalid_arg "Pareto.curve: bad supply range";
+  let sizing = Circuits.Inverter.balanced_sizing () in
   Array.to_list
     (Array.map
        (fun vdd ->
-         let b = Energy.analytic ~sizing ~stages ~alpha pair ~vdd in
+         let b = Energy.analytic ~sizing pair ~vdd in
          {
            vdd;
            delay = Delay.eq5 pair ~sizing ~vdd;

@@ -12,16 +12,9 @@ type point = {
   energy : float;  (** chain energy per cycle (Eq. 7) [J] *)
 }
 
-val curve :
-  ?sizing:Circuits.Inverter.sizing ->
-  ?stages:int ->
-  ?alpha:float ->
-  ?points:int ->
-  Circuits.Inverter.pair ->
-  lo:float ->
-  hi:float ->
-  point list
-(** Sampled V_dd sweep (default 30 points). *)
+val curve : ?points:int -> Circuits.Inverter.pair -> lo:float -> hi:float -> point list
+(** Sampled V_dd sweep (default 30 points) of the {!Energy.analytic}
+    default chain (balanced sizing, 30 stages, alpha = 0.1). *)
 
 val pareto_front : point list -> point list
 (** The non-dominated subset (no other point is faster *and* cheaper),

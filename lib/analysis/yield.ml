@@ -17,8 +17,8 @@ let array_yield ~p_cell_fail ~bits =
    1 um logic default. *)
 let default_sizing = { Circuits.Inverter.wn = 0.15e-6; wp = 0.2e-6 }
 
-let assess ?seed ?(trials = 400) ?(sizing = default_sizing) pair ~vdd =
-  let d = Variability.snm_distribution ?seed ~trials ~sizing pair ~vdd in
+let assess ?(trials = 400) pair ~vdd =
+  let d = Variability.snm_distribution ~trials ~sizing:default_sizing pair ~vdd in
   let snm_mean = d.Variability.mean and snm_sigma = d.Variability.sigma in
   let p_cell_fail =
     if snm_sigma <= 0.0 then if snm_mean > 0.0 then 0.0 else 1.0
@@ -33,12 +33,12 @@ let assess ?seed ?(trials = 400) ?(sizing = default_sizing) pair ~vdd =
     yield_1mb = array_yield ~p_cell_fail ~bits:(1024 * 1024);
   }
 
-let min_vdd_for_yield ?seed ?trials ?(sizing = default_sizing) ?(lo = 0.10) ?(hi = 0.60)
-    pair ~bits ~target =
+let min_vdd_for_yield ?trials pair ~bits ~target =
+  let lo = 0.10 and hi = 0.60 in
   if target <= 0.0 || target >= 1.0 then
     invalid_arg "Yield.min_vdd_for_yield: target must be in (0, 1)";
   let yield_at vdd =
-    let a = assess ?seed ?trials ~sizing pair ~vdd in
+    let a = assess ?trials pair ~vdd in
     array_yield ~p_cell_fail:a.p_cell_fail ~bits
   in
   if yield_at hi < target then

@@ -161,7 +161,8 @@ let check_description (d : Tcad.Structure.description) =
 (* Compact-model sanity: I_d(V_gs) probed at a few points must be finite,
    nonnegative and strictly increasing — the property every downstream
    bisection (V_th extraction, VTC solving) silently depends on. *)
-let check_compact ?(points = 5) (dev : Device.Compact.t) ~vdd =
+let check_compact (dev : Device.Compact.t) ~vdd =
+  let points = 5 in
   let loc vds = Printf.sprintf "compact model I_d at V_ds = %g V" vds in
   let probe vds diags =
     let prev = ref neg_infinity and prev_vgs = ref 0.0 in

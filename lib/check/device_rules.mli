@@ -13,7 +13,7 @@ val check_description : Tcad.Structure.description -> Diagnostic.t list
 (** Validate a TCAD deck before meshing: doping positivity, halo pocket
     geometry inside the simulated box, temperature range. *)
 
-val check_compact : ?points:int -> Device.Compact.t -> vdd:float -> Diagnostic.t list
-(** Probe I_d(V_gs) at [points] points (default 5) at V_ds = 50 mV and
+val check_compact : Device.Compact.t -> vdd:float -> Diagnostic.t list
+(** Probe I_d(V_gs) at 5 points at V_ds = 50 mV and
     V_ds = [vdd]: currents must be finite, nonnegative and strictly
     increasing in V_gs. *)

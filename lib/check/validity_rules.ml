@@ -443,7 +443,8 @@ type report = {
   diags : Diagnostic.t list;
 }
 
-let audit_box ?(cal = P.default_calibration) ?(t = C.t_room) ?(what = "device") ~op_vdd box =
+let audit_box ?(what = "device") ~op_vdd box =
+  let cal = P.default_calibration and t = C.t_room in
   let ctx_n = { what = what ^ " NFET"; diags = [] } in
   let nfet = propagate_device ctx_n ~cal ~t ~polarity:P.Nfet ~op_vdd box in
   regime_checks ctx_n ~t ~op_vdd nfet;
@@ -456,7 +457,7 @@ let audit_box ?(cal = P.default_calibration) ?(t = C.t_room) ?(what = "device") 
   let diags = List.rev_append ctx_n.diags (List.rev_append ctx_p.diags (List.rev ctx_c.diags)) in
   { what; nfet; pfet; circuit; diags }
 
-let audit_physical ?cal ?t ?(widen = 0.0) ?op_vdd ?what (p : P.physical) =
+let audit_physical ?(widen = 0.0) ?op_vdd ?what (p : P.physical) =
   let op =
     match op_vdd with
     | Some v -> v
@@ -467,7 +468,7 @@ let audit_physical ?cal ?t ?(widen = 0.0) ?op_vdd ?what (p : P.physical) =
     | Some w -> w
     | None -> Printf.sprintf "%d nm device at V_dd = %.3g V" p.P.node_nm op
   in
-  audit_box ?cal ?t ~what ~op_vdd:(I.point op) (box_of_physical ~widen p)
+  audit_box ~what ~op_vdd:(I.point op) (box_of_physical ~widen p)
 
 (* {2 Mesh-resolution preconditions (AUD008)} *)
 

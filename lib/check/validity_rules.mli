@@ -86,19 +86,12 @@ type report = {
   diags : Diagnostic.t list;
 }
 
-val audit_box :
-  ?cal:Device.Params.calibration ->
-  ?t:float ->
-  ?what:string ->
-  op_vdd:Interval.t ->
-  box ->
-  report
+val audit_box : ?what:string -> op_vdd:Interval.t -> box -> report
 (** Propagate both polarities and the FO1 circuit through the box at the
-    given operating supply, collecting every regime diagnostic. *)
+    given operating supply, under the default calibration at room
+    temperature, collecting every regime diagnostic. *)
 
 val audit_physical :
-  ?cal:Device.Params.calibration ->
-  ?t:float ->
   ?widen:float ->
   ?op_vdd:float ->
   ?what:string ->

@@ -51,9 +51,9 @@ let add_full_adder c pair sizing ~vdd_node ~a ~b ~cin ~load =
   let cout = nand n1 n5 in
   (sum, cout)
 
-let build ?(sizing = Inverter.balanced_sizing ()) ?cin_wave ?(a_word = 0) ?(b_word = 0) pair
-    ~vdd ~bits =
+let build ?cin_wave ?(a_word = 0) ?(b_word = 0) pair ~vdd ~bits =
   if bits < 1 then invalid_arg "Adder.ripple_carry: need at least one bit";
+  let sizing = Inverter.balanced_sizing () in
   let c = Spice.Netlist.create () in
   let vdd_node = Spice.Netlist.node c "vdd" in
   Spice.Netlist.add c
@@ -87,7 +87,7 @@ let build ?(sizing = Inverter.balanced_sizing ()) ?cin_wave ?(a_word = 0) ?(b_wo
   { circuit = c; vdd_name = "VDD"; a_names; b_names; cin_name; sum_nodes;
     cout_node = !carry; bits; vdd }
 
-let ripple_carry ?sizing pair ~vdd ~bits = build ?sizing pair ~vdd ~bits
+let ripple_carry pair ~vdd ~bits = build pair ~vdd ~bits
 
 let word_overrides adder ~a ~b ~cin =
   let max_word = (1 lsl adder.bits) - 1 in
@@ -113,7 +113,7 @@ let compute adder ~a ~b ~cin =
    step 0 -> vdd ripples through all [bits] stages.  The static words are
    baked into the input waveforms (the transient engine reads waveforms,
    not overrides) and the carry-in is a delayed ramp. *)
-let carry_delay ?sizing ?(steps = 800) pair ~vdd ~bits =
+let carry_delay ?(steps = 800) pair ~vdd ~bits =
   let tp_est = Chain.estimated_stage_delay pair (Inverter.balanced_sizing ()) ~vdd in
   (* ~3 gate delays per bit on the carry path, with a wide margin. *)
   let window = 18.0 *. tp_est *. float_of_int bits in
@@ -122,7 +122,7 @@ let carry_delay ?sizing ?(steps = 800) pair ~vdd ~bits =
     Spice.Netlist.Pwl [ (0.0, 0.0); (t_edge, 0.0); (t_edge +. tp_est, vdd) ]
   in
   let all_ones = (1 lsl bits) - 1 in
-  let adder = build ?sizing ~cin_wave ~a_word:all_ones ~b_word:0 pair ~vdd ~bits in
+  let adder = build ~cin_wave ~a_word:all_ones ~b_word:0 pair ~vdd ~bits in
   let sys = Spice.Mna.build adder.circuit in
   let result = Spice.Transient.run sys ~t_stop:window ~steps in
   let times = result.Spice.Transient.times in

@@ -17,16 +17,14 @@ type t = {
   vdd : float;
 }
 
-val ripple_carry :
-  ?sizing:Inverter.sizing -> Inverter.pair -> vdd:float -> bits:int -> t
+val ripple_carry : Inverter.pair -> vdd:float -> bits:int -> t
 
 val compute : t -> a:int -> b:int -> cin:int -> int * int
 (** DC-solve the adder with the given input words and return
     [(sum, carry_out)], thresholding outputs at V_dd/2.  Raises
     [Invalid_argument] if an input exceeds the bit width. *)
 
-val carry_delay :
-  ?sizing:Inverter.sizing -> ?steps:int -> Inverter.pair -> vdd:float -> bits:int -> float
+val carry_delay : ?steps:int -> Inverter.pair -> vdd:float -> bits:int -> float
 (** Worst-case carry-propagation delay [s]: with A = all ones and B = 0,
     a carry-in edge must ripple through every stage; measured from a
     transient as the 50 % crossing of carry-out after the input edge.

@@ -7,8 +7,9 @@ type t = {
   vdd : float;
 }
 
-let make ?(sizing = Inverter.balanced_sizing ()) ?(beta = 1.5) pair ~vdd =
+let make ?(beta = 1.5) pair ~vdd =
   if beta <= 0.0 then invalid_arg "Sram.make: beta must be positive";
+  let sizing = Inverter.balanced_sizing () in
   { pair; sizing; w_access = sizing.Inverter.wn /. beta; vdd }
 
 (* One half cell: inverter (in -> out) plus, in Read config, an access NFET

@@ -15,10 +15,10 @@ type t = {
   vdd : float;
 }
 
-val make :
-  ?sizing:Inverter.sizing -> ?beta:float -> Inverter.pair -> vdd:float -> t
+val make : ?beta:float -> Inverter.pair -> vdd:float -> t
 (** [beta] is the cell ratio W_pulldown/W_access (default 1.5, a typical
-    subthreshold-SRAM choice); pull-up and pull-down sizing from [sizing]. *)
+    subthreshold-SRAM choice); pull-up and pull-down use the balanced
+    sizing. *)
 
 val half_cell_vtc :
   t -> config -> vin:Numerics.Vec.t -> Numerics.Vec.t

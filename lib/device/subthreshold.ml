@@ -25,11 +25,11 @@ let inverse_slope ?(k_body = 1.0) ?(k_sce = 1.0) ?(k_lambda = 1.0) ?(ss_offset =
    *. short_channel_factor ~k_sce ~k_lambda ~xj_exp ?xj ~tox ~wdep ~leff ())
   +. ss_offset
 
-let current ~i0 ~m ~vth ?(t = Physics.Constants.t_room) ~vgs ~vds () =
-  let vt = vt_at t in
+let current ~i0 ~m ~vth ~vgs ~vds =
+  let vt = vt_at Physics.Constants.t_room in
   let e1 = exp (Float.min 80.0 ((vgs -. vth) /. (m *. vt))) in
   i0 *. e1 *. (1.0 -. exp (-.vds /. vt))
 
-let i0_of_spec ~mu ~cox ~m ~leff ?(t = Physics.Constants.t_room) () =
-  let vt = vt_at t in
+let i0_of_spec ~mu ~cox ~m ~leff =
+  let vt = vt_at Physics.Constants.t_room in
   mu *. (m -. 1.0) *. cox *. vt *. vt /. leff

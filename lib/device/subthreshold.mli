@@ -30,13 +30,12 @@ val inverse_slope :
   unit -> float
 (** Full Eq. 2(b) in V/decade (plus the calibration offset). *)
 
-val current :
-  i0:float -> m:float -> vth:float -> ?t:float -> vgs:float -> vds:float -> unit -> float
-(** Eq. 1 with the prefactor collapsed into [i0] (the current at
-    V_gs = V_th, V_ds >> vT):
+val current : i0:float -> m:float -> vth:float -> vgs:float -> vds:float -> float
+(** Eq. 1 at room temperature with the prefactor collapsed into [i0] (the
+    current at V_gs = V_th, V_ds >> vT):
     I = i0 exp((V_gs - V_th)/(m vT)) (1 - exp(-V_ds/vT)). *)
 
-val i0_of_spec : mu:float -> cox:float -> m:float -> leff:float -> ?t:float -> unit -> float
-(** The Eq. 1 prefactor per metre of width:
+val i0_of_spec : mu:float -> cox:float -> m:float -> leff:float -> float
+(** The Eq. 1 prefactor per metre of width at room temperature:
     i0 = (1/L_eff) mu (m-1) C_ox vT^2 ... written via the depletion
     capacitance C_d = (m - 1) C_ox the paper uses. *)

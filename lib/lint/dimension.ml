@@ -61,8 +61,8 @@ let no_exponents = { m = rat_zero; s = rat_zero; v = rat_zero; a = rat_zero; k =
 
 let dimensionless = Dim no_exponents
 
-let base ?(scale = Si) which =
-  let d = { no_exponents with scale } in
+let base which =
+  let d = no_exponents in
   Dim
     (match which with
      | `M -> { d with m = rat_of_int 1 }

@@ -467,10 +467,10 @@ module Flow = struct
     in
     List.filteri (fun i _ -> i >= n) longer = shorter
 
-  let rec roots ?(depth = 0) ctx (e : expression) : root list =
+  let rec roots_at ~depth ctx (e : expression) : root list =
     if depth > 8 then []
     else
-      let again e' = roots ~depth:(depth + 1) ctx e' in
+      let again e' = roots_at ~depth:(depth + 1) ctx e' in
       let named key =
         if Hashtbl.mem ctx.bound key then [ { base = Local key; rev_fields = [] } ]
         else [ { base = Outer key; rev_fields = [] } ]
@@ -502,6 +502,8 @@ module Flow = struct
       | Texp_ifthenelse (_, a, None) -> again a
       | Texp_sequence (_, b) | Texp_let (_, _, b) -> again b
       | _ -> []
+
+  let roots ctx e = roots_at ~depth:0 ctx e
 
   (* Result expressions of a body: tail positions, flattened one level
      through constructors/tuples/records so [Some v] and [{ f = v }]

@@ -111,7 +111,7 @@ module Flow : sig
   (** A value's origin plus its field-projection trail (innermost first):
       [s.sys] roots at [s] with trail [["sys"]]. *)
 
-  val roots : ?depth:int -> ctx -> Typedtree.expression -> root list
+  val roots : ctx -> Typedtree.expression -> root list
   (** What an expression can alias, through let-chains, field projections,
       single-argument constructors, and callees known to return an
       argument.  Unknown shapes yield []. *)

@@ -156,8 +156,8 @@ let functions =
     ("Silicon.intrinsic_density", fn [ (Pos 0, "K") ] "m^-3");
     ("Silicon.fermi_potential", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "V");
     ("Silicon.depletion_width", fn [ (Lab "psi", "V"); (Lab "doping", "m^-3") ] "m");
-    ("Silicon.max_depletion_width", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "m");
-    ("Silicon.debye_length", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "m");
+    ("Silicon.max_depletion_width", fn [ (Pos 0, "m^-3") ] "m");
+    ("Silicon.debye_length", fn [ (Pos 0, "m^-3") ] "m");
     ("Silicon.builtin_potential", fn [ (Lab "t", "K"); (Pos 0, "m^-3"); (Pos 1, "m^-3") ] "V");
     ("Silicon.bulk_potential_of_net_doping", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "V");
     (* Physics.Mobility (Pos 0 is the carrier variant — no spec) *)
@@ -180,12 +180,11 @@ let functions =
           (Lab "tox", "m"); (Lab "wdep", "m"); (Lab "leff", "m") ]
        "V/dec");
     ("Subthreshold.current",
-     fn [ (Lab "i0", "A/m"); (Lab "m", "1"); (Lab "vth", "V"); (Lab "t", "K");
-          (Lab "vgs", "V"); (Lab "vds", "V") ]
+     fn [ (Lab "i0", "A/m"); (Lab "m", "1"); (Lab "vth", "V"); (Lab "vgs", "V");
+          (Lab "vds", "V") ]
        "A/m");
     ("Subthreshold.i0_of_spec",
-     fn [ (Lab "mu", "m^2/V/s"); (Lab "cox", "F/m^2"); (Lab "m", "1"); (Lab "leff", "m");
-          (Lab "t", "K") ]
+     fn [ (Lab "mu", "m^2/V/s"); (Lab "cox", "F/m^2"); (Lab "m", "1"); (Lab "leff", "m") ]
        "A/m");
     (* Device.Iv_model / Compact (Pos 0 is the compact record — no spec) *)
     ("Iv_model.specific_current", fn [] "A/m");

@@ -22,13 +22,14 @@ val depletion_width : psi:float -> doping:float -> float
     W = sqrt(2 eps_si psi / (q N)) [m] under band bending [psi] [V] into a
     region doped [doping] [m^-3]. *)
 
-val max_depletion_width : ?t:float -> float -> float
+val max_depletion_width : float -> float
 (** [max_depletion_width n] is the maximum depletion width at the onset of
-    strong inversion, i.e. {!depletion_width} at psi = 2 phi_F. *)
+    strong inversion, i.e. {!depletion_width} at psi = 2 phi_F, at room
+    temperature. *)
 
-val debye_length : ?t:float -> float -> float
+val debye_length : float -> float
 (** [debye_length n] is the extrinsic Debye length
-    sqrt(eps_si vT / (q N)) [m]. *)
+    sqrt(eps_si vT / (q N)) [m] at room temperature. *)
 
 val builtin_potential : ?t:float -> float -> float -> float
 (** [builtin_potential na nd] is the built-in potential [V] of a step p-n

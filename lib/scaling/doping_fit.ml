@@ -8,8 +8,9 @@ let solve_doping ~ioff_of ~target ~lo ~hi ~what =
     failwith (Printf.sprintf "Doping_fit: leakage budget unreachable when selecting %s" what)
   else 10.0 ** Numerics.Root.brent ~tol:1e-10 f (log10 lo) (log10 hi)
 
-let solve_for_ioff_uncached ?(cal = Device.Params.default_calibration)
-    ~(base : Device.Params.physical) ~ioff_vdd ~target () =
+let cal = Device.Params.default_calibration
+
+let solve_for_ioff_uncached ~(base : Device.Params.physical) ~ioff_vdd ~target =
   (* The long-channel reference keeps the node's junction geometry (drawn
      length changes, process does not). *)
   let probe = Device.Compact.nfet ~cal base in
@@ -45,8 +46,7 @@ let solve_for_ioff_uncached ?(cal = Device.Params.default_calibration)
    experiments re-selecting the same node. *)
 let memo : Device.Params.physical Exec.Memo.t = Exec.Memo.create ~name:"scaling.doping_fit" ()
 
-let solve_for_ioff ?(cal = Device.Params.default_calibration)
-    ~(base : Device.Params.physical) ~ioff_vdd ~target () =
+let solve_for_ioff ~(base : Device.Params.physical) ~ioff_vdd ~target () =
   let key =
     Exec.Key.(
       fields "solve_for_ioff"
@@ -56,4 +56,4 @@ let solve_for_ioff ?(cal = Device.Params.default_calibration)
           ("target", float target) ])
   in
   Exec.Memo.find_or_compute memo ~key (fun () ->
-      solve_for_ioff_uncached ~cal ~base ~ioff_vdd ~target ())
+      solve_for_ioff_uncached ~base ~ioff_vdd ~target)

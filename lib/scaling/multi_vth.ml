@@ -18,13 +18,13 @@ type variant = {
   vmin : float;
 }
 
-let family ?(cal = Device.Params.default_calibration) ~(base : Device.Params.physical)
-    ~ioff_vdd ~base_target () =
+let family ~(base : Device.Params.physical) ~ioff_vdd ~base_target =
+  let cal = Device.Params.default_calibration in
   let sizing = Circuits.Inverter.balanced_sizing () in
   List.map
     (fun flavor ->
       let target = base_target *. ioff_multiplier flavor in
-      let phys = Doping_fit.solve_for_ioff ~cal ~base ~ioff_vdd ~target () in
+      let phys = Doping_fit.solve_for_ioff ~base ~ioff_vdd ~target () in
       let pair = Circuits.Inverter.pair_of_physical ~cal phys in
       let nfet = pair.Circuits.Inverter.nfet in
       let vmin_result = Analysis.Energy.vmin ~sizing pair in
@@ -40,10 +40,10 @@ let family ?(cal = Device.Params.default_calibration) ~(base : Device.Params.phy
       })
     [ Low_vth; Standard_vth; High_vth ]
 
-let for_node ?cal ~strategy (node : Roadmap.node) =
-  let base, _ = Strategy.select ?cal strategy node in
+let for_node ~strategy (node : Roadmap.node) =
+  let base, _ = Strategy.select strategy node in
   match strategy with
   | Strategy.Super_vth ->
-    family ?cal ~base ~ioff_vdd:node.Roadmap.vdd ~base_target:node.Roadmap.ileak_max ()
+    family ~base ~ioff_vdd:node.Roadmap.vdd ~base_target:node.Roadmap.ileak_max
   | Strategy.Sub_vth ->
-    family ?cal ~base ~ioff_vdd:Sub_vth.operating_vdd ~base_target:Roadmap.sub_vth_ioff_target ()
+    family ~base ~ioff_vdd:Sub_vth.operating_vdd ~base_target:Roadmap.sub_vth_ioff_target

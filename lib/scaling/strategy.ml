@@ -12,13 +12,13 @@ let kind_key kind = List.assoc kind keys
 
 let kind_of_key s = List.find_map (fun (k, name) -> if name = s then Some k else None) keys
 
-let select ?cal kind node =
+let select kind node =
   match kind with
   | Super_vth ->
-    let s = Super_vth.select_node ?cal node in
+    let s = Super_vth.select_node node in
     (s.Super_vth.phys, s.Super_vth.pair)
   | Sub_vth ->
-    let s = Sub_vth.select_node ?cal node in
+    let s = Sub_vth.select_node node in
     (s.Sub_vth.phys, s.Sub_vth.pair)
 
 let resolve ~node ~strategy =
@@ -142,7 +142,7 @@ let evaluate kind node phys pair =
   Exec.Memo.find_or_compute evaluate_memo ~key:(evaluation_key kind node phys pair)
     (fun () -> evaluate_uncached kind node phys pair)
 
-let trajectory ?cal ?(with_130 = false) kind =
+let trajectory ?(with_130 = false) kind =
   let nodes = if with_130 then Roadmap.nodes_with_130 else Roadmap.nodes in
-  let selections = Exec.map (fun n -> (n, select ?cal kind n)) nodes in
+  let selections = Exec.map (fun n -> (n, select kind n)) nodes in
   Exec.map (fun (n, (phys, pair)) -> evaluate kind n phys pair) selections

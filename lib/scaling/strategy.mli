@@ -16,7 +16,6 @@ val kind_key : kind -> string
     attributes record. *)
 
 val select :
-  ?cal:Device.Params.calibration ->
   kind ->
   Roadmap.node ->
   Device.Params.physical * Circuits.Inverter.pair
@@ -64,7 +63,7 @@ val evaluation_fingerprint : evaluation -> string
     the audit's schedule-perturbation diff: outputs of a sweep replayed
     under a perturbed pool schedule must fingerprint identically. *)
 
-val trajectory : ?cal:Device.Params.calibration -> ?with_130:bool -> kind -> evaluation list
+val trajectory : ?with_130:bool -> kind -> evaluation list
 (** The strategy over the roadmap, 90 to 32 nm (130 nm first when
     [with_130]): every node's device selected, then every device
     evaluated. *)

@@ -31,7 +31,8 @@ let newton_at_scale sys ~overrides ~source_scale ~tol ~max_iter x0 =
     (fun x -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ())
     ~tol ~max_iter x0
 
-let solve ?x0 ?(overrides = []) ?(tol = 1e-9) ?(max_iter = 120) sys =
+let solve ?x0 ?(overrides = []) sys =
+  let tol = 1e-9 and max_iter = 120 in
   let n = Mna.size sys in
   let start = match x0 with Some v -> Array.copy v | None -> Array.make n 0.0 in
   let _ = Numerics.Guard.vec ~origin:"Dcop.solve: initial guess" start in

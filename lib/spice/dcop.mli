@@ -19,10 +19,8 @@ val newton :
 val solve :
   ?x0:Numerics.Vec.t ->
   ?overrides:(string * float) list ->
-  ?tol:float ->
-  ?max_iter:int ->
   Mna.system ->
   Numerics.Vec.t
-(** Operating point at [time = 0].  [tol] (default 1e-9) bounds the final
-    Newton update's infinity norm in volts.  Raises {!No_convergence} if both
+(** Operating point at [time = 0], to a final Newton update below 1e-9 V
+    (infinity norm) within 120 iterations.  Raises {!No_convergence} if both
     the direct solve and 20-step source stepping fail. *)

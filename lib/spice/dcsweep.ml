@@ -1,12 +1,12 @@
 type t = { swept : Numerics.Vec.t; solutions : Numerics.Vec.t array }
 
-let run ?(overrides = []) sys ~source ~values =
+let run sys ~source ~values =
   let n = Array.length values in
   if n = 0 then invalid_arg "Dcsweep.run: empty sweep";
   let solutions = Array.make n [||] in
   let prev = ref None in
   for i = 0 to n - 1 do
-    let ov = (source, values.(i)) :: overrides in
+    let ov = [ (source, values.(i)) ] in
     let x =
       match !prev with
       | None -> Dcop.solve ~overrides:ov sys

@@ -97,11 +97,9 @@ let leakage_of kind ?sizing pair ~vdd =
       (state, Float.abs (Spice.Mna.source_current sys x fx.Circuits.Stdcell.vdd_name)))
     (state_vectors kind)
 
-let characterize_cell ?slews ?loads ?(sizing = Circuits.Inverter.balanced_sizing ()) pair
-    ~vdd kind =
-  let default_slews, default_loads = default_grids pair sizing ~vdd in
-  let slews = Option.value slews ~default:default_slews in
-  let loads = Option.value loads ~default:default_loads in
+let characterize_cell pair ~vdd kind =
+  let sizing = Circuits.Inverter.balanced_sizing () in
+  let slews, loads = default_grids pair sizing ~vdd in
   let ns = Array.length slews and nl = Array.length loads in
   let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
   let arc_for pin =
@@ -140,14 +138,15 @@ let characterize_cell ?slews ?loads ?(sizing = Circuits.Inverter.balanced_sizing
     leakage = leakage_of kind ~sizing pair ~vdd;
   }
 
-let characterize ?slews ?loads ?(sizing = Circuits.Inverter.balanced_sizing ()) pair ~vdd =
+let characterize pair ~vdd =
+  let sizing = Circuits.Inverter.balanced_sizing () in
   {
     pair;
     sizing;
     lib_vdd = vdd;
     cells =
       List.map
-        (fun kind -> (kind, characterize_cell ?slews ?loads ~sizing pair ~vdd kind))
+        (fun kind -> (kind, characterize_cell pair ~vdd kind))
         [ Inv; Nand2; Nor2 ];
   }
 

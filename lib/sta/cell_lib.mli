@@ -37,24 +37,12 @@ type library = {
   cells : (cell_kind * cell) list;
 }
 
-val characterize_cell :
-  ?slews:Numerics.Vec.t ->
-  ?loads:Numerics.Vec.t ->
-  ?sizing:Circuits.Inverter.sizing ->
-  Circuits.Inverter.pair ->
-  vdd:float ->
-  cell_kind ->
-  cell
-(** Default grid: 3 input slews x 3 loads, scaled from the pair's own
-    FO1-equivalent time constant and load capacitance. *)
+val characterize_cell : Circuits.Inverter.pair -> vdd:float -> cell_kind -> cell
+(** One balanced-sizing cell over a grid of 3 input slews x 3 loads, scaled
+    from the pair's own FO1-equivalent time constant and load
+    capacitance. *)
 
-val characterize :
-  ?slews:Numerics.Vec.t ->
-  ?loads:Numerics.Vec.t ->
-  ?sizing:Circuits.Inverter.sizing ->
-  Circuits.Inverter.pair ->
-  vdd:float ->
-  library
+val characterize : Circuits.Inverter.pair -> vdd:float -> library
 (** All three cells. *)
 
 val find : library -> cell_kind -> cell

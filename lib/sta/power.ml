@@ -34,9 +34,9 @@ let state_probability probs state =
   |> List.mapi (fun i b -> if b then probs.(i) else 1.0 -. probs.(i))
   |> List.fold_left ( *. ) 1.0
 
-let analyze ?input_probability ?wire_cap (lib : Cell_lib.library) design ~frequency =
+let analyze (lib : Cell_lib.library) design ~frequency =
   if frequency < 0.0 then invalid_arg "Power.analyze: negative frequency";
-  let stats = propagate_probabilities ?input_probability design in
+  let stats = propagate_probabilities design in
   let vdd = lib.Cell_lib.lib_vdd in
   (* Leakage: expectation over input states per gate. *)
   let leakage_power =
@@ -55,12 +55,6 @@ let analyze ?input_probability ?wire_cap (lib : Cell_lib.library) design ~freque
   (* Dynamic: per-net switched capacitance. *)
   let n = Design.n_nets design in
   let load = Array.make n 0.0 in
-  (match wire_cap with
-   | Some f ->
-     for net = 0 to n - 1 do
-       load.(net) <- f net
-     done
-   | None -> ());
   List.iter
     (fun (g : Design.gate) ->
       let cell = Cell_lib.find lib g.Design.cell in

@@ -22,14 +22,8 @@ type summary = {
   total_switched_cap : float;  (** activity-weighted capacitance [F] *)
 }
 
-val analyze :
-  ?input_probability:(Design.net -> float) ->
-  ?wire_cap:(Design.net -> float) ->
-  Cell_lib.library ->
-  Design.t ->
-  frequency:float ->
-  summary
+val analyze : Cell_lib.library -> Design.t -> frequency:float -> summary
 (** Leakage: for every gate, sum over its input states of
-    P(state) x I_leak(state) x V_dd.  Dynamic: per net,
-    activity x C_net x V_dd^2 x frequency, with C_net the fanout input pins
-    plus optional wire capacitance. *)
+    P(state) x I_leak(state) x V_dd, with inputs at P = 0.5.  Dynamic: per
+    net, activity x C_net x V_dd^2 x frequency, with C_net the fanout input
+    pins. *)
