@@ -43,9 +43,9 @@ module D = Check.Diagnostic
 type file_report = { source : string; diags : D.t list }
 
 (* The sanctioned output layers: LNT005 does not apply to the modules whose
-   whole job is producing output.  bin/ and bench/ are entry points — the
-   rule's own scope is "lib/ never prints directly". *)
-let output_exempt_dirs = [ "lib/report/"; "lib/obs/"; "bin/"; "bench/" ]
+   whole job is producing output.  bin/ is the entry point — the rule's
+   own scope is "lib/ never prints directly". *)
+let output_exempt_dirs = [ "lib/report/"; "lib/obs/"; "bin/" ]
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix

@@ -152,8 +152,8 @@ let all : meta list =
         "`print_*`/`prerr_*`/`Printf.printf`/`Printf.eprintf`/`Format.printf` in library \
          code outside the sanctioned output layers";
       stays_clean_on =
-        "`lib/report` and `lib/obs` (the output layers themselves), `bin/` and `bench/` \
-         (entry points print by design), formatting into buffers/strings \
+        "`lib/report` and `lib/obs` (the output layers themselves), `bin/` (the entry \
+         point prints by design), formatting into buffers/strings \
          (`Printf.sprintf`, `Buffer`), and writing to an explicit caller-supplied \
          channel" };
     { id = unt001;
