@@ -6,14 +6,15 @@
    The differential harness then asserts that every --jobs setting
    reproduces these bytes exactly. *)
 
-(* Every registry id except ext-yield, ext-sta and ext-datapath, which take
-   seconds each.  test_exec.ml compares whichever golden/<id>.txt names a
-   registry id, so this is the one list. *)
+(* Every registry id except ext-yield, which takes seconds.  test_exec.ml
+   compares whichever golden/<id>.txt names a registry id, so this is the
+   one list. *)
 let golden_ids =
   [
     "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
     "fig9"; "fig10"; "fig11"; "fig12"; "ext-variability"; "ext-multivth"; "ext-bitline";
     "ext-temperature"; "ext-interconnect"; "ext-projection"; "ext-corners"; "ext-pareto";
+    "ext-sta"; "ext-datapath";
   ]
 
 let () =
