@@ -1,5 +1,7 @@
 exception No_convergence of string
 
+let iterations_counter = Obs.Metrics.counter "spice.newton.iterations"
+
 (* One damped Newton run on [assemble x = (F(x), dF/dx)]: updates clamped
    to 0.3 V in the infinity norm, dense LU.  Returns None on failure rather
    than raising, so the callers can retreat (source stepping, a smaller
@@ -10,6 +12,7 @@ let newton assemble ~tol ~max_iter x0 =
   let rec loop iter =
     if iter >= max_iter then None
     else begin
+      Obs.Metrics.incr iterations_counter;
       let f, jac = assemble x in
       match Numerics.Matrix.lu_factor jac with
       | exception Numerics.Matrix.Singular _ -> None

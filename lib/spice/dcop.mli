@@ -14,7 +14,8 @@ val newton :
     [assemble x = (F(x), dF/dx)] (typically a {!Mna.assemble} closure) from
     [x0], which is not mutated.  Each update is clamped to 0.3 in the
     infinity norm; converged when an unclamped update is below [tol].
-    [None] on a singular Jacobian or after [max_iter] iterations. *)
+    [None] on a singular Jacobian or after [max_iter] iterations.  Each
+    iteration bumps the [spice.newton.iterations] counter. *)
 
 val solve :
   ?x0:Numerics.Vec.t ->

@@ -4,6 +4,8 @@ type result = {
   source_currents : (string * Numerics.Vec.t) list;
 }
 
+let steps_counter = Obs.Metrics.counter "spice.transient.steps"
+
 (* Newton at one time point with frozen capacitor companions. *)
 let newton_at sys ~time ~caps ~x0 ~tol ~max_iter =
   Dcop.newton (fun x -> Mna.assemble sys ~time ~caps ~x ()) ~tol ~max_iter x0
@@ -96,6 +98,7 @@ let run ?x0 sys ~t_stop ~steps =
           Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t') x'
         in
         accept_caps sys caps_used x' vcap icap;
+        Obs.Metrics.incr steps_counter;
         times.(step) <- t';
         history.(step) <- x';
         advance (step + 1) x' t'

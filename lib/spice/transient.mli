@@ -15,7 +15,7 @@ val run : ?x0:Numerics.Vec.t -> Mna.system -> t_stop:float -> steps:int -> resul
 (** Integrate from a DC operating point at t = 0 (or from [x0]) to [t_stop]
     in [steps] equal steps.
     Raises {!Dcop.No_convergence} if a time-point Newton fails after step
-    halving. *)
+    halving.  Each accepted step bumps the [spice.transient.steps] counter. *)
 
 val voltage_of : result -> int -> Numerics.Vec.t
 

@@ -272,6 +272,46 @@ let waveform_tests =
           (W.slice_average ~times ~values ~t0:1.5 ~t1:3.0));
   ]
 
+(* Work counters: at one domain, the Newton iterations and accepted
+   transient steps a fixed job takes are a pure function of the code, so
+   they are pinned exactly.  A change that moves them shows up here. *)
+let work f =
+  let value name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let iters = value "spice.newton.iterations" and steps = value "spice.transient.steps" in
+  f ();
+  (value "spice.newton.iterations" - iters, value "spice.transient.steps" - steps)
+
+let work_tests =
+  [
+    u "201-point VTC on the 32 nm sub-Vth pair at 250 mV" (fun () ->
+        let pair =
+          match Scaling.Strategy.resolve ~node:32 ~strategy:"sub" with
+          | Ok (_, _, _, pair) -> pair
+          | Error e -> Alcotest.fail e
+        in
+        let sizing = Circuits.Inverter.balanced_sizing () in
+        let iters, steps =
+          work (fun () -> ignore (Analysis.Vtc.spice ~points:201 pair ~sizing ~vdd:0.25))
+        in
+        Alcotest.(check int) "newton iterations" 692 iters;
+        Alcotest.(check int) "transient steps" 0 steps);
+    u "fixed-step inverter transient" (fun () ->
+        let pair = Circuits.Inverter.pair_of_physical phys90 in
+        let vdd = 0.25 in
+        let tp =
+          Circuits.Chain.estimated_stage_delay pair (Circuits.Inverter.balanced_sizing ()) ~vdd
+        in
+        let input = N.Pulse { low = 0.0; high = vdd; delay = 5.0 *. tp; rise = tp;
+                              fall = tp; width = 1000.0 *. tp; period = 4000.0 *. tp } in
+        let fx = Circuits.Inverter.chain_fixture ~stages:1 pair ~vdd ~input in
+        let sys = Mna.build fx.Circuits.Inverter.circuit in
+        let iters, steps =
+          work (fun () -> ignore (Transient.run sys ~t_stop:(60.0 *. tp) ~steps:300))
+        in
+        Alcotest.(check int) "newton iterations" 378 iters;
+        Alcotest.(check int) "transient steps" 300 steps);
+  ]
+
 let suite =
   [
     ("spice.netlist", netlist_tests);
@@ -280,4 +320,5 @@ let suite =
     ("spice.dcsweep", dcsweep_tests);
     ("spice.transient", transient_tests);
     ("spice.waveform", waveform_tests);
+    ("spice.work", work_tests);
   ]
