@@ -11,8 +11,24 @@
 val specific_current : Compact.t -> float
 (** I_S = 2 m mu C_ox vT^2 / L_eff [A/m], the EKV normalization current. *)
 
+type coeffs
+(** The bias-independent terms of one device: vT, m, the factors of
+    {!Compact.vth}, the specific current and E_c L_eff.  Preparing them
+    once takes the parameter reads, powers and exponentials out of every
+    bias point. *)
+
+val prepare : Compact.t -> coeffs
+
+val eval : coeffs -> vgs:float -> vds:float -> float * float * float
+(** [(id, gm, gds)] in one analytic pass: the drain current [A/m], the
+    transconductance dI_d/dV_gs and the output conductance dI_d/dV_ds
+    [S/m], differentiated through the EKV interpolation, the velocity
+    saturation factor and the DIBL slope of V_th.  Raises
+    [Invalid_argument] for [vds < 0]. *)
+
 val id : Compact.t -> vgs:float -> vds:float -> float
-(** Drain current [A/m].  Monotone in both arguments; 0 at [vds = 0]. *)
+(** Drain current [A/m], the first component of {!eval} on the prepared
+    device.  Monotone in both arguments; 0 at [vds = 0]. *)
 
 val ioff : Compact.t -> vdd:float -> float
 (** I_off = id at V_gs = 0, V_ds = [vdd]. *)
@@ -21,12 +37,6 @@ val ion : Compact.t -> vdd:float -> float
 (** I_on = id at V_gs = V_ds = [vdd] (the paper's definition). *)
 
 val on_off_ratio : Compact.t -> vdd:float -> float
-
-val gm : Compact.t -> vgs:float -> vds:float -> float
-(** Numerical transconductance dI_d/dV_gs [S/m]. *)
-
-val gds : Compact.t -> vgs:float -> vds:float -> float
-(** Numerical output conductance dI_d/dV_ds [S/m]. *)
 
 val intrinsic_delay : Compact.t -> vdd:float -> float
 (** tau = C_g V_dd / I_on [s] — Table 2's delay metric. *)

@@ -192,8 +192,6 @@ let functions =
     ("Iv_model.ioff", fn [ (Lab "vdd", "V") ] "A/m");
     ("Iv_model.ion", fn [ (Lab "vdd", "V") ] "A/m");
     ("Iv_model.on_off_ratio", fn [ (Lab "vdd", "V") ] "1");
-    ("Iv_model.gm", fn [ (Lab "vgs", "V"); (Lab "vds", "V") ] "S/m");
-    ("Iv_model.gds", fn [ (Lab "vgs", "V"); (Lab "vds", "V") ] "S/m");
     ("Iv_model.intrinsic_delay", fn [ (Lab "vdd", "V") ] "s");
     ("Iv_model.threshold_const_current", fn [ (Lab "vds", "V") ] "V");
     ("Compact.vth", fn [ (Lab "vds", "V") ] "V");

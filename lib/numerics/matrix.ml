@@ -46,15 +46,16 @@ let transpose a =
 
 exception Singular of int
 
-type lu = { lu : float array array; perm : int array }
-
-(* Doolittle LU with partial pivoting.  Stores L (unit diagonal, below) and U
-   (on and above the diagonal) in one matrix. *)
-let lu_factor a =
-  let n, m = dims a in
-  if n <> m then invalid_arg "Matrix.lu_factor: matrix must be square";
-  let lu = copy a in
-  let perm = Array.init n (fun i -> i) in
+(* Doolittle LU with partial pivoting, in place: [a]'s rows are swapped
+   and overwritten with L (unit diagonal, below) and U (on and above the
+   diagonal); [perm] records which input row each row came from. *)
+let lu_factor_in_place lu perm =
+  let n, m = dims lu in
+  if n <> m || Array.length perm <> n then
+    invalid_arg "Matrix.lu_factor_in_place: dimension mismatch";
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     let pivot_row = ref k in
     let pivot_mag = ref (Float.abs lu.(k).(k)) in
@@ -83,13 +84,15 @@ let lu_factor a =
           lu.(i).(j) <- lu.(i).(j) -. (f *. lu.(k).(j))
         done
     done
-  done;
-  { lu; perm }
+  done
 
-let lu_solve { lu; perm } b =
+let lu_solve_into lu perm b x =
   let n = Array.length lu in
-  if Array.length b <> n then invalid_arg "Matrix.lu_solve: dimension mismatch";
-  let x = Array.init n (fun i -> b.(perm.(i))) in
+  if Array.length perm <> n || Array.length b <> n || Array.length x <> n then
+    invalid_arg "Matrix.lu_solve_into: dimension mismatch";
+  for i = 0 to n - 1 do
+    x.(i) <- b.(perm.(i))
+  done;
   for i = 1 to n - 1 do
     let s = ref x.(i) in
     for j = 0 to i - 1 do
@@ -103,7 +106,4 @@ let lu_solve { lu; perm } b =
       s := !s -. (lu.(i).(j) *. x.(j))
     done;
     x.(i) <- !s /. lu.(i).(i)
-  done;
-  x
-
-let solve a b = lu_solve (lu_factor a) b
+  done

@@ -2,26 +2,32 @@ exception No_convergence of string
 
 let iterations_counter = Obs.Metrics.counter "spice.newton.iterations"
 
-(* One damped Newton run on [assemble x = (F(x), dF/dx)]: updates clamped
-   to 0.3 V in the infinity norm, dense LU.  Returns None on failure rather
+(* One damped Newton run on [assemble ~x ~f ~jac], which fills F(x) and
+   dF/dx: updates clamped to 0.3 V in the infinity norm, dense LU.  The
+   residual, Jacobian, pivot order and update are scratch owned by this
+   call, factored and solved in place.  Returns None on failure rather
    than raising, so the callers can retreat (source stepping, a smaller
    time step). *)
 let newton assemble ~tol ~max_iter x0 =
+  let n = Array.length x0 in
   let x = Array.copy x0 in
+  let f = Array.make n 0.0 and jac = Numerics.Matrix.create n n in
+  let perm = Array.make n 0 and dx = Array.make n 0.0 in
   let clamp = 0.3 in
   let rec loop iter =
     if iter >= max_iter then None
     else begin
       Obs.Metrics.incr iterations_counter;
-      let f, jac = assemble x in
-      match Numerics.Matrix.lu_factor jac with
+      assemble ~x ~f ~jac;
+      match Numerics.Matrix.lu_factor_in_place jac perm with
       | exception Numerics.Matrix.Singular _ -> None
-      | lu ->
-        let dx = Numerics.Matrix.lu_solve lu (Array.map (fun v -> -.v) f) in
+      | () ->
+        (* [dx] solves J dx = F; the Newton update is -dx. *)
+        Numerics.Matrix.lu_solve_into jac perm f dx;
         let maxd = Numerics.Vec.norm_inf dx in
         let scale = if maxd > clamp then clamp /. maxd else 1.0 in
-        for i = 0 to Array.length x - 1 do
-          x.(i) <- x.(i) +. (scale *. dx.(i))
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) -. (scale *. dx.(i))
         done;
         if maxd *. scale < tol && Float.equal scale 1.0 then Some x else loop (iter + 1)
     end
@@ -31,7 +37,7 @@ let newton assemble ~tol ~max_iter x0 =
 (* The operating-point Newton at one source scale. *)
 let newton_at_scale sys ~overrides ~source_scale ~tol ~max_iter x0 =
   newton
-    (fun x -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ())
+    (fun ~x ~f ~jac -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ~f ~jac ())
     ~tol ~max_iter x0
 
 let solve ?x0 ?(overrides = []) sys =

@@ -5,14 +5,16 @@
 exception No_convergence of string
 
 val newton :
-  (Numerics.Vec.t -> Numerics.Vec.t * Numerics.Matrix.t) ->
+  (x:Numerics.Vec.t -> f:Numerics.Vec.t -> jac:Numerics.Matrix.t -> unit) ->
   tol:float ->
   max_iter:int ->
   Numerics.Vec.t ->
   Numerics.Vec.t option
-(** [newton assemble ~tol ~max_iter x0]: damped Newton on
-    [assemble x = (F(x), dF/dx)] (typically a {!Mna.assemble} closure) from
-    [x0], which is not mutated.  Each update is clamped to 0.3 in the
+(** [newton assemble ~tol ~max_iter x0]: damped Newton from [x0], which is
+    not mutated.  [assemble ~x ~f ~jac] (typically a {!Mna.assemble}
+    closure) overwrites [f] with F(x) and [jac] with dF/dx; both are
+    scratch this call allocates once and reuses every iteration, so
+    concurrent calls share nothing.  Each update is clamped to 0.3 in the
     infinity norm; converged when an unclamped update is below [tol].
     [None] on a singular Jacobian or after [max_iter] iterations.  Each
     iteration bumps the [spice.newton.iterations] counter. *)

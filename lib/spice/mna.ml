@@ -1,5 +1,20 @@
+(* One netlist element, resolved at build time: everything bias-independent
+   (conductances, prepared device coefficients) is computed once. *)
+type stamp =
+  | Conductance of { plus : int; minus : int; g : float }
+  | Companion of int
+  | Injection of { plus : int; minus : int; amps : float }
+  | Mosfet of {
+      sign : float;  (** +1 for an N-channel device, -1 for a P-channel one *)
+      coeffs : Device.Iv_model.coeffs;
+      width : float;
+      drain : int;
+      gate : int;
+      source : int;
+    }
+
 type system = {
-  circuit : Netlist.t;
+  stamps : stamp array;
   n_nodes : int;
   vsources : (string * int * int * Netlist.waveform) array;
   caps : (int * int * float) array;
@@ -10,7 +25,26 @@ let build circuit =
   let n_nodes = Netlist.n_nodes circuit in
   let vsources = Array.of_list (Netlist.voltage_sources circuit) in
   let caps = Array.of_list (Netlist.capacitors circuit) in
-  { circuit; n_nodes; vsources; caps; n = n_nodes - 1 + Array.length vsources }
+  let cap_index = ref 0 in
+  let mosfet sign { Netlist.dev; width; drain; gate; source } =
+    Some (Mosfet { sign; coeffs = Device.Iv_model.prepare dev; width; drain; gate; source })
+  in
+  let stamps =
+    Netlist.elements circuit
+    |> List.filter_map (function
+         | Netlist.Resistor { plus; minus; ohms } ->
+           Some (Conductance { plus; minus; g = 1.0 /. ohms })
+         | Netlist.Capacitor _ ->
+           let idx = !cap_index in
+           incr cap_index;
+           Some (Companion idx)
+         | Netlist.Current_source { plus; minus; amps } -> Some (Injection { plus; minus; amps })
+         | Netlist.Voltage_source _ -> None
+         | Netlist.Nmos m -> mosfet 1.0 m
+         | Netlist.Pmos m -> mosfet (-1.0) m)
+    |> Array.of_list
+  in
+  { stamps; n_nodes; vsources; caps; n = n_nodes - 1 + Array.length vsources }
 
 let size s = s.n
 let n_caps s = Array.length s.caps
@@ -49,53 +83,14 @@ let node_count s = s.n_nodes
 
 let source_list s = Array.to_list s.vsources
 
-(* Current of an N-channel MOSFET with bulk tied to source, drain/source
-   symmetric.  Returns (i_drain, di/dvd, di/dvg, di/dvs), where i_drain is
-   conventional current into the drain terminal. *)
-let nmos_current dev width ~vd ~vg ~vs =
-  let eval vgs vds =
-    let i = Device.Iv_model.id dev ~vgs ~vds in
-    let gm = Device.Iv_model.gm dev ~vgs ~vds in
-    let gds = Device.Iv_model.gds dev ~vgs ~vds in
-    (i, gm, gds)
-  in
-  if vd >= vs then begin
-    let i, gm, gds = eval (vg -. vs) (vd -. vs) in
-    (width *. i, width *. gds, width *. gm, -.width *. (gm +. gds))
-  end
-  else begin
-    (* Swap roles: the terminal at lower potential acts as source. *)
-    let i, gm, gds = eval (vg -. vd) (vs -. vd) in
-    (-.width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
-  end
-
-(* P-channel: conventional current flows source -> drain inside the device
-   when vsd > 0, so it *exits* at the drain terminal; the current into the
-   drain is its negative. *)
-let pmos_current dev width ~vd ~vg ~vs =
-  let eval vsg vsd =
-    let i = Device.Iv_model.id dev ~vgs:vsg ~vds:vsd in
-    let gm = Device.Iv_model.gm dev ~vgs:vsg ~vds:vsd in
-    let gds = Device.Iv_model.gds dev ~vgs:vsg ~vds:vsd in
-    (i, gm, gds)
-  in
-  if vs >= vd then begin
-    let i, gm, gds = eval (vs -. vg) (vs -. vd) in
-    (-.width *. i, width *. gds, width *. gm, -.width *. (gm +. gds))
-  end
-  else begin
-    (* Terminal roles swap: the nominal drain (higher potential) sources. *)
-    let i, gm, gds = eval (vd -. vg) (vd -. vs) in
-    (width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
-  end
-
 let gmin = 1e-12
 
-let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
+let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~f ~jac () =
   let n = s.n in
-  if Array.length x <> n then invalid_arg "Mna.assemble: unknown vector length mismatch";
-  let f = Array.make n 0.0 in
-  let jac = Numerics.Matrix.create n n in
+  if Array.length x <> n || Array.length f <> n || Array.length jac <> n then
+    invalid_arg "Mna.assemble: vector length mismatch";
+  Array.fill f 0 n 0.0;
+  Array.iter (fun r -> Array.fill r 0 n 0.0) jac;
   let v node = voltage s x node in
   let row node = node - 1 in
   (* KCL convention: f.(row) accumulates currents *leaving* the node. *)
@@ -108,71 +103,67 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
       jac.(r).(c) <- jac.(r).(c) +. g
     end
   in
+  (* A two-terminal branch carrying [i] from [plus] to [minus] with
+     conductance [g]. *)
+  let add_branch plus minus i g =
+    add_current plus i;
+    add_current minus (-.i);
+    add_jac plus plus g;
+    add_jac plus minus (-.g);
+    add_jac minus minus g;
+    add_jac minus plus (-.g)
+  in
   (* gmin to ground stabilizes floating nodes. *)
   for nd = 1 to s.n_nodes - 1 do
     add_current nd (gmin *. v nd);
     add_jac nd nd gmin
   done;
-  let cap_index = ref 0 in
-  List.iter
-    (fun element ->
-      match element with
-      | Netlist.Resistor { plus; minus; ohms } ->
-        let g = 1.0 /. ohms in
-        let i = g *. (v plus -. v minus) in
-        add_current plus i;
-        add_current minus (-.i);
-        add_jac plus plus g;
-        add_jac plus minus (-.g);
-        add_jac minus minus g;
-        add_jac minus plus (-.g)
-      | Netlist.Capacitor _ ->
-        let idx = !cap_index in
-        incr cap_index;
+  Array.iter
+    (function
+      | Conductance { plus; minus; g } -> add_branch plus minus (g *. (v plus -. v minus)) g
+      | Companion idx ->
         (match caps with
          | None -> ()
          | Some companions ->
            let { geq; ieq } = companions.(idx) in
            let p, m, _ = s.caps.(idx) in
-           let i = (geq *. (v p -. v m)) -. ieq in
-           add_current p i;
-           add_current m (-.i);
-           add_jac p p geq;
-           add_jac p m (-.geq);
-           add_jac m m geq;
-           add_jac m p (-.geq))
-      | Netlist.Current_source { plus; minus; amps } ->
+           add_branch p m ((geq *. (v p -. v m)) -. ieq) geq)
+      | Injection { plus; minus; amps } ->
         let i = source_scale *. amps in
         (* Current flows from + through the external circuit to -: it leaves
            the source at -, i.e. is injected into the circuit at -. *)
         add_current plus i;
         add_current minus (-.i)
-      | Netlist.Voltage_source _ -> ()
-      | Netlist.Nmos { dev; width; drain; gate; source } ->
-        let id, did_dvd, did_dvg, did_dvs =
-          nmos_current dev width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
+      | Mosfet { sign; coeffs; width; drain; gate; source } ->
+        (* Bulk tied to source, drain/source symmetric: the terminal at the
+           lower (N) or higher (P) potential acts as source.  [sign] maps a
+           P-channel device onto the source-referenced magnitudes of the
+           model; the conventional current into the drain terminal is
+           [i_d], with partials [d_vd], [d_vg], [d_vs]. *)
+        let vd = v drain and vg = v gate and vs = v source in
+        let i_d, d_vd, d_vg, d_vs =
+          if sign *. (vd -. vs) >= 0.0 then begin
+            let i, gm, gds =
+              Device.Iv_model.eval coeffs ~vgs:(sign *. (vg -. vs)) ~vds:(sign *. (vd -. vs))
+            in
+            (sign *. width *. i, width *. gds, width *. gm, -.width *. (gm +. gds))
+          end
+          else begin
+            let i, gm, gds =
+              Device.Iv_model.eval coeffs ~vgs:(sign *. (vg -. vd)) ~vds:(sign *. (vs -. vd))
+            in
+            (-.sign *. width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
+          end
         in
-        add_current drain id;
-        add_current source (-.id);
-        add_jac drain drain did_dvd;
-        add_jac drain gate did_dvg;
-        add_jac drain source did_dvs;
-        add_jac source drain (-.did_dvd);
-        add_jac source gate (-.did_dvg);
-        add_jac source source (-.did_dvs)
-      | Netlist.Pmos { dev; width; drain; gate; source } ->
-        let id, did_dvd, did_dvg, did_dvs =
-          pmos_current dev width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
-        in
-        add_current drain id;
-        add_current source (-.id);
-        add_jac drain drain did_dvd;
-        add_jac drain gate did_dvg;
-        add_jac drain source did_dvs;
-        add_jac source drain (-.did_dvd);
-        add_jac source gate (-.did_dvg);
-        add_jac source source (-.did_dvs))
-    (Netlist.elements s.circuit);
+        add_current drain i_d;
+        add_current source (-.i_d);
+        add_jac drain drain d_vd;
+        add_jac drain gate d_vg;
+        add_jac drain source d_vs;
+        add_jac source drain (-.d_vd);
+        add_jac source gate (-.d_vg);
+        add_jac source source (-.d_vs))
+    s.stamps;
   (* Voltage sources: branch current unknowns and voltage constraints. *)
   Array.iteri
     (fun i (name, plus, minus, wave) ->
@@ -193,5 +184,4 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
       f.(k) <- v plus -. v minus -. target;
       if plus <> 0 then jac.(k).(row plus) <- jac.(k).(row plus) +. 1.0;
       if minus <> 0 then jac.(k).(row minus) <- jac.(k).(row minus) -. 1.0)
-    s.vsources;
-  (f, jac)
+    s.vsources

@@ -8,8 +8,12 @@
     current *drawn from* a supply is the negative of this unknown). *)
 
 type system
+(** Immutable once built, so one system can be shared across domains. *)
 
 val build : Netlist.t -> system
+(** Resolve the netlist's elements: resistor conductances and each
+    MOSFET's {!Device.Iv_model.prepare}d coefficients are computed here,
+    once.  Later changes to the netlist are not seen. *)
 
 val size : system -> int
 (** Number of unknowns. *)
@@ -35,9 +39,13 @@ val assemble :
   ?overrides:(string * float) list ->
   ?caps:cap_companion array ->
   x:Numerics.Vec.t ->
+  f:Numerics.Vec.t ->
+  jac:Numerics.Matrix.t ->
   unit ->
-  Numerics.Vec.t * Numerics.Matrix.t
-(** KCL residual F(x) and Jacobian dF/dx.  [source_scale] multiplies every
+  unit
+(** Overwrite the caller-owned [f] (length {!size}) with the KCL residual
+    F(x) and the {!size} x {!size} [jac] with the Jacobian dF/dx; each
+    MOSFET stamps its analytic {!Device.Iv_model.eval}.  [source_scale] multiplies every
     independent source value (for source-stepping homotopy).  A 1e-12 S
     leak conductance (gmin) ties every node to ground.
     [overrides] replaces the waveform value of named voltage sources — how

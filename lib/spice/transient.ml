@@ -8,7 +8,7 @@ let steps_counter = Obs.Metrics.counter "spice.transient.steps"
 
 (* Newton at one time point with frozen capacitor companions. *)
 let newton_at sys ~time ~caps ~x0 ~tol ~max_iter =
-  Dcop.newton (fun x -> Mna.assemble sys ~time ~caps ~x ()) ~tol ~max_iter x0
+  Dcop.newton (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ()) ~tol ~max_iter x0
 
 let backward_euler_caps sys ~h vcap =
   Array.init (Array.length vcap) (fun i ->
@@ -116,69 +116,3 @@ let energy_from_source result ~name ~vdd =
   | None -> invalid_arg ("Transient.energy_from_source: unknown source " ^ name)
   | Some currents ->
     -.vdd *. Numerics.Integrate.trapezoid_samples result.times currents
-
-type adaptive_result = {
-  data : result;
-  steps_taken : int;
-  steps_rejected : int;
-}
-
-(* Adaptive trapezoidal integration with the classic trapezoidal/backward-
-   Euler embedded error estimate: both companions are solved at each step
-   and their difference bounds the local truncation error of the
-   trapezoidal solution (LTE ~ |x_tr - x_be| / 3). *)
-let run_adaptive ?(tol = 1e-4) sys ~t_stop =
-  if t_stop <= 0.0 then invalid_arg "Transient.run_adaptive: t_stop must be positive";
-  let dt_max = t_stop /. 20.0 in
-  let dt_min = t_stop *. 1e-9 in
-  let nc = Mna.n_caps sys in
-  let x_dc = Dcop.solve sys in
-  let vcap = Array.init nc (fun i -> Mna.cap_voltage sys x_dc i) in
-  let icap = Array.make nc 0.0 in
-  let times = ref [ 0.0 ] and history = ref [ x_dc ] in
-  let taken = ref 0 and rejected = ref 0 in
-  let rec advance x t h =
-    if t >= t_stop -. (1e-9 *. dt_min) then ()
-    else begin
-      let h = Float.min h (t_stop -. t) in
-      let t' = t +. h in
-      let trap_caps = trapezoidal_caps sys ~h vcap icap in
-      let be_caps = backward_euler_caps sys ~h vcap in
-      let solve caps = newton_at sys ~time:t' ~caps ~x0:x ~tol:1e-9 ~max_iter:60 in
-      match (solve trap_caps, solve be_caps) with
-      | Some x_tr, Some x_be ->
-        let err = Numerics.Vec.max_abs_diff x_tr x_be /. 3.0 in
-        if err > tol && h > dt_min *. 1.001 then begin
-          incr rejected;
-          advance x t (Float.max dt_min (0.5 *. h))
-        end
-        else begin
-          let _ =
-            Numerics.Guard.vec
-              ~origin:(Printf.sprintf "Transient.run_adaptive: state at t=%.3e" t')
-              x_tr
-          in
-          accept_caps sys trap_caps x_tr vcap icap;
-          times := t' :: !times;
-          history := x_tr :: !history;
-          incr taken;
-          let grow =
-            if err <= 0.0 then 2.0 else Float.min 2.0 (0.9 *. sqrt (tol /. err))
-          in
-          advance x_tr t' (Float.min dt_max (Float.max dt_min (h *. grow)))
-        end
-      | None, _ | _, None ->
-        if h > dt_min *. 1.001 then begin
-          incr rejected;
-          advance x t (Float.max dt_min (0.5 *. h))
-        end
-        else raise (Dcop.No_convergence (Printf.sprintf "adaptive transient stuck at t=%.3e" t))
-    end
-  in
-  advance x_dc 0.0 (Float.min dt_max (t_stop /. 100.0));
-  {
-    data =
-      result_of sys (Array.of_list (List.rev !times)) (Array.of_list (List.rev !history));
-    steps_taken = !taken;
-    steps_rejected = !rejected;
-  }

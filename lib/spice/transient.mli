@@ -23,17 +23,3 @@ val energy_from_source : result -> name:string -> vdd:float -> float
 (** Energy delivered by the named constant supply over the window:
     -V_dd Integral(i_branch dt) [J].  (Per metre of device width when the
     MOSFET widths are per-metre.) *)
-
-type adaptive_result = {
-  data : result;
-  steps_taken : int;
-  steps_rejected : int;
-}
-
-val run_adaptive : ?tol:float -> Mna.system -> t_stop:float -> adaptive_result
-(** Variable-step trapezoidal integration from the DC operating point.
-    Each step also solves a backward-Euler companion; their difference
-    estimates the local truncation error, and the step shrinks or grows (at
-    most 2x, between t_stop * 1e-9 and t_stop / 20) to hold it at [tol]
-    volts (default 1e-4).  Slower per step than {!run} but far
-    fewer steps on stiff waveforms with long quiet stretches. *)

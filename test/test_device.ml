@@ -195,7 +195,8 @@ let iv_tests =
         let h = 1e-4 in
         let fd = (Iv.id nfet90 ~vgs:(0.3 +. h) ~vds:0.5 -. Iv.id nfet90 ~vgs:(0.3 -. h) ~vds:0.5)
                  /. (2.0 *. h) in
-        Test_util.check_rel "gm" ~rel:1e-3 fd (Iv.gm nfet90 ~vgs:0.3 ~vds:0.5));
+        let _, gm, _ = Iv.eval (Iv.prepare nfet90) ~vgs:0.3 ~vds:0.5 in
+        Test_util.check_rel "gm" ~rel:1e-3 fd gm);
     u "ion/ioff ratio at 250 mV is in the hundreds" (fun () ->
         Test_util.check_in_range "ratio" ~lo:100.0 ~hi:5000.0
           (Iv.on_off_ratio nfet90 ~vdd:0.25));
@@ -214,6 +215,81 @@ let iv_tests =
         Alcotest.(check bool) "orders" true (strong /. weak > 1e3));
   ]
 
+(* Every shipped node/strategy pair's NFET and PFET. *)
+let shipped_devices =
+  lazy
+    (List.concat_map
+       (fun node ->
+         List.concat_map
+           (fun strategy ->
+             match Scaling.Strategy.resolve ~node ~strategy with
+             | Ok (_, _, _, pair) -> [ pair.Circuits.Inverter.nfet; pair.Circuits.Inverter.pfet ]
+             | Error e -> failwith e)
+           [ "super"; "sub" ])
+       [ 130; 90; 65; 45; 32 ]
+    |> Array.of_list)
+
+(* A shipped device, vgs in [-0.2, 1.2] V and vds in [vds_lo, 1.2] V. *)
+let gen_bias ~vds_lo =
+  QCheck2.Gen.(
+    triple (int_bound 19) (float_range (-0.2) 1.2) (float_range vds_lo 1.2))
+
+(* The drain current as written before the device terms were hoisted into
+   [Iv.prepare]: [Iv.eval] must reproduce it bit for bit. *)
+let reference_id dev ~vgs ~vds =
+  let vt = C.thermal_voltage dev.Compact.temperature in
+  let big_f v =
+    let x = 0.5 *. v in
+    let l = if x > 40.0 then x else log1p (exp x) in
+    l *. l
+  in
+  let vth = Compact.vth dev ~vds in
+  let vp = (vgs -. vth) /. dev.Compact.m in
+  let uf = vp /. vt and ur = (vp -. vds) /. vt in
+  let carrier =
+    match dev.Compact.polarity with
+    | P.Nfet -> Physics.Mobility.Electron
+    | P.Pfet -> Physics.Mobility.Hole
+  in
+  let ec = Physics.Mobility.critical_field carrier dev.Compact.neff in
+  let sat = 1.0 /. (1.0 +. (2.0 *. vt *. sqrt (big_f uf) /. (ec *. dev.Compact.leff))) in
+  Iv.specific_current dev *. (big_f uf -. big_f ur) *. sat
+
+(* Fourth-order central difference of [f] at [x]. *)
+let central4 f x h =
+  ((8.0 *. (f (x +. h) -. f (x -. h))) -. (f (x +. (2.0 *. h)) -. f (x -. (2.0 *. h))))
+  /. (12.0 *. h)
+
+let eval_tests =
+  [
+    prop "eval's id is bit-identical to id and the unhoisted formula" ~count:500
+      (gen_bias ~vds_lo:0.0) (fun (k, vgs, vds) ->
+        let dev = (Lazy.force shipped_devices).(k) in
+        let i, _, _ = Iv.eval (Iv.prepare dev) ~vgs ~vds in
+        let bits = Int64.bits_of_float in
+        Int64.equal (bits i) (bits (Iv.id dev ~vgs ~vds))
+        && Int64.equal (bits i) (bits (reference_id dev ~vgs ~vds)));
+    prop "analytic gm and gds match a 4th-order central difference" ~count:500
+      (gen_bias ~vds_lo:0.01) (fun (k, vgs, vds) ->
+        let c = Iv.prepare (Lazy.force shipped_devices).(k) in
+        let id ~vgs ~vds =
+          let i, _, _ = Iv.eval c ~vgs ~vds in
+          i
+        in
+        let _, gm, gds = Iv.eval c ~vgs ~vds in
+        let h = 1e-3 in
+        let close analytic fd = Float.abs (analytic -. fd) <= 1e-6 *. Float.abs fd in
+        close gm (central4 (fun vgs -> id ~vgs ~vds) vgs h)
+        && close gds (central4 (fun vds -> id ~vgs ~vds) vds h));
+    prop "gds is finite and positive at vds = 0" ~count:200
+      (gen_bias ~vds_lo:0.0) (fun (k, vgs, _) ->
+        let _, _, gds = Iv.eval (Iv.prepare (Lazy.force shipped_devices).(k)) ~vgs ~vds:0.0 in
+        Float.is_finite gds && gds > 0.0);
+    u "eval rejects negative vds" (fun () ->
+        Alcotest.check_raises "vds" (Invalid_argument "Iv_model.eval: vds must be non-negative")
+          (fun () -> ignore (Iv.eval (Iv.prepare nfet90) ~vgs:0.1 ~vds:(-0.1))));
+  ]
+
 let suite =
   [
     ("device.params", params_tests);
@@ -222,4 +298,5 @@ let suite =
     ("device.capacitance", capacitance_tests);
     ("device.compact", compact_tests);
     ("device.iv_model", iv_tests);
+    ("device.iv_eval", eval_tests);
   ]
