@@ -52,7 +52,9 @@ let prepare dev =
    du_f/dvds = -(dV_th/dV_ds) / (m vT) and du_r/dvds = du_f/dvds - 1/vT. *)
 let eval c ~vgs ~vds =
   if vds < 0.0 then invalid_arg "Iv_model.eval: vds must be non-negative";
-  let vth = c.vth0 +. (c.sce_gain *. (c.sce_bias +. (c.k_dibl *. vds)) *. c.sce_decay) +. c.vth_offset in
+  let vth =
+    c.vth0 +. (c.sce_gain *. (c.sce_bias +. (c.k_dibl *. vds)) *. c.sce_decay) +. c.vth_offset
+  in
   let vp = (vgs -. vth) /. c.m in
   let hf = 0.5 *. (vp /. c.vt) and hr = 0.5 *. ((vp -. vds) /. c.vt) in
   let ef = exp hf and er = exp hr in
@@ -63,7 +65,9 @@ let eval c ~vgs ~vds =
   let sat = 1.0 /. (1.0 +. (2.0 *. c.vt *. sqrt (lf *. lf) /. c.ec_leff)) in
   let id = c.i_spec *. i_norm *. sat in
   (* dI/du_f and dI/du_r at fixed other argument. *)
-  let di_duf = c.i_spec *. ((lf *. sf *. sat) -. (i_norm *. sat *. sat *. c.vt *. sf /. c.ec_leff)) in
+  let di_duf =
+    c.i_spec *. ((lf *. sf *. sat) -. (i_norm *. sat *. sat *. c.vt *. sf /. c.ec_leff))
+  in
   let di_dur = -.c.i_spec *. lr *. sr *. sat in
   let gm = (di_duf +. di_dur) /. (c.m *. c.vt) in
   let gds = (-.c.dvth_dvds *. gm) -. (di_dur /. c.vt) in

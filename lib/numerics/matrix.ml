@@ -46,7 +46,7 @@ let transpose a =
 
 exception Singular of int
 
-(* Doolittle LU with partial pivoting, in place: [a]'s rows are swapped
+(* Doolittle LU with partial pivoting, in place: [lu]'s rows are swapped
    and overwritten with L (unit diagonal, below) and U (on and above the
    diagonal); [perm] records which input row each row came from. *)
 let lu_factor_in_place lu perm =

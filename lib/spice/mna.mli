@@ -45,9 +45,10 @@ val assemble :
   unit
 (** Overwrite the caller-owned [f] (length {!size}) with the KCL residual
     F(x) and the {!size} x {!size} [jac] with the Jacobian dF/dx; each
-    MOSFET stamps its analytic {!Device.Iv_model.eval}.  [source_scale] multiplies every
-    independent source value (for source-stepping homotopy).  A 1e-12 S
-    leak conductance (gmin) ties every node to ground.
+    MOSFET stamps its analytic {!Device.Iv_model.eval}.  [source_scale]
+    multiplies every independent source value (for source-stepping
+    homotopy).  A 1e-12 S leak conductance (gmin) ties every node to
+    ground.
     [overrides] replaces the waveform value of named voltage sources — how
     DC sweeps move their swept source.  Without [caps], capacitors are open
     (DC); with [caps] (length {!n_caps}), each capacitor stamps its
