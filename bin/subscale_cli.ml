@@ -1108,8 +1108,9 @@ let lint_cmd =
           and reports: closures entering the domain-parallel engine that touch \
           unsanctioned mutable state (LNT001), polymorphic equality on floats \
           (LNT002), exception-swallowing catch-alls (LNT003), diagnostic rule \
-          ids minted outside Check.Rules (LNT004) and direct printing in \
-          library code (LNT005).";
+          ids minted outside Check.Rules (LNT004), direct printing in \
+          library code (LNT005) and polymorphic orderings instantiated at a \
+          type variable, which box every float they read (LNT006).";
       `P "The UNT series infers physical dimensions for float expressions \
           from a signature table over Physics.Constants/Silicon/Mobility, the \
           parameter records and the Tcad accessors: incompatible additive \

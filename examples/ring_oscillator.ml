@@ -19,7 +19,11 @@ let measure_frequency pair ~vdd =
   let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
   (* Simulate long enough for several cycles of the ideal period 2 N tp. *)
   let t_stop = 8.0 *. 2.0 *. 7.0 *. tp in
-  let result = Spice.Transient.run ~x0 sys ~t_stop ~steps:2500 in
+  let result =
+    Spice.Transient.run ~x0 sys
+      ~probes:[ Spice.Transient.Node ring.Circuits.Ring.stage_nodes.(0) ]
+      ~t_stop ~steps:2500
+  in
   match Circuits.Ring.oscillation_period ring sys result with
   | Some period -> Some (1.0 /. period)
   | None -> None

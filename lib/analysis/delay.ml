@@ -40,10 +40,16 @@ let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(steps = 600) pai
   in
   let fx = Circuits.Inverter.chain_fixture ~sizing ~stages pair ~vdd ~input in
   let sys = Spice.Mna.build fx.Circuits.Inverter.circuit in
-  let result = Spice.Transient.run sys ~t_stop:period ~steps in
-  let times = result.Spice.Transient.times in
-  let v_in_stage = Spice.Transient.voltage_of result fx.Circuits.Inverter.stage_nodes.(2) in
-  let v_out_stage = Spice.Transient.voltage_of result fx.Circuits.Inverter.stage_nodes.(3) in
+  let in_node = fx.Circuits.Inverter.stage_nodes.(2)
+  and out_node = fx.Circuits.Inverter.stage_nodes.(3) in
+  let result =
+    Spice.Transient.run sys
+      ~probes:[ Spice.Transient.Node in_node; Node out_node ]
+      ~t_stop:period ~steps
+  in
+  let times = Spice.Transient.times result in
+  let v_in_stage = Spice.Transient.voltage_of result in_node in
+  let v_out_stage = Spice.Transient.voltage_of result out_node in
   let level = 0.5 *. vdd in
   let delay_for input_edge =
     match

@@ -42,20 +42,16 @@ let measured ?(stages = default_stages) ?(steps = 900) pair ~vdd =
   let chain = Circuits.Chain.build ~sizing ~stages pair ~vdd in
   let sys = Spice.Mna.build chain.Circuits.Chain.fixture.Circuits.Inverter.circuit in
   let period = chain.Circuits.Chain.period in
-  let result = Spice.Transient.run sys ~t_stop:period ~steps in
-  let e_period =
-    Spice.Transient.energy_from_source result ~name:"VDD" ~vdd
+  let result =
+    Spice.Transient.run sys ~probes:[ Spice.Transient.Source "VDD" ] ~t_stop:period ~steps
   in
+  let e_period = Spice.Transient.energy_from_source result ~name:"VDD" ~vdd in
   (* One period holds one rising and one falling chain traversal: one full
      switching event of every node.  At activity alpha, a fraction alpha of
      cycles switch; the rest only leak.  Static leak power is measured from
      the settled tail of the transient. *)
-  let times = result.Spice.Transient.times in
-  let i_vdd =
-    match List.assoc_opt "VDD" result.Spice.Transient.source_currents with
-    | Some c -> c
-    | None -> failwith "Energy.measured: no VDD source"
-  in
+  let times = Spice.Transient.times result in
+  let i_vdd = Spice.Transient.current_of result "VDD" in
   let quiet_start = 0.9 *. period in
   let i_static =
     -.Spice.Waveform.slice_average ~times ~values:i_vdd ~t0:quiet_start ~t1:period

@@ -53,7 +53,7 @@ let butterfly_snm ~vin ~v1 ~v2 =
   let v1r, u1 = rot (fun i -> vin.(i)) (fun i -> v1.(i)) in
   let v2r, u2 = rot (fun i -> v2.(i)) (fun i -> vin.(i)) in
   (* Make the parameter increasing and drop any numerically stalled points. *)
-  let ascending (v, u) =
+  let ascending ((v : float array), u) =
     let k = Array.length v in
     if k >= 2 && v.(0) > v.(k - 1) then
       (Array.init k (fun i -> v.(k - 1 - i)), Array.init k (fun i -> u.(k - 1 - i)))

@@ -8,7 +8,7 @@ let io_of dev width =
   width *. Device.Iv_model.id dev ~vgs:(Compact_vth.vth_sub dev) ~vds:(10.0 *. vt)
 
 (* Eq. 3(b): vin(vout).  We sweep vout densely, compute vin, and resample
-   onto a uniform vin grid. *)
+   onto a uniform vin grid in one merge walk; no sample array is built. *)
 let analytic ?(points = 101) (pair : Circuits.Inverter.pair) ~sizing ~vdd =
   let n = pair.Circuits.Inverter.nfet and p = pair.Circuits.Inverter.pfet in
   let io_n = io_of n sizing.Circuits.Inverter.wn in
@@ -16,7 +16,12 @@ let analytic ?(points = 101) (pair : Circuits.Inverter.pair) ~sizing ~vdd =
   let m_n = n.Device.Compact.m and m_p = p.Device.Compact.m in
   let vth_n = Compact_vth.vth_sub n and vth_p = Compact_vth.vth_sub p in
   let eps = 1e-4 *. vdd in
-  let vout_samples = Numerics.Vec.linspace eps (vdd -. eps) (4 * points) in
+  (* The dense vout sweep is Vec.linspace eps (vdd - eps) k, sample by
+     sample. *)
+  let k = 4 * points in
+  let hi = vdd -. eps in
+  let step = (hi -. eps) /. float_of_int (k - 1) in
+  let vout_sample i = eps +. (step *. float_of_int i) in
   let vin_of_vout vout =
     let num =
       (m_n *. (vdd -. vth_p)) +. (m_p *. vth_n)
@@ -26,19 +31,14 @@ let analytic ?(points = 101) (pair : Circuits.Inverter.pair) ~sizing ~vdd =
     in
     num /. (m_n +. m_p)
   in
-  let vin_raw = Array.map vin_of_vout vout_samples in
-  (* vin decreases as vout increases; reverse to make vin increasing. *)
-  let k = Array.length vin_raw in
-  let vin_sorted = Array.init k (fun i -> vin_raw.(k - 1 - i)) in
-  let vout_sorted = Array.init k (fun i -> vout_samples.(k - 1 - i)) in
-  (* Clamp to the rail interval and resample onto a uniform vin grid. *)
+  (* vin decreases as vout increases; walk the sweep from the top to make
+     vin increasing. *)
+  let vout_sorted j = vout_sample (k - 1 - j) in
+  let vin_sorted j = vin_of_vout (vout_sorted j) in
   let vin_grid = Numerics.Vec.linspace 0.0 vdd points in
-  let vout_grid =
-    Array.map
-      (fun v ->
-        Float.max 0.0 (Float.min vdd (Numerics.Interp.linear vin_sorted vout_sorted v)))
-      vin_grid
-  in
+  let vout_grid = Numerics.Interp.resample ~n:k ~x:vin_sorted ~y:vout_sorted vin_grid in
+  (* Clamp to the rail interval. *)
+  Array.map_inplace (fun v -> Float.max 0.0 (Float.min vdd v)) vout_grid;
   { vin = vin_grid; vout = vout_grid }
 
 let spice ?(points = 101) pair ~sizing ~vdd =

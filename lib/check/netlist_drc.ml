@@ -122,7 +122,7 @@ let check c =
              "Pwl waveform has no points")
       | N.Pwl points ->
         let rec sorted = function
-          | (t0, _) :: ((t1, _) :: _ as rest) -> t1 > t0 && sorted rest
+          | ((t0 : float), _) :: ((t1, _) :: _ as rest) -> t1 > t0 && sorted rest
           | [ _ ] | [] -> true
         in
         if not (sorted points) then

@@ -124,8 +124,11 @@ let carry_delay ?(steps = 800) pair ~vdd ~bits =
   let all_ones = (1 lsl bits) - 1 in
   let adder = build ~cin_wave ~a_word:all_ones ~b_word:0 pair ~vdd ~bits in
   let sys = Spice.Mna.build adder.circuit in
-  let result = Spice.Transient.run sys ~t_stop:window ~steps in
-  let times = result.Spice.Transient.times in
+  let result =
+    Spice.Transient.run sys ~probes:[ Spice.Transient.Node adder.cout_node ] ~t_stop:window
+      ~steps
+  in
+  let times = Spice.Transient.times result in
   let cout = Spice.Transient.voltage_of result adder.cout_node in
   let t_in = t_edge +. (0.5 *. tp_est) in
   match

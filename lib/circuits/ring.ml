@@ -42,7 +42,7 @@ let kick ring sys =
   x
 
 let oscillation_period ring _sys result =
-  let times = result.Spice.Transient.times in
+  let times = Spice.Transient.times result in
   let values = Spice.Transient.voltage_of result ring.stage_nodes.(0) in
   let level = 0.5 *. ring.vdd in
   let rising = Spice.Waveform.crossings ~times ~values ~level Spice.Waveform.Rising in

@@ -20,4 +20,5 @@ val kick : t -> Spice.Mna.system -> Numerics.Vec.t
 val oscillation_period :
   t -> Spice.Mna.system -> Spice.Transient.result -> float option
 (** Period from the last two same-direction V_dd/2 crossings of stage 0
-    (None until at least two full cycles are visible). *)
+    (None until at least two full cycles are visible).  [result] must probe
+    [Node t.stage_nodes.(0)]. *)

@@ -1,4 +1,4 @@
-(* LNT002/LNT003/LNT005 — hygiene passes sharing one typedtree walk.
+(* LNT002/LNT003/LNT005/LNT006 — hygiene passes sharing one typedtree walk.
 
    LNT002 (float discipline): polymorphic structural equality on floats
    compiles, but bit-equality on computed floats is almost always a latent
@@ -6,6 +6,12 @@
    equal expressions rarely share a bit pattern).  The pass flags
    [Stdlib.( = )]/[( <> )]/[( == )]/[( != )]/[compare] instantiated at
    float or at tuples/options/lists/arrays directly carrying floats.
+
+   LNT006 (generic ordering): [Stdlib.( < )]/[( <= )]/[( > )]/[( >= )]/
+   [min]/[max]/[compare] instantiated at a bare type variable cannot be
+   specialized, so every float it reads from an ['a array] is boxed and
+   compared through [caml_compare].  A helper written for float tables
+   but inferred at ['a] pays that on every element.
 
    LNT003 (exception hygiene): a [try ... with _ ->] swallows
    [Root.No_convergence] and [Check.Check_failed] alike, turning a loud
@@ -27,12 +33,24 @@ let poly_compare_names = [ "="; "<>"; "=="; "!="; "compare" ]
 
 (* Only the genuine Stdlib polymorphic operators: a user-defined [compare]
    or [Float.compare] has a different (un-normalized) path. *)
-let is_poly_compare p =
+let is_stdlib_named names p =
   let raw = Path.name p in
   let normalized = Paths.normalize raw in
-  List.mem normalized poly_compare_names
+  List.mem normalized names
   && String.length raw > 7
   && String.sub raw 0 7 = "Stdlib."
+
+(* --- LNT006 ------------------------------------------------------------- *)
+
+let poly_order_names = [ "<"; "<="; ">"; ">="; "min"; "max"; "compare" ]
+
+(* The operator's instance type is [t -> t -> _]: generic when [t] is a
+   type variable. *)
+let at_type_variable ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, arg, _, _) ->
+    (match Types.get_desc arg with Types.Tvar _ | Types.Tunivar _ -> true | _ -> false)
+  | _ -> false
 
 (* --- LNT003 ------------------------------------------------------------- *)
 
@@ -98,7 +116,7 @@ let check ~source ~exempt_output (str : structure) : D.t list =
     (match e.exp_desc with
      | Texp_apply (fn, args) ->
        (match Paths.applied_path fn with
-        | Some p when is_poly_compare p ->
+        | Some p when is_stdlib_named poly_compare_names p ->
           let first_arg =
             List.find_map
               (function Asttypes.Nolabel, Some (a : expression) -> Some a | _ -> None)
@@ -126,6 +144,17 @@ let check ~source ~exempt_output (str : structure) : D.t list =
                  "format into a string/Buffer and return it, or route through \
                   lib/report (results) / lib/obs (telemetry)")
         | _ -> ())
+     | Texp_ident (p, _, _)
+       when is_stdlib_named poly_order_names p && at_type_variable e.exp_type ->
+       emit
+         (D.warning ~rule:Lint_rules.lnt006
+            ~location:(Srcloc.to_string ~source e.exp_loc)
+            (Printf.sprintf "polymorphic %s instantiated at a type variable"
+               (Paths.path_name p))
+            ~hint:
+              "annotate the operands' type (e.g. float array) or use a monomorphic \
+               comparison such as Float.compare: the generic one boxes every float \
+               it reads and calls caml_compare")
      | Texp_try (_, cases) -> List.iter flag_catch_all cases
      | Texp_match (_, cases, _) ->
        List.iter

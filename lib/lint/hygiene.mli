@@ -1,5 +1,5 @@
-(** LNT002 (float discipline), LNT003 (exception hygiene) and LNT005
-    (output hygiene) in one typedtree walk.
+(** LNT002 (float discipline), LNT003 (exception hygiene), LNT005
+    (output hygiene) and LNT006 (generic ordering) in one typedtree walk.
 
     [exempt_output] disables LNT005 for the sanctioned output layers
     (lib/report, lib/obs). *)

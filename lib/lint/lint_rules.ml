@@ -33,6 +33,10 @@ let lnt005 =
   Rules.register "LNT005"
     ~summary:"direct stdout/stderr printing in lib/ (route through lib/report or lib/obs)"
 
+let lnt006 =
+  Rules.register "LNT006"
+    ~summary:"polymorphic </<=/>/>=/min/max/compare at a type variable (boxes floats)"
+
 (* The UNT series: static dimensional analysis over float expressions
    (lib/lint/units.ml).  Sound-but-conservative — unknown never fires. *)
 let unt001 =
@@ -156,6 +160,17 @@ let all : meta list =
          point prints by design), formatting into buffers/strings \
          (`Printf.sprintf`, `Buffer`), and writing to an explicit caller-supplied \
          channel" };
+    { id = lnt006;
+      severity = Diagnostic.Warning;
+      title = "generic ordering: no polymorphic comparison at a type variable";
+      fires_on =
+        "`<`, `<=`, `>`, `>=`, `min`, `max` or `compare` from `Stdlib` instantiated at a \
+         bare type variable (e.g. elements of an `'a array` in a helper meant for float \
+         tables): it cannot be specialized, so every float it reads is boxed and compared \
+         through `caml_compare`";
+      stays_clean_on =
+        "the same operators at a known type (`float`, `int`, `string`, ...), including \
+         through an annotation, and `Float.compare`/`Int.compare`/`Float.min`" };
     { id = unt001;
       severity = Diagnostic.Error;
       title = "dimensional analysis: additive combination of incompatible dimensions";

@@ -26,6 +26,9 @@ val lnt004 : string
 val lnt005 : string
 (** Output hygiene: no direct printing in lib/. *)
 
+val lnt006 : string
+(** Generic ordering: no polymorphic comparison at a type variable. *)
+
 val unt001 : string
 (** Dimensional analysis: additive/comparison combination of incompatible
     dimensions. *)

@@ -114,6 +114,22 @@ let cases =
       Lint_rules.lnt005,
       false,
       "let shout buf = Buffer.add_string buf (Printf.sprintf \"%d\" 42)\n" );
+    ( "LNT006 ordering on an 'a array element",
+      Lint_rules.lnt006,
+      true,
+      "let sorted xs =\n\
+      \  let ok = ref true in\n\
+      \  for i = 0 to Array.length xs - 2 do if xs.(i + 1) <= xs.(i) then ok := false done;\n\
+      \  !ok\n" );
+    ( "LNT006 near miss: annotated float array, Float.compare, int max",
+      Lint_rules.lnt006,
+      false,
+      "let sorted (xs : float array) =\n\
+      \  let ok = ref true in\n\
+      \  for i = 0 to Array.length xs - 2 do if xs.(i + 1) <= xs.(i) then ok := false done;\n\
+      \  !ok\n\
+       let first_below xs v = Array.exists (fun x -> Float.compare x v < 0) xs\n\
+       let widest (a : int) b = max a b\n" );
     (* The UNT crafted sources define local modules shaped like the real
        libraries (Params, Constants, Silicon), which the signature tables
        match by path suffix — the same route the fixture corpus takes. *)

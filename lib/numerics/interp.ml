@@ -1,4 +1,6 @@
-let check xs ys name =
+(* Annotated at [float array]: inferred at ['a array], each comparison
+   would box its operands and call the polymorphic compare (LNT006). *)
+let check (xs : float array) (ys : float array) name =
   let n = Array.length xs in
   if n <> Array.length ys then invalid_arg (Printf.sprintf "Interp.%s: length mismatch" name);
   if n < 2 then invalid_arg (Printf.sprintf "Interp.%s: need at least 2 points" name);
@@ -7,7 +9,7 @@ let check xs ys name =
       invalid_arg (Printf.sprintf "Interp.%s: abscissae must be strictly increasing" name)
   done
 
-let search xs x =
+let search (xs : float array) x =
   let n = Array.length xs in
   if x <= xs.(0) then 0
   else if x >= xs.(n - 1) then n - 2
@@ -30,6 +32,44 @@ let linear xs ys x =
     let t = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
     ((1.0 -. t) *. ys.(i)) +. (t *. ys.(i + 1))
   end
+
+(* One merge walk of a sorted grid against the table, which is produced
+   one sample at a time: the segment [i, i + 1] only moves right, and
+   every branch and the arithmetic are [linear]'s.  The last pass, at
+   g = infinity, walks the rest of the table so an unsorted tail raises
+   as [check] would. *)
+let resample ~n ~x ~y grid =
+  if n < 2 then invalid_arg "Interp.resample: need at least 2 points";
+  let unsorted () = invalid_arg "Interp.resample: abscissae must be strictly increasing" in
+  let m = Array.length grid in
+  let out = Array.make m 0.0 in
+  let x0 = x 0 and y0 = y 0 in
+  let i = ref 0 in
+  let xa = ref x0 and ya = ref y0 and xb = ref (x 1) and yb = ref (y 1) in
+  if !xb <= !xa then unsorted ();
+  let prev = ref Float.neg_infinity in
+  for k = 0 to m do
+    let g = if k < m then grid.(k) else Float.infinity in
+    if not (g >= !prev) then invalid_arg "Interp.resample: grid must be non-decreasing";
+    prev := g;
+    while !i < n - 2 && !xb <= g do
+      incr i;
+      xa := !xb;
+      ya := !yb;
+      xb := x (!i + 1);
+      yb := y (!i + 1);
+      if !xb <= !xa then unsorted ()
+    done;
+    if k < m then
+      out.(k) <-
+        (if g <= x0 then y0
+         else if !xb <= g then !yb
+         else begin
+           let t = (g -. !xa) /. (!xb -. !xa) in
+           ((1.0 -. t) *. !ya) +. (t *. !yb)
+         end)
+  done;
+  out
 
 let crossings xs ys level =
   check xs ys "crossings";

@@ -1,6 +1,6 @@
 let golden_ratio = 0.5 *. (sqrt 5.0 -. 1.0)
 
-let golden_section ?(tol = 1e-10) f a b =
+let golden_section ?(tol = 1e-10) (f : float -> float) a b =
   let max_iter = 200 in
   let a = ref (Float.min a b) and b = ref (Float.max a b) in
   let c = ref (!b -. (golden_ratio *. (!b -. !a))) in

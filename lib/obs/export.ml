@@ -169,3 +169,16 @@ let metrics_summary snapshot =
                h.Metrics.min h.Metrics.max))
     snapshot;
   Buffer.contents b
+
+let gc_summary (s : Gc.stat) =
+  let words name w = Printf.sprintf "%-44s %12.0f\n" name w in
+  let count name n = Printf.sprintf "%-44s %12d\n" name n in
+  let bytes_per_word = float_of_int (Sys.word_size / 8) in
+  String.concat ""
+    [ words "minor_words" s.Gc.minor_words;
+      words "promoted_words" s.Gc.promoted_words;
+      words "major_words" s.Gc.major_words;
+      count "minor_collections" s.Gc.minor_collections;
+      count "major_collections" s.Gc.major_collections;
+      Printf.sprintf "%-44s %12.1f\n" "top_heap_mb"
+        (float_of_int s.Gc.top_heap_words *. bytes_per_word /. 1048576.0) ]

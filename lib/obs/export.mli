@@ -18,3 +18,8 @@ val span_summary : Trace.event list -> string
 
 val metrics_summary : (string * Metrics.value) list -> string
 (** One line per registered metric (pass [Metrics.snapshot ()]). *)
+
+val gc_summary : Gc.stat -> string
+(** Allocation and collection totals, one line each: minor, promoted and
+    major words; minor and major collections; the top heap size in MB
+    (pass [Gc.quick_stat ()]). *)

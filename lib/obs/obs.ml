@@ -41,6 +41,15 @@ let profile_requested = ref false
 let exit_hook_installed = ref false
 let config_lock = Mutex.create ()
 
+let profile_report () =
+  String.concat ""
+    [ "--- obs: span summary -----------------------------------\n";
+      Export.span_summary (Trace.events ());
+      "--- obs: metrics ----------------------------------------\n";
+      Export.metrics_summary (Metrics.snapshot ());
+      "--- obs: gc ---------------------------------------------\n";
+      Export.gc_summary (Gc.quick_stat ()) ]
+
 (* Write the trace file / print the profile; registered via [at_exit] by
    [set_trace_file] and [enable_profile]. *)
 let flush () =
@@ -48,10 +57,7 @@ let flush () =
    | Some path -> Export.write_chrome ~path (Trace.events ())
    | None -> ());
   if !profile_requested then begin
-    prerr_string "--- obs: span summary -----------------------------------\n";
-    prerr_string (Export.span_summary (Trace.events ()));
-    prerr_string "--- obs: metrics ----------------------------------------\n";
-    prerr_string (Export.metrics_summary (Metrics.snapshot ()));
+    prerr_string (profile_report ());
     flush stderr
   end
 

@@ -18,6 +18,12 @@ val non_converged_counters : unit -> (string * int) list
 (** Every ["*.non_converged"] counter with a positive count — the
     post-run convergence health check (see [Check.Solver_rules]). *)
 
+val profile_report : unit -> string
+(** What [--profile] prints at exit: the span summary, the metrics
+    registry and a ["--- obs: gc ---"] section of {!Export.gc_summary}
+    over [Gc.quick_stat ()], so a memory regression shows which run
+    caused it. *)
+
 val set_trace_file : string -> unit
 (** Enable tracing and write a Chrome trace to the path at process exit
     (the CLI's [--trace FILE]). *)

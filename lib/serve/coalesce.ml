@@ -66,7 +66,7 @@ let index_in grid v =
   let lo = ref 0 and hi = ref (Array.length grid - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare grid.(mid) v < 0 then lo := mid + 1 else hi := mid
+    if Float.compare grid.(mid) v < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 

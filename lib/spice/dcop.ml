@@ -2,17 +2,28 @@ exception No_convergence of string
 
 let iterations_counter = Obs.Metrics.counter "spice.newton.iterations"
 
+type workspace = {
+  f : Numerics.Vec.t;
+  jac : Numerics.Matrix.t;
+  perm : int array;
+  dx : Numerics.Vec.t;
+}
+
+let workspace n =
+  { f = Array.make n 0.0; jac = Numerics.Matrix.create n n; perm = Array.make n 0;
+    dx = Array.make n 0.0 }
+
 (* One damped Newton run on [assemble ~x ~f ~jac], which fills F(x) and
    dF/dx: updates clamped to 0.3 V in the infinity norm, dense LU.  The
-   residual, Jacobian, pivot order and update are scratch owned by this
-   call, factored and solved in place.  Returns None on failure rather
-   than raising, so the callers can retreat (source stepping, a smaller
-   time step). *)
-let newton assemble ~tol ~max_iter x0 =
+   residual, Jacobian, pivot order and update live in [ws], factored and
+   solved in place; [assemble] and the factorization overwrite every entry
+   each iteration, so what a previous run left there is never read.
+   Returns None on failure rather than raising, so the callers can retreat
+   (source stepping, a smaller time step). *)
+let newton { f; jac; perm; dx } assemble ~tol ~max_iter x0 =
   let n = Array.length x0 in
+  if Array.length f <> n then invalid_arg "Dcop.newton: workspace size mismatch";
   let x = Array.copy x0 in
-  let f = Array.make n 0.0 and jac = Numerics.Matrix.create n n in
-  let perm = Array.make n 0 and dx = Array.make n 0.0 in
   let clamp = 0.3 in
   let rec loop iter =
     if iter >= max_iter then None
@@ -35,18 +46,19 @@ let newton assemble ~tol ~max_iter x0 =
   loop 0
 
 (* The operating-point Newton at one source scale. *)
-let newton_at_scale sys ~overrides ~source_scale ~tol ~max_iter x0 =
-  newton
+let newton_at_scale ws sys ~overrides ~source_scale ~tol ~max_iter x0 =
+  newton ws
     (fun ~x ~f ~jac -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ~f ~jac ())
     ~tol ~max_iter x0
 
 let solve ?x0 ?(overrides = []) sys =
   let tol = 1e-9 and max_iter = 120 in
   let n = Mna.size sys in
+  let ws = workspace n in
   let start = match x0 with Some v -> Array.copy v | None -> Array.make n 0.0 in
   let _ = Numerics.Guard.vec ~origin:"Dcop.solve: initial guess" start in
   let guarded x = Numerics.Guard.vec ~origin:"Dcop.solve: solution" x in
-  match newton_at_scale sys ~overrides ~source_scale:1.0 ~tol ~max_iter start with
+  match newton_at_scale ws sys ~overrides ~source_scale:1.0 ~tol ~max_iter start with
   | Some x -> guarded x
   | None ->
     (* Source stepping: ramp all sources from zero. *)
@@ -54,7 +66,7 @@ let solve ?x0 ?(overrides = []) sys =
     let x = ref (Array.make n 0.0) in
     for i = 1 to steps do
       let scale = float_of_int i /. float_of_int steps in
-      match newton_at_scale sys ~overrides ~source_scale:scale ~tol ~max_iter !x with
+      match newton_at_scale ws sys ~overrides ~source_scale:scale ~tol ~max_iter !x with
       | Some sol -> x := sol
       | None ->
         raise

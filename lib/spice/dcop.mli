@@ -4,20 +4,32 @@
 
 exception No_convergence of string
 
+type workspace
+(** Newton scratch for one analysis: residual, Jacobian, pivot order and
+    update, each sized to the system's unknowns.  Every {!newton} run
+    overwrites all of it before reading it, so one workspace serves every
+    Newton run of an analysis (each source step, each transient step).  It
+    belongs to one analysis call: never share it between concurrent
+    solves. *)
+
+val workspace : int -> workspace
+(** [workspace n] for a system of [n] unknowns ({!Mna.size}). *)
+
 val newton :
+  workspace ->
   (x:Numerics.Vec.t -> f:Numerics.Vec.t -> jac:Numerics.Matrix.t -> unit) ->
   tol:float ->
   max_iter:int ->
   Numerics.Vec.t ->
   Numerics.Vec.t option
-(** [newton assemble ~tol ~max_iter x0]: damped Newton from [x0], which is
-    not mutated.  [assemble ~x ~f ~jac] (typically a {!Mna.assemble}
-    closure) overwrites [f] with F(x) and [jac] with dF/dx; both are
-    scratch this call allocates once and reuses every iteration, so
-    concurrent calls share nothing.  Each update is clamped to 0.3 in the
-    infinity norm; converged when an unclamped update is below [tol].
-    [None] on a singular Jacobian or after [max_iter] iterations.  Each
-    iteration bumps the [spice.newton.iterations] counter. *)
+(** [newton ws assemble ~tol ~max_iter x0]: damped Newton from [x0], which
+    is not mutated; the result is a fresh vector.  [assemble ~x ~f ~jac]
+    (typically a {!Mna.assemble} closure) overwrites [f] with F(x) and
+    [jac] with dF/dx, both taken from [ws].  Each update is clamped to 0.3
+    in the infinity norm; converged when an unclamped update is below
+    [tol].  [None] on a singular Jacobian or after [max_iter] iterations.
+    Raises [Invalid_argument] if [ws] is not sized to [x0].  Each iteration
+    bumps the [spice.newton.iterations] counter. *)
 
 val solve :
   ?x0:Numerics.Vec.t ->

@@ -51,7 +51,7 @@ let n_caps s = Array.length s.caps
 
 let voltage _s x node = if node = 0 then 0.0 else x.(node - 1)
 
-let source_current s x name =
+let source_index s name =
   let rec find i =
     if i >= Array.length s.vsources then begin
       let known =
@@ -59,15 +59,17 @@ let source_current s x name =
         |> String.concat ", "
       in
       invalid_arg
-        (Printf.sprintf "Mna.source_current: no voltage source named %S (known: %s)" name
+        (Printf.sprintf "Mna: no voltage source named %S (known: %s)" name
            (if known = "" then "<none>" else known))
     end
     else begin
       let nm, _, _, _ = s.vsources.(i) in
-      if String.equal nm name then x.(s.n_nodes - 1 + i) else find (i + 1)
+      if String.equal nm name then s.n_nodes - 1 + i else find (i + 1)
     end
   in
   find 0
+
+let source_current s x name = x.(source_index s name)
 
 type cap_companion = { geq : float; ieq : float }
 
@@ -80,8 +82,6 @@ let cap_farads s i =
   c
 
 let node_count s = s.n_nodes
-
-let source_list s = Array.to_list s.vsources
 
 let gmin = 1e-12
 

@@ -28,6 +28,10 @@ val source_current : system -> Numerics.Vec.t -> string -> float
     naming the missing source (and listing the known ones) for an unknown
     name. *)
 
+val source_index : system -> string -> int
+(** Index of a named voltage source's branch current in the unknown
+    vector; raises like {!source_current}. *)
+
 type cap_companion = { geq : float; ieq : float }
 (** Trapezoidal/backward-Euler companion for one capacitor: the stamped
     branch current is geq (v_p - v_m) - ieq. *)
@@ -61,6 +65,3 @@ val cap_farads : system -> int -> float
 
 val node_count : system -> int
 (** Number of circuit nodes including ground. *)
-
-val source_list : system -> (string * int * int * Netlist.waveform) list
-(** The voltage sources in branch-unknown order. *)

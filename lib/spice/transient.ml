@@ -1,14 +1,12 @@
+type probe = Node of int | Source of string
+
 type result = {
   times : Numerics.Vec.t;
-  node_voltages : Numerics.Vec.t array;
-  source_currents : (string * Numerics.Vec.t) list;
+  probes : probe array;
+  samples : Numerics.Vec.t array;  (* one per probe, indexed by step *)
 }
 
 let steps_counter = Obs.Metrics.counter "spice.transient.steps"
-
-(* Newton at one time point with frozen capacitor companions. *)
-let newton_at sys ~time ~caps ~x0 ~tol ~max_iter =
-  Dcop.newton (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ()) ~tol ~max_iter x0
 
 let backward_euler_caps sys ~h vcap =
   Array.init (Array.length vcap) (fun i ->
@@ -34,34 +32,43 @@ let accept_caps sys caps x vcap icap =
       icap.(i) <- (geq *. v_new) -. ieq)
     caps
 
-(* Node voltages and source currents of every accepted state, in time
-   order. *)
-let result_of sys times history =
-  let node_voltages =
-    Array.init (Mna.node_count sys) (fun node ->
-        Array.map (fun x -> Mna.voltage sys x node) history)
-  in
-  let source_currents =
-    List.map
-      (fun (name, _, _, _) ->
-        (name, Array.map (fun x -> Mna.source_current sys x name) history))
-      (Mna.source_list sys)
-  in
-  { times; node_voltages; source_currents }
+let describe = function
+  | Node n -> Printf.sprintf "node %d" n
+  | Source name -> Printf.sprintf "source %S" name
 
-let run ?x0 sys ~t_stop ~steps =
+(* Index of a probe's value in the unknown vector; -1 for ground. *)
+let unknown_of sys = function
+  | Node n ->
+    if n < 0 || n >= Mna.node_count sys then
+      invalid_arg
+        (Printf.sprintf "Transient.run: no node %d (nodes are 0..%d)" n
+           (Mna.node_count sys - 1));
+    n - 1
+  | Source name -> Mna.source_index sys name
+
+let run ?x0 sys ~probes ~t_stop ~steps =
   if t_stop <= 0.0 then invalid_arg "Transient.run: t_stop must be positive";
   if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
+  let probes = Array.of_list probes in
+  let unknowns = Array.map (unknown_of sys) probes in
   let h = t_stop /. float_of_int steps in
   let n_steps = int_of_float (ceil ((t_stop /. h) -. 1e-9)) in
   let nc = Mna.n_caps sys in
+  let ws = Dcop.workspace (Mna.size sys) in
+  let newton_at ~time ~caps ~max_iter x0 =
+    Dcop.newton ws (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ())
+      ~tol:1e-9 ~max_iter x0
+  in
   let x_dc = match x0 with Some x -> Array.copy x | None -> Dcop.solve sys in
   (* Capacitor state: voltage across and branch current at the last accepted
      time point. *)
   let vcap = Array.init nc (fun i -> Mna.cap_voltage sys x_dc i) in
   let icap = Array.make nc 0.0 in
   let times = Array.make (n_steps + 1) 0.0 in
-  let history = Array.make (n_steps + 1) x_dc in
+  let samples = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) probes in
+  let record step x =
+    Array.iteri (fun k u -> samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))) unknowns
+  in
   let rec advance step x t =
     if step > n_steps then ()
     else begin
@@ -74,45 +81,56 @@ let run ?x0 sys ~t_stop ~steps =
         else backward_euler_caps sys ~h:h_eff vcap
       in
       let solved =
-        match newton_at sys ~time:t' ~caps:caps_arr ~x0:x ~tol:1e-9 ~max_iter:60 with
+        match newton_at ~time:t' ~caps:caps_arr ~max_iter:60 x with
         | Some x' -> Some (x', caps_arr)
         | None ->
           (* Retry as two half-steps of backward Euler. *)
           let half = 0.5 *. h_eff in
           (match
-             newton_at sys ~time:(t +. half) ~caps:(backward_euler_caps sys ~h:half vcap)
-               ~x0:x ~tol:1e-9 ~max_iter:80
+             newton_at ~time:(t +. half) ~caps:(backward_euler_caps sys ~h:half vcap)
+               ~max_iter:80 x
            with
            | None -> None
            | Some mid ->
              let vmid = Array.init nc (fun i -> Mna.cap_voltage sys mid i) in
              let caps2 = backward_euler_caps sys ~h:half vmid in
-             (match newton_at sys ~time:t' ~caps:caps2 ~x0:mid ~tol:1e-9 ~max_iter:80 with
+             (match newton_at ~time:t' ~caps:caps2 ~max_iter:80 mid with
               | Some x' -> Some (x', caps2)
               | None -> None))
       in
       match solved with
       | None -> raise (Dcop.No_convergence (Printf.sprintf "transient stuck at t=%.3e s" t'))
       | Some (x', caps_used) ->
-        let _ =
-          Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t') x'
-        in
+        if Numerics.Guard.is_enabled () then
+          ignore
+            (Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t')
+               x');
         accept_caps sys caps_used x' vcap icap;
         Obs.Metrics.incr steps_counter;
         times.(step) <- t';
-        history.(step) <- x';
+        record step x';
         advance (step + 1) x' t'
     end
   in
-  times.(0) <- 0.0;
-  history.(0) <- x_dc;
+  record 0 x_dc;
   advance 1 x_dc 0.0;
-  result_of sys times history
+  { times; probes; samples }
 
-let voltage_of result node = result.node_voltages.(node)
+let times result = result.times
+
+let probed result ~what probe =
+  match Array.find_index (( = ) probe) result.probes with
+  | Some k -> result.samples.(k)
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Transient.%s: %s was not probed (probes: %s)" what (describe probe)
+         (match Array.to_list (Array.map describe result.probes) with
+          | [] -> "<none>"
+          | names -> String.concat ", " names))
+
+let voltage_of result node = probed result ~what:"voltage_of" (Node node)
+let current_of result name = probed result ~what:"current_of" (Source name)
 
 let energy_from_source result ~name ~vdd =
-  match List.assoc_opt name result.source_currents with
-  | None -> invalid_arg ("Transient.energy_from_source: unknown source " ^ name)
-  | Some currents ->
-    -.vdd *. Numerics.Integrate.trapezoid_samples result.times currents
+  let currents = probed result ~what:"energy_from_source" (Source name) in
+  -.vdd *. Numerics.Integrate.trapezoid_samples result.times currents

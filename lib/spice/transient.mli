@@ -1,25 +1,47 @@
 (** Transient analysis: fixed-step trapezoidal integration with a Newton
     solve per time point (capacitors as trapezoidal companion models).
     The first step is backward Euler to damp the trapezoidal rule's
-    start-up ringing. *)
+    start-up ringing.
 
-type result = {
-  times : Numerics.Vec.t;
-  node_voltages : Numerics.Vec.t array;  (** indexed by node, then by step *)
-  source_currents : (string * Numerics.Vec.t) list;
-      (** branch current of each voltage source across time; the current
-          drawn from a supply is the negative of this (see {!Mna}) *)
-}
+    A run records only the signals its caller declares as probes: memory
+    is O(probes x steps), not O(nodes x steps).  One {!Dcop.workspace}
+    serves every Newton solve of a run. *)
 
-val run : ?x0:Numerics.Vec.t -> Mna.system -> t_stop:float -> steps:int -> result
+type probe =
+  | Node of int  (** a node voltage (node 0 is ground) *)
+  | Source of string
+      (** the branch current of a named voltage source; the current drawn
+          from a supply is the negative of this (see {!Mna}) *)
+
+type result
+
+val run :
+  ?x0:Numerics.Vec.t ->
+  Mna.system ->
+  probes:probe list ->
+  t_stop:float ->
+  steps:int ->
+  result
 (** Integrate from a DC operating point at t = 0 (or from [x0]) to [t_stop]
-    in [steps] equal steps.
-    Raises {!Dcop.No_convergence} if a time-point Newton fails after step
-    halving.  Each accepted step bumps the [spice.transient.steps] counter. *)
+    in [steps] equal steps, recording each probe at every accepted time
+    point.  Raises [Invalid_argument] for a node outside the circuit or an
+    unknown source name, before integrating; {!Dcop.No_convergence} if a
+    time-point Newton fails after step halving.  Each accepted step bumps
+    the [spice.transient.steps] counter. *)
+
+val times : result -> Numerics.Vec.t
+(** The accepted time points, starting at 0. *)
 
 val voltage_of : result -> int -> Numerics.Vec.t
+(** A probed node's voltage at each of {!times}.  Raises [Invalid_argument]
+    naming the node if the run did not probe it. *)
+
+val current_of : result -> string -> Numerics.Vec.t
+(** A probed source's branch current at each of {!times}.  Raises
+    [Invalid_argument] naming the source if the run did not probe it. *)
 
 val energy_from_source : result -> name:string -> vdd:float -> float
 (** Energy delivered by the named constant supply over the window:
     -V_dd Integral(i_branch dt) [J].  (Per metre of device width when the
-    MOSFET widths are per-metre.) *)
+    MOSFET widths are per-metre.)  Raises [Invalid_argument] naming the
+    source if the run did not probe it. *)

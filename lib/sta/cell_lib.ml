@@ -53,8 +53,11 @@ let measure kind ?sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window =
     (Spice.Netlist.Capacitor
        { plus = fx.Circuits.Stdcell.out_node; minus = Spice.Netlist.ground; farads = load });
   let sys = Spice.Mna.build fx.Circuits.Stdcell.circuit in
-  let result = Spice.Transient.run sys ~t_stop:window ~steps:420 in
-  let times = result.Spice.Transient.times in
+  let result =
+    Spice.Transient.run sys ~probes:[ Spice.Transient.Node fx.Circuits.Stdcell.out_node ]
+      ~t_stop:window ~steps:420
+  in
+  let times = Spice.Transient.times result in
   let vout = Spice.Transient.voltage_of result fx.Circuits.Stdcell.out_node in
   let t_in = t0 +. (0.5 *. slew) in
   let crossing level =

@@ -1,6 +1,6 @@
 type t = { slews : Numerics.Vec.t; loads : Numerics.Vec.t; values : float array array }
 
-let check_axis name v =
+let check_axis name (v : float array) =
   if Array.length v < 1 then invalid_arg ("Lut.create: empty " ^ name);
   for i = 0 to Array.length v - 2 do
     if v.(i + 1) <= v.(i) then invalid_arg ("Lut.create: " ^ name ^ " not increasing")

@@ -9,7 +9,7 @@ type t = {
   wy : Numerics.Vec.t;
 }
 
-let check_increasing name v =
+let check_increasing name (v : float array) =
   for i = 0 to Array.length v - 2 do
     if v.(i + 1) <= v.(i) then
       invalid_arg (Printf.sprintf "Mesh.make: %s must be strictly increasing" name)

@@ -46,6 +46,18 @@ let vtc_tests =
     u "gain array has the curve's length" (fun () ->
         let c = Vtc.analytic ~points:33 pair ~sizing ~vdd:0.25 in
         Alcotest.(check int) "len" 33 (Array.length (Vtc.gain c)));
+    u "analytic VTC allocates nothing directly on the major heap" (fun () ->
+        (* Measured: 0 words.  The four 804-sample arrays it used to build
+           went straight to the major heap (3220 words per call). *)
+        let curve () = ignore (Vtc.analytic ~points:201 pair32 ~sizing ~vdd:0.25) in
+        curve ();
+        let direct () =
+          let _, promoted, major = Gc.counters () in
+          major -. promoted
+        in
+        let before = direct () in
+        curve ();
+        Test_util.check_float "direct major words" 0.0 (direct () -. before));
   ]
 
 let snm_tests =

@@ -90,7 +90,10 @@ let ring_tests =
         let sys = Spice.Mna.build ring.Ring.circuit in
         let x0 = Ring.kick ring sys in
         let tp = Chain.estimated_stage_delay pair sizing ~vdd in
-        let result = Spice.Transient.run ~x0 sys ~t_stop:(40.0 *. tp) ~steps:1500 in
+        let result =
+          Spice.Transient.run ~x0 sys ~probes:[ Spice.Transient.Node ring.Ring.stage_nodes.(0) ]
+            ~t_stop:(40.0 *. tp) ~steps:1500
+        in
         match Ring.oscillation_period ring sys result with
         | Some period ->
           (* Ideal period is 2 N tp; allow a wide band for waveform shape. *)

@@ -72,9 +72,11 @@ let wire_tests =
           done;
           let far = !far in
           let sys = Spice.Mna.build c in
-          let result = Spice.Transient.run sys ~t_stop:2e-7 ~steps:800 in
+          let result =
+            Spice.Transient.run sys ~probes:[ Spice.Transient.Node far ] ~t_stop:2e-7 ~steps:800
+          in
           match
-            Spice.Waveform.first_crossing ~times:result.Spice.Transient.times
+            Spice.Waveform.first_crossing ~times:(Spice.Transient.times result)
               ~values:(Spice.Transient.voltage_of result far) ~level:0.5
               Spice.Waveform.Rising
           with

@@ -256,6 +256,14 @@ let export_tests =
               Export.span_summary (Trace.events ()))
         in
         Alcotest.(check bool) "mentions the span" true (contains ~needle:"work" summary));
+    u "the profile ends with a GC section" (fun () ->
+        let report = Subscale.Obs.profile_report () in
+        List.iter
+          (fun needle ->
+            if not (contains ~needle report) then Alcotest.failf "missing %S in the profile" needle)
+          [ "--- obs: span summary"; "--- obs: metrics"; "--- obs: gc ---"; "minor_words";
+            "promoted_words"; "major_words"; "minor_collections"; "major_collections";
+            "top_heap_mb" ]);
   ]
 
 (* --- metrics registry ------------------------------------------------ *)

@@ -184,7 +184,7 @@ let rc_step ~r ~cap ~v ~t_stop ~steps =
   N.add c (N.Resistor { plus = top; minus = out; ohms = r });
   N.add c (N.Capacitor { plus = out; minus = 0; farads = cap });
   let sys = Mna.build c in
-  let result = Transient.run sys ~t_stop ~steps in
+  let result = Transient.run sys ~probes:[ Node out; Source "V" ] ~t_stop ~steps in
   (sys, out, result)
 
 let transient_tests =
@@ -193,7 +193,7 @@ let transient_tests =
         let r = 1e3 and cap = 1e-9 and v = 1.0 in
         let tau = r *. cap in
         let _, out, result = rc_step ~r ~cap ~v ~t_stop:(5.0 *. tau) ~steps:500 in
-        let times = result.Transient.times in
+        let times = Transient.times result in
         let vo = Transient.voltage_of result out in
         Array.iteri
           (fun i t ->
@@ -207,7 +207,7 @@ let transient_tests =
         let err steps =
           let _, out, result = rc_step ~r ~cap ~v ~t_stop:tau ~steps in
           let vo = Transient.voltage_of result out in
-          let t_end = result.Transient.times.(Array.length vo - 1) in
+          let t_end = (Transient.times result).(Array.length vo - 1) in
           Float.abs (vo.(Array.length vo - 1) -. (v *. (1.0 -. exp (-.t_end /. tau))))
         in
         let e1 = err 50 and e2 = err 100 in
@@ -227,8 +227,9 @@ let transient_tests =
                               fall = tp; width = 1000.0 *. tp; period = 4000.0 *. tp } in
         let fx = Circuits.Inverter.chain_fixture ~stages:1 pair ~vdd ~input in
         let sys = Mna.build fx.Circuits.Inverter.circuit in
-        let result = Transient.run sys ~t_stop:(60.0 *. tp) ~steps:300 in
-        let vo = Transient.voltage_of result fx.Circuits.Inverter.stage_nodes.(1) in
+        let out = fx.Circuits.Inverter.stage_nodes.(1) in
+        let result = Transient.run sys ~probes:[ Node out ] ~t_stop:(60.0 *. tp) ~steps:300 in
+        let vo = Transient.voltage_of result out in
         Test_util.check_rel "starts high" ~rel:0.05 vdd vo.(0);
         Test_util.check_in_range "ends low" ~lo:(-0.01) ~hi:(0.1 *. vdd)
           vo.(Array.length vo - 1));
@@ -236,7 +237,21 @@ let transient_tests =
         let c, _ = divider 1.0 1e3 1e3 in
         let sys = Mna.build c in
         Alcotest.check_raises "t_stop" (Invalid_argument "Transient.run: t_stop must be positive")
-          (fun () -> ignore (Transient.run sys ~t_stop:0.0 ~steps:10)));
+          (fun () -> ignore (Transient.run sys ~probes:[] ~t_stop:0.0 ~steps:10)));
+    u "a run records only its probes" (fun () ->
+        let sys, out, result = rc_step ~r:1e3 ~cap:1e-9 ~v:1.0 ~t_stop:1e-6 ~steps:10 in
+        Alcotest.(check int) "probed node" 11 (Array.length (Transient.voltage_of result out));
+        Alcotest.check_raises "unprobed node"
+          (Invalid_argument
+             "Transient.voltage_of: node 1 was not probed (probes: node 2, source \"V\")")
+          (fun () -> ignore (Transient.voltage_of result 1));
+        Alcotest.check_raises "unprobed source"
+          (Invalid_argument
+             "Transient.current_of: source \"W\" was not probed (probes: node 2, source \"V\")")
+          (fun () -> ignore (Transient.current_of result "W"));
+        Alcotest.check_raises "node outside the circuit"
+          (Invalid_argument "Transient.run: no node 9 (nodes are 0..2)") (fun () ->
+            ignore (Transient.run sys ~probes:[ Node 9 ] ~t_stop:1e-6 ~steps:10)));
   ]
 
 let waveform_tests =
@@ -306,10 +321,51 @@ let work_tests =
         let fx = Circuits.Inverter.chain_fixture ~stages:1 pair ~vdd ~input in
         let sys = Mna.build fx.Circuits.Inverter.circuit in
         let iters, steps =
-          work (fun () -> ignore (Transient.run sys ~t_stop:(60.0 *. tp) ~steps:300))
+          work (fun () -> ignore (Transient.run sys ~probes:[] ~t_stop:(60.0 *. tp) ~steps:300))
         in
         Alcotest.(check int) "newton iterations" 378 iters;
         Alcotest.(check int) "transient steps" 300 steps);
+  ]
+
+(* Memory: one Newton workspace per transient, and only the probed
+   signals recorded.  At one domain both are a pure function of the code. *)
+let memory_tests =
+  [
+    u "8-bit carry_delay at 32 nm: no per-step Jacobian or state history" (fun () ->
+        let pair =
+          match Scaling.Strategy.resolve ~node:32 ~strategy:"sub" with
+          | Ok (_, _, _, pair) -> pair
+          | Error e -> Alcotest.fail e
+        in
+        let vdd = 0.25 and bits = 8 and steps = 800 and probes = 1 in
+        let adder = Circuits.Adder.ripple_carry pair ~vdd ~bits in
+        let n = Mna.size (Mna.build adder.Circuits.Adder.circuit) in
+        (* Warm the memo tables the delay estimate reads. *)
+        ignore (Circuits.Adder.carry_delay ~steps:40 pair ~vdd ~bits);
+        let accepted = Obs.Metrics.counter "spice.transient.steps" in
+        let steps0 = Obs.Metrics.counter_value accepted in
+        (* Gc.counters is exact between collections; quick_stat samples. *)
+        let direct () =
+          let _, promoted, major = Gc.counters () in
+          major -. promoted
+        in
+        let minor0 = Gc.minor_words () and direct0 = direct () in
+        ignore (Circuits.Adder.carry_delay ~steps pair ~vdd ~bits);
+        let minor1 = Gc.minor_words () and direct1 = direct () in
+        let n_steps = Obs.Metrics.counter_value accepted - steps0 in
+        Alcotest.(check int) "accepted steps" steps n_steps;
+        (* Measured: 25.8k minor words per step (n = 180, n^2 = 32.4k); a
+           fresh Jacobian per step took it to 60.4k.  What is left is the
+           per-stamp boxing in Mna.assemble. *)
+        Test_util.check_in_range "minor words per step" ~lo:0.0
+          ~hi:(float_of_int (n * n))
+          ((minor1 -. minor0) /. float_of_int n_steps);
+        (* Measured: 1965 words, the time axis and one probe (802 words
+           each) plus Mna.build's 361-word stamp table; keeping every state
+           vector took 147k. *)
+        Test_util.check_in_range "direct major words" ~lo:0.0
+          ~hi:(float_of_int (((1 + probes) * (steps + 1)) + 512))
+          (direct1 -. direct0));
   ]
 
 let suite =
@@ -321,4 +377,5 @@ let suite =
     ("spice.transient", transient_tests);
     ("spice.waveform", waveform_tests);
     ("spice.work", work_tests);
+    ("spice.memory", memory_tests);
   ]
