@@ -75,4 +75,3 @@ let vmin ?(sizing = Circuits.Inverter.balanced_sizing ()) pair =
   in
   { vmin; e_min; curve }
 
-let kvmin pair result = result.vmin /. pair.Circuits.Inverter.nfet.Device.Compact.ss

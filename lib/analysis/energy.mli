@@ -52,6 +52,3 @@ val vmin : ?sizing:Circuits.Inverter.sizing -> Circuits.Inverter.pair -> vmin_re
     by golden-section refinement of the analytic model over 80 mV .. 0.6 V,
     returning the sampled curve for plotting. *)
 
-val kvmin : Circuits.Inverter.pair -> vmin_result -> float
-(** K_Vmin = V_min / S_S, the proportionality the paper takes from
-    refs [17][18]. *)

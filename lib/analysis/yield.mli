@@ -19,9 +19,8 @@ type assessment = {
 val assess : ?trials:int -> Circuits.Inverter.pair -> vdd:float -> assessment
 (** Monte Carlo SNM (default 400 trials) of a cell built from
     near-minimum-width devices (0.15 um N / 0.2 um P), where mismatch
-    bites hardest. *)
-
-val array_yield : p_cell_fail:float -> bits:int -> float
+    bites hardest.  [yield_1kb]/[yield_1mb] are (1 - p_cell_fail)^bits
+    for 1024 and 1024^2 cells. *)
 
 val min_vdd_for_yield :
   ?trials:int -> Circuits.Inverter.pair -> bits:int -> target:float -> float

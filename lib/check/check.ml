@@ -14,7 +14,6 @@ module Structure_rules = Structure_rules
 module Design_rules = Design_rules
 module Validity_rules = Validity_rules
 module Memo_soundness = Memo_soundness
-module Solver_rules = Solver_rules
 
 exception Check_failed of Diagnostic.t list
 (** Raised by {!assert_clean}; carries every diagnostic, errors first. *)

@@ -25,12 +25,6 @@ let register ?(summary = "") id =
   if dup then raise (Duplicate_rule id);
   id
 
-let is_registered id =
-  Mutex.lock lock;
-  let r = Hashtbl.mem table id in
-  Mutex.unlock lock;
-  r
-
 let all () =
   (* Hashtbl.find can raise on a table someone mutated behind our back;
      protect the section so the registry lock can never leak (RAC002). *)

@@ -17,8 +17,6 @@ val register : ?summary:string -> string -> string
     read [let rule = Rules.register "..."]).  Raises {!Duplicate_rule} on
     collision. *)
 
-val is_registered : string -> bool
-
 val selftest : unit -> int
 (** Re-validate the registry (uniqueness, id shape: kebab-case, [AUDnnn],
     [LNTnnn] or [UNTnnn]); returns the rule count.  Raises on any

@@ -20,14 +20,11 @@ val make : ?beta:float -> Inverter.pair -> vdd:float -> t
     subthreshold-SRAM choice); pull-up and pull-down use the balanced
     sizing. *)
 
-val half_cell_vtc :
-  t -> config -> vin:Numerics.Vec.t -> Numerics.Vec.t
-(** The storage-node transfer curve of one half cell: for each input
-    (opposite storage node voltage) the solved output voltage.  In Read
-    config the access transistor fights the pull-down, degrading the low
-    level — the classic read-SNM loss. *)
-
 val butterfly :
   ?points:int -> t -> config -> Numerics.Vec.t * Numerics.Vec.t * Numerics.Vec.t
 (** [(vin, vtc1, vtc2)] — the two (identical-device) half-cell curves with
-    the second mirrored, ready for maximum-square SNM extraction. *)
+    the second mirrored, ready for maximum-square SNM extraction.  A
+    half-cell curve is the storage-node transfer curve: for each input
+    (opposite storage node voltage) the solved output voltage.  In Read
+    config the access transistor fights the pull-down, degrading the low
+    level — the classic read-SNM loss. *)

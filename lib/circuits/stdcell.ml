@@ -78,8 +78,3 @@ let nor2 ?(sizing = Inverter.balanced_sizing ()) ?a_wave ?b_wave pair ~vdd =
        { dev = pair.Inverter.nfet; width = sizing.Inverter.wn; drain = out_node; gate = b_node;
          source = Spice.Netlist.ground });
   { circuit = c; vdd_name = "VDD"; a_name = "VA"; b_name = "VB"; out_node }
-
-let output_at fixture ~a ~b =
-  let sys = Spice.Mna.build fixture.circuit in
-  let x = Spice.Dcop.solve ~overrides:[ (fixture.a_name, a); (fixture.b_name, b) ] sys in
-  Spice.Mna.voltage sys x fixture.out_node

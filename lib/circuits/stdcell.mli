@@ -29,6 +29,3 @@ val nor2 :
   ?a_wave:Spice.Netlist.waveform -> ?b_wave:Spice.Netlist.waveform ->
   Inverter.pair -> vdd:float -> fixture
 (** Parallel NFETs, series PFET stack. *)
-
-val output_at : fixture -> a:float -> b:float -> float
-(** DC output voltage for the given input levels. *)

@@ -1015,9 +1015,3 @@ let find id = List.find_opt (fun e -> e.id = id) registry
 let context_for experiments =
   let with_130 = List.exists (fun e -> e.id = "fig12") experiments in
   lazy (make_context ~with_130 ())
-
-let run_group group ~measured ctx =
-  let ctx = Lazy.from_val ctx in
-  List.filter_map (fun e -> if e.group = group then Some (e.run ~measured ctx) else None) registry
-
-let all ?(measured_delay = true) ctx = run_group Paper ~measured:measured_delay ctx

@@ -60,10 +60,6 @@ val fig12 : context -> output
 (** Energy and V_min of the 30-inverter chain for both strategies
     (context must include the 130 nm node for the paper's V_min remark). *)
 
-val all : ?measured_delay:bool -> context -> output list
-(** Every table and figure, in paper order (the registry's [Paper]
-    entries). *)
-
 (** {2 Extensions}
 
     Studies the paper motivates but does not tabulate: each is built from

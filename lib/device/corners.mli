@@ -15,11 +15,7 @@ val all : t list
 
 val name : t -> string
 
-val vth_shift : t -> Params.polarity -> float
-(** Signed threshold shift [V] of 30 mV magnitude (a typical 3-sigma
-    die-to-die budget). *)
-
 val apply : t -> Compact.t -> Compact.t
-(** A corner-shifted copy of the device: threshold moved by {!vth_shift}
-    and mobility scaled by 1 +- 0.08 together (fast = low V_th + high
+(** A corner-shifted copy of the device: threshold moved by a signed
+    30 mV (a typical 3-sigma die-to-die budget) and mobility scaled by 1 +- 0.08 together (fast = low V_th + high
     mu). *)

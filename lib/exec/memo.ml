@@ -83,13 +83,12 @@ let enabled () = Atomic.get disabled_depth = 0
 
 (* Audit mode: shadow-recompute on every hit, record mismatches.  The
    violation list is bounded — a daemon with a bad key would otherwise
-   accumulate one entry per hit for the life of the process; beyond the
-   cap we keep only a count of what was dropped. *)
+   accumulate one entry per hit for the life of the process; mismatches
+   beyond the cap are dropped. *)
 let audit_mode = Atomic.make false
 let max_violations = 256
 let violations : (string * string) list ref = ref []
 let violations_count = ref 0
-let violations_dropped = ref 0
 let violations_lock = Mutex.create ()
 
 let audit_violations () =
@@ -98,17 +97,10 @@ let audit_violations () =
   Mutex.unlock violations_lock;
   v
 
-let audit_violations_dropped () =
-  Mutex.lock violations_lock;
-  let n = !violations_dropped in
-  Mutex.unlock violations_lock;
-  n
-
 let clear_audit_violations () =
   Mutex.lock violations_lock;
   violations := [];
   violations_count := 0;
-  violations_dropped := 0;
   Mutex.unlock violations_lock
 
 let with_audit f =
@@ -120,8 +112,7 @@ let record_violation name key =
   if !violations_count < max_violations then begin
     violations := (name, key) :: !violations;
     incr violations_count
-  end
-  else incr violations_dropped;
+  end;
   Mutex.unlock violations_lock
 
 let create ~name () =

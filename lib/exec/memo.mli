@@ -87,11 +87,7 @@ val with_audit : (unit -> 'a) -> 'a
 val audit_violations : unit -> (string * string) list
 (** [(table name, key)] of every shadow-recompute mismatch recorded since
     the last {!clear_audit_violations}, in detection order.  Bounded: at
-    most 256 entries are kept; the overflow is counted in
-    {!audit_violations_dropped}. *)
-
-val audit_violations_dropped : unit -> int
-(** Mismatches discarded because the violation list was full. *)
+    most 256 entries are kept; later mismatches are dropped. *)
 
 val clear_audit_violations : unit -> unit
-(** Empty the violation list and reset the dropped count. *)
+(** Empty the violation list. *)

@@ -277,8 +277,6 @@ let float_unhex s =
     | None -> None
   else None
 
-let float_codec = { encode = float_hex; decode = float_unhex }
-
 let floats_codec =
   {
     encode =

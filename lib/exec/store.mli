@@ -78,8 +78,6 @@ val pending : t -> int
 
 (** {2 Codecs} *)
 
-val float_codec : float codec
-(** One float, as 16 hex chars of its IEEE-754 bits. *)
-
 val floats_codec : float array codec
-(** A float array, length-prefixed, each element bit-exact. *)
+(** A float array, length-prefixed, each element as 16 hex chars of its
+    IEEE-754 bits, so NaN and -0. round-trip bit-exactly. *)

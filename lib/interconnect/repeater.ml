@@ -12,47 +12,3 @@ let optimal_segment_length pair ~sizing ~vdd ~geometry =
   let c_gate = Circuits.Inverter.load_capacitance pair sizing in
   let rc = Wire.rc_per_length2 geometry in
   sqrt (2.0 *. r_drv *. c_gate /. (0.38 *. rc /. 0.69))
-
-type plan = {
-  length : float;
-  segments : int;
-  segment_length : float;
-  total_delay : float;
-  unrepeated_delay : float;
-}
-
-let segmented_delay pair ~sizing ~vdd ~geometry ~length ~segments =
-  let r = Wire.resistance_per_length geometry in
-  let c = Wire.capacitance_per_length geometry in
-  let r_drv = driver_resistance pair ~sizing ~vdd in
-  let c_gate = Circuits.Inverter.load_capacitance pair sizing in
-  let seg = length /. float_of_int segments in
-  float_of_int segments
-  *. Elmore.driven_wire_delay ~r_per_l:r ~c_per_l:c ~length:seg ~r_driver:r_drv
-       ~c_load:c_gate
-
-let plan_route pair ~sizing ~vdd ~geometry ~length =
-  if length <= 0.0 then invalid_arg "Repeater.plan_route: length must be positive";
-  let l_opt = optimal_segment_length pair ~sizing ~vdd ~geometry in
-  let candidate = Int.max 1 (int_of_float (Float.round (length /. l_opt))) in
-  (* The integer optimum is within one of the continuous one; check both
-     neighbours. *)
-  let best =
-    List.fold_left
-      (fun (bn, bd) n ->
-        if n < 1 then (bn, bd)
-        else begin
-          let d = segmented_delay pair ~sizing ~vdd ~geometry ~length ~segments:n in
-          if d < bd then (n, d) else (bn, bd)
-        end)
-      (candidate, segmented_delay pair ~sizing ~vdd ~geometry ~length ~segments:candidate)
-      [ candidate - 1; candidate + 1 ]
-  in
-  let segments, total_delay = best in
-  {
-    length;
-    segments;
-    segment_length = length /. float_of_int segments;
-    total_delay;
-    unrepeated_delay = segmented_delay pair ~sizing ~vdd ~geometry ~length ~segments:1;
-  }

@@ -13,21 +13,3 @@ val optimal_segment_length :
   float
 (** L_opt = sqrt(2 R_drv (C_in + C_par) / (0.38 r c)) [m] — the spacing at
     which segment wire delay matches repeater delay. *)
-
-type plan = {
-  length : float;
-  segments : int;  (** repeater count + 1 *)
-  segment_length : float;
-  total_delay : float;  (** [s] *)
-  unrepeated_delay : float;  (** same wire, single driver [s] *)
-}
-
-val plan_route :
-  Circuits.Inverter.pair ->
-  sizing:Circuits.Inverter.sizing ->
-  vdd:float ->
-  geometry:Wire.geometry ->
-  length:float ->
-  plan
-(** Best integer repeater count for a route (delay-minimal over the Elmore
-    model, evaluated exactly for each candidate count). *)

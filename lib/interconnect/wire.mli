@@ -19,14 +19,11 @@ val geometry_for_node : int -> geometry
     half-pitch = the node dimension, thickness = 1.8 x width (the aspect
     ratio), ILD = width. *)
 
-val resistivity : geometry -> float
-(** Effective copper resistivity [ohm m]: bulk 17.2 nohm m divided among
-    grain-boundary/surface scattering via rho_eff = rho_bulk
+val resistance_per_length : geometry -> float
+(** [ohm/m], from the effective copper resistivity: bulk 17.2 nohm m
+    raised by grain-boundary/surface scattering via rho_eff = rho_bulk
     (1 + lambda_mfp/width) with a 39 nm mean free path — the standard
     first-order size effect. *)
-
-val resistance_per_length : geometry -> float
-(** [ohm/m]. *)
 
 val capacitance_per_length : geometry -> float
 (** [F/m]: two parallel-plate ground components plus two lateral coupling

@@ -83,9 +83,9 @@ let diag_key (d : D.t) =
   | Some (file, line) -> Some (d.D.rule, file, line)
   | None -> None
 
-let entry_of_diag ?(note = "") (d : D.t) =
+let entry_of_diag (d : D.t) =
   match diag_key d with
-  | Some (rule, file, line) -> Some { rule; file; line; note }
+  | Some (rule, file, line) -> Some { rule; file; line; note = "" }
   | None -> None
 
 type application = {

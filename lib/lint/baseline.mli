@@ -10,21 +10,21 @@ type t = entry list
 exception Malformed of int * string
 (** Line number and content of an unparseable baseline line. *)
 
-val of_string : string -> t
 val load : string -> t
-(** [load path] is [[]] when the file does not exist. *)
-
-val is_todo : entry -> bool
-(** Does the entry's note start with a TODO marker ("— TODO ...", as
-    written by [--update-baseline])?  [--strict] rejects such entries. *)
+(** [load path] is [[]] when the file does not exist; raises {!Malformed}
+    on a line it cannot parse. *)
 
 val todos : t -> t
+(** The entries whose note starts with a TODO marker ("— TODO ...", as
+    written by [--update-baseline]).  [--strict] rejects such entries. *)
 
 val entry_to_string : entry -> string
 val to_string : t -> string
 (** Render with the standard header (the [--update-baseline] output). *)
 
-val entry_of_diag : ?note:string -> Check.Diagnostic.t -> entry option
+val entry_of_diag : Check.Diagnostic.t -> entry option
+(** The entry that grandfathers a finding, with an empty note; [None]
+    when its location is not [file:line:col]. *)
 
 type application = {
   kept : Check.Diagnostic.t list;

@@ -198,15 +198,11 @@ let functions =
     ("Compact.dibl", fn [] "1");
     (* Tcad accessors *)
     ("Structure.effective_channel_length", fn [] "m");
-    ("Mesh.dual_width_x", fn [] "m");
     ("Mesh.dual_width_y", fn [] "m");
     ("Mesh.box_area", fn [] "m^2");
-    ("Extract.subthreshold_slope", fn [ (Lab "i_lo", "A/m"); (Lab "i_hi", "A/m") ] "V/dec");
-    ("Extract.threshold_voltage", fn [ (Lab "criterion", "A/m") ] "V");
+    ("Extract.subthreshold_slope", fn [] "V/dec");
+    ("Extract.threshold_voltage", fn [] "V");
     ("Extract.current_at", fn [ (Pos 1, "V") ] "A/m");
-    ("Extract.gate_charge", fn [] "C/m");
-    ("Extract.gate_capacitance", fn [ (Lab "dv", "V") ] "F/m");
-    ("Poisson.contact_potential", fn [ (Pos 3, "m^-3") ] "V");
     (* Circuits *)
     ("Inverter.gate_capacitance", fn [] "F");
     ("Inverter.load_capacitance", fn [] "F") ]

@@ -2,27 +2,7 @@ type t = float array array
 
 let create n m = Array.make_matrix n m 0.0
 
-let identity n =
-  let a = create n n in
-  for i = 0 to n - 1 do
-    a.(i).(i) <- 1.0
-  done;
-  a
-
-let copy a = Array.map Array.copy a
-
 let dims a = (Array.length a, if Array.length a = 0 then 0 else Array.length a.(0))
-
-let mat_vec a x =
-  let n, m = dims a in
-  if m <> Array.length x then invalid_arg "Matrix.mat_vec: dimension mismatch";
-  Array.init n (fun i ->
-      let row = a.(i) in
-      let s = ref 0.0 in
-      for j = 0 to m - 1 do
-        s := !s +. (row.(j) *. x.(j))
-      done;
-      !s)
 
 let mat_mul a b =
   let n, k = dims a in

@@ -6,12 +6,6 @@ type t = float array array
 val create : int -> int -> t
 (** [create n m] is an [n] x [m] zero matrix. *)
 
-val identity : int -> t
-
-val copy : t -> t
-
-val mat_vec : t -> Vec.t -> Vec.t
-
 val mat_mul : t -> t -> t
 
 val transpose : t -> t

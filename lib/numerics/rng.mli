@@ -11,10 +11,8 @@ val float : t -> float
 
 val uniform : t -> lo:float -> hi:float -> float
 
-val gaussian : t -> float
-(** Standard normal (Box–Muller). *)
-
 val normal : t -> mean:float -> sigma:float -> float
+(** Gaussian, from standard normal draws by Box–Muller. *)
 
 val int : t -> bound:int -> int
 (** Uniform in [0, bound). *)

@@ -20,8 +20,6 @@ val geometric_mean_ratio : Vec.t -> float
 (** For a positive series y_0..y_n, the geometric mean of successive ratios
     y_{i+1}/y_i — the paper's "% per generation" figure of merit. *)
 
-val erf : float -> float
-(** Error function (rational approximation, |error| < 1.5e-7). *)
-
 val normal_cdf : ?mean:float -> ?sigma:float -> float -> float
-(** Gaussian cumulative distribution. *)
+(** Gaussian cumulative distribution, through a rational approximation of
+    erf (|error| < 1.5e-7). *)

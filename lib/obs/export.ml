@@ -43,7 +43,7 @@ let us t = t *. 1e6
 
 (* Timestamps are rebased to the earliest event so the viewer opens at
    t = 0 instead of the Unix epoch. *)
-let chrome_json ?(dropped = 0) events =
+let chrome_json ~dropped events =
   let t0 =
     List.fold_left
       (fun acc ev ->

@@ -1,16 +1,13 @@
 (** Trace and metrics rendering. *)
 
-val chrome_json : ?dropped:int -> Trace.event list -> string
-(** Chrome [trace_event] JSON (the "JSON Array Format" with a
-    [traceEvents] wrapper): spans as complete events ([ph:"X"], ts/dur in
-    microseconds rebased to the first event), instants as [ph:"i"], the
-    recording domain id as [tid].  Loadable in [chrome://tracing] and
-    Perfetto.  Non-finite attribute floats are rendered as strings so the
-    output is always strictly valid JSON. *)
-
 val write_chrome : path:string -> Trace.event list -> unit
-(** Write {!chrome_json} (with the tracer's current dropped-event count)
-    to [path]. *)
+(** Write Chrome [trace_event] JSON (the "JSON Array Format" with a
+    [traceEvents] wrapper, plus the tracer's current dropped-event count)
+    to [path]: spans as complete events ([ph:"X"], ts/dur in microseconds
+    rebased to the first event), instants as [ph:"i"], the recording
+    domain id as [tid].  Loadable in [chrome://tracing] and Perfetto.
+    Non-finite attribute floats are rendered as strings so the output is
+    always strictly valid JSON. *)
 
 val span_summary : Trace.event list -> string
 (** Per-(category, name) table: count, total, mean, max duration, sorted

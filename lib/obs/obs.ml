@@ -2,8 +2,8 @@
 
     - {!Trace} — a span tracer (near-zero overhead when disabled, Chrome
       [trace_event] JSON export);
-    - {!Metrics} — an always-on process-wide registry of counters, gauges
-      and histograms (solver iterations, memo hit/miss, pool queue waits);
+    - {!Metrics} — an always-on process-wide registry of counters and
+      histograms (solver iterations, memo hit/miss, pool queue waits);
     - {!Export} — the JSON writer and the summary tables.
 
     The contract that makes this safe to leave compiled into every hot

@@ -16,7 +16,7 @@ val non_converged :
 
 val non_converged_counters : unit -> (string * int) list
 (** Every ["*.non_converged"] counter with a positive count — the
-    post-run convergence health check (see [Check.Solver_rules]). *)
+    post-run convergence health check. *)
 
 val profile_report : unit -> string
 (** What [--profile] prints at exit: the span summary, the metrics

@@ -109,7 +109,3 @@ let with_tracing f =
   let previous = Atomic.get enabled_flag in
   Atomic.set enabled_flag true;
   Fun.protect ~finally:(fun () -> Atomic.set enabled_flag previous) f
-
-let event_name = function Complete { name; _ } | Instant { name; _ } -> name
-let event_cat = function Complete { cat; _ } | Instant { cat; _ } -> cat
-let event_attrs = function Complete { attrs; _ } | Instant { attrs; _ } -> attrs

@@ -53,7 +53,3 @@ val clear : unit -> unit
 val set_capacity : int -> unit
 (** Buffer bound (default 1e6 events); overflow increments {!dropped}
     rather than growing without bound. *)
-
-val event_name : event -> string
-val event_cat : event -> string
-val event_attrs : event -> (string * attr) list

@@ -24,10 +24,8 @@ val channel : ?e_eff:float -> ?t:float -> carrier -> float -> float
     value as (T/300)^-1.5).  Surface scattering roughly halves the bulk
     value even at low field. *)
 
-val saturation_velocity : carrier -> float
-(** Saturation drift velocity [m/s]. *)
-
 val critical_field : carrier -> float -> float
 (** [critical_field c n] is the lateral critical field E_c = 2 v_sat / mu
     [V/m] used by velocity-saturated drain-current models, at channel doping
-    [n]. *)
+    [n], with the saturation drift velocity v_sat = 1.07e5 m/s for
+    electrons and 8.37e4 m/s for holes. *)

@@ -1,6 +1,6 @@
-(** Minimal CSV output (RFC-4180 quoting) for exporting experiment data. *)
-
-val escape_cell : string -> string
+(** Minimal CSV output for exporting experiment data: a cell holding a
+    comma, quote or line break is quoted, with inner quotes doubled
+    (RFC 4180). *)
 
 val write : path:string -> string list list -> unit
 (** Raises [Sys_error] on I/O failure. *)

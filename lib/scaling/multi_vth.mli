@@ -12,9 +12,6 @@ type flavor = Low_vth | Standard_vth | High_vth
 
 val flavor_name : flavor -> string
 
-val ioff_multiplier : flavor -> float
-(** 10x / 1x / 0.1x of the base budget — the decade-per-flavor spacing real
-    foundry menus use. *)
 
 type variant = {
   flavor : flavor;

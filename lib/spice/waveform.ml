@@ -32,11 +32,6 @@ let propagation_delay ~times ~input ~output ~level ~input_edge =
      | None -> None
      | Some t_out -> Some (t_out -. t_in))
 
-let average ~times ~values =
-  let n = Array.length times in
-  if n < 2 then invalid_arg "Waveform.average: need at least 2 samples";
-  Numerics.Integrate.trapezoid_samples times values /. (times.(n - 1) -. times.(0))
-
 let slice_average ~times ~values ~t0 ~t1 =
   let n = Array.length times in
   if n <> Array.length values then invalid_arg "Waveform.slice_average: length mismatch";

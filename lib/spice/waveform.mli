@@ -22,9 +22,6 @@ val propagation_delay :
     output's next crossing of [level] in either direction — the standard
     50 %-to-50 % propagation delay when [level] = V_dd/2. *)
 
-val average : times:Numerics.Vec.t -> values:Numerics.Vec.t -> float
-(** Time-weighted mean. *)
-
 val slice_average :
   times:Numerics.Vec.t -> values:Numerics.Vec.t -> t0:float -> t1:float -> float
 (** Time-weighted mean over a window (endpoints clamped to the record). *)

@@ -5,11 +5,9 @@
     cell_rise/cell_fall and rise_transition/fall_transition tables, and
     per-state leakage_power groups. *)
 
-val cell_function : Cell_lib.cell_kind -> string
-(** Boolean function string, e.g. "!(A & B)" for NAND2. *)
-
 val to_string : ?name:string -> Cell_lib.library -> string
-(** Render the library (default name "subscale").  Times are exported in
+(** Render the library (default name "subscale"); each output pin carries
+    its Boolean function string, e.g. "!(A & B)" for NAND2.  Times are exported in
     nanoseconds, capacitances in picofarads, leakage in nanowatts — the
     customary Liberty units. *)
 

@@ -32,169 +32,3 @@ let to_verilog ?(module_name = "subscale_design") design =
     (Design.gates design);
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-exception Parse_error of string
-
-(* --- tokenizer ------------------------------------------------------ *)
-
-type token = Ident of string | Sym of char
-
-let tokenize text =
-  let n = String.length text in
-  let tokens = ref [] in
-  let i = ref 0 in
-  let is_ident c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-  in
-  while !i < n do
-    let c = text.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '/' && !i + 1 < n && text.[!i + 1] = '/' then begin
-      while !i < n && text.[!i] <> '\n' do
-        incr i
-      done
-    end
-    else if is_ident c then begin
-      let start = !i in
-      while !i < n && is_ident text.[!i] do
-        incr i
-      done;
-      tokens := Ident (String.sub text start (!i - start)) :: !tokens
-    end
-    else if c = '(' || c = ')' || c = ';' || c = ',' || c = '.' then begin
-      tokens := Sym c :: !tokens;
-      incr i
-    end
-    else raise (Parse_error (Printf.sprintf "unexpected character %C" c))
-  done;
-  List.rev !tokens
-
-(* --- parser --------------------------------------------------------- *)
-
-type state = { mutable tokens : token list }
-
-let peek st = match st.tokens with [] -> None | t :: _ -> Some t
-
-let next st =
-  match st.tokens with
-  | [] -> raise (Parse_error "unexpected end of input")
-  | t :: rest ->
-    st.tokens <- rest;
-    t
-
-let expect_sym st c =
-  match next st with
-  | Sym s when s = c -> ()
-  | Sym s -> raise (Parse_error (Printf.sprintf "expected %C, found %C" c s))
-  | Ident id -> raise (Parse_error (Printf.sprintf "expected %C, found %S" c id))
-
-let expect_ident st =
-  match next st with
-  | Ident id -> id
-  | Sym s -> raise (Parse_error (Printf.sprintf "expected identifier, found %C" s))
-
-let expect_keyword st kw =
-  let id = expect_ident st in
-  if id <> kw then raise (Parse_error (Printf.sprintf "expected %S, found %S" kw id))
-
-let cell_of_name = function
-  | "INV" -> Some Cell_lib.Inv
-  | "NAND2" -> Some Cell_lib.Nand2
-  | "NOR2" -> Some Cell_lib.Nor2
-  | _ -> None
-
-let of_verilog text =
-  let st = { tokens = tokenize text } in
-  expect_keyword st "module";
-  let _name = expect_ident st in
-  expect_sym st '(';
-  (* Port list (names only). *)
-  let rec ports acc =
-    match next st with
-    | Sym ')' -> List.rev acc
-    | Sym ',' -> ports acc
-    | Ident id -> ports (id :: acc)
-    | Sym s -> raise (Parse_error (Printf.sprintf "unexpected %C in port list" s))
-  in
-  let _port_names = ports [] in
-  expect_sym st ';';
-  let design = Design.create () in
-  let nets = Hashtbl.create 64 in
-  let net_of name =
-    match Hashtbl.find_opt nets name with
-    | Some n -> n
-    | None ->
-      let n = Design.fresh_net design in
-      Hashtbl.add nets name n;
-      n
-  in
-  (* Declarations and instances until endmodule. *)
-  let parse_decl keyword =
-    (* input/output/wire a, b, c; *)
-    let rec names () =
-      let id = expect_ident st in
-      let n = net_of id in
-      (match keyword with
-       | "input" -> Design.mark_input design n
-       | "output" -> Design.mark_output design n
-       | _ -> ());
-      match next st with
-      | Sym ';' -> ()
-      | Sym ',' -> names ()
-      | Sym s -> raise (Parse_error (Printf.sprintf "unexpected %C in declaration" s))
-      | Ident id -> raise (Parse_error (Printf.sprintf "unexpected %S in declaration" id))
-    in
-    names ()
-  in
-  let parse_instance cell =
-    let _instance_name = expect_ident st in
-    expect_sym st '(';
-    let pins = Hashtbl.create 4 in
-    let rec connections () =
-      expect_sym st '.';
-      let pin = expect_ident st in
-      expect_sym st '(';
-      let net = expect_ident st in
-      expect_sym st ')';
-      Hashtbl.replace pins pin (net_of net);
-      match next st with
-      | Sym ',' -> connections ()
-      | Sym ')' -> ()
-      | Sym s -> raise (Parse_error (Printf.sprintf "unexpected %C in connections" s))
-      | Ident id -> raise (Parse_error (Printf.sprintf "unexpected %S in connections" id))
-    in
-    connections ();
-    expect_sym st ';';
-    let pin name =
-      match Hashtbl.find_opt pins name with
-      | Some n -> n
-      | None -> raise (Parse_error (Printf.sprintf "missing pin %s" name))
-    in
-    let inputs =
-      match Cell_lib.input_count cell with
-      | 1 -> [| pin "A" |]
-      | _ -> [| pin "A"; pin "B" |]
-    in
-    Design.add_gate design cell ~inputs ~output:(pin "Y")
-  in
-  let rec body () =
-    match peek st with
-    | None -> raise (Parse_error "missing endmodule")
-    | Some (Ident "endmodule") ->
-      ignore (next st)
-    | Some (Ident kw) when kw = "input" || kw = "output" || kw = "wire" ->
-      ignore (next st);
-      parse_decl kw;
-      body ()
-    | Some (Ident name) ->
-      (match cell_of_name name with
-       | Some cell ->
-         ignore (next st);
-         parse_instance cell;
-         body ()
-       | None -> raise (Parse_error (Printf.sprintf "unknown cell or keyword %S" name)))
-    | Some (Sym s) -> raise (Parse_error (Printf.sprintf "unexpected %C in module body" s))
-  in
-  body ();
-  let bindings = Hashtbl.fold (fun name net acc -> (name, net) :: acc) nets [] in
-  (design, List.sort compare bindings)

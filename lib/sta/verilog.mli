@@ -1,18 +1,5 @@
-(** Structural Verilog interchange for gate-level designs.
-
-    The writer emits a flat module over the three library cells; the reader
-    accepts the same restricted subset (one module; [input]/[output]/[wire]
-    declarations; INV/NAND2/NOR2 instances with named port connections) —
-    enough to round-trip our own output and to import netlists produced by
-    a synthesis tool mapped onto this library. *)
+(** Structural Verilog output for gate-level designs: a flat module over
+    the three library cells, for handing a netlist to a downstream tool. *)
 
 val to_verilog : ?module_name:string -> Design.t -> string
 (** Nets are named [n<id>]; primary inputs/outputs become module ports. *)
-
-exception Parse_error of string
-(** Carries a human-readable message with the offending token. *)
-
-val of_verilog : string -> Design.t * (string * Design.net) list
-(** Parse a module; returns the design plus the name-to-net binding of every
-    declared net.  Primary inputs/outputs are taken from the port
-    declarations.  Raises {!Parse_error} on anything outside the subset. *)

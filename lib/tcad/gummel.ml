@@ -52,8 +52,7 @@ let equilibrium ?scratch dev =
     drain_current = 0.0;
   }
 
-let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_srh)
-    ?(quiet = false) ?scratch dev ~(from : state) (biases : Poisson.biases) =
+let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(quiet = false) ?scratch dev ~(from : state) (biases : Poisson.biases) =
   Obs.Trace.with_span ~cat:"tcad"
     ~attrs:[ ("gate", Obs.Trace.F biases.gate); ("drain", Obs.Trace.F biases.drain) ]
     "gummel.at"
@@ -76,13 +75,13 @@ let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_s
                    biases.drain)
         sol.Poisson.psi
     in
-    let recombination = Option.map (fun s -> (s, n_prev, p_prev)) srh in
+    let recombination = (Continuity.default_srh, n_prev, p_prev) in
     let e =
-      Continuity.solve ?recombination ?scratch dev ~carrier:Continuity.Electrons ~biases
+      Continuity.solve ~recombination ?scratch dev ~carrier:Continuity.Electrons ~biases
         ~psi:psi'
     in
     let h =
-      Continuity.solve ?recombination ?scratch dev ~carrier:Continuity.Holes ~biases ~psi:psi'
+      Continuity.solve ~recombination ?scratch dev ~carrier:Continuity.Holes ~biases ~psi:psi'
     in
     let delta = Field.max_abs_diff psi' psi in
     if delta < tol || iter >= max_gummel then begin
@@ -129,8 +128,7 @@ let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_s
   in
   loop from.psi from.phi_n from.phi_p from.n from.p 0
 
-let solve_at ?(tol = 5e-7) ?(max_gummel = 40) ?(ramp_step = 0.1) ?srh ?scratch dev ~from
-    target =
+let solve_at ?(tol = 5e-7) ?(max_gummel = 40) ?scratch dev ~from target =
   let dist (a : Poisson.biases) (b : Poisson.biases) =
     Float.max
       (Float.abs (a.Poisson.gate -. b.Poisson.gate))
@@ -141,7 +139,7 @@ let solve_at ?(tol = 5e-7) ?(max_gummel = 40) ?(ramp_step = 0.1) ?srh ?scratch d
             (Float.abs (a.Poisson.substrate -. b.Poisson.substrate))))
   in
   let total = dist from.biases target in
-  let steps = Int.max 1 (int_of_float (ceil (total /. ramp_step))) in
+  let steps = Int.max 1 (int_of_float (ceil (total /. 0.1))) in
   Obs.Trace.with_span ~cat:"tcad"
     ~attrs:
       [
@@ -167,7 +165,7 @@ let solve_at ?(tol = 5e-7) ?(max_gummel = 40) ?(ramp_step = 0.1) ?srh ?scratch d
       let b = interp (float_of_int i /. float_of_int steps) in
       Log.debug (fun m ->
           m "ramp step %d/%d: Vg=%.3f Vd=%.3f" i steps b.Poisson.gate b.Poisson.drain);
-      let state' = gummel_at ~tol ~max_gummel ?srh ?scratch dev ~from:state b in
+      let state' = gummel_at ~tol ~max_gummel ?scratch dev ~from:state b in
       ramp state' (i + 1)
     end
   in

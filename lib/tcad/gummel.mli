@@ -30,8 +30,8 @@ val equilibrium : ?scratch:Poisson.scratch -> Structure.t -> state
 (** Thermal-equilibrium solution (all terminals grounded). *)
 
 val gummel_at :
-  ?tol:float -> ?max_gummel:int -> ?srh:Continuity.srh option -> ?quiet:bool ->
-  ?scratch:Poisson.scratch -> Structure.t -> from:state -> Poisson.biases -> state
+  ?tol:float -> ?max_gummel:int -> ?quiet:bool -> ?scratch:Poisson.scratch -> Structure.t ->
+  from:state -> Poisson.biases -> state
 (** One Gummel iteration at exactly the target biases, warm-started from
     [from] with no ramping — the primitive {!solve_at} ramps over, exposed
     for speculative continuation jumps.  Tightening [tol] below its 5e-7
@@ -43,10 +43,9 @@ val gummel_at :
     iteration. *)
 
 val solve_at :
-  ?tol:float -> ?max_gummel:int -> ?ramp_step:float -> ?srh:Continuity.srh option ->
-  ?scratch:Poisson.scratch -> Structure.t -> from:state -> Poisson.biases -> state
+  ?tol:float -> ?max_gummel:int -> ?scratch:Poisson.scratch -> Structure.t -> from:state ->
+  Poisson.biases -> state
 (** [solve_at dev ~from target] ramps from the bias point of [from] to
-    [target] (default step 0.1 V) and Gummel-iterates at each point.
-    [srh] defaults to {!Continuity.default_srh}; pass [None] to disable
-    recombination.  Raises {!No_convergence} with a diagnostic if either
+    [target] in steps of at most 0.1 V and Gummel-iterates at each point,
+    with SRH recombination at {!Continuity.default_srh}.  Raises {!No_convergence} with a diagnostic if either
     inner solver stalls. *)

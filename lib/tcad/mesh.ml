@@ -51,7 +51,6 @@ let coords m k =
   let ix = k / m.ny and iy = k mod m.ny in
   (m.xs.(ix), m.ys.(iy))
 
-let dual_width_x m ix = m.wx.(ix)
 let dual_width_y m iy = m.wy.(iy)
 
 let box_area m k =

@@ -29,11 +29,9 @@ val index : t -> ix:int -> iy:int -> int
 val coords : t -> int -> float * float
 (** Node coordinates from the flat index. *)
 
-val dual_width_x : t -> int -> float
-(** [dual_width_x m ix] is the finite-volume box width around column [ix]
-    (half-spacing on each interior side). *)
-
 val dual_width_y : t -> int -> float
+(** [dual_width_y m iy] is the finite-volume box height around row [iy]
+    (half-spacing on each interior side). *)
 
 val box_area : t -> int -> float
 (** Dual-box area (per unit device width) around a flat node index. *)

@@ -51,15 +51,6 @@ let description_key (d : description) =
         ("gate_doping", float d.gate_doping);
         ("temperature", float d.temperature) ])
 
-let scale_description ~lpoly d =
-  let ratio = lpoly /. d.lpoly in
-  {
-    d with
-    lpoly;
-    xj = d.xj *. ratio;
-    overlap = d.overlap *. ratio;
-  }
-
 type terminal = Source | Drain | Gate | Substrate
 
 type boundary = Interior | Ohmic of terminal | Gate_surface | Reflecting

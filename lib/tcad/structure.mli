@@ -35,11 +35,6 @@ val gate_span : description -> float * float
     coordinates — the window in which the mesh-resolution audit counts
     channel mesh lines. *)
 
-val scale_description : lpoly:float -> description -> description
-(** Derive a new description with L_poly set to [lpoly]: x_j and the
-    overlap are rescaled in proportion to the L_poly change, per the
-    paper's scaling assumption. *)
-
 type terminal = Source | Drain | Gate | Substrate
 
 type boundary =

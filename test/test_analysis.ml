@@ -146,7 +146,10 @@ let energy_tests =
         Alcotest.(check bool) "below -20%" true (r.Energy.e_min <= e (0.8 *. r.Energy.vmin)));
     u "kvmin is a few units of SS" (fun () ->
         let r = Energy.vmin pair in
-        Test_util.check_in_range "kvmin" ~lo:1.5 ~hi:5.0 (Energy.kvmin pair r));
+        (* K_Vmin = V_min / S_S, the proportionality the paper takes from
+           refs [17][18]. *)
+        Test_util.check_in_range "kvmin" ~lo:1.5 ~hi:5.0
+          (r.Energy.vmin /. pair.Inv.nfet.Device.Compact.ss));
     u "energy factor CL*SS^2 tracks analytic energy across nodes (Eq. 8)" (fun () ->
         let r90 = Energy.vmin pair and r32 = Energy.vmin pair32 in
         let f90 = Metrics.energy_factor pair ~sizing in

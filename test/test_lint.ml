@@ -261,6 +261,17 @@ let cmt_load_tests =
 
 let entry rule file line note = { B.rule; file; line; note }
 
+(* Parse baseline text the way [subscale lint] reads its file. *)
+let of_string text =
+  let path = Filename.temp_file "subscale-baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      B.load path)
+
+let is_todo e = B.todos [ e ] <> []
+
 let baseline_tests =
   [
     u "baseline round-trips through to_string/of_string" (fun () ->
@@ -270,7 +281,7 @@ let baseline_tests =
             entry "LNT005" "lib/check/check.ml" 43 "CI tripwire output";
           ]
         in
-        let reparsed = B.of_string (B.to_string entries) in
+        let reparsed = of_string (B.to_string entries) in
         if reparsed <> entries then
           Alcotest.failf "round trip changed the baseline:\n%s" (B.to_string reparsed));
     u "baseline matching suppresses by line, ignores column" (fun () ->
@@ -291,14 +302,14 @@ let baseline_tests =
         | [ e ] when e.B.file = "lib/gone.ml" -> ()
         | _ -> Alcotest.fail "expected exactly the one stale entry"));
     u "malformed baseline lines raise with their line number" (fun () ->
-        match B.of_string "# header\nnot a baseline line\n" with
+        match of_string "# header\nnot a baseline line\n" with
         | exception B.Malformed (2, _) -> ()
         | exception B.Malformed (n, _) ->
           Alcotest.failf "malformed reported at line %d, expected 2" n
         | _ -> Alcotest.fail "of_string accepted a malformed line");
     u "entry_of_diag parses file:line:col locations" (fun () ->
         let d = Diag.warning ~rule:"LNT002" ~location:"lib/foo.ml:12:5" "x" in
-        match B.entry_of_diag ~note:"why" d with
+        match B.entry_of_diag d with
         | Some e ->
           Alcotest.(check string) "file" "lib/foo.ml" e.B.file;
           Alcotest.(check int) "line" 12 e.B.line
@@ -311,7 +322,7 @@ let baseline_tests =
             entry "UNT001" "lib/device/iv_model.ml" 40 "— deliberate cast";
           ]
         in
-        let reparsed = B.of_string (B.to_string entries) in
+        let reparsed = of_string (B.to_string entries) in
         if reparsed <> entries then
           Alcotest.failf "mixed-family round trip changed the baseline:\n%s"
             (B.to_string reparsed);
@@ -336,11 +347,11 @@ let baseline_tests =
         let justified = entry "UNT005" "lib/a.ml" 1 "— solver vectors untracked" in
         let stamped = entry "UNT001" "lib/b.ml" 2 "— TODO: justify" in
         let bare_todo = entry "LNT002" "lib/c.ml" 3 "TODO look into this" in
-        if B.is_todo justified then
+        if is_todo justified then
           Alcotest.fail "a real justification must not count as TODO";
-        if not (B.is_todo stamped) then
+        if not (is_todo stamped) then
           Alcotest.fail "the --update-baseline stamp must count as TODO";
-        if not (B.is_todo bare_todo) then
+        if not (is_todo bare_todo) then
           Alcotest.fail "a bare TODO note must count as TODO";
         (match B.todos [ justified; stamped; bare_todo ] with
         | [ a; b ] when a = stamped && b = bare_todo -> ()
@@ -349,8 +360,8 @@ let baseline_tests =
             (String.concat "; " (List.map B.entry_to_string l)));
         (* The stamp must survive serialization — otherwise --strict could
            not reject a freshly regenerated baseline. *)
-        match B.of_string (B.to_string [ stamped ]) with
-        | [ e ] when B.is_todo e -> ()
+        match of_string (B.to_string [ stamped ]) with
+        | [ e ] when is_todo e -> ()
         | _ -> Alcotest.fail "TODO stamp lost through to_string/of_string");
   ]
 

@@ -174,6 +174,10 @@ let check_valid_json what s =
 
 (* --- tracer ---------------------------------------------------------- *)
 
+let event_name = function Trace.Complete { name; _ } | Trace.Instant { name; _ } -> name
+let event_cat = function Trace.Complete { cat; _ } | Trace.Instant { cat; _ } -> cat
+let event_attrs = function Trace.Complete { attrs; _ } | Trace.Instant { attrs; _ } -> attrs
+
 let trace_tests =
   [
     u "spans nest and round-trip their attributes" (fun () ->
@@ -185,13 +189,13 @@ let trace_tests =
             | [ tick; inner; outer ] ->
               (* Instants record at emission, spans at close: inner closes
                  before outer. *)
-              Alcotest.(check string) "tick" "tick" (Trace.event_name tick);
-              Alcotest.(check string) "inner" "inner" (Trace.event_name inner);
-              Alcotest.(check string) "outer" "outer" (Trace.event_name outer);
+              Alcotest.(check string) "tick" "tick" (event_name tick);
+              Alcotest.(check string) "inner" "inner" (event_name inner);
+              Alcotest.(check string) "outer" "outer" (event_name outer);
               Alcotest.(check bool) "inner attr" true
-                (Trace.event_attrs inner = [ ("k", Trace.I 7) ]);
+                (event_attrs inner = [ ("k", Trace.I 7) ]);
               Alcotest.(check bool) "tick attr" true
-                (Trace.event_attrs tick = [ ("x", Trace.F 1.5) ])
+                (event_attrs tick = [ ("x", Trace.F 1.5) ])
             | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)));
     u "a raising span still closes, tagged" (fun () ->
         with_clean_trace (fun () ->
@@ -201,7 +205,7 @@ let trace_tests =
             match Trace.events () with
             | [ ev ] ->
               Alcotest.(check bool) "raised attr present" true
-                (List.mem_assoc "raised" (Trace.event_attrs ev))
+                (List.mem_assoc "raised" (event_attrs ev))
             | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)));
     u "disabled tracing records nothing" (fun () ->
         Trace.clear ();
@@ -223,6 +227,15 @@ let trace_tests =
 
 (* --- Chrome export --------------------------------------------------- *)
 
+(* What [Export.write_chrome] puts in its file. *)
+let chrome_json events =
+  let path = Filename.temp_file "subscale-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Export.write_chrome ~path events;
+      In_channel.with_open_bin path In_channel.input_all)
+
 let export_tests =
   [
     u "chrome export is valid JSON with the trace_event shape" (fun () ->
@@ -230,7 +243,7 @@ let export_tests =
           with_clean_trace (fun () ->
               Trace.with_span ~cat:"c" ~attrs:[ ("s", Trace.S "a\"b\\c\nd") ] "span" (fun () ->
                   Trace.instant ~cat:"c" "mark");
-              Export.chrome_json ~dropped:(Trace.dropped ()) (Trace.events ()))
+              chrome_json (Trace.events ()))
         in
         check_valid_json "chrome_json" json;
         List.iter
@@ -243,11 +256,11 @@ let export_tests =
               Trace.instant
                 ~attrs:[ ("nan", Trace.F Float.nan); ("inf", Trace.F Float.infinity) ]
                 "weird";
-              Export.chrome_json (Trace.events ()))
+              chrome_json (Trace.events ()))
         in
         check_valid_json "chrome_json with non-finite floats" json);
     u "empty trace still exports as valid JSON" (fun () ->
-        check_valid_json "empty" (Export.chrome_json []));
+        check_valid_json "empty" (chrome_json []));
     u "span summary tabulates counts and totals" (fun () ->
         let summary =
           with_clean_trace (fun () ->
@@ -272,45 +285,48 @@ let metrics_tests =
   [
     u "counters count, by name, process-wide" (fun () ->
         let c = Metrics.counter "testobs.counter" in
-        Metrics.reset_counter c;
+        let before = Test_util.counter_value "testobs.counter" in
         Metrics.incr c;
         Metrics.incr ~by:4 c;
-        Alcotest.(check int) "value" 5 (Metrics.counter_value c);
+        Alcotest.(check int) "value" (before + 5) (Test_util.counter_value "testobs.counter");
         let again = Metrics.counter "testobs.counter" in
         Metrics.incr again;
-        Alcotest.(check int) "shared instrument" 6 (Metrics.counter_value c);
-        Alcotest.(check bool) "snapshot sees it" true
-          (Metrics.find "testobs.counter" = Some (Metrics.Counter 6)));
+        Alcotest.(check bool) "shared instrument, seen by the snapshot" true
+          (Metrics.find "testobs.counter" = Some (Metrics.Counter (before + 6))));
     u "requesting an existing name as another type is an error" (fun () ->
         ignore (Metrics.counter "testobs.typed");
-        (match Metrics.gauge "testobs.typed" with
+        (match Metrics.histogram "testobs.typed" with
          | _ -> Alcotest.fail "expected Invalid_argument"
          | exception Invalid_argument _ -> ()));
     u "histograms bucket on inclusive upper bounds" (fun () ->
         let h = Metrics.histogram ~bounds:[| 1.0; 10.0; 100.0 |] "testobs.hist" in
         List.iter (Metrics.observe h) [ 0.5; 1.0; 7.0; 55.0; 1e6 ];
-        let s = Metrics.hist_stats h in
-        Alcotest.(check int) "count" 5 s.Metrics.count;
-        Alcotest.(check (float 1e-9)) "sum" (0.5 +. 1.0 +. 7.0 +. 55.0 +. 1e6) s.Metrics.sum;
-        Alcotest.(check (float 0.0)) "min" 0.5 s.Metrics.min;
-        Alcotest.(check (float 0.0)) "max" 1e6 s.Metrics.max;
-        Alcotest.(check bool) "buckets" true
-          (s.Metrics.buckets = [ (1.0, 2); (10.0, 1); (100.0, 1) ]);
-        Alcotest.(check int) "overflow" 1 s.Metrics.overflow);
+        match Metrics.find "testobs.hist" with
+        | Some (Metrics.Histogram s) ->
+          Alcotest.(check int) "count" 5 s.Metrics.count;
+          Alcotest.(check (float 1e-9)) "sum" (0.5 +. 1.0 +. 7.0 +. 55.0 +. 1e6) s.Metrics.sum;
+          Alcotest.(check (float 0.0)) "min" 0.5 s.Metrics.min;
+          Alcotest.(check (float 0.0)) "max" 1e6 s.Metrics.max;
+          Alcotest.(check bool) "buckets" true
+            (s.Metrics.buckets = [ (1.0, 2); (10.0, 1); (100.0, 1) ]);
+          Alcotest.(check int) "overflow" 1 s.Metrics.overflow
+        | Some (Metrics.Counter _ | Metrics.Gauge _) | None ->
+          Alcotest.fail "expected a histogram");
     u "histogram bounds must increase" (fun () ->
         match Metrics.histogram ~bounds:[| 2.0; 1.0 |] "testobs.badhist" with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
     u "counters survive parallel increments" (fun () ->
         let c = Metrics.counter "testobs.parallel" in
-        Metrics.reset_counter c;
+        let before = Test_util.counter_value "testobs.parallel" in
         let domains = List.init 4 (fun _ -> Domain.spawn (fun () ->
             for _ = 1 to 10_000 do
               Metrics.incr c
             done))
         in
         List.iter Domain.join domains;
-        Alcotest.(check int) "all increments kept" 40_000 (Metrics.counter_value c));
+        Alcotest.(check int) "all increments kept" (before + 40_000)
+          (Test_util.counter_value "testobs.parallel"));
   ]
 
 (* --- memo mirrors and pool instrumentation --------------------------- *)
@@ -346,7 +362,7 @@ let exec_tests =
             ignore (Exec.Memo.find_or_compute table ~key:"k" (fun () -> 1) : int);
             ignore (Exec.Memo.find_or_compute table ~key:"k" (fun () -> 1) : int);
             let spans =
-              List.filter (fun e -> Trace.event_name e = "memo.testobs.memospan") (Trace.events ())
+              List.filter (fun e -> event_name e = "memo.testobs.memospan") (Trace.events ())
             in
             Alcotest.(check int) "one span (the miss)" 1 (List.length spans)));
     u "a traced fan-out records exec and pool spans" (fun () ->
@@ -356,15 +372,14 @@ let exec_tests =
                 let xs = List.init 64 Fun.id in
                 let ys = Exec.map (fun x -> x * x) xs in
                 Alcotest.(check (list int)) "results" (List.map (fun x -> x * x) xs) ys;
-                let names = List.map Trace.event_name (Trace.events ()) in
+                let names = List.map event_name (Trace.events ()) in
                 Alcotest.(check bool) "exec.map span" true (List.mem "exec.map" names);
                 Alcotest.(check bool) "pool.map span" true (List.mem "pool.map" names))));
   ]
 
 (* --- non-convergence events end to end ------------------------------- *)
 
-let counter_of name =
-  match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
+let counter_of = Test_util.counter_value
 
 let tcad_device = lazy (Subscale.Tcad.Structure.build Subscale.Tcad.Structure.default_description)
 
@@ -379,7 +394,7 @@ let non_convergence_tests =
             Alcotest.(check int) "counter" (before + 1)
               (counter_of "numerics.root.non_converged");
             let instants =
-              List.filter (fun e -> Trace.event_name e = "non_converged") (Trace.events ())
+              List.filter (fun e -> event_name e = "non_converged") (Trace.events ())
             in
             Alcotest.(check int) "instant event" 1 (List.length instants)));
     u "Root `Accept fallback still emits the event" (fun () ->
@@ -405,46 +420,10 @@ let non_convergence_tests =
             let instants =
               List.filter
                 (fun e ->
-                  Trace.event_name e = "non_converged" && Trace.event_cat e = "tcad.gummel")
+                  event_name e = "non_converged" && event_cat e = "tcad.gummel")
                 (Trace.events ())
             in
             Alcotest.(check int) "instant event" 1 (List.length instants)));
-    u "Solver_rules.check_poisson flags an unconverged solution" (fun () ->
-        let sol =
-          {
-            Subscale.Tcad.Poisson.psi = Subscale.Tcad.Field.of_array [| 0.0 |];
-            iterations = 80;
-            residual = 3.2e-4;
-            converged = false;
-          }
-        in
-        match Subscale.Check.Solver_rules.check_poisson sol with
-        | [ d ] ->
-          Alcotest.(check string) "rule" "solver-non-converged" d.Subscale.Check.Diagnostic.rule
-        | ds -> Alcotest.failf "expected 1 diagnostic, got %d" (List.length ds));
-    u "Solver_rules.check_poisson accepts a converged solution" (fun () ->
-        let sol =
-          {
-            Subscale.Tcad.Poisson.psi = Subscale.Tcad.Field.of_array [| 0.0 |];
-            iterations = 7;
-            residual = 1e-10;
-            converged = true;
-          }
-        in
-        Alcotest.(check int) "clean" 0
-          (List.length (Subscale.Check.Solver_rules.check_poisson sol)));
-    u "Solver_rules.scan_metrics reports within its prefix only" (fun () ->
-        Obs.non_converged ~solver:"testobs.fake" "synthetic";
-        let scoped = Subscale.Check.Solver_rules.scan_metrics ~prefix:"testobs." () in
-        (match scoped with
-         | [ d ] ->
-           Alcotest.(check string) "rule" "solver-non-converged"
-             d.Subscale.Check.Diagnostic.rule;
-           Alcotest.(check string) "location" "testobs.fake.non_converged"
-             d.Subscale.Check.Diagnostic.location
-         | ds -> Alcotest.failf "expected 1 diagnostic, got %d" (List.length ds));
-        Alcotest.(check int) "disjoint prefix sees nothing" 0
-          (List.length (Subscale.Check.Solver_rules.scan_metrics ~prefix:"no-such-prefix." ())));
   ]
 
 (* --- determinism: observation never feeds back ----------------------- *)

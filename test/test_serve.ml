@@ -240,13 +240,13 @@ let store_tests =
         in
         List.iter
           (fun f ->
-            match Store.float_codec.Store.decode (Store.float_codec.Store.encode f) with
-            | Some f' ->
+            match Store.floats_codec.Store.decode (Store.floats_codec.Store.encode [| f |]) with
+            | Some [| f' |] ->
               Alcotest.(check bool)
                 (Printf.sprintf "%h round-trips bit-exactly" f)
                 true
                 (Int64.bits_of_float f = Int64.bits_of_float f')
-            | None -> Alcotest.failf "%h failed to decode" f)
+            | Some _ | None -> Alcotest.failf "%h failed to decode" f)
           specials;
         let a = Array.of_list specials in
         (match Store.floats_codec.Store.decode (Store.floats_codec.Store.encode a) with
@@ -255,7 +255,7 @@ let store_tests =
             (Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a a')
         | None -> Alcotest.fail "array failed to decode");
         Alcotest.(check bool) "malformed hex is a miss" true
-          (Store.float_codec.Store.decode "zz" = None);
+          (Store.floats_codec.Store.decode "1 zz" = None);
         Alcotest.(check bool) "truncated array is a miss" true
           (Store.floats_codec.Store.decode "3 0000000000000000" = None));
     case "a corrupted record reads as a miss, not an error" (fun () ->

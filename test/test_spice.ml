@@ -279,7 +279,8 @@ let waveform_tests =
     u "average of a linear ramp is its midpoint" (fun () ->
         let times = Numerics.Vec.linspace 0.0 2.0 21 in
         let values = Array.map (fun t -> 3.0 *. t) times in
-        Test_util.check_rel "avg" ~rel:1e-9 3.0 (W.average ~times ~values));
+        Test_util.check_rel "avg" ~rel:1e-9 3.0
+          (W.slice_average ~times ~values ~t0:0.0 ~t1:2.0));
     u "slice_average over a window of a step" (fun () ->
         let times = [| 0.0; 1.0; 1.0001; 3.0 |] in
         let values = [| 0.0; 0.0; 2.0; 2.0 |] in
@@ -291,7 +292,7 @@ let waveform_tests =
    transient steps a fixed job takes are a pure function of the code, so
    they are pinned exactly.  A change that moves them shows up here. *)
 let work f =
-  let value name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let value = Test_util.counter_value in
   let iters = value "spice.newton.iterations" and steps = value "spice.transient.steps" in
   f ();
   (value "spice.newton.iterations" - iters, value "spice.transient.steps" - steps)
@@ -342,8 +343,7 @@ let memory_tests =
         let n = Mna.size (Mna.build adder.Circuits.Adder.circuit) in
         (* Warm the memo tables the delay estimate reads. *)
         ignore (Circuits.Adder.carry_delay ~steps:40 pair ~vdd ~bits);
-        let accepted = Obs.Metrics.counter "spice.transient.steps" in
-        let steps0 = Obs.Metrics.counter_value accepted in
+        let steps0 = Test_util.counter_value "spice.transient.steps" in
         (* Gc.counters is exact between collections; quick_stat samples. *)
         let direct () =
           let _, promoted, major = Gc.counters () in
@@ -352,7 +352,7 @@ let memory_tests =
         let minor0 = Gc.minor_words () and direct0 = direct () in
         ignore (Circuits.Adder.carry_delay ~steps pair ~vdd ~bits);
         let minor1 = Gc.minor_words () and direct1 = direct () in
-        let n_steps = Obs.Metrics.counter_value accepted - steps0 in
+        let n_steps = Test_util.counter_value "spice.transient.steps" - steps0 in
         Alcotest.(check int) "accepted steps" steps n_steps;
         (* Measured: 25.8k minor words per step (n = 180, n^2 = 32.4k); a
            fresh Jacobian per step took it to 60.4k.  What is left is the

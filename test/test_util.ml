@@ -36,3 +36,10 @@ let slow_case name f = Alcotest.test_case name `Slow f
 
 let prop name ?(count = 100) gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
+
+(* A counter's current value, read through the public registry (0 before
+   its first registration). *)
+let counter_value name =
+  match Subscale.Obs.Metrics.find name with
+  | Some (Subscale.Obs.Metrics.Counter n) -> n
+  | Some (Subscale.Obs.Metrics.Gauge _ | Subscale.Obs.Metrics.Histogram _) | None -> 0
