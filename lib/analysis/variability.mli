@@ -28,7 +28,6 @@ type distribution = {
 val summarize : Numerics.Vec.t -> distribution
 
 val chain_delay_distribution :
-  ?seed:int ->
   ?trials:int ->
   ?stages:int ->
   Circuits.Inverter.pair ->
@@ -37,8 +36,8 @@ val chain_delay_distribution :
 (** Monte Carlo over per-stage device mismatch of a balanced-sizing chain
     (default 400 trials, 30 stages): each stage's N and P devices get
     independent RDF threshold offsets, the stage delays follow Eq. 5 with the
-    shifted devices, and the chain delay is their sum.  Reproducible for a
-    fixed [seed] (default 42). *)
+    shifted devices, and the chain delay is their sum.  Seeded with 42, so
+    reproducible. *)
 
 val snm_distribution :
   ?trials:int ->
