@@ -66,3 +66,39 @@ let () =
   in
   write_pairs "tcad_idvd_45" "Id-Vd, 45 nm NFET, Vg = 300 mV: vd [V], id [A/m]"
     idvd.Subscale.Tcad.Extract.vds idvd.Subscale.Tcad.Extract.ids
+
+(* Bit pin of the serve daemon's TCAD answers: the exact store-codec bytes
+   (IEEE-754 bits in hex) of two characterizations and one 5-point sweep on
+   the daemon's small mesh, one "label bytes" line each.  The labels and
+   their computations must stay in sync with [serve_bit_cases] in
+   test/test_tcad_equiv.ml, which recomputes them and compares the strings,
+   so a drift in any last bit fails. *)
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let serve_dev node strategy =
+    match Subscale.Scaling.Strategy.resolve ~node ~strategy with
+    | Error e -> failwith e
+    | Ok (_, _, _, pair) ->
+      Subscale.Tcad.Structure.build ~nx:16 ~ny:12
+        (Subscale.Device.Compact.to_tcad_description pair.Subscale.Circuits.Inverter.nfet)
+  in
+  let module X = Subscale.Tcad.Extract in
+  let chars node strategy =
+    X.characteristics_codec.Subscale.Exec.Store.encode
+      (X.characterize ~vdd:0.9 (serve_dev node strategy))
+  in
+  let lines =
+    [
+      ("chars-90-sub", chars 90 "sub");
+      ("chars-45-super", chars 45 "super");
+      ( "sweep-90-sub",
+        X.sweep_codec.Subscale.Exec.Store.encode
+          (X.id_vg_at (serve_dev 90 "sub") ~vd:0.05
+             ~vgs:(Subscale.Numerics.Vec.linspace 0.0 0.15 5)) );
+    ]
+  in
+  let path = Filename.concat dir "tcad_serve_bits.txt" in
+  let oc = open_out path in
+  List.iter (fun (label, bytes) -> Printf.fprintf oc "%s %s\n" label bytes) lines;
+  close_out oc;
+  Printf.printf "wrote %s\n" path
