@@ -20,8 +20,25 @@ val order : t -> int
 val offset : t -> int
 
 val rhs : t -> Fvec.t
-(** The right-hand-side buffer; assembly writes it, {!clear} zeroes it,
-    {!solve} reads it (and leaves it intact). *)
+(** The right-hand-side buffer; assembly writes it, {!solve} reads it (and
+    leaves it intact). *)
+
+type rows = {
+  west : Fvec.t;  (** A(i, i-m), indexed by row i *)
+  south : Fvec.t;  (** A(i, i-1) *)
+  diag : Fvec.t;  (** A(i, i) *)
+  north : Fvec.t;  (** A(i, i+1) *)
+  east : Fvec.t;  (** A(i, i+m) *)
+  rhs : Fvec.t;  (** the same buffer as {!rhs} *)
+}
+(** The five diagonals and the right-hand side, each of length {!order}.
+    Entries whose column falls outside the matrix are never read. *)
+
+val rows : t -> rows
+(** The system's own buffers, for an assembler that writes every row in a
+    hot loop: a write is a store, where {!set_row} is a call that boxes
+    its six floats when it is not inlined (always, across libraries built
+    with -opaque). *)
 
 val get : t -> int -> int -> float
 (** [get a i j] is A(i,j); zero off the stencil. *)
@@ -35,7 +52,7 @@ val set_row :
 (** Write row [i] in one shot: [west] is A(i,i-m), [south] A(i,i-1),
     [north] A(i,i+1), [east] A(i,i+m).  Entries whose column falls outside
     the matrix are ignored by {!solve}/{!mat_vec}, so pass 0.0 for them.
-    An assembler that [set_row]s every row needs no prior {!clear}. *)
+    An assembler that [set_row]s every row needs no zeroing pass first. *)
 
 val mat_vec : t -> Fvec.t -> Fvec.t -> unit
 (** [mat_vec a x y] writes A x into [y]. *)
