@@ -42,6 +42,19 @@ val solve :
     Raises [Failure] on a singular system (cannot happen on a connected
     mesh with an ohmic contact). *)
 
+val solve_into :
+  recombination:(srh * Field.t * Field.t) option ->
+  Poisson.scratch ->
+  Structure.t ->
+  carrier:carrier ->
+  biases:Poisson.biases ->
+  psi:Field.t ->
+  dst:solution ->
+  unit
+(** {!solve} writing into [dst]'s buffers (each of the mesh's node count)
+    instead of fresh fields: the same arithmetic, so the same bits.  Every
+    input is read before [dst] is written. *)
+
 val terminal_current :
   Structure.t -> carrier:carrier -> psi:Field.t -> u:Field.t -> float
 (** Signed conventional current [A per metre of width] carried by this

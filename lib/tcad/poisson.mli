@@ -20,11 +20,31 @@ type solution = {
   converged : bool;
 }
 
-type scratch = { sys : Numerics.Stencil5.t; work : Field.t }
-(** Reusable assembly/solve workspace (system matrix + update buffer).
-    One scratch serves every solve on meshes of the same shape — including
-    the continuity solves ({!Continuity.solve}) — but must not be shared
-    across concurrent domains. *)
+type iterate = {
+  psi : Field.t;
+  u : Field.t;
+  w : Field.t;
+  n : Field.t;
+  p : Field.t;
+  phi_n : Field.t;
+  phi_p : Field.t;
+}
+(** One Gummel iterate's fields, laid out as {!Gummel.state}'s. *)
+
+type scratch = private {
+  sys : Numerics.Stencil5.t;  (** the system matrix *)
+  work : Field.t;  (** the Newton update *)
+  expo : Field.t;  (** {!Continuity}'s Boltzmann exponent per node *)
+  boltz : Field.t;  (** ... and its [exp] *)
+  ping : iterate;
+  pong : iterate;  (** the two iterates {!Gummel.gummel_at} alternates between *)
+}
+(** Reusable workspace for the whole TCAD chain: one scratch serves every
+    Poisson, continuity and Gummel solve on meshes of the same shape, but
+    must not be shared across concurrent domains.  Private, so every
+    scratch comes from {!make_scratch} and all its buffers have the
+    structure's node count: the solvers index them unchecked once the
+    system's shape matches the mesh. *)
 
 val make_scratch : Structure.t -> scratch
 
@@ -48,3 +68,18 @@ val solve :
     on a stall (for speculative warm starts that have a planned fallback); the
     returned [converged] flag is unaffected.  [scratch] reuses an assembly
     workspace across calls; one is allocated per call when omitted. *)
+
+val solve_into :
+  tol:float ->
+  quiet:bool ->
+  scratch ->
+  Structure.t ->
+  biases:biases ->
+  phi_n:Field.t ->
+  phi_p:Field.t ->
+  psi0:Field.t ->
+  dst:Field.t ->
+  solution
+(** {!solve} that iterates in [dst] (a buffer of the mesh's node count)
+    instead of a fresh copy of [psi0], and returns it as the solution's
+    [psi]: the same arithmetic, so the same bits. *)

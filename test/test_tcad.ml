@@ -169,6 +169,15 @@ let contains_all ~msg subs =
         Alcotest.failf "message %S does not name %S" msg sub)
     subs
 
+(* A scratch made for a coarser mesh than [device]'s. *)
+let alien_scratch () =
+  Poisson.make_scratch (Structure.build ~nx:6 ~ny:4 Structure.default_description)
+
+let alien_shape (s : Poisson.scratch) =
+  Printf.sprintf "order %d offset %d"
+    (Numerics.Stencil5.order s.Poisson.sys)
+    (Numerics.Stencil5.offset s.Poisson.sys)
+
 let shape_guard_tests =
   [
     u "Poisson.solve names the offending lengths on a state mismatch" (fun () ->
@@ -190,17 +199,14 @@ let shape_guard_tests =
         let m = dev.Structure.mesh in
         let n = m.Mesh.nx * m.Mesh.ny in
         let v = Tcad.Field.create n in
-        let alien =
-          { Poisson.sys = Numerics.Stencil5.create ~n:64 ~m:2;
-            Poisson.work = Tcad.Field.create 64 }
-        in
+        let alien = alien_scratch () in
         match
           Poisson.solve ~scratch:alien dev ~biases:Poisson.zero_bias ~phi_n:v
             ~phi_p:v ~psi0:v
         with
         | exception Invalid_argument msg ->
           contains_all ~msg
-            [ "scratch shape mismatch"; "order 64 offset 2";
+            [ "scratch shape mismatch"; alien_shape alien;
               Printf.sprintf "order %d offset %d" n m.Mesh.ny ]
         | _ -> Alcotest.fail "alien scratch accepted");
     u "Continuity.solve names the offending lengths and shapes" (fun () ->
@@ -216,17 +222,29 @@ let shape_guard_tests =
             [ "Continuity.solve"; Printf.sprintf "psi has %d" (n + 3);
               Printf.sprintf "needs %d" n ]
         | _ -> Alcotest.fail "mismatched psi accepted");
-        let alien =
-          { Poisson.sys = Numerics.Stencil5.create ~n:64 ~m:2;
-            Poisson.work = Tcad.Field.create 64 }
-        in
+        let alien = alien_scratch () in
         match
           Continuity.solve ~scratch:alien dev ~carrier:Continuity.Electrons
             ~biases:Poisson.zero_bias ~psi:(Tcad.Field.create n)
         with
         | exception Invalid_argument msg ->
-          contains_all ~msg [ "scratch shape mismatch"; "order 64 offset 2" ]
+          contains_all ~msg [ "scratch shape mismatch"; alien_shape alien ]
         | _ -> Alcotest.fail "alien scratch accepted");
+    u "Continuity.solve rejects lagged densities of another length" (fun () ->
+        let dev = Lazy.force device in
+        let n = Tcad.Mesh.n_nodes dev.Structure.mesh in
+        let short = Tcad.Field.create (n - 2) in
+        match
+          Continuity.solve
+            ~recombination:(Continuity.default_srh, short, Tcad.Field.create n)
+            dev ~carrier:Continuity.Holes ~biases:Poisson.zero_bias
+            ~psi:(Tcad.Field.create n)
+        with
+        | exception Invalid_argument msg ->
+          contains_all ~msg
+            [ "lagged density length mismatch"; Printf.sprintf "%d and %d" (n - 2) n;
+              Printf.sprintf "needs %d" n ]
+        | _ -> Alcotest.fail "short lagged density accepted");
   ]
 
 let transport_tests =
