@@ -12,15 +12,17 @@ let sign_of dev =
   | Structure.Pchannel -> -1.0
 
 (* Warm-started continuation step: speculatively jump straight from the
-   previous bias point's state to [target] (no ramping).  If the jump fails
-   to converge, fall back to a cold start — a fresh ramp from the sweep's
-   equilibrium [anchor] with the full iteration budget — and count the
-   fallback so sweeps that silently degrade to cold solves show up in the
-   metrics.  [max_warm_gummel] bounds only the speculative attempt. *)
+   previous bias point's state to [target] (no ramping), leaving the result
+   in the scratch, since the sweep keeps only its drain current and the next
+   jump's start.  If the jump fails to converge, fall back to a cold start —
+   a fresh ramp from the sweep's equilibrium [anchor] with the full
+   iteration budget — and count the fallback so sweeps that silently
+   degrade to cold solves show up in the metrics.  [max_warm_gummel] bounds
+   only the speculative attempt. *)
 let advance ?tol ?max_gummel ?max_warm_gummel ~scratch ~anchor dev prev target =
   let warm_budget = match max_warm_gummel with Some _ as b -> b | None -> max_gummel in
   match
-    Gummel.gummel_at ?tol ?max_gummel:warm_budget ~quiet:true ~scratch dev ~from:prev target
+    Gummel.continue_at ?tol ?max_gummel:warm_budget ~quiet:true ~scratch dev ~from:prev target
   with
   | s ->
     Obs.Metrics.incr warm_start_counter;
