@@ -202,6 +202,26 @@ let cases =
        Bigarray.Array1.t }\n\
        let bump (a : acc) x = Bigarray.Array1.set a.buf 0 x\n\
        let run (a : acc) xs = Exec.map (fun x -> bump a x; x) xs\n" );
+    (* [rows] is an external here, so no summary sees into it: only the
+       primitive table can say that it returns the system's own buffers. *)
+    ( "ALS001 closure writes a shared scratch through Stencil5.rows",
+      Lint_rules.als001,
+      true,
+      "module Exec = struct let map f xs = List.map f xs end\n\
+       module Stencil5 = struct\n\
+      \  type rows = { diag : (float, Bigarray.float64_elt, Bigarray.c_layout) \
+       Bigarray.Array1.t }\n\
+      \  type t = rows\n\
+      \  external rows : t -> rows = \"%identity\"\n\
+       end\n\
+       module Poisson = struct type scratch = { sys : Stencil5.t } end\n\
+       type job = { scratch : Poisson.scratch; gate : float }\n\
+       let run (j : job) xs =\n\
+      \  Exec.map\n\
+      \    (fun x ->\n\
+      \      let r = Stencil5.rows j.scratch.Poisson.sys in\n\
+      \      Bigarray.Array1.set r.Stencil5.diag 0 (x +. j.gate); x)\n\
+      \    xs\n" );
     ( "ALS001 near miss: closure-local buffer",
       Lint_rules.als001,
       false,

@@ -101,16 +101,19 @@ let mat_vec a x y =
     BA1.unsafe_set y i !s
   done
 
-(* Expand diagonals into the band, factor (LU, no pivoting; fill stays
-   within the band) and solve.  Elimination is column-by-column in the same
+let factorizations = Obs.Metrics.counter "numerics.stencil5.factorizations"
+
+(* Expand diagonals into the band and factor it in place (LU, no pivoting;
+   fill stays within the band): U on and above the diagonal, the
+   multipliers of L below it.  Elimination is column-by-column in the same
    order as the generic band LU in test/banded.ml, so the float sequence —
    hence the result — matches that oracle bit for bit on the same matrix.
    Unrolling the update of row i by four keeps that: every element still
    gets its one [a -. f *. u], and no element depends on another. *)
-let solve a ~dst =
-  if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
-  let { n; m; rows = { west; south; diag; north; east; rhs }; band } = a in
+let lu ~who a =
+  let { n; m; rows = { west; south; diag; north; east; _ }; band } = a in
   let w = (2 * m) + 1 in
+  Obs.Metrics.incr factorizations;
   Fvec.fill band 0.0;
   (* band.(i*w + (j - i + m)) = A(i, j).  Off-diagonals accumulate instead
      of assign: when m = 1 (a single-row mesh) the +-1 and +-m diagonals
@@ -129,19 +132,21 @@ let solve a ~dst =
     if i + m < n then
       BA1.unsafe_set band (base + m) (BA1.unsafe_get band (base + m) +. BA1.unsafe_get east i)
   done;
-  Fvec.blit rhs dst;
   for k = 0 to n - 1 do
     let pivot = BA1.unsafe_get band ((k * w) + m) in
     if Float.abs pivot < 1e-300 then
-      failwith (Printf.sprintf "Stencil5.solve: zero pivot at row %d" k);
+      failwith (Printf.sprintf "Stencil5.%s: zero pivot at row %d" who k);
     let last = Int.min (k + m) (n - 1) in
     (* Row k entries A(k, j) live at band.(k*w + m - k + j). *)
     let bk = (k * w) + m - k in
     for i = k + 1 to last do
       let bi = (i * w) + m - i in
       let f = BA1.unsafe_get band (bi + k) /. pivot in
+      (* Stored even when zero: an entry too small for its pivot gives a
+         multiplier that underflows to 0.0, and [substitute] must read that
+         multiplier, not the entry. *)
+      BA1.unsafe_set band (bi + k) f;
       if not (Float.equal f 0.0) then begin
-        BA1.unsafe_set band (bi + k) f;
         let j = ref (k + 1) in
         while !j + 3 <= last do
           let j0 = !j in
@@ -158,9 +163,26 @@ let solve a ~dst =
         for j = !j to last do
           BA1.unsafe_set band (bi + j)
             (BA1.unsafe_get band (bi + j) -. (f *. BA1.unsafe_get band (bk + j)))
-        done;
-        BA1.unsafe_set dst i (BA1.unsafe_get dst i -. (f *. BA1.unsafe_get dst k))
+        done
       end
+    done
+  done
+
+let factor a = lu ~who:"factor" a
+
+(* Forward then back substitution through the factored band.  Each dst.(i)
+   takes its [-. f *. dst.(k)] updates in increasing k, as it did when the
+   forward sweep ran inside the elimination, so the split costs no bit. *)
+let substitute a ~dst =
+  if Fvec.length dst <> a.n then invalid_arg "Stencil5.substitute: dst length mismatch";
+  let { n; m; band; _ } = a in
+  let w = (2 * m) + 1 in
+  for k = 0 to n - 1 do
+    let last = Int.min (k + m) (n - 1) in
+    let xk = BA1.unsafe_get dst k in
+    for i = k + 1 to last do
+      let f = BA1.unsafe_get band ((i * w) + m - i + k) in
+      if not (Float.equal f 0.0) then BA1.unsafe_set dst i (BA1.unsafe_get dst i -. (f *. xk))
     done
   done;
   for i = n - 1 downto 0 do
@@ -172,3 +194,9 @@ let solve a ~dst =
     done;
     BA1.unsafe_set dst i (!s /. BA1.unsafe_get band (bi + i))
   done
+
+let solve a ~dst =
+  if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
+  lu ~who:"solve" a;
+  Fvec.blit a.rows.rhs dst;
+  substitute a ~dst

@@ -57,9 +57,23 @@ val set_row :
 val mat_vec : t -> Fvec.t -> Fvec.t -> unit
 (** [mat_vec a x y] writes A x into [y]. *)
 
+val factor : t -> unit
+(** Expand the diagonals into the internal band workspace and LU-factor it
+    in place, without pivoting (adequate for the diagonally dominant
+    finite-volume systems), allocation-free.  The factorization holds
+    until the next [factor] or {!solve}: later edits of the diagonals do
+    not reach it, so a chord Newton can reassemble and still {!substitute}
+    through an older Jacobian.  Counts one
+    ["numerics.stencil5.factorizations"].  Raises [Failure] on a
+    (near-)zero pivot. *)
+
+val substitute : t -> dst:Fvec.t -> unit
+(** [substitute a ~dst] overwrites [dst] with A⁻¹ dst, A being the matrix
+    of the last {!factor}.  Reads only the factorization, so any number of
+    calls may follow one [factor]. *)
+
 val solve : t -> dst:Fvec.t -> unit
-(** Solve A x = rhs into [dst], allocation-free: expands the diagonals into
-    the internal band workspace, LU-factors without pivoting (adequate for
-    the diagonally dominant finite-volume systems) and substitutes.  The
+(** Solve A x = rhs into [dst], allocation-free: {!factor}, copy [rhs] into
+    [dst], {!substitute} — the same bits as one pass doing all three.  The
     diagonals and [rhs] are preserved.  Raises [Failure] on a (near-)zero
     pivot. *)

@@ -200,6 +200,25 @@ let solve_into ~(recombination : (srh * Field.t * Field.t) option) (s : Poisson.
     BA1.unsafe_set quasi_fermi k (qf *. log uk)
   done
 
+let of_quasi_fermi dev ~carrier ~(psi : Field.t) ~dst =
+  let { u; density; quasi_fermi } = dst in
+  let n_nodes = Field.length psi in
+  if
+    Field.length u <> n_nodes
+    || Field.length density <> n_nodes
+    || Field.length quasi_fermi <> n_nodes
+  then invalid_arg "Continuity.of_quasi_fermi: length mismatch";
+  let vt = dev.Structure.vt and ni = dev.Structure.ni in
+  let sign = carrier_sign carrier in
+  (* [solve_into]'s last loop inverted: quasi_fermi = -s vt ln u. *)
+  let qf = -.sign *. vt in
+  for k = 0 to n_nodes - 1 do
+    let uk = exp (BA1.unsafe_get quasi_fermi k /. qf) in
+    let uk = if uk < 1e-300 then 1e-300 else uk in
+    BA1.unsafe_set u k uk;
+    BA1.unsafe_set density k (ni *. uk *. safe_exp (sign *. BA1.unsafe_get psi k /. vt))
+  done
+
 let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
   let s =
     match scratch with

@@ -55,6 +55,12 @@ val solve_into :
     instead of fresh fields: the same arithmetic, so the same bits.  Every
     input is read before [dst] is written. *)
 
+val of_quasi_fermi : Structure.t -> carrier:carrier -> psi:Field.t -> dst:solution -> unit
+(** Fill [dst]'s [u] and [density] from its [quasi_fermi] and [psi], as
+    {!solve} derives [density] and [quasi_fermi] from [u]: so a density is
+    n_i e^{(psi - phi_n)/vT} (electrons) or n_i e^{(phi_p - psi)/vT}
+    (holes), under the same clamps. *)
+
 val terminal_current :
   Structure.t -> carrier:carrier -> psi:Field.t -> u:Field.t -> float
 (** Signed conventional current [A per metre of width] carried by this

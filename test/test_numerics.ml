@@ -281,12 +281,13 @@ let same_bits x y =
 (* Shapes whose unrolled row updates end in every tail length (row k's
    update spans min(m, n-1-k) columns, and n is not a multiple of m), with
    about one row in four an identity row — a contact row, as the TCAD
-   solvers assemble it — whose multiplier is exactly 0.0 in every column. *)
-let gen_stencil_shape =
+   solvers assemble it — whose multiplier is exactly 0.0 in every column.
+   [m_min = 1] adds the single-row mesh, where every n is a multiple of m. *)
+let gen_stencil_shape ~m_min =
   QCheck2.Gen.(
-    let* m = int_range 2 6 in
+    let* m = int_range m_min 6 in
     let* q = int_range 2 5 in
-    let* r = int_range 1 (m - 1) in
+    let* r = if m = 1 then pure 0 else int_range 1 (m - 1) in
     let n = (m * q) + r in
     let* off = array_size (pure (4 * n)) (float_range (-1.0) 1.0) in
     let* contact = array_size (pure n) (int_bound 3) in
@@ -342,7 +343,7 @@ let stencil5_tests =
         let x, x_banded = solve_both ~n:24 ~m:5 off x_true in
         same_bits x x_banded && Vec.max_abs_diff x x_true < 1e-7);
     prop "solve matches Banded bit for bit on every unroll tail and zero multiplier"
-      ~count:60 gen_stencil_shape
+      ~count:60 (gen_stencil_shape ~m_min:2)
       (fun (n, m, off, x_true) ->
         let x, x_banded = solve_both ~n ~m off x_true in
         same_bits x x_banded);
@@ -392,6 +393,23 @@ let stencil5_tests =
         Alcotest.check_raises "zero pivot"
           (Failure "Stencil5.solve: zero pivot at row 0") (fun () ->
             Stencil5.solve a ~dst:(Fvec.create 6)));
+    prop "solve is factor then substitute, bit for bit, and substitute repeats"
+      ~count:60
+      (gen_stencil_shape ~m_min:1)
+      (fun (n, m, off, x_true) ->
+        let st, bd = assemble_pair ~n ~m off in
+        Array.iteri (fun i v -> Fvec.set (Stencil5.rhs st) i v) (Banded.mat_vec bd x_true);
+        let solved = Fvec.create n in
+        Stencil5.solve st ~dst:solved;
+        Stencil5.factor st;
+        let once = Fvec.copy (Stencil5.rhs st) in
+        Stencil5.substitute st ~dst:once;
+        (* A reassembly after the factor does not reach the factorization. *)
+        Fvec.fill (Stencil5.rows st).Stencil5.diag 1.0;
+        let twice = Fvec.copy (Stencil5.rhs st) in
+        Stencil5.substitute st ~dst:twice;
+        same_bits (Fvec.to_array solved) (Fvec.to_array once)
+        && same_bits (Fvec.to_array once) (Fvec.to_array twice));
   ]
 
 let root_tests =
