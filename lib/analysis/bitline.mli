@@ -7,10 +7,9 @@
     direction; sensing needs the read current to beat the aggregate leak by
     a margin. *)
 
-val max_bits_per_line :
-  ?margin:float -> Device.Compact.t -> vdd:float -> int
-(** Largest N with I_on >= margin x (N - 1) I_off (default margin 4, a
-    conservative sense-amp requirement), both currents at [vdd]. *)
+val max_bits_per_line : Device.Compact.t -> vdd:float -> int
+(** Largest N with I_on >= 4 (N - 1) I_off, both currents at [vdd]: a
+    conservative sense-amp margin of 4. *)
 
 type swing = {
   bits : int;

@@ -6,18 +6,6 @@ let eq5 pair ~sizing ~vdd =
   let i_p = sizing.Circuits.Inverter.wp *. Device.Iv_model.ion pair.Circuits.Inverter.pfet ~vdd in
   k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p))
 
-let eq6_factor pair ~sizing =
-  let cl = Circuits.Inverter.load_capacitance pair sizing in
-  let ss = pair.Circuits.Inverter.nfet.Device.Compact.ss in
-  let ioff_ref = 0.25 in
-  let i_n =
-    sizing.Circuits.Inverter.wn *. Device.Iv_model.ioff pair.Circuits.Inverter.nfet ~vdd:ioff_ref
-  in
-  let i_p =
-    sizing.Circuits.Inverter.wp *. Device.Iv_model.ioff pair.Circuits.Inverter.pfet ~vdd:ioff_ref
-  in
-  cl *. ss /. (0.5 *. (i_n +. i_p))
-
 type measured = { tp : float; tp_rise : float; tp_fall : float }
 
 let measured ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(steps = 600) pair ~vdd =

@@ -3,8 +3,9 @@
     Three routes of increasing fidelity:
     - Eq. 5: t_p = k_d C_L V_dd / I_on with I_on from the compact model;
     - Eq. 6: the scaling *factor* C_L K_Vmin S_S / (I_off 10^{K_Vmin ...}),
-      whose proportional form C_L S_S / I_off predicts delay trends at
-      V_dd = V_min without simulating anything;
+      whose proportional form C_L S_S / I_off
+      ({!Metrics.delay_factor}) predicts delay trends at V_dd = V_min
+      without simulating anything;
     - [measured]: the 50 % propagation delay of an interior stage of an
       FO1-loaded inverter chain from the transient engine. *)
 
@@ -14,10 +15,6 @@ val k_d : float
 val eq5 :
   Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> vdd:float -> float
 (** Analytic FO1 delay [s], averaging the N and P drive currents. *)
-
-val eq6_factor : Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> float
-(** C_L S_S / I_off [arbitrary units but dimensionally s], the paper's
-    delay-at-V_min scaling factor; I_off is the N/P average. *)
 
 type measured = {
   tp : float;  (** average of rising and falling propagation delays [s] *)

@@ -97,7 +97,9 @@ val ext_interconnect : context -> output
 
 val ext_sta : context -> output
 (** Per-node NLDM cell characterization and static timing analysis of the
-    8-bit adder, cross-checked against the transistor-level transient. *)
+    8-bit adder, cross-checked against the transistor-level transient (the
+    carry delay {!ext_datapath} reports, memoized so a run that has both
+    simulates it once per node). *)
 
 val ext_yield : context -> output
 (** SRAM-style yield under RDF mismatch at 32 nm: SNM distributions, cell

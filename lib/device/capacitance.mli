@@ -12,7 +12,3 @@ val gate :
   ?fringe:float -> tox:float -> leff:float -> overlap:float -> unit -> float
 (** Gate capacitance per width [F/m]; [fringe] is per side (default 0.25 nF/m
     = 0.25 fF/um). *)
-
-val fo1_load : cg_n:float -> cg_p:float -> float
-(** Switched load of an FO1 inverter: the fan-out gate pair times 1.6, the
-    factor that folds in local drain-junction and wiring parasitics. *)

@@ -91,6 +91,31 @@ let build ?(t = Physics.Constants.t_room) polarity cal (phys : Params.physical) 
     temperature = t;
   }
 
+(* Every field, derived ones included: [Corners.apply] overrides [mu] after
+   construction, so the constructor inputs alone do not name a device. *)
+let key d =
+  Exec.Key.(
+    fields "compact"
+      [ ("phys", Params.physical_key d.phys);
+        ("cal", Params.calibration_key d.cal);
+        ("polarity", Params.polarity_key d.polarity);
+        ("t", float d.temperature);
+        ("leff", float d.leff);
+        ("xj", float d.xj);
+        ("overlap", float d.overlap);
+        ("neff", float d.neff);
+        ("phi_f", float d.phi_f);
+        ("wdep", float d.wdep);
+        ("cox", float d.cox);
+        ("m", float d.m);
+        ("ss", float d.ss);
+        ("vth0", float d.vth0);
+        ("vbi", float d.vbi);
+        ("lt", float d.lt);
+        ("mu", float d.mu);
+        ("cg", float d.cg);
+        ("cg_intrinsic", float d.cg_intrinsic) ])
+
 let nfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Nfet cal phys
 let pfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Pfet cal phys
 

@@ -31,6 +31,10 @@ val sd_doping : float
 (** Source/drain doping used for V_bi and the TCAD wells [m^-3] — exposed
     so the validity auditor mirrors V_bi with the same constant. *)
 
+val key : t -> string
+(** Canonical content key over every field of the record (floats as exact
+    IEEE-754 bit patterns), for memoizing solves on a device. *)
+
 val nfet : ?cal:Params.calibration -> ?t:float -> Params.physical -> t
 (** [t] is the lattice temperature [K] (default 300) — it scales the thermal
     voltage (and hence S_S), the intrinsic density (V_th falls with T) and

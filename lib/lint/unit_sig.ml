@@ -166,7 +166,7 @@ let functions =
      fn [ (Lab "mu0", "m^2/V/s"); (Lab "e_eff", "V/m"); (Lab "e_crit", "V/m");
           (Lab "exponent", "1") ]
        "m^2/V/s");
-    ("Mobility.channel", fn [ (Lab "e_eff", "V/m"); (Lab "t", "K"); (Pos 1, "m^-3") ] "m^2/V/s");
+    ("Mobility.channel", fn [ (Lab "t", "K"); (Pos 1, "m^-3") ] "m^2/V/s");
     ("Mobility.critical_field", fn [ (Pos 1, "m^-3") ] "V/m");
     (* Device.Subthreshold — the Eq. 1-2 algebra *)
     ("Subthreshold.slope_factor", fn [ (Lab "k_body", "1"); (Lab "tox", "m"); (Lab "wdep", "m") ] "1");

@@ -26,23 +26,4 @@ let refined_around a b ~centers ~h_min ~h_max =
   in
   Array.of_list (collect a [ a ])
 
-let concat_unique g1 g2 =
-  let all = Array.to_list g1 @ Array.to_list g2 in
-  let sorted = List.sort compare all in
-  let span =
-    match (sorted, List.rev sorted) with
-    | lo :: _, hi :: _ -> hi -. lo
-    | _, _ -> 0.0
-  in
-  let eps = 1e-9 *. Float.max span 1e-30 in
-  let rec dedup = function
-    | x :: y :: rest when y -. x < eps -> dedup (x :: rest)
-    | x :: rest -> x :: dedup rest
-    | [] -> []
-  in
-  Array.of_list (dedup sorted)
-
-let midpoints xs =
-  Array.init (Array.length xs - 1) (fun i -> 0.5 *. (xs.(i) +. xs.(i + 1)))
-
 let spacings xs = Array.init (Array.length xs - 1) (fun i -> xs.(i + 1) -. xs.(i))

@@ -12,10 +12,5 @@ val refined_around :
     [[a, b]] whose spacing is [h_min] near each centre and grows smoothly to
     at most [h_max] away from them. *)
 
-val concat_unique : Vec.t -> Vec.t -> Vec.t
-(** Merge two sorted grids, dropping near-duplicate nodes. *)
-
-val midpoints : Vec.t -> Vec.t
-
 val spacings : Vec.t -> Vec.t
 (** [spacings xs].(i) = xs.(i+1) - xs.(i). *)

@@ -4,26 +4,6 @@ let create n m = Array.make_matrix n m 0.0
 
 let dims a = (Array.length a, if Array.length a = 0 then 0 else Array.length a.(0))
 
-let mat_mul a b =
-  let n, k = dims a in
-  let k', m = dims b in
-  if k <> k' then invalid_arg "Matrix.mat_mul: dimension mismatch";
-  let c = create n m in
-  for i = 0 to n - 1 do
-    for p = 0 to k - 1 do
-      let aip = a.(i).(p) in
-      if not (Float.equal aip 0.0) then
-        for j = 0 to m - 1 do
-          c.(i).(j) <- c.(i).(j) +. (aip *. b.(p).(j))
-        done
-    done
-  done;
-  c
-
-let transpose a =
-  let n, m = dims a in
-  Array.init m (fun j -> Array.init n (fun i -> a.(i).(j)))
-
 exception Singular of int
 
 (* Doolittle LU with partial pivoting, in place: [lu]'s rows are swapped

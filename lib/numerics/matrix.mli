@@ -6,10 +6,6 @@ type t = float array array
 val create : int -> int -> t
 (** [create n m] is an [n] x [m] zero matrix. *)
 
-val mat_mul : t -> t -> t
-
-val transpose : t -> t
-
 exception Singular of int
 (** Raised by the factorization when a pivot column is numerically zero; the
     payload is the offending column index. *)

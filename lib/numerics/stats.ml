@@ -47,16 +47,6 @@ let correlation xs ys =
   done;
   if Float.equal !sxx 0.0 || Float.equal !syy 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
 
-let geometric_mean_ratio ys =
-  let n = Array.length ys in
-  if n < 2 then invalid_arg "Stats.geometric_mean_ratio: need >= 2 points";
-  Array.iter (fun y -> if y <= 0.0 then invalid_arg "Stats.geometric_mean_ratio: non-positive") ys;
-  let log_sum = ref 0.0 in
-  for i = 0 to n - 2 do
-    log_sum := !log_sum +. log (ys.(i + 1) /. ys.(i))
-  done;
-  exp (!log_sum /. float_of_int (n - 1))
-
 (* Abramowitz & Stegun 7.1.26 rational approximation, |error| < 1.5e-7. *)
 let erf x =
   let sign = if x >= 0.0 then 1.0 else -1.0 in

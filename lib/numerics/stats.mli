@@ -16,10 +16,6 @@ val linear_regression : Vec.t -> Vec.t -> float * float
 val correlation : Vec.t -> Vec.t -> float
 (** Pearson correlation coefficient. *)
 
-val geometric_mean_ratio : Vec.t -> float
-(** For a positive series y_0..y_n, the geometric mean of successive ratios
-    y_{i+1}/y_i — the paper's "% per generation" figure of merit. *)
-
 val normal_cdf : ?mean:float -> ?sigma:float -> float -> float
 (** Gaussian cumulative distribution, through a rational approximation of
     erf (|error| < 1.5e-7). *)

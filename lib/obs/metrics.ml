@@ -16,7 +16,6 @@
 type counter = { c_count : int Atomic.t }
 
 type histogram = {
-  bounds : float array;  (* upper bucket bounds, strictly increasing *)
   buckets : int Atomic.t array;  (* length bounds + 1; last is overflow *)
   h_lock : Mutex.t;  (* guards the moment accumulators below *)
   mutable h_count : int;
@@ -64,18 +63,15 @@ let counter name =
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_count by : int)
 
-(* Suited to iteration counts and microsecond-scale waits alike. *)
-let default_bounds = [| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0 |]
+(* Upper bucket bounds shared by every histogram, strictly increasing:
+   suited to iteration counts and microsecond-scale waits alike. *)
+let bounds = [| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0 |]
 
-let histogram ?(bounds = default_bounds) name =
-  let ok = ref (Array.length bounds > 0) in
-  Array.iteri (fun i b -> if i > 0 && bounds.(i - 1) >= b then ok := false) bounds;
-  if not !ok then invalid_arg "Obs.Metrics.histogram: bounds must be non-empty and increasing";
+let histogram name =
   get_or_create name
     (fun () ->
       M_histogram
         {
-          bounds = Array.copy bounds;
           buckets = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
           h_lock = Mutex.create ();
           h_count = 0;
@@ -85,9 +81,9 @@ let histogram ?(bounds = default_bounds) name =
         })
     (function M_histogram h -> Some h | M_counter _ -> None)
 
-let observe h v =
-  let n = Array.length h.bounds in
-  let rec bucket i = if i >= n || v <= h.bounds.(i) then i else bucket (i + 1) in
+let observe (h : histogram) v =
+  let n = Array.length bounds in
+  let rec bucket i = if i >= n || v <= bounds.(i) then i else bucket (i + 1) in
   ignore (Atomic.fetch_and_add h.buckets.(bucket 0) 1 : int);
   Mutex.lock h.h_lock;
   h.h_count <- h.h_count + 1;
@@ -96,17 +92,17 @@ let observe h v =
   if v > h.h_max then h.h_max <- v;
   Mutex.unlock h.h_lock
 
-let hist_stats h =
+let hist_stats (h : histogram) =
   Mutex.lock h.h_lock;
   let count = h.h_count and sum = h.h_sum and min = h.h_min and max = h.h_max in
   Mutex.unlock h.h_lock;
-  let n = Array.length h.bounds in
+  let n = Array.length bounds in
   {
     count;
     sum;
     min;
     max;
-    buckets = Array.to_list (Array.init n (fun i -> (h.bounds.(i), Atomic.get h.buckets.(i))));
+    buckets = Array.to_list (Array.init n (fun i -> (bounds.(i), Atomic.get h.buckets.(i))));
     overflow = Atomic.get h.buckets.(n);
   }
 

@@ -26,9 +26,10 @@ type value = Counter of int | Gauge of float | Histogram of hist_stats
 
 val counter : string -> counter
 val incr : ?by:int -> counter -> unit
-val histogram : ?bounds:float array -> string -> histogram
-(** [bounds] are strictly-increasing inclusive upper bucket bounds; an
-    extra overflow bucket catches everything above the last. *)
+val histogram : string -> histogram
+(** Buckets at the inclusive upper bounds 1, 2, 5, 10, ... 1000 (suited to
+    iteration counts and microsecond waits); an extra overflow bucket
+    catches everything above the last. *)
 
 val observe : histogram -> float -> unit
 val snapshot : unit -> (string * value) list

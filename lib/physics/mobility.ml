@@ -18,9 +18,11 @@ let effective_field_degradation ~mu0 ~e_eff ~e_crit ~exponent =
 (* Universal mobility curve constants (Takagi): electrons E_crit ~ 9e7 V/m
    exponent 1.6 for the E_eff^-0.3 region approximated as a power law;
    holes E_crit ~ 4.5e7, exponent 1.0.  A flat 0.55 surface factor accounts
-   for surface-roughness/phonon scattering relative to bulk. *)
+   for surface-roughness/phonon scattering relative to bulk.  The vertical
+   field is fixed at 5e7 V/m, a typical subthreshold-bias value. *)
 (* Lattice (phonon) scattering scales bulk mobility as (T/300)^-1.5. *)
-let channel ?(e_eff = 5e7) ?(t = Constants.t_room) c n =
+let channel ?(t = Constants.t_room) c n =
+  let e_eff = 5e7 in
   let mu_bulk = low_field c n *. ((t /. Constants.t_room) ** -1.5) in
   let e_crit, exponent = match c with Electron -> (9e7, 1.6) | Hole -> (4.5e7, 1.0) in
   effective_field_degradation ~mu0:(0.55 *. mu_bulk) ~e_eff ~e_crit ~exponent

@@ -16,13 +16,12 @@ val effective_field_degradation :
     universal-mobility-curve surface mobility
     mu0 / (1 + (E_eff/E_crit)^exponent). *)
 
-val channel : ?e_eff:float -> ?t:float -> carrier -> float -> float
+val channel : ?t:float -> carrier -> float -> float
 (** [channel c n] is the effective channel (surface) mobility at channel
-    doping [n], with optional vertical effective field [e_eff] [V/m]
-    (default 5e7 V/m, a typical subthreshold-bias value) and lattice
-    temperature [t] [K] (default 300; phonon scattering scales the bulk
-    value as (T/300)^-1.5).  Surface scattering roughly halves the bulk
-    value even at low field. *)
+    doping [n], at a vertical effective field of 5e7 V/m (a typical
+    subthreshold-bias value) and lattice temperature [t] [K] (default 300;
+    phonon scattering scales the bulk value as (T/300)^-1.5).  Surface
+    scattering roughly halves the bulk value even at low field. *)
 
 val critical_field : carrier -> float -> float
 (** [critical_field c n] is the lateral critical field E_c = 2 v_sat / mu

@@ -67,22 +67,12 @@ let evaluate_memo : evaluation Exec.Memo.t = Exec.Memo.create ~name:"scaling.eva
 
 let evaluation_key kind node (phys : Device.Params.physical)
     (pair : Circuits.Inverter.pair) =
-  let dev_key (d : Device.Compact.t) =
-    Exec.Key.(
-      fields "compact"
-        [ ("phys", Device.Params.physical_key d.Device.Compact.phys);
-          ("cal", Device.Params.calibration_key d.Device.Compact.cal);
-          ("polarity", Device.Params.polarity_key d.Device.Compact.polarity);
-          ("t", float d.Device.Compact.temperature) ])
-  in
-  let nfet_key = dev_key pair.Circuits.Inverter.nfet in
-  let pfet_key = dev_key pair.Circuits.Inverter.pfet in
   Exec.Key.fields "evaluate"
     [ ("kind", kind_key kind);
       ("node", Roadmap.node_key node);
       ("phys", Device.Params.physical_key phys);
-      ("nfet", nfet_key);
-      ("pfet", pfet_key) ]
+      ("nfet", Device.Compact.key pair.Circuits.Inverter.nfet);
+      ("pfet", Device.Compact.key pair.Circuits.Inverter.pfet) ]
 
 let evaluate_uncached kind node phys pair =
   Obs.Trace.with_span ~cat:"scaling"

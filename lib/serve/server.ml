@@ -10,8 +10,8 @@ type config = {
   cache_dir : string option;
 }
 
-(* The in-memory tier for coalesced Id-Vg sweeps, keyed by device
-   description, mesh dims, drain bias and the exact gate grid. *)
+(* The in-memory tier for coalesced Id-Vg sweeps, keyed by the structure
+   (description and mesh coordinates), drain bias and the exact gate grid. *)
 let idvg_memo : Tcad.Extract.sweep Exec.Memo.t = Exec.Memo.create ~name:"serve.idvg" ()
 
 let requests_counter = Obs.Metrics.counter "serve.requests"
@@ -124,10 +124,8 @@ type job =
 
 let sweep_key dev ~vd grid =
   Exec.Key.(
-    fields "serve.idvg"
-      [ ("desc", Tcad.Structure.description_key dev.Tcad.Structure.desc);
-        ("nx", int dev.Tcad.Structure.mesh.Tcad.Mesh.nx);
-        ("ny", int dev.Tcad.Structure.mesh.Tcad.Mesh.ny);
+    fields "serve.idvg_mesh"
+      [ ("dev", Tcad.Structure.key dev);
         ("vd", float vd);
         ( "vgs",
           String.concat "," (List.map float (Array.to_list grid)) ) ])

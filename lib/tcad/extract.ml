@@ -234,15 +234,8 @@ let characterize ?(vdd = 0.9) dev =
   }
 
 let characterize_cached ?(vdd = 0.9) dev =
-  (* The mesh dimensions are part of the key: [Structure.build] accepts
-     resolution overrides, and a coarser solve is a different result. *)
   let key =
-    Exec.Key.(
-      fields "characterize"
-        [ ("desc", Structure.description_key dev.Structure.desc);
-          ("nx", int dev.Structure.mesh.Mesh.nx);
-          ("ny", int dev.Structure.mesh.Mesh.ny);
-          ("vdd", float vdd) ])
+    Exec.Key.(fields "characterize_mesh" [ ("dev", Structure.key dev); ("vdd", float vdd) ])
   in
   Exec.Memo.find_or_compute characterize_memo ~key (fun () -> characterize ~vdd dev)
 

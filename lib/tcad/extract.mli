@@ -90,10 +90,11 @@ val characterize : ?vdd:float -> Structure.t -> characteristics
     from the previous plane's. *)
 
 val characterize_cached : ?vdd:float -> Structure.t -> characteristics
-(** [characterize] behind a content-addressed memo keyed on the structure's
-    description, its mesh dimensions and [vdd]: sweep points sharing
-    identical device parameters solve the TCAD decks once.  Counters appear
-    as ["tcad.characterize"] in [Exec.Memo.stats]. *)
+(** [characterize] behind a content-addressed memo keyed on
+    {!Structure.key} (the description and the mesh coordinates) and
+    [vdd]: sweep points sharing identical device parameters solve the TCAD
+    decks once.  Counters appear as ["tcad.characterize"] in
+    [Exec.Memo.stats]. *)
 
 val characterize_memo : characteristics Exec.Memo.t
 (** The memo table behind {!characterize_cached}, exposed so a daemon can

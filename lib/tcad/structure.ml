@@ -32,9 +32,7 @@ let default_description =
     temperature = 300.0;
   }
 
-(* Canonical content key over every field that shapes the built device:
-   the mesh, doping fields and boundaries are all functions of the
-   description, so memoizing a characterization on this key is exact. *)
+(* Canonical content key over every description field. *)
 let description_key (d : description) =
   Exec.Key.(
     fields "tcad_description"
@@ -70,6 +68,17 @@ type t = {
   ni : float;
   vt : float;
 }
+
+(* Doping fields and boundaries are functions of the description and the
+   mesh.  [build ?nx ?ny] uses the requested counts only as minimum
+   spacings, so two requests can build meshes with the same line counts and
+   different nodes: the key names the mesh by its coordinates. *)
+let key dev =
+  Exec.Key.(
+    fields "tcad_structure"
+      [ ("desc", description_key dev.desc);
+        ("xs", list float (Array.to_list dev.mesh.Mesh.xs));
+        ("ys", list float (Array.to_list dev.mesh.Mesh.ys)) ])
 
 let mask_of_boundary = function
   | Interior -> Field.Mask.interior

@@ -24,12 +24,6 @@ val default_description : description
     dimensions proportioned as in the paper's Sec. 2.2 (all lengths except
     T_ox scale with L_poly). *)
 
-val description_key : description -> string
-(** Canonical content key over every description field (floats as exact
-    IEEE-754 bit patterns), for memoizing characterizations.  The mesh is a
-    deterministic function of the description, so this key also identifies
-    the compiled structure. *)
-
 val gate_span : description -> float * float
 (** Lateral extent [x_g0, x_g1] of the gate in the simulated structure's
     coordinates — the window in which the mesh-resolution audit counts
@@ -64,7 +58,15 @@ type t = {
 val build : ?nx:int -> ?ny:int -> description -> t
 (** Compile a description to a simulatable structure.  [nx]/[ny] bound the
     mesh size (defaults chosen for accuracy/speed balance: refined near the
-    surface, the junctions and the halos). *)
+    surface, the junctions and the halos).  They set minimum spacings only,
+    so two different requests can build meshes with the same line counts
+    but different coordinates. *)
+
+val key : t -> string
+(** Canonical content key of a built structure, for memoizing solves: every
+    description field and the bit patterns of the mesh coordinates
+    [mesh.xs] and [mesh.ys].  Two requests share a key exactly when they
+    build the same device on the same mesh. *)
 
 val effective_channel_length : t -> float
 (** Metallurgical channel length: surface distance between the points where

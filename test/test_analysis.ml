@@ -106,8 +106,8 @@ let delay_tests =
         Alcotest.(check bool) "positive" true (d1 > 0.0);
         Alcotest.(check bool) "exponential speedup" true (d2 < d1 /. 5.0));
     u "Eq. 6 factor ranks nodes like Eq. 5 at fixed Ioff conditions" (fun () ->
-        let f90 = Delay.eq6_factor pair ~sizing in
-        let f32 = Delay.eq6_factor pair32 ~sizing in
+        let f90 = Metrics.delay_factor pair ~sizing in
+        let f32 = Metrics.delay_factor pair32 ~sizing in
         let d90 = Delay.eq5 pair ~sizing ~vdd:0.25 in
         let d32 = Delay.eq5 pair32 ~sizing ~vdd:0.25 in
         Alcotest.(check bool) "same ordering" true ((f32 > f90) = (d32 > d90)));

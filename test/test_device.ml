@@ -106,8 +106,11 @@ let capacitance_tests =
           ((cox *. leff) +. (2.0 *. ((cox *. overlap) +. fringe)))
           (Cap.gate ~fringe ~tox ~leff ~overlap ()));
     u "fo1 load applies the load factor" (fun () ->
-        Test_util.check_rel "cl" ~rel:1e-12 (1.6 *. 3e-15)
-          (Cap.fo1_load ~cg_n:1e-15 ~cg_p:2e-15));
+        let pair = Circuits.Inverter.pair_of_physical phys90 in
+        let sizing = Circuits.Inverter.balanced_sizing () in
+        Test_util.check_rel "cl" ~rel:1e-12
+          (1.6 *. Circuits.Inverter.gate_capacitance pair sizing)
+          (Circuits.Inverter.load_capacitance pair sizing));
   ]
 
 let compact_tests =

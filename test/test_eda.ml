@@ -387,45 +387,6 @@ let export_tests =
         Alcotest.(check bool) "32nm model" true (contains text "nfet_32nm"));
   ]
 
-let power_tests =
-  [
-    u "signal probabilities follow the gate functions" (fun () ->
-        let d = Sta.Design.create () in
-        let a = Sta.Design.fresh_net d and b = Sta.Design.fresh_net d in
-        Sta.Design.mark_input d a;
-        Sta.Design.mark_input d b;
-        let y = Sta.Design.fresh_net d in
-        Sta.Design.add_gate d Sta.Cell_lib.Nand2 ~inputs:[| a; b |] ~output:y;
-        Sta.Design.mark_output d y;
-        let stats = Sta.Power.propagate_probabilities d in
-        Test_util.check_rel "nand p" ~rel:1e-9 0.75 stats.(y).Sta.Power.probability;
-        Test_util.check_rel "activity" ~rel:1e-9 0.375 stats.(y).Sta.Power.activity);
-    u "biased inputs shift the probabilities" (fun () ->
-        let d = Sta.Design.create () in
-        let a = Sta.Design.fresh_net d in
-        Sta.Design.mark_input d a;
-        let y = Sta.Design.fresh_net d in
-        Sta.Design.add_gate d Sta.Cell_lib.Inv ~inputs:[| a |] ~output:y;
-        Sta.Design.mark_output d y;
-        let stats = Sta.Power.propagate_probabilities ~input_probability:(fun _ -> 0.9) d in
-        Test_util.check_rel "inv" ~rel:1e-9 0.1 stats.(y).Sta.Power.probability);
-    slow "chain power scales with frequency and has static floor" (fun () ->
-        let build () =
-          let d = Sta.Design.create () in
-          let a = Sta.Design.fresh_net d in
-          Sta.Design.mark_input d a;
-          let out = Sta.Design.inverter_chain d ~length:10 a in
-          Sta.Design.mark_output d out;
-          d
-        in
-        let p f = Sta.Power.analyze (Lazy.force lib) (build ()) ~frequency:f in
-        let p0 = p 0.0 and p1 = p 1e5 and p2 = p 2e5 in
-        Test_util.check_float ~tol:1e-18 "no dynamic at DC" 0.0 p0.Sta.Power.dynamic_power;
-        Alcotest.(check bool) "leakage floor" true (p0.Sta.Power.leakage_power > 0.0);
-        Test_util.check_rel "linear in f" ~rel:1e-9 (2.0 *. p1.Sta.Power.dynamic_power)
-          p2.Sta.Power.dynamic_power);
-  ]
-
 let corner_tests =
   [
     u "TT is the identity corner" (fun () ->
@@ -542,52 +503,6 @@ let logic_tests =
                   |> List.fold_left ( + ) 0 in
         let total = sum + (if values.(cout) then 256 else 0) in
         total = av + bv + cv);
-    u "signal probabilities are exact on fan-out-free logic (vs Monte Carlo)" (fun () ->
-        (* A balanced NAND tree over 8 distinct inputs has no reconvergent
-           fan-out, so the independence model is exact there. *)
-        let d = Design.create () in
-        let leaves = Array.init 8 (fun _ -> Design.fresh_net d) in
-        Array.iter (Design.mark_input d) leaves;
-        let nand x y =
-          let out = Design.fresh_net d in
-          Design.add_gate d Sta.Cell_lib.Nand2 ~inputs:[| x; y |] ~output:out;
-          out
-        in
-        let rec reduce = function
-          | [ x ] -> x
-          | x :: y :: rest -> reduce (rest @ [ nand x y ])
-          | [] -> Alcotest.fail "empty"
-        in
-        let root = reduce (Array.to_list leaves) in
-        Design.mark_output d root;
-        let stats = Sta.Power.propagate_probabilities d in
-        let rng = Numerics.Rng.create ~seed:77 in
-        let trials = 6000 in
-        let hits = ref 0 in
-        for _ = 1 to trials do
-          let draw = Hashtbl.create 16 in
-          let assign net =
-            match Hashtbl.find_opt draw net with
-            | Some v -> v
-            | None ->
-              let v = Numerics.Rng.float rng < 0.5 in
-              Hashtbl.add draw net v;
-              v
-          in
-          if (Design.evaluate d ~inputs:assign).(root) then incr hits
-        done;
-        let mc = float_of_int !hits /. float_of_int trials in
-        Test_util.check_in_range "tree root" ~lo:(mc -. 0.03) ~hi:(mc +. 0.03)
-          stats.(root).Sta.Power.probability);
-    u "adder probabilities stay in [0, 1] with exact inputs" (fun () ->
-        let d = (Design.adder ~bits:4).Design.design in
-        let stats = Sta.Power.propagate_probabilities d in
-        Array.iter
-          (fun st -> Test_util.check_in_range "p" ~lo:0.0 ~hi:1.0 st.Sta.Power.probability)
-          stats;
-        List.iter
-          (fun net -> Test_util.check_float "input" 0.5 stats.(net).Sta.Power.probability)
-          (Design.primary_inputs d));
     u "evaluate rejects cyclic designs" (fun () ->
         let d = Design.create () in
         let x = Design.fresh_net d and y = Design.fresh_net d in
@@ -609,7 +524,6 @@ let suite =
     ("scaling.projection", projection_tests);
     ("sta.liberty", liberty_tests);
     ("spice.export", export_tests);
-    ("sta.power", power_tests);
     ("device.corners", corner_tests);
     ("analysis.pareto", pareto_tests);
     ("sta.verilog", verilog_tests);

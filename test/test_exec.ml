@@ -180,6 +180,36 @@ let test_characterize_cached () =
   let s3 = stat "tcad.characterize" in
   Alcotest.(check int) "coarser mesh is a new key" 2 s3.Memo.misses
 
+(* [Structure.build] uses nx/ny only as minimum spacings: the 90 nm
+   super device's (4, 9) and (4, 10) requests build meshes with the same
+   line counts and different coordinates.  Each cached answer must be the
+   bytes of its own uncached solve, whatever was asked before it. *)
+let test_characterize_cached_mesh_key () =
+  let module Structure = Subscale.Tcad.Structure in
+  let module Extract = Subscale.Tcad.Extract in
+  let desc =
+    match Subscale.Scaling.Strategy.resolve ~node:90 ~strategy:"super" with
+    | Ok (_, _, _, pair) ->
+      Subscale.Device.Compact.to_tcad_description pair.Subscale.Circuits.Inverter.nfet
+    | Error msg -> Alcotest.fail msg
+  in
+  let build ny = Structure.build ~nx:4 ~ny desc in
+  let m9 = (build 9).Structure.mesh and m10 = (build 10).Structure.mesh in
+  Alcotest.(check (pair int int)) "same line counts"
+    (m9.Subscale.Tcad.Mesh.nx, m9.Subscale.Tcad.Mesh.ny)
+    (m10.Subscale.Tcad.Mesh.nx, m10.Subscale.Tcad.Mesh.ny);
+  Alcotest.(check bool) "different coordinates" false
+    (m9.Subscale.Tcad.Mesh.xs = m10.Subscale.Tcad.Mesh.xs
+     && m9.Subscale.Tcad.Mesh.ys = m10.Subscale.Tcad.Mesh.ys);
+  let bytes = Extract.characteristics_codec.Subscale.Exec.Store.encode in
+  let uncached = List.map (fun ny -> bytes (Extract.characterize ~vdd:0.9 (build ny))) [ 9; 10 ] in
+  Memo.clear_all ();
+  let cached =
+    List.map (fun ny -> bytes (Extract.characterize_cached ~vdd:0.9 (build ny))) [ 9; 10 ]
+  in
+  Alcotest.(check (list string)) "each answer is its own solve" uncached cached;
+  Alcotest.(check int) "two meshes, two solves" 2 (stat "tcad.characterize").Memo.misses
+
 (* A cached NaN (e.g. a non-converged sentinel) must compare equal to its
    bit-identical shadow recompute: the audit equality goes through the
    polymorphic total order, where nan = nan holds, instead of (=), where
@@ -512,5 +542,7 @@ let suite =
         slow_case "differential: Monte-Carlo samples" test_differential_mc;
         case "golden: sequential run matches snapshots" (test_golden 1);
         slow_case "golden: parallel run matches snapshots" (test_golden 4);
+        slow_case "memo: tcad keys name the mesh, not its line counts"
+          test_characterize_cached_mesh_key;
       ] );
   ]

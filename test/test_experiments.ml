@@ -90,6 +90,20 @@ let registry_tests =
               Alcotest.(check bool) (e.E.id ^ " needs the context") false
                 (List.mem e.E.id context_free))
           E.registry);
+    slow "ext-datapath and ext-sta share one carry delay per node" (fun () ->
+        let c = Lazy.force ctx in
+        Subscale.Exec.Memo.clear_all ();
+        ignore (E.ext_datapath c : E.output);
+        ignore (E.ext_sta c : E.output);
+        let s =
+          List.find
+            (fun (s : Subscale.Exec.Memo.stats) ->
+              s.Subscale.Exec.Memo.name = "experiments.carry_delay")
+            (Subscale.Exec.Memo.stats ())
+        in
+        let nodes = List.length Subscale.Scaling.Roadmap.nodes in
+        Alcotest.(check int) "one miss per node" nodes s.Subscale.Exec.Memo.misses;
+        Alcotest.(check int) "one hit per node" nodes s.Subscale.Exec.Memo.hits);
   ]
 
 let headline_tests =

@@ -55,15 +55,15 @@ let roadmap_tests =
           (List.map (fun n -> n.Roadmap.nm) Roadmap.nodes));
     u "Lpoly shrinks ~30% per generation" (fun () ->
         let ls = Array.of_list (List.map (fun n -> n.Roadmap.lpoly) Roadmap.nodes) in
-        let r = Numerics.Stats.geometric_mean_ratio ls in
+        let r = Test_util.geometric_mean_ratio ls in
         Test_util.check_in_range "ratio" ~lo:0.66 ~hi:0.74 r);
     u "Tox shrinks ~10% per generation" (fun () ->
         let ts = Array.of_list (List.map (fun n -> n.Roadmap.tox) Roadmap.nodes) in
-        let r = Numerics.Stats.geometric_mean_ratio ts in
+        let r = Test_util.geometric_mean_ratio ts in
         Test_util.check_in_range "ratio" ~lo:0.87 ~hi:0.93 r);
     u "leakage budget grows 25% per generation" (fun () ->
         let il = Array.of_list (List.map (fun n -> n.Roadmap.ileak_max) Roadmap.nodes) in
-        Test_util.check_rel "ratio" ~rel:1e-3 1.25 (Numerics.Stats.geometric_mean_ratio il));
+        Test_util.check_rel "ratio" ~rel:1e-3 1.25 (Test_util.geometric_mean_ratio il));
     u "find retrieves nodes and raises on unknown labels" (fun () ->
         Alcotest.(check int) "found" 45 (Roadmap.find 45).Roadmap.nm;
         Alcotest.check_raises "missing" Not_found (fun () -> ignore (Roadmap.find 28)));

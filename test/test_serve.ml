@@ -573,6 +573,41 @@ let serve_tests =
         ignore (Unix.read fd b 0 256);
         Unix.close fd;
         Domain.join server);
+    slow_case "daemon: tcad answers name the mesh, not its line counts" (fun () ->
+        (* On the 90 nm super device, (4, 9) and (4, 10) build meshes with
+           the same line counts and different coordinates.  Asked on one
+           connection in either order, each answer must be the bytes of its
+           own cold solve. *)
+        let query ny =
+          Printf.sprintf
+            {|{"op":"tcad","node":90,"strategy":"super","vdd":0.9,"nx":4,"ny":%d,"id":%d}|}
+            ny ny
+        in
+        let ask order =
+          Memo.clear_all ();
+          with_server (fun ~connect ~send ~recv ->
+              let fd = connect () in
+              let answers =
+                List.map
+                  (fun ny ->
+                    send fd [ query ny ];
+                    (ny, recv fd))
+                  order
+              in
+              send fd [ {|{"op":"shutdown"}|} ];
+              ignore (expect_ok (recv fd));
+              Unix.close fd;
+              answers)
+        in
+        let forward = ask [ 9; 10 ] in
+        let backward = ask [ 10; 9 ] in
+        List.iter
+          (fun ny ->
+            let answer = List.assoc ny forward in
+            ignore (expect_ok answer);
+            Alcotest.(check string) (Printf.sprintf "(4, %d)" ny) (List.assoc ny backward)
+              answer)
+          [ 9; 10 ]);
   ]
 
 let suite =

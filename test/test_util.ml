@@ -30,6 +30,14 @@ let check_decreasing name xs =
           xs.(i - 1) x)
     xs
 
+(* For a positive series y_0..y_n, the geometric mean of successive ratios
+   y_{i+1}/y_i — the paper's "% per generation" figure of merit. *)
+let geometric_mean_ratio ys =
+  let n = Array.length ys in
+  if n < 2 || Array.exists (fun y -> y <= 0.0) ys then
+    invalid_arg "geometric_mean_ratio: need >= 2 positive points";
+  exp (log (ys.(n - 1) /. ys.(0)) /. float_of_int (n - 1))
+
 let case name f = Alcotest.test_case name `Quick f
 
 let slow_case name f = Alcotest.test_case name `Slow f
