@@ -40,7 +40,7 @@ let queue_wait_hist = Obs.Metrics.histogram "exec.pool.queue_wait_us"
 
 let note_queue_wait job =
   if Obs.Trace.enabled () && job.published > 0.0 then
-    Obs.Metrics.observe queue_wait_hist ((Unix.gettimeofday () -. job.published) *. 1e6)
+    Obs.Metrics.observe queue_wait_hist ((Obs.Trace.now () -. job.published) *. 1e6)
 
 type t = {
   domains : int;
@@ -175,7 +175,7 @@ let map ?order pool xs f =
       Mutex.unlock pool.mutex;
       invalid_arg "Pool.map: a job is already running on this pool"
     end;
-    let published = if Obs.Trace.enabled () then Unix.gettimeofday () else 0.0 in
+    let published = if Obs.Trace.enabled () then Obs.Trace.now () else 0.0 in
     let job = { id = pool.next_id; run; n; next = Atomic.make 0; stop; inside = 0; published } in
     pool.next_id <- pool.next_id + 1;
     pool.current <- Some job;

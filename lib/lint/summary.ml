@@ -183,7 +183,8 @@ let safe_names =
     "Option.value"; "Option.is_some"; "Option.is_none"; "Option.some";
     "Option.to_list"; "Option.equal"; "Result.is_ok"; "Result.is_error";
     "Result.ok"; "Result.error"; "Result.value"; "Sys.getenv_opt";
-    "Sys.time"; "Sys.file_exists"; "Unix.gettimeofday";
+    "Sys.time"; "Sys.file_exists"; "Unix.gettimeofday"; "Monotonic_clock.now";
+    "Int64.to_float";
     "Domain.recommended_domain_count"; "Domain.self"; "Domain.cpu_relax";
     "Fun.id"; "Fun.negate"; "Fun.const"; "Filename.concat";
     "Filename.basename"; "Filename.dirname"; "Printexc.to_string" ]

@@ -33,9 +33,6 @@ let copy v =
   blit v c;
   c
 
-let of_array a = init (Array.length a) (Array.unsafe_get a)
-let to_array v = Array.init (length v) (unsafe_get v)
-
 let map f v = init (length v) (fun i -> f (unsafe_get v i))
 
 let for_all p v =

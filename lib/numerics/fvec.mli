@@ -27,9 +27,6 @@ val blit : t -> t -> unit
 
 val copy : t -> t
 
-val of_array : float array -> t
-val to_array : t -> float array
-
 val map : (float -> float) -> t -> t
 
 val for_all : (float -> bool) -> t -> bool

@@ -33,20 +33,6 @@ let linear_regression xs ys =
   let slope = !sxy /. !sxx in
   (slope, my -. (slope *. mx))
 
-let correlation xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Stats.correlation: length mismatch";
-  if n < 2 then invalid_arg "Stats.correlation: need >= 2 points";
-  let mx = mean xs and my = mean ys in
-  let sxy = ref 0.0 and sxx = ref 0.0 and syy = ref 0.0 in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
-    sxy := !sxy +. (dx *. dy);
-    sxx := !sxx +. (dx *. dx);
-    syy := !syy +. (dy *. dy)
-  done;
-  if Float.equal !sxx 0.0 || Float.equal !syy 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
-
 (* Abramowitz & Stegun 7.1.26 rational approximation, |error| < 1.5e-7. *)
 let erf x =
   let sign = if x >= 0.0 then 1.0 else -1.0 in

@@ -13,9 +13,6 @@ val linear_regression : Vec.t -> Vec.t -> float * float
 (** [linear_regression xs ys] is [(slope, intercept)] of the least-squares
     line.  Raises [Invalid_argument] on mismatch or fewer than 2 points. *)
 
-val correlation : Vec.t -> Vec.t -> float
-(** Pearson correlation coefficient. *)
-
 val normal_cdf : ?mean:float -> ?sigma:float -> float -> float
 (** Gaussian cumulative distribution, through a rational approximation of
     erf (|error| < 1.5e-7). *)

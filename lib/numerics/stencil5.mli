@@ -1,14 +1,21 @@
-(** Pentadiagonal linear systems from 5-point finite-volume stencils on a
-    tensor mesh with nodes ordered [k = ix * ny + iy]: nonzero diagonals
-    only at offsets 0, +-1 and +-m (m = ny).
+(** Linear systems from 5-point finite-volume stencils on a tensor mesh
+    with nodes ordered [k = ix * ny + iy]: node [k] couples to [k-1] and
+    [k+1] inside its mesh column (the same [ix]) and to [k-m] and [k+m]
+    (m = ny).  Assembly touches exactly those five diagonals.
 
-    Unlike a generic banded LU — which stores and clears the full
-    (2m+1)-diagonal band on every assembly — assembly here touches exactly
-    the five stencil diagonals, and the LU workspace (where fill-in lives)
-    is owned by the value, so a solver reusing one stencil across Newton /
-    Gummel iterations allocates nothing per solve.  On the same matrix the
-    solve is bit-identical to the generic band LU the tests keep as its
-    oracle, [test/banded.ml] (same elimination order, no pivoting). *)
+    A [+-1] entry that would cross a mesh column — A(i, i-1) when
+    [i mod m = 0], A(i, i+1) when [i mod m = m-1] — is not part of the
+    system: the mesh has no such edge.  When [m = 1] every column is one
+    node, so only the [+-m] diagonals couple.
+
+    {!create} orders the mesh graph by minimum degree and computes the
+    symbolic LU from that elimination, once per value; {!factor} is a
+    sparse LU without pivoting in that order, and {!substitute} a permuted
+    forward and back sweep.  All storage is owned by the value, so a solver
+    reusing one stencil across Newton / Gummel iterations allocates nothing
+    per solve.  The tests check the solution against a generic band LU,
+    [test/banded.ml], to 1e-12 relative; the two eliminate in different
+    orders, so their last bits differ. *)
 
 type t
 
@@ -32,7 +39,8 @@ type rows = {
   rhs : Fvec.t;  (** the same buffer as {!rhs} *)
 }
 (** The five diagonals and the right-hand side, each of length {!order}.
-    Entries whose column falls outside the matrix are never read. *)
+    Entries off the stencil — a column outside the matrix, or a [+-1]
+    across a mesh column — are never read. *)
 
 val rows : t -> rows
 (** The system's own buffers, for an assembler that writes every row in a
@@ -41,31 +49,34 @@ val rows : t -> rows
     with -opaque). *)
 
 val get : t -> int -> int -> float
-(** [get a i j] is A(i,j); zero off the stencil. *)
+(** [get a i j] is A(i,j); zero off the stencil, including a [+-1] entry
+    across a mesh column. *)
 
 val set : t -> int -> int -> float -> unit
-(** Raises [Invalid_argument] when [j - i] is not one of 0, +-1, +-m. *)
+(** Raises [Invalid_argument] when (i, j) is off the stencil: [j - i] not
+    one of 0, +-1, +-m, or a [+-1] across a mesh column. *)
 
 val set_row :
   t -> int -> west:float -> south:float -> diag:float -> north:float -> east:float ->
   rhs:float -> unit
 (** Write row [i] in one shot: [west] is A(i,i-m), [south] A(i,i-1),
-    [north] A(i,i+1), [east] A(i,i+m).  Entries whose column falls outside
-    the matrix are ignored by {!solve}/{!mat_vec}, so pass 0.0 for them.
+    [north] A(i,i+1), [east] A(i,i+m).  Entries off the stencil (a column
+    outside the matrix, a [+-1] across a mesh column) are stored but
+    ignored by {!factor}/{!solve}/{!mat_vec}, so any value will do there.
     An assembler that [set_row]s every row needs no zeroing pass first. *)
 
 val mat_vec : t -> Fvec.t -> Fvec.t -> unit
 (** [mat_vec a x y] writes A x into [y]. *)
 
 val factor : t -> unit
-(** Expand the diagonals into the internal band workspace and LU-factor it
-    in place, without pivoting (adequate for the diagonally dominant
-    finite-volume systems), allocation-free.  The factorization holds
-    until the next [factor] or {!solve}: later edits of the diagonals do
-    not reach it, so a chord Newton can reassemble and still {!substitute}
-    through an older Jacobian.  Counts one
+(** LU-factor the diagonals into the value's own storage, row by row in
+    the minimum-degree order, without pivoting (adequate for the
+    diagonally dominant finite-volume systems), allocation-free.  The
+    factorization holds until the next [factor] or {!solve}: later edits
+    of the diagonals do not reach it, so a chord Newton can reassemble
+    and still {!substitute} through an older Jacobian.  Counts one
     ["numerics.stencil5.factorizations"].  Raises [Failure] on a
-    (near-)zero pivot. *)
+    (near-)zero pivot, naming its row. *)
 
 val substitute : t -> dst:Fvec.t -> unit
 (** [substitute a ~dst] overwrites [dst] with A⁻¹ dst, A being the matrix

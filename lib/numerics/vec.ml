@@ -10,10 +10,6 @@ let linspace a b n =
   let h = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (h *. float_of_int i))
 
-let logspace a b n =
-  if a <= 0.0 || b <= 0.0 then invalid_arg "Vec.logspace: endpoints must be positive";
-  Array.map exp (linspace (log a) (log b) n)
-
 let dot x y =
   check_same_length "dot" x y;
   let s = ref 0.0 in
@@ -23,12 +19,6 @@ let dot x y =
   !s
 
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-
-let axpy a x y =
-  check_same_length "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
-  done
 
 let add x y =
   check_same_length "add" x y;

@@ -11,16 +11,9 @@ val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n] points evenly spaced from [a] to [b] inclusive.
     Requires [n >= 2]. *)
 
-val logspace : float -> float -> int -> t
-(** [logspace a b n] is [n] points geometrically spaced from [a] to [b],
-    both strictly positive. *)
-
 val dot : t -> t -> float
 
 val norm_inf : t -> float
-
-val axpy : float -> t -> t -> unit
-(** [axpy a x y] updates [y <- a*x + y] in place. *)
 
 val add : t -> t -> t
 

@@ -42,7 +42,7 @@ let buf_add_args b attrs =
 let us t = t *. 1e6
 
 (* Timestamps are rebased to the earliest event so the viewer opens at
-   t = 0 instead of the Unix epoch. *)
+   t = 0 instead of the monotonic clock's arbitrary origin. *)
 let chrome_json ~dropped events =
   let t0 =
     List.fold_left

@@ -20,7 +20,7 @@ type event =
   | Complete of {
       name : string;
       cat : string;
-      ts : float;  (* start, seconds (Unix epoch) *)
+      ts : float;  (* start, seconds (monotonic clock) *)
       dur : float;  (* seconds *)
       tid : int;  (* recording domain *)
       attrs : (string * attr) list;
@@ -75,7 +75,7 @@ let clear () =
   dropped_count := 0;
   Mutex.unlock lock
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 let tid () = (Domain.self () :> int)
 
 type span = Off | On of { name : string; cat : string; t0 : float; tid : int }

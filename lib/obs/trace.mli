@@ -15,7 +15,7 @@ type event =
   | Complete of {
       name : string;
       cat : string;
-      ts : float;  (** span start, seconds since the Unix epoch *)
+      ts : float;  (** span start, seconds on {!now}'s clock *)
       dur : float;  (** seconds *)
       tid : int;  (** id of the recording domain *)
       attrs : (string * attr) list;
@@ -27,6 +27,11 @@ type event =
       tid : int;
       attrs : (string * attr) list;
     }
+
+val now : unit -> float
+(** Seconds on a monotonic clock (CLOCK_MONOTONIC) from an arbitrary
+    origin: only differences of two readings mean anything, and a wall
+    clock step never makes one negative. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit

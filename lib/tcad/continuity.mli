@@ -34,7 +34,7 @@ val solve :
   biases:Poisson.biases ->
   psi:Field.t ->
   solution
-(** Direct stencil-banded solve for one carrier.  [recombination] carries
+(** Direct sparse stencil solve for one carrier.  [recombination] carries
     the SRH lifetimes and the lagged electron and hole densities (in that
     order) from the previous Gummel iterate; omit it for the
     recombination-free problem.  [scratch] reuses the shared Poisson

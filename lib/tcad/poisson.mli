@@ -1,8 +1,8 @@
 (** Nonlinear Poisson solver: div(eps grad psi) = -q (p - n + C) with
     Boltzmann carriers at frozen quasi-Fermi potentials (one Gummel half
-    step).  Finite-volume on the tensor mesh; damped Newton with a
-    stencil-aware banded direct solver ({!Numerics.Stencil5}) over flat
-    {!Field.t} buffers.
+    step).  Finite-volume on the tensor mesh; damped Newton with a sparse
+    direct solver for the 5-point stencil ({!Numerics.Stencil5}) over
+    flat {!Field.t} buffers.
 
     Potentials are referenced to the intrinsic Fermi level, so an ohmic
     contact at applied bias V is the Dirichlet value

@@ -1,6 +1,7 @@
 (* Generic banded matrices in LAPACK-style band storage with a no-pivot LU
-   solve: the reference Stencil5 is tested against (same elimination
-   order, so the two agree bit for bit on the same matrix).
+   solve: the reference Stencil5 is tested against.  Stencil5 eliminates
+   in minimum-degree order and this in natural order, so the two agree to
+   rounding, not bit for bit.
 
    Band storage: band.(d).(j) holds A(j + d - ku, j) for diagonal offset
    d in [0, kl + ku], i.e. row index i = j + d - ku.  Column-oriented so the

@@ -38,6 +38,12 @@ let geometric_mean_ratio ys =
     invalid_arg "geometric_mean_ratio: need >= 2 positive points";
   exp (log (ys.(n - 1) /. ys.(0)) /. float_of_int (n - 1))
 
+(* Float arrays in and out of the solvers' flat vectors. *)
+let fvec_of_array a = Subscale.Numerics.Fvec.init (Array.length a) (Array.get a)
+
+let array_of_fvec v =
+  Array.init (Subscale.Numerics.Fvec.length v) (Subscale.Numerics.Fvec.get v)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let slow_case name f = Alcotest.test_case name `Slow f
