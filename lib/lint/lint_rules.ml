@@ -240,7 +240,7 @@ let all : meta list =
       severity = Diagnostic.Error;
       title = "buffer ownership: solver scratch never escapes or overlaps";
       fires_on =
-        "a `Poisson.scratch`/`Stencil5.t` workspace stored into a long-lived structure \
+        "a `Poisson.scratch`/`Stencil5.t`/`Sparse_lu.t` workspace stored into a long-lived structure \
          (ref, Hashtbl, record field) — escape — or mutated through a capture inside a \
          closure entering the parallel engine, where every domain would reenter the \
          solver with the same workspace";

@@ -97,7 +97,7 @@ let demangled_head ty =
 (* Caller-owned solver workspaces: one value serves a whole sweep but must
    never be shared across concurrent domains, stored into long-lived
    structures, or handed to two overlapping solves. *)
-let scratch_type_names = [ "Poisson.scratch"; "Stencil5.t" ]
+let scratch_type_names = [ "Poisson.scratch"; "Stencil5.t"; "Sparse_lu.t" ]
 
 let is_scratch ty =
   match demangled_head ty with

@@ -70,18 +70,19 @@ let primitive_effects =
     ( [ "Fvec.set"; "Fvec.unsafe_set"; "Fvec.fill";
         "Field.set"; "Field.fill"; "Mask.set";
         "Array1.set"; "Array1.unsafe_set"; "Array1.fill";
-        "Stencil5.set"; "Stencil5.set_row"; "Stencil5.factor" ],
+        "Stencil5.set"; "Stencil5.set_row"; "Stencil5.factor"; "Sparse_lu.factor" ],
       buffer_ce [ Pos 0 ] );
     (* blit: source read, destination written *)
     ( [ "Fvec.blit"; "Field.blit"; "Array1.blit" ], buffer_ce [ Pos 1 ] );
-    (* banded solve: LU workspace inside the system plus the labelled dst.
+    (* sparse solve: LU workspace inside the system plus the labelled dst.
        substitute only reads the workspace, but what it reads is the last
        factor's: it counts as a write so no two domains share a system. *)
-    ( [ "Stencil5.solve"; "Stencil5.substitute" ], buffer_ce [ Pos 0; Lab "dst" ] );
+    ( [ "Stencil5.solve"; "Stencil5.substitute"; "Sparse_lu.substitute" ],
+      buffer_ce [ Pos 0; Lab "dst" ] );
     ( [ "Stencil5.mat_vec" ], buffer_ce [ Pos 2 ] );
     (* identity-shaped: the result aliases the argument's buffers — the
-       checked buffer, or the system's own diagonals *)
-    ( [ "Guard.fvec"; "Stencil5.rows" ],
+       checked buffer, or the system's own diagonals or values *)
+    ( [ "Guard.fvec"; "Stencil5.rows"; "Sparse_lu.values" ],
       { ce_mutated = []; ce_buffer_mutated = []; ce_stored = [];
         ce_returns = Some (Pos 0) } );
     (* classic containers: target mutated, payload stored *)

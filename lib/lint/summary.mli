@@ -39,7 +39,7 @@ val blocking_ok : Parsetree.attributes -> bool
 
 type effect_ = { mutated : bool; buffer_mut : bool; stored : bool; returned : bool }
 (** [buffer_mut]: the mutation evidence bottoms out in a flat-buffer
-    primitive (Bigarray/Fvec/Stencil5) rather than a classic container —
+    primitive (Bigarray/Fvec/Stencil5/Sparse_lu) rather than a classic container —
     the ALS pass convicts on buffer-flavored evidence only. *)
 
 type lock_kind =

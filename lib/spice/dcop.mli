@@ -5,19 +5,20 @@
 exception No_convergence of string
 
 type workspace
-(** Newton scratch for one analysis: residual, Jacobian, pivot order and
-    update, each sized to the system's unknowns.  Every {!newton} run
+(** Newton scratch for one analysis: the residual (which the solve
+    overwrites with the update) and a {!Numerics.Sparse_lu.t} holding the
+    Jacobian's values and factors, sized to the system.  Every {!newton} run
     overwrites all of it before reading it, so one workspace serves every
     Newton run of an analysis (each source step, each transient step).  It
     belongs to one analysis call: never share it between concurrent
     solves. *)
 
-val workspace : int -> workspace
-(** [workspace n] for a system of [n] unknowns ({!Mna.size}). *)
+val workspace : Mna.system -> workspace
+(** A workspace for Newton runs on this system's {!Mna.assemble}. *)
 
 val newton :
   workspace ->
-  (x:Numerics.Vec.t -> f:Numerics.Vec.t -> jac:Numerics.Matrix.t -> unit) ->
+  (x:Numerics.Vec.t -> f:Numerics.Fvec.t -> jac:Numerics.Fvec.t -> unit) ->
   tol:float ->
   max_iter:int ->
   Numerics.Vec.t ->
@@ -25,9 +26,11 @@ val newton :
 (** [newton ws assemble ~tol ~max_iter x0]: damped Newton from [x0], which
     is not mutated; the result is a fresh vector.  [assemble ~x ~f ~jac]
     (typically a {!Mna.assemble} closure) overwrites [f] with F(x) and
-    [jac] with dF/dx, both taken from [ws].  Each update is clamped to 0.3
-    in the infinity norm; converged when an unclamped update is below
-    [tol].  [None] on a singular Jacobian or after [max_iter] iterations.
+    [jac] with dF/dx's values, both taken from [ws]; the Jacobian is
+    factored without pivoting in the pattern's minimum-degree order.  Each
+    update is clamped to 0.3 in the infinity norm; converged when an
+    unclamped update is below [tol].  [None] on a zero pivot or after
+    [max_iter] iterations.
     Raises [Invalid_argument] if [ws] is not sized to [x0].  Each iteration
     bumps the [spice.newton.iterations] counter. *)
 

@@ -5,20 +5,35 @@
     of the voltage sources, in netlist order.  The voltage-source current
     unknown is the current flowing from the + terminal through the source to
     the - terminal (i.e. a positive supply sources current out of +, so the
-    current *drawn from* a supply is the negative of this unknown). *)
+    current *drawn from* a supply is the negative of this unknown).
+
+    Equations are ordered like the unknowns, except that each voltage source
+    trades rows with one of its non-ground terminals: that node's KCL
+    equation takes the source's branch row, and the source's constraint
+    v+ - v- = value takes the node's row.  Every diagonal of the Jacobian is
+    then structurally nonzero (a source's +-1, or a node's gmin), so it is
+    factored by {!Numerics.Sparse_lu} without pivoting. *)
 
 type system
 (** Immutable once built, so one system can be shared across domains. *)
 
 val build : Netlist.t -> system
-(** Resolve the netlist's elements: resistor conductances and each
-    MOSFET's {!Device.Iv_model.prepare}d coefficients are computed here,
-    once.  Later changes to the netlist are not seen. *)
+(** Resolve the netlist's elements: resistor conductances, each MOSFET's
+    {!Device.Iv_model.prepare}d coefficients and the Jacobian's structural
+    pattern — each stamp's slots, the minimum-degree order and the symbolic
+    LU — are computed here, once.  Later changes to the netlist are not
+    seen.  Raises [Invalid_argument] naming the voltage source that closes
+    a loop of voltage sources (parallel sources and a source shorted to
+    itself included): such a system has no solution. *)
 
 val size : system -> int
 (** Number of unknowns. *)
 
 val n_caps : system -> int
+
+val pattern : system -> Numerics.Sparse_lu.symbolic
+(** The Jacobian's symbolic LU; {!Numerics.Sparse_lu.create} on it gives
+    the [jac] buffer {!assemble} writes ({!Numerics.Sparse_lu.values}). *)
 
 val voltage : system -> Numerics.Vec.t -> int -> float
 (** Node voltage from an unknown vector (handles ground). *)
@@ -43,13 +58,15 @@ val assemble :
   ?overrides:(string * float) list ->
   ?caps:cap_companion array ->
   x:Numerics.Vec.t ->
-  f:Numerics.Vec.t ->
-  jac:Numerics.Matrix.t ->
+  f:Numerics.Fvec.t ->
+  jac:Numerics.Fvec.t ->
   unit ->
   unit
-(** Overwrite the caller-owned [f] (length {!size}) with the KCL residual
-    F(x) and the {!size} x {!size} [jac] with the Jacobian dF/dx; each
-    MOSFET stamps its analytic {!Device.Iv_model.eval}.  [source_scale]
+(** Overwrite the caller-owned [f] (length {!size}) with the residual F(x)
+    in equation order, and [jac], the value buffer of a
+    {!Numerics.Sparse_lu.t} made from {!pattern}, with the Jacobian dF/dx
+    (only its structural entries are stored); each MOSFET stamps its
+    analytic {!Device.Iv_model.eval}.  [source_scale]
     multiplies every independent source value (for source-stepping
     homotopy).  A 1e-12 S leak conductance (gmin) ties every node to
     ground.

@@ -54,7 +54,7 @@ let run ?x0 sys ~probes ~t_stop ~steps =
   let h = t_stop /. float_of_int steps in
   let n_steps = int_of_float (ceil ((t_stop /. h) -. 1e-9)) in
   let nc = Mna.n_caps sys in
-  let ws = Dcop.workspace (Mna.size sys) in
+  let ws = Dcop.workspace sys in
   let newton_at ~time ~caps ~max_iter x0 =
     Dcop.newton ws (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ())
       ~tol:1e-9 ~max_iter x0
