@@ -10,17 +10,3 @@
 val max_bits_per_line : Device.Compact.t -> vdd:float -> int
 (** Largest N with I_on >= 4 (N - 1) I_off, both currents at [vdd]: a
     conservative sense-amp margin of 4. *)
-
-type swing = {
-  bits : int;
-  read_current : float;  (** accessed cell [A/m width] *)
-  leak_current : float;  (** aggregate opposing leakage [A/m width] *)
-  effective_current : float;  (** what actually discharges the line *)
-  swing_time : float;  (** time to develop a 50 mV swing on the line [s] *)
-}
-
-val read_swing : Device.Compact.t -> vdd:float -> bits:int -> swing
-(** Bitline discharge budget for an N-bit line: capacitance N x 0.08 fF/um
-    of device width per bit (wire plus drain junction), target differential
-    50 mV.  Raises [Invalid_argument] if the leakage exceeds the
-    read current (the line never develops the swing). *)

@@ -98,20 +98,6 @@ let bitline_tests =
         let ratio = Device.Iv_model.on_off_ratio nfet ~vdd:0.25 in
         let bits = Bitline.max_bits_per_line nfet ~vdd:0.25 in
         Test_util.check_rel "quarter ratio" ~rel:0.05 (ratio /. 4.0) (float_of_int bits));
-    u "read swing accounting is self-consistent" (fun () ->
-        let s = Bitline.read_swing nfet ~vdd:0.25 ~bits:64 in
-        Test_util.check_rel "effective" ~rel:1e-9
-          (s.Bitline.read_current -. s.Bitline.leak_current) s.Bitline.effective_current;
-        Alcotest.(check bool) "positive time" true (s.Bitline.swing_time > 0.0));
-    u "too many bits on the line is rejected" (fun () ->
-        let too_many = 100 * Bitline.max_bits_per_line nfet ~vdd:0.25 in
-        match Bitline.read_swing nfet ~vdd:0.25 ~bits:too_many with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected rejection");
-    u "more bits slow the swing" (fun () ->
-        let t32 = (Bitline.read_swing nfet ~vdd:0.25 ~bits:32).Bitline.swing_time in
-        let t64 = (Bitline.read_swing nfet ~vdd:0.25 ~bits:64).Bitline.swing_time in
-        Alcotest.(check bool) "slower" true (t64 > t32));
   ]
 
 let multi_vth_tests =
