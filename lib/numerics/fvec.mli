@@ -1,7 +1,8 @@
 (** Flat float64 vectors ([Bigarray.Array1], C layout) for solver hot
     paths: contiguous, unboxed, and shareable across domains without the
     OCaml heap in the way.  The TCAD field state ([Tcad.Field]) and the
-    pentadiagonal solver ({!Stencil5}) are built on these.
+    sparse LU ({!Sparse_lu}) with its pentadiagonal front end
+    ({!Stencil5}) are built on these.
 
     The [.{i}] indexing syntax works on values of this type. *)
 

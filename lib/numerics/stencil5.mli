@@ -8,12 +8,14 @@
     system: the mesh has no such edge.  When [m = 1] every column is one
     node, so only the [+-m] diagonals couple.
 
-    {!create} orders the mesh graph by minimum degree and computes the
-    symbolic LU from that elimination, once per value; {!factor} is a
-    sparse LU without pivoting in that order, and {!substitute} a permuted
-    forward and back sweep.  All storage is owned by the value, so a solver
-    reusing one stencil across Newton / Gummel iterations allocates nothing
-    per solve.  The tests check the solution against a generic band LU,
+    The 5-point front end of {!Sparse_lu}: {!create} hands it the mesh
+    graph, which it orders by minimum degree, computing the symbolic LU
+    from that elimination, once per value; {!factor} is its LU without
+    pivoting in that order, and {!substitute} its permuted forward and back
+    sweep.  The five diagonals are views into the LU's value buffer, so
+    assembly writes what {!factor} reads.  All storage is owned by the
+    value, so a solver reusing one stencil across Newton / Gummel
+    iterations allocates nothing per solve.  The tests check the solution against a generic band LU,
     [test/banded.ml], to 1e-12 relative; the two eliminate in different
     orders, so their last bits differ. *)
 
