@@ -946,7 +946,7 @@ let audit_cmd =
 (* ------------------------------------------------------------------ *)
 (* lint: the typedtree-based source linter over dune's .cmt artifacts. *)
 
-module L = Subscale.Lint
+module L = Lint
 
 let lint_selftest () =
   let results = L.selftest () in

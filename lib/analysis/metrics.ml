@@ -14,11 +14,6 @@ let delay_factor ?(ioff_vdd = 0.25) pair ~sizing =
   in
   cl *. ss /. (0.5 *. (i_n +. i_p))
 
-let delay_factor_const_ioff pair ~sizing =
-  let cl = Circuits.Inverter.load_capacitance pair sizing in
-  let ss = pair.Circuits.Inverter.nfet.Device.Compact.ss in
-  cl *. ss
-
 let normalize = function
   | [] -> []
   | first :: _ as values ->

@@ -17,9 +17,6 @@
     - {!Sta} — cell characterization and static timing analysis;
     - {!Check} — pre-solver static analysis (deck DRC, physics validation,
       STA lint, non-finite guards) with structured diagnostics;
-    - {!Lint} — typedtree-based source linter (purity/race pass for the
-      parallel engine, float/exception/output hygiene) over the .cmt
-      artifacts dune produces;
     - {!Exec} — the domain pool ({!Exec.Pool}) every sweep fans out
       through, the content-addressed memo tables ({!Exec.Memo}) that
       share device solves across experiments, and the persistent
@@ -41,7 +38,6 @@ module Interconnect = Interconnect
 module Sta = Sta
 module Report = Report
 module Check = Check
-module Lint = Lint
 module Obs = Obs
 module Serve = Serve
 module Experiments = Experiments

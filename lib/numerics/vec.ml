@@ -18,8 +18,6 @@ let dot x y =
   done;
   !s
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-
 let add x y =
   check_same_length "add" x y;
   Array.init (Array.length x) (fun i -> x.(i) +. y.(i))

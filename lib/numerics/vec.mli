@@ -13,8 +13,6 @@ val linspace : float -> float -> int -> t
 
 val dot : t -> t -> float
 
-val norm_inf : t -> float
-
 val add : t -> t -> t
 
 val max_abs_diff : t -> t -> float

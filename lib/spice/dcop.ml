@@ -54,10 +54,9 @@ let newton_at_scale ws sys ~overrides ~source_scale ~tol ~max_iter x0 =
     (fun ~x ~f ~jac -> Mna.assemble sys ~time:0.0 ~source_scale ~overrides ~x ~f ~jac ())
     ~tol ~max_iter x0
 
-let solve ?x0 ?(overrides = []) sys =
+let solve_in ws ?x0 ?(overrides = []) sys =
   let tol = 1e-9 and max_iter = 120 in
   let n = Mna.size sys in
-  let ws = workspace sys in
   let start = match x0 with Some v -> Array.copy v | None -> Array.make n 0.0 in
   let _ = Numerics.Guard.vec ~origin:"Dcop.solve: initial guess" start in
   let guarded x = Numerics.Guard.vec ~origin:"Dcop.solve: solution" x in
@@ -76,3 +75,5 @@ let solve ?x0 ?(overrides = []) sys =
           (No_convergence (Printf.sprintf "source stepping failed at scale %.2f" scale))
     done;
     guarded !x
+
+let solve ?x0 ?overrides sys = solve_in (workspace sys) ?x0 ?overrides sys

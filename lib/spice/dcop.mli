@@ -42,3 +42,14 @@ val solve :
 (** Operating point at [time = 0], to a final Newton update below 1e-9 V
     (infinity norm) within 120 iterations.  Raises {!No_convergence} if both
     the direct solve and 20-step source stepping fail. *)
+
+val solve_in :
+  workspace ->
+  ?x0:Numerics.Vec.t ->
+  ?overrides:(string * float) list ->
+  Mna.system ->
+  Numerics.Vec.t
+(** [solve_in ws sys] is [solve sys] on the analysis's own workspace [ws]
+    (built by [workspace sys]), so a sweep or a transient allocates its
+    Newton scratch once rather than once per operating point.  Same
+    result, bit for bit. *)

@@ -3,15 +3,11 @@ type t = { swept : Numerics.Vec.t; solutions : Numerics.Vec.t array }
 let run sys ~source ~values =
   let n = Array.length values in
   if n = 0 then invalid_arg "Dcsweep.run: empty sweep";
+  let ws = Dcop.workspace sys in
   let solutions = Array.make n [||] in
   let prev = ref None in
   for i = 0 to n - 1 do
-    let ov = [ (source, values.(i)) ] in
-    let x =
-      match !prev with
-      | None -> Dcop.solve ~overrides:ov sys
-      | Some x0 -> Dcop.solve ~x0 ~overrides:ov sys
-    in
+    let x = Dcop.solve_in ws ?x0:!prev ~overrides:[ (source, values.(i)) ] sys in
     solutions.(i) <- x;
     prev := Some x
   done;

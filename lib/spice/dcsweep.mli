@@ -1,6 +1,7 @@
 (** DC sweeps: repeated operating points against a swept voltage source,
     warm-starting each point from the last — the tool that produces voltage
-    transfer characteristics. *)
+    transfer characteristics.  One {!Dcop.workspace} serves every point of
+    a sweep. *)
 
 type t = {
   swept : Numerics.Vec.t;  (** swept source values *)

@@ -59,7 +59,7 @@ let run ?x0 sys ~probes ~t_stop ~steps =
     Dcop.newton ws (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ())
       ~tol:1e-9 ~max_iter x0
   in
-  let x_dc = match x0 with Some x -> Array.copy x | None -> Dcop.solve sys in
+  let x_dc = match x0 with Some x -> Array.copy x | None -> Dcop.solve_in ws sys in
   (* Capacitor state: voltage across and branch current at the last accepted
      time point. *)
   let vcap = Array.init nc (fun i -> Mna.cap_voltage sys x_dc i) in

@@ -5,7 +5,8 @@
 
     A run records only the signals its caller declares as probes: memory
     is O(probes x steps), not O(nodes x steps).  One {!Dcop.workspace}
-    serves every Newton solve of a run. *)
+    serves every Newton solve of a run, the initial operating point's
+    included. *)
 
 type probe =
   | Node of int  (** a node voltage (node 0 is ground) *)

@@ -35,12 +35,6 @@ let n_nets d = d.next_net
 let primary_inputs d = List.rev d.inputs
 let primary_outputs d = List.rev d.outputs
 
-let fanout_count d net =
-  List.fold_left
-    (fun acc (g : gate) ->
-      acc + Array.fold_left (fun a i -> if i = net then a + 1 else a) 0 g.inputs)
-    0 (gates d)
-
 let topological_gates d =
   let all = gates d in
   let ready = Hashtbl.create 64 in

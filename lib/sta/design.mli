@@ -26,9 +26,6 @@ val primary_inputs : t -> net list
 
 val primary_outputs : t -> net list
 
-val fanout_count : t -> net -> int
-(** Number of gate inputs the net drives. *)
-
 val topological_gates : t -> gate list
 (** Gates ordered so every gate appears after the drivers of its inputs.
     Raises [Failure] on a combinational loop or an undriven internal net

@@ -170,11 +170,6 @@ let metrics_tests =
         let ss = pair.Inv.nfet.Device.Compact.ss in
         Test_util.check_rel "clss2" ~rel:1e-12 (cl *. ss *. ss)
           (Metrics.energy_factor pair ~sizing));
-    u "delay factor at constant Ioff reduces to CL*SS" (fun () ->
-        let cl = Inv.load_capacitance pair sizing in
-        let ss = pair.Inv.nfet.Device.Compact.ss in
-        Test_util.check_rel "clss" ~rel:1e-12 (cl *. ss)
-          (Metrics.delay_factor_const_ioff pair ~sizing));
     u "normalize pins the first element to one" (fun () ->
         Alcotest.(check (list (float 1e-9))) "norm" [ 1.0; 0.5; 2.0 ]
           (Metrics.normalize [ 4.0; 2.0; 8.0 ]));

@@ -196,14 +196,6 @@ let design_tests =
           (Invalid_argument "Design.add_gate: net 0 already driven") (fun () ->
             Design.add_gate d Cell_lib.Inv ~inputs:[| b |] ~output:a;
             Design.add_gate d Cell_lib.Inv ~inputs:[| b |] ~output:a));
-    u "fanout counting" (fun () ->
-        let d = Design.create () in
-        let a = Design.fresh_net d in
-        Design.mark_input d a;
-        let o1 = Design.fresh_net d and o2 = Design.fresh_net d in
-        Design.add_gate d Cell_lib.Inv ~inputs:[| a |] ~output:o1;
-        Design.add_gate d Cell_lib.Inv ~inputs:[| a |] ~output:o2;
-        Alcotest.(check int) "fanout 2" 2 (Design.fanout_count d a));
     u "ripple-carry adder generator wires 9 nands per bit" (fun () ->
         let adder = Design.adder ~bits:4 in
         Alcotest.(check int) "sum bits" 4 (Array.length adder.Design.sums);

@@ -207,6 +207,22 @@ let dcsweep_tests =
         let sys = Mna.build fx.Circuits.Inverter.circuit in
         Alcotest.check_raises "empty" (Invalid_argument "Dcsweep.run: empty sweep")
           (fun () -> ignore (Dcsweep.run sys ~source:"VIN" ~values:[||])));
+    u "a sweep's one workspace gives fresh solves' bits" (fun () ->
+        let fx = inverter_fixture 0.25 in
+        let sys = Mna.build fx.Circuits.Inverter.circuit in
+        let vin = Numerics.Vec.linspace 0.0 0.25 11 in
+        let sweep = Dcsweep.run sys ~source:"VIN" ~values:vin in
+        let prev = ref None in
+        Array.iteri
+          (fun i v ->
+            let x = Dcop.solve ?x0:!prev ~overrides:[ ("VIN", v) ] sys in
+            Array.iteri
+              (fun k xk ->
+                Alcotest.(check int64) (Printf.sprintf "point %d unknown %d" i k)
+                  (Int64.bits_of_float xk) (Int64.bits_of_float sweep.Dcsweep.solutions.(i).(k)))
+              x;
+            prev := Some x)
+          vin);
   ]
 
 (* RC low-pass driven by a step: exact solution v(t) = V (1 - e^{-t/RC}). *)
