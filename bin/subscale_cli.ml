@@ -16,8 +16,8 @@
      serve          long-running characterization daemon (JSON over a socket)
 
    check/audit/lint share the same conventions: structured diagnostics
-   with registry-minted rule ids, --selftest, --strict, exit 1 on
-   findings. *)
+   with registry-minted rule ids, --strict, exit 1 on findings (lint's
+   rule fixtures run in dune runtest; check and audit have --selftest). *)
 
 open Cmdliner
 module Diag = Subscale.Check.Diagnostic
@@ -948,25 +948,6 @@ let audit_cmd =
 
 module L = Lint
 
-let lint_selftest () =
-  let results = L.selftest () in
-  let failures = ref 0 in
-  List.iter
-    (fun (r : L.Selftest.result) ->
-      if r.L.Selftest.ok then
-        Printf.printf "  ok    %-48s -> %s\n" r.L.Selftest.name r.L.Selftest.detail
-      else begin
-        incr failures;
-        Printf.printf "  FAIL  %-48s %s\n" r.L.Selftest.name r.L.Selftest.detail
-      end)
-    results;
-  if !failures > 0 then begin
-    Printf.printf "lint selftest: %d case(s) failed\n" !failures;
-    exit 1
-  end;
-  print_endline
-    "lint selftest: every LNT, UNT, ALS and RAC rule fires on its crafted source, near-misses stay clean"
-
 let lint_update_baseline ~baseline_path (app : L.Baseline.application) old_baseline =
   (* Keep the justification of every entry that still matches; new findings
      get a TODO note so the diff shows exactly what needs justifying. *)
@@ -1029,14 +1010,6 @@ let diag_json (d : Diag.t) =
        @ Option.fold ~none:[] ~some:(fun h -> [ ("hint", J.Str h) ]) d.Diag.hint))
 
 let lint_cmd =
-  let selftest =
-    let doc =
-      "Run the linter's own test: crafted sources compiled on the fly must \
-       each fire exactly their LNT/UNT/ALS/RAC rule, the near-misses must stay \
-       clean, and the rule-id registry and unit signature table must validate."
-    in
-    Arg.(value & flag & info [ "selftest" ] ~doc)
-  in
   let strict =
     let doc =
       "Exit non-zero on warnings, stale baseline entries, TODO-justified \
@@ -1079,9 +1052,8 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "update-baseline" ] ~doc)
   in
-  let run () selftest strict format rules baseline_path root update =
+  let run () strict format rules baseline_path root update =
     if rules then print_string (L.rules_markdown ())
-    else if selftest then lint_selftest ()
     else begin
       if not (Sys.file_exists root && Sys.is_directory root) then begin
         Printf.eprintf
@@ -1202,8 +1174,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
-      const run $ log_term $ selftest $ strict $ format
-      $ rules $ baseline_arg $ root_arg $ update)
+      const run $ log_term $ strict $ format $ rules $ baseline_arg $ root_arg $ update)
 
 let serve_cmd =
   let socket_arg =

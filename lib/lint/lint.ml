@@ -36,7 +36,6 @@ module Summary = Summary
 module Alias = Alias
 module Lockset = Lockset
 module Races = Races
-module Selftest = Selftest
 
 module D = Check.Diagnostic
 
@@ -92,9 +91,6 @@ let lint_root root =
   let units, unreadable = Cmt_load.load_root root in
   let env = analyze units in
   List.map (lint_unit env) units @ List.map unreadable_report unreadable
-
-let selftest () =
-  Selftest.run ~lint:(fun u -> (lint_unit (analyze [ u ]) u).diags)
 
 let all_diags reports = List.concat_map (fun r -> r.diags) reports
 

@@ -18,7 +18,6 @@ module Summary = Summary
 module Alias = Alias
 module Lockset = Lockset
 module Races = Races
-module Selftest = Selftest
 
 type file_report = { source : string; diags : Check.Diagnostic.t list }
 
@@ -36,9 +35,6 @@ val lint_root : string -> file_report list
 (** Lint every .cmt under a directory tree (sorted by source path), with
     one engine over the whole tree so LNT001, ALS and RAC see cross-unit
     call chains. *)
-
-val selftest : unit -> Selftest.result list
-(** {!Selftest.run} through the same passes as {!lint_root}. *)
 
 val all_diags : file_report list -> Check.Diagnostic.t list
 

@@ -5,9 +5,8 @@
 
    The tables are written against source-level names ("Silicon.
    fermi_potential", record type "Params.physical") and matched by path
-   suffix after demangling, so both real library code and the crafted
-   selftest/fixture sources (which define local modules of the same shape)
-   hit the same entries.
+   suffix after demangling, so both real library code and the lint fixtures
+   (which define local modules of the same shape) hit the same entries.
 
    Only what the table names is known; everything else is Unknown and the
    pass stays silent about it.  Growing the table is how ROADMAP items 3-5
@@ -106,8 +105,8 @@ let parse text =
     | Ok d -> Ok d
   end
 
-(* Table entries are our own source; a typo is a programming error caught
-   by the selftest, so constructing from a malformed string is loud. *)
+(* Table entries are our own source; a typo is a programming error, so
+   constructing from a malformed string raises at module initialization. *)
 let u text =
   match parse text with
   | Ok d -> d
@@ -271,18 +270,17 @@ let field ~record ~name =
 
 let container_round_trip name = Paths.suffix_matches ~candidates:containers name
 
-(* Consistency selftest: every table entry parsed (the [u] calls above ran
-   at module initialization), every arg spec position is sane. *)
-let selftest () =
+(* Every table entry parsed (the [u] calls above ran at module
+   initialization); check each arg spec the same way, so a malformed
+   entry fails whatever links the table, before any lint runs. *)
+let () =
   List.iter
     (fun (n, { fn_args; _ }) ->
       List.iter
         (function
           | Pos i, _ when i < 0 ->
-            failwith (Printf.sprintf "Unit_sig: negative arg position in %s" n)
-          | Lab "", _ -> failwith (Printf.sprintf "Unit_sig: empty label in %s" n)
+            invalid_arg (Printf.sprintf "Unit_sig: negative arg position in %s" n)
+          | Lab "", _ -> invalid_arg (Printf.sprintf "Unit_sig: empty label in %s" n)
           | _ -> ())
         fn_args)
-    functions;
-  List.length constants + List.length functions
-  + List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 fields
+    functions

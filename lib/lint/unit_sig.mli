@@ -31,6 +31,3 @@ val field : record:string -> name:string -> Dimension.t option
 val container_round_trip : string -> bool
 (** Is this a polymorphic container function the pass cannot follow
     (List.map, Array.fold_left, ...)?  UNT005's subject. *)
-
-val selftest : unit -> int
-(** Validate table shape; returns the number of seeded entries. *)

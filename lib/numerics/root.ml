@@ -133,51 +133,3 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ?(on_fail = `Raise) f a b =
     | None ->
       exhausted ~method_:"brent" ~on_fail ~a:!a ~b:!c ~best:!b ~residual:!fb ~iterations:!iter
   end
-
-let newton ?(max_iter = 100) ~f ~df x0 =
-  let tol = 1e-12 in
-  let rec loop x iter =
-    if iter >= max_iter then
-      exhausted ~method_:"newton" ~on_fail:`Raise ~a:x ~b:x ~best:x ~residual:(f x)
-        ~iterations:iter
-    else begin
-      let fx = f x in
-      let dfx = df x in
-      if Float.abs dfx < 1e-300 then failwith "Root.newton: zero derivative";
-      let x' = x -. (fx /. dfx) in
-      if Float.abs (x' -. x) < tol *. (1.0 +. Float.abs x') then x' else loop x' (iter + 1)
-    end
-  in
-  loop x0 0
-
-let find_bracket ?(max_iter = 60) f a b =
-  let grow = 1.6 in
-  let non_finite who x fx =
-    Obs.non_converged ~solver:"numerics.root"
-      ~attrs:[ ("method", Obs.Trace.S "find_bracket"); (who, Obs.Trace.F x); ("f", Obs.Trace.F fx) ]
-      (Printf.sprintf "find_bracket: non-finite f(%g) = %g" x fx);
-    None
-  in
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let fa = ref (f !a) and fb = ref (f !b) in
-  (* A sign test against a non-finite evaluation is meaningless
-     (-inf *. positive < 0 would "bracket" a pole or an overflow, and any
-     NaN silently fails every test); refuse such endpoints outright. *)
-  let rec loop iter =
-    if not (Float.is_finite !fa) then non_finite "a" !a !fa
-    else if not (Float.is_finite !fb) then non_finite "b" !b !fb
-    else if !fa *. !fb < 0.0 then Some (!a, !b)
-    else if iter >= max_iter then None
-    else begin
-      if Float.abs !fa < Float.abs !fb then begin
-        a := !a -. (grow *. (!b -. !a));
-        fa := f !a
-      end
-      else begin
-        b := !b +. (grow *. (!b -. !a));
-        fb := f !b
-      end;
-      loop (iter + 1)
-    end
-  in
-  loop 0

@@ -8,9 +8,9 @@
 
 exception
   No_convergence of {
-    method_ : string;  (** ["bisect"], ["brent"] or ["newton"] *)
-    a : float;  (** bracket low / last iterate *)
-    b : float;  (** bracket high / last iterate *)
+    method_ : string;  (** ["bisect"] or ["brent"] *)
+    a : float;  (** bracket low *)
+    b : float;  (** bracket high *)
     best : float;  (** best iterate when the budget ran out *)
     residual : float;  (** [f best] *)
     iterations : int;
@@ -31,16 +31,3 @@ val brent :
   ?tol:float -> ?max_iter:int -> ?on_fail:on_fail -> (float -> float) -> float -> float -> float
 (** Brent's method: bisection safety with inverse-quadratic speed.  Same
     contract as {!bisect}. *)
-
-val newton : ?max_iter:int -> f:(float -> float) -> df:(float -> float) -> float -> float
-(** [newton ~f ~df x0] runs Newton iteration from [x0] to a relative step
-    of 1e-12.  Raises {!No_convergence} on budget exhaustion and [Failure]
-    on a zero derivative. *)
-
-val find_bracket :
-  ?max_iter:int -> (float -> float) -> float -> float -> (float * float) option
-(** [find_bracket f a b] expands the interval geometrically (by 1.6) outward
-    until [f] changes sign, returning the bracket if found.  A candidate
-    endpoint whose evaluation is non-finite (NaN or infinite — e.g. a pole or
-    an overflow masquerading as a sign change) yields [None] plus an obs
-    non-convergence event rather than a bogus bracket. *)

@@ -347,12 +347,29 @@ let prepare_unix_path path =
       (Printf.sprintf "subscale serve: %s already exists and is not a socket; refusing to delete it"
          path)
 
+(* Returns the listening socket, the address to report, and the cleanup
+   to run at shutdown.  A Unix socket is bound and listening under a
+   temporary name in the same directory before it is renamed onto [path]:
+   binding creates the file, so a client that waits for the file to
+   appear and then connects is never refused for being early. *)
 let bind_listener = function
   | `Unix path ->
     prepare_unix_path path;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    (fd, fun () -> if Sys.file_exists path then Sys.remove path)
+    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+    let bound = ref false in
+    (match
+       Unix.bind fd (Unix.ADDR_UNIX tmp);
+       bound := true;
+       Unix.listen fd 16;
+       Unix.rename tmp path
+     with
+    | () -> ()
+    | exception e ->
+      Unix.close fd;
+      if !bound then Sys.remove tmp;
+      raise e);
+    (fd, Unix.ADDR_UNIX path, fun () -> if Sys.file_exists path then Sys.remove path)
   | `Tcp (host, port) ->
     let addr =
       if host = "" || host = "localhost" then Unix.inet_addr_loopback
@@ -361,7 +378,8 @@ let bind_listener = function
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (Unix.ADDR_INET (addr, port));
-    (fd, fun () -> ())
+    Unix.listen fd 16;
+    (fd, Unix.getsockname fd, fun () -> ())
 
 let run ?on_ready config =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
@@ -369,8 +387,7 @@ let run ?on_ready config =
   | exception Invalid_argument _ ->
     (* some platforms have no SIGPIPE; writes already handle EPIPE *)
     ());
-  let listen_fd, cleanup = bind_listener config.listen in
-  Unix.listen listen_fd 16;
+  let listen_fd, bound_addr, cleanup = bind_listener config.listen in
   let store =
     Option.map (fun dir -> Exec.Store.open_store ~dir ()) config.cache_dir
   in
@@ -380,7 +397,7 @@ let run ?on_ready config =
       ~codec:Tcad.Extract.characteristics_codec;
     Exec.Memo.attach_store idvg_memo ~store:s ~codec:Tcad.Extract.sweep_codec
   | None -> ());
-  (match on_ready with Some f -> f (Unix.getsockname listen_fd) | None -> ());
+  (match on_ready with Some f -> f bound_addr | None -> ());
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let next_conn_id = ref 0 in
   let running = ref true in

@@ -1,3 +1,4 @@
+(* ALS001 accepts a closure-local buffer through the same helper *)
 (* ALS001 near miss: the same record-and-helper mutation, but the record
    (and its buffer) is allocated inside the closure — every domain gets
    its own, so there is nothing to race on. *)

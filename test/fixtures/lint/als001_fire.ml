@@ -1,6 +1,6 @@
-(* ALS001 fixture: a closure entering the parallel engine mutates a flat
-   buffer it can only reach through a capture — not directly (that would
-   be LNT001's finding) but through a captured record and a helper, which
+(* ALS001 fires as an error on a capture-rooted mutation through a helper *)
+(* A parallel closure mutates a flat buffer it reaches only through a
+   captured record and a helper (a direct write would be LNT001's), which
    only the interprocedural summaries can see. *)
 
 module Exec = struct

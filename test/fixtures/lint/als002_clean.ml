@@ -1,3 +1,4 @@
+(* ALS002 accepts scratch threaded through sequential solves *)
 (* ALS002 near miss: scratch threaded linearly through *sequential*
    solves — caller-owned reuse is the whole point of the workspace. *)
 

@@ -1,7 +1,7 @@
-(* ALS002 fixture, reentrancy shape: a parallel closure reenters the
-   solver with one shared workspace — every domain would relax into the
-   same scratch.  (The escape shape — scratch stored into a ref — is
-   covered by the selftest's crafted source.) *)
+(* ALS002 fires on a parallel closure reentering the solver with shared scratch *)
+(* The reentrancy shape: a parallel closure reenters the solver with one
+   shared workspace, so every domain would relax into the same scratch.
+   The escape shape (scratch stored into a ref) is als002_fire_escape.ml. *)
 
 module Exec = struct
   let map f xs = List.map f xs

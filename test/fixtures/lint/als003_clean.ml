@@ -1,3 +1,4 @@
+(* ALS003 accepts physically distinct buffers *)
 (* ALS003 near miss: physically distinct source and destination. *)
 
 module Fvec = struct

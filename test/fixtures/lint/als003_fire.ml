@@ -1,5 +1,5 @@
-(* ALS003 fixture: a call whose mutated (output) buffer argument aliases
-   an input of the same call — blitting a vector onto itself. *)
+(* ALS003 fires on a blit whose output aliases its input *)
+(* A call's mutated (output) buffer is also its input: a vector blitted onto itself. *)
 
 module Fvec = struct
   type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t

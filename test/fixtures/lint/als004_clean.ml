@@ -1,3 +1,4 @@
+(* ALS004 accepts [@owned] as a deliberate-sharing assertion *)
 (* ALS004 near miss: [@owned] asserts the sharing is deliberate (an
    interned read-only table, say). *)
 

@@ -1,5 +1,5 @@
-(* ALS004 fixture: a function returns a buffer it also retains — the
-   caller receives a value someone else can still mutate. *)
+(* ALS004 warns on a returned buffer that is also retained *)
+(* The caller receives a buffer someone else can still mutate. *)
 
 let last : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t option ref =
   ref None

@@ -1,3 +1,4 @@
+(* LNT001 accepts immutable captures, closure-local refs, Memo *)
 (* Stays clean under LNT001: the parallel closures only read immutable
    captures (a float), the one ref is allocated inside the closure itself,
    and the shared table is an abstract handle reached exclusively through

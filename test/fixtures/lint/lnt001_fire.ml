@@ -1,7 +1,7 @@
-(* Fires LNT001 twice: the closure handed to Exec.map mutates a ref it
-   captured, and the one handed to Exec.map_array writes into a captured
-   array.  The mock Exec has the same shape as lib/exec, so the linter's
-   suffix match treats these call sites exactly like the real engine's. *)
+(* LNT001 fires on Exec.map closure mutating captured state *)
+(* The closure handed to Exec.map mutates a ref it captured, and the one handed
+   to Exec.map_array writes into a captured array.  The mock Exec has the shape
+   of lib/exec, so the suffix match treats these calls like the real engine's. *)
 
 module Exec = struct
   let map f xs = List.map f xs

@@ -1,3 +1,4 @@
+(* LNT002 accepts Float.equal/Float.compare and non-float poly ops *)
 (* Stays clean under LNT002: explicit float comparisons, and polymorphic
    operators instantiated at types that carry no floats. *)
 

@@ -1,5 +1,5 @@
-(* Fires LNT002 twice: polymorphic [=] and [compare] instantiated at
-   float — bit-equality on computed floats is almost never meant. *)
+(* LNT002 fires on polymorphic =/compare at float *)
+(* Bit-equality on computed floats is almost never meant. *)
 
 let converged (residual : float) = residual = 0.0
 

@@ -1,3 +1,4 @@
+(* LNT003 accepts named handlers and re-raising catch-alls *)
 (* Stays clean under LNT003: a named handler, and the sanctioned
    catch-all shape that re-raises after cleanup. *)
 

@@ -1,5 +1,5 @@
-(* Fires LNT003 twice: both catch-all shapes swallow whatever was raised
-   (solver non-convergence included) without re-raising. *)
+(* LNT003 fires on both catch-all shapes *)
+(* Both swallow whatever was raised, solver non-convergence included. *)
 
 let swallow_try f = try f () with _ -> 0
 

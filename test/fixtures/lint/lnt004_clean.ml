@@ -1,3 +1,4 @@
+(* LNT004 accepts rule ids flowing through identifiers *)
 (* Stays clean under LNT004: the rule id reaches the diagnostic
    constructor through an identifier (as Check.Rules.register returns it),
    not as a literal at the call site. *)

@@ -1,5 +1,5 @@
-(* Fires LNT004: a literal rule id handed straight to Diagnostic.error
-   bypasses the Check.Rules registry (no collision check, no --rules row). *)
+(* LNT004 fires on a literal rule id at a Diagnostic call site *)
+(* The literal bypasses the Check.Rules registry: no collision check, no --rules row. *)
 
 module Diagnostic = struct
   let error ~rule ~location msg = (rule, location, msg)

@@ -1,3 +1,4 @@
+(* LNT005 accepts Buffer/sprintf formatting *)
 (* Stays clean under LNT005: output is formatted into values the caller
    controls (a Buffer, a returned string) — no channel is touched. *)
 

@@ -1,5 +1,5 @@
-(* Fires LNT005 twice: direct console output from (non-exempt) library
-   code, to stdout via Printf and via the bare printer. *)
+(* LNT005 fires on direct printing from library code *)
+(* To stdout via Printf and via the bare printer, from non-exempt code. *)
 
 let announce n =
   Printf.printf "sweep %d done\n" n;

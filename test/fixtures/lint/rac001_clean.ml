@@ -1,3 +1,4 @@
+(* RAC001 accepts the same lock held at every access *)
 (* RAC001 near miss: every access to the counter — including the one in
    the domain-crossing closure — holds the same per-instance mutex, so
    the lockset intersection never becomes empty. *)

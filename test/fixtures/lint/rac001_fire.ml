@@ -1,7 +1,7 @@
-(* RAC001 fixture: the counter is written under its own mutex everywhere
-   except in the closure the parallel engine runs on other domains.  The
-   intersection of guard sets across the class's accesses is empty — the
-   Eraser conviction — and the guarded write proves locks are in play. *)
+(* RAC001 fires as an error on a lockset-inconsistent crossing read *)
+(* The counter is written under its mutex everywhere but in the closure the
+   parallel engine runs on other domains: the guard sets' intersection is
+   empty (the Eraser conviction), and the guarded write shows locks in play. *)
 
 module Exec = struct
   let map f xs = List.map f xs

@@ -1,3 +1,4 @@
+(* RAC002 accepts Mutex.protect and Fun.protect ~finally *)
 (* RAC002 near miss: the same opaque callback under the same lock, but
    both sanctioned shapes release on every exit path — Mutex.protect,
    and a manual lock paired with Fun.protect ~finally. *)

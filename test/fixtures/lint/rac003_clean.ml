@@ -1,3 +1,4 @@
+(* RAC003 accepts release-before-call and a consistent lock order *)
 (* RAC003 near miss: the helper only runs after its caller released the
    mutex, and the two-lock functions agree on one acquisition order, so
    neither the re-acquisition nor the inversion check has anything to

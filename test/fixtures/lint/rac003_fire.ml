@@ -1,8 +1,8 @@
-(* RAC003 fixture, both halves.  First a self-deadlock only the effect
-   summaries can see: the helper re-acquires the mutex its caller still
-   holds, and stdlib mutexes are non-reentrant.  Then a lock-order
-   inversion: [a] and [b] are taken in both orders across the unit, so
-   two domains can each hold one and wait on the other forever. *)
+(* RAC003 fires on both the re-acquisition and the order inversion *)
+(* First a self-deadlock only the effect summaries can see: the helper
+   re-acquires the non-reentrant mutex its caller still holds.  Then a
+   lock-order inversion: [a] and [b] are taken in both orders, so two
+   domains can each hold one and wait on the other forever. *)
 
 let lock = Mutex.create ()
 

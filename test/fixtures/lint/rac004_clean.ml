@@ -1,3 +1,4 @@
+(* RAC004 accepts fetch_and_add and pure save/restore *)
 (* RAC004 near miss: the increment goes through fetch_and_add (one
    indivisible RMW), and the save/restore pair stores back exactly the
    value it read — no computation in between, so nothing can be lost

@@ -1,7 +1,7 @@
-(* RAC004 fixture: a torn read-modify-write.  Between the Atomic.get and
-   the Atomic.set another domain's increment can land and be silently
-   overwritten — the atomic type made each access indivisible but not
-   the pair. *)
+(* RAC004 warns on Atomic.set of a get-derived value *)
+(* A torn read-modify-write: another domain's increment can land between
+   the get and the set and be overwritten; each access is atomic, the
+   pair is not. *)
 
 let hits = Atomic.make 0
 

@@ -1,3 +1,4 @@
+(* RAC005 accepts [@blocking_ok] as the sanctioned escape hatch *)
 (* RAC005 near miss: the same rename under the same lock, but the
    binding carries [@blocking_ok] — IO under this lock is the design
    (write-behind shards work exactly like this), and the attribute is

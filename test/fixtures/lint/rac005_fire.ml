@@ -1,5 +1,5 @@
-(* RAC005 fixture: a disk rename inside the critical section.  The lock
-   discipline is exception-safe (Mutex.protect), but every other domain
+(* RAC005 warns on blocking IO under a held mutex *)
+(* A disk rename inside an exception-safe critical section: every domain
    contending for the mutex stalls behind the filesystem. *)
 
 let lock = Mutex.create ()

@@ -1,3 +1,4 @@
+(* UNT001 accepts like dimensions, literals and unknowns *)
 (* UNT001 near misses: like dimensions add freely, bare literals adopt
    the other side's dimension, and unknowns never fire. *)
 module Params = struct

@@ -1,5 +1,5 @@
-(* UNT001: additive combination of incompatible dimensions — a poly
-   length [m] added to a supply voltage [V]. *)
+(* UNT001 fires as an error on length +. voltage *)
+(* A poly length [m] added to a supply voltage [V]. *)
 module Params = struct
   type physical = { lpoly : float; vdd : float }
 end

@@ -1,3 +1,4 @@
+(* UNT002 accepts a V/V dimensionless exponent *)
 (* UNT002 near miss: V / V is dimensionless, so the exponent is fine. *)
 module Params = struct
   type physical = { vdd : float }

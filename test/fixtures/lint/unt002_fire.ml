@@ -1,5 +1,5 @@
-(* UNT002: a dimensioned argument reaches exp — the voltage was never
-   normalized by the thermal voltage. *)
+(* UNT002 fires on exp of an un-normalized voltage *)
+(* The voltage was never divided by the thermal voltage. *)
 module Params = struct
   type physical = { vdd : float }
 end

@@ -1,3 +1,4 @@
+(* UNT003 accepts both operands through the same conversion *)
 (* UNT003 near miss: both operands converted through the same display
    boundary — scales agree. *)
 module Params = struct

@@ -1,4 +1,4 @@
-(* UNT003: a display-scale (nm) length mixed with an SI-scale one. *)
+(* UNT003 fires as a warning on an nm/SI scale mix *)
 module Params = struct
   type physical = { lpoly : float; tox : float }
 end

@@ -1,3 +1,4 @@
+(* UNT004 accepts arguments matching the table *)
 (* UNT004 near miss: the argument carries exactly the seeded dimension. *)
 module Params = struct
   type physical = { nsub : float }

@@ -1,5 +1,5 @@
-(* UNT004: a seeded signature contradicted — Silicon.fermi_potential
-   takes a doping concentration [m^-3], not a voltage. *)
+(* UNT004 fires on an argument contradicting the seeded table *)
+(* Silicon.fermi_potential takes a doping [m^-3], not a voltage. *)
 module Params = struct
   type physical = { vdd : float }
 end

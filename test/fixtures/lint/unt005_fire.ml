@@ -1,5 +1,5 @@
-(* UNT005 (info): a dimensioned value [V] flows into a polymorphic
-   container round-trip the pass can't follow — reported once per site. *)
+(* UNT005 reports a container round-trip at info level *)
+(* A value [V] flows through a container the pass cannot follow. *)
 module Params = struct
   type physical = { vdd : float }
 end

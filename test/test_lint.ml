@@ -1,7 +1,7 @@
-(* lib/lint: the fixture corpus (per LNT/UNT/ALS/RAC rule one firing
-   source and one near miss, compiled to .cmt by test/fixtures/lint/dune),
-   .cmt discovery across dune contexts, baseline round-trips, and the
-   rule-registry integration. *)
+(* lib/lint: the fixture corpus (per LNT/UNT/ALS/RAC rule a firing source
+   and a near miss, compiled to .cmt by the lint_fixtures library in
+   fixtures/lint/dune), .cmt discovery across dune contexts, baseline
+   round-trips, and the rule-registry integration. *)
 
 open Subscale
 module Diag = Check.Diagnostic
@@ -12,187 +12,105 @@ let u = Test_util.case
 
 let fixture_dir = "fixtures/lint"
 
-let fixture base =
-  let path = Filename.concat fixture_dir (base ^ ".cmt") in
+let cmt_dir = Filename.concat fixture_dir ".lint_fixtures.objs/byte"
+
+(* Every fixture source, sorted: one test case each.  Run from anywhere
+   but test/, there are none, which the lint_root case below reports. *)
+let fixtures =
+  match Sys.readdir fixture_dir with
+  | exception Sys_error _ -> []
+  | entries ->
+    Array.to_list entries
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map Filename.remove_extension
+    |> List.sort String.compare
+
+let fixture_diags base =
+  let path = Filename.concat cmt_dir (base ^ ".cmt") in
   match Lint.lint_cmt path with
   | Some r -> r.Lint.diags
   | None -> Alcotest.failf "%s: no implementation typedtree" path
 
-let rule_set diags = List.sort_uniq String.compare (List.map (fun d -> d.Diag.rule) diags)
+(* A fixture's first line is a one-line comment naming its test case. *)
+let title base =
+  let first =
+    In_channel.with_open_bin
+      (Filename.concat fixture_dir (base ^ ".ml"))
+      In_channel.input_line
+  in
+  match first with
+  | Some l
+    when String.starts_with ~prefix:"(* " l && String.ends_with ~suffix:" *)" l ->
+    Some (String.sub l 3 (String.length l - 6))
+  | _ -> None
 
-(* A firing fixture must produce diagnostics for exactly its own rule —
-   isolation matters as much as detection (a fixture that also trips a
-   second rule would hide regressions in either). *)
-let fires base rule =
-  let diags = fixture base in
-  match rule_set diags with
-  | [] -> Alcotest.failf "%s: expected %s to fire, got no diagnostics" base rule
-  | [ r ] when String.equal r rule -> diags
-  | rs -> Alcotest.failf "%s: expected only %s, got [%s]" base rule (String.concat "; " rs)
+let show diags = String.concat "; " (List.map Diag.to_string diags)
 
-let clean base =
-  match fixture base with
-  | [] -> ()
-  | diags ->
-    Alcotest.failf "%s: expected clean, got [%s]" base
-      (String.concat "; " (List.map Diag.to_string diags))
+(* [<rule>_fire*] must report its own rule, at the rule's registered
+   severity, and no other: isolation matters as much as detection (a
+   fixture that also trips a second rule would hide regressions in
+   either).  [<rule>_clean*] is a near miss and must report nothing. *)
+let check_fixture base =
+  let diags = fixture_diags base in
+  match String.split_on_char '_' base with
+  | rule :: "fire" :: _ ->
+    let rule = String.uppercase_ascii rule in
+    let severity =
+      match LR.find rule with
+      | Some m -> m.LR.severity
+      | None -> Alcotest.failf "%s: %s is not a registered rule" base rule
+    in
+    if diags = [] then Alcotest.failf "%s: expected %s to fire, got nothing" base rule;
+    List.iter
+      (fun d ->
+        if not (String.equal d.Diag.rule rule && d.Diag.severity = severity) then
+          Alcotest.failf "%s: expected only %s at %s, got [%s]" base rule
+            (Diag.severity_label severity) (show diags))
+      diags
+  | _ :: "clean" :: _ ->
+    if diags <> [] then Alcotest.failf "%s: expected clean, got [%s]" base (show diags)
+  | _ -> Alcotest.failf "%s: not named <rule>_fire* or <rule>_clean*" base
+
+let fixture_case base =
+  match title base with
+  | Some name -> u name (fun () -> check_fixture base)
+  | None ->
+    u base (fun () -> Alcotest.failf "%s.ml: first line must be (* <case title> *)" base)
 
 let corpus_tests =
-  [
-    u "LNT001 fires on Exec.map closure mutating captured state" (fun () ->
-        let diags = fires "lnt001_fire" LR.lnt001 in
-        if List.length diags < 2 then
-          Alcotest.failf "expected both the ref and the array mutation, got %d finding(s)"
-            (List.length diags);
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Error then
-              Alcotest.failf "LNT001 must be an error, got: %s" (Diag.to_string d))
-          diags);
-    u "LNT001 accepts immutable captures, closure-local refs, Memo" (fun () ->
-        clean "lnt001_clean");
-    u "LNT002 fires on polymorphic =/compare at float" (fun () ->
-        let diags = fires "lnt002_fire" LR.lnt002 in
-        if List.length diags <> 2 then
-          Alcotest.failf "expected the = and the compare site, got %d finding(s)"
-            (List.length diags));
-    u "LNT002 accepts Float.equal/Float.compare and non-float poly ops" (fun () ->
-        clean "lnt002_clean");
-    u "LNT003 fires on both catch-all shapes" (fun () ->
-        let diags = fires "lnt003_fire" LR.lnt003 in
-        if List.length diags <> 2 then
-          Alcotest.failf "expected the try and the match-exception site, got %d finding(s)"
-            (List.length diags));
-    u "LNT003 accepts named handlers and re-raising catch-alls" (fun () ->
-        clean "lnt003_clean");
-    u "LNT004 fires on a literal rule id at a Diagnostic call site" (fun () ->
-        ignore (fires "lnt004_fire" LR.lnt004));
-    u "LNT004 accepts rule ids flowing through identifiers" (fun () ->
-        clean "lnt004_clean");
-    u "LNT005 fires on direct printing from library code" (fun () ->
-        let diags = fires "lnt005_fire" LR.lnt005 in
-        if List.length diags <> 2 then
-          Alcotest.failf "expected the Printf.printf and the print_newline site, got %d"
-            (List.length diags));
-    u "LNT005 accepts Buffer/sprintf formatting" (fun () -> clean "lnt005_clean");
-    u "UNT001 fires as an error on length +. voltage" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Error then
-              Alcotest.failf "UNT001 must be an error, got: %s" (Diag.to_string d))
-          (fires "unt001_fire" LR.unt001));
-    u "UNT001 accepts like dimensions, literals and unknowns" (fun () ->
-        clean "unt001_clean");
-    u "UNT002 fires on exp of an un-normalized voltage" (fun () ->
-        ignore (fires "unt002_fire" LR.unt002));
-    u "UNT002 accepts a V/V dimensionless exponent" (fun () -> clean "unt002_clean");
-    u "UNT003 fires as a warning on an nm/SI scale mix" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Warning then
-              Alcotest.failf "UNT003 must be a warning, got: %s" (Diag.to_string d))
-          (fires "unt003_fire" LR.unt003));
-    u "UNT003 accepts both operands through the same conversion" (fun () ->
-        clean "unt003_clean");
-    u "UNT004 fires on an argument contradicting the seeded table" (fun () ->
-        ignore (fires "unt004_fire" LR.unt004));
-    u "UNT004 accepts arguments matching the table" (fun () -> clean "unt004_clean");
-    u "UNT005 reports a container round-trip at info level" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Info then
-              Alcotest.failf "UNT005 must be info, got: %s" (Diag.to_string d))
-          (fires "unt005_fire" LR.unt005));
-    u "UNT005 stays silent on a dimensionless closure body" (fun () ->
-        clean "unt005_clean");
-    u "ALS001 fires as an error on a capture-rooted mutation through a helper"
-      (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Error then
-              Alcotest.failf "ALS001 must be an error, got: %s" (Diag.to_string d))
-          (fires "als001_fire" LR.als001));
-    u "ALS001 accepts a closure-local buffer through the same helper" (fun () ->
-        clean "als001_clean");
-    u "ALS002 fires on a parallel closure reentering the solver with shared scratch"
-      (fun () -> ignore (fires "als002_fire" LR.als002));
-    u "ALS002 accepts scratch threaded through sequential solves" (fun () ->
-        clean "als002_clean");
-    u "ALS003 fires on a blit whose output aliases its input" (fun () ->
-        ignore (fires "als003_fire" LR.als003));
-    u "ALS003 accepts physically distinct buffers" (fun () -> clean "als003_clean");
-    u "ALS004 warns on a returned buffer that is also retained" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Warning then
-              Alcotest.failf "ALS004 must be a warning, got: %s" (Diag.to_string d))
-          (fires "als004_fire" LR.als004));
-    u "ALS004 accepts [@owned] as a deliberate-sharing assertion" (fun () ->
-        clean "als004_clean");
-    u "RAC001 fires as an error on a lockset-inconsistent crossing read" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Error then
-              Alcotest.failf "RAC001 must be an error, got: %s" (Diag.to_string d))
-          (fires "rac001_fire" LR.rac001));
-    u "RAC001 accepts the same lock held at every access" (fun () ->
-        clean "rac001_clean");
-    u "RAC002 fires on an opaque callee inside a bare critical section" (fun () ->
-        ignore (fires "rac002_fire" LR.rac002));
-    u "RAC002 accepts Mutex.protect and Fun.protect ~finally" (fun () ->
-        clean "rac002_clean");
-    u "RAC003 fires on both the re-acquisition and the order inversion" (fun () ->
-        let diags = fires "rac003_fire" LR.rac003 in
-        if List.length diags < 3 then
-          Alcotest.failf
-            "expected the helper re-acquire plus both inversion sites, got %d finding(s)"
-            (List.length diags));
-    u "RAC003 accepts release-before-call and a consistent lock order" (fun () ->
-        clean "rac003_clean");
-    u "RAC004 warns on Atomic.set of a get-derived value" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Warning then
-              Alcotest.failf "RAC004 must be a warning, got: %s" (Diag.to_string d))
-          (fires "rac004_fire" LR.rac004));
-    u "RAC004 accepts fetch_and_add and pure save/restore" (fun () ->
-        clean "rac004_clean");
-    u "RAC005 warns on blocking IO under a held mutex" (fun () ->
-        List.iter
-          (fun d ->
-            if d.Diag.severity <> Diag.Warning then
-              Alcotest.failf "RAC005 must be a warning, got: %s" (Diag.to_string d))
-          (fires "rac005_fire" LR.rac005));
-    u "RAC005 accepts [@blocking_ok] as the sanctioned escape hatch" (fun () ->
-        clean "rac005_clean");
-    u "lint_root scans the corpus in sorted order" (fun () ->
-        let reports = Lint.lint_root fixture_dir in
-        let sources = List.map (fun r -> r.Lint.source) reports in
-        if List.length sources < 38 then
-          Alcotest.failf "expected >= 38 fixture units, got %d" (List.length sources);
-        if sources <> List.sort String.compare sources then
-          Alcotest.fail "lint_root reports are not sorted by source");
-    u "lint_root over the corpus matches golden/lint_fixtures.txt exactly" (fun () ->
-        let file_line (d : Diag.t) =
-          match String.split_on_char ':' d.Diag.location with
-          | file :: line :: _ -> file ^ ":" ^ line
-          | _ -> d.Diag.location
-        in
-        let got =
-          List.sort String.compare
-            (List.map
-               (fun d -> d.Diag.rule ^ " " ^ file_line d)
-               (Lint.all_diags (Lint.lint_root fixture_dir)))
-        in
-        let expected =
-          In_channel.with_open_bin "golden/lint_fixtures.txt" In_channel.input_all
-          |> String.split_on_char '\n'
-          |> List.filter (fun l -> l <> "")
-        in
-        if got <> expected then
-          Alcotest.failf "corpus findings drifted from the golden:\n--- expected\n%s\n--- got\n%s"
-            (String.concat "\n" expected) (String.concat "\n" got));
-  ]
+  List.map fixture_case fixtures
+  @ [
+      u "lint_root scans the corpus in sorted order" (fun () ->
+          let reports = Lint.lint_root cmt_dir in
+          let sources = List.map (fun r -> r.Lint.source) reports in
+          if fixtures = [] then Alcotest.failf "no fixture sources under %s" fixture_dir;
+          if List.length sources <> List.length fixtures then
+            Alcotest.failf "expected %d fixture units, got %d" (List.length fixtures)
+              (List.length sources);
+          if sources <> List.sort String.compare sources then
+            Alcotest.fail "lint_root reports are not sorted by source");
+      u "lint_root over the corpus matches golden/lint_fixtures.txt exactly" (fun () ->
+          let file_line (d : Diag.t) =
+            match String.split_on_char ':' d.Diag.location with
+            | file :: line :: _ -> file ^ ":" ^ line
+            | _ -> d.Diag.location
+          in
+          let got =
+            List.sort String.compare
+              (List.map
+                 (fun d -> d.Diag.rule ^ " " ^ file_line d)
+                 (Lint.all_diags (Lint.lint_root cmt_dir)))
+          in
+          let expected =
+            In_channel.with_open_bin "golden/lint_fixtures.txt" In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          if got <> expected then
+            Alcotest.failf
+              "corpus findings drifted from the golden:\n--- expected\n%s\n--- got\n%s"
+              (String.concat "\n" expected) (String.concat "\n" got));
+    ]
 
 (* --- cmt discovery ------------------------------------------------------ *)
 
@@ -231,7 +149,7 @@ let cmt_load_tests =
         let ctx_def = Filename.concat build "default" in
         Sys.mkdir ctx_alt 0o700;
         Sys.mkdir ctx_def 0o700;
-        let src = Filename.concat fixture_dir "unt001_fire.cmt" in
+        let src = Filename.concat cmt_dir "unt001_fire.cmt" in
         copy_file src (Filename.concat ctx_alt "unt001_fire.cmt");
         copy_file src (Filename.concat ctx_def "unt001_fire.cmt");
         write_file (Filename.concat ctx_alt "broken.cmt") "not a cmt";
@@ -382,6 +300,7 @@ let registry_tests =
             (LR.lnt003, Diag.Warning);
             (LR.lnt004, Diag.Error);
             (LR.lnt005, Diag.Warning);
+            (LR.lnt006, Diag.Warning);
             (LR.unt001, Diag.Error);
             (LR.unt002, Diag.Error);
             (LR.unt003, Diag.Warning);

@@ -406,20 +406,6 @@ let root_tests =
     prop "brent solves x^3 = c" (QCheck2.Gen.float_range 0.5 50.0) (fun c ->
         let r = Root.brent (fun x -> (x ** 3.0) -. c) 0.0 4.0 in
         Float.abs ((r ** 3.0) -. c) < 1e-6);
-    u "newton computes sqrt 2" (fun () ->
-        let r = Root.newton ~f:(fun x -> (x *. x) -. 2.0) ~df:(fun x -> 2.0 *. x) 1.0 in
-        Test_util.check_rel "sqrt2" ~rel:1e-10 (sqrt 2.0) r);
-    u "newton raises on zero derivative" (fun () ->
-        match Root.newton ~f:(fun _ -> 1.0) ~df:(fun _ -> 0.0) 0.0 with
-        | exception Failure _ -> ()
-        | _ -> Alcotest.fail "expected failure");
-    u "find_bracket expands to capture a root" (fun () ->
-        match Root.find_bracket (fun x -> x -. 10.0) 0.0 1.0 with
-        | Some (a, b) -> Alcotest.(check bool) "bracket" true (a <= 10.0 && 10.0 <= b)
-        | None -> Alcotest.fail "expected a bracket");
-    u "find_bracket gives up on rootless functions" (fun () ->
-        Alcotest.(check bool) "none" true
-          (Root.find_bracket ~max_iter:10 (fun x -> (x *. x) +. 1.0) 0.0 1.0 = None));
     u "bisect raises No_convergence when the budget runs out" (fun () ->
         match Root.bisect ~max_iter:3 cos 1.0 2.0 with
         | exception Root.No_convergence { method_; iterations; a; b; _ } ->
@@ -435,13 +421,6 @@ let root_tests =
         | exception Root.No_convergence { method_; _ } ->
           Alcotest.(check string) "method" "brent" method_
         | r -> Alcotest.failf "expected No_convergence, got %g" r);
-    u "newton raises No_convergence when the budget runs out" (fun () ->
-        (* x^2 + 1 has no real root: Newton wanders forever. *)
-        match Root.newton ~max_iter:20 ~f:(fun x -> (x *. x) +. 1.0) ~df:(fun x -> 2.0 *. x) 0.3 with
-        | exception Root.No_convergence { method_; iterations; _ } ->
-          Alcotest.(check string) "method" "newton" method_;
-          Alcotest.(check int) "iterations" 20 iterations
-        | r -> Alcotest.failf "expected No_convergence, got %g" r);
     u "converging budgets are unchanged by the on_fail machinery" (fun () ->
         (* Bit-identical to the same calls without ?on_fail: the tolerance
            check precedes the budget check, so a converging sequence never
@@ -450,16 +429,6 @@ let root_tests =
           (Root.bisect ~on_fail:`Accept cos 1.0 2.0);
         Alcotest.(check (float 0.0)) "brent" (Root.brent cos 1.0 2.0)
           (Root.brent ~on_fail:`Accept cos 1.0 2.0));
-    u "find_bracket refuses NaN endpoint evaluations" (fun () ->
-        let f x = if x > 1.5 then Float.nan else x -. 10.0 in
-        Alcotest.(check bool) "none" true (Root.find_bracket ~max_iter:10 f 0.0 1.0 = None));
-    u "find_bracket refuses infinite endpoint evaluations" (fun () ->
-        (* -inf * positive < 0 looks like a sign change; it must not. *)
-        let f x = if x < -1.0 then Float.neg_infinity else (x *. x) +. 1.0 in
-        Alcotest.(check bool) "none" true (Root.find_bracket ~max_iter:10 f 0.0 1.0 = None));
-    u "find_bracket refuses a NaN starting endpoint" (fun () ->
-        let f x = if x = 0.0 then Float.nan else x in
-        Alcotest.(check bool) "none" true (Root.find_bracket ~max_iter:10 f 0.0 1.0 = None));
   ]
 
 let minimize_tests =

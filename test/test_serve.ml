@@ -573,6 +573,47 @@ let serve_tests =
         ignore (Unix.read fd b 0 256);
         Unix.close fd;
         Domain.join server);
+    case "daemon: the socket file appears only once the daemon listens" (fun () ->
+        (* A client may wait for the socket file and connect at once (CI's
+           serve smoke test does): that first connect must never be
+           refused.  Repeated starts give a bind-before-listen window many
+           chances to show. *)
+        let path = Filename.concat (scratch_dir "serve-ready") "s.sock" in
+        let connect () =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | () -> Ok fd
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+            Unix.close fd;
+            Error ()
+        in
+        let refused = ref 0 in
+        for _ = 1 to 500 do
+          let server =
+            Domain.spawn (fun () ->
+                Server.run { Server.listen = `Unix path; cache_dir = None })
+          in
+          while not (Sys.file_exists path) do
+            Domain.cpu_relax ()
+          done;
+          let rec retry () =
+            match connect () with
+            | Ok fd -> fd
+            | Error () -> Domain.cpu_relax (); retry ()
+          in
+          let fd =
+            match connect () with
+            | Ok fd -> fd
+            | Error () -> incr refused; retry ()
+          in
+          let line = {|{"op":"shutdown"}|} ^ "\n" in
+          ignore (Unix.write_substring fd line 0 (String.length line));
+          let b = Bytes.create 256 in
+          ignore (Unix.read fd b 0 256);
+          Unix.close fd;
+          Domain.join server
+        done;
+        Alcotest.(check int) "first connects refused" 0 !refused);
     slow_case "daemon: tcad answers name the mesh, not its line counts" (fun () ->
         (* On the 90 nm super device, (4, 9) and (4, 10) build meshes with
            the same line counts and different coordinates.  Asked on one
