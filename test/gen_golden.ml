@@ -102,3 +102,55 @@ let () =
   List.iter (fun (label, bytes) -> Printf.fprintf oc "%s %s\n" label bytes) lines;
   close_out oc;
   Printf.printf "wrote %s\n" path
+
+(* Bit pins of the paths whose experiment goldens print only 2-3 digits, so
+   a last-bit drift would pass them: one "label value..." line each, every
+   value in %h (the exact IEEE-754 bits).  The labels and their
+   computations must stay in sync with the readers ([Test_util.bit_pin]) in
+   test/test_spice.ml (carry delay), test/test_eda.ml (cell tables, V_min)
+   and test/test_extensions.ml (delay spread). *)
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let module S = Subscale in
+  let resolved node strategy =
+    match S.Scaling.Strategy.resolve ~node ~strategy with
+    | Error e -> failwith e
+    | Ok (_, _, _, pair) -> pair
+  in
+  let sub32 = resolved 32 "sub" and sup32 = resolved 32 "super" in
+  let pair90 = S.Circuits.Inverter.pair_of_physical (List.hd S.Device.Params.paper_table2) in
+  let module C = S.Sta.Cell_lib in
+  let lut_lines kind =
+    let cell = C.characterize_cell pair90 ~vdd:0.25 kind in
+    Array.to_list cell.C.arcs
+    |> List.concat_map (fun arc ->
+           List.map
+             (fun (name, lut) ->
+               let slews = S.Sta.Lut.slews lut and loads = S.Sta.Lut.loads lut in
+               ( Printf.sprintf "lut-90-%s-pin%d-%s" (C.cell_name kind) arc.C.pin name,
+                 Array.to_list slews
+                 |> List.concat_map (fun slew ->
+                        Array.to_list
+                          (Array.map (fun load -> S.Sta.Lut.eval lut ~slew ~load) loads)) ))
+             [ ("delay_output_rise", arc.C.delay_output_rise);
+               ("delay_output_fall", arc.C.delay_output_fall);
+               ("slew_output_rise", arc.C.slew_output_rise);
+               ("slew_output_fall", arc.C.slew_output_fall) ])
+  in
+  let spread = S.Analysis.Variability.delay_spread_vs_vdd ~trials:150 pair90 ~vdds:[ 0.9; 0.25 ] in
+  let vmin pair = S.Analysis.Yield.min_vdd_for_yield ~trials:400 pair ~bits:1024 ~target:0.9 in
+  let lines =
+    [ ("carry-delay-32-sub-8b", [ S.Circuits.Adder.carry_delay sub32 ~vdd:0.25 ~bits:8 ]) ]
+    @ lut_lines C.Inv @ lut_lines C.Nand2
+    @ [ ("delay-spread-90", List.map snd spread);
+        ("vmin-32-super", [ vmin sup32 ]);
+        ("vmin-32-sub", [ vmin sub32 ]) ]
+  in
+  let path = Filename.concat dir "bit_pins.txt" in
+  let oc = open_out path in
+  List.iter
+    (fun (label, values) ->
+      Printf.fprintf oc "%s %s\n" label (String.concat " " (List.map (Printf.sprintf "%h") values)))
+    lines;
+  close_out oc;
+  Printf.printf "wrote %s\n" path

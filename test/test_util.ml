@@ -57,3 +57,32 @@ let counter_value name =
   match Subscale.Obs.Metrics.find name with
   | Some (Subscale.Obs.Metrics.Counter n) -> n
   | Some (Subscale.Obs.Metrics.Gauge _ | Subscale.Obs.Metrics.Histogram _) | None -> 0
+
+(* The floats test/gen_golden.ml pinned under [label] in
+   golden/bit_pins.txt, one "label value..." line each in %h. *)
+let bit_pin label =
+  let path =
+    if Sys.file_exists "golden" then Filename.concat "golden" "bit_pins.txt"
+    else Filename.concat "test" (Filename.concat "golden" "bit_pins.txt")
+  in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  match
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | l :: values when String.equal l label ->
+          Some (Array.of_list (List.map float_of_string values))
+        | _ -> None)
+      lines
+  with
+  | Some values -> values
+  | None -> Alcotest.failf "no bit pin %S in %s (run test/gen_golden.exe)" label path
+
+(* Equality of the IEEE-754 bits, shown in %h on failure. *)
+let check_bits name expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %h, got %h" name expected actual
+
+let check_all_bits name expected actual =
+  Alcotest.(check int) (name ^ ": count") (Array.length expected) (Array.length actual);
+  Array.iteri (fun i e -> check_bits (Printf.sprintf "%s.(%d)" name i) e actual.(i)) expected
