@@ -24,7 +24,10 @@ let of_curve curve =
     { vil; vih; vol; voh; nml; nmh; snm = Float.min nml nmh }
   | [] -> failwith "Snm.of_curve: no gain = -1 point (insufficient gain)"
 
+let evals_counter = Obs.Metrics.counter "analysis.snm.evals"
+
 let inverter ?(engine = `Analytic) pair ~sizing ~vdd =
+  Obs.Metrics.incr evals_counter;
   let curve =
     match engine with
     | `Analytic -> Vtc.analytic ~points:201 pair ~sizing ~vdd

@@ -20,7 +20,8 @@ val inverter :
   ?engine:[ `Analytic | `Spice ] ->
   Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> vdd:float -> margins
 (** SNM of a single inverter (default engine [`Analytic], matching the
-    paper's Eq. 3 treatment). *)
+    paper's Eq. 3 treatment).  Each call bumps the [analysis.snm.evals]
+    counter. *)
 
 val butterfly_snm : vin:Numerics.Vec.t -> v1:Numerics.Vec.t -> v2:Numerics.Vec.t -> float
 (** Maximum-square SNM of a butterfly plot formed by curve 1 (vin -> v1) and

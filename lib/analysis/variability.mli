@@ -53,4 +53,6 @@ val delay_spread_vs_vdd :
   ?trials:int -> Circuits.Inverter.pair -> vdds:float list -> (float * float) list
 (** [(vdd, sigma/mean of chain delay)] over {!chain_delay_distribution}'s
     default chain and seed — the figure-of-merit trace showing variability
-    growing as the supply drops (paper Sec. 1). *)
+    growing as the supply drops (paper Sec. 1).  The mismatch is drawn once
+    and every V_dd is evaluated on the same draws, so each point equals
+    {!chain_delay_distribution} at that V_dd, bit for bit. *)

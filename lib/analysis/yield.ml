@@ -37,9 +37,18 @@ let min_vdd_for_yield ?trials pair ~bits ~target =
   let lo = 0.10 and hi = 0.60 in
   if target <= 0.0 || target >= 1.0 then
     invalid_arg "Yield.min_vdd_for_yield: target must be in (0, 1)";
+  (* Root.bisect evaluates both ends again after the range checks below, so
+     each V_dd's yield is kept by its bits and assessed once. *)
+  let assessed = Hashtbl.create 16 in
   let yield_at vdd =
-    let a = assess ?trials pair ~vdd in
-    array_yield ~p_cell_fail:a.p_cell_fail ~bits
+    let key = Int64.bits_of_float vdd in
+    match Hashtbl.find_opt assessed key with
+    | Some y -> y
+    | None ->
+      let a = assess ?trials pair ~vdd in
+      let y = array_yield ~p_cell_fail:a.p_cell_fail ~bits in
+      Hashtbl.add assessed key y;
+      y
   in
   if yield_at hi < target then
     failwith

@@ -26,5 +26,6 @@ val min_vdd_for_yield :
   ?trials:int -> Circuits.Inverter.pair -> bits:int -> target:float -> float
 (** Smallest supply (within 0.10 .. 0.60 V) at which an
     array of [bits] cells yields at least [target] (e.g. 0.9), found by
-    bisection on the Gaussian-fit yield (monotone in V_dd).  Raises
+    bisection on the Gaussian-fit yield (monotone in V_dd); each V_dd is
+    assessed once, the range checks' ends included.  Raises
     [Failure] if even 0.60 V cannot reach the target. *)

@@ -106,32 +106,34 @@ let characterize_cell pair ~vdd kind =
   let ns = Array.length slews and nl = Array.length loads in
   let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
   let arc_for pin =
-    let grid input_rising extract =
-      Array.init ns (fun i ->
-          Array.init nl (fun j ->
-              let slew = slews.(i) and load = loads.(j) in
-              (* Window: input ramp + generous settle for the heaviest load. *)
-              let window =
-                (2.0 *. slew)
-                +. (40.0 *. tp *. (1.0 +. (load /. Circuits.Inverter.load_capacitance pair sizing)))
-              in
-              match
-                measure kind ~sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window
-              with
-              | Some (d, s) -> extract d s
-              | None ->
-                failwith
-                  (Printf.sprintf "Cell_lib: %s pin %d did not switch (slew %g, load %g)"
-                     (cell_name kind) pin slew load)))
+    (* One transient per grid point measures both the delay and the slew. *)
+    let tables input_rising =
+      let points =
+        Array.init ns (fun i ->
+            Array.init nl (fun j ->
+                let slew = slews.(i) and load = loads.(j) in
+                (* Window: input ramp + generous settle for the heaviest load. *)
+                let window =
+                  (2.0 *. slew)
+                  +. (40.0 *. tp
+                      *. (1.0 +. (load /. Circuits.Inverter.load_capacitance pair sizing)))
+                in
+                match
+                  measure kind ~sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window
+                with
+                | Some point -> point
+                | None ->
+                  failwith
+                    (Printf.sprintf "Cell_lib: %s pin %d did not switch (slew %g, load %g)"
+                       (cell_name kind) pin slew load)))
+      in
+      let lut pick = Lut.create ~slews ~loads ~values:(Array.map (Array.map pick) points) in
+      (lut fst, lut snd)
     in
-    {
-      pin;
-      (* Negative unate: falling input -> rising output. *)
-      delay_output_rise = Lut.create ~slews ~loads ~values:(grid false (fun d _ -> d));
-      delay_output_fall = Lut.create ~slews ~loads ~values:(grid true (fun d _ -> d));
-      slew_output_rise = Lut.create ~slews ~loads ~values:(grid false (fun _ s -> s));
-      slew_output_fall = Lut.create ~slews ~loads ~values:(grid true (fun _ s -> s));
-    }
+    (* Negative unate: falling input -> rising output. *)
+    let delay_output_rise, slew_output_rise = tables false in
+    let delay_output_fall, slew_output_fall = tables true in
+    { pin; delay_output_rise; delay_output_fall; slew_output_rise; slew_output_fall }
   in
   {
     kind;
