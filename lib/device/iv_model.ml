@@ -49,9 +49,12 @@ let prepare dev =
    and the logistic is 1.  Velocity saturation divides by
    1 + 2 vT sqrt(F(u_f)) / (E_c L_eff); d sqrt(F(u_f)) / du_f is
    logistic(u_f/2) / 2.  The threshold moves with vds through DIBL, so
-   du_f/dvds = -(dV_th/dV_ds) / (m vT) and du_r/dvds = du_f/dvds - 1/vT. *)
-let eval c ~vgs ~vds =
-  if vds < 0.0 then invalid_arg "Iv_model.eval: vds must be non-negative";
+   du_f/dvds = -(dV_th/dV_ds) / (m vT) and du_r/dvds = du_f/dvds - 1/vT.
+   The bias comes in and the result goes out through [b], so a caller's
+   floats cross no call boundary, where they would be boxed. *)
+let eval_into c b =
+  let vgs = b.(0) and vds = b.(1) in
+  if vds < 0.0 then invalid_arg "Iv_model.eval_into: vds must be non-negative";
   let vth =
     c.vth0 +. (c.sce_gain *. (c.sce_bias +. (c.k_dibl *. vds)) *. c.sce_decay) +. c.vth_offset
   in
@@ -71,12 +74,15 @@ let eval c ~vgs ~vds =
   let di_dur = -.c.i_spec *. lr *. sr *. sat in
   let gm = (di_duf +. di_dur) /. (c.m *. c.vt) in
   let gds = (-.c.dvth_dvds *. gm) -. (di_dur /. c.vt) in
-  (id, gm, gds)
+  b.(0) <- id;
+  b.(1) <- gm;
+  b.(2) <- gds
 
 let id dev ~vgs ~vds =
   if vds < 0.0 then invalid_arg "Iv_model.id: vds must be non-negative";
-  let i, _, _ = eval (prepare dev) ~vgs ~vds in
-  i
+  let b = [| vgs; vds; 0.0 |] in
+  eval_into (prepare dev) b;
+  b.(0)
 
 let ioff dev ~vdd = id dev ~vgs:0.0 ~vds:vdd
 let ion dev ~vdd = id dev ~vgs:vdd ~vds:vdd

@@ -19,16 +19,19 @@ type coeffs
 
 val prepare : Compact.t -> coeffs
 
-val eval : coeffs -> vgs:float -> vds:float -> float * float * float
-(** [(id, gm, gds)] in one analytic pass: the drain current [A/m], the
-    transconductance dI_d/dV_gs and the output conductance dI_d/dV_ds
-    [S/m], differentiated through the EKV interpolation, the velocity
-    saturation factor and the DIBL slope of V_th.  Raises
-    [Invalid_argument] for [vds < 0]. *)
+val eval_into : coeffs -> float array -> unit
+(** [eval_into c b] reads the bias V_gs = [b.(0)], V_ds = [b.(1)] and
+    overwrites [b.(0)], [b.(1)], [b.(2)] with (id, gm, gds) in one analytic
+    pass: the drain current [A/m], the transconductance dI_d/dV_gs and the
+    output conductance dI_d/dV_ds [S/m], differentiated through the EKV
+    interpolation, the velocity saturation factor and the DIBL slope of
+    V_th.  Nothing is allocated, so the MNA stamps call it per device per
+    Newton iteration.  Raises [Invalid_argument] for V_ds < 0 (leaving [b]
+    as it was) and for [b] shorter than 3. *)
 
 val id : Compact.t -> vgs:float -> vds:float -> float
-(** Drain current [A/m], the first component of {!eval} on the prepared
-    device.  Monotone in both arguments; 0 at [vds = 0]. *)
+(** Drain current [A/m], the id of {!eval_into} on the prepared device.
+    Monotone in both arguments; 0 at [vds = 0]. *)
 
 val ioff : Compact.t -> vdd:float -> float
 (** I_off = id at V_gs = 0, V_ds = [vdd]. *)

@@ -5,9 +5,9 @@
 exception No_convergence of string
 
 type workspace
-(** Newton scratch for one analysis: the residual (which the solve
-    overwrites with the update) and a {!Numerics.Sparse_lu.t} holding the
-    Jacobian's values and factors, sized to the system.  Every {!newton} run
+(** Newton scratch for one analysis: the iterate, the residual (which the
+    solve overwrites with the update) and a {!Numerics.Sparse_lu.t} holding
+    the Jacobian's values and factors, sized to the system.  Every {!newton} run
     overwrites all of it before reading it, so one workspace serves every
     Newton run of an analysis (each source step, each transient step).  It
     belongs to one analysis call: never share it between concurrent
@@ -24,7 +24,10 @@ val newton :
   Numerics.Vec.t ->
   Numerics.Vec.t option
 (** [newton ws assemble ~tol ~max_iter x0]: damped Newton from [x0], which
-    is not mutated; the result is a fresh vector.  [assemble ~x ~f ~jac]
+    is copied into [ws]'s iterate and not mutated.  The result is that
+    iterate itself, not a copy: the next run on [ws] overwrites it, and it
+    may be passed back as that run's [x0].  A run allocates a few words
+    whatever the system's size.  [assemble ~x ~f ~jac]
     (typically a {!Mna.assemble} closure) overwrites [f] with F(x) and
     [jac] with dF/dx's values, both taken from [ws]; the Jacobian is
     factored without pivoting in the pattern's minimum-degree order.  Each

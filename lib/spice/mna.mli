@@ -47,9 +47,10 @@ val source_index : system -> string -> int
 (** Index of a named voltage source's branch current in the unknown
     vector; raises like {!source_current}. *)
 
-type cap_companion = { geq : float; ieq : float }
+type cap_companion = { mutable geq : float; mutable ieq : float }
 (** Trapezoidal/backward-Euler companion for one capacitor: the stamped
-    branch current is geq (v_p - v_m) - ieq. *)
+    branch current is geq (v_p - v_m) - ieq.  Mutable, so a transient
+    updates one set in place every step. *)
 
 val assemble :
   system ->
@@ -66,7 +67,9 @@ val assemble :
     in equation order, and [jac], the value buffer of a
     {!Numerics.Sparse_lu.t} made from {!pattern}, with the Jacobian dF/dx
     (only its structural entries are stored); each MOSFET stamps its
-    analytic {!Device.Iv_model.eval}.  [source_scale]
+    analytic {!Device.Iv_model.eval_into}.  Every stamp reads [x] and
+    writes [f] and [jac] in place: a call allocates a few words whatever
+    the circuit's size.  [source_scale]
     multiplies every independent source value (for source-stepping
     homotopy).  A 1e-12 S leak conductance (gmin) ties every node to
     ground.
@@ -75,8 +78,9 @@ val assemble :
     (DC); with [caps] (length {!n_caps}), each capacitor stamps its
     companion model. *)
 
-val cap_voltage : system -> Numerics.Vec.t -> int -> float
-(** Voltage across the i-th capacitor under unknown vector [x]. *)
+val cap_voltages : system -> Numerics.Vec.t -> Numerics.Vec.t -> unit
+(** [cap_voltages s x dst] overwrites [dst] (length {!n_caps}) with the
+    voltage across each capacitor under unknown vector [x]. *)
 
 val cap_farads : system -> int -> float
 

@@ -8,29 +8,32 @@ type result = {
 
 let steps_counter = Obs.Metrics.counter "spice.transient.steps"
 
-let backward_euler_caps sys ~h vcap =
-  Array.init (Array.length vcap) (fun i ->
-      let c = Mna.cap_farads sys i in
-      let geq = c /. h in
-      { Mna.geq; ieq = geq *. vcap.(i) })
+(* The companions are the run's one buffer [caps], rewritten in place:
+   backward Euler from the capacitor voltages [vcap], or trapezoidal from
+   [vcap] and the branch currents [icap] at the last accepted time point.
+   [farads] holds each capacitor's value. *)
+let backward_euler_caps caps farads ~h vcap =
+  for i = 0 to Array.length caps - 1 do
+    let c = caps.(i) in
+    c.Mna.geq <- farads.(i) /. h;
+    c.Mna.ieq <- c.Mna.geq *. vcap.(i)
+  done
 
-(* Trapezoidal companions from the capacitor voltages and branch currents
-   at the last accepted time point. *)
-let trapezoidal_caps sys ~h vcap icap =
-  Array.init (Array.length vcap) (fun i ->
-      let c = Mna.cap_farads sys i in
-      let geq = 2.0 *. c /. h in
-      { Mna.geq; ieq = (geq *. vcap.(i)) +. icap.(i) })
+let trapezoidal_caps caps farads ~h vcap icap =
+  for i = 0 to Array.length caps - 1 do
+    let c = caps.(i) in
+    c.Mna.geq <- 2.0 *. farads.(i) /. h;
+    c.Mna.ieq <- (c.Mna.geq *. vcap.(i)) +. icap.(i)
+  done
 
 (* Advance the capacitor state (voltage across, branch current) to the
    accepted solution [x] solved with companions [caps]. *)
 let accept_caps sys caps x vcap icap =
-  Array.iteri
-    (fun i { Mna.geq; ieq } ->
-      let v_new = Mna.cap_voltage sys x i in
-      vcap.(i) <- v_new;
-      icap.(i) <- (geq *. v_new) -. ieq)
-    caps
+  Mna.cap_voltages sys x vcap;
+  for i = 0 to Array.length caps - 1 do
+    let c = caps.(i) in
+    icap.(i) <- (c.Mna.geq *. vcap.(i)) -. c.Mna.ieq
+  done
 
 let describe = function
   | Node n -> Printf.sprintf "node %d" n
@@ -54,66 +57,66 @@ let run ?x0 sys ~probes ~t_stop ~steps =
   let h = t_stop /. float_of_int steps in
   let n_steps = int_of_float (ceil ((t_stop /. h) -. 1e-9)) in
   let nc = Mna.n_caps sys in
+  let farads = Array.init nc (Mna.cap_farads sys) in
+  (* Everything a step writes is allocated here, once: the Newton
+     workspace, the companions and the capacitor state. *)
   let ws = Dcop.workspace sys in
-  let newton_at ~time ~caps ~max_iter x0 =
+  let caps = Array.init nc (fun _ -> { Mna.geq = 0.0; ieq = 0.0 }) in
+  let newton_at ~time ~max_iter x0 =
     Dcop.newton ws (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ())
       ~tol:1e-9 ~max_iter x0
   in
-  let x_dc = match x0 with Some x -> Array.copy x | None -> Dcop.solve_in ws sys in
+  (* The accepted state; Dcop.newton's result lives in [ws] and is copied
+     in. *)
+  let x = match x0 with Some x -> Array.copy x | None -> Dcop.solve_in ws sys in
   (* Capacitor state: voltage across and branch current at the last accepted
      time point. *)
-  let vcap = Array.init nc (fun i -> Mna.cap_voltage sys x_dc i) in
+  let vcap = Array.make nc 0.0 and vmid = Array.make nc 0.0 in
+  Mna.cap_voltages sys x vcap;
   let icap = Array.make nc 0.0 in
   let times = Array.make (n_steps + 1) 0.0 in
   let samples = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) probes in
-  let record step x =
-    Array.iteri (fun k u -> samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))) unknowns
+  let record step =
+    for k = 0 to Array.length unknowns - 1 do
+      let u = unknowns.(k) in
+      samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))
+    done
   in
-  let rec advance step x t =
-    if step > n_steps then ()
-    else begin
-      let h_eff = Float.min h (t_stop -. t) in
-      let t' = t +. h_eff in
-      (* First step: backward Euler (damps trapezoidal start-up ringing). *)
-      let trapezoidal = step > 1 in
-      let caps_arr =
-        if trapezoidal then trapezoidal_caps sys ~h:h_eff vcap icap
-        else backward_euler_caps sys ~h:h_eff vcap
-      in
-      let solved =
-        match newton_at ~time:t' ~caps:caps_arr ~max_iter:60 x with
-        | Some x' -> Some (x', caps_arr)
-        | None ->
-          (* Retry as two half-steps of backward Euler. *)
-          let half = 0.5 *. h_eff in
-          (match
-             newton_at ~time:(t +. half) ~caps:(backward_euler_caps sys ~h:half vcap)
-               ~max_iter:80 x
-           with
-           | None -> None
-           | Some mid ->
-             let vmid = Array.init nc (fun i -> Mna.cap_voltage sys mid i) in
-             let caps2 = backward_euler_caps sys ~h:half vmid in
-             (match newton_at ~time:t' ~caps:caps2 ~max_iter:80 mid with
-              | Some x' -> Some (x', caps2)
-              | None -> None))
-      in
-      match solved with
-      | None -> raise (Dcop.No_convergence (Printf.sprintf "transient stuck at t=%.3e s" t'))
-      | Some (x', caps_used) ->
-        if Numerics.Guard.is_enabled () then
-          ignore
-            (Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t')
-               x');
-        accept_caps sys caps_used x' vcap icap;
-        Obs.Metrics.incr steps_counter;
-        times.(step) <- t';
-        record step x';
-        advance (step + 1) x' t'
-    end
-  in
-  record 0 x_dc;
-  advance 1 x_dc 0.0;
+  record 0;
+  let t = ref 0.0 in
+  for step = 1 to n_steps do
+    let h_eff = Float.min h (t_stop -. !t) in
+    let t' = !t +. h_eff in
+    (* First step: backward Euler (damps trapezoidal start-up ringing). *)
+    if step > 1 then trapezoidal_caps caps farads ~h:h_eff vcap icap
+    else backward_euler_caps caps farads ~h:h_eff vcap;
+    let solved =
+      match newton_at ~time:t' ~max_iter:60 x with
+      | Some _ as solved -> solved
+      | None ->
+        (* Retry as two half-steps of backward Euler. *)
+        let half = 0.5 *. h_eff in
+        backward_euler_caps caps farads ~h:half vcap;
+        (match newton_at ~time:(!t +. half) ~max_iter:80 x with
+         | None -> None
+         | Some mid ->
+           Mna.cap_voltages sys mid vmid;
+           backward_euler_caps caps farads ~h:half vmid;
+           newton_at ~time:t' ~max_iter:80 mid)
+    in
+    match solved with
+    | None -> raise (Dcop.No_convergence (Printf.sprintf "transient stuck at t=%.3e s" t'))
+    | Some x' ->
+      if Numerics.Guard.is_enabled () then
+        ignore
+          (Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t') x');
+      accept_caps sys caps x' vcap icap;
+      Array.blit x' 0 x 0 (Array.length x);
+      Obs.Metrics.incr steps_counter;
+      times.(step) <- t';
+      record step;
+      t := t'
+  done;
   { times; probes; samples }
 
 let times result = result.times

@@ -17,6 +17,12 @@ let nfet32 = Compact.nfet phys32
 let pfet90 = Compact.pfet phys90
 let vt = C.vt_room
 
+(* [Iv.eval_into] as a (id, gm, gds) triple. *)
+let eval c ~vgs ~vds =
+  let b = [| vgs; vds; 0.0 |] in
+  Iv.eval_into c b;
+  (b.(0), b.(1), b.(2))
+
 let params_tests =
   [
     u "nhalo_net sums substrate and pocket" (fun () ->
@@ -198,7 +204,7 @@ let iv_tests =
         let h = 1e-4 in
         let fd = (Iv.id nfet90 ~vgs:(0.3 +. h) ~vds:0.5 -. Iv.id nfet90 ~vgs:(0.3 -. h) ~vds:0.5)
                  /. (2.0 *. h) in
-        let _, gm, _ = Iv.eval (Iv.prepare nfet90) ~vgs:0.3 ~vds:0.5 in
+        let _, gm, _ = eval (Iv.prepare nfet90) ~vgs:0.3 ~vds:0.5 in
         Test_util.check_rel "gm" ~rel:1e-3 fd gm);
     u "ion/ioff ratio at 250 mV is in the hundreds" (fun () ->
         Test_util.check_in_range "ratio" ~lo:100.0 ~hi:5000.0
@@ -238,7 +244,7 @@ let gen_bias ~vds_lo =
     triple (int_bound 19) (float_range (-0.2) 1.2) (float_range vds_lo 1.2))
 
 (* The drain current as written before the device terms were hoisted into
-   [Iv.prepare]: [Iv.eval] must reproduce it bit for bit. *)
+   [Iv.prepare]: [Iv.eval_into] must reproduce it bit for bit. *)
 let reference_id dev ~vgs ~vds =
   let vt = C.thermal_voltage dev.Compact.temperature in
   let big_f v =
@@ -268,7 +274,7 @@ let eval_tests =
     prop "eval's id is bit-identical to id and the unhoisted formula" ~count:500
       (gen_bias ~vds_lo:0.0) (fun (k, vgs, vds) ->
         let dev = (Lazy.force shipped_devices).(k) in
-        let i, _, _ = Iv.eval (Iv.prepare dev) ~vgs ~vds in
+        let i, _, _ = eval (Iv.prepare dev) ~vgs ~vds in
         let bits = Int64.bits_of_float in
         Int64.equal (bits i) (bits (Iv.id dev ~vgs ~vds))
         && Int64.equal (bits i) (bits (reference_id dev ~vgs ~vds)));
@@ -276,21 +282,21 @@ let eval_tests =
       (gen_bias ~vds_lo:0.01) (fun (k, vgs, vds) ->
         let c = Iv.prepare (Lazy.force shipped_devices).(k) in
         let id ~vgs ~vds =
-          let i, _, _ = Iv.eval c ~vgs ~vds in
+          let i, _, _ = eval c ~vgs ~vds in
           i
         in
-        let _, gm, gds = Iv.eval c ~vgs ~vds in
+        let _, gm, gds = eval c ~vgs ~vds in
         let h = 1e-3 in
         let close analytic fd = Float.abs (analytic -. fd) <= 1e-6 *. Float.abs fd in
         close gm (central4 (fun vgs -> id ~vgs ~vds) vgs h)
         && close gds (central4 (fun vds -> id ~vgs ~vds) vds h));
     prop "gds is finite and positive at vds = 0" ~count:200
       (gen_bias ~vds_lo:0.0) (fun (k, vgs, _) ->
-        let _, _, gds = Iv.eval (Iv.prepare (Lazy.force shipped_devices).(k)) ~vgs ~vds:0.0 in
+        let _, _, gds = eval (Iv.prepare (Lazy.force shipped_devices).(k)) ~vgs ~vds:0.0 in
         Float.is_finite gds && gds > 0.0);
     u "eval rejects negative vds" (fun () ->
-        Alcotest.check_raises "vds" (Invalid_argument "Iv_model.eval: vds must be non-negative")
-          (fun () -> ignore (Iv.eval (Iv.prepare nfet90) ~vgs:0.1 ~vds:(-0.1))));
+        Alcotest.check_raises "vds" (Invalid_argument "Iv_model.eval_into: vds must be non-negative")
+          (fun () -> ignore (eval (Iv.prepare nfet90) ~vgs:0.1 ~vds:(-0.1))));
   ]
 
 let suite =
