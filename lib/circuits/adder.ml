@@ -51,8 +51,16 @@ let add_full_adder c pair sizing ~vdd_node ~a ~b ~cin ~load =
   let cout = nand n1 n5 in
   (sum, cout)
 
+(* Input words are OCaml ints: (1 lsl bits) - 1 is all ones only up to
+   62 bits, one less than Sys.int_size. *)
+let max_bits = Sys.int_size - 1
+
 let build ?cin_wave ?(a_word = 0) ?(b_word = 0) pair ~vdd ~bits =
   if bits < 1 then invalid_arg "Adder.ripple_carry: need at least one bit";
+  if bits > max_bits then
+    invalid_arg
+      (Printf.sprintf "Adder.ripple_carry: at most %d bits (an input word is an int)"
+         max_bits);
   let sizing = Inverter.balanced_sizing () in
   let c = Spice.Netlist.create () in
   let vdd_node = Spice.Netlist.node c "vdd" in

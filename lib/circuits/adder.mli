@@ -18,6 +18,8 @@ type t = {
 }
 
 val ripple_carry : Inverter.pair -> vdd:float -> bits:int -> t
+(** Raises [Invalid_argument] for [bits] outside 1..62: the input words
+    are OCaml ints. *)
 
 val compute : t -> a:int -> b:int -> cin:int -> int * int
 (** DC-solve the adder with the given input words and return
@@ -28,4 +30,5 @@ val carry_delay : ?steps:int -> Inverter.pair -> vdd:float -> bits:int -> float
 (** Worst-case carry-propagation delay [s]: with A = all ones and B = 0,
     a carry-in edge must ripple through every stage; measured from a
     transient as the 50 % crossing of carry-out after the input edge.
-    Raises [Failure] if the output never switches in the window. *)
+    Raises [Failure] if the output never switches in the window, and
+    [Invalid_argument] like {!ripple_carry} before building anything. *)

@@ -11,8 +11,9 @@
 #                                           exit 1 when one contains a
 #                                           compiler-libs unit
 #
-# EXE defaults to the built test/gen_golden.exe and benchmark/benchmark.exe
-# (run `dune build` first); `dune runtest` runs the check on both.  A unit
+# EXE defaults to the built test/gen_golden.exe, benchmark/benchmark.exe and
+# the seven examples/*.exe (run `dune build` first); `dune runtest` runs the
+# check on all of them.  A unit
 # counts as linked when `nm` lists its module symbol (camlTypecore,
 # camlTypecore.N or camlTypecore__f_N).
 set -eu
@@ -28,8 +29,12 @@ case "${1:-}" in
     ;;
 esac
 if [ $# -eq 0 ]; then
-  root=$(cd "$(dirname "$0")/.." && pwd)
-  set -- "$root/_build/default/test/gen_golden.exe" "$root/_build/default/benchmark/benchmark.exe"
+  built=$(cd "$(dirname "$0")/.." && pwd)/_build/default
+  set -- "$built/test/gen_golden.exe" "$built/benchmark/benchmark.exe"
+  for example in quickstart sensor_node sram_margins ring_oscillator device_explorer \
+    datapath sta_flow; do
+    set -- "$@" "$built/examples/$example.exe"
+  done
 fi
 
 status=0
