@@ -84,10 +84,19 @@ type characteristics = {
 }
 
 val characterize : ?vdd:float -> Structure.t -> characteristics
-(** Full characterization at supply [vdd] (default 0.9 V for V_th,sat) and at
-    the paper's subthreshold operating point V_dd = 250 mV.  One equilibrium
-    solve seeds all three Vd planes; each plane's entry state warm-continues
-    from the previous plane's. *)
+(** Characterization at supply [vdd] (default 0.9 V for V_th,sat) and at
+    the paper's subthreshold operating point V_dd = 250 mV, from three
+    Id–Vg planes on the gate grid [linspace 0 (max vdd 0.9) 19]: V_d = 50 mV
+    (S_S, V_th,lin), 250 mV (I_on, I_off at V_dd = 250 mV) and [vdd]
+    (V_th,sat, I_off).  One equilibrium solve seeds all three planes; each
+    plane's entry state warm-continues from the previous plane's first
+    point.  Each plane stops at the first solved point past what its
+    figures read — the 50 mV plane once its current exceeds both 0.1 A/m
+    and the top of the S_S window, the 250 mV plane at the first gate bias
+    above 250 mV, the [vdd] plane once its current exceeds 0.1 A/m — and
+    solves all 19 points if it never gets there.  The figures equal those
+    of the whole grid as long as each plane's current keeps rising past its
+    stop, which holds on every shipped device. *)
 
 val characterize_cached : ?vdd:float -> Structure.t -> characteristics
 (** [characterize] behind a content-addressed memo keyed on
