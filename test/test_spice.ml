@@ -12,6 +12,11 @@ let prop = Test_util.prop
 let phys90 = List.hd Device.Params.paper_table2
 let nfet = Device.Compact.nfet phys90
 
+let sub32 () =
+  match Scaling.Strategy.resolve ~node:32 ~strategy:"sub" with
+  | Ok (_, _, _, pair) -> pair
+  | Error e -> Alcotest.fail e
+
 let netlist_tests =
   [
     u "dc waveform is constant" (fun () ->
@@ -304,6 +309,12 @@ let transient_tests =
         Alcotest.check_raises "node outside the circuit"
           (Invalid_argument "Transient.run: no node 9 (nodes are 0..2)") (fun () ->
             ignore (Transient.run sys ~probes:[ Node 9 ] ~t_stop:1e-6 ~steps:10)));
+    u "32-bit carry_delay at 32 nm converges on 200 coarse steps" (fun () ->
+        (* The widest adder any test runs, at a step 4x coarser than the
+           default: every step must converge, after at most one retreat to
+           two half-steps, all along a 32-stage ripple.  Measured: 2.41e-6 s. *)
+        Test_util.check_in_range "carry delay" ~lo:2.3e-6 ~hi:2.5e-6
+          (Circuits.Adder.carry_delay ~steps:200 (sub32 ()) ~vdd:0.25 ~bits:32));
   ]
 
 let waveform_tests =
@@ -379,11 +390,6 @@ let work_tests =
         Alcotest.(check int) "newton iterations" 378 iters;
         Alcotest.(check int) "transient steps" 300 steps);
   ]
-
-let sub32 () =
-  match Scaling.Strategy.resolve ~node:32 ~strategy:"sub" with
-  | Ok (_, _, _, pair) -> pair
-  | Error e -> Alcotest.fail e
 
 (* Memory: one Newton workspace per transient, and only the probed
    signals recorded.  At one domain both are a pure function of the code. *)
