@@ -199,7 +199,7 @@ let device_cmd =
   let run () () () node strategy =
     let roadmap_node, kind, phys, pair = resolve node strategy in
     validate_device ~what:(Printf.sprintf "%d nm %s device" node strategy) phys pair;
-    let e = Strategy.evaluate kind roadmap_node phys pair in
+    let e = Strategy.evaluate kind roadmap_node in
     let nfet = pair.Subscale.Circuits.Inverter.nfet in
     let f = Printf.printf in
     f "node           : %d nm (%s strategy)\n" node strategy;
@@ -640,41 +640,45 @@ module St = Subscale.Tcad.Structure
 (* Key-sensitivity differential over every input of [Structure.build]: each
    description field and the requested nx/ny, perturbed one at a time from
    a small mesh.  Whenever the built description or mesh changes, [key]
-   must change.  A line-count perturbation can leave the mesh as it was
-   (every nx = ny >= 39 builds one mesh); then there is nothing to tell
-   apart.  The base (4, 9) and its ny + 1 build different meshes with the
-   same line counts, the alias a count-based key had. *)
-let structure_key_sensitivity ~key =
+   must change, and so must [Structure.key_for], the key the daemon forms
+   from the description and the mesh lines without building anything.  A
+   line-count perturbation can leave the mesh as it was (every nx = ny >=
+   39 builds one mesh); then there is nothing to tell apart.  The base
+   (4, 9) and its ny + 1 build different meshes with the same line counts,
+   the alias a count-based key had. *)
+let structure_key_sensitivity ~key ~(key_for : ?nx:int -> ?ny:int -> St.description -> string) =
   let nx = 4 and ny = 9 and d = St.default_description in
   let bump x = (x *. (1.0 +. 1e-9)) +. 1e-30 in
   let base = St.build ~nx ~ny d in
   let flipped = if d.St.polarity = St.Nchannel then St.Pchannel else St.Nchannel in
   let inputs =
-    [ ("polarity", St.build ~nx ~ny { d with St.polarity = flipped });
-      ("lpoly", St.build ~nx ~ny { d with St.lpoly = bump d.St.lpoly });
-      ("tox", St.build ~nx ~ny { d with St.tox = bump d.St.tox });
-      ("nsub", St.build ~nx ~ny { d with St.nsub = bump d.St.nsub });
-      ("np_halo", St.build ~nx ~ny { d with St.np_halo = bump d.St.np_halo });
-      ("xj", St.build ~nx ~ny { d with St.xj = bump d.St.xj });
-      ("nsd", St.build ~nx ~ny { d with St.nsd = bump d.St.nsd });
-      ("overlap", St.build ~nx ~ny { d with St.overlap = bump d.St.overlap });
-      ("halo_depth_frac",
-       St.build ~nx ~ny { d with St.halo_depth_frac = bump d.St.halo_depth_frac });
-      ("halo_sigma_frac",
-       St.build ~nx ~ny { d with St.halo_sigma_frac = bump d.St.halo_sigma_frac });
-      ("gate_doping", St.build ~nx ~ny { d with St.gate_doping = bump d.St.gate_doping });
-      ("temperature", St.build ~nx ~ny { d with St.temperature = bump d.St.temperature });
-      ("nx", St.build ~nx:(nx + 1) ~ny d);
-      ("ny", St.build ~nx ~ny:(ny + 1) d) ]
+    [ ("polarity", nx, ny, { d with St.polarity = flipped });
+      ("lpoly", nx, ny, { d with St.lpoly = bump d.St.lpoly });
+      ("tox", nx, ny, { d with St.tox = bump d.St.tox });
+      ("nsub", nx, ny, { d with St.nsub = bump d.St.nsub });
+      ("np_halo", nx, ny, { d with St.np_halo = bump d.St.np_halo });
+      ("xj", nx, ny, { d with St.xj = bump d.St.xj });
+      ("nsd", nx, ny, { d with St.nsd = bump d.St.nsd });
+      ("overlap", nx, ny, { d with St.overlap = bump d.St.overlap });
+      ("halo_depth_frac", nx, ny, { d with St.halo_depth_frac = bump d.St.halo_depth_frac });
+      ("halo_sigma_frac", nx, ny, { d with St.halo_sigma_frac = bump d.St.halo_sigma_frac });
+      ("gate_doping", nx, ny, { d with St.gate_doping = bump d.St.gate_doping });
+      ("temperature", nx, ny, { d with St.temperature = bump d.St.temperature });
+      ("nx", nx + 1, ny, d);
+      ("ny", nx, ny + 1, d) ]
   in
   let mesh s = (s.St.mesh.Subscale.Tcad.Mesh.xs, s.St.mesh.Subscale.Tcad.Mesh.ys) in
+  let base_key_for = key_for ~nx ~ny d in
   ( List.length inputs,
     List.concat_map
-      (fun (field, s) ->
+      (fun (field, nx', ny', d') ->
+        let s = St.build ~nx:nx' ~ny:ny' d' in
         if s.St.desc = base.St.desc && mesh s = mesh base then []
         else
           MS.key_sensitivity ~what:"Tcad.Structure.key" ~field ~base_key:(key base)
-            ~perturbed_key:(key s))
+            ~perturbed_key:(key s)
+          @ MS.key_sensitivity ~what:"Tcad.Structure.key_for" ~field ~base_key:base_key_for
+              ~perturbed_key:(key_for ~nx:nx' ~ny:ny' d'))
       inputs )
 
 (* Memo-soundness pass (AUD011/AUD012): shadow-trace the parameter reads of
@@ -732,9 +736,10 @@ let audit_memo () =
          MS.key_sensitivity ~what:"Device.Params.calibration_key" ~field ~base_key:base_ck
            ~perturbed_key:(Pm.calibration_key (perturb_calibration field cal0)))
        Pm.calibration_key_fields);
-  let n_inputs, diags = structure_key_sensitivity ~key:St.key in
+  let n_inputs, diags = structure_key_sensitivity ~key:St.key ~key_for:St.key_for in
   target
-    (Printf.sprintf "Tcad.Structure.key %2d build input(s) differentially perturbed" n_inputs)
+    (Printf.sprintf "Tcad.Structure.key and key_for %2d build input(s) differentially perturbed"
+       n_inputs)
     diags;
   print_endline "memo shadow audit (recompute on every cache hit, AUD012):";
   Subscale.Exec.Memo.clear_all ();
@@ -792,8 +797,8 @@ let audit_schedules ~n =
 (* The audit's own selftest: deliberately broken inputs must each fire their
    rule — out-of-regime supply (AUD001), a widened box whose I_off straddles
    zero (AUD003), a coarse mesh (AUD008), a dropped key field, an
-   insensitive key and TCAD structure keys that drop tox or the mesh
-   coordinates (AUD011), an under-keyed memo table (AUD012) — and the
+   insensitive key, TCAD structure keys that drop tox or the mesh
+   coordinates and a key_for that drops tox (AUD011), an under-keyed memo table (AUD012) — and the
    rule registry must be collision-free. *)
 let audit_selftest () =
   let failures = ref 0 in
@@ -836,15 +841,19 @@ let audit_selftest () =
        ~perturbed_key:"same");
   case "structure key dropping the tox field" ~expect:"AUD011"
     (snd
-       (structure_key_sensitivity ~key:(fun s ->
+       (structure_key_sensitivity ~key_for:St.key_for ~key:(fun s ->
             St.key { s with St.desc = { s.St.desc with St.tox = 0.0 } })));
   case "structure key naming the mesh by line counts" ~expect:"AUD011"
     (snd
-       (structure_key_sensitivity ~key:(fun s ->
+       (structure_key_sensitivity ~key_for:St.key_for ~key:(fun s ->
             let module M = Subscale.Tcad.Mesh in
             let counts a = Array.init (Array.length a) float_of_int in
             let mesh = s.St.mesh in
             St.key { s with St.mesh = M.make ~xs:(counts mesh.M.xs) ~ys:(counts mesh.M.ys) })));
+  case "structure key_for dropping the tox field" ~expect:"AUD011"
+    (snd
+       (structure_key_sensitivity ~key:St.key ~key_for:(fun ?nx ?ny d ->
+            St.key_for ?nx ?ny { d with St.tox = St.default_description.St.tox })));
   let tbl = Subscale.Exec.Memo.create ~name:"audit-selftest-underkeyed" () in
   let hidden = ref 1 in
   let compute () =

@@ -20,7 +20,8 @@ val select :
   Roadmap.node ->
   Device.Params.physical * Circuits.Inverter.pair
 (** The device the strategy selects at a node ({!Super_vth.select_node} or
-    {!Sub_vth.select_node}). *)
+    {!Sub_vth.select_node}), memoized on (kind, node, calibration): a
+    repeated selection is a key and a lookup. *)
 
 val resolve :
   node:int ->
@@ -49,9 +50,9 @@ type evaluation = {
   energy_at_vmin : float;  (** chain energy per cycle at V_min [J] *)
 }
 
-val evaluate :
-  kind -> Roadmap.node -> Device.Params.physical -> Circuits.Inverter.pair -> evaluation
-(** Memoized on the (kind, node, parameters, device pair) content key. *)
+val evaluate : kind -> Roadmap.node -> evaluation
+(** The evaluation of the device {!select} picks, memoized on the same
+    (kind, node, calibration) key. *)
 
 val evaluate_uncached :
   kind -> Roadmap.node -> Device.Params.physical -> Circuits.Inverter.pair -> evaluation
@@ -65,5 +66,5 @@ val evaluation_fingerprint : evaluation -> string
 
 val trajectory : ?with_130:bool -> kind -> evaluation list
 (** The strategy over the roadmap, 90 to 32 nm (130 nm first when
-    [with_130]): every node's device selected, then every device
-    evaluated. *)
+    [with_130]): each node's device selected and evaluated, one node per
+    pool task. *)

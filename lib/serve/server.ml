@@ -20,12 +20,13 @@ let coalesced_counter = Obs.Metrics.counter "serve.coalesced"
 
 (* --- device resolution ------------------------------------------------ *)
 
-let build_structure ~node ~strategy ~nx ~ny =
-  match Scaling.Strategy.resolve ~node ~strategy with
-  | Error _ as e -> e
-  | Ok (_, _, _, pair) ->
-    let desc = Device.Compact.to_tcad_description pair.Circuits.Inverter.nfet in
-    Ok (Tcad.Structure.build ?nx ?ny desc)
+(* The TCAD description of the selected NFET.  A request's structure is
+   built only by a memo miss: its keys name it by this description and the
+   mesh lines ([Tcad.Structure.key_for]). *)
+let description ~node ~strategy =
+  Result.map
+    (fun (_, _, _, pair) -> Device.Compact.to_tcad_description pair.Circuits.Inverter.nfet)
+    (Scaling.Strategy.resolve ~node ~strategy)
 
 (* --- response payloads ------------------------------------------------ *)
 
@@ -122,10 +123,10 @@ type job =
       members : (slot * int array) list;
     }
 
-let sweep_key dev ~vd grid =
+let sweep_key ?nx ?ny desc ~vd grid =
   Exec.Key.(
     fields "serve.idvg_mesh"
-      [ ("dev", Tcad.Structure.key dev);
+      [ ("dev", Tcad.Structure.key_for ?nx ?ny desc);
         ("vd", float vd);
         ( "vgs",
           String.concat "," (List.map float (Array.to_list grid)) ) ])
@@ -138,21 +139,21 @@ let run_job_exn job : (slot * string) list =
   match job with
   | J_char { node; strategy; vdd; nx; ny; slots } ->
     let answer =
-      match build_structure ~node ~strategy ~nx ~ny with
+      match description ~node ~strategy with
       | Error msg -> fun slot -> Protocol.error_response ~id:slot.echo msg
-      | Ok dev ->
-        let ch = Tcad.Extract.characterize_cached ~vdd dev in
+      | Ok desc ->
+        let ch = Tcad.Extract.characterize_cached ?nx ?ny ~vdd desc in
         fun slot -> Protocol.ok_response ~id:slot.echo (characteristics_fields ch)
     in
     List.map (fun slot -> (slot, answer slot)) slots
   | J_sweep { node; strategy; nx; ny; vd; grid; members } ->
     let answer =
-      match build_structure ~node ~strategy ~nx ~ny with
+      match description ~node ~strategy with
       | Error msg -> fun slot _ -> Protocol.error_response ~id:slot.echo msg
-      | Ok dev ->
+      | Ok desc ->
         let sweep =
-          Exec.Memo.find_or_compute idvg_memo ~key:(sweep_key dev ~vd grid) (fun () ->
-              Tcad.Extract.id_vg_at dev ~vd ~vgs:grid)
+          Exec.Memo.find_or_compute idvg_memo ~key:(sweep_key ?nx ?ny desc ~vd grid)
+            (fun () -> Tcad.Extract.id_vg_at (Tcad.Structure.build ?nx ?ny desc) ~vd ~vgs:grid)
         in
         fun slot idx ->
           Protocol.ok_response ~id:slot.echo
@@ -269,15 +270,17 @@ let read_chunk_size = 4096
    memory DoS. *)
 let max_line_length = 1 lsl 20
 
-(* Returns the complete lines newly available on [c]; leaves the final
+(* Reads into [chunk], the daemon's one read buffer of [read_chunk_size]
+   bytes (the loop is single-threaded, and a chunk per read would go
+   straight to the major heap: 4 KB is past the minor heap's size limit),
+   and returns the complete lines newly available on [c]; leaves the final
    partial line buffered.  Marks the connection dead on EOF, on any
    read error (ECONNRESET, EIO, ETIMEDOUT, ... — to the daemon they are
    all just "this client is gone"; EINTR alone is a retry), and on an
    oversized line. *)
-let read_lines c =
-  let bytes = Bytes.create read_chunk_size in
+let read_lines chunk c =
   let n =
-    match Unix.read c.fd bytes 0 read_chunk_size with
+    match Unix.read c.fd chunk 0 read_chunk_size with
     | n -> n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> -1
     | exception Unix.Unix_error (_, _, _) -> 0
@@ -288,7 +291,7 @@ let read_lines c =
     []
   end
   else begin
-    Buffer.add_subbytes c.pending bytes 0 n;
+    Buffer.add_subbytes c.pending chunk 0 n;
     let text = Buffer.contents c.pending in
     let lines = ref [] in
     let start = ref 0 in
@@ -399,6 +402,7 @@ let run ?on_ready config =
   | None -> ());
   (match on_ready with Some f -> f bound_addr | None -> ());
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
+  let chunk = Bytes.create read_chunk_size in
   let next_conn_id = ref 0 in
   let running = ref true in
   while !running do
@@ -439,7 +443,7 @@ let run ?on_ready config =
                 let seq = c.next_seq in
                 c.next_seq <- seq + 1;
                 batch := (c, seq, line) :: !batch)
-              (read_lines c))
+              (read_lines chunk c))
       readable;
     let batch = List.rev !batch in
     (* 2. Parse; answer inline ops; queue compute ops. *)
@@ -470,9 +474,8 @@ let run ?on_ready config =
               | Error msg ->
                 Obs.Metrics.incr errors_counter;
                 Protocol.error_response ~id msg
-              | Ok (n, kind, phys, pair) ->
-                Protocol.ok_response ~id
-                  (evaluation_fields (Scaling.Strategy.evaluate kind n phys pair))
+              | Ok (n, kind, _, _) ->
+                Protocol.ok_response ~id (evaluation_fields (Scaling.Strategy.evaluate kind n))
             in
             Hashtbl.replace responses key resp
           | Protocol.Tcad _ | Protocol.Idvg _ -> deferred := (slot, req) :: !deferred))

@@ -267,11 +267,17 @@ let characterize ?(vdd = 0.9) dev =
     leff = Structure.effective_channel_length dev;
   }
 
-let characterize_cached ?(vdd = 0.9) dev =
+(* The key names the structure by its description and mesh lines
+   ([Structure.key_for], the same string as [Structure.key] of the built
+   structure), so a hit builds nothing: only a miss pays for the doping
+   fields, boundaries and mobilities. *)
+let characterize_cached ?nx ?ny ?(vdd = 0.9) desc =
   let key =
-    Exec.Key.(fields "characterize_mesh" [ ("dev", Structure.key dev); ("vdd", float vdd) ])
+    Exec.Key.(
+      fields "characterize_mesh" [ ("dev", Structure.key_for ?nx ?ny desc); ("vdd", float vdd) ])
   in
-  Exec.Memo.find_or_compute characterize_memo ~key (fun () -> characterize ~vdd dev)
+  Exec.Memo.find_or_compute characterize_memo ~key (fun () ->
+      characterize ~vdd (Structure.build ?nx ?ny desc))
 
 (* --- persistent-tier codecs -------------------------------------------
 

@@ -98,11 +98,13 @@ val characterize : ?vdd:float -> Structure.t -> characteristics
     of the whole grid as long as each plane's current keeps rising past its
     stop, which holds on every shipped device. *)
 
-val characterize_cached : ?vdd:float -> Structure.t -> characteristics
-(** [characterize] behind a content-addressed memo keyed on
-    {!Structure.key} (the description and the mesh coordinates) and
-    [vdd]: sweep points sharing identical device parameters solve the TCAD
-    decks once.  Counters appear as ["tcad.characterize"] in
+val characterize_cached :
+  ?nx:int -> ?ny:int -> ?vdd:float -> Structure.description -> characteristics
+(** [characterize ?vdd (Structure.build ?nx ?ny desc)] behind a
+    content-addressed memo keyed on {!Structure.key_for} (the description
+    and the mesh coordinates) and [vdd]: sweep points sharing identical
+    device parameters solve the TCAD decks once, and a hit builds no
+    structure.  Counters appear as ["tcad.characterize"] in
     [Exec.Memo.stats]. *)
 
 val characterize_memo : characteristics Exec.Memo.t

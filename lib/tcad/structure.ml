@@ -69,17 +69,6 @@ type t = {
   vt : float;
 }
 
-(* Doping fields and boundaries are functions of the description and the
-   mesh.  [build ?nx ?ny] uses the requested counts only as minimum
-   spacings, so two requests can build meshes with the same line counts and
-   different nodes: the key names the mesh by its coordinates. *)
-let key dev =
-  Exec.Key.(
-    fields "tcad_structure"
-      [ ("desc", description_key dev.desc);
-        ("xs", list float (Array.to_list dev.mesh.Mesh.xs));
-        ("ys", list float (Array.to_list dev.mesh.Mesh.ys)) ])
-
 let mask_of_boundary = function
   | Interior -> Field.Mask.interior
   | Reflecting -> Field.Mask.reflecting
@@ -110,10 +99,13 @@ let gate_span d =
   let _, x_g0, x_g1, _ = layout d in
   (x_g0, x_g1)
 
-let build ?(nx = 61) ?(ny = 41) d =
+(* The mesh lines [build ?nx ?ny d] puts the structure on, with its
+   guards: a function of the description and the requested counts alone,
+   so a key can name the mesh without building the structure. *)
+let lines ?(nx = 61) ?(ny = 41) d =
   if d.lpoly <= 0.0 || d.tox <= 0.0 then invalid_arg "Structure.build: bad dimensions";
   if d.nsub <= 0.0 || d.nsd <= 0.0 then invalid_arg "Structure.build: bad dopings";
-  let w_contact, x_g0, x_g1, x_total = layout d in
+  let _, x_g0, x_g1, x_total = layout d in
   let y_total = depth d in
   (* Lateral grid refined near both gate edges (where halos and junctions
      live); vertical grid refined at the surface. *)
@@ -130,6 +122,28 @@ let build ?(nx = 61) ?(ny = 41) d =
     Numerics.Grid.refined_around 0.0 y_total ~centers:[ 0.0; d.halo_depth_frac *. d.xj ]
       ~h_min:h_min_y ~h_max:h_max_y
   in
+  (xs, ys)
+
+(* Doping fields and boundaries are functions of the description and the
+   mesh.  [build ?nx ?ny] uses the requested counts only as minimum
+   spacings, so two requests can build meshes with the same line counts and
+   different nodes: the key names the mesh by its coordinates. *)
+let key_of_lines d ~xs ~ys =
+  Exec.Key.(
+    fields "tcad_structure"
+      [ ("desc", description_key d);
+        ("xs", list float (Array.to_list xs));
+        ("ys", list float (Array.to_list ys)) ])
+
+let key dev = key_of_lines dev.desc ~xs:dev.mesh.Mesh.xs ~ys:dev.mesh.Mesh.ys
+
+let key_for ?nx ?ny d =
+  let xs, ys = lines ?nx ?ny d in
+  key_of_lines d ~xs ~ys
+
+let build ?nx ?ny d =
+  let xs, ys = lines ?nx ?ny d in
+  let w_contact, x_g0, x_g1, x_total = layout d in
   let mesh = Mesh.make ~xs ~ys in
   let n = Mesh.n_nodes mesh in
   (* Doping: uniform p substrate + two acceptor halos + donor S/D wells. *)

@@ -68,6 +68,12 @@ val key : t -> string
     [mesh.xs] and [mesh.ys].  Two requests share a key exactly when they
     build the same device on the same mesh. *)
 
+val key_for : ?nx:int -> ?ny:int -> description -> string
+(** [key (build ?nx ?ny d)], byte for byte, from the mesh lines alone: no
+    doping field, boundary or mobility is built, so a cache lookup costs a
+    key and not a structure.  Raises as {!build} does on a bad
+    description. *)
+
 val effective_channel_length : t -> float
 (** Metallurgical channel length: surface distance between the points where
     net doping changes sign. *)

@@ -165,18 +165,15 @@ let test_doping_memo_shared () =
 let test_characterize_cached () =
   Memo.clear_all ();
   let desc = Subscale.Tcad.Structure.default_description in
-  let build () = Subscale.Tcad.Structure.build ~nx:24 ~ny:20 desc in
-  let a = Subscale.Tcad.Extract.characterize_cached ~vdd:0.9 (build ()) in
+  let a = Subscale.Tcad.Extract.characterize_cached ~nx:24 ~ny:20 ~vdd:0.9 desc in
   let s1 = stat "tcad.characterize" in
   Alcotest.(check int) "one solve" 1 s1.Memo.misses;
-  let b = Subscale.Tcad.Extract.characterize_cached ~vdd:0.9 (build ()) in
+  let b = Subscale.Tcad.Extract.characterize_cached ~nx:24 ~ny:20 ~vdd:0.9 desc in
   let s2 = stat "tcad.characterize" in
   Alcotest.(check int) "identical params reuse the solve" 1 s2.Memo.misses;
   Alcotest.(check int) "hit recorded" (s1.Memo.hits + 1) s2.Memo.hits;
   Alcotest.(check bool) "same characteristics" true (a = b);
-  ignore
-    (Subscale.Tcad.Extract.characterize_cached ~vdd:0.9
-       (Subscale.Tcad.Structure.build ~nx:20 ~ny:16 desc));
+  ignore (Subscale.Tcad.Extract.characterize_cached ~nx:20 ~ny:16 ~vdd:0.9 desc);
   let s3 = stat "tcad.characterize" in
   Alcotest.(check int) "coarser mesh is a new key" 2 s3.Memo.misses
 
@@ -205,10 +202,62 @@ let test_characterize_cached_mesh_key () =
   let uncached = List.map (fun ny -> bytes (Extract.characterize ~vdd:0.9 (build ny))) [ 9; 10 ] in
   Memo.clear_all ();
   let cached =
-    List.map (fun ny -> bytes (Extract.characterize_cached ~vdd:0.9 (build ny))) [ 9; 10 ]
+    List.map (fun ny -> bytes (Extract.characterize_cached ~nx:4 ~ny ~vdd:0.9 desc)) [ 9; 10 ]
   in
   Alcotest.(check (list string)) "each answer is its own solve" uncached cached;
   Alcotest.(check int) "two meshes, two solves" 2 (stat "tcad.characterize").Memo.misses
+
+(* The daemon keys a TCAD request with [Structure.key_for], which never
+   builds the structure: it must be the string [Structure.key] gives the
+   built one, or a cache filled through either would miss through the
+   other.  The shipped devices on the default mesh, the serve mesh and a
+   finer one, and the two meshes that share line counts. *)
+let test_structure_key_for () =
+  let module Structure = Subscale.Tcad.Structure in
+  let module Strategy = Subscale.Scaling.Strategy in
+  let desc node kind =
+    let _, pair = Strategy.select kind node in
+    Subscale.Device.Compact.to_tcad_description pair.Subscale.Circuits.Inverter.nfet
+  in
+  let check label ?nx ?ny d =
+    Alcotest.(check string) label (Structure.key (Structure.build ?nx ?ny d))
+      (Structure.key_for ?nx ?ny d)
+  in
+  List.iter
+    (fun node ->
+      List.iter
+        (fun kind ->
+          let d = desc node kind in
+          let label =
+            Printf.sprintf "%d nm %s" node.Subscale.Scaling.Roadmap.nm (Strategy.kind_key kind)
+          in
+          check (label ^ " default mesh") d;
+          check (label ^ " 16x12") ~nx:16 ~ny:12 d;
+          check (label ^ " 24x20") ~nx:24 ~ny:20 d)
+        Strategy.kinds)
+    Subscale.Scaling.Roadmap.nodes;
+  let d = desc (Subscale.Scaling.Roadmap.find 90) Strategy.Super_vth in
+  check "90 nm super 4x9" ~nx:4 ~ny:9 d;
+  check "90 nm super 4x10" ~nx:4 ~ny:10 d
+
+(* Key.float writes the bits out by hand; it must stay the text Printf's
+   %Lx gives them, or every memo and store key would change.  Random bit
+   patterns, plus NaNs with random payloads, subnormals and zeros of either
+   sign. *)
+let prop_key_float =
+  let open QCheck2.Gen in
+  let sign = map (fun neg -> if neg then Int64.min_int else 0L) bool in
+  let mantissa = map (fun m -> Int64.logand m 0x000f_ffff_ffff_ffffL) ui64 in
+  let with_exponent e = map2 (fun s m -> Int64.logor s (Int64.logor e m)) sign mantissa in
+  prop "key: float is Printf's %Lx of the bits" ~count:500
+    (frequency
+       [ (6, ui64);
+         (1, with_exponent 0x7ff0_0000_0000_0000L);
+         (1, with_exponent 0L);
+         (1, map2 Int64.logor sign (oneofl [ 0L; 1L; 0x7ff0_0000_0000_0000L ])) ])
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      Exec.Key.float f = Printf.sprintf "%Lx" (Int64.bits_of_float f))
 
 (* A cached NaN (e.g. a non-converged sentinel) must compare equal to its
    bit-identical shadow recompute: the audit equality goes through the
@@ -544,5 +593,7 @@ let suite =
         slow_case "golden: parallel run matches snapshots" (test_golden 4);
         slow_case "memo: tcad keys name the mesh, not its line counts"
           test_characterize_cached_mesh_key;
+        case "memo: key_for is the built structure's key" test_structure_key_for;
+        prop_key_float;
       ] );
   ]

@@ -651,10 +651,55 @@ let serve_tests =
           [ 9; 10 ]);
   ]
 
+(* Warm work: what a repeated query costs once its answer is cached.  A
+   key and a lookup are a few thousand minor words at most; re-selecting
+   the sub-V_th device (7.8k words) or building the 16x12 structure (43k)
+   per request fails these bounds instead of showing only in RSS.  The
+   warm path never reaches the pool, so the counts are a pure function of
+   the code. *)
+let warm_minor_words f =
+  f ();
+  let minor0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. minor0
+
+let warm_work_tests =
+  [
+    case "a warm device query selects and evaluates from the memo" (fun () ->
+        let words =
+          warm_minor_words (fun () ->
+              match Subscale.Scaling.Strategy.resolve ~node:90 ~strategy:"sub" with
+              | Ok (node, kind, _, _) ->
+                ignore
+                  (Subscale.Scaling.Strategy.evaluate kind node
+                    : Subscale.Scaling.Strategy.evaluation)
+              | Error msg -> Alcotest.fail msg)
+        in
+        (* Measured: 1,260 words, the two (kind, node) keys and lookups;
+           selecting and keying the full evaluation on each request took
+           60.6k. *)
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:1890.0 words);
+    case "a warm characterization builds no structure" (fun () ->
+        let desc =
+          match Subscale.Scaling.Strategy.resolve ~node:90 ~strategy:"sub" with
+          | Ok (_, _, _, pair) ->
+            Subscale.Device.Compact.to_tcad_description pair.Subscale.Circuits.Inverter.nfet
+          | Error msg -> Alcotest.fail msg
+        in
+        let words =
+          warm_minor_words (fun () ->
+              ignore (Extract.characterize_cached ~nx:16 ~ny:12 desc : Extract.characteristics))
+        in
+        (* Measured: 4,756 words, the mesh lines and the key; building the
+           structure to key it took 48.5k. *)
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:7134.0 words);
+  ]
+
 let suite =
   [
     ("serve.protocol", protocol_tests);
     ("serve.coalesce", coalesce_tests);
     ("serve.store", store_tests);
     ("serve.daemon", serve_tests);
+    ("serve.warm-work", warm_work_tests);
   ]
