@@ -16,8 +16,8 @@
      serve          long-running characterization daemon (JSON over a socket)
 
    check/audit/lint share the same conventions: structured diagnostics
-   with registry-minted rule ids, --strict, exit 1 on findings (lint's
-   rule fixtures run in dune runtest; check and audit have --selftest). *)
+   with registry-minted rule ids, --strict, exit 1 on findings; every
+   pass always runs, and their rule cases run in dune runtest. *)
 
 open Cmdliner
 module Diag = Subscale.Check.Diagnostic
@@ -365,15 +365,6 @@ let finish_pass ~pass ~strict all =
   let code = Diag.exit_code all in
   exit (if code <> 0 then code else if strict && w > 0 then 1 else 0)
 
-(* Both selftests first prove the rule-id registry collision-free; an
-   exception becomes a FAIL line so the remaining cases still run. *)
-let selftest_rule_registry ~width failures =
-  match Subscale.Check.Rules.selftest () with
-  | n -> Printf.printf "  ok    %-*s -> %d unique rule id(s)\n" width "rule-id registry" n
-  | exception e ->
-    incr failures;
-    Printf.printf "  FAIL  %-*s %s\n" width "rule-id registry" (Printexc.to_string e)
-
 (* All eight shipped configurations (4 nodes x both scaling strategies). *)
 let shipped_devices () =
   List.concat_map
@@ -393,7 +384,7 @@ let device_90 kind = Strategy.select kind (Roadmap.find 90)
 (* Run every checker over the shipped devices, generated circuits and the
    STA design; print one line per target (plus any diagnostics) and return
    the full diagnostic list for the exit code. *)
-let check_targets ~with_tcad =
+let check_targets () =
   let all = ref [] in
   let target = report_target all in
   print_endline "devices:";
@@ -408,8 +399,7 @@ let check_targets ~with_tcad =
       target (what ^ " pfet Id model") (Subscale.Check.compact pfet ~vdd);
       let desc = Subscale.Device.Compact.to_tcad_description nfet in
       target (what ^ " TCAD deck") (Subscale.Check.description desc);
-      if with_tcad then
-        target (what ^ " TCAD mesh") (Subscale.Check.structure (Subscale.Tcad.Structure.build desc)))
+      target (what ^ " TCAD mesh") (Subscale.Check.structure (Subscale.Tcad.Structure.build desc)))
     (shipped_devices ());
   print_endline "circuits (90 nm sub-Vth device):";
   let phys, pair = device_90 Strategy.Sub_vth in
@@ -436,115 +426,12 @@ let check_targets ~with_tcad =
     (Subscale.Check.design (Subscale.Sta.Design.adder ~bits:8).Subscale.Sta.Design.design);
   !all
 
-(* Crafted bad decks, one per netlist-DRC rule class: each must raise
-   exactly its own rule (proving both detection and isolation), and a
-   shipped inverter must come back clean. *)
-let check_selftest () =
-  let module N = Subscale.Spice.Netlist in
-  let phys, pair = device_90 Strategy.Sub_vth in
-  let nfet = pair.Subscale.Circuits.Inverter.nfet in
-  let pfet = pair.Subscale.Circuits.Inverter.pfet in
-  let deck build =
-    let c = N.create () in
-    build c;
-    c
-  in
-  let cases =
-    [ ( "dangling resistor end", "net-floating-node",
-        deck (fun c ->
-            let a = N.node c "a" and b = N.node c "b" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Resistor { plus = a; minus = b; ohms = 1e3 })) );
-      ( "capacitor-isolated island", "net-no-dc-path",
-        deck (fun c ->
-            let a = N.node c "a" and island = N.node c "island" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Capacitor { plus = a; minus = island; farads = 1e-15 });
-            N.add c (N.Capacitor { plus = island; minus = N.ground; farads = 1e-15 })) );
-      ( "two anti-series sources", "net-vsource-loop",
-        deck (fun c ->
-            let a = N.node c "a" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Voltage_source { name = "V2"; plus = N.ground; minus = a; wave = N.Dc (-1.0) })) );
-      ( "negative resistance", "net-nonpositive-value",
-        deck (fun c ->
-            let a = N.node c "a" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Resistor { plus = a; minus = N.ground; ohms = -5.0 })) );
-      ( "gate tied only to gates", "net-undriven-gate",
-        deck (fun c ->
-            let vdd = N.node c "vdd" and out = N.node c "out" and g = N.node c "g" in
-            N.add c (N.Voltage_source { name = "VDD"; plus = vdd; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Nmos { dev = nfet; width = 1e-6; drain = out; gate = g; source = N.ground });
-            N.add c (N.Pmos { dev = pfet; width = 2e-6; drain = out; gate = g; source = vdd })) );
-      ( "net forced by two sources", "net-multi-driven",
-        deck (fun c ->
-            let a = N.node c "a" and b = N.node c "b" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Dc 1.0 });
-            N.add c (N.Voltage_source { name = "V2"; plus = a; minus = b; wave = N.Dc 0.5 });
-            N.add c (N.Resistor { plus = b; minus = N.ground; ohms = 1e3 })) );
-      ( "empty Pwl waveform", "net-bad-waveform",
-        deck (fun c ->
-            let a = N.node c "a" in
-            N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground; wave = N.Pwl [] });
-            N.add c (N.Resistor { plus = a; minus = N.ground; ohms = 1e3 })) ) ]
-  in
-  let failures = ref 0 in
-  (* Satellite of the audit work: rule ids across every lib/check table are
-     minted through Rules.register, so a collision or malformed id is a hard
-     selftest failure here, not a silent shadowing in reports. *)
-  selftest_rule_registry ~width:28 failures;
-  List.iter
-    (fun (what, rule, c) ->
-      let diags = Subscale.Check.netlist c in
-      let fired = List.exists (fun d -> d.Diag.rule = rule) diags in
-      let isolated = List.for_all (fun d -> d.Diag.rule = rule) diags in
-      if fired && isolated then Printf.printf "  ok    %-28s -> %s\n" what rule
-      else begin
-        incr failures;
-        Printf.printf "  FAIL  %-28s expected only %s, got [%s]\n" what rule
-          (String.concat "; " (List.map Diag.to_string diags))
-      end)
-    cases;
-  let clean =
-    (Subscale.Circuits.Inverter.dc pair ~vdd:phys.Subscale.Device.Params.vdd)
-      .Subscale.Circuits.Inverter.circuit
-  in
-  (match Subscale.Check.netlist clean with
-   | [] -> Printf.printf "  ok    %-28s -> clean\n" "shipped inverter deck"
-   | diags ->
-     incr failures;
-     Printf.printf "  FAIL  %-28s expected clean, got [%s]\n" "shipped inverter deck"
-       (String.concat "; " (List.map Diag.to_string diags)));
-  if !failures > 0 then begin
-    Printf.printf "selftest: %d case(s) failed\n" !failures;
-    exit 1
-  end;
-  print_endline "selftest: all DRC rule classes fire and the shipped deck is clean"
-
 let check_cmd =
-  let selftest =
-    let doc =
-      "Run the checker's own test: seven crafted bad decks (one per netlist \
-       DRC rule class) must each raise exactly their rule, and a shipped \
-       inverter deck must come back clean."
-    in
-    Arg.(value & flag & info [ "selftest" ] ~doc)
-  in
   let strict =
     let doc = "Exit non-zero on warnings too, not only on errors." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  let with_tcad =
-    let doc = "Also build the 2-D TCAD structures and lint their meshes (slower)." in
-    Arg.(value & flag & info [ "tcad" ] ~doc)
-  in
-  let run () () () selftest strict with_tcad =
-    if selftest then check_selftest ()
-    else begin
-      finish_pass ~pass:"check" ~strict (check_targets ~with_tcad)
-    end
-  in
+  let run () () () strict = finish_pass ~pass:"check" ~strict (check_targets ()) in
   let doc = "Static-analysis pass over shipped devices, circuits and designs" in
   let man =
     [ `S Manpage.s_description;
@@ -555,7 +442,7 @@ let check_cmd =
           $(b,--strict)), 1 when any rule reported an error." ]
   in
   Cmd.v (Cmd.info "check" ~doc ~man)
-    Term.(const run $ log_term $ jobs_term $ obs_term $ selftest $ strict $ with_tcad)
+    Term.(const run $ log_term $ jobs_term $ obs_term $ strict)
 
 (* ------------------------------------------------------------------ *)
 (* audit: interval abstract interpretation of the model chain plus the
@@ -597,89 +484,6 @@ let audit_validity ~op_vdd ~widen =
       target (device_label device ^ " TCAD mesh") (VR.check_mesh desc))
     (shipped_devices ());
   !all
-
-(* Perturbation helpers for the key-sensitivity differential: every field a
-   key claims to encode must actually move the key when it changes. *)
-let perturb_physical field (p : Pm.physical) =
-  let bump x = (x *. (1.0 +. 1e-9)) +. 1e-30 in
-  match field with
-  | "node_nm" -> { p with Pm.node_nm = p.Pm.node_nm + 1 }
-  | "lpoly" -> { p with Pm.lpoly = bump p.Pm.lpoly }
-  | "tox" -> { p with Pm.tox = bump p.Pm.tox }
-  | "nsub" -> { p with Pm.nsub = bump p.Pm.nsub }
-  | "np_halo" -> { p with Pm.np_halo = bump p.Pm.np_halo }
-  | "vdd" -> { p with Pm.vdd = bump p.Pm.vdd }
-  | "xj" ->
-    { p with Pm.xj = Some (match p.Pm.xj with Some x -> bump x | None -> 1e-8) }
-  | "overlap" ->
-    { p with Pm.overlap = Some (match p.Pm.overlap with Some x -> bump x | None -> 1e-9) }
-  | other -> invalid_arg ("perturb_physical: " ^ other)
-
-let perturb_calibration field (c : Pm.calibration) =
-  let bump x = (x *. (1.0 +. 1e-9)) +. 1e-30 in
-  match field with
-  | "xj_fraction" -> { c with Pm.xj_fraction = bump c.Pm.xj_fraction }
-  | "overlap_fraction" -> { c with Pm.overlap_fraction = bump c.Pm.overlap_fraction }
-  | "k_halo" -> { c with Pm.k_halo = bump c.Pm.k_halo }
-  | "k_body" -> { c with Pm.k_body = bump c.Pm.k_body }
-  | "k_sce" -> { c with Pm.k_sce = bump c.Pm.k_sce }
-  | "k_lambda" -> { c with Pm.k_lambda = bump c.Pm.k_lambda }
-  | "lambda_xj_exp" -> { c with Pm.lambda_xj_exp = bump c.Pm.lambda_xj_exp }
-  | "halo_sce_exp" -> { c with Pm.halo_sce_exp = bump c.Pm.halo_sce_exp }
-  | "ss_offset" -> { c with Pm.ss_offset = bump c.Pm.ss_offset }
-  | "k_vth_sce" -> { c with Pm.k_vth_sce = bump c.Pm.k_vth_sce }
-  | "k_dibl" -> { c with Pm.k_dibl = bump c.Pm.k_dibl }
-  | "vth_offset" -> { c with Pm.vth_offset = bump c.Pm.vth_offset }
-  | "mu_factor" -> { c with Pm.mu_factor = bump c.Pm.mu_factor }
-  | "fringe_cap" -> { c with Pm.fringe_cap = bump c.Pm.fringe_cap }
-  | "load_factor" -> { c with Pm.load_factor = bump c.Pm.load_factor }
-  | other -> invalid_arg ("perturb_calibration: " ^ other)
-
-module St = Subscale.Tcad.Structure
-
-(* Key-sensitivity differential over every input of [Structure.build]: each
-   description field and the requested nx/ny, perturbed one at a time from
-   a small mesh.  Whenever the built description or mesh changes, [key]
-   must change, and so must [Structure.key_for], the key the daemon forms
-   from the description and the mesh lines without building anything.  A
-   line-count perturbation can leave the mesh as it was (every nx = ny >=
-   39 builds one mesh); then there is nothing to tell apart.  The base
-   (4, 9) and its ny + 1 build different meshes with the same line counts,
-   the alias a count-based key had. *)
-let structure_key_sensitivity ~key ~(key_for : ?nx:int -> ?ny:int -> St.description -> string) =
-  let nx = 4 and ny = 9 and d = St.default_description in
-  let bump x = (x *. (1.0 +. 1e-9)) +. 1e-30 in
-  let base = St.build ~nx ~ny d in
-  let flipped = if d.St.polarity = St.Nchannel then St.Pchannel else St.Nchannel in
-  let inputs =
-    [ ("polarity", nx, ny, { d with St.polarity = flipped });
-      ("lpoly", nx, ny, { d with St.lpoly = bump d.St.lpoly });
-      ("tox", nx, ny, { d with St.tox = bump d.St.tox });
-      ("nsub", nx, ny, { d with St.nsub = bump d.St.nsub });
-      ("np_halo", nx, ny, { d with St.np_halo = bump d.St.np_halo });
-      ("xj", nx, ny, { d with St.xj = bump d.St.xj });
-      ("nsd", nx, ny, { d with St.nsd = bump d.St.nsd });
-      ("overlap", nx, ny, { d with St.overlap = bump d.St.overlap });
-      ("halo_depth_frac", nx, ny, { d with St.halo_depth_frac = bump d.St.halo_depth_frac });
-      ("halo_sigma_frac", nx, ny, { d with St.halo_sigma_frac = bump d.St.halo_sigma_frac });
-      ("gate_doping", nx, ny, { d with St.gate_doping = bump d.St.gate_doping });
-      ("temperature", nx, ny, { d with St.temperature = bump d.St.temperature });
-      ("nx", nx + 1, ny, d);
-      ("ny", nx, ny + 1, d) ]
-  in
-  let mesh s = (s.St.mesh.Subscale.Tcad.Mesh.xs, s.St.mesh.Subscale.Tcad.Mesh.ys) in
-  let base_key_for = key_for ~nx ~ny d in
-  ( List.length inputs,
-    List.concat_map
-      (fun (field, nx', ny', d') ->
-        let s = St.build ~nx:nx' ~ny:ny' d' in
-        if s.St.desc = base.St.desc && mesh s = mesh base then []
-        else
-          MS.key_sensitivity ~what:"Tcad.Structure.key" ~field ~base_key:(key base)
-            ~perturbed_key:(key s)
-          @ MS.key_sensitivity ~what:"Tcad.Structure.key_for" ~field ~base_key:base_key_for
-              ~perturbed_key:(key_for ~nx:nx' ~ny:ny' d'))
-      inputs )
 
 (* Memo-soundness pass (AUD011/AUD012): shadow-trace the parameter reads of
    the cached computations and cross-check against the fields their Exec.Key
@@ -724,7 +528,7 @@ let audit_memo () =
     (List.concat_map
        (fun field ->
          MS.key_sensitivity ~what:"Device.Params.physical_key" ~field ~base_key:base_pk
-           ~perturbed_key:(Pm.physical_key (perturb_physical field phys0)))
+           ~perturbed_key:(Pm.physical_key (MS.perturb_physical field phys0)))
        Pm.physical_key_fields);
   let cal0 = Pm.default_calibration in
   let base_ck = Pm.calibration_key cal0 in
@@ -734,9 +538,12 @@ let audit_memo () =
     (List.concat_map
        (fun field ->
          MS.key_sensitivity ~what:"Device.Params.calibration_key" ~field ~base_key:base_ck
-           ~perturbed_key:(Pm.calibration_key (perturb_calibration field cal0)))
+           ~perturbed_key:(Pm.calibration_key (MS.perturb_calibration field cal0)))
        Pm.calibration_key_fields);
-  let n_inputs, diags = structure_key_sensitivity ~key:St.key ~key_for:St.key_for in
+  let n_inputs, diags =
+    MS.structure_key_sensitivity ~key:Subscale.Tcad.Structure.key
+      ~key_for:Subscale.Tcad.Structure.key_for
+  in
   target
     (Printf.sprintf "Tcad.Structure.key and key_for %2d build input(s) differentially perturbed"
        n_inputs)
@@ -794,121 +601,17 @@ let audit_schedules ~n =
       done);
   !all
 
-(* The audit's own selftest: deliberately broken inputs must each fire their
-   rule — out-of-regime supply (AUD001), a widened box whose I_off straddles
-   zero (AUD003), a coarse mesh (AUD008), a dropped key field, an
-   insensitive key, TCAD structure keys that drop tox or the mesh
-   coordinates and a key_for that drops tox (AUD011), an under-keyed memo table (AUD012) — and the
-   rule registry must be collision-free. *)
-let audit_selftest () =
-  let failures = ref 0 in
-  let case what ~expect diags =
-    if List.exists (fun d -> d.Diag.rule = expect) diags then
-      Printf.printf "  ok    %-42s -> %s\n" what expect
-    else begin
-      incr failures;
-      Printf.printf "  FAIL  %-42s expected %s, got [%s]\n" what expect
-        (String.concat "; " (List.map Diag.to_string diags))
-    end
-  in
-  selftest_rule_registry ~width:42 failures;
-  (match Subscale.Check.Rules.register ~summary:"deliberate collision" "AUD001" with
-   | (_ : string) ->
-     incr failures;
-     Printf.printf "  FAIL  duplicate rule id accepted at registration\n"
-   | exception Subscale.Check.Rules.Duplicate_rule _ ->
-     Printf.printf "  ok    %-42s -> Duplicate_rule\n" "duplicate rule id rejected");
-  let phys90, _ = device_90 Strategy.Super_vth in
-  case "moderate-inversion supply (V_dd = 0.6 V)" ~expect:"AUD001"
-    (VR.audit_physical ~op_vdd:0.6 ~what:"selftest" phys90).VR.diags;
-  case "20% box: I_off straddles zero in I_on/I_off" ~expect:"AUD003"
-    (VR.audit_physical ~widen:0.2 ~op_vdd:0.25 ~what:"selftest" phys90).VR.diags;
-  case "2x2 under-resolved TCAD mesh" ~expect:"AUD008"
-    (VR.check_mesh ~nx:2 ~ny:2
-       (Subscale.Device.Compact.to_tcad_description
-          (Subscale.Device.Compact.nfet phys90)));
-  let _, reads =
-    Pm.Trace.collect (fun () -> Subscale.Circuits.Inverter.pair_of_physical phys90)
-  in
-  let covered_minus_tox =
-    List.filter (fun f -> f <> "tox")
-      (Pm.physical_key_fields @ Pm.calibration_key_fields)
-  in
-  case "key deliberately missing the tox field" ~expect:"AUD011"
-    (MS.cross_check ~what:"selftest" ~covered:covered_minus_tox ~reads);
-  case "key insensitive to a perturbed field" ~expect:"AUD011"
-    (MS.key_sensitivity ~what:"selftest" ~field:"tox" ~base_key:"same"
-       ~perturbed_key:"same");
-  case "structure key dropping the tox field" ~expect:"AUD011"
-    (snd
-       (structure_key_sensitivity ~key_for:St.key_for ~key:(fun s ->
-            St.key { s with St.desc = { s.St.desc with St.tox = 0.0 } })));
-  case "structure key naming the mesh by line counts" ~expect:"AUD011"
-    (snd
-       (structure_key_sensitivity ~key_for:St.key_for ~key:(fun s ->
-            let module M = Subscale.Tcad.Mesh in
-            let counts a = Array.init (Array.length a) float_of_int in
-            let mesh = s.St.mesh in
-            St.key { s with St.mesh = M.make ~xs:(counts mesh.M.xs) ~ys:(counts mesh.M.ys) })));
-  case "structure key_for dropping the tox field" ~expect:"AUD011"
-    (snd
-       (structure_key_sensitivity ~key:St.key ~key_for:(fun ?nx ?ny d ->
-            St.key_for ?nx ?ny { d with St.tox = St.default_description.St.tox })));
-  let tbl = Subscale.Exec.Memo.create ~name:"audit-selftest-underkeyed" () in
-  let hidden = ref 1 in
-  let compute () =
-    Subscale.Exec.Memo.find_or_compute tbl ~key:"constant-key" (fun () -> !hidden)
-  in
-  Subscale.Exec.Memo.clear_audit_violations ();
-  let shadow =
-    Subscale.Exec.Memo.with_audit (fun () ->
-        let (_ : int) = compute () in
-        hidden := 2;
-        let (_ : int) = compute () in
-        Subscale.Exec.Memo.audit_violations ())
-  in
-  Subscale.Exec.Memo.clear_audit_violations ();
-  Subscale.Exec.Memo.clear tbl;
-  case "under-keyed memo table caught by shadow audit" ~expect:"AUD012"
-    (MS.of_violations shadow);
-  case "schedule-mismatch diagnostic shape" ~expect:"AUD013"
-    [ MS.schedule_mismatch ~what:"selftest" ~seed:1 ];
-  if !failures > 0 then begin
-    Printf.printf "audit selftest: %d case(s) failed\n" !failures;
-    exit 1
-  end;
-  print_endline "audit selftest: every AUD rule fires on its crafted violation"
-
 let audit_cmd =
-  let validity =
-    let doc = "Run only the interval-validity pass (model-regime rules AUD001-AUD010)." in
-    Arg.(value & flag & info [ "validity" ] ~doc)
-  in
-  let memo =
-    let doc =
-      "Run only the memo-soundness pass: read-set/key cross-check, key \
-       sensitivity, and the shadow-recompute audit (AUD011-AUD012)."
-    in
-    Arg.(value & flag & info [ "memo" ] ~doc)
-  in
   let schedules =
     let doc =
       "Replay the trajectory sweep under $(docv) adversarial pool schedules \
-       and require bit-exact outputs (AUD013).  With no section flag the \
-       full audit runs 2 schedules; 0 disables the pass."
+       and require bit-exact outputs (AUD013); 0 disables the pass."
     in
-    Arg.(value & opt (some int) None & info [ "schedules" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 2 & info [ "schedules" ] ~docv:"N" ~doc)
   in
   let strict =
     let doc = "Exit non-zero on warnings too, not only on errors." in
     Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let selftest =
-    let doc =
-      "Run the auditor's own test: crafted violations must each fire their \
-       AUD rule, and the rule-id registry must be collision-free."
-    in
-    Arg.(value & flag & info [ "selftest" ] ~doc)
   in
   let op_vdd =
     let doc = "Operating supply for the validity pass [V]." in
@@ -921,19 +624,11 @@ let audit_cmd =
     in
     Arg.(value & opt float 0.0 & info [ "widen" ] ~docv:"REL" ~doc)
   in
-  let run () () () validity memo schedules strict selftest op_vdd widen =
-    if selftest then audit_selftest ()
-    else begin
-      let run_all = (not validity) && not memo in
-      let n_schedules =
-        match schedules with Some n -> max 0 n | None -> if run_all then 2 else 0
-      in
-      let all = ref [] in
-      if validity || run_all then all := !all @ audit_validity ~op_vdd ~widen;
-      if memo || run_all then all := !all @ audit_memo ();
-      if n_schedules > 0 then all := !all @ audit_schedules ~n:n_schedules;
-      finish_pass ~pass:"audit" ~strict !all
-    end
+  let run () () () schedules strict op_vdd widen =
+    let validity = audit_validity ~op_vdd ~widen in
+    let memo = audit_memo () in
+    let replays = if schedules > 0 then audit_schedules ~n:schedules else [] in
+    finish_pass ~pass:"audit" ~strict (validity @ memo @ replays)
   in
   let doc = "Interval-validity and memo/determinism audit of the model chain" in
   let man =
@@ -949,8 +644,7 @@ let audit_cmd =
           $(b,--strict)), 1 when any AUD rule reported an error." ]
   in
   Cmd.v (Cmd.info "audit" ~doc ~man)
-    Term.(const run $ log_term $ jobs_term $ obs_term $ validity $ memo $ schedules $ strict
-          $ selftest $ op_vdd $ widen)
+    Term.(const run $ log_term $ jobs_term $ obs_term $ schedules $ strict $ op_vdd $ widen)
 
 (* ------------------------------------------------------------------ *)
 (* lint: the typedtree-based source linter over dune's .cmt artifacts. *)

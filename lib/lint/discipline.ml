@@ -1,10 +1,10 @@
 (* LNT004 — diagnostic discipline.
 
    Every rule id in this repo is minted through [Check.Rules.register],
-   which turns id collisions into a startup failure.  A literal string
-   handed straight to [Diagnostic.error ~rule:"..."] bypasses that
-   registry: the id is invisible to [Rules.all], absent from selftests,
-   and free to collide silently.  The pass flags any [Diagnostic.error/
+   which turns id collisions and malformed ids into a startup failure.
+   A literal string handed straight to [Diagnostic.error ~rule:"..."]
+   bypasses that registry: the id skips both checks and is free to
+   collide silently.  The pass flags any [Diagnostic.error/
    warning/info/make] application whose [~rule] argument is a string
    constant — the fix is a one-liner:
 

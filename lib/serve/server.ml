@@ -274,10 +274,11 @@ let max_line_length = 1 lsl 20
    bytes (the loop is single-threaded, and a chunk per read would go
    straight to the major heap: 4 KB is past the minor heap's size limit),
    and returns the complete lines newly available on [c]; leaves the final
-   partial line buffered.  Marks the connection dead on EOF, on any
-   read error (ECONNRESET, EIO, ETIMEDOUT, ... — to the daemon they are
-   all just "this client is gone"; EINTR alone is a retry), and on an
-   oversized line. *)
+   partial line buffered.  Only the bytes just read are scanned for '\n',
+   so a line that arrives in many reads costs time linear in its length.
+   Marks the connection dead on EOF, on any read error (ECONNRESET, EIO,
+   ETIMEDOUT, ... — to the daemon they are all just "this client is
+   gone"; EINTR alone is a retry), and on an oversized line. *)
 let read_lines chunk c =
   let n =
     match Unix.read c.fd chunk 0 read_chunk_size with
@@ -291,19 +292,17 @@ let read_lines chunk c =
     []
   end
   else begin
-    Buffer.add_subbytes c.pending chunk 0 n;
-    let text = Buffer.contents c.pending in
     let lines = ref [] in
     let start = ref 0 in
-    String.iteri
-      (fun i ch ->
-        if ch = '\n' then begin
-          lines := String.sub text !start (i - !start) :: !lines;
-          start := i + 1
-        end)
-      text;
-    Buffer.clear c.pending;
-    Buffer.add_substring c.pending text !start (String.length text - !start);
+    for i = 0 to n - 1 do
+      if Bytes.get chunk i = '\n' then begin
+        Buffer.add_subbytes c.pending chunk !start (i - !start);
+        lines := Buffer.contents c.pending :: !lines;
+        Buffer.clear c.pending;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes c.pending chunk !start (n - !start);
     if Buffer.length c.pending > max_line_length then c.alive <- false;
     List.rev !lines
   end

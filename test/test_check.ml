@@ -27,6 +27,14 @@ let check_fires name rule diags =
     Alcotest.failf "%s: expected rule %s, got [%s]" name rule
       (String.concat "; " (List.map Diag.to_string diags))
 
+(* A crafted bad deck must raise its own rule and nothing else: detection
+   and isolation at once. *)
+let check_fires_alone name rule diags =
+  check_fires name rule diags;
+  if List.exists (fun r -> r <> rule) (rules diags) then
+    Alcotest.failf "%s: expected only rule %s, got [%s]" name rule
+      (String.concat "; " (List.map Diag.to_string diags))
+
 let check_clean name diags =
   if diags <> [] then
     Alcotest.failf "%s: expected no diagnostics, got [%s]" name
@@ -51,7 +59,7 @@ let netlist_tests =
               vsrc c "V1" a N.ground 1.0;
               N.add c (N.Resistor { plus = a; minus = b; ohms = 1e3 }))
         in
-        check_fires "dangling end" "net-floating-node" (Check.netlist c));
+        check_fires_alone "dangling end" "net-floating-node" (Check.netlist c));
     u "no DC path to ground fires" (fun () ->
         let c =
           deck (fun c ->
@@ -60,7 +68,7 @@ let netlist_tests =
               N.add c (N.Capacitor { plus = a; minus = island; farads = 1e-15 });
               N.add c (N.Capacitor { plus = island; minus = N.ground; farads = 1e-15 }))
         in
-        check_fires "cap island" "net-no-dc-path" (Check.netlist c));
+        check_fires_alone "cap island" "net-no-dc-path" (Check.netlist c));
     u "voltage-source loop fires" (fun () ->
         let c =
           deck (fun c ->
@@ -68,7 +76,7 @@ let netlist_tests =
               vsrc c "V1" a N.ground 1.0;
               vsrc c "V2" N.ground a (-1.0))
         in
-        check_fires "anti-series sources" "net-vsource-loop" (Check.netlist c));
+        check_fires_alone "anti-series sources" "net-vsource-loop" (Check.netlist c));
     u "nonpositive element value fires" (fun () ->
         let c =
           deck (fun c ->
@@ -76,7 +84,7 @@ let netlist_tests =
               vsrc c "V1" a N.ground 1.0;
               N.add c (N.Resistor { plus = a; minus = N.ground; ohms = -5.0 }))
         in
-        check_fires "negative R" "net-nonpositive-value" (Check.netlist c);
+        check_fires_alone "negative R" "net-nonpositive-value" (Check.netlist c);
         let c2 =
           deck (fun c ->
               let a = N.node c "a" in
@@ -84,7 +92,7 @@ let netlist_tests =
               N.add c (N.Resistor { plus = a; minus = N.ground; ohms = 1e3 });
               N.add c (N.Capacitor { plus = a; minus = N.ground; farads = 0.0 }))
         in
-        check_fires "zero C" "net-nonpositive-value" (Check.netlist c2));
+        check_fires_alone "zero C" "net-nonpositive-value" (Check.netlist c2));
     u "undriven MOSFET gate fires" (fun () ->
         let c =
           deck (fun c ->
@@ -95,11 +103,8 @@ let netlist_tests =
               N.add c (N.Pmos { dev = pfet; width = 2e-6; drain = out; gate = g;
                                 source = vdd }))
         in
-        let diags = Check.netlist c in
-        check_fires "gate-only net" "net-undriven-gate" diags;
         (* the precise rule subsumes the generic no-DC-path one there *)
-        if List.mem "net-no-dc-path" (rules diags) then
-          Alcotest.fail "net-no-dc-path should not fire on a gate-only net");
+        check_fires_alone "gate-only net" "net-undriven-gate" (Check.netlist c));
     u "multiply-driven net fires" (fun () ->
         let c =
           deck (fun c ->
@@ -108,7 +113,7 @@ let netlist_tests =
               vsrc c "V2" a b 0.5;
               N.add c (N.Resistor { plus = b; minus = N.ground; ohms = 1e3 }))
         in
-        check_fires "two sources on a" "net-multi-driven" (Check.netlist c);
+        check_fires_alone "two sources on a" "net-multi-driven" (Check.netlist c);
         let c2 =
           deck (fun c ->
               let a = N.node c "a" and b = N.node c "b" in
@@ -116,7 +121,7 @@ let netlist_tests =
               vsrc c "VX" b N.ground 1.0;
               N.add c (N.Resistor { plus = a; minus = b; ohms = 1e3 }))
         in
-        check_fires "duplicate name" "net-multi-driven" (Check.netlist c2));
+        check_fires_alone "duplicate name" "net-multi-driven" (Check.netlist c2));
     u "bad Pwl waveform fires" (fun () ->
         let c =
           deck (fun c ->
@@ -125,7 +130,7 @@ let netlist_tests =
                                           wave = N.Pwl [] });
               N.add c (N.Resistor { plus = a; minus = N.ground; ohms = 1e3 }))
         in
-        check_fires "empty Pwl" "net-bad-waveform" (Check.netlist c);
+        check_fires_alone "empty Pwl" "net-bad-waveform" (Check.netlist c);
         let c2 =
           deck (fun c ->
               let a = N.node c "a" in
@@ -133,7 +138,7 @@ let netlist_tests =
                                           wave = N.Pwl [ (1.0, 0.0); (0.5, 1.0) ] });
               N.add c (N.Resistor { plus = a; minus = N.ground; ohms = 1e3 }))
         in
-        check_fires "unsorted Pwl" "net-bad-waveform" (Check.netlist c2));
+        check_fires_alone "unsorted Pwl" "net-bad-waveform" (Check.netlist c2));
     u "shipped circuit generators are DRC-clean" (fun () ->
         let vdd = 0.25 in
         check_clean "inverter"
@@ -144,7 +149,11 @@ let netlist_tests =
           (Check.netlist (Circuits.Stdcell.nand2 pair90 ~vdd).Circuits.Stdcell.circuit);
         check_clean "adder"
           (Check.netlist
-             (Circuits.Adder.ripple_carry pair90 ~vdd ~bits:2).Circuits.Adder.circuit));
+             (Circuits.Adder.ripple_carry pair90 ~vdd ~bits:2).Circuits.Adder.circuit);
+        let phys, pair = Scaling.Strategy.select Scaling.Strategy.Sub_vth (Scaling.Roadmap.find 90) in
+        check_clean "90 nm sub-Vth inverter at its own supply"
+          (Check.netlist
+             (Circuits.Inverter.dc pair ~vdd:phys.Device.Params.vdd).Circuits.Inverter.circuit));
     prop "random well-formed inverter chains pass DRC" ~count:30
       QCheck2.Gen.(pair (int_range 1 8) (int_range 10 90))
       (fun (stages, vdd_cs) ->

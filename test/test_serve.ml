@@ -649,6 +649,39 @@ let serve_tests =
             Alcotest.(check string) (Printf.sprintf "(4, %d)" ny) (List.assoc ny backward)
               answer)
           [ 9; 10 ]);
+    case "daemon: 1-byte writes and shared writes answer as whole lines" (fun () ->
+        (* The reader scans only newly read bytes, so a line split over
+           many reads, and two lines in one read, must still come out as
+           the same requests. *)
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            let requests =
+              [ {|{"op":"ping","id":1}|}; {|{"op":"device","node":90,"strategy":"sub","id":2}|} ]
+            in
+            let whole =
+              List.map
+                (fun r ->
+                  send fd [ r ];
+                  recv fd)
+                requests
+            in
+            let trickled =
+              List.map
+                (fun r ->
+                  String.iter
+                    (fun ch -> ignore (Unix.write_substring fd (String.make 1 ch) 0 1))
+                    (r ^ "\n");
+                  recv fd)
+                requests
+            in
+            send fd requests;
+            let shared = List.map (fun _ -> recv fd) requests in
+            List.iter (fun line -> ignore (expect_ok line)) whole;
+            Alcotest.(check (list string)) "1-byte writes" whole trickled;
+            Alcotest.(check (list string)) "two requests in one write" whole shared;
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd));
   ]
 
 (* Warm work: what a repeated query costs once its answer is cached.  A
