@@ -18,7 +18,7 @@
    shadow recompute: the memoized thunk runs again and its fresh value is
    compared against the cached one with the table's equality.  A mismatch
    means the key failed to capture an input the computation depends on —
-   the stale-cache hazard the [subscale audit --memo] pass reports as
+   the stale-cache hazard the memo pass of [subscale audit] reports as
    AUD012.  The cached value is still returned, so behaviour under audit
    differs only in time. *)
 

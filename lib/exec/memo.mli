@@ -75,11 +75,10 @@ val enabled : unit -> bool
     the memoized thunk runs again and its fresh value is compared against
     the cached one via the polymorphic total order (so NaN payloads
     compare equal to themselves; values holding closures count as
-    equal).  A mismatch means the key
-    failed to capture an input the computation depends on — the
-    stale-cache hazard [subscale audit --memo] reports as AUD012.  The
-    cached value is still returned, so behaviour under audit differs only
-    in time. *)
+    equal).  A mismatch means the key failed to capture an input the
+    computation depends on — the stale-cache hazard the memo pass of
+    [subscale audit] reports as AUD012.  The cached value is still
+    returned, so behaviour under audit differs only in time. *)
 
 val with_audit : (unit -> 'a) -> 'a
 (** Run with auditing on, restoring it to off afterwards. *)
