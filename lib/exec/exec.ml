@@ -12,8 +12,9 @@
     job count comes from [set_jobs] (the CLI's [--jobs]), else from the
     [SUBSCALE_JOBS] environment variable, else from
     [Domain.recommended_domain_count ()].  [map] is a drop-in for
-    [List.map] that fans out over the shared pool; with one job it *is*
-    [List.map] (no domain is ever spawned), and nested calls — a mapped
+    [List.map] that fans out over the shared pool; with one job or fewer
+    than two items it *is* [List.map] (the pool, created on the first
+    fan-out, is not touched), and nested calls — a mapped
     task that itself calls [map] — run sequentially instead of deadlocking
     or oversubscribing, so results never depend on nesting depth. *)
 
@@ -123,9 +124,14 @@ let seq_map_ordered order f arr =
   Array.to_list (Array.map Option.get results)
 
 (* Spans wrap only the genuine fan-outs (the pool paths); the sequential
-   fallbacks — one job, nested maps — would flood the trace with List.map
-   noise. *)
+   fallbacks — one job, fewer than two items, nested maps — would flood
+   the trace with List.map noise.  The counter makes the pool's cost
+   visible: the shared pool is created on the first fan-out, so a process
+   whose count stays 0 never spawned a worker domain. *)
+let fanouts = Obs.Metrics.counter "exec.map.fanouts"
+
 let fan_out ?order ~jobs:n xs f =
+  Obs.Metrics.incr fanouts;
   Obs.Trace.with_span ~cat:"exec"
     ~attrs:[ ("items", Obs.Trace.I (List.length xs)); ("jobs", Obs.Trace.I n) ]
     "exec.map"
@@ -135,7 +141,7 @@ let map f xs =
   let n = jobs () in
   match schedule_seed () with
   | None ->
-    if n <= 1 then List.map f xs
+    if n <= 1 || List.compare_length_with xs 2 < 0 then List.map f xs
     else if Atomic.compare_and_set busy false true then
       Fun.protect
         ~finally:(fun () -> Atomic.set busy false)

@@ -12,8 +12,9 @@
     job count comes from [set_jobs] (the CLI's [--jobs]), else from the
     [SUBSCALE_JOBS] environment variable, else from
     [Domain.recommended_domain_count ()].  [map] is a drop-in for
-    [List.map] that fans out over the shared pool; with one job it {e is}
-    [List.map] (no domain is ever spawned), and nested calls — a mapped
+    [List.map] that fans out over the shared pool; with one job or fewer
+    than two items it {e is} [List.map] (the pool, created on the first
+    fan-out, is not touched), and nested calls — a mapped
     task that itself calls [map] — run sequentially instead of
     deadlocking or oversubscribing, so results never depend on nesting
     depth. *)
@@ -30,7 +31,9 @@ val set_jobs : int -> unit
 (** Override the job count; shuts down any previously sized pool. *)
 
 val map : ('a -> 'b) -> 'a list -> 'b list
-(** Drop-in parallel [List.map]; order-preserving, exception-faithful. *)
+(** Drop-in parallel [List.map]; order-preserving, exception-faithful.
+    Each fan-out over the pool counts once in the [exec.map.fanouts]
+    metric. *)
 
 val map2 : ('a -> 'b -> 'c) -> 'a list -> 'b list -> 'c list
 val map_array : ('a -> 'b) -> 'a array -> 'b array

@@ -178,8 +178,11 @@ let store_find : type a. a t -> a tier -> key:string -> a option =
   | None -> None
   | Some payload -> tier.codec.Store.decode payload
 
-let find_or_compute t ~key f =
-  if not (enabled ()) then f ()
+(* Memory, then the persistent tier.  A hit counts as a hit or a store
+   hit (a store hit also fills memory); a miss counts nothing — only the
+   compute step that follows it does. *)
+let find t ~key =
+  if not (enabled ()) then None
   else begin
     Mutex.lock t.lock;
     match Hashtbl.find_opt t.tbl key with
@@ -187,11 +190,7 @@ let find_or_compute t ~key f =
       t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
       Obs.Metrics.incr t.obs_hits;
-      if Atomic.get audit_mode then begin
-        let fresh = f () in
-        if not (audit_equal v fresh) then record_violation t.name key
-      end;
-      v
+      Some v
     | None -> (
       let tier = t.store in
       Mutex.unlock t.lock;
@@ -202,27 +201,39 @@ let find_or_compute t ~key f =
         if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;
         Mutex.unlock t.lock;
         Obs.Metrics.incr t.obs_hits;
-        if Atomic.get audit_mode then begin
-          let fresh = f () in
-          if not (audit_equal v fresh) then record_violation t.name key
-        end;
-        v
-      | None ->
-        Mutex.lock t.lock;
-        t.misses <- t.misses + 1;
-        Mutex.unlock t.lock;
-        Obs.Metrics.incr t.obs_misses;
-        (* A span per miss shows where compute time actually goes; hits are
-           counter-only — a span per hit would flood the trace buffer. *)
-        let v = Obs.Trace.with_span ~cat:"memo" ("memo." ^ t.name) f in
-        Mutex.lock t.lock;
-        if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;
-        Mutex.unlock t.lock;
-        (match tier with
-        | Some tier -> Store.add tier.store ~name:t.name ~key (tier.codec.Store.encode v)
-        | None -> ());
-        v)
+        Some v
+      | None -> None)
   end
+
+let compute t ~key f =
+  if not (enabled ()) then f ()
+  else begin
+    Mutex.lock t.lock;
+    t.misses <- t.misses + 1;
+    let tier = t.store in
+    Mutex.unlock t.lock;
+    Obs.Metrics.incr t.obs_misses;
+    (* A span per miss shows where compute time actually goes; hits are
+       counter-only — a span per hit would flood the trace buffer. *)
+    let v = Obs.Trace.with_span ~cat:"memo" ("memo." ^ t.name) f in
+    Mutex.lock t.lock;
+    if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;
+    Mutex.unlock t.lock;
+    (match tier with
+    | Some tier -> Store.add tier.store ~name:t.name ~key (tier.codec.Store.encode v)
+    | None -> ());
+    v
+  end
+
+let find_or_compute t ~key f =
+  match find t ~key with
+  | Some v ->
+    if Atomic.get audit_mode then begin
+      let fresh = f () in
+      if not (audit_equal v fresh) then record_violation t.name key
+    end;
+    v
+  | None -> compute t ~key f
 
 let hits t =
   Mutex.lock t.lock;

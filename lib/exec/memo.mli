@@ -16,8 +16,10 @@ type stats = {
   size : int;
   store_hits : int;  (** answered from the persistent tier *)
 }
-(** Per-lookup accounting: every [find_or_compute] call lands in exactly
-    one of [hits], [store_hits] or [misses]. *)
+(** Per-lookup accounting: every {!find} hit lands in [hits] or
+    [store_hits], every {!compute} in [misses]; a {!find} miss counts
+    nothing.  A [find_or_compute] call therefore lands in exactly one of
+    the three. *)
 
 val create : name:string -> unit -> 'a t
 (** A fresh table, registered process-wide for {!clear_all} / {!stats}.
@@ -25,11 +27,19 @@ val create : name:string -> unit -> 'a t
     previous entry, so dropped tables are not pinned by their
     registered closures and [stats ()] reports one row per name. *)
 
+val find : 'a t -> key:string -> 'a option
+(** The cached value for [key] — from memory, else from the attached
+    persistent tier (which then also fills memory) — or [None].  Never
+    computes, so it is cheap enough for a daemon's select loop. *)
+
+val compute : 'a t -> key:string -> (unit -> 'a) -> 'a
+(** The step after a {!find} miss: count the miss, run the thunk outside
+    the table lock, cache its result (and write it behind) and return it.
+    It does not consult the store again. *)
+
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
-(** Return the cached value for [key] — from memory, else from the
-    attached persistent tier — or run the thunk, cache (and write
-    behind) and return its result.  The thunk runs outside the table
-    lock. *)
+(** {!find}, then {!compute} on a miss.  Under {!with_audit} a hit also
+    reruns the thunk as a shadow recompute. *)
 
 val hits : 'a t -> int
 val misses : 'a t -> int
@@ -65,7 +75,8 @@ val detach_store : 'a t -> unit
 
 val disabled : (unit -> 'a) -> 'a
 (** Run with all memoization off: [find_or_compute] neither reads nor
-    writes any table.  Used by benches that must time the raw solve. *)
+    writes any table ({!find} is [None], {!compute} just runs the
+    thunk).  Used by benches that must time the raw solve. *)
 
 val enabled : unit -> bool
 

@@ -307,3 +307,16 @@ let floats_codec =
             if !ok then Some out else None
           | Some _ | None -> None));
   }
+
+(* A version tag in front of the payload, so a record written by another
+   layout decodes as a miss instead of a shifted field. *)
+let tagged tag codec =
+  {
+    encode = (fun a -> tag ^ ":" ^ codec.encode a);
+    decode =
+      (fun s ->
+        let tl = String.length tag in
+        if String.length s > tl + 1 && String.sub s 0 tl = tag && s.[tl] = ':' then
+          codec.decode (String.sub s (tl + 1) (String.length s - tl - 1))
+        else None);
+  }

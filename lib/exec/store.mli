@@ -81,3 +81,8 @@ val pending : t -> int
 val floats_codec : float array codec
 (** A float array, length-prefixed, each element as 16 hex chars of its
     IEEE-754 bits, so NaN and -0. round-trip bit-exactly. *)
+
+val tagged : string -> 'a codec -> 'a codec
+(** [tagged tag codec] prefixes every payload with ["<tag>:"] and decodes
+    a payload carrying any other tag as [None]: a version tag (e.g.
+    ["chars/1"]) turns a record of another layout into a cache miss. *)

@@ -27,6 +27,40 @@ let selection_key kind node =
 let select_memo : (Device.Params.physical * Circuits.Inverter.pair) Exec.Memo.t =
   Exec.Memo.create ~name:"scaling.select" ()
 
+(* The persistent tier's layout of a selection: the physical parameters
+   alone, each float as its IEEE-754 bits and each optional length behind
+   a 0/1 presence flag.  Decoding rebuilds the pair with the call both
+   strategies select with, so a restarted daemon's pair is bit-identical
+   to the computed one. *)
+let selection_codec : (Device.Params.physical * Circuits.Inverter.pair) Exec.Store.codec =
+  let floats = Exec.Store.tagged "select/1" Exec.Store.floats_codec in
+  let opt = function None -> [| 0.0; 0.0 |] | Some x -> [| 1.0; x |] in
+  let of_opt flag x =
+    if Float.equal flag 0.0 then Some None else if Float.equal flag 1.0 then Some (Some x) else None
+  in
+  {
+    Exec.Store.encode =
+      (fun ((p : Device.Params.physical), _) ->
+        floats.Exec.Store.encode
+          (Array.concat
+             [ [| float_of_int p.node_nm; p.lpoly; p.tox; p.nsub; p.np_halo; p.vdd |];
+               opt p.xj;
+               opt p.overlap ]));
+    decode =
+      (fun s ->
+        match floats.Exec.Store.decode s with
+        | Some [| nm; lpoly; tox; nsub; np_halo; vdd; xj_flag; xj; ov_flag; ov |]
+          when Float.is_integer nm -> (
+          match (of_opt xj_flag xj, of_opt ov_flag ov) with
+          | Some xj, Some overlap ->
+            let phys =
+              { Device.Params.node_nm = int_of_float nm; lpoly; tox; nsub; np_halo; vdd; xj; overlap }
+            in
+            Some (phys, Circuits.Inverter.pair_of_physical ~cal:Device.Params.default_calibration phys)
+          | _ -> None)
+        | Some _ | None -> None);
+  }
+
 let select kind node =
   Exec.Memo.find_or_compute select_memo ~key:(selection_key kind node) (fun () ->
       match kind with

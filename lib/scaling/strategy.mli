@@ -23,6 +23,18 @@ val select :
     {!Sub_vth.select_node}), memoized on (kind, node, calibration): a
     repeated selection is a key and a lookup. *)
 
+val select_memo : (Device.Params.physical * Circuits.Inverter.pair) Exec.Memo.t
+(** The memo table behind {!select} (["scaling.select"]), exposed so a
+    daemon can attach a persistent tier with {!selection_codec}. *)
+
+val selection_codec : (Device.Params.physical * Circuits.Inverter.pair) Exec.Store.codec
+(** A versioned ([select/1]) store codec of a selection.  It stores the
+    physical parameters as IEEE-754 bits and rebuilds the pair on decode
+    with [Circuits.Inverter.pair_of_physical
+    ~cal:Device.Params.default_calibration], the call both strategies
+    select with, so a decoded selection is bit-identical to the computed
+    one.  A record with another tag decodes as [None]. *)
+
 val resolve :
   node:int ->
   strategy:string ->

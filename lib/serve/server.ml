@@ -1,7 +1,9 @@
-(* The serving loop.  Single-threaded event loop over Unix.select; the
-   compute itself fans out over the shared Exec pool, one task per
+(* The serving loop.  Single-threaded event loop over Unix.select.  A job
+   whose value a memo or the store already holds is answered on the loop;
+   only the misses fan out over the shared Exec pool, one task per
    coalesced job, so the daemon parallelizes across queries while each
-   TCAD run stays sequential (and therefore bit-reproducible). *)
+   TCAD run stays sequential (and therefore bit-reproducible).  A daemon
+   that only answers cached queries never creates the pool. *)
 
 module Json = Report.Json
 
@@ -135,45 +137,80 @@ let job_slots = function
   | J_char { slots; _ } -> slots
   | J_sweep { members; _ } -> List.map fst members
 
-let run_job_exn job : (slot * string) list =
+(* A job's value lives in one memo cell.  [find] answers the job from
+   whichever tier holds the value, or is [None]; [compute] fills the cell
+   and answers.  Both render through the job's one renderer: the two
+   paths differ only in where the value comes from. *)
+type cell = {
+  find : unit -> (slot * string) list option;
+  compute : unit -> (slot * string) list;
+}
+
+let cell memo ~key ~compute render =
+  {
+    find = (fun () -> Option.map render (Exec.Memo.find memo ~key));
+    compute = (fun () -> render (Exec.Memo.compute memo ~key compute));
+  }
+
+(* Resolves the job's device (a selection: a lookup once a tier holds
+   it) and names its cell; a node or strategy the roadmap lacks is an
+   [Error]. *)
+let cell_of_job job =
   match job with
   | J_char { node; strategy; vdd; nx; ny; slots } ->
-    let answer =
-      match description ~node ~strategy with
-      | Error msg -> fun slot -> Protocol.error_response ~id:slot.echo msg
-      | Ok desc ->
-        let ch = Tcad.Extract.characterize_cached ?nx ?ny ~vdd desc in
-        fun slot -> Protocol.ok_response ~id:slot.echo (characteristics_fields ch)
-    in
-    List.map (fun slot -> (slot, answer slot)) slots
+    Result.map
+      (fun desc ->
+        cell Tcad.Extract.characterize_memo
+          ~key:(Tcad.Extract.characterize_key ?nx ?ny ~vdd desc)
+          ~compute:(fun () -> Tcad.Extract.characterize ~vdd (Tcad.Structure.build ?nx ?ny desc))
+          (fun ch ->
+            List.map
+              (fun slot -> (slot, Protocol.ok_response ~id:slot.echo (characteristics_fields ch)))
+              slots))
+      (description ~node ~strategy)
   | J_sweep { node; strategy; nx; ny; vd; grid; members } ->
-    let answer =
-      match description ~node ~strategy with
-      | Error msg -> fun slot _ -> Protocol.error_response ~id:slot.echo msg
-      | Ok desc ->
-        let sweep =
-          Exec.Memo.find_or_compute idvg_memo ~key:(sweep_key ?nx ?ny desc ~vd grid)
-            (fun () -> Tcad.Extract.id_vg_at (Tcad.Structure.build ?nx ?ny desc) ~vd ~vgs:grid)
-        in
-        fun slot idx ->
-          Protocol.ok_response ~id:slot.echo
-            [ ("vd", num vd);
-              ("vgs", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.vgs.(i)) idx));
-              ("ids", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.ids.(i)) idx)) ]
-    in
-    List.map (fun (slot, idx) -> (slot, answer slot idx)) members
+    Result.map
+      (fun desc ->
+        cell idvg_memo ~key:(sweep_key ?nx ?ny desc ~vd grid)
+          ~compute:(fun () ->
+            Tcad.Extract.id_vg_at (Tcad.Structure.build ?nx ?ny desc) ~vd ~vgs:grid)
+          (fun sweep ->
+            List.map
+              (fun (slot, idx) ->
+                ( slot,
+                  Protocol.ok_response ~id:slot.echo
+                    [ ("vd", num vd);
+                      ("vgs", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.vgs.(i)) idx));
+                      ("ids", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.ids.(i)) idx)) ]
+                ))
+              members))
+      (description ~node ~strategy)
 
-(* One catch-all around the WHOLE per-job body: any failure — structure
-   build (mesher guards), solver non-convergence, slope-extraction
-   window, guard trips — must become an error response on every slot
-   the job owns.  [Exec.map] propagates exceptions like [List.map], so
-   a job that leaks one kills the daemon for all its clients. *)
-let run_job job : (slot * string) list =
-  match run_job_exn job with
-  | results -> results
-  | exception e ->
-    let msg = Printexc.to_string e in
-    List.map (fun slot -> (slot, Protocol.error_response ~id:slot.echo msg)) (job_slots job)
+let failed job msg =
+  List.map (fun slot -> (slot, Protocol.error_response ~id:slot.echo msg)) (job_slots job)
+
+(* One catch-all around the WHOLE per-job body, on the loop and on the
+   pool alike: any failure — mesh keying, structure build (mesher
+   guards), solver non-convergence, slope-extraction window, guard trips,
+   a decoded value that does not fit its request — must become an error
+   response on every slot the job owns.  [Exec.map] propagates exceptions
+   like [List.map], so a job that leaks one kills the daemon for all its
+   clients. *)
+let guarded f = match f () with r -> r | exception e -> Error (Printexc.to_string e)
+
+(* On the select loop: a job whose value some tier holds is answered
+   here; a miss comes back with its cell, for the pool. *)
+let answer_or_miss job =
+  match guarded (fun () -> Result.map (fun c -> (c, c.find ())) (cell_of_job job)) with
+  | Error msg -> Either.Left (failed job msg)
+  | Ok (_, Some answers) -> Either.Left answers
+  | Ok (c, None) -> Either.Right (job, c)
+
+(* On a pool domain: compute a missed value. *)
+let run_job (job, c) =
+  match guarded (fun () -> Ok (c.compute ())) with
+  | Ok answers -> answers
+  | Error msg -> failed job msg
 
 (* Batch planning: identical characterizations collapse to one J_char;
    Id-Vg boxes coalesce per device via Coalesce.plan.  Degenerate boxes
@@ -395,6 +432,8 @@ let run ?on_ready config =
   in
   (match store with
   | Some s ->
+    Exec.Memo.attach_store Scaling.Strategy.select_memo ~store:s
+      ~codec:Scaling.Strategy.selection_codec;
     Exec.Memo.attach_store Tcad.Extract.characterize_memo ~store:s
       ~codec:Tcad.Extract.characteristics_codec;
     Exec.Memo.attach_store idvg_memo ~store:s ~codec:Tcad.Extract.sweep_codec
@@ -479,19 +518,15 @@ let run ?on_ready config =
             Hashtbl.replace responses key resp
           | Protocol.Tcad _ | Protocol.Idvg _ -> deferred := (slot, req) :: !deferred))
       batch;
-    (* 3. Fan the compute jobs out over the pool. *)
+    (* 3. Answer the hits here; fan only the misses out over the pool
+       ([Exec.map] of fewer than two items never touches it). *)
     let rejects, jobs = plan_jobs (List.rev !deferred) in
+    let hits, misses = List.partition_map answer_or_miss jobs in
+    let computed = Exec.map run_job misses in
     List.iter
-      (fun ((slot : slot), resp) ->
-        Hashtbl.replace responses (slot.conn_id, slot.seq) resp)
-      rejects;
-    List.iter
-      (fun results ->
-        List.iter
-          (fun ((slot : slot), resp) ->
-            Hashtbl.replace responses (slot.conn_id, slot.seq) resp)
-          results)
-      (Exec.map run_job jobs);
+      (List.iter (fun ((slot : slot), resp) ->
+           Hashtbl.replace responses (slot.conn_id, slot.seq) resp))
+      ((rejects :: hits) @ computed);
     (* 4. Write responses back in per-connection request order. *)
     List.iter
       (fun (c, seq, _) ->
@@ -513,6 +548,7 @@ let run ?on_ready config =
   done;
   (match store with
   | Some s ->
+    Exec.Memo.detach_store Scaling.Strategy.select_memo;
     Exec.Memo.detach_store Tcad.Extract.characterize_memo;
     Exec.Memo.detach_store idvg_memo;
     Exec.Store.close s

@@ -271,13 +271,9 @@ let characterize ?(vdd = 0.9) dev =
    ([Structure.key_for], the same string as [Structure.key] of the built
    structure), so a hit builds nothing: only a miss pays for the doping
    fields, boundaries and mobilities. *)
-let characterize_cached ?nx ?ny ?(vdd = 0.9) desc =
-  let key =
-    Exec.Key.(
-      fields "characterize_mesh" [ ("dev", Structure.key_for ?nx ?ny desc); ("vdd", float vdd) ])
-  in
-  Exec.Memo.find_or_compute characterize_memo ~key (fun () ->
-      characterize ~vdd (Structure.build ?nx ?ny desc))
+let characterize_key ?nx ?ny ?(vdd = 0.9) desc =
+  Exec.Key.(
+    fields "characterize_mesh" [ ("dev", Structure.key_for ?nx ?ny desc); ("vdd", float vdd) ])
 
 (* --- persistent-tier codecs -------------------------------------------
 
@@ -289,19 +285,8 @@ let characterize_cached ?nx ?ny ?(vdd = 0.9) desc =
 
 module Store = Exec.Store
 
-let tagged tag (codec : float array Store.codec) =
-  {
-    Store.encode = (fun a -> tag ^ ":" ^ codec.Store.encode a);
-    decode =
-      (fun s ->
-        let tl = String.length tag in
-        if String.length s > tl + 1 && String.sub s 0 tl = tag && s.[tl] = ':' then
-          codec.Store.decode (String.sub s (tl + 1) (String.length s - tl - 1))
-        else None);
-  }
-
 let characteristics_codec : characteristics Store.codec =
-  let floats = tagged "chars/1" Store.floats_codec in
+  let floats = Store.tagged "chars/1" Store.floats_codec in
   {
     Store.encode =
       (fun c ->
@@ -317,7 +302,7 @@ let characteristics_codec : characteristics Store.codec =
   }
 
 let sweep_codec : sweep Store.codec =
-  let floats = tagged "sweep/1" Store.floats_codec in
+  let floats = Store.tagged "sweep/1" Store.floats_codec in
   {
     Store.encode =
       (fun s ->

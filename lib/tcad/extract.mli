@@ -98,20 +98,16 @@ val characterize : ?vdd:float -> Structure.t -> characteristics
     of the whole grid as long as each plane's current keeps rising past its
     stop, which holds on every shipped device. *)
 
-val characterize_cached :
-  ?nx:int -> ?ny:int -> ?vdd:float -> Structure.description -> characteristics
-(** [characterize ?vdd (Structure.build ?nx ?ny desc)] behind a
-    content-addressed memo keyed on {!Structure.key_for} (the description
-    and the mesh coordinates) and [vdd]: sweep points sharing identical
-    device parameters solve the TCAD decks once, and a hit builds no
-    structure.  Counters appear as ["tcad.characterize"] in
-    [Exec.Memo.stats]. *)
+val characterize_key : ?nx:int -> ?ny:int -> ?vdd:float -> Structure.description -> string
+(** The key of [characterize ?vdd (Structure.build ?nx ?ny desc)] in
+    {!characterize_memo}: {!Structure.key_for} (the description and the
+    mesh coordinates) and [vdd], so a lookup builds no structure. *)
 
 val characterize_memo : characteristics Exec.Memo.t
-(** The memo table behind {!characterize_cached}, exposed so a daemon can
-    attach a persistent {!Exec.Store} tier
-    ([Exec.Memo.attach_store characterize_memo ~store
-    ~codec:characteristics_codec]). *)
+(** The ["tcad.characterize"] memo table, filed by {!characterize_key}.
+    The daemon looks a characterization up on its select loop and
+    computes only a miss; it attaches a persistent {!Exec.Store} tier
+    with {!characteristics_codec}. *)
 
 (** {2 Persistent-tier codecs}
 

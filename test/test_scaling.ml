@@ -229,6 +229,40 @@ let strategy_tests =
               Alcotest.(check string) (what ^ " phys bits") expected (key phys)
             | Error msg -> Alcotest.fail msg)
           direct);
+    slow "a stored selection decodes to the computed one, bit for bit" (fun () ->
+        let codec = Strategy.selection_codec in
+        List.iter
+          (fun kind ->
+            List.iter
+              (fun (node : Roadmap.node) ->
+                let what = Printf.sprintf "%d nm %s" node.Roadmap.nm (Strategy.kind_key kind) in
+                let ((phys, pair) as computed) = Strategy.select kind node in
+                let payload = codec.Exec.Store.encode computed in
+                match codec.Exec.Store.decode payload with
+                | None -> Alcotest.failf "%s: own record did not decode" what
+                | Some (phys', pair') ->
+                  Alcotest.(check string) (what ^ ": physical bits")
+                    (Device.Params.physical_key phys) (Device.Params.physical_key phys');
+                  List.iter
+                    (fun (fet, get) ->
+                      Alcotest.(check string) (what ^ ": " ^ fet ^ " compact key")
+                        (Device.Compact.key (get pair)) (Device.Compact.key (get pair')))
+                    [ ("nfet", fun p -> p.Circuits.Inverter.nfet);
+                      ("pfet", fun p -> p.Circuits.Inverter.pfet) ];
+                  let fingerprint phys pair =
+                    Strategy.evaluation_fingerprint (Strategy.evaluate_uncached kind node phys pair)
+                  in
+                  Alcotest.(check string) (what ^ ": evaluation fingerprint")
+                    (fingerprint phys pair) (fingerprint phys' pair');
+                  let body = String.sub payload 9 (String.length payload - 9) in
+                  Alcotest.(check string) (what ^ ": tag") "select/1:" (String.sub payload 0 9);
+                  List.iter
+                    (fun tag ->
+                      Alcotest.(check bool) (what ^ ": tag " ^ tag ^ " is a miss") true
+                        (codec.Exec.Store.decode (tag ^ body) = None))
+                    [ "select/0:"; "select/2:"; "chars/1:" ])
+              Roadmap.nodes_with_130)
+          Strategy.kinds);
   ]
 
 let suite =

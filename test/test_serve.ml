@@ -474,14 +474,19 @@ let serve_tests =
         in
         Alcotest.(check int) "cold run computed" 1
           (memo_row cold_health "tcad.characterize" "misses");
-        Alcotest.(check int) "restarted run hit the store" 1
-          (memo_row warm_health "tcad.characterize" "store_hits");
-        Alcotest.(check int) "restarted run recomputed nothing" 0
-          (memo_row warm_health "tcad.characterize" "misses");
+        (* The restarted daemon resolves the device from the store too:
+           one store hit per table, nothing recomputed in either. *)
+        List.iter
+          (fun table ->
+            Alcotest.(check int) (table ^ ": restarted run hit the store") 1
+              (memo_row warm_health table "store_hits");
+            Alcotest.(check int) (table ^ ": restarted run recomputed nothing") 0
+              (memo_row warm_health table "misses"))
+          [ "tcad.characterize"; "scaling.select" ];
         let store_field health f =
           Json.as_int f (Json.field f (Json.field "store" health))
         in
-        Alcotest.(check int) "store served one hit" 1 (store_field warm_health "hits");
+        Alcotest.(check int) "store served two hits" 2 (store_field warm_health "hits");
         Alcotest.(check bool) "store kept its record" true
           (store_field warm_health "entries" >= 1);
         (* write-behind visibility: the cold run's record reached disk
@@ -490,6 +495,75 @@ let serve_tests =
           (store_field cold_health "flushes" >= 1);
         Alcotest.(check int) "nothing left queued" 0
           (store_field cold_health "pending"));
+    slow_case "daemon: a restarted daemon answers from the store without the pool"
+      (fun () ->
+        Memo.clear_all ();
+        let cache_dir = scratch_dir "serve-restart" in
+        (* tcad and idvg go in one write, so they arrive as one batch of
+           two jobs: handing hits to the pool would fan them out. *)
+        let batches =
+          [ [ {|{"op":"device","node":90,"strategy":"sub","id":1}|} ];
+            [ {|{"op":"tcad","node":90,"strategy":"sub","vdd":0.9,"nx":16,"ny":12,"id":2}|};
+              {|{"op":"idvg","node":90,"strategy":"sub","vd":0.05,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12,"id":3}|} ] ]
+        in
+        let session () =
+          with_server ~cache_dir (fun ~connect ~send ~recv ->
+              let fd = connect () in
+              let answers =
+                List.concat_map
+                  (fun batch ->
+                    send fd batch;
+                    List.map (fun _ -> recv fd) batch)
+                  batches
+              in
+              send fd [ {|{"op":"health"}|} ];
+              let health = expect_ok (recv fd) in
+              send fd [ {|{"op":"shutdown"}|} ];
+              ignore (expect_ok (recv fd));
+              Unix.close fd;
+              (answers, health))
+        in
+        let fanouts () = Test_util.counter_value "exec.map.fanouts" in
+        let cold, _ = session () in
+        List.iter (fun a -> ignore (expect_ok a)) cold;
+        (* Drop the in-memory tier: a restarted daemon has fresh tables. *)
+        Memo.clear_all ();
+        let before = fanouts () in
+        let warm, warm_health = session () in
+        Alcotest.(check int) "the restarted daemon never fanned out" before (fanouts ());
+        Alcotest.(check (list string)) "same bytes as the cold answers" cold warm;
+        List.iter
+          (fun table ->
+            let misses =
+              Json.as_list "memo" (Json.field "memo" warm_health)
+              |> List.find_map (fun row ->
+                     if Json.field "name" row = Json.Str table then
+                       Some (Json.as_int "misses" (Json.field "misses" row))
+                     else None)
+            in
+            Alcotest.(check (option int)) (table ^ ": nothing recomputed") (Some 0) misses)
+          [ "scaling.select"; "tcad.characterize"; "serve.idvg" ]);
+    slow_case "daemon: a pooled miss reads the store once" (fun () ->
+        Memo.clear_all ();
+        (* The device is selected before the daemon starts, so the only
+           table the request misses is tcad.characterize. *)
+        (match Subscale.Scaling.Strategy.resolve ~node:90 ~strategy:"super" with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.fail msg);
+        let store_misses =
+          with_server ~cache_dir:(scratch_dir "serve-miss") (fun ~connect ~send ~recv ->
+              let fd = connect () in
+              send fd
+                [ {|{"op":"tcad","node":90,"strategy":"super","vdd":0.9,"nx":4,"ny":9,"id":1}|} ];
+              ignore (expect_ok (recv fd));
+              send fd [ {|{"op":"health"}|} ];
+              let health = expect_ok (recv fd) in
+              send fd [ {|{"op":"shutdown"}|} ];
+              ignore (expect_ok (recv fd));
+              Unix.close fd;
+              Json.as_int "misses" (Json.field "misses" (Json.field "store" health)))
+        in
+        Alcotest.(check int) "one store read for one miss" 1 store_misses);
     case "daemon: hostile input gets error responses, not a dead daemon" (fun () ->
         with_server (fun ~connect ~send ~recv ->
             let fd = connect () in
@@ -721,7 +795,7 @@ let warm_work_tests =
         in
         let words =
           warm_minor_words (fun () ->
-              ignore (Extract.characterize_cached ~nx:16 ~ny:12 desc : Extract.characteristics))
+              ignore (Test_util.characterize_cached ~nx:16 ~ny:12 desc : Extract.characteristics))
         in
         (* Measured: 4,756 words, the mesh lines and the key; building the
            structure to key it took 48.5k. *)

@@ -86,3 +86,11 @@ let check_bits name expected actual =
 let check_all_bits name expected actual =
   Alcotest.(check int) (name ^ ": count") (Array.length expected) (Array.length actual);
   Array.iteri (fun i e -> check_bits (Printf.sprintf "%s.(%d)" name i) e actual.(i)) expected
+
+(* The daemon's tcad cell in one call: look the characterization up by
+   its key, build and solve only on a miss. *)
+let characterize_cached ?nx ?ny ?(vdd = 0.9) desc =
+  let module Extract = Subscale.Tcad.Extract in
+  Subscale.Exec.Memo.find_or_compute Extract.characterize_memo
+    ~key:(Extract.characterize_key ?nx ?ny ~vdd desc)
+    (fun () -> Extract.characterize ~vdd (Subscale.Tcad.Structure.build ?nx ?ny desc))
