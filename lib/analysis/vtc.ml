@@ -2,10 +2,16 @@ type curve = { vin : Numerics.Vec.t; vout : Numerics.Vec.t }
 
 let vt = Physics.Constants.vt_room
 
+(* V_th at V_ds = 10 vT, the one value the analytic VTC/SNM expressions
+   treat as constant: deep enough in saturation that the (1 - e^{-V_ds/vT})
+   factor is negligible, low enough that DIBL stays at its sub-V_th
+   operating value. *)
+let vth_sub dev = Device.Compact.vth dev ~vds:(10.0 *. vt)
+
 (* I_o of Eq. 3: device current at V_gs = V_th with V_ds >> vT, per device
    width, times the width. *)
 let io_of dev width =
-  width *. Device.Iv_model.id dev ~vgs:(Compact_vth.vth_sub dev) ~vds:(10.0 *. vt)
+  width *. Device.Iv_model.id dev ~vgs:(vth_sub dev) ~vds:(10.0 *. vt)
 
 (* Eq. 3(b): vin(vout).  We sweep vout densely, compute vin, and resample
    onto a uniform vin grid in one merge walk; no sample array is built. *)
@@ -14,7 +20,7 @@ let analytic ?(points = 101) (pair : Circuits.Inverter.pair) ~sizing ~vdd =
   let io_n = io_of n sizing.Circuits.Inverter.wn in
   let io_p = io_of p sizing.Circuits.Inverter.wp in
   let m_n = n.Device.Compact.m and m_p = p.Device.Compact.m in
-  let vth_n = Compact_vth.vth_sub n and vth_p = Compact_vth.vth_sub p in
+  let vth_n = vth_sub n and vth_p = vth_sub p in
   let eps = 1e-4 *. vdd in
   (* The dense vout sweep is Vec.linspace eps (vdd - eps) k, sample by
      sample. *)

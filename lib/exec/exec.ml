@@ -138,28 +138,21 @@ let fan_out ?order ~jobs:n xs f =
     (fun () -> Pool.map ?order (get_pool n) xs f)
 
 let map f xs =
-  let n = jobs () in
-  match schedule_seed () with
-  | None ->
-    if n <= 1 || List.compare_length_with xs 2 < 0 then List.map f xs
-    else if Atomic.compare_and_set busy false true then
+  if List.compare_length_with xs 2 < 0 then List.map f xs
+  else begin
+    let n = jobs () in
+    let order =
+      Option.map (fun seed -> permutation ~seed (List.length xs)) (schedule_seed ())
+    in
+    if n > 1 && Atomic.compare_and_set busy false true then
       Fun.protect
         ~finally:(fun () -> Atomic.set busy false)
-        (fun () -> fan_out ~jobs:n xs f)
-    else List.map f xs
-  | Some seed ->
-    let arr = Array.of_list xs in
-    let len = Array.length arr in
-    if len <= 1 then List.map f xs
-    else begin
-      let order = permutation ~seed len in
-      if n <= 1 then seq_map_ordered order f arr
-      else if Atomic.compare_and_set busy false true then
-        Fun.protect
-          ~finally:(fun () -> Atomic.set busy false)
-          (fun () -> fan_out ~order ~jobs:n xs f)
-      else seq_map_ordered order f arr
-    end
+        (fun () -> fan_out ?order ~jobs:n xs f)
+    else
+      match order with
+      | None -> List.map f xs
+      | Some order -> seq_map_ordered order f (Array.of_list xs)
+  end
 
 let map2 f xs ys =
   if List.length xs <> List.length ys then invalid_arg "Exec.map2: length mismatch";

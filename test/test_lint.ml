@@ -1,4 +1,4 @@
-(* lib/lint: the fixture corpus (per LNT/UNT/ALS/RAC rule a firing source
+(* tools/lint: the fixture corpus (per LNT/UNT/ALS/RAC rule a firing source
    and a near miss, compiled to .cmt by the lint_fixtures library in
    fixtures/lint/dune), .cmt discovery across dune contexts, baseline
    round-trips, and the rule-registry integration. *)
@@ -179,7 +179,7 @@ let cmt_load_tests =
 
 let entry rule file line note = { B.rule; file; line; note }
 
-(* Parse baseline text the way [subscale lint] reads its file. *)
+(* Parse baseline text the way [subscale_lint] reads its file. *)
 let of_string text =
   let path = Filename.temp_file "subscale-baseline" ".txt" in
   Fun.protect

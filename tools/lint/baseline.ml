@@ -58,9 +58,9 @@ let load path =
   end
 
 let header =
-  "# subscale lint baseline — grandfathered findings, one per line:\n\
+  "# subscale_lint baseline — grandfathered findings, one per line:\n\
    #   <rule> <file>:<line> — justification\n\
-   # Matching ignores the column; stale entries fail `subscale lint --strict`.\n"
+   # Matching ignores the column; stale entries fail `subscale_lint --strict`.\n"
 
 (* [--update-baseline] stamps unjustified entries with a "— TODO: justify"
    note; [--strict] refuses to treat those as justified keeps, so a

@@ -1,4 +1,4 @@
-(** Lint: typedtree-based source linter behind [subscale lint].
+(** Lint: typedtree-based source linter behind [subscale_lint].
 
     Reads the .cmt artifacts dune already produces; never re-typechecks.
     Findings are {!Check.Diagnostic}s with rule ids LNT001–LNT005,

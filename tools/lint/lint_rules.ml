@@ -38,7 +38,7 @@ let lnt006 =
     ~summary:"polymorphic </<=/>/>=/min/max/compare at a type variable (boxes floats)"
 
 (* The UNT series: static dimensional analysis over float expressions
-   (lib/lint/units.ml).  Sound-but-conservative — unknown never fires. *)
+   (tools/lint/units.ml).  Sound-but-conservative — unknown never fires. *)
 let unt001 =
   Rules.register "UNT001"
     ~summary:"additive/comparison combination of incompatible physical dimensions"
@@ -60,7 +60,7 @@ let unt005 =
     ~summary:"dimension lost through a polymorphic container round-trip (info)"
 
 (* The ALS series: interprocedural buffer ownership/aliasing analysis over
-   the Bigarray hot path (lib/lint/alias.ml).  Same contract as UNT:
+   the Bigarray hot path (tools/lint/alias.ml).  Same contract as UNT:
    sound-but-conservative, unknown never fires. *)
 let als001 =
   Rules.register "ALS001"
@@ -79,7 +79,7 @@ let als004 =
     ~summary:"function returns a buffer it also retains internally ([@owned] to assert)"
 
 (* The RAC series: interprocedural lockset & domain-safety analysis over
-   the concurrent exec/serve stack (lib/lint/races.ml).  Polarity differs
+   the concurrent exec/serve stack (tools/lint/races.ml).  Polarity differs
    from UNT/ALS in exactly one place: an unresolved call inside a
    critical section counts as may-raise (RAC002), because exception-
    unsafe locking is where optimism ships a wedged process.  Lock and
@@ -156,8 +156,8 @@ let all : meta list =
         "`print_*`/`prerr_*`/`Printf.printf`/`Printf.eprintf`/`Format.printf` in library \
          code outside the sanctioned output layers";
       stays_clean_on =
-        "`lib/report` and `lib/obs` (the output layers themselves), `bin/` (the entry \
-         point prints by design), formatting into buffers/strings \
+        "`lib/report` and `lib/obs` (the output layers themselves), `bin/` and \
+         `tools/lint/subscale_lint.ml` (entry points print by design), formatting into buffers/strings \
          (`Printf.sprintf`, `Buffer`), and writing to an explicit caller-supplied \
          channel" };
     { id = lnt006;
@@ -361,9 +361,9 @@ let emitter () =
    diffed in CI so docs can never drift from the implementation. *)
 let markdown () =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "# `subscale lint` rules\n\n";
+  Buffer.add_string b "# `subscale_lint` rules\n\n";
   Buffer.add_string b
-    "Generated by `subscale lint --rules`; do not edit by hand (CI diffs this file\n\
+    "Generated by `subscale_lint --rules`; do not edit by hand (CI diffs this file\n\
      against the command output).\n\n";
   Buffer.add_string b "| Rule | Severity | Fires on | Stays clean on |\n";
   Buffer.add_string b "|------|----------|----------|----------------|\n";
@@ -376,7 +376,7 @@ let markdown () =
     all;
   Buffer.add_string b
     "\nFindings are grandfathered by listing them in `lint.baseline` \
-     (`<rule> <file>:<line> — justification`); `subscale lint --strict` fails on any\n\
+     (`<rule> <file>:<line> — justification`); `subscale_lint --strict` fails on any\n\
      non-baselined finding, and stale baseline entries are reported so the file\n\
      shrinks monotonically.\n";
   Buffer.contents b

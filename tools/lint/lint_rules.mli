@@ -1,6 +1,6 @@
 (** The LNT rule family: ids minted through {!Check.Rules} (so a collision
     with any DRC or AUD rule fails at link time) plus the metadata behind
-    [subscale lint --rules]. *)
+    [subscale_lint --rules]. *)
 
 type meta = {
   id : string;

@@ -1,4 +1,4 @@
-(* The held-lockset walk behind RAC001-005 (lib/lint/races.ml).
+(* The held-lockset walk behind RAC001-005 (tools/lint/races.ml).
 
    Everything interprocedural — per-definition contexts, lock identity,
    the may-raise / may-block / acquires summaries — comes from the shared

@@ -280,7 +280,7 @@ and check_against_spec ctx ~what ~expected ~inferred ~loc =
       emit ctx ~rule:Lint_rules.unt004 ~severity:D.Error ~loc
         (Printf.sprintf "%s expects %s, got %s" what
            (Dim.to_string expected) (Dim.to_string inferred))
-        ~hint:"the signature table (lib/lint/unit_sig.ml) records the intended units"
+        ~hint:"the signature table (tools/lint/unit_sig.ml) records the intended units"
     else if Dim.scale_conflict de di then
       emit ctx ~rule:Lint_rules.unt003 ~severity:D.Warning ~loc
         (Printf.sprintf "%s expects %s but the argument is scaled as %s" what

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The test-only surface of lib/: exported vals, and optional parameters of
-# exported functions, that no caller in bin/, benchmark/, examples/ or
-# another lib/ module reaches (test/ does not count as a caller).
+# exported functions, that no caller in bin/, benchmark/, examples/, tools/
+# (the linter) or another lib/ module reaches (test/ does not count as a
+# caller).
 #
 #   sh tools/test-only-surface.sh          print one "<Library>.<Module> <val>"
 #                                          or "<Library>.<Module> ?<param>"
@@ -28,13 +29,13 @@ module_of() {
 surface() {
   for mli in lib/*/*.mli; do
     for v in $(grep -oE '^ *val [a-z_][A-Za-z0-9_]*' "$mli" | awk '{print $2}' | sort -u); do
-      grep -rlw --include='*.ml' --include='*.mli' -e "$v" bin benchmark examples lib \
+      grep -rlw --include='*.ml' --include='*.mli' -e "$v" bin benchmark examples lib tools \
         | grep -qvxF -e "${mli%i}" -e "$mli" || echo "$(module_of "$mli") $v"
     done
   done
   for mli in lib/*/*.mli; do
     for p in $(grep -oE '\?[a-z_][a-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
-      grep -rlE --include='*.ml' -e "[~?]$p\b" bin benchmark examples lib \
+      grep -rlE --include='*.ml' -e "[~?]$p\b" bin benchmark examples lib tools \
         | grep -qvxF -e "${mli%i}" || echo "$(module_of "$mli") ?$p"
     done
   done
