@@ -19,14 +19,6 @@ open Cmdliner
 module Diag = Check.Diagnostic
 module L = Lint
 
-let setup_logs level =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level level
-
-let log_term =
-  Term.(const setup_logs $ Logs_cli.level ())
-
 let lint_update_baseline ~baseline_path (app : L.Baseline.application) old_baseline =
   (* Keep the justification of every entry that still matches; new findings
      get a TODO note so the diff shows exactly what needs justifying. *)
@@ -131,7 +123,7 @@ let cmd =
     in
     Arg.(value & flag & info [ "update-baseline" ] ~doc)
   in
-  let run () strict format rules baseline_path root update =
+  let run strict format rules baseline_path root update =
     if rules then print_string (L.rules_markdown ())
     else begin
       if not (Sys.file_exists root && Sys.is_directory root) then begin
@@ -252,8 +244,7 @@ let cmd =
           ids; $(b,--format json) emits one finding per line for the CI \
           problem matcher." ]
   in
-  Cmd.v (Cmd.info "subscale_lint" ~doc ~man ~version:"1.0.0")
-    Term.(
-      const run $ log_term $ strict $ format $ rules $ baseline_arg $ root_arg $ update)
+  Cmd.v (Cmd.info "subscale_lint" ~doc ~man)
+    Term.(const run $ strict $ format $ rules $ baseline_arg $ root_arg $ update)
 
 let () = exit (Cmd.eval cmd)

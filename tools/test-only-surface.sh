@@ -1,13 +1,14 @@
 #!/bin/sh
-# The test-only surface of lib/: exported vals, and optional parameters of
-# exported functions, that no caller in bin/, benchmark/, examples/, tools/
-# (the linter) or another lib/ module reaches (test/ does not count as a
-# caller).
+# The test-only surface of lib/ and of the linter (tools/lint/): exported
+# vals, and optional parameters of exported functions, that no caller in
+# bin/, benchmark/, examples/, tools/ or another lib/ module reaches (test/
+# does not count as a caller).
 #
 #   sh tools/test-only-surface.sh          print one "<Library>.<Module> <val>"
 #                                          or "<Library>.<Module> ?<param>"
 #                                          line per finding (Tcad.Extract
-#                                          is lib/tcad/extract.mli)
+#                                          is lib/tcad/extract.mli, Lint.Lint
+#                                          tools/lint/lint.mli)
 #   sh tools/test-only-surface.sh --check  exit 1 on a finding missing from
 #                                          tools/test-only-surface.allow, or
 #                                          on an allowlist entry that no
@@ -27,13 +28,13 @@ module_of() {
 }
 
 surface() {
-  for mli in lib/*/*.mli; do
+  for mli in lib/*/*.mli tools/lint/*.mli; do
     for v in $(grep -oE '^ *val [a-z_][A-Za-z0-9_]*' "$mli" | awk '{print $2}' | sort -u); do
       grep -rlw --include='*.ml' --include='*.mli' -e "$v" bin benchmark examples lib tools \
         | grep -qvxF -e "${mli%i}" -e "$mli" || echo "$(module_of "$mli") $v"
     done
   done
-  for mli in lib/*/*.mli; do
+  for mli in lib/*/*.mli tools/lint/*.mli; do
     for p in $(grep -oE '\?[a-z_][a-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
       grep -rlE --include='*.ml' -e "[~?]$p\b" bin benchmark examples lib tools \
         | grep -qvxF -e "${mli%i}" || echo "$(module_of "$mli") ?$p"
