@@ -17,12 +17,9 @@ let () =
            method_ iterations a b best residual)
     | _ -> None)
 
-type on_fail = [ `Raise | `Accept ]
-
 (* Every exhaustion path funnels through here so that a solver giving up is
-   never silent: the obs counter/event fires whether the caller chose to
-   [`Raise] or to [`Accept] the last iterate. *)
-let exhausted ~method_ ~on_fail ~a ~b ~best ~residual ~iterations =
+   never silent: the obs counter/event fires, then [No_convergence]. *)
+let exhausted ~method_ ~a ~b ~best ~residual ~iterations =
   Obs.non_converged ~solver:"numerics.root"
     ~attrs:
       [
@@ -34,24 +31,22 @@ let exhausted ~method_ ~on_fail ~a ~b ~best ~residual ~iterations =
         ("iterations", Obs.Trace.I iterations);
       ]
     (Printf.sprintf "%s exhausted %d iterations on [%g, %g]" method_ iterations a b);
-  match on_fail with
-  | `Raise -> raise (No_convergence { method_; a; b; best; residual; iterations })
-  | `Accept -> best
+  raise (No_convergence { method_; a; b; best; residual; iterations })
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ?(on_fail = `Raise) f a b =
+let bisect ?(tol = 1e-12) ?(max_iter = 200) f a b =
   let fa = f a and fb = f b in
   if Float.equal fa 0.0 then a
   else if Float.equal fb 0.0 then b
   else begin
     if fa *. fb > 0.0 then invalid_arg "Root.bisect: no sign change on [a, b]";
-    (* The tolerance test comes before the budget test so that converging
-       call sequences are unchanged from the pre-[on_fail] implementation
-       (golden snapshots are bit-exact about this). *)
+    (* The tolerance test comes before the budget test, so a converging
+       call sequence never reaches the exhaustion path (golden snapshots
+       are bit-exact about this). *)
     let rec loop a b fa iter =
       let m = 0.5 *. (a +. b) in
       if (b -. a) /. 2.0 < tol then m
       else if iter >= max_iter then
-        exhausted ~method_:"bisect" ~on_fail ~a ~b ~best:m ~residual:(f m) ~iterations:iter
+        exhausted ~method_:"bisect" ~a ~b ~best:m ~residual:(f m) ~iterations:iter
       else
         let fm = f m in
         if Float.equal fm 0.0 then m
@@ -62,7 +57,7 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ?(on_fail = `Raise) f a b =
   end
 
 (* Brent (1973), as in Numerical Recipes zbrent. *)
-let brent ?(tol = 1e-12) ?(max_iter = 200) ?(on_fail = `Raise) f a b =
+let brent ?(tol = 1e-12) ?(max_iter = 200) f a b =
   let fa = f a and fb = f b in
   if Float.equal fa 0.0 then a
   else if Float.equal fb 0.0 then b
@@ -131,5 +126,5 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ?(on_fail = `Raise) f a b =
     match !result with
     | Some r -> r
     | None ->
-      exhausted ~method_:"brent" ~on_fail ~a:!a ~b:!c ~best:!b ~residual:!fb ~iterations:!iter
+      exhausted ~method_:"brent" ~a:!a ~b:!c ~best:!b ~residual:!fb ~iterations:!iter
   end

@@ -2,9 +2,7 @@
 
     Every method has a bounded iteration budget, and exhausting it is never
     silent: the exhaustion path emits an [Obs.non_converged] event and then
-    either raises {!No_convergence} (the default) or, under
-    [~on_fail:`Accept], returns the best iterate so far.  Callers that can
-    tolerate an approximate root must say so explicitly. *)
+    raises {!No_convergence}, which carries the best iterate so far. *)
 
 exception
   No_convergence of {
@@ -16,18 +14,11 @@ exception
     iterations : int;
   }
 
-type on_fail = [ `Raise | `Accept ]
-(** What to do when the iteration budget is exhausted: [`Raise]
-    {!No_convergence} (default), or [`Accept] the best iterate (an obs
-    non-convergence event is emitted either way). *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> ?on_fail:on_fail -> (float -> float) -> float -> float -> float
+val bisect : ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
 (** [bisect f a b] finds a root of [f] in [[a, b]].  Requires a sign change
     ([Invalid_argument] otherwise).  [tol] is the interval-width target
     (default 1e-12). *)
 
-val brent :
-  ?tol:float -> ?max_iter:int -> ?on_fail:on_fail -> (float -> float) -> float -> float -> float
+val brent : ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
 (** Brent's method: bisection safety with inverse-quadratic speed.  Same
     contract as {!bisect}. *)

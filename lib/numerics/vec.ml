@@ -10,14 +10,6 @@ let linspace a b n =
   let h = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (h *. float_of_int i))
 
-let dot x y =
-  check_same_length "dot" x y;
-  let s = ref 0.0 in
-  for i = 0 to Array.length x - 1 do
-    s := !s +. (x.(i) *. y.(i))
-  done;
-  !s
-
 let add x y =
   check_same_length "add" x y;
   Array.init (Array.length x) (fun i -> x.(i) +. y.(i))

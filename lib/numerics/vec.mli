@@ -11,8 +11,6 @@ val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n] points evenly spaced from [a] to [b] inclusive.
     Requires [n >= 2]. *)
 
-val dot : t -> t -> float
-
 val add : t -> t -> t
 
 val max_abs_diff : t -> t -> float

@@ -23,6 +23,10 @@ val select :
     {!Sub_vth.select_node}), memoized on (kind, node, calibration): a
     repeated selection is a key and a lookup. *)
 
+val selection_key : kind -> Roadmap.node -> string
+(** The key both {!select_memo} and {!evaluate_memo} file a (kind, node)
+    under: the strategy, the node and the default calibration. *)
+
 val select_memo : (Device.Params.physical * Circuits.Inverter.pair) Exec.Memo.t
 (** The memo table behind {!select} (["scaling.select"]), exposed so a
     daemon can attach a persistent tier with {!selection_codec}. *)
@@ -61,6 +65,11 @@ type evaluation = {
   vmin : float;  (** energy-optimal supply [V] *)
   energy_at_vmin : float;  (** chain energy per cycle at V_min [J] *)
 }
+
+val evaluate_memo : evaluation Exec.Memo.t
+(** The ["scaling.evaluate"] memo table behind {!evaluate}, filed by
+    {!selection_key}.  The daemon looks an evaluation up on its select
+    loop and computes a miss with {!evaluate_uncached}. *)
 
 val evaluate : kind -> Roadmap.node -> evaluation
 (** The evaluation of the device {!select} picks, memoized on the same

@@ -14,7 +14,8 @@ type request =
   | Health
   | Shutdown
   | Device of { node : int; strategy : string }
-      (** compact-model evaluation of one scaled device *)
+      (** compact-model evaluation of one scaled device; identical
+          requests in a batch share one evaluation *)
   | Tcad of {
       node : int;
       strategy : string;

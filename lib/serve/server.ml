@@ -1,6 +1,6 @@
 (* The serving loop.  Single-threaded event loop over Unix.select.  A job
    whose value a memo or the store already holds is answered on the loop;
-   only the misses fan out over the shared Exec pool, one task per
+   only TCAD misses fan out over the shared Exec pool, one task per
    coalesced job, so the daemon parallelizes across queries while each
    TCAD run stays sequential (and therefore bit-reproducible).  A daemon
    that only answers cached queries never creates the pool. *)
@@ -19,6 +19,11 @@ let idvg_memo : Tcad.Extract.sweep Exec.Memo.t = Exec.Memo.create ~name:"serve.i
 let requests_counter = Obs.Metrics.counter "serve.requests"
 let errors_counter = Obs.Metrics.counter "serve.errors"
 let coalesced_counter = Obs.Metrics.counter "serve.coalesced"
+
+(* Every error response is built here, so [serve.errors] counts each one. *)
+let error_response ~id msg =
+  Obs.Metrics.incr errors_counter;
+  Protocol.error_response ~id msg
 
 (* --- device resolution ------------------------------------------------ *)
 
@@ -107,13 +112,14 @@ let health_fields store =
 type slot = { conn_id : int; seq : int; echo : Json.t }
 
 type job =
+  | J_dev of { node : int; strategy : string; slots : slot list }
   | J_char of {
       node : int;
       strategy : string;
       vdd : float;
       nx : int option;
       ny : int option;
-      slots : slot list; (* identical requests in the batch share one solve *)
+      slots : slot list; (* identical requests in a batch share one job *)
     }
   | J_sweep of {
       node : int;
@@ -134,7 +140,7 @@ let sweep_key ?nx ?ny desc ~vd grid =
           String.concat "," (List.map float (Array.to_list grid)) ) ])
 
 let job_slots = function
-  | J_char { slots; _ } -> slots
+  | J_dev { slots; _ } | J_char { slots; _ } -> slots
   | J_sweep { members; _ } -> List.map fst members
 
 (* A job's value lives in one memo cell.  [find] answers the job from
@@ -152,21 +158,30 @@ let cell memo ~key ~compute render =
     compute = (fun () -> render (Exec.Memo.compute memo ~key compute));
   }
 
+(* One ok response per slot, every body rendered from the same value. *)
+let each slots fields v =
+  List.map (fun slot -> (slot, Protocol.ok_response ~id:slot.echo (fields v))) slots
+
 (* Resolves the job's device (a selection: a lookup once a tier holds
    it) and names its cell; a node or strategy the roadmap lacks is an
    [Error]. *)
 let cell_of_job job =
   match job with
+  | J_dev { node; strategy; slots } ->
+    Result.map
+      (fun (n, kind, phys, pair) ->
+        cell Scaling.Strategy.evaluate_memo
+          ~key:(Scaling.Strategy.selection_key kind n)
+          ~compute:(fun () -> Scaling.Strategy.evaluate_uncached kind n phys pair)
+          (each slots evaluation_fields))
+      (Scaling.Strategy.resolve ~node ~strategy)
   | J_char { node; strategy; vdd; nx; ny; slots } ->
     Result.map
       (fun desc ->
         cell Tcad.Extract.characterize_memo
           ~key:(Tcad.Extract.characterize_key ?nx ?ny ~vdd desc)
           ~compute:(fun () -> Tcad.Extract.characterize ~vdd (Tcad.Structure.build ?nx ?ny desc))
-          (fun ch ->
-            List.map
-              (fun slot -> (slot, Protocol.ok_response ~id:slot.echo (characteristics_fields ch)))
-              slots))
+          (each slots characteristics_fields))
       (description ~node ~strategy)
   | J_sweep { node; strategy; nx; ny; vd; grid; members } ->
     Result.map
@@ -186,8 +201,7 @@ let cell_of_job job =
               members))
       (description ~node ~strategy)
 
-let failed job msg =
-  List.map (fun slot -> (slot, Protocol.error_response ~id:slot.echo msg)) (job_slots job)
+let failed job msg = List.map (fun slot -> (slot, error_response ~id:slot.echo msg)) (job_slots job)
 
 (* One catch-all around the WHOLE per-job body, on the loop and on the
    pool alike: any failure — mesh keying, structure build (mesher
@@ -199,95 +213,82 @@ let failed job msg =
 let guarded f = match f () with r -> r | exception e -> Error (Printexc.to_string e)
 
 (* On the select loop: a job whose value some tier holds is answered
-   here; a miss comes back with its cell, for the pool. *)
+   here; a miss comes back with its cell, for [run_job]. *)
 let answer_or_miss job =
   match guarded (fun () -> Result.map (fun c -> (c, c.find ())) (cell_of_job job)) with
   | Error msg -> Either.Left (failed job msg)
   | Ok (_, Some answers) -> Either.Left answers
   | Ok (c, None) -> Either.Right (job, c)
 
-(* On a pool domain: compute a missed value. *)
+(* On the loop (a device) or a pool domain (TCAD): compute a missed value. *)
 let run_job (job, c) =
   match guarded (fun () -> Ok (c.compute ())) with
   | Ok answers -> answers
   | Error msg -> failed job msg
 
-(* Batch planning: identical characterizations collapse to one J_char;
-   Id-Vg boxes coalesce per device via Coalesce.plan.  Degenerate boxes
-   are rejected here, before they can reach the planner, and come back
-   as ready-made error responses. *)
+(* [pairs] grouped by key: one (key, values) per distinct key, keys in
+   first-seen order, each key's values in input order. *)
+let group pairs =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (k, v) -> Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+    pairs;
+  (* a key's first pair takes its values out of the table *)
+  List.filter_map
+    (fun (k, _) ->
+      Option.map
+        (fun vs ->
+          Hashtbl.remove tbl k;
+          (k, List.rev vs))
+        (Hashtbl.find_opt tbl k))
+    pairs
+
+(* Batch planning: identical device evaluations collapse to one J_dev and
+   identical characterizations to one J_char; Id-Vg boxes coalesce per
+   device via Coalesce.plan.  Degenerate boxes are rejected here, before
+   they can reach the planner, and come back as ready-made error
+   responses. *)
 let plan_jobs deferred =
-  let rejects = ref [] in
-  let chars : (int * string * float * int option * int option, slot list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let char_order = ref [] in
-  let sweeps : (int * string * int option * int option, (slot * Coalesce.box) list ref)
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let sweep_order = ref [] in
+  let rejects = ref [] and devs = ref [] and chars = ref [] and boxes = ref [] in
   List.iter
     (fun (slot, req) ->
       match req with
-      | Protocol.Tcad { node; strategy; vdd; nx; ny } -> (
-        let k = (node, strategy, vdd, nx, ny) in
-        match Hashtbl.find_opt chars k with
-        | Some l -> l := slot :: !l
-        | None ->
-          Hashtbl.add chars k (ref [ slot ]);
-          char_order := k :: !char_order)
+      | Protocol.Device { node; strategy } -> devs := ((node, strategy), slot) :: !devs
+      | Protocol.Tcad { node; strategy; vdd; nx; ny } ->
+        chars := ((node, strategy, vdd, nx, ny), slot) :: !chars
       | Protocol.Idvg { node; strategy; vd; vg_min; vg_max; points; nx; ny } -> (
-        let k = (node, strategy, nx, ny) in
         let box = { Coalesce.rid = 0; vd; vg_min; vg_max; points } in
         match Coalesce.grid_of_box box with
         | exception Invalid_argument msg ->
-          rejects := (slot, Protocol.error_response ~id:slot.echo msg) :: !rejects
-        | _ -> (
-          match Hashtbl.find_opt sweeps k with
-          | Some l -> l := (slot, box) :: !l
-          | None ->
-            Hashtbl.add sweeps k (ref [ (slot, box) ]);
-            sweep_order := k :: !sweep_order))
-      | Protocol.Ping | Protocol.Health | Protocol.Shutdown | Protocol.Device _ ->
+          rejects := (slot, error_response ~id:slot.echo msg) :: !rejects
+        | _ -> boxes := ((node, strategy, nx, ny), (slot, box)) :: !boxes)
+      | Protocol.Ping | Protocol.Health | Protocol.Shutdown ->
         (* inline ops never reach the planner *)
         ())
     deferred;
+  let dev_jobs =
+    List.map
+      (fun ((node, strategy), slots) -> J_dev { node; strategy; slots })
+      (group (List.rev !devs))
+  in
   let char_jobs =
-    List.rev_map
-      (fun ((node, strategy, vdd, nx, ny) as k) ->
-        J_char { node; strategy; vdd; nx; ny; slots = List.rev !(Hashtbl.find chars k) })
-      !char_order
+    List.map
+      (fun ((node, strategy, vdd, nx, ny), slots) -> J_char { node; strategy; vdd; nx; ny; slots })
+      (group (List.rev !chars))
   in
   let sweep_jobs =
     List.concat_map
-      (fun ((node, strategy, nx, ny) as k) ->
-        let entries = Array.of_list (List.rev !(Hashtbl.find sweeps k)) in
-        let boxes =
-          Array.to_list
-            (Array.mapi (fun i (_, box) -> { box with Coalesce.rid = i }) entries)
-        in
+      (fun ((node, strategy, nx, ny), entries) ->
+        let slots = Array.of_list (List.map fst entries) in
         List.map
-          (fun (g : Coalesce.group) ->
-            if List.length g.Coalesce.members > 1 then
-              Obs.Metrics.incr ~by:(List.length g.Coalesce.members - 1) coalesced_counter;
-            J_sweep
-              {
-                node;
-                strategy;
-                nx;
-                ny;
-                vd = g.Coalesce.vd;
-                grid = g.Coalesce.grid;
-                members =
-                  List.map
-                    (fun (rid, idx) -> (fst entries.(rid), idx))
-                    g.Coalesce.members;
-              })
-          (Coalesce.plan boxes))
-      (List.rev !sweep_order)
+          (fun { Coalesce.vd; grid; members } ->
+            Obs.Metrics.incr ~by:(List.length members - 1) coalesced_counter;
+            let members = List.map (fun (rid, idx) -> (slots.(rid), idx)) members in
+            J_sweep { node; strategy; nx; ny; vd; grid; members })
+          (Coalesce.plan (List.mapi (fun rid (_, box) -> { box with Coalesce.rid }) entries)))
+      (group (List.rev !boxes))
   in
-  (List.rev !rejects, char_jobs @ sweep_jobs)
+  (List.rev !rejects, dev_jobs @ char_jobs @ sweep_jobs)
 
 (* --- connection bookkeeping ------------------------------------------- *)
 
@@ -492,11 +493,8 @@ let run ?on_ready config =
         Obs.Metrics.incr requests_counter;
         let key = (c.conn_id, seq) in
         match Protocol.parse_request line with
-        | Error msg ->
-          Obs.Metrics.incr errors_counter;
-          Hashtbl.replace responses key (Protocol.error_response ~id:Json.Null msg)
+        | Error msg -> Hashtbl.replace responses key (error_response ~id:Json.Null msg)
         | Ok { id; req } -> (
-          let slot = { conn_id = c.conn_id; seq; echo = id } in
           match req with
           | Protocol.Ping ->
             Hashtbl.replace responses key (Protocol.ok_response ~id [ ("pong", Json.Bool true) ])
@@ -506,23 +504,19 @@ let run ?on_ready config =
             running := false;
             Hashtbl.replace responses key
               (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ])
-          | Protocol.Device { node; strategy } ->
-            let resp =
-              match Scaling.Strategy.resolve ~node ~strategy with
-              | Error msg ->
-                Obs.Metrics.incr errors_counter;
-                Protocol.error_response ~id msg
-              | Ok (n, kind, _, _) ->
-                Protocol.ok_response ~id (evaluation_fields (Scaling.Strategy.evaluate kind n))
-            in
-            Hashtbl.replace responses key resp
-          | Protocol.Tcad _ | Protocol.Idvg _ -> deferred := (slot, req) :: !deferred))
+          | Protocol.Device _ | Protocol.Tcad _ | Protocol.Idvg _ ->
+            deferred := ({ conn_id = c.conn_id; seq; echo = id }, req) :: !deferred))
       batch;
-    (* 3. Answer the hits here; fan only the misses out over the pool
+    (* 3. Answer the hits here.  A device evaluation is a few ms of
+       compact-model work, less than creating the pool costs, so its
+       misses compute here too; only TCAD misses fan out over the pool
        ([Exec.map] of fewer than two items never touches it). *)
     let rejects, jobs = plan_jobs (List.rev !deferred) in
     let hits, misses = List.partition_map answer_or_miss jobs in
-    let computed = Exec.map run_job misses in
+    let dev_misses, tcad_misses =
+      List.partition (function J_dev _, _ -> true | (J_char _ | J_sweep _), _ -> false) misses
+    in
+    let computed = List.map run_job dev_misses @ Exec.map run_job tcad_misses in
     List.iter
       (List.iter (fun ((slot : slot), resp) ->
            Hashtbl.replace responses (slot.conn_id, slot.seq) resp))

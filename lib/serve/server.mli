@@ -6,8 +6,8 @@
 
     Each [select] round drains every complete request line from every
     connection into one batch: overlapping Id–Vg boxes in the batch are
-    {!Coalesce}d into shared warm-started runs, identical
-    characterization requests collapse into one solve, and responses are
+    {!Coalesce}d into shared warm-started runs, identical device or
+    characterization requests collapse into one job, and responses are
     written back in per-connection request order.  A [shutdown] request
     answers, flushes the store, and returns from {!run}. *)
 
@@ -19,10 +19,11 @@ type config = {
           anything other than a socket, or if a live daemon still
           answers on it. *)
   cache_dir : string option;
-      (** When set, an {!Exec.Store} opened here backs the
-          characterization and sweep memo tables: queries answered on one
-          run of the daemon are served bit-identically from disk by the
-          next. *)
+      (** When set, an {!Exec.Store} opened here backs the device
+          selection, characterization and sweep memo tables: queries
+          answered on one run of the daemon are served bit-identically
+          from disk by the next.  Device evaluations stay in memory and
+          are recomputed after a restart. *)
 }
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit

@@ -29,7 +29,8 @@ let gen_dd_system n =
       m;
     pure (m, b))
 
-let norm2 x = sqrt (Vec.dot x x)
+let dot x y = Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) x y)
+let norm2 x = sqrt (dot x x)
 
 let vec_tests =
   [
@@ -41,22 +42,17 @@ let vec_tests =
     u "linspace rejects n < 2" (fun () ->
         Alcotest.check_raises "invalid" (Invalid_argument "Vec.linspace: need at least 2 points")
           (fun () -> ignore (Vec.linspace 0.0 1.0 1)));
-    prop "dot is symmetric" QCheck2.Gen.(pair (gen_small_vec 6) (gen_small_vec 6))
-      (fun (x, y) -> Float.abs (Vec.dot x y -. Vec.dot y x) < 1e-9);
-    prop "Cauchy-Schwarz" QCheck2.Gen.(pair (gen_small_vec 6) (gen_small_vec 6))
-      (fun (x, y) ->
-        Float.abs (Vec.dot x y) <= (norm2 x *. norm2 y) +. 1e-9);
     prop "triangle inequality" QCheck2.Gen.(pair (gen_small_vec 6) (gen_small_vec 6))
       (fun (x, y) -> norm2 (Vec.add x y) <= norm2 x +. norm2 y +. 1e-9);
     u "length mismatch raises" (fun () ->
         Alcotest.check_raises "mismatch"
-          (Invalid_argument "Vec.dot: length mismatch (2 vs 3)") (fun () ->
-            ignore (Vec.dot [| 1.0; 2.0 |] [| 1.0; 2.0; 3.0 |])));
+          (Invalid_argument "Vec.add: length mismatch (2 vs 3)") (fun () ->
+            ignore (Vec.add [| 1.0; 2.0 |] [| 1.0; 2.0; 3.0 |])));
   ]
 
 (* Dense oracles for the LU tests. *)
 let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0))
-let mat_vec a x = Array.map (fun row -> Vec.dot row x) a
+let mat_vec a x = Array.map (fun row -> dot row x) a
 
 (* Solve through the sparse LU on [a]'s full pattern, slots row-major. *)
 let lu_solve a b =
@@ -413,22 +409,11 @@ let root_tests =
           Alcotest.(check int) "iterations" 3 iterations;
           Alcotest.(check bool) "bracket still straddles" true (a < Float.pi /. 2.0 && Float.pi /. 2.0 < b)
         | r -> Alcotest.failf "expected No_convergence, got %g" r);
-    u "bisect on_fail:`Accept returns the best iterate" (fun () ->
-        let r = Root.bisect ~max_iter:3 ~on_fail:`Accept cos 1.0 2.0 in
-        Alcotest.(check bool) "coarse midpoint" true (Float.abs (r -. (Float.pi /. 2.0)) < 0.2));
     u "brent raises No_convergence when the budget runs out" (fun () ->
         match Root.brent ~max_iter:2 cos 1.0 2.0 with
         | exception Root.No_convergence { method_; _ } ->
           Alcotest.(check string) "method" "brent" method_
         | r -> Alcotest.failf "expected No_convergence, got %g" r);
-    u "converging budgets are unchanged by the on_fail machinery" (fun () ->
-        (* Bit-identical to the same calls without ?on_fail: the tolerance
-           check precedes the budget check, so a converging sequence never
-           touches the exhaustion path. *)
-        Alcotest.(check (float 0.0)) "bisect" (Root.bisect cos 1.0 2.0)
-          (Root.bisect ~on_fail:`Accept cos 1.0 2.0);
-        Alcotest.(check (float 0.0)) "brent" (Root.brent cos 1.0 2.0)
-          (Root.brent ~on_fail:`Accept cos 1.0 2.0));
   ]
 
 let minimize_tests =

@@ -395,9 +395,11 @@ let non_convergence_tests =
               List.filter (fun e -> event_name e = "non_converged") (Trace.events ())
             in
             Alcotest.(check int) "instant event" 1 (List.length instants)));
-    u "Root `Accept fallback still emits the event" (fun () ->
+    u "Root brent exhaustion counts with tracing off" (fun () ->
         let before = counter_of "numerics.root.non_converged" in
-        ignore (Root.bisect ~max_iter:2 ~on_fail:`Accept cos 1.0 2.0 : float);
+        (match Root.brent ~max_iter:2 cos 1.0 2.0 with
+         | exception Root.No_convergence _ -> ()
+         | _ -> Alcotest.fail "expected No_convergence");
         Alcotest.(check int) "counter" (before + 1) (counter_of "numerics.root.non_converged"));
     slow_case "Gummel with max_gummel=1 fails loudly, counted and traced" (fun () ->
         let dev = Lazy.force tcad_device in

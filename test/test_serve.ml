@@ -438,6 +438,63 @@ let serve_tests =
             send fd [ {|{"op":"shutdown"}|} ];
             ignore (expect_ok (recv fd));
             Unix.close fd));
+    case "daemon: every error response counts in serve.errors" (fun () ->
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            (* One batch: a malformed line, a device and a tcad request on an
+               unknown node, and a degenerate sweep box. *)
+            let lines =
+              [ {|{"op":|};
+                {|{"op":"device","node":14,"strategy":"sub"}|};
+                {|{"op":"tcad","node":14,"strategy":"sub"}|};
+                {|{"op":"idvg","node":90,"strategy":"sub","vd":0.05,"vg_min":0.0,"vg_max":0.3,"points":1}|} ]
+            in
+            let before = Test_util.counter_value "serve.errors" in
+            send fd lines;
+            List.iter
+              (fun line ->
+                match Json.field "ok" (Json.parse_exn (recv fd)) with
+                | Json.Bool false -> ()
+                | _ -> Alcotest.failf "not an error response for %s" line)
+              lines;
+            Alcotest.(check int) "one count per error response" (before + 4)
+              (Test_util.counter_value "serve.errors");
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd));
+    slow_case "daemon: identical device requests in one batch share one evaluation"
+      (fun () ->
+        Memo.clear_all ();
+        (* Selecting the sub-V_th device fans out over its L_poly grid, so
+           it is selected before the daemon starts: the daemon's only miss
+           is the evaluation. *)
+        (match Subscale.Scaling.Strategy.resolve ~node:90 ~strategy:"sub" with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.fail msg);
+        let fanouts = Test_util.counter_value "exec.map.fanouts" in
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            let dev = {|{"op":"device","node":90,"strategy":"sub","id":1}|} in
+            send fd [ dev; {|{"op":"device","node":14,"strategy":"sub","id":2}|}; dev ];
+            let first = recv fd in
+            let unknown = Json.parse_exn (recv fd) in
+            let second = recv fd in
+            ignore (expect_ok first);
+            Alcotest.(check string) "byte-identical bodies" first second;
+            Alcotest.(check bool) "the unknown node errors on its own slot" true
+              (Json.field "ok" unknown = Json.Bool false && Json.field "id" unknown = Json.Num 2.0);
+            let evaluate =
+              List.find
+                (fun (s : Memo.stats) -> s.Memo.name = "scaling.evaluate")
+                (Memo.stats ())
+            in
+            Alcotest.(check (pair int int)) "one evaluation (misses, hits)" (1, 0)
+              (evaluate.Memo.misses, evaluate.Memo.hits);
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd);
+        Alcotest.(check int) "device misses compute on the loop" fanouts
+          (Test_util.counter_value "exec.map.fanouts"));
     slow_case "daemon: restarted process answers from the store, bit-identically"
       (fun () ->
         Memo.clear_all ();
@@ -533,7 +590,7 @@ let serve_tests =
         Alcotest.(check int) "the restarted daemon never fanned out" before (fanouts ());
         Alcotest.(check (list string)) "same bytes as the cold answers" cold warm;
         List.iter
-          (fun table ->
+          (fun (table, expected) ->
             let misses =
               Json.as_list "memo" (Json.field "memo" warm_health)
               |> List.find_map (fun row ->
@@ -541,8 +598,10 @@ let serve_tests =
                        Some (Json.as_int "misses" (Json.field "misses" row))
                      else None)
             in
-            Alcotest.(check (option int)) (table ^ ": nothing recomputed") (Some 0) misses)
-          [ "scaling.select"; "tcad.characterize"; "serve.idvg" ]);
+            Alcotest.(check (option int)) (table ^ ": misses") (Some expected) misses)
+          (* scaling.evaluate is memory-only: its miss recomputes on the loop *)
+          [ ("scaling.select", 0); ("tcad.characterize", 0); ("serve.idvg", 0);
+            ("scaling.evaluate", 1) ]);
     slow_case "daemon: a pooled miss reads the store once" (fun () ->
         Memo.clear_all ();
         (* The device is selected before the daemon starts, so the only
