@@ -132,16 +132,10 @@ let carry_delay ?(steps = 800) pair ~vdd ~bits =
   let all_ones = (1 lsl bits) - 1 in
   let adder = build ~cin_wave ~a_word:all_ones ~b_word:0 pair ~vdd ~bits in
   let sys = Spice.Mna.build adder.circuit in
-  let result =
-    Spice.Transient.run sys ~probes:[ Spice.Transient.Node adder.cout_node ] ~t_stop:window
-      ~steps
-  in
-  let times = Spice.Transient.times result in
-  let cout = Spice.Transient.voltage_of result adder.cout_node in
   let t_in = t_edge +. (0.5 *. tp_est) in
   match
-    Spice.Waveform.first_crossing ~after:t_in ~times ~values:cout ~level:(0.5 *. vdd)
-      Spice.Waveform.Either
+    Spice.Transient.first_crossings sys ~node:adder.cout_node ~levels:[ 0.5 *. vdd ]
+      ~after:t_in ~t_stop:window ~steps
   with
-  | Some t_out -> t_out -. t_in
-  | None -> failwith "Adder.carry_delay: carry-out did not switch within the window"
+  | [ Some t_out ] -> t_out -. t_in
+  | _ -> failwith "Adder.carry_delay: carry-out did not switch within the window"

@@ -40,22 +40,26 @@ let describe = function
   | Source name -> Printf.sprintf "source %S" name
 
 (* Index of a probe's value in the unknown vector; -1 for ground. *)
-let unknown_of sys = function
+let unknown_of ~what sys = function
   | Node n ->
     if n < 0 || n >= Mna.node_count sys then
       invalid_arg
-        (Printf.sprintf "Transient.run: no node %d (nodes are 0..%d)" n
+        (Printf.sprintf "Transient.%s: no node %d (nodes are 0..%d)" what n
            (Mna.node_count sys - 1));
     n - 1
   | Source name -> Mna.source_index sys name
 
-let run ?x0 sys ~probes ~t_stop ~steps =
-  if t_stop <= 0.0 then invalid_arg "Transient.run: t_stop must be positive";
-  if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
-  let probes = Array.of_list probes in
-  let unknowns = Array.map (unknown_of sys) probes in
+(* The step length and the number of steps of a run over [t_stop]. *)
+let grid ~what ~t_stop ~steps =
+  if t_stop <= 0.0 then invalid_arg (Printf.sprintf "Transient.%s: t_stop must be positive" what);
+  if steps <= 0 then invalid_arg (Printf.sprintf "Transient.%s: steps must be positive" what);
   let h = t_stop /. float_of_int steps in
-  let n_steps = int_of_float (ceil ((t_stop /. h) -. 1e-9)) in
+  (h, int_of_float (ceil ((t_stop /. h) -. 1e-9)))
+
+(* The one integration loop.  [observe step t x] sees the initial state
+   (step 0, t = 0) and then every accepted step; [x] is the run's state
+   buffer, valid only during the call. *)
+let integrate ~what ?x0 sys ~t_stop ~h ~n_steps observe =
   let nc = Mna.n_caps sys in
   let farads = Array.init nc (Mna.cap_farads sys) in
   (* Everything a step writes is allocated here, once: the Newton
@@ -74,15 +78,7 @@ let run ?x0 sys ~probes ~t_stop ~steps =
   let vcap = Array.make nc 0.0 and vmid = Array.make nc 0.0 in
   Mna.cap_voltages sys x vcap;
   let icap = Array.make nc 0.0 in
-  let times = Array.make (n_steps + 1) 0.0 in
-  let samples = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) probes in
-  let record step =
-    for k = 0 to Array.length unknowns - 1 do
-      let u = unknowns.(k) in
-      samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))
-    done
-  in
-  record 0;
+  observe 0 0.0 x;
   let t = ref 0.0 in
   for step = 1 to n_steps do
     let h_eff = Float.min h (t_stop -. !t) in
@@ -109,15 +105,50 @@ let run ?x0 sys ~probes ~t_stop ~steps =
     | Some x' ->
       if Numerics.Guard.is_enabled () then
         ignore
-          (Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.run: state at t=%.3e" t') x');
+          (Numerics.Guard.vec
+             ~origin:(Printf.sprintf "Transient.%s: state at t=%.3e" what t')
+             x');
       accept_caps sys caps x' vcap icap;
       Array.blit x' 0 x 0 (Array.length x);
       Obs.Metrics.incr steps_counter;
-      times.(step) <- t';
-      record step;
+      observe step t' x;
       t := t'
-  done;
+  done
+
+let run ?x0 sys ~probes ~t_stop ~steps =
+  let h, n_steps = grid ~what:"run" ~t_stop ~steps in
+  let probes = Array.of_list probes in
+  let unknowns = Array.map (unknown_of ~what:"run" sys) probes in
+  let times = Array.make (n_steps + 1) 0.0 in
+  let samples = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) probes in
+  integrate ~what:"run" ?x0 sys ~t_stop ~h ~n_steps (fun step t x ->
+      times.(step) <- t;
+      for k = 0 to Array.length unknowns - 1 do
+        let u = unknowns.(k) in
+        samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))
+      done);
   { times; probes; samples }
+
+let first_crossings sys ~node ~levels ~after ~t_stop ~steps =
+  let h, n_steps = grid ~what:"first_crossings" ~t_stop ~steps in
+  let u = unknown_of ~what:"first_crossings" sys (Node node) in
+  (* The segment from the last accepted point to the newest one, as the
+     two-sample waveform Waveform.segment_crossing reads. *)
+  let times = [| 0.0; 0.0 |] and values = [| 0.0; 0.0 |] in
+  let found = Array.make (List.length levels) None in
+  let scan k level =
+    if Option.is_none found.(k) then
+      match Waveform.segment_crossing ~times ~values ~level Waveform.Either 0 with
+      | Some tc when tc >= after -> found.(k) <- Some tc
+      | Some _ | None -> ()
+  in
+  integrate ~what:"first_crossings" sys ~t_stop ~h ~n_steps (fun step t x ->
+      times.(0) <- times.(1);
+      values.(0) <- values.(1);
+      times.(1) <- t;
+      values.(1) <- (if u < 0 then 0.0 else x.(u));
+      if step > 0 then List.iteri scan levels);
+  Array.to_list found
 
 let times result = result.times
 

@@ -3,10 +3,13 @@
     The first step is backward Euler to damp the trapezoidal rule's
     start-up ringing.
 
-    A run records only the signals its caller declares as probes: memory
-    is O(probes x steps), not O(nodes x steps).  One {!Dcop.workspace}
-    serves every Newton solve of a run, the initial operating point's
-    included. *)
+    Both entry points drive one integration loop that hands each accepted
+    step to its consumer.  {!run} records the signals its caller declares
+    as probes (memory O(probes x steps), not O(nodes x steps));
+    {!first_crossings} streams one node through {!Waveform.segment_crossing}
+    and keeps only the crossings, so its memory does not grow with the
+    steps.  One {!Dcop.workspace} serves every Newton solve of a run, the
+    initial operating point's included. *)
 
 type probe =
   | Node of int  (** a node voltage (node 0 is ground) *)
@@ -29,6 +32,21 @@ val run :
     unknown source name, before integrating; {!Dcop.No_convergence} if a
     time-point Newton fails after step halving.  Each accepted step bumps
     the [spice.transient.steps] counter. *)
+
+val first_crossings :
+  Mna.system ->
+  node:int ->
+  levels:float list ->
+  after:float ->
+  t_stop:float ->
+  steps:int ->
+  float option list
+(** Integrate as {!run} does (from the DC operating point at t = 0) and
+    return, per level in order, the node voltage's first crossing of that
+    level in either direction at or after [after]: bit for bit what
+    {!Waveform.first_crossing} [~after ~level Either] returns over {!run}'s
+    record of the node, but without recording it.  [None] for a level the
+    node does not cross.  Raises and counts steps as {!run} does. *)
 
 val times : result -> Numerics.Vec.t
 (** The accepted time points, starting at 0. *)

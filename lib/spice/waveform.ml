@@ -1,23 +1,28 @@
 type edge = Rising | Falling | Either
 
+let segment_crossing ~times ~values ~level edge i =
+  let d0 = values.(i) -. level and d1 = values.(i + 1) -. level in
+  let crosses = d0 *. d1 < 0.0 || (Float.equal d0 0.0 && not (Float.equal d1 0.0)) in
+  let direction_ok =
+    match edge with
+    | Rising -> d1 > d0
+    | Falling -> d1 < d0
+    | Either -> true
+  in
+  if crosses && direction_ok then begin
+    let t = d0 /. (d0 -. d1) in
+    Some (times.(i) +. (t *. (times.(i + 1) -. times.(i))))
+  end
+  else None
+
 let crossings ~times ~values ~level edge =
   let n = Array.length times in
   if n <> Array.length values then invalid_arg "Waveform.crossings: length mismatch";
   let acc = ref [] in
   for i = 0 to n - 2 do
-    let d0 = values.(i) -. level and d1 = values.(i + 1) -. level in
-    if d0 *. d1 < 0.0 || (Float.equal d0 0.0 && not (Float.equal d1 0.0)) then begin
-      let direction_ok =
-        match edge with
-        | Rising -> d1 > d0
-        | Falling -> d1 < d0
-        | Either -> true
-      in
-      if direction_ok then begin
-        let t = d0 /. (d0 -. d1) in
-        acc := (times.(i) +. (t *. (times.(i + 1) -. times.(i)))) :: !acc
-      end
-    end
+    match segment_crossing ~times ~values ~level edge i with
+    | Some t -> acc := t :: !acc
+    | None -> ()
   done;
   List.rev !acc
 

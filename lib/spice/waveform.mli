@@ -3,6 +3,15 @@
 
 type edge = Rising | Falling | Either
 
+val segment_crossing :
+  times:Numerics.Vec.t -> values:Numerics.Vec.t -> level:float -> edge -> int -> float option
+(** The crossing of [level] on the segment from sample [i] to sample
+    [i + 1], linearly interpolated, if it has the edge's direction.  A
+    segment that starts exactly at [level] crosses at its start; one that
+    ends there does not (the next segment reports it).  {!crossings} and
+    {!Transient.first_crossings} both measure with it, so they agree to the
+    bit. *)
+
 val crossings : times:Numerics.Vec.t -> values:Numerics.Vec.t -> level:float -> edge ->
   float list
 (** Interpolated crossing times of [level], filtered by edge direction. *)

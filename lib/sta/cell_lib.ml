@@ -53,27 +53,20 @@ let measure kind ?sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window =
     (Spice.Netlist.Capacitor
        { plus = fx.Circuits.Stdcell.out_node; minus = Spice.Netlist.ground; farads = load });
   let sys = Spice.Mna.build fx.Circuits.Stdcell.circuit in
-  let result =
-    Spice.Transient.run sys ~probes:[ Spice.Transient.Node fx.Circuits.Stdcell.out_node ]
-      ~t_stop:window ~steps:420
-  in
-  let times = Spice.Transient.times result in
-  let vout = Spice.Transient.voltage_of result fx.Circuits.Stdcell.out_node in
   let t_in = t0 +. (0.5 *. slew) in
-  let crossing level =
-    Spice.Waveform.first_crossing ~after:(0.5 *. t0) ~times ~values:vout ~level
-      Spice.Waveform.Either
-  in
-  match crossing (0.5 *. vdd) with
-  | None -> None
-  | Some t_out ->
-    let lo = 0.2 *. vdd and hi = 0.8 *. vdd in
+  match
+    Spice.Transient.first_crossings sys ~node:fx.Circuits.Stdcell.out_node
+      ~levels:[ 0.5 *. vdd; 0.2 *. vdd; 0.8 *. vdd ] ~after:(0.5 *. t0) ~t_stop:window
+      ~steps:420
+  with
+  | [ Some t_out; t_lo; t_hi ] ->
     let slew_out =
-      match (crossing lo, crossing hi) with
+      match (t_lo, t_hi) with
       | Some ta, Some tb -> Float.abs (tb -. ta) /. 0.6
       | _, _ -> 0.0
     in
     Some (t_out -. t_in, slew_out)
+  | _ -> None
 
 let default_grids pair sizing ~vdd =
   let cl = Circuits.Inverter.load_capacitance pair sizing in

@@ -231,7 +231,7 @@ let dcsweep_tests =
   ]
 
 (* RC low-pass driven by a step: exact solution v(t) = V (1 - e^{-t/RC}). *)
-let rc_step ~r ~cap ~v ~t_stop ~steps =
+let rc_deck ~r ~cap ~v =
   let c = N.create () in
   let top = N.node c "in" and out = N.node c "out" in
   N.add c
@@ -240,9 +240,76 @@ let rc_step ~r ~cap ~v ~t_stop ~steps =
          wave = N.Pwl [ (0.0, 0.0); (1e-15, v) ] });
   N.add c (N.Resistor { plus = top; minus = out; ohms = r });
   N.add c (N.Capacitor { plus = out; minus = 0; farads = cap });
-  let sys = Mna.build c in
+  (Mna.build c, out)
+
+let rc_step ~r ~cap ~v ~t_stop ~steps =
+  let sys, out = rc_deck ~r ~cap ~v in
   let result = Transient.run sys ~probes:[ Node out; Source "V" ] ~t_stop ~steps in
   (sys, out, result)
+
+(* One inverter stage on a shipped pair, its input pulsed high at 5 tp:
+   the system, the output node, the swing and a window past the edge. *)
+let inverter_deck pair ~vdd =
+  let tp = Circuits.Chain.estimated_stage_delay pair (Circuits.Inverter.balanced_sizing ()) ~vdd in
+  let input = N.Pulse { low = 0.0; high = vdd; delay = 5.0 *. tp; rise = tp;
+                        fall = tp; width = 1000.0 *. tp; period = 4000.0 *. tp } in
+  let fx = Circuits.Inverter.chain_fixture ~stages:1 pair ~vdd ~input in
+  (Mna.build fx.Circuits.Inverter.circuit, fx.Circuits.Inverter.stage_nodes.(1), vdd, 60.0 *. tp)
+
+let bits_of = Option.map Int64.bits_of_float
+
+(* Transient.first_crossings against Waveform.first_crossing over run's
+   record of the same node, on random decks, step counts, levels and
+   [after] bounds.  Every case adds three levels: one outside the swing,
+   which the node never crosses; the exact value of a sample inside the
+   edge, whose crossing is the sample itself (the segment that starts on
+   the level); and the midpoint of the first step.  [after] is no bound,
+   a random time, or that sample's time, where the crossing meets the
+   bound exactly. *)
+let streamed_crossings_prop =
+  let gen =
+    QCheck2.Gen.(
+      tup5 (int_range 0 2) (int_range 20 200)
+        (list_size (int_range 0 3) (float_range (-0.2) 1.2))
+        (int_range 0 2) (float_range (-0.1) 1.0))
+  in
+  prop "first_crossings streams run's crossings to the bit" ~count:60 gen
+    (fun (deck, steps, fractions, after_kind, after_frac) ->
+      let sys, node, swing, t_stop =
+        match deck with
+        | 0 ->
+          let sys, out = rc_deck ~r:1e3 ~cap:1e-9 ~v:1.0 in
+          (sys, out, 1.0, 5e-6)
+        | 1 -> inverter_deck (Circuits.Inverter.pair_of_physical phys90) ~vdd:0.25
+        | _ -> inverter_deck (sub32 ()) ~vdd:0.25
+      in
+      let result = Transient.run sys ~probes:[ Node node ] ~t_stop ~steps in
+      let times = Transient.times result and values = Transient.voltage_of result node in
+      (* The sample nearest mid-swing: the node is still moving there. *)
+      let k = ref 0 in
+      Array.iteri
+        (fun i v ->
+          if Float.abs (v -. (0.5 *. swing)) < Float.abs (values.(!k) -. (0.5 *. swing)) then
+            k := i)
+        values;
+      let k = !k in
+      let levels =
+        (1.5 *. swing) :: values.(k) :: (0.5 *. (values.(0) +. values.(1)))
+        :: List.map (fun f -> f *. swing) fractions
+      in
+      let after =
+        match after_kind with
+        | 0 -> neg_infinity
+        | 1 -> times.(k)
+        | _ -> after_frac *. t_stop
+      in
+      let streamed = Transient.first_crossings sys ~node ~levels ~after ~t_stop ~steps in
+      let recorded =
+        List.map (fun level -> W.first_crossing ~after ~times ~values ~level W.Either) levels
+      in
+      List.map bits_of streamed = List.map bits_of recorded
+      && List.hd streamed = None
+      && (after > times.(k) || List.nth streamed 1 <> None))
 
 let transient_tests =
   [
@@ -315,6 +382,7 @@ let transient_tests =
            two half-steps, all along a 32-stage ripple.  Measured: 2.41e-6 s. *)
         Test_util.check_in_range "carry delay" ~lo:2.3e-6 ~hi:2.5e-6
           (Circuits.Adder.carry_delay ~steps:200 (sub32 ()) ~vdd:0.25 ~bits:32));
+    streamed_crossings_prop;
   ]
 
 let waveform_tests =
@@ -391,19 +459,22 @@ let work_tests =
         Alcotest.(check int) "transient steps" 300 steps);
   ]
 
-(* Memory: one Newton workspace per transient, and only the probed
-   signals recorded.  At one domain both are a pure function of the code. *)
+(* Memory: one Newton workspace per transient, and no waveform recorded
+   where only crossings are read.  At one domain both are a pure function
+   of the code. *)
+
+(* Words allocated directly in the major heap (past the minor heap's size
+   limit).  Gc.counters is exact between collections; quick_stat samples. *)
+let direct () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 let memory_tests =
   [
     u "8-bit carry_delay at 32 nm: no per-step Jacobian or state history" (fun () ->
         let pair = sub32 () in
-        let vdd = 0.25 and bits = 8 and steps = 800 and probes = 1 in
+        let vdd = 0.25 and bits = 8 and steps = 800 in
         let adder = Circuits.Adder.ripple_carry pair ~vdd ~bits in
-        (* Gc.counters is exact between collections; quick_stat samples. *)
-        let direct () =
-          let _, promoted, major = Gc.counters () in
-          major -. promoted
-        in
         (* The one-time share: Mna.build's symbolic LU index arrays are
            past the minor heap's size limit. *)
         let build0 = direct () in
@@ -424,21 +495,66 @@ let memory_tests =
         let minor_half, _ = run (steps / 2) in
         let minor_full, direct_full = run steps in
         (* The difference of two runs leaves out the one-time share (the
-           netlist and Mna.build: 60.4k words at n = 180).  Measured: 41.4
-           words per step; adders of n = 48 and 356 measure 44.6 and 42.4,
+           netlist and Mna.build: 60.4k words at n = 180).  Measured: 43.4
+           words per step; adders of n = 48 and 356 measure 46.6 and 44.4,
            so the bound does not depend on n. *)
         Test_util.check_in_range "minor words per step" ~lo:0.0 ~hi:64.0
           ((minor_full -. minor_half) /. float_of_int (steps - (steps / 2)));
-        (* Measured: 4771 words, the time axis and one probe (802 words
-           each) plus one Mna.build (3167 words: the stamp table and the
-           symbolic LU); keeping every state vector took 147k. *)
-        Test_util.check_in_range "direct major words" ~lo:0.0
-          ~hi:(float_of_int (((1 + probes) * (steps + 1)) + 512) +. build_words)
+        (* Measured: 3167 words, all of them the one Mna.build's (the
+           stamp table and the symbolic LU).  The transient records no
+           waveform, so it allocates nothing there itself; recording the
+           time axis and the probe took 1604 words, every state vector
+           147k. *)
+        Test_util.check_in_range "direct major words" ~lo:0.0 ~hi:(512.0 +. build_words)
           direct_full);
     u "bits of the 8-bit carry_delay at 32 nm" (fun () ->
         Test_util.check_bits "carry delay"
           (Test_util.bit_pin "carry-delay-32-sub-8b").(0)
           (Circuits.Adder.carry_delay (sub32 ()) ~vdd:0.25 ~bits:8));
+    u "one Cell_lib.measure arc: no recorded waveform" (fun () ->
+        (* The deck and the crossings of Cell_lib.measure's INV arc at the
+           middle grid point (slew 2 tp, load 1.5 C_L, input rising) of the
+           90 nm library at 250 mV, which measures on 420 steps. *)
+        let pair = Circuits.Inverter.pair_of_physical phys90 in
+        let sizing = Circuits.Inverter.balanced_sizing () and vdd = 0.25 and steps = 420 in
+        let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
+        let cl = Circuits.Inverter.load_capacitance pair sizing in
+        let slew = 2.0 *. tp and load = 1.5 *. cl in
+        let window = (2.0 *. slew) +. (40.0 *. tp *. (1.0 +. (load /. cl))) in
+        let t0 = 0.05 *. window in
+        let deck () =
+          let active_wave = N.Pwl [ (0.0, 0.0); (t0, 0.0); (t0 +. slew, vdd) ] in
+          let fx = Circuits.Stdcell.inv ~sizing ~a_wave:active_wave ~b_wave:(N.Dc 0.0) pair ~vdd in
+          N.add fx.Circuits.Stdcell.circuit
+            (N.Capacitor { plus = fx.Circuits.Stdcell.out_node; minus = N.ground; farads = load });
+          (Mna.build fx.Circuits.Stdcell.circuit, fx.Circuits.Stdcell.out_node)
+        in
+        let build0 = direct () in
+        ignore (deck ());
+        let build_words = direct () -. build0 in
+        let run steps =
+          let steps0 = Test_util.counter_value "spice.transient.steps" in
+          let minor0 = Gc.minor_words () and direct0 = direct () in
+          let sys, node = deck () in
+          let crossings =
+            Transient.first_crossings sys ~node ~levels:[ 0.5 *. vdd; 0.2 *. vdd; 0.8 *. vdd ]
+              ~after:(0.5 *. t0) ~t_stop:window ~steps
+          in
+          let minor1 = Gc.minor_words () and direct1 = direct () in
+          Alcotest.(check int) "accepted steps" steps
+            (Test_util.counter_value "spice.transient.steps" - steps0);
+          Alcotest.(check bool) "all three levels crossed" true
+            (List.for_all Option.is_some crossings);
+          (minor1 -. minor0, direct1 -. direct0)
+        in
+        let minor_half, _ = run (steps / 2) in
+        let minor_full, direct_full = run steps in
+        (* Measured: 39.1 minor words per step, and no direct major words:
+           the deck's Mna.build is below the minor heap's size limit too. *)
+        Test_util.check_in_range "minor words per step" ~lo:0.0 ~hi:64.0
+          ((minor_full -. minor_half) /. float_of_int (steps - (steps / 2)));
+        Test_util.check_in_range "direct major words" ~lo:0.0 ~hi:(512.0 +. build_words)
+          direct_full);
   ]
 
 let suite =
