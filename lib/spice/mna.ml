@@ -49,21 +49,23 @@ type system = {
    terminal. *)
 let source_terminals n_nodes vsources =
   let owner = Array.make n_nodes (-1) in
-  let rec claim seen k =
+  (* [visited.(t) = round]: the search for source [round] has tried node
+     [t].  One array serves every source's search. *)
+  let visited = Array.make n_nodes (-1) in
+  let rec claim round k =
     let _, plus, minus, _ = vsources.(k) in
-    plus <> minus
-    && List.exists
-         (fun t ->
-           t <> 0 && (not seen.(t))
-           && (seen.(t) <- true;
-               owner.(t) < 0 || claim seen owner.(t))
-           && (owner.(t) <- k;
-               true))
-         [ plus; minus ]
+    plus <> minus && (take round k plus || take round k minus)
+  and take round k t =
+    t <> 0
+    && visited.(t) <> round
+    && (visited.(t) <- round;
+        owner.(t) < 0 || claim round owner.(t))
+    && (owner.(t) <- k;
+        true)
   in
   Array.iteri
     (fun k (name, _, _, _) ->
-      if not (claim (Array.make n_nodes false) k) then
+      if not (claim k k) then
         invalid_arg
           (Printf.sprintf "Mna.build: voltage source %S closes a loop of voltage sources"
              name))
@@ -71,6 +73,12 @@ let source_terminals n_nodes vsources =
   let terminal = Array.make (Array.length vsources) 0 in
   Array.iteri (fun t k -> if k >= 0 then terminal.(k) <- t) owner;
   terminal
+
+(* A slot table entry packs its column above [slot_bits] bits of slot. *)
+let slot_bits = 31
+let slot_mask = (1 lsl slot_bits) - 1
+
+let builds = Obs.Metrics.counter "spice.mna.builds"
 
 let build circuit =
   let n_nodes = Netlist.n_nodes circuit in
@@ -81,19 +89,35 @@ let build circuit =
   let kcl = Array.init n_nodes (fun nd -> nd - 1) in
   Array.iteri (fun k t -> kcl.(t) <- n_nodes - 1 + k) terminal;
   (* The Jacobian's structural entries, numbered in the order [assemble]
-     first touches them: [coords] lists them backwards, [index] finds one
-     by row.  -1 stands for an entry in ground's row or column. *)
-  let index = Array.make n [] and coords = ref [] and n_slots = ref 0 in
+     first touches them.  [entries.(r)] holds row r's first [used.(r)]
+     entries, each its column and slot packed into one int, and doubles
+     when full.  -1 stands for an entry in ground's row or column. *)
+  let entries = Array.make n [||] and used = Array.make n 0 and n_slots = ref 0 in
   let slot r c =
     if r < 0 || c < 0 then -1
-    else
-      match List.assoc_opt c index.(r) with
-      | Some s -> s
-      | None ->
-        index.(r) <- (c, !n_slots) :: index.(r);
-        coords := (r, c) :: !coords;
+    else begin
+      let row = entries.(r) and k = used.(r) in
+      let i = ref 0 in
+      while !i < k && row.(!i) lsr slot_bits <> c do
+        incr i
+      done;
+      if !i < k then row.(!i) land slot_mask
+      else begin
+        let row =
+          if k < Array.length row then row
+          else begin
+            let grown = Array.make (Int.max 4 (2 * k)) 0 in
+            Array.blit row 0 grown 0 k;
+            entries.(r) <- grown;
+            grown
+          end
+        in
+        row.(k) <- (c lsl slot_bits) lor !n_slots;
+        used.(r) <- k + 1;
         incr n_slots;
         !n_slots - 1
+      end
+    end
   in
   (* Row [node]'s KCL, column [wrt]'s voltage. *)
   let jac node wrt = if node = 0 then -1 else slot kcl.(node) (wrt - 1) in
@@ -131,8 +155,20 @@ let build circuit =
           jac = [| branch plus; branch minus; slot row (plus - 1); slot row (minus - 1) |] })
       sources
   in
-  let coords = Array.of_list (List.rev !coords) in
-  let pattern = Numerics.Sparse_lu.analyse ~n ~slots:!n_slots (Array.get coords) in
+  (* Each slot's row and column, packed like an entry, for the symbolic
+     LU. *)
+  let coord = Array.make !n_slots 0 in
+  Array.iteri
+    (fun r row ->
+      for i = 0 to used.(r) - 1 do
+        coord.(row.(i) land slot_mask) <- (r lsl slot_bits) lor (row.(i) lsr slot_bits)
+      done)
+    entries;
+  let pattern =
+    Numerics.Sparse_lu.analyse ~n ~slots:!n_slots (fun s ->
+        (coord.(s) lsr slot_bits, coord.(s) land slot_mask))
+  in
+  Obs.Metrics.incr builds;
   { stamps; n_nodes; vsources; caps; n; kcl; gmin_jac; pattern; n_slots = !n_slots }
 
 let pattern s = s.pattern
@@ -165,6 +201,35 @@ let source_index s name =
 let source_current s x name = x.(source_index s name)
 
 type cap_companion = { mutable geq : float; mutable ieq : float }
+
+let with_values ?(waves = []) ?(farads = []) s =
+  List.iter (fun (name, _) -> ignore (source_index s name)) waves;
+  let vsources =
+    match waves with
+    | [] -> s.vsources
+    | _ ->
+      Array.map
+        (fun v ->
+          match List.assoc_opt v.name waves with Some wave -> { v with wave } | None -> v)
+        s.vsources
+  in
+  let caps =
+    match farads with
+    | [] -> s.caps
+    | _ ->
+      let caps = Array.copy s.caps in
+      List.iter
+        (fun (i, c) ->
+          if i < 0 || i >= Array.length caps then
+            invalid_arg
+              (Printf.sprintf "Mna.with_values: no capacitor %d (capacitors are 0..%d)" i
+                 (Array.length caps - 1));
+          let p, m, _ = caps.(i) in
+          caps.(i) <- (p, m, c))
+        farads;
+      caps
+  in
+  { s with vsources; caps }
 
 let cap_voltages s x dst =
   for i = 0 to Array.length s.caps - 1 do

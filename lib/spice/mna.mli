@@ -15,7 +15,14 @@
     factored by {!Numerics.Sparse_lu} without pivoting. *)
 
 type system
-(** Immutable once built, so one system can be shared across domains. *)
+(** Immutable once built, so one system can be shared across domains.
+    A system has two halves.  Its topology is what {!build} computes once:
+    the stamps and their Jacobian slots, the source-row matching and the
+    symbolic LU.  Its values are the voltage sources' waveforms and the
+    capacitors' farads, the netlist's own unless {!with_values} replaced
+    them.  {!with_values} makes a new system that shares the topology, so
+    a sweep over input ramps and loads builds its circuit once, and every
+    system it hands out stays as immutable as the one it came from. *)
 
 val build : Netlist.t -> system
 (** Resolve the netlist's elements: resistor conductances, each MOSFET's
@@ -25,6 +32,17 @@ val build : Netlist.t -> system
     seen.  Raises [Invalid_argument] naming the voltage source that closes
     a loop of voltage sources (parallel sources and a source shorted to
     itself included): such a system has no solution. *)
+
+val with_values :
+  ?waves:(string * Netlist.waveform) list -> ?farads:(int * float) list -> system -> system
+(** [with_values ~waves ~farads s] is [s] with the named voltage sources'
+    waveforms and the numbered capacitors' values replaced (capacitors in
+    {!Netlist.capacitors} order); every other source and capacitor keeps
+    its value.  The result shares [s]'s topology, so it solves exactly as
+    a fresh {!build} of the netlist with those values would, bit for bit,
+    and it costs two small arrays instead of a build.  [s] is not changed.
+    Raises [Invalid_argument] naming an unknown source or an index outside
+    the capacitors. *)
 
 val size : system -> int
 (** Number of unknowns. *)

@@ -9,7 +9,9 @@
     {!first_crossings} streams one node through {!Waveform.segment_crossing}
     and keeps only the crossings, so its memory does not grow with the
     steps.  One {!Dcop.workspace} serves every Newton solve of a run, the
-    initial operating point's included. *)
+    initial operating point's included.  The source waves and capacitor
+    values are the system's own: a sweep over ramps or loads sets them on
+    one built system with {!Mna.with_values}. *)
 
 type probe =
   | Node of int  (** a node voltage (node 0 is ground) *)

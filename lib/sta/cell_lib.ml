@@ -30,32 +30,49 @@ type library = {
 (* Non-controlling value for the inactive pin: NAND needs 1, NOR needs 0. *)
 let non_controlling = function Inv -> 0.0 (* unused *) | Nand2 -> 1.0 | Nor2 -> 0.0
 
-let fixture kind ?sizing pair ~vdd ~pin ~active_wave =
-  let quiet = Spice.Netlist.Dc (non_controlling kind *. vdd) in
-  let a_wave, b_wave =
-    if pin = 0 then (active_wave, quiet) else (quiet, active_wave)
+(* One arc's system: the cell's fixture with [pin] as its active input
+   and a load capacitor on the output, built once.  The inactive input
+   sits at its non-controlling level.  [measure] sets the input ramp and
+   the load's value on the system; until then the active input is a DC 0
+   and the load 0 F. *)
+type arc_system = {
+  sys : Spice.Mna.system;
+  fx : Circuits.Stdcell.fixture;
+  active : string;  (* the active input's source *)
+  load : int;  (* the load's capacitor index *)
+}
+
+let arc_system kind ~sizing pair ~vdd ~pin =
+  let quiet = Spice.Netlist.Dc (non_controlling kind *. vdd) and active = Spice.Netlist.Dc 0.0 in
+  let a_wave, b_wave = if pin = 0 then (active, quiet) else (quiet, active) in
+  let fx =
+    match kind with
+    | Inv -> Circuits.Stdcell.inv ~sizing ~a_wave ~b_wave pair ~vdd
+    | Nand2 -> Circuits.Stdcell.nand2 ~sizing ~a_wave ~b_wave pair ~vdd
+    | Nor2 -> Circuits.Stdcell.nor2 ~sizing ~a_wave ~b_wave pair ~vdd
   in
-  match kind with
-  | Inv -> Circuits.Stdcell.inv ?sizing ~a_wave ~b_wave pair ~vdd
-  | Nand2 -> Circuits.Stdcell.nand2 ?sizing ~a_wave ~b_wave pair ~vdd
-  | Nor2 -> Circuits.Stdcell.nor2 ?sizing ~a_wave ~b_wave pair ~vdd
+  Spice.Netlist.add fx.Circuits.Stdcell.circuit
+    (Spice.Netlist.Capacitor
+       { plus = fx.Circuits.Stdcell.out_node; minus = Spice.Netlist.ground; farads = 0.0 });
+  let sys = Spice.Mna.build fx.Circuits.Stdcell.circuit in
+  let active = if pin = 0 then fx.Circuits.Stdcell.a_name else fx.Circuits.Stdcell.b_name in
+  { sys; fx; active; load = Spice.Mna.n_caps sys - 1 }
 
 (* One measurement: apply an input ramp of the given edge, return
    (propagation delay, output slew).  [window] bounds the transient. *)
-let measure kind ?sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window =
+let measure arc ~vdd ~input_rising ~slew ~load ~window =
   let t0 = 0.05 *. window in
   let active_wave =
     if input_rising then Spice.Netlist.Pwl [ (0.0, 0.0); (t0, 0.0); (t0 +. slew, vdd) ]
     else Spice.Netlist.Pwl [ (0.0, vdd); (t0, vdd); (t0 +. slew, 0.0) ]
   in
-  let fx = fixture kind ?sizing pair ~vdd ~pin ~active_wave in
-  Spice.Netlist.add fx.Circuits.Stdcell.circuit
-    (Spice.Netlist.Capacitor
-       { plus = fx.Circuits.Stdcell.out_node; minus = Spice.Netlist.ground; farads = load });
-  let sys = Spice.Mna.build fx.Circuits.Stdcell.circuit in
+  let sys =
+    Spice.Mna.with_values ~waves:[ (arc.active, active_wave) ] ~farads:[ (arc.load, load) ]
+      arc.sys
+  in
   let t_in = t0 +. (0.5 *. slew) in
   match
-    Spice.Transient.first_crossings sys ~node:fx.Circuits.Stdcell.out_node
+    Spice.Transient.first_crossings sys ~node:arc.fx.Circuits.Stdcell.out_node
       ~levels:[ 0.5 *. vdd; 0.2 *. vdd; 0.8 *. vdd ] ~after:(0.5 *. t0) ~t_stop:window
       ~steps:420
   with
@@ -80,17 +97,18 @@ let state_vectors kind =
   | 1 -> [ [| false |]; [| true |] ]
   | _ -> [ [| false; false |]; [| false; true |]; [| true; false |]; [| true; true |] ]
 
-let leakage_of kind ?sizing pair ~vdd =
-  let fx = fixture kind ?sizing pair ~vdd ~pin:0 ~active_wave:(Spice.Netlist.Dc 0.0) in
-  let sys = Spice.Mna.build fx.Circuits.Stdcell.circuit in
+(* Leakage per input state, from DC solves on pin 0's arc system: both
+   inputs are overridden, and a DC solve leaves the load open. *)
+let leakage_of kind arc ~vdd =
+  let fx = arc.fx in
   List.map
     (fun state ->
       let level i = if state.(Int.min i (Array.length state - 1)) then vdd else 0.0 in
       let overrides =
         [ (fx.Circuits.Stdcell.a_name, level 0); (fx.Circuits.Stdcell.b_name, level 1) ]
       in
-      let x = Spice.Dcop.solve ~overrides sys in
-      (state, Float.abs (Spice.Mna.source_current sys x fx.Circuits.Stdcell.vdd_name)))
+      let x = Spice.Dcop.solve ~overrides arc.sys in
+      (state, Float.abs (Spice.Mna.source_current arc.sys x fx.Circuits.Stdcell.vdd_name)))
     (state_vectors kind)
 
 let characterize_cell pair ~vdd kind =
@@ -98,7 +116,10 @@ let characterize_cell pair ~vdd kind =
   let slews, loads = default_grids pair sizing ~vdd in
   let ns = Array.length slews and nl = Array.length loads in
   let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
-  let arc_for pin =
+  (* One system per pin; every grid point and edge of its arc sets its
+     values on it. *)
+  let systems = Array.init (input_count kind) (fun pin -> arc_system kind ~sizing pair ~vdd ~pin) in
+  let arc_for pin arc =
     (* One transient per grid point measures both the delay and the slew. *)
     let tables input_rising =
       let points =
@@ -112,7 +133,7 @@ let characterize_cell pair ~vdd kind =
                       *. (1.0 +. (load /. Circuits.Inverter.load_capacitance pair sizing)))
                 in
                 match
-                  measure kind ~sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window
+                  measure arc ~vdd ~input_rising ~slew ~load ~window
                 with
                 | Some point -> point
                 | None ->
@@ -132,8 +153,8 @@ let characterize_cell pair ~vdd kind =
     kind;
     vdd;
     input_cap = Circuits.Inverter.gate_capacitance pair sizing;
-    arcs = Array.init (input_count kind) arc_for;
-    leakage = leakage_of kind ~sizing pair ~vdd;
+    arcs = Array.mapi arc_for systems;
+    leakage = leakage_of kind systems.(0) ~vdd;
   }
 
 let characterize pair ~vdd =

@@ -112,12 +112,14 @@ let continue_at ?(tol = 5e-7) ?(max_gummel = 40) ?(quiet = false) ~scratch:s dev
         (No_convergence
            (Printf.sprintf "Poisson stalled at Vg=%.3f Vd=%.3f (residual %.2e)" biases.gate
               biases.drain sol.Poisson.residual));
-    let psi' =
-      Numerics.Guard.fvec
-        ~origin:(Printf.sprintf "Gummel.gummel_at: psi at Vg=%.3f Vd=%.3f" biases.gate
-                   biases.drain)
-        sol.Poisson.psi
-    in
+    let psi' = sol.Poisson.psi in
+    (* The guard's origins are formatted only when the guard is on. *)
+    if Numerics.Guard.is_enabled () then
+      ignore
+        (Numerics.Guard.fvec
+           ~origin:(Printf.sprintf "Gummel.gummel_at: psi at Vg=%.3f Vd=%.3f" biases.gate
+                      biases.drain)
+           psi');
     let recombination = Some (Continuity.default_srh, prev.Poisson.n, prev.Poisson.p) in
     Continuity.solve_into ~recombination s dev ~carrier:Continuity.Electrons ~biases ~psi:psi'
       ~dst:{ Continuity.u = cur.Poisson.u; density = cur.Poisson.n; quasi_fermi = cur.Poisson.phi_n };
@@ -146,11 +148,14 @@ let continue_at ?(tol = 5e-7) ?(max_gummel = 40) ?(quiet = false) ~scratch:s dev
                 biases.drain delta))
       end;
       Obs.Metrics.observe inner_iterations_hist (float_of_int iter);
-      borrowed biases cur
-        (Numerics.Guard.float
-           ~origin:(Printf.sprintf "Gummel.gummel_at: drain current at Vg=%.3f Vd=%.3f"
-                      biases.gate biases.drain)
-           (total_drain_current dev ~psi:psi' ~u:cur.Poisson.u ~w:cur.Poisson.w))
+      let id = total_drain_current dev ~psi:psi' ~u:cur.Poisson.u ~w:cur.Poisson.w in
+      if Numerics.Guard.is_enabled () then
+        ignore
+          (Numerics.Guard.float
+             ~origin:(Printf.sprintf "Gummel.gummel_at: drain current at Vg=%.3f Vd=%.3f"
+                        biases.gate biases.drain)
+             id);
+      borrowed biases cur id
     end
     else loop cur (other cur) (iter + 1)
   in

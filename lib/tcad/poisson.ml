@@ -333,9 +333,11 @@ let solve_into ~tol ~quiet s dev ~biases ~(phi_n : Field.t) ~(phi_p : Field.t) ~
       { psi; iterations = iter; residual = scaled_res; converged = false }
     end
     else begin
-      Obs.Trace.instant ~cat:"tcad"
-        ~attrs:[ ("iteration", Obs.Trace.I iter); ("scaled_residual", Obs.Trace.F scaled_res) ]
-        "poisson.iter";
+      (* The attrs are built only when a trace will keep them. *)
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~cat:"tcad"
+          ~attrs:[ ("iteration", Obs.Trace.I iter); ("scaled_residual", Obs.Trace.F scaled_res) ]
+          "poisson.iter";
       (* Negated, so a NaN residual refactors. *)
       if iter = 0 || not (scaled_res <= 0.1 *. last_res) then Numerics.Stencil5.factor a;
       Field.blit rhs dpsi;

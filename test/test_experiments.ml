@@ -104,6 +104,30 @@ let registry_tests =
         let nodes = List.length Subscale.Scaling.Roadmap.nodes in
         Alcotest.(check int) "one miss per node" nodes s.Subscale.Exec.Memo.misses;
         Alcotest.(check int) "one hit per node" nodes s.Subscale.Exec.Memo.hits);
+    slow "each driver's MNA builds at one job, from cleared memo tables" (fun () ->
+        (* spice.mna.builds as a delta around each driver: at one job and
+           with every memo table cleared first, a pure function of the
+           code.  ext-sta builds one system per (node, cell, pin), 5 per
+           node, plus its 4 carry delays: 24, where a system per grid
+           point and per leakage fixture made 376. *)
+        ignore (Lazy.force ctx : E.context);
+        let jobs = Exec.jobs () in
+        Fun.protect ~finally:(fun () -> Exec.set_jobs jobs) @@ fun () ->
+        Exec.set_jobs 1;
+        let builds =
+          List.filter_map
+            (fun (e : E.experiment) ->
+              Exec.Memo.clear_all ();
+              let before = Test_util.counter_value "spice.mna.builds" in
+              ignore (e.E.run ~measured:false ctx : E.output);
+              match Test_util.counter_value "spice.mna.builds" - before with
+              | 0 -> None
+              | n -> Some (e.E.id, n))
+            E.registry
+        in
+        Alcotest.(check (list (pair string int))) "builds per driver"
+          [ ("fig4", 4); ("ext-datapath", 8); ("ext-sta", 24); ("ext-corners", 10) ]
+          builds);
   ]
 
 let headline_tests =

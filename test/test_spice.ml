@@ -167,6 +167,67 @@ let mna_tests =
         Alcotest.check_raises "loop"
           (Invalid_argument "Mna.build: voltage source \"V3\" closes a loop of voltage sources")
           (fun () -> ignore (Mna.build c)));
+    u "with_values solves as a fresh build of its values, bit for bit" (fun () ->
+        let bits = Array.map Int64.bits_of_float in
+        (* An RC step, built once with placeholder values and then given
+           the ones each fresh netlist is built with. *)
+        let rc ~wave ~farads =
+          let c = N.create () in
+          let top = N.node c "in" and out = N.node c "out" in
+          N.add c (N.Voltage_source { name = "V"; plus = top; minus = 0; wave });
+          N.add c (N.Resistor { plus = top; minus = out; ohms = 1e3 });
+          N.add c (N.Capacitor { plus = out; minus = 0; farads });
+          (Mna.build c, out)
+        in
+        let shared, out = rc ~wave:(N.Dc 0.0) ~farads:0.0 in
+        let record sys =
+          Transient.voltage_of (Transient.run sys ~probes:[ Node out ] ~t_stop:5e-9 ~steps:50) out
+        in
+        List.iter
+          (fun (v, farads) ->
+            let wave = N.Pwl [ (0.0, 0.0); (1e-9, v) ] in
+            let set = Mna.with_values ~waves:[ ("V", wave) ] ~farads:[ (0, farads) ] shared in
+            Alcotest.(check (array int64)) "RC waveform" (bits (record (fst (rc ~wave ~farads))))
+              (bits (record set)))
+          [ (1.0, 1e-12); (0.25, 3e-12) ];
+        Alcotest.(check (float 0.0)) "the shared system keeps its own load" 0.0
+          (Mna.cap_farads shared 0);
+        (* A NAND2 with a load: both inputs' waves and the load set, as
+           Cell_lib sets them. *)
+        let pair = Circuits.Inverter.pair_of_physical phys90 and vdd = 0.25 in
+        let nand ?a_wave ?b_wave farads =
+          let fx = Circuits.Stdcell.nand2 ?a_wave ?b_wave pair ~vdd in
+          N.add fx.Circuits.Stdcell.circuit
+            (N.Capacitor { plus = fx.Circuits.Stdcell.out_node; minus = 0; farads });
+          (Mna.build fx.Circuits.Stdcell.circuit, fx.Circuits.Stdcell.out_node)
+        in
+        let shared, out = nand 0.0 in
+        let a_wave = N.Pwl [ (0.0, 0.0); (1e-8, 0.0); (2e-8, vdd) ] and b_wave = N.Dc vdd in
+        let fresh, _ = nand ~a_wave ~b_wave 2e-15 in
+        let set =
+          Mna.with_values ~waves:[ ("VA", a_wave); ("VB", b_wave) ] ~farads:[ (0, 2e-15) ] shared
+        in
+        let crossings sys =
+          Transient.first_crossings sys ~node:out ~levels:[ 0.5 *. vdd; 0.2 *. vdd ] ~after:0.0
+            ~t_stop:4e-7 ~steps:200
+        in
+        let crossing_bits sys = List.map (Option.map Int64.bits_of_float) (crossings sys) in
+        Alcotest.(check (list (option int64))) "NAND2 crossings" (crossing_bits fresh)
+          (crossing_bits set);
+        Alcotest.(check bool) "the output falls" true
+          (List.for_all Option.is_some (crossings set)));
+    u "with_values rejects an unknown source and a capacitor outside the system" (fun () ->
+        let c = N.create () in
+        let a = N.node c "a" in
+        N.add c (N.Voltage_source { name = "V"; plus = a; minus = 0; wave = N.Dc 1.0 });
+        N.add c (N.Capacitor { plus = a; minus = 0; farads = 1e-12 });
+        let sys = Mna.build c in
+        Alcotest.check_raises "source"
+          (Invalid_argument "Mna: no voltage source named \"W\" (known: V)")
+          (fun () -> ignore (Mna.with_values ~waves:[ ("W", N.Dc 0.0) ] sys));
+        Alcotest.check_raises "capacitor"
+          (Invalid_argument "Mna.with_values: no capacitor 1 (capacitors are 0..0)")
+          (fun () -> ignore (Mna.with_values ~farads:[ (1, 1e-12) ] sys)));
   ]
 
 let inverter_fixture vdd =
@@ -495,7 +556,7 @@ let memory_tests =
         let minor_half, _ = run (steps / 2) in
         let minor_full, direct_full = run steps in
         (* The difference of two runs leaves out the one-time share (the
-           netlist and Mna.build: 60.4k words at n = 180).  Measured: 43.4
+           netlist and Mna.build: 44.5k words at n = 180).  Measured: 43.4
            words per step; adders of n = 48 and 356 measure 46.6 and 44.4,
            so the bound does not depend on n. *)
         Test_util.check_in_range "minor words per step" ~lo:0.0 ~hi:64.0
@@ -522,20 +583,20 @@ let memory_tests =
         let slew = 2.0 *. tp and load = 1.5 *. cl in
         let window = (2.0 *. slew) +. (40.0 *. tp *. (1.0 +. (load /. cl))) in
         let t0 = 0.05 *. window in
-        let deck () =
-          let active_wave = N.Pwl [ (0.0, 0.0); (t0, 0.0); (t0 +. slew, vdd) ] in
-          let fx = Circuits.Stdcell.inv ~sizing ~a_wave:active_wave ~b_wave:(N.Dc 0.0) pair ~vdd in
-          N.add fx.Circuits.Stdcell.circuit
-            (N.Capacitor { plus = fx.Circuits.Stdcell.out_node; minus = N.ground; farads = load });
-          (Mna.build fx.Circuits.Stdcell.circuit, fx.Circuits.Stdcell.out_node)
-        in
         let build0 = direct () in
-        ignore (deck ());
+        let fx = Circuits.Stdcell.inv ~sizing pair ~vdd in
+        N.add fx.Circuits.Stdcell.circuit
+          (N.Capacitor { plus = fx.Circuits.Stdcell.out_node; minus = N.ground; farads = 0.0 });
+        let arc = Mna.build fx.Circuits.Stdcell.circuit and node = fx.Circuits.Stdcell.out_node in
         let build_words = direct () -. build0 in
         let run steps =
           let steps0 = Test_util.counter_value "spice.transient.steps" in
           let minor0 = Gc.minor_words () and direct0 = direct () in
-          let sys, node = deck () in
+          let sys =
+            Mna.with_values
+              ~waves:[ ("VA", N.Pwl [ (0.0, 0.0); (t0, 0.0); (t0 +. slew, vdd) ]) ]
+              ~farads:[ (0, load) ] arc
+          in
           let crossings =
             Transient.first_crossings sys ~node ~levels:[ 0.5 *. vdd; 0.2 *. vdd; 0.8 *. vdd ]
               ~after:(0.5 *. t0) ~t_stop:window ~steps
@@ -550,11 +611,40 @@ let memory_tests =
         let minor_half, _ = run (steps / 2) in
         let minor_full, direct_full = run steps in
         (* Measured: 39.1 minor words per step, and no direct major words:
-           the deck's Mna.build is below the minor heap's size limit too. *)
+           the deck's Mna.build is below the minor heap's size limit too,
+           and each run only sets the input ramp and the load on it. *)
         Test_util.check_in_range "minor words per step" ~lo:0.0 ~hi:64.0
           ((minor_full -. minor_half) /. float_of_int (steps - (steps / 2)));
         Test_util.check_in_range "direct major words" ~lo:0.0 ~hi:(512.0 +. build_words)
           direct_full);
+    u "8-bit adder build: minor and promoted words" (fun () ->
+        let adder = Circuits.Adder.ripple_carry (sub32 ()) ~vdd:0.25 ~bits:8 in
+        (* From an empty minor heap, and collected at once, so no minor
+           collection falls inside the build: the promoted words are the
+           built system itself.  Measured: 39,188 minor words (49,181
+           with an assoc-list slot table) and 12.85k-12.88k promoted
+           (20.8k-20.9k). *)
+        Gc.minor ();
+        let minor0 = Gc.minor_words () and _, promoted0, _ = Gc.counters () in
+        let sys = Mna.build adder.Circuits.Adder.circuit in
+        Gc.minor ();
+        let minor1 = Gc.minor_words () and _, promoted1, _ = Gc.counters () in
+        Alcotest.(check int) "unknowns" 180 (Mna.size sys);
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 39_188.0) (minor1 -. minor0);
+        Test_util.check_in_range "promoted words" ~lo:0.0 ~hi:(1.05 *. 12_879.0)
+          (promoted1 -. promoted0));
+    u "one Cell_lib arc's 3x3 grid and both edges make one build" (fun () ->
+        let pair = Circuits.Inverter.pair_of_physical phys90 in
+        let builds kind =
+          let before = Test_util.counter_value "spice.mna.builds" in
+          let cell = Sta.Cell_lib.characterize_cell pair ~vdd:0.25 kind in
+          Alcotest.(check int) "arcs" (Sta.Cell_lib.input_count kind)
+            (Array.length cell.Sta.Cell_lib.arcs);
+          Test_util.counter_value "spice.mna.builds" - before
+        in
+        (* The leakage states solve on pin 0's system. *)
+        Alcotest.(check int) "INV: one arc" 1 (builds Sta.Cell_lib.Inv);
+        Alcotest.(check int) "NAND2: one per pin" 2 (builds Sta.Cell_lib.Nand2));
   ]
 
 let suite =
