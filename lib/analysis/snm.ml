@@ -8,32 +8,75 @@ type margins = {
   snm : float;
 }
 
-let of_curve curve =
-  let g = Vtc.gain curve in
-  let crossings = Numerics.Interp.crossings curve.Vtc.vin g (-1.0) in
-  match crossings with
-  | vil :: rest ->
-    let vih =
-      match List.rev rest with
-      | vih :: _ -> vih
-      | [] -> failwith "Snm.of_curve: only one gain = -1 point (insufficient gain)"
-    in
-    let vout_at v = Numerics.Interp.linear curve.Vtc.vin curve.Vtc.vout v in
+(* dV_out/dV_in at [i] by central differences, one-sided at the ends. *)
+let[@inline] gain_at (vin : float array) (vout : float array) n i =
+  if i = 0 then (vout.(1) -. vout.(0)) /. (vin.(1) -. vin.(0))
+  else if i = n - 1 then (vout.(n - 1) -. vout.(n - 2)) /. (vin.(n - 1) -. vin.(n - 2))
+  else (vout.(i + 1) -. vout.(i - 1)) /. (vin.(i + 1) -. vin.(i - 1))
+
+(* One pass over the gain, computed sample by sample, keeps the first and
+   the last point where it crosses -1, each interpolated as
+   [Interp.crossings] would over the whole gain curve: no gain array, no
+   crossings list. *)
+let of_curve { Vtc.vin; vout } =
+  let n = Array.length vin in
+  if n < 2 || Array.length vout <> n then invalid_arg "Snm.of_curve: need two or more samples";
+  for i = 0 to n - 2 do
+    if vin.(i + 1) <= vin.(i) then invalid_arg "Snm.of_curve: vin must be strictly increasing"
+  done;
+  let level = -1.0 in
+  let found = ref 0 and first = ref 0.0 and last = ref 0.0 in
+  let g = ref (gain_at vin vout n 0) in
+  for i = 0 to n - 2 do
+    let g1 = gain_at vin vout n (i + 1) in
+    let d0 = !g -. level and d1 = g1 -. level in
+    if Float.equal d0 0.0 || d0 *. d1 < 0.0 then begin
+      let x =
+        if Float.equal d0 0.0 then vin.(i)
+        else begin
+          let t = d0 /. (d0 -. d1) in
+          vin.(i) +. (t *. (vin.(i + 1) -. vin.(i)))
+        end
+      in
+      if !found = 0 then first := x;
+      last := x;
+      incr found
+    end;
+    g := g1
+  done;
+  if Float.equal !g level then begin
+    if !found = 0 then first := vin.(n - 1);
+    last := vin.(n - 1);
+    incr found
+  end;
+  match !found with
+  | 0 -> failwith "Snm.of_curve: no gain = -1 point (insufficient gain)"
+  | 1 -> failwith "Snm.of_curve: only one gain = -1 point (insufficient gain)"
+  | _ ->
+    let vil = !first and vih = !last in
+    let vout_at v = Numerics.Interp.linear vin vout v in
     let voh = vout_at vil and vol = vout_at vih in
     let nml = vil -. vol and nmh = voh -. vih in
     { vil; vih; vol; voh; nml; nmh; snm = Float.min nml nmh }
-  | [] -> failwith "Snm.of_curve: no gain = -1 point (insufficient gain)"
 
 let evals_counter = Obs.Metrics.counter "analysis.snm.evals"
+
+let points = 201
 
 let inverter ?(engine = `Analytic) pair ~sizing ~vdd =
   Obs.Metrics.incr evals_counter;
   let curve =
     match engine with
-    | `Analytic -> Vtc.analytic ~points:201 pair ~sizing ~vdd
-    | `Spice -> Vtc.spice ~points:201 pair ~sizing ~vdd
+    | `Analytic -> Vtc.analytic ~points pair ~sizing ~vdd
+    | `Spice -> Vtc.spice ~points pair ~sizing ~vdd
   in
   of_curve curve
+
+let stage pair ~sizing ~vdd = Vtc.stage ~points pair ~sizing ~vdd
+
+let shifted st ~dvn ~dvp =
+  Obs.Metrics.incr evals_counter;
+  of_curve (Vtc.apply st ~dvn ~dvp)
 
 (* Maximum-square method.  An axis-aligned square inscribed in a butterfly
    lobe with opposite corners on the two branches has its diagonal along a

@@ -28,16 +28,6 @@ let summarize samples =
   let p95 = sorted.(Int.min (n - 1) (int_of_float (0.95 *. float_of_int n))) in
   { samples = sorted; mean; sigma; p95; ratio_95_to_mean = p95 /. mean }
 
-(* Per-stage delay with mismatched devices: Eq. 5 with the shifted pair.
-   The load capacitance is mismatch-free (geometry, not doping). *)
-let stage_delay (pair : Circuits.Inverter.pair) sizing ~vdd ~dvn ~dvp =
-  let nfet = Device.Compact.with_vth_shift pair.Circuits.Inverter.nfet dvn in
-  let pfet = Device.Compact.with_vth_shift pair.Circuits.Inverter.pfet dvp in
-  let cl = Circuits.Inverter.load_capacitance pair sizing in
-  let i_n = sizing.Circuits.Inverter.wn *. Device.Iv_model.ion nfet ~vdd in
-  let i_p = sizing.Circuits.Inverter.wp *. Device.Iv_model.ion pfet ~vdd in
-  Delay.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p))
-
 (* [n] draws of an (N, P) threshold-shift pair from the seed-42 stream:
    draw [k] takes the N shift, then the P shift (the goldens pin this
    order).  Kept in two flat float arrays, so no draw is boxed. *)
@@ -62,18 +52,38 @@ let draw_shifts ~n ~sn ~sp =
 let chain_delay_distributions ?(trials = 400) ?(stages = 30) pair ~vdds =
   if trials < 2 then invalid_arg "Variability.chain_delay_distribution: need >= 2 trials";
   let sizing = Circuits.Inverter.balanced_sizing () in
-  let sn = sigma_vth pair.Circuits.Inverter.nfet ~width:sizing.Circuits.Inverter.wn in
-  let sp = sigma_vth pair.Circuits.Inverter.pfet ~width:sizing.Circuits.Inverter.wp in
+  let wn = sizing.Circuits.Inverter.wn and wp = sizing.Circuits.Inverter.wp in
+  let sn = sigma_vth pair.Circuits.Inverter.nfet ~width:wn in
+  let sp = sigma_vth pair.Circuits.Inverter.pfet ~width:wp in
   let dvn, dvp = draw_shifts ~n:(trials * stages) ~sn ~sp in
   let trial_ids = Array.init trials Fun.id in
+  (* Each stage is Eq. 5 with the shifted pair: I_on of each device
+     evaluated on coefficients prepared once, with the stage's shift added
+     inside the evaluation, as Compact.with_vth_shift adds it.  The load
+     capacitance is mismatch-free (geometry, not doping). *)
+  let cn = Device.Iv_model.prepare pair.Circuits.Inverter.nfet in
+  let cp = Device.Iv_model.prepare pair.Circuits.Inverter.pfet in
+  let cl = Circuits.Inverter.load_capacitance pair sizing in
   List.map
     (fun vdd ->
       let samples =
         Exec.map_array
           (fun trial ->
+            (* The trial's own bias buffer: trials run on any domain. *)
+            let b = Array.make 3 0.0 in
             let total = ref 0.0 in
             for k = trial * stages to ((trial + 1) * stages) - 1 do
-              total := !total +. stage_delay pair sizing ~vdd ~dvn:dvn.(k) ~dvp:dvp.(k)
+              b.(0) <- vdd;
+              b.(1) <- vdd;
+              b.(2) <- dvn.(k);
+              Device.Iv_model.eval_shifted_into cn b;
+              let i_n = wn *. b.(0) in
+              b.(0) <- vdd;
+              b.(1) <- vdd;
+              b.(2) <- dvp.(k);
+              Device.Iv_model.eval_shifted_into cp b;
+              let i_p = wp *. b.(0) in
+              total := !total +. (Delay.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p)))
             done;
             !total)
           trial_ids
@@ -90,17 +100,11 @@ let snm_distribution ?(trials = 400) ?(sizing = Circuits.Inverter.balanced_sizin
   let sn = sigma_vth pair.Circuits.Inverter.nfet ~width:sizing.Circuits.Inverter.wn in
   let sp = sigma_vth pair.Circuits.Inverter.pfet ~width:sizing.Circuits.Inverter.wp in
   let dvn, dvp = draw_shifts ~n:trials ~sn ~sp in
+  let st = Snm.stage pair ~sizing ~vdd in
   let samples =
     Exec.map_array
       (fun trial ->
-        let pair' =
-          {
-            Circuits.Inverter.nfet =
-              Device.Compact.with_vth_shift pair.Circuits.Inverter.nfet dvn.(trial);
-            pfet = Device.Compact.with_vth_shift pair.Circuits.Inverter.pfet dvp.(trial);
-          }
-        in
-        match Snm.inverter ~engine:`Analytic pair' ~sizing ~vdd with
+        match Snm.shifted st ~dvn:dvn.(trial) ~dvp:dvp.(trial) with
         | margins -> Float.max 0.0 margins.Snm.snm
         | exception Failure _ -> 0.0)
       (Array.init trials Fun.id)

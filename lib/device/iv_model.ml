@@ -44,6 +44,13 @@ let prepare dev =
     ec_leff = Physics.Mobility.critical_field carrier dev.Compact.neff *. dev.Compact.leff;
   }
 
+(* [Compact.vth] at [vds] from the prepared factors, [offset] standing in
+   for the calibration's V_th offset: [Compact.with_vth_shift] adds its
+   shift there, so [offset = vth_offset +. shift] is the shifted device's
+   threshold, bit for bit. *)
+let[@inline] threshold c ~offset vds =
+  c.vth0 +. (c.sce_gain *. (c.sce_bias +. (c.k_dibl *. vds)) *. c.sce_decay) +. offset
+
 (* EKV interpolation F(u) = l^2 with l = softplus(u/2), u normalized to vT,
    so F'(u) = l * logistic(u/2).  Above u/2 = 40 softplus is the identity
    and the logistic is 1.  Velocity saturation divides by
@@ -51,13 +58,11 @@ let prepare dev =
    logistic(u_f/2) / 2.  The threshold moves with vds through DIBL, so
    du_f/dvds = -(dV_th/dV_ds) / (m vT) and du_r/dvds = du_f/dvds - 1/vT.
    The bias comes in and the result goes out through [b], so a caller's
-   floats cross no call boundary, where they would be boxed. *)
-let eval_into c b =
+   floats cross no call boundary, where they would be boxed; [eval] is
+   inlined into its two entry points, so [offset] is not boxed either. *)
+let[@inline] eval c ~offset b =
   let vgs = b.(0) and vds = b.(1) in
-  if vds < 0.0 then invalid_arg "Iv_model.eval_into: vds must be non-negative";
-  let vth =
-    c.vth0 +. (c.sce_gain *. (c.sce_bias +. (c.k_dibl *. vds)) *. c.sce_decay) +. c.vth_offset
-  in
+  let vth = threshold c ~offset vds in
   let vp = (vgs -. vth) /. c.m in
   let hf = 0.5 *. (vp /. c.vt) and hr = 0.5 *. ((vp -. vds) /. c.vt) in
   let ef = exp hf and er = exp hr in
@@ -77,6 +82,16 @@ let eval_into c b =
   b.(0) <- id;
   b.(1) <- gm;
   b.(2) <- gds
+
+let eval_into c b =
+  if b.(1) < 0.0 then invalid_arg "Iv_model.eval_into: vds must be non-negative";
+  eval c ~offset:c.vth_offset b
+
+let eval_shifted_into c b =
+  if b.(1) < 0.0 then invalid_arg "Iv_model.eval_shifted_into: vds must be non-negative";
+  eval c ~offset:(c.vth_offset +. b.(2)) b
+
+let vth_shifted_into c b = b.(0) <- threshold c ~offset:(c.vth_offset +. b.(2)) b.(1)
 
 let id dev ~vgs ~vds =
   if vds < 0.0 then invalid_arg "Iv_model.id: vds must be non-negative";

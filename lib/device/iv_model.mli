@@ -29,6 +29,21 @@ val eval_into : coeffs -> float array -> unit
     Newton iteration.  Raises [Invalid_argument] for V_ds < 0 (leaving [b]
     as it was) and for [b] shorter than 3. *)
 
+val eval_shifted_into : coeffs -> float array -> unit
+(** [eval_shifted_into c b] is {!eval_into} on the device of [c] with its
+    threshold shifted by [b.(2)] volts, read on entry: the same three
+    values, bit for bit, as {!eval_into} on the coefficients of
+    [Compact.with_vth_shift dev b.(2)], without building either.  A
+    Monte-Carlo trial prepares its devices once and shifts them per
+    sample through this. *)
+
+val vth_shifted_into : coeffs -> float array -> unit
+(** [vth_shifted_into c b] overwrites [b.(0)] with {!Compact.vth} at
+    V_ds = [b.(1)] of the device of [c] shifted by [b.(2)], as
+    {!Compact.with_vth_shift} would shift it, bit for bit.  [b.(1)] and
+    [b.(2)] are left as they were, so an {!eval_shifted_into} of [b]
+    right after evaluates the shifted device at V_gs = V_th. *)
+
 val id : Compact.t -> vgs:float -> vds:float -> float
 (** Drain current [A/m], the id of {!eval_into} on the prepared device.
     Monotone in both arguments; 0 at [vds = 0]. *)

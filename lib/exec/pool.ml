@@ -96,6 +96,23 @@ let rec worker_loop pool last_id =
     Mutex.unlock pool.mutex;
     worker_loop pool job.id
 
+(* A worker's minor heap, in words: 32k words is 256 KB, about an L2
+   cache, against the runtime's default of 256k words (2 MB, all of it
+   resident once the allocation pointer has swept it).  A worker only
+   ever holds one task's temporaries, and a fanned-out task (a
+   Monte-Carlo trial, a device characterization) keeps little alive, so
+   the smaller heap costs only collections: a task that allocates more
+   than 256 KB now triggers more minor collections, and in OCaml 5 every
+   minor collection stops all domains.  Minor heaps are sized per domain,
+   so [Gc.set] in a worker leaves the calling domain's heap, which may
+   hold a whole driver's working set, at its size. *)
+let worker_minor_heap_words = 32 * 1024
+
+let spawn_worker pool =
+  Domain.spawn (fun () ->
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
+      worker_loop pool 0)
+
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: need at least one domain";
   let pool =
@@ -113,7 +130,7 @@ let create ~domains =
   (* The caller participates in every [map], so [domains] total lanes need
      only [domains - 1] spawned worker domains — and [~domains:1] spawns
      none at all: the pool degenerates to a pure-sequential [List.map]. *)
-  pool.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool 0));
+  pool.workers <- List.init (domains - 1) (fun _ -> spawn_worker pool);
   pool
 
 let domains pool = pool.domains

@@ -14,7 +14,9 @@ type t
 val create : domains:int -> t
 (** [domains] total lanes; the caller participates in every [map], so
     only [domains - 1] worker domains are spawned ([~domains:1] spawns
-    none: the pool degenerates to a pure-sequential [List.map]). *)
+    none: the pool degenerates to a pure-sequential [List.map]).  Each
+    worker runs on a 32k-word (256 KB) minor heap of its own, sized for
+    one task's temporaries; the calling domain's heap keeps its size. *)
 
 val domains : t -> int
 val spawned : t -> int

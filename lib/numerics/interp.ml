@@ -34,18 +34,21 @@ let linear xs ys x =
   end
 
 (* One merge walk of a sorted grid against the table, which is produced
-   one sample at a time: the segment [i, i + 1] only moves right, and
-   every branch and the arithmetic are [linear]'s.  The last pass, at
-   g = infinity, walks the rest of the table so an unsorted tail raises
-   as [check] would. *)
-let resample ~n ~x ~y grid =
+   one sample at a time into a two-float buffer, so no sample is boxed:
+   the segment [i, i + 1] only moves right, and every branch and the
+   arithmetic are [linear]'s.  The last pass, at g = infinity, walks the
+   rest of the table so an unsorted tail raises as [check] would. *)
+let resample ~n ~sample grid =
   if n < 2 then invalid_arg "Interp.resample: need at least 2 points";
   let unsorted () = invalid_arg "Interp.resample: abscissae must be strictly increasing" in
   let m = Array.length grid in
   let out = Array.make m 0.0 in
-  let x0 = x 0 and y0 = y 0 in
+  let xy = [| 0.0; 0.0 |] in
+  sample 0 xy;
+  let x0 = xy.(0) and y0 = xy.(1) in
+  sample 1 xy;
   let i = ref 0 in
-  let xa = ref x0 and ya = ref y0 and xb = ref (x 1) and yb = ref (y 1) in
+  let xa = ref x0 and ya = ref y0 and xb = ref xy.(0) and yb = ref xy.(1) in
   if !xb <= !xa then unsorted ();
   let prev = ref Float.neg_infinity in
   for k = 0 to m do
@@ -56,8 +59,9 @@ let resample ~n ~x ~y grid =
       incr i;
       xa := !xb;
       ya := !yb;
-      xb := x (!i + 1);
-      yb := y (!i + 1);
+      sample (!i + 1) xy;
+      xb := xy.(0);
+      yb := xy.(1);
       if !xb <= !xa then unsorted ()
     done;
     if k < m then

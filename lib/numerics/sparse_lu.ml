@@ -144,15 +144,16 @@ let sorted_set (a : int array) =
 let slot_bits = 32
 let slot_mask = (1 lsl slot_bits) - 1
 
-let analyse ~n ~slots coord =
+let analyse ~n ~slots ~row ~col =
   if slots > slot_mask then invalid_arg "Sparse_lu.analyse: too many slots";
   (* Count, then fill: each row's entries, with columns for now, and each
      node's neighbours in the graph of A + A^T. *)
   let count = Array.make n 0 and deg = Array.make n 0 in
   let each f =
     for s = 0 to slots - 1 do
-      let i, j = coord s in
+      let i = row s in
       if i >= 0 then begin
+        let j = col s in
         if i >= n || j < 0 || j >= n then
           invalid_arg
             (Printf.sprintf "Sparse_lu.analyse: entry (%d, %d) outside order %d" i j n);

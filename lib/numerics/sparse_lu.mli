@@ -19,11 +19,13 @@ exception Zero_pivot of int
 
 type symbolic
 
-val analyse : n:int -> slots:int -> (int -> int * int) -> symbolic
-(** [analyse ~n ~slots coord] orders the [n] rows and computes the
+val analyse : n:int -> slots:int -> row:(int -> int) -> col:(int -> int) -> symbolic
+(** [analyse ~n ~slots ~row ~col] orders the [n] rows and computes the
     symbolic LU of a matrix whose values live in a buffer of [slots]
-    slots: slot [s] holds A(i, j) for [coord s = (i, j)], and a slot with a
-    negative row is padding that nothing reads.  Every diagonal needs a
+    slots: slot [s] holds A([row s], [col s]), and a slot with a negative
+    row is padding that nothing reads ([col] is not asked for it).  The
+    coordinates come back as two ints, so asking for them allocates
+    nothing.  Every diagonal needs a
     slot, and no (i, j) may have two.  The ordering breaks ties toward the
     lowest row, so the same pattern always gives the same order.  Raises
     [Invalid_argument] on a coordinate outside the matrix, a row without a

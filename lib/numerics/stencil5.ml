@@ -45,18 +45,24 @@ let create ~n ~m =
          n m);
   (* The five diagonals are consecutive length-n runs of the LU's value
      buffer: west, south, diag, north, east.  Off-stencil slots are
-     padding. *)
-  let coord s =
+     padding: row -1. *)
+  let row s =
     let i = s mod n in
-    match s / n with
-    | 0 when i >= m -> (i, i - m)
-    | 1 when in_column ~n ~m i (-1) -> (i, i - 1)
-    | 2 -> (i, i)
-    | 3 when in_column ~n ~m i 1 -> (i, i + 1)
-    | 4 when i + m < n -> (i, i + m)
-    | _ -> (-1, -1)
+    let on_stencil =
+      match s / n with
+      | 0 -> i >= m
+      | 1 -> in_column ~n ~m i (-1)
+      | 2 -> true
+      | 3 -> in_column ~n ~m i 1
+      | _ -> i + m < n
+    in
+    if on_stencil then i else -1
   in
-  let lu = Sparse_lu.create (Sparse_lu.analyse ~n ~slots:(5 * n) coord) in
+  let col s =
+    let i = s mod n in
+    match s / n with 0 -> i - m | 1 -> i - 1 | 2 -> i | 3 -> i + 1 | _ -> i + m
+  in
+  let lu = Sparse_lu.create (Sparse_lu.analyse ~n ~slots:(5 * n) ~row ~col) in
   let diagonal k = BA1.sub (Sparse_lu.values lu) (k * n) n in
   {
     n;

@@ -165,8 +165,9 @@ let build circuit =
       done)
     entries;
   let pattern =
-    Numerics.Sparse_lu.analyse ~n ~slots:!n_slots (fun s ->
-        (coord.(s) lsr slot_bits, coord.(s) land slot_mask))
+    Numerics.Sparse_lu.analyse ~n ~slots:!n_slots
+      ~row:(fun s -> coord.(s) lsr slot_bits)
+      ~col:(fun s -> coord.(s) land slot_mask)
   in
   Obs.Metrics.incr builds;
   { stamps; n_nodes; vsources; caps; n; kcl; gmin_jac; pattern; n_slots = !n_slots }

@@ -8,12 +8,76 @@ module Inv = Circuits.Inverter
 
 let u = Test_util.case
 let slow = Test_util.slow_case
+let prop = Test_util.prop
 
 let phys90 = List.hd Device.Params.paper_table2
 let phys32 = List.nth Device.Params.paper_table2 3
 let pair = Inv.pair_of_physical phys90
 let pair32 = Inv.pair_of_physical phys32
 let sizing = Inv.balanced_sizing ()
+
+(* The unstaged analytic path, kept as the reference the staged trial
+   kernels must match bit for bit: each device shifted with
+   Compact.with_vth_shift, Eq. 3(b)'s 804-sample sweep built as arrays and
+   resampled with Interp.linear, then a gain array and the list of its
+   gain = -1 crossings. *)
+module Reference = struct
+  let vt = Physics.Constants.vt_room
+  let vth_sub dev = Device.Compact.vth dev ~vds:(10.0 *. vt)
+
+  let io_of dev width =
+    width *. Device.Iv_model.id dev ~vgs:(vth_sub dev) ~vds:(10.0 *. vt)
+
+  let analytic ~points (pair : Inv.pair) ~(sizing : Inv.sizing) ~vdd =
+    let n = pair.Inv.nfet and p = pair.Inv.pfet in
+    let io_n = io_of n sizing.Inv.wn and io_p = io_of p sizing.Inv.wp in
+    let m_n = n.Device.Compact.m and m_p = p.Device.Compact.m in
+    let vth_n = vth_sub n and vth_p = vth_sub p in
+    let eps = 1e-4 *. vdd in
+    let k = 4 * points in
+    let vout_sweep = Numerics.Vec.linspace eps (vdd -. eps) k in
+    let vin_of_vout vout =
+      let num =
+        (m_n *. (vdd -. vth_p)) +. (m_p *. vth_n)
+        +. (m_n *. m_p *. vt
+            *. log (io_p /. io_n *. (1.0 -. exp ((vout -. vdd) /. vt))
+                    /. (1.0 -. exp (-.vout /. vt))))
+      in
+      num /. (m_n +. m_p)
+    in
+    let ys = Array.init k (fun j -> vout_sweep.(k - 1 - j)) in
+    let xs = Array.map vin_of_vout ys in
+    let vin = Numerics.Vec.linspace 0.0 vdd points in
+    let vout =
+      Array.map (fun v -> Float.max 0.0 (Float.min vdd (Numerics.Interp.linear xs ys v))) vin
+    in
+    { Vtc.vin; vout }
+
+  let gain { Vtc.vin; vout } =
+    let n = Array.length vin in
+    Array.init n (fun i ->
+        if i = 0 then (vout.(1) -. vout.(0)) /. (vin.(1) -. vin.(0))
+        else if i = n - 1 then (vout.(n - 1) -. vout.(n - 2)) /. (vin.(n - 1) -. vin.(n - 2))
+        else (vout.(i + 1) -. vout.(i - 1)) /. (vin.(i + 1) -. vin.(i - 1)))
+
+  let of_curve curve =
+    match Numerics.Interp.crossings curve.Vtc.vin (gain curve) (-1.0) with
+    | vil :: rest ->
+      let vih =
+        match List.rev rest with
+        | vih :: _ -> vih
+        | [] -> failwith "Snm.of_curve: only one gain = -1 point (insufficient gain)"
+      in
+      let vout_at v = Numerics.Interp.linear curve.Vtc.vin curve.Vtc.vout v in
+      let voh = vout_at vil and vol = vout_at vih in
+      let nml = vil -. vol and nmh = voh -. vih in
+      { Snm.vil; vih; vol; voh; nml; nmh; snm = Float.min nml nmh }
+    | [] -> failwith "Snm.of_curve: no gain = -1 point (insufficient gain)"
+
+  let shifted (pair : Inv.pair) ~dvn ~dvp =
+    { Inv.nfet = Device.Compact.with_vth_shift pair.Inv.nfet dvn;
+      pfet = Device.Compact.with_vth_shift pair.Inv.pfet dvp }
+end
 
 let vtc_tests =
   [
@@ -34,7 +98,7 @@ let vtc_tests =
         Test_util.check_in_range "VM" ~lo:0.09 ~hi:0.16 (Vtc.switching_threshold c));
     u "peak gain magnitude exceeds one at 250 mV" (fun () ->
         let c = Vtc.analytic pair ~sizing ~vdd:0.25 in
-        let g = Vtc.gain c in
+        let g = Reference.gain c in
         let peak = Array.fold_left (fun acc v -> Float.min acc v) 0.0 g in
         Alcotest.(check bool) "regenerative" true (peak < -1.5));
     u "spice and analytic VTC agree loosely mid-swing" (fun () ->
@@ -43,9 +107,10 @@ let vtc_tests =
         let mid = 20 in
         Alcotest.(check bool) "within 40 mV" true
           (Float.abs (a.Vtc.vout.(mid) -. s.Vtc.vout.(mid)) < 0.04));
-    u "gain array has the curve's length" (fun () ->
+    u "analytic VTC has the requested sample count" (fun () ->
         let c = Vtc.analytic ~points:33 pair ~sizing ~vdd:0.25 in
-        Alcotest.(check int) "len" 33 (Array.length (Vtc.gain c)));
+        Alcotest.(check int) "vin" 33 (Array.length c.Vtc.vin);
+        Alcotest.(check int) "vout" 33 (Array.length c.Vtc.vout));
     u "analytic VTC allocates nothing directly on the major heap" (fun () ->
         (* Measured: 0 words.  The four 804-sample arrays it used to build
            went straight to the major heap (3220 words per call). *)
@@ -96,6 +161,127 @@ let snm_tests =
         let v1 = Array.copy vin in
         Alcotest.(check bool) "no lobe" true
           (Snm.butterfly_snm ~vin ~v1 ~v2:(Array.copy vin) < 1e-6));
+  ]
+
+(* --- Staged trial kernels ------------------------------------------- *)
+
+(* A shipped device pair: every node of the roadmap, 130 nm included,
+   under either strategy (selections are memoized, so each is made once). *)
+let gen_shipped_pair =
+  QCheck2.Gen.(
+    map2
+      (fun node kind -> snd (Scaling.Strategy.select kind node))
+      (oneofl Scaling.Roadmap.nodes_with_130)
+      (oneofl Scaling.Strategy.kinds))
+
+(* What an SNM evaluation gives: the margins' bits, or the Failure it
+   raised. *)
+let snm_outcome f =
+  match f () with
+  | (m : Snm.margins) ->
+    Ok
+      (List.map Int64.bits_of_float
+         [ m.Snm.vil; m.Snm.vih; m.Snm.vol; m.Snm.voh; m.Snm.nml; m.Snm.nmh; m.Snm.snm ])
+  | exception Failure msg -> Error msg
+
+let staged_tests =
+  [
+    prop "a stage's shifted SNM is the unstaged path's, bit for bit" ~count:200
+      QCheck2.Gen.(
+        tup4 gen_shipped_pair (float_range 0.03 0.6) (float_range (-0.08) 0.08)
+          (float_range (-0.08) 0.08))
+      (fun (pair, vdd, dvn, dvp) ->
+        let staged =
+          snm_outcome (fun () -> Snm.shifted (Snm.stage pair ~sizing ~vdd) ~dvn ~dvp)
+        in
+        let reference =
+          snm_outcome (fun () ->
+              Reference.of_curve
+                (Reference.analytic ~points:201 (Reference.shifted pair ~dvn ~dvp) ~sizing ~vdd))
+        in
+        staged = reference);
+    u "insufficient-gain failures match the unstaged path" (fun () ->
+        (* At 40 mV the gain never reaches -1 for any shift; one stage
+           serves every shift, as in snm_distribution. *)
+        let st = Snm.stage pair ~sizing ~vdd:0.04 in
+        List.iter
+          (fun (dvn, dvp) ->
+            let staged = snm_outcome (fun () -> Snm.shifted st ~dvn ~dvp) in
+            let reference =
+              snm_outcome (fun () ->
+                  Reference.of_curve
+                    (Reference.analytic ~points:201 (Reference.shifted pair ~dvn ~dvp) ~sizing
+                       ~vdd:0.04))
+            in
+            (match reference with
+             | Error _ -> ()
+             | Ok _ -> Alcotest.fail "the reference found two gain = -1 points at 40 mV");
+            Alcotest.(check bool)
+              (Printf.sprintf "shift (%g, %g)" dvn dvp)
+              true (staged = reference))
+          [ (0.0, 0.0); (0.03, -0.02); (-0.05, 0.05) ]);
+    u "the one-shot VTC is a fresh stage applied unshifted" (fun () ->
+        let c = Vtc.analytic ~points:201 pair32 ~sizing ~vdd:0.25 in
+        let r = Reference.analytic ~points:201 pair32 ~sizing ~vdd:0.25 in
+        Test_util.check_all_bits "vin" r.Vtc.vin c.Vtc.vin;
+        Test_util.check_all_bits "vout" r.Vtc.vout c.Vtc.vout);
+    prop "a shifted evaluation is Iv_model on the shifted device, bit for bit" ~count:300
+      QCheck2.Gen.(
+        tup4 gen_shipped_pair bool (float_range 0.0 1.3) (float_range (-0.1) 0.1))
+      (fun (pair, p, vdd, shift) ->
+        let dev = if p then pair.Inv.pfet else pair.Inv.nfet in
+        let shifted = Device.Compact.with_vth_shift dev shift in
+        let c = Device.Iv_model.prepare dev in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        (* I_on, as chain_delay_distribution evaluates a stage. *)
+        let b = [| vdd; vdd; shift |] in
+        Device.Iv_model.eval_shifted_into c b;
+        let reference = [| vdd; vdd; 0.0 |] in
+        Device.Iv_model.eval_into (Device.Iv_model.prepare shifted) reference;
+        (* V_th at 10 vT and I_o there, as a VTC stage evaluates a side. *)
+        let vds = 10.0 *. Physics.Constants.vt_room in
+        let t = [| 0.0; vds; shift |] in
+        Device.Iv_model.vth_shifted_into c t;
+        let vth = t.(0) in
+        Device.Iv_model.eval_shifted_into c t;
+        same b.(0) (Device.Iv_model.ion shifted ~vdd)
+        && Array.for_all2 same reference b
+        && same vth (Device.Compact.vth shifted ~vds)
+        && same t.(0) (Device.Iv_model.id shifted ~vgs:vth ~vds));
+  ]
+
+(* Minor words of one Monte-Carlo distribution at one job, after a
+   warm-up call. *)
+let kernel_words f =
+  let jobs = Exec.jobs () in
+  Fun.protect ~finally:(fun () -> Exec.set_jobs jobs) @@ fun () ->
+  Exec.set_jobs 1;
+  ignore (f ());
+  let minor0 = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. minor0
+
+let memory_tests =
+  [
+    u "snm_distribution of 50 trials: no per-trial device or sample garbage" (fun () ->
+        (* Measured: 21,367 minor words, of them 2.3k the one stage and
+           about 250 a trial (the 201-point V_out curve, the margins).
+           With a shifted pair, a VTC and a gain array per trial and a
+           boxed 804-sample walk: 354,480. *)
+        let words =
+          kernel_words (fun () -> Analysis.Variability.snm_distribution ~trials:50 pair ~vdd:0.3)
+        in
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 21_367.0) words);
+    u "chain_delay_distribution of 20 trials: no per-stage device records" (fun () ->
+        (* Measured: 37,354 minor words, nearly all of them the 1,200
+           threshold draws (Rng boxes its Int64 state); a stage's two
+           I_on evaluations allocate nothing.  With two shifted devices
+           and two prepared coefficient records per stage: 134,392. *)
+        let words =
+          kernel_words (fun () ->
+              Analysis.Variability.chain_delay_distribution ~trials:20 pair ~vdd:0.25)
+        in
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 37_354.0) words);
   ]
 
 let delay_tests =
@@ -182,6 +368,8 @@ let suite =
   [
     ("analysis.vtc", vtc_tests);
     ("analysis.snm", snm_tests);
+    ("analysis.staged", staged_tests);
+    ("analysis.memory", memory_tests);
     ("analysis.delay", delay_tests);
     ("analysis.energy", energy_tests);
     ("analysis.metrics", metrics_tests);

@@ -325,6 +325,53 @@ let schedule_tests =
                   (Printf.sprintf "seed %d" seed)
                   baseline (Exec.map f xs))
               [ 1; 2; 3; 4; 5 ]));
+    u "Monte-Carlo trial kernels are bit-exact under adversarial schedules" (fun () ->
+        (* Each trial of both kernels keeps its own scratch and reads only
+           the shared, immutable stage and coefficients, so any claim
+           order on any number of domains gives the same samples. *)
+        let pair = Circuits.Inverter.pair_of_physical (List.hd Pm.paper_table2) in
+        (* A 3-point stage spends most of each curve on the per-curve
+           device evaluation, so domains sharing anything there collide. *)
+        let small =
+          Analysis.Vtc.stage ~points:3 pair ~sizing:(Circuits.Inverter.balanced_sizing ())
+            ~vdd:0.25
+        in
+        let shifts = List.init 2000 (fun i -> 0.04 *. sin (float_of_int i)) in
+        let samples () =
+          List.concat_map
+            (fun vdd ->
+              let d =
+                Analysis.Variability.chain_delay_distribution ~trials:48 ~stages:10 pair ~vdd
+              in
+              let s = Analysis.Variability.snm_distribution ~trials:500 pair ~vdd in
+              List.map Int64.bits_of_float
+                (Array.to_list d.Analysis.Variability.samples
+                @ Array.to_list s.Analysis.Variability.samples))
+            [ 0.25; 0.06 ]
+          @ List.concat
+              (Exec.map
+                 (fun dv ->
+                   let c = Analysis.Vtc.apply small ~dvn:dv ~dvp:(-.dv) in
+                   List.map Int64.bits_of_float (Array.to_list c.Analysis.Vtc.vout))
+                 shifts)
+        in
+        let jobs = Exec.jobs () in
+        Exec.set_schedule_seed None;
+        Exec.set_jobs 1;
+        let baseline = samples () in
+        Fun.protect
+          ~finally:(fun () ->
+            Exec.set_schedule_seed None;
+            Exec.set_jobs jobs)
+          (fun () ->
+            List.iter
+              (fun (jobs, seed) ->
+                Exec.set_jobs jobs;
+                Exec.set_schedule_seed (Some seed);
+                Alcotest.(check (list int64))
+                  (Printf.sprintf "jobs %d, seed %d" jobs seed)
+                  baseline (samples ()))
+              [ (1, 1); (4, 2); (4, 3); (2, 4) ]));
     u "trajectory sweep fingerprints are schedule-independent" (fun () ->
         let fingerprint () =
           Exec.Memo.clear_all ();

@@ -32,6 +32,34 @@ let test_pool_one_domain () =
       Alcotest.(check (list int)) "still maps" [ 2; 4; 6 ]
         (Pool.map pool [ 1; 2; 3 ] (fun x -> 2 * x)))
 
+(* A spawned worker runs on the task-sized minor heap, 32k words
+   (Pool's worker_minor_heap_words); the caller's domain keeps its own.
+   The two items meet at a barrier, so neither returns before the other
+   has started: the caller runs one and the worker must run the other.
+   The wait is bounded, so a worker that never came fails the case
+   instead of hanging it. *)
+let test_pool_worker_heap () =
+  let caller = (Gc.get ()).Gc.minor_heap_size in
+  let meet arrived _ =
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    (Atomic.get arrived = 2, (Gc.get ()).Gc.minor_heap_size)
+  in
+  with_pool ~domains:2 (fun pool ->
+      let results = Pool.map pool [ 0; 1 ] (meet (Atomic.make 0)) in
+      Alcotest.(check (list bool)) "both items met" [ true; true ] (List.map fst results);
+      Alcotest.(check (list int)) "one item on the worker, one on the caller"
+        (List.sort compare [ 32 * 1024; caller ])
+        (List.sort compare (List.map snd results)));
+  Alcotest.(check int) "caller's heap unchanged" caller (Gc.get ()).Gc.minor_heap_size;
+  with_pool ~domains:1 (fun pool ->
+      Alcotest.(check int) "one domain spawns no worker" 0 (Pool.spawned pool);
+      Alcotest.(check (list int)) "so every item runs on the caller's heap" [ caller; caller ]
+        (Pool.map pool [ 0; 1 ] (fun _ -> (Gc.get ()).Gc.minor_heap_size)))
+
 let test_pool_edges () =
   with_pool ~domains:3 (fun pool ->
       Alcotest.(check (list int)) "empty" [] (Pool.map pool [] (fun x -> x));
@@ -456,31 +484,49 @@ let test_differential_extensions () =
 
 (* Monte-Carlo fan-out: the sampled arrays themselves (not just the
    rendered digits) must be bit-identical, because all RNG draws happen
-   sequentially in the original loop order. *)
+   sequentially in the original loop order and every trial keeps its own
+   scratch.  Each kernel runs at two supplies: the SNM one at a supply
+   where some trials lose their gain = -1 points, and the chain delay
+   also through delay_spread_vs_vdd, which evaluates both supplies on one
+   set of draws. *)
 let test_differential_mc () =
   let phys = List.hd P.paper_table2 in
   let pair = Subscale.Circuits.Inverter.pair_of_physical phys in
+  let module V = Subscale.Analysis.Variability in
   restore_jobs (fun () ->
       let run () =
         let d =
-          Subscale.Analysis.Variability.chain_delay_distribution ~trials:64 ~stages:12
-            pair ~vdd:0.25
+          List.map
+            (fun vdd -> V.chain_delay_distribution ~trials:64 ~stages:12 pair ~vdd)
+            [ 0.25; 0.4 ]
         in
-        let s = Subscale.Analysis.Variability.snm_distribution ~trials:48 pair ~vdd:0.3 in
-        (d, s)
+        let spread = V.delay_spread_vs_vdd ~trials:64 pair ~vdds:[ 0.4; 0.25 ] in
+        let s = List.map (fun vdd -> V.snm_distribution ~trials:1000 pair ~vdd) [ 0.3; 0.06 ] in
+        (d, spread, s)
       in
       Exec.set_jobs 1;
-      let d1, s1 = run () in
+      let d1, spread1, s1 = run () in
       Exec.set_jobs 4;
-      let d4, s4 = run () in
-      Alcotest.(check bool) "delay samples bit-identical" true
-        (d1.Subscale.Analysis.Variability.samples = d4.Subscale.Analysis.Variability.samples);
-      Alcotest.(check bool) "snm samples bit-identical" true
-        (s1.Subscale.Analysis.Variability.samples = s4.Subscale.Analysis.Variability.samples);
-      check_float ~tol:0.0 "delay mean exact" d1.Subscale.Analysis.Variability.mean
-        d4.Subscale.Analysis.Variability.mean;
-      check_float ~tol:0.0 "snm p95 exact" s1.Subscale.Analysis.Variability.p95
-        s4.Subscale.Analysis.Variability.p95)
+      let d4, spread4, s4 = run () in
+      let same_bits name a b =
+        Alcotest.(check (list int64)) name
+          (List.map Int64.bits_of_float (Array.to_list a))
+          (List.map Int64.bits_of_float (Array.to_list b))
+      in
+      List.iter2
+        (fun a b -> same_bits "delay samples bit-identical" a.V.samples b.V.samples)
+        d1 d4;
+      List.iter2
+        (fun a b -> same_bits "snm samples bit-identical" a.V.samples b.V.samples)
+        s1 s4;
+      same_bits "delay spreads bit-identical"
+        (Array.of_list (List.map snd spread1))
+        (Array.of_list (List.map snd spread4));
+      List.iter2 (fun a b -> check_float ~tol:0.0 "delay mean exact" a.V.mean b.V.mean) d1 d4;
+      List.iter2 (fun a b -> check_float ~tol:0.0 "snm p95 exact" a.V.p95 b.V.p95) s1 s4;
+      let low = (List.nth s1 1).V.samples in
+      Alcotest.(check bool) "at 60 mV some SNM trials fail and some do not" true
+        (Array.exists (fun v -> v = 0.0) low && Array.exists (fun v -> v > 0.0) low))
 
 (* --- Store under domains ---------------------------------------------- *)
 
@@ -592,6 +638,7 @@ let suite =
       [
         case "pool: map preserves input order" test_pool_order;
         case "pool: one domain spawns no workers" test_pool_one_domain;
+        case "pool: a worker runs on a task-sized minor heap" test_pool_worker_heap;
         case "pool: empty and singleton lists" test_pool_edges;
         case "pool: exception parity and survival" test_pool_exception;
         case "pool: shutdown invalidates" test_pool_shutdown;

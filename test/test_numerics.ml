@@ -58,7 +58,8 @@ let mat_vec a x = Array.map (fun row -> dot row x) a
 let lu_solve a b =
   let n = Array.length b in
   let lu =
-    Sparse_lu.create (Sparse_lu.analyse ~n ~slots:(n * n) (fun s -> (s / n, s mod n)))
+    Sparse_lu.create
+      (Sparse_lu.analyse ~n ~slots:(n * n) ~row:(fun s -> s / n) ~col:(fun s -> s mod n))
   in
   Array.iteri
     (fun i row -> Array.iteri (fun j v -> Fvec.set (Sparse_lu.values lu) ((i * n) + j) v) row)
@@ -456,6 +457,11 @@ let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) a b
 
+(* [Interp.resample]'s sampler over a materialized table. *)
+let table xs ys i (xy : float array) =
+  xy.(0) <- xs.(i);
+  xy.(1) <- ys.(i)
+
 let interp_tests =
   [
     u "linear interpolation hits nodes and midpoints" (fun () ->
@@ -484,21 +490,26 @@ let interp_tests =
       (fun (xs, ys, grid) ->
         same_bits
           (Array.map (Interp.linear xs ys) grid)
-          (Interp.resample ~n:(Array.length xs) ~x:(Array.get xs) ~y:(Array.get ys) grid));
+          (Interp.resample ~n:(Array.length xs) ~sample:(table xs ys) grid));
     u "resample reads each table index once, in order" (fun () ->
         let seen = ref [] in
-        let x i = seen := i :: !seen; float_of_int i in
-        ignore (Interp.resample ~n:6 ~x ~y:float_of_int [| -1.0; 0.5; 2.5; 2.5 |]);
+        let sample i xy =
+          seen := i :: !seen;
+          xy.(0) <- float_of_int i;
+          xy.(1) <- float_of_int i
+        in
+        ignore (Interp.resample ~n:6 ~sample [| -1.0; 0.5; 2.5; 2.5 |]);
         Alcotest.(check (list int)) "indices" [ 0; 1; 2; 3; 4; 5 ] (List.rev !seen));
     u "resample rejects an unsorted table, even past the grid" (fun () ->
         let xs = [| 0.0; 1.0; 2.0; 2.0 |] in
         Alcotest.check_raises "order"
           (Invalid_argument "Interp.resample: abscissae must be strictly increasing")
           (fun () ->
-            ignore (Interp.resample ~n:4 ~x:(Array.get xs) ~y:(Array.get xs) [| 0.5 |]));
+            ignore (Interp.resample ~n:4 ~sample:(table xs xs) [| 0.5 |]));
         Alcotest.check_raises "grid" (Invalid_argument "Interp.resample: grid must be non-decreasing")
           (fun () ->
-            ignore (Interp.resample ~n:2 ~x:float_of_int ~y:float_of_int [| 0.5; 0.25 |])));
+            let xs = [| 0.0; 1.0 |] in
+            ignore (Interp.resample ~n:2 ~sample:(table xs xs) [| 0.5; 0.25 |])));
     u "linear on an 804-point table does not box per element" (fun () ->
         (* Measured: 4 minor words per call (the boxed result).  Inferred at
            'a array, the ordering scan boxed every element it compared

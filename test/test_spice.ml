@@ -621,16 +621,17 @@ let memory_tests =
         let adder = Circuits.Adder.ripple_carry (sub32 ()) ~vdd:0.25 ~bits:8 in
         (* From an empty minor heap, and collected at once, so no minor
            collection falls inside the build: the promoted words are the
-           built system itself.  Measured: 39,188 minor words (49,181
-           with an assoc-list slot table) and 12.85k-12.88k promoted
-           (20.8k-20.9k). *)
+           built system itself.  Measured: 34,445 minor words (39,188
+           with a (row, col) tuple per slot handed to Sparse_lu.analyse,
+           49,181 with an assoc-list slot table) and 12.85k-12.88k
+           promoted (20.8k-20.9k with the assoc lists). *)
         Gc.minor ();
         let minor0 = Gc.minor_words () and _, promoted0, _ = Gc.counters () in
         let sys = Mna.build adder.Circuits.Adder.circuit in
         Gc.minor ();
         let minor1 = Gc.minor_words () and _, promoted1, _ = Gc.counters () in
         Alcotest.(check int) "unknowns" 180 (Mna.size sys);
-        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 39_188.0) (minor1 -. minor0);
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 34_445.0) (minor1 -. minor0);
         Test_util.check_in_range "promoted words" ~lo:0.0 ~hi:(1.05 *. 12_879.0)
           (promoted1 -. promoted0));
     u "one Cell_lib arc's 3x3 grid and both edges make one build" (fun () ->
