@@ -103,6 +103,12 @@ val characterize_key : ?nx:int -> ?ny:int -> ?vdd:float -> Structure.description
     {!characterize_memo}: {!Structure.key_for} (the description and the
     mesh coordinates) and [vdd], so a lookup builds no structure. *)
 
+val sweep_key :
+  ?nx:int -> ?ny:int -> Structure.description -> vd:float -> Numerics.Vec.t -> string
+(** The key of [id_vg_at (Structure.build ?nx ?ny desc) ~vd ~vgs]:
+    {!Structure.key_for}, [vd] and the exact gate grid.  The serve daemon
+    files its sweeps under it. *)
+
 val characterize_memo : characteristics Exec.Memo.t
 (** The ["tcad.characterize"] memo table, filed by {!characterize_key}.
     The daemon looks a characterization up on its select loop and

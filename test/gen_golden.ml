@@ -170,3 +170,52 @@ let () =
     lines;
   close_out oc;
   Printf.printf "wrote %s\n" path
+
+(* Key pins: the MD5 of every key the daemon files store records under,
+   one "label digest" line each.  A store record's name is the MD5 of its
+   table name and key, so a key that moves by one byte empties every
+   existing cache; these must never change.  The labels and keys must stay
+   in sync with [key_digest_cases] in test/test_exec.ml. *)
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  let module S = Subscale in
+  let module Strategy = S.Scaling.Strategy in
+  let module X = S.Tcad.Extract in
+  let desc node kind =
+    let _, pair = Strategy.select kind node in
+    S.Device.Compact.to_tcad_description pair.S.Circuits.Inverter.nfet
+  in
+  let label node kind = Printf.sprintf "%d-%s" node.S.Scaling.Roadmap.nm (Strategy.kind_key kind) in
+  let meshes = [ ("default", None, None); ("16x12", Some 16, Some 12); ("24x20", Some 24, Some 20) ] in
+  let devices =
+    List.concat_map
+      (fun node -> List.map (fun kind -> (label node kind, desc node kind)) Strategy.kinds)
+      S.Scaling.Roadmap.nodes
+  in
+  let sweep node kind = desc (S.Scaling.Roadmap.find node) kind in
+  let keys =
+    List.concat_map
+      (fun (dev, d) ->
+        List.concat_map
+          (fun (mesh, nx, ny) ->
+            [ (Printf.sprintf "structure-%s-%s" dev mesh, S.Tcad.Structure.key_for ?nx ?ny d);
+              (Printf.sprintf "characterize-%s-%s" dev mesh, X.characterize_key ?nx ?ny d) ])
+          meshes)
+      devices
+    @ List.concat_map
+        (fun node ->
+          List.map
+            (fun kind -> ("selection-" ^ label node kind, Strategy.selection_key kind node))
+            Strategy.kinds)
+        S.Scaling.Roadmap.nodes_with_130
+    @ [ ( "sweep-90-sub-16x12",
+          X.sweep_key ~nx:16 ~ny:12 (sweep 90 Strategy.Sub_vth) ~vd:0.05
+            (S.Numerics.Vec.linspace 0.0 0.15 5) );
+        ( "sweep-45-super-default",
+          X.sweep_key (sweep 45 Strategy.Super_vth) ~vd:0.6 (S.Numerics.Vec.linspace 0.3 0.45 4) ) ]
+  in
+  let path = Filename.concat dir "key_digests.txt" in
+  let oc = open_out path in
+  List.iter (fun (label, key) -> Printf.fprintf oc "%s %s\n" label (Digest.to_hex (Digest.string key))) keys;
+  close_out oc;
+  Printf.printf "wrote %s\n" path
