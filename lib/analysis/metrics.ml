@@ -13,9 +13,3 @@ let delay_factor ?(ioff_vdd = 0.25) pair ~sizing =
     sizing.Circuits.Inverter.wp *. Device.Iv_model.ioff pair.Circuits.Inverter.pfet ~vdd:ioff_vdd
   in
   cl *. ss /. (0.5 *. (i_n +. i_p))
-
-let normalize = function
-  | [] -> []
-  | first :: _ as values ->
-    if Float.equal first 0.0 then invalid_arg "Metrics.normalize: zero first element";
-    List.map (fun v -> v /. first) values

@@ -14,6 +14,3 @@ val delay_factor :
   ?ioff_vdd:float -> Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing -> float
 (** C_L S_S / I_off, with I_off the N/P average at supply [ioff_vdd]
     (default 250 mV, the paper's sub-V_th operating point). *)
-
-val normalize : float list -> float list
-(** Scale a series so its first element is 1.0 (Table 3's a.u. columns). *)

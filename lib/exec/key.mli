@@ -5,14 +5,17 @@
     [0.25 +. 1e-17] produce different keys, and [-0.0] differs from
     [0.0]), and composite encodings carry field names, so two records
     that happen to hold the same floats in different fields never share
-    a key. *)
+    a key.  Each writer returns one string of exactly its text's size. *)
 
 val float : float -> string
 (** Bit-exact: the hex of the IEEE-754 representation. *)
 
+val floats : ?bracketed:bool -> float array -> string
+(** The {!float}s of the array, comma-separated, between ["["] and ["]"]
+    unless [~bracketed:false]. *)
+
 val int : int -> string
 val option : ('a -> string) -> 'a option -> string
-val list : ('a -> string) -> 'a list -> string
 val fields : string -> (string * string) list -> string
 (** A named record: [fields "physical" [("lpoly", ...); ...]].  The field
     names listed here are exactly what the memo-soundness auditor

@@ -106,11 +106,11 @@ let rec worker_loop pool last_id =
    minor collection stops all domains.  Minor heaps are sized per domain,
    so [Gc.set] in a worker leaves the calling domain's heap, which may
    hold a whole driver's working set, at its size. *)
-let worker_minor_heap_words = 32 * 1024
+let task_minor_heap_words = 32 * 1024
 
 let spawn_worker pool =
   Domain.spawn (fun () ->
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = task_minor_heap_words };
       worker_loop pool 0)
 
 let create ~domains =

@@ -15,8 +15,12 @@ val create : domains:int -> t
 (** [domains] total lanes; the caller participates in every [map], so
     only [domains - 1] worker domains are spawned ([~domains:1] spawns
     none: the pool degenerates to a pure-sequential [List.map]).  Each
-    worker runs on a 32k-word (256 KB) minor heap of its own, sized for
+    worker runs on a minor heap of {!task_minor_heap_words}, sized for
     one task's temporaries; the calling domain's heap keeps its size. *)
+
+val task_minor_heap_words : int
+(** 32k words (256 KB): the minor heap of a domain that only ever holds
+    one task's temporaries — a pool worker, and the serve daemon's loop. *)
 
 val domains : t -> int
 val spawned : t -> int

@@ -7,23 +7,35 @@ let geometric a b ~h0 ~ratio =
   in
   Array.of_list (collect a h0 [])
 
-(* Target spacing at x: h_min near any centre, growing linearly with distance
-   at slope g until h_max.  Integrate dx/h(x) by stepping. *)
+(* Target spacing at x: h_min near any centre, growing linearly with
+   distance at slope 0.35 until h_max.  Integrate dx/h(x) by stepping from
+   [a]: each step's end is a line, and the step that lands within 0.3 h of
+   [b] ends on [b] instead.  Writes the lines into [out] as far as it
+   reaches and returns their count, so [refined_around] walks twice, once
+   to size the array and once to fill it, and builds no list. *)
+let walk_refined out a b centers h_min h_max =
+  let growth = 0.35 in
+  let n = ref 1 and x = ref a and finished = ref false in
+  if Array.length out > 0 then out.(0) <- a;
+  while not !finished do
+    let d = ref infinity in
+    for j = 0 to Array.length centers - 1 do
+      d := Float.min !d (Float.abs (!x -. centers.(j)))
+    done;
+    let h = Float.min h_max (h_min +. (growth *. !d)) in
+    let x' = !x +. h in
+    finished := x' >= b -. (0.3 *. h);
+    if !n < Array.length out then out.(!n) <- (if !finished then b else x');
+    incr n;
+    x := x'
+  done;
+  !n
+
 let refined_around a b ~centers ~h_min ~h_max =
   if h_min <= 0.0 || h_max < h_min then invalid_arg "Grid.refined_around: bad spacings";
   if b <= a then invalid_arg "Grid.refined_around: empty interval";
-  let growth = 0.35 in
-  let target x =
-    let d =
-      List.fold_left (fun acc c -> Float.min acc (Float.abs (x -. c))) infinity centers
-    in
-    Float.min h_max (h_min +. (growth *. d))
-  in
-  let rec collect x acc =
-    let h = target x in
-    let x' = x +. h in
-    if x' >= b -. (0.3 *. h) then List.rev (b :: acc) else collect x' (x' :: acc)
-  in
-  Array.of_list (collect a [ a ])
+  let out = Array.make (walk_refined [||] a b centers h_min h_max) a in
+  ignore (walk_refined out a b centers h_min h_max : int);
+  out
 
 let spacings xs = Array.init (Array.length xs - 1) (fun i -> xs.(i + 1) -. xs.(i))

@@ -7,7 +7,7 @@ val geometric : float -> float -> h0:float -> ratio:float -> Vec.t
     [b]. *)
 
 val refined_around :
-  float -> float -> centers:float list -> h_min:float -> h_max:float -> Vec.t
+  float -> float -> centers:Vec.t -> h_min:float -> h_max:float -> Vec.t
 (** [refined_around a b ~centers ~h_min ~h_max] builds a graded grid on
     [[a, b]] whose spacing is [h_min] near each centre and grows smoothly to
     at most [h_max] away from them. *)

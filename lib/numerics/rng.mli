@@ -9,8 +9,6 @@ val create : seed:int -> t
 val float : t -> float
 (** Uniform in [0, 1). *)
 
-val uniform : t -> lo:float -> hi:float -> float
-
 val normal : t -> mean:float -> sigma:float -> float
 (** Gaussian, from standard normal draws by Box–Muller. *)
 

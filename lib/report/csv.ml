@@ -18,10 +18,4 @@ let of_rows rows =
   String.concat "\n" (List.map (fun row -> String.concat "," (List.map escape_cell row)) rows)
   ^ "\n"
 
-let write ~path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (of_rows rows))
-
 let of_table (t : Table.t) = of_rows (t.Table.headers :: t.Table.rows)

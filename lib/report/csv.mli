@@ -2,8 +2,5 @@
     comma, quote or line break is quoted, with inner quotes doubled
     (RFC 4180). *)
 
-val write : path:string -> string list list -> unit
-(** Raises [Sys_error] on I/O failure. *)
-
 val of_table : Table.t -> string
 (** Headers followed by data rows (title and notes are dropped). *)

@@ -19,12 +19,16 @@ exception Bad of string
    deliberately deep line must not escape as [Stack_overflow]. *)
 let max_depth = 64
 
+(* C's printf, as Printf's "%.17g" and "%.0f" call it on a finite float,
+   without the format interpreter's ~60 words a number. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Numbers must round-trip: 17 significant digits recover the exact double.
    Integral values print without the fraction so counters stay readable. *)
 let render_num f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
+  else format_float "%.17g" f
 
 let render v =
   let buf = Buffer.create 256 in
@@ -75,19 +79,20 @@ let parse_exn s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* The next byte, or NUL past the end: no option to allocate per byte.
+     Where a NUL byte in the input would read differently from the end,
+     the position is tested first. *)
+  let peek () = if !pos < n then s.[!pos] else '\000' in
   let advance () = incr pos in
   let rec skip_ws () =
     match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
+    | ' ' | '\t' | '\n' | '\r' ->
       advance ();
       skip_ws ()
     | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if !pos < n && peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     let l = String.length word in
@@ -101,19 +106,19 @@ let parse_exn s =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
+      if !pos >= n then fail "unterminated string";
       match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
+      | '"' -> advance ()
+      | '\\' -> (
         advance ();
         match peek () with
-        | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-        | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-        | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-        | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-        | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-        | Some 'u' ->
+        | '"' -> advance (); Buffer.add_char buf '"'; go ()
+        | '\\' -> advance (); Buffer.add_char buf '\\'; go ()
+        | '/' -> advance (); Buffer.add_char buf '/'; go ()
+        | 'n' -> advance (); Buffer.add_char buf '\n'; go ()
+        | 't' -> advance (); Buffer.add_char buf '\t'; go ()
+        | 'r' -> advance (); Buffer.add_char buf '\r'; go ()
+        | 'u' ->
           advance ();
           if !pos + 4 > n then fail "truncated \\u escape";
           let hex = String.sub s !pos 4 in
@@ -136,7 +141,7 @@ let parse_exn s =
           else Buffer.add_char buf '?';
           go ()
         | _ -> fail "unsupported escape")
-      | Some c ->
+      | c ->
         advance ();
         Buffer.add_char buf c;
         go ()
@@ -150,7 +155,7 @@ let parse_exn s =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
+    while is_num_char (peek ()) do
       advance ()
     done;
     if !pos = start then fail "expected number";
@@ -161,11 +166,12 @@ let parse_exn s =
   let rec value depth =
     if depth > max_depth then fail "nesting too deep";
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if peek () = '}' then begin
         advance ();
         Obj []
       end
@@ -178,20 +184,20 @@ let parse_exn s =
           let v = value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             members ((key, v) :: acc)
-          | Some '}' ->
+          | '}' ->
             advance ();
             List.rev ((key, v) :: acc)
           | _ -> fail "expected ',' or '}'"
         in
         Obj (members [])
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if peek () = ']' then begin
         advance ();
         Arr []
       end
@@ -200,22 +206,21 @@ let parse_exn s =
           let v = value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             elems (v :: acc)
-          | Some ']' ->
+          | ']' ->
             advance ();
             List.rev (v :: acc)
           | _ -> fail "expected ',' or ']'"
         in
         Arr (elems [])
       end
-    | Some '"' -> Str (string_lit ())
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some _ -> Num (number ())
-    | None -> fail "unexpected end of input"
+    | '"' -> Str (string_lit ())
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | _ -> Num (number ())
   in
   let v = value 0 in
   skip_ws ();

@@ -39,11 +39,3 @@ let eval t ~slew ~load =
 
 let slews t = Array.copy t.slews
 let loads t = Array.copy t.loads
-
-let map2 f a b =
-  if a.slews <> b.slews || a.loads <> b.loads then invalid_arg "Lut.map2: axis mismatch";
-  {
-    a with
-    values =
-      Array.mapi (fun i row -> Array.mapi (fun j v -> f v b.values.(i).(j)) row) a.values;
-  }

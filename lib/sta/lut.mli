@@ -15,7 +15,3 @@ val eval : t -> slew:float -> load:float -> float
 val slews : t -> Numerics.Vec.t
 
 val loads : t -> Numerics.Vec.t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Pointwise combination of two tables on identical axes (e.g. max of two
-    arcs).  Raises [Invalid_argument] if the axes differ. *)

@@ -53,10 +53,6 @@ let coords m k =
 
 let dual_width_y m iy = m.wy.(iy)
 
-let box_area m k =
-  let ix = k / m.ny and iy = k mod m.ny in
-  m.wx.(ix) *. m.wy.(iy)
-
 let find_nearest axis v =
   let n = Array.length axis in
   let best = ref 0 and dist = ref (Float.abs (axis.(0) -. v)) in

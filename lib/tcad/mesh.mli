@@ -33,8 +33,5 @@ val dual_width_y : t -> int -> float
 (** [dual_width_y m iy] is the finite-volume box height around row [iy]
     (half-spacing on each interior side). *)
 
-val box_area : t -> int -> float
-(** Dual-box area (per unit device width) around a flat node index. *)
-
 val find_ix : t -> float -> int
 (** Nearest column index to a lateral coordinate. *)

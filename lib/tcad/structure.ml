@@ -113,13 +113,13 @@ let lines ?(nx = 61) ?(ny = 41) d =
   let h_max_x = x_total /. 12.0 in
   let xs =
     Numerics.Grid.refined_around 0.0 x_total
-      ~centers:[ x_g0; 0.5 *. (x_g0 +. x_g1); x_g1 ]
+      ~centers:[| x_g0; 0.5 *. (x_g0 +. x_g1); x_g1 |]
       ~h_min:h_min_x ~h_max:h_max_x
   in
   let h_min_y = Float.max (y_total /. float_of_int (10 * ny)) (Physics.Constants.nm 0.35) in
   let h_max_y = y_total /. 8.0 in
   let ys =
-    Numerics.Grid.refined_around 0.0 y_total ~centers:[ 0.0; d.halo_depth_frac *. d.xj ]
+    Numerics.Grid.refined_around 0.0 y_total ~centers:[| 0.0; d.halo_depth_frac *. d.xj |]
       ~h_min:h_min_y ~h_max:h_max_y
   in
   (xs, ys)
@@ -132,8 +132,8 @@ let key_of_lines d ~xs ~ys =
   Exec.Key.(
     fields "tcad_structure"
       [ ("desc", description_key d);
-        ("xs", list float (Array.to_list xs));
-        ("ys", list float (Array.to_list ys)) ])
+        ("xs", floats xs);
+        ("ys", floats ys) ])
 
 let key dev = key_of_lines dev.desc ~xs:dev.mesh.Mesh.xs ~ys:dev.mesh.Mesh.ys
 

@@ -130,10 +130,6 @@ let lut_tests =
         Alcotest.check_raises "rows" (Invalid_argument "Lut.create: row count mismatch")
           (fun () ->
             ignore (Lut.create ~slews:[| 1.0; 2.0 |] ~loads:[| 1.0 |] ~values:[| [| 1.0 |] |])));
-    u "map2 combines pointwise" (fun () ->
-        let mk v = Lut.create ~slews:[| 1.0 |] ~loads:[| 1.0 |] ~values:[| [| v |] |] in
-        Test_util.check_float "max" 5.0
-          (Lut.eval (Lut.map2 Float.max (mk 2.0) (mk 5.0)) ~slew:1.0 ~load:1.0));
   ]
 
 let cell_lib_tests =

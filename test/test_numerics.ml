@@ -540,7 +540,7 @@ let grid_tests =
         let g = Grid.geometric 0.0 10.0 ~h0:1.0 ~ratio:1.5 in
         Test_util.check_rel "second step" ~rel:1e-9 1.5 ((g.(2) -. g.(1)) /. (g.(1) -. g.(0))));
     u "refined grid covers the interval with fine spacing at centres" (fun () ->
-        let g = Grid.refined_around 0.0 100e-9 ~centers:[ 50e-9 ] ~h_min:1e-9 ~h_max:10e-9 in
+        let g = Grid.refined_around 0.0 100e-9 ~centers:[| 50e-9 |] ~h_min:1e-9 ~h_max:10e-9 in
         Test_util.check_float "start" 0.0 g.(0);
         Test_util.check_float "end" 100e-9 g.(Array.length g - 1);
         let i = ref 0 in
@@ -548,10 +548,37 @@ let grid_tests =
         let h_local = g.(!i + 1) -. g.(!i) in
         Alcotest.(check bool) "fine at centre" true (h_local < 3e-9));
     u "spacings of a refined grid are bounded" (fun () ->
-        let g = Grid.refined_around 0.0 1.0 ~centers:[ 0.3 ] ~h_min:0.01 ~h_max:0.2 in
+        let g = Grid.refined_around 0.0 1.0 ~centers:[| 0.3 |] ~h_min:0.01 ~h_max:0.2 in
         Array.iter
           (fun h -> Test_util.check_in_range "h" ~lo:0.005 ~hi:0.30 h)
           (Grid.spacings g));
+    (* The lines name TCAD meshes in every structure key, so the two-pass
+       walk must give the list-built walk's floats bit for bit. *)
+    prop "refined grid is the list-built walk's, bit for bit" ~count:300
+      QCheck2.Gen.(
+        quad (float_range 1e-9 1.0) (list_size (1 -- 4) (float_range (-0.2) 1.2))
+          (float_range 0.002 0.05) (float_range 1.0 8.0))
+      (fun (b, centers, h_min_frac, h_max_ratio) ->
+        let h_min = h_min_frac *. b and centers = List.map (fun c -> c *. b) centers in
+        let h_max = h_min *. h_max_ratio in
+        let reference =
+          let target x =
+            let d =
+              List.fold_left (fun acc c -> Float.min acc (Float.abs (x -. c))) infinity centers
+            in
+            Float.min h_max (h_min +. (0.35 *. d))
+          in
+          let rec collect x acc =
+            let h = target x in
+            let x' = x +. h in
+            if x' >= b -. (0.3 *. h) then List.rev (b :: acc) else collect x' (x' :: acc)
+          in
+          Array.of_list (collect 0.0 [ 0.0 ])
+        in
+        let g = Grid.refined_around 0.0 b ~centers:(Array.of_list centers) ~h_min ~h_max in
+        Array.length g = Array.length reference
+        && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) g
+             reference);
   ]
 
 let stats_tests =

@@ -441,7 +441,7 @@ let fingerprint () =
   Exec.Key.fields "determinism"
     [
       ("table1", Subscale.Report.Table.render table);
-      ("ids", Exec.Key.list Exec.Key.float ids);
+      ("ids", Exec.Key.floats (Array.of_list ids));
     ]
 
 let determinism_tests =

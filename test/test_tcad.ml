@@ -40,10 +40,6 @@ let mesh_tests =
           total := !total +. m.Mesh.wx.(ix)
         done;
         Test_util.check_rel "coverage" ~rel:1e-12 3.0 !total);
-    u "box area is the product of dual widths" (fun () ->
-        let m = Mesh.make ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 0.0; 2.0; 4.0 |] in
-        let k = Mesh.index m ~ix:1 ~iy:1 in
-        Test_util.check_rel "area" ~rel:1e-12 2.0 (Mesh.box_area m k));
     u "find_ix picks the nearest column" (fun () ->
         let m = Mesh.make ~xs:[| 0.0; 1.0; 5.0 |] ~ys:[| 0.0; 1.0; 2.0 |] in
         Alcotest.(check int) "nearest" 1 (Mesh.find_ix m 1.4));

@@ -198,7 +198,6 @@ let functions =
     (* Tcad accessors *)
     ("Structure.effective_channel_length", fn [] "m");
     ("Mesh.dual_width_y", fn [] "m");
-    ("Mesh.box_area", fn [] "m^2");
     ("Extract.subthreshold_slope", fn [] "V/dec");
     ("Extract.threshold_voltage", fn [] "V");
     ("Extract.current_at", fn [ (Pos 1, "V") ] "A/m");
