@@ -119,6 +119,65 @@ let () =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
+(* Model pins: the bits of the compact model chain (Compact.build, V_th,
+   DIBL, I_on/I_off, Eq. 5 delay and the Eq. 7-8 energy breakdown) on
+   every device the audit checks plus the 130 nm node, and on the 90 nm
+   devices at 250 K and 400 K.  One "model-<device>-<quantity>" line per
+   quantity.  Must stay in sync with [model_pins] in test/test_device.ml. *)
+let model_pins () =
+  let module S = Subscale in
+  let module Cm = S.Device.Compact in
+  let module Iv = S.Device.Iv_model in
+  let module Strategy = S.Scaling.Strategy in
+  let selected =
+    List.concat_map
+      (fun node ->
+        List.map
+          (fun kind ->
+            ( Printf.sprintf "%d-%s" node.S.Scaling.Roadmap.nm (Strategy.kind_key kind),
+              fst (Strategy.select kind node),
+              None ))
+          Strategy.kinds)
+      S.Scaling.Roadmap.nodes_with_130
+  in
+  let hot_cold =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun t ->
+            ( Printf.sprintf "90-%s-%gK" (Strategy.kind_key kind) t,
+              fst (Strategy.select kind (S.Scaling.Roadmap.find 90)),
+              Some t ))
+          [ 250.0; 400.0 ])
+      Strategy.kinds
+  in
+  let device_lines tag vdd (d : Cm.t) =
+    List.map
+      (fun (q, v) -> (Printf.sprintf "model-%s-%s" tag q, [ v ]))
+      [ ("leff", d.Cm.leff); ("xj", d.Cm.xj); ("overlap", d.Cm.overlap); ("neff", d.Cm.neff);
+        ("phi_f", d.Cm.phi_f); ("wdep", d.Cm.wdep); ("cox", d.Cm.cox); ("m", d.Cm.m);
+        ("ss", d.Cm.ss); ("vth0", d.Cm.vth0); ("vbi", d.Cm.vbi); ("lt", d.Cm.lt);
+        ("mu", d.Cm.mu); ("cg", d.Cm.cg); ("cg_intrinsic", d.Cm.cg_intrinsic);
+        ("temperature", d.Cm.temperature); ("vth-vds0", Cm.vth d ~vds:0.0);
+        ("vth-vdd", Cm.vth d ~vds:vdd); ("dibl", Cm.dibl d);
+        ("ion-250mV", Iv.ion d ~vdd:0.25); ("ioff-250mV", Iv.ioff d ~vdd:0.25);
+        ("ion-vdd", Iv.ion d ~vdd); ("ioff-vdd", Iv.ioff d ~vdd) ]
+  in
+  List.concat_map
+    (fun (tag, (phys : S.Device.Params.physical), t) ->
+      let vdd = if phys.S.Device.Params.vdd > 0.0 then phys.S.Device.Params.vdd else 0.25 in
+      let nfet = Cm.nfet ?t phys and pfet = Cm.pfet ?t phys in
+      let pair = { S.Circuits.Inverter.nfet; pfet } in
+      let sizing = S.Circuits.Inverter.balanced_sizing () in
+      let e = S.Analysis.Energy.analytic pair ~vdd:0.25 in
+      device_lines (tag ^ "-nfet") vdd nfet
+      @ device_lines (tag ^ "-pfet") vdd pfet
+      @ [ (Printf.sprintf "model-%s-eq5-250mV" tag, [ S.Analysis.Delay.eq5 pair ~sizing ~vdd:0.25 ]);
+          (Printf.sprintf "model-%s-eq5-vdd" tag, [ S.Analysis.Delay.eq5 pair ~sizing ~vdd ]);
+          ( Printf.sprintf "model-%s-energy-250mV" tag,
+            S.Analysis.Energy.[ e.vdd; e.e_dyn; e.e_leak; e.e_total; e.t_cycle ] ) ])
+    (selected @ hot_cold)
+
 (* Bit pins of the paths whose experiment goldens print only 2-3 digits, so
    a last-bit drift would pass them: one "label value..." line each, every
    value in %h (the exact IEEE-754 bits).  The labels and their
@@ -162,6 +221,7 @@ let () =
         ("vmin-32-super", [ vmin sup32 ]);
         ("vmin-32-sub", [ vmin sub32 ]) ]
   in
+  let lines = lines @ model_pins () in
   let path = Filename.concat dir "bit_pins.txt" in
   let oc = open_out path in
   List.iter

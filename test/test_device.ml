@@ -299,6 +299,82 @@ let eval_tests =
           (fun () -> ignore (eval (Iv.prepare nfet90) ~vgs:0.1 ~vds:(-0.1))));
   ]
 
+(* The model-* lines of golden/bit_pins.txt, computed as test/gen_golden.ml
+   writes them: every device the audit checks plus the 130 nm node, and the
+   90 nm devices at 250 K and 400 K.  Must stay in sync with [model_pins]
+   there. *)
+let model_pins () =
+  let module Strategy = Scaling.Strategy in
+  let selected =
+    List.concat_map
+      (fun node ->
+        List.map
+          (fun kind ->
+            ( Printf.sprintf "%d-%s" node.Scaling.Roadmap.nm (Strategy.kind_key kind),
+              fst (Strategy.select kind node),
+              None ))
+          Strategy.kinds)
+      Scaling.Roadmap.nodes_with_130
+  in
+  let hot_cold =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun t ->
+            ( Printf.sprintf "90-%s-%gK" (Strategy.kind_key kind) t,
+              fst (Strategy.select kind (Scaling.Roadmap.find 90)),
+              Some t ))
+          [ 250.0; 400.0 ])
+      Strategy.kinds
+  in
+  let device_lines tag vdd (d : Compact.t) =
+    List.map
+      (fun (q, v) -> (Printf.sprintf "model-%s-%s" tag q, [ v ]))
+      [ ("leff", d.Compact.leff); ("xj", d.Compact.xj); ("overlap", d.Compact.overlap);
+        ("neff", d.Compact.neff); ("phi_f", d.Compact.phi_f); ("wdep", d.Compact.wdep);
+        ("cox", d.Compact.cox); ("m", d.Compact.m); ("ss", d.Compact.ss);
+        ("vth0", d.Compact.vth0); ("vbi", d.Compact.vbi); ("lt", d.Compact.lt);
+        ("mu", d.Compact.mu); ("cg", d.Compact.cg); ("cg_intrinsic", d.Compact.cg_intrinsic);
+        ("temperature", d.Compact.temperature); ("vth-vds0", Compact.vth d ~vds:0.0);
+        ("vth-vdd", Compact.vth d ~vds:vdd); ("dibl", Compact.dibl d);
+        ("ion-250mV", Iv.ion d ~vdd:0.25); ("ioff-250mV", Iv.ioff d ~vdd:0.25);
+        ("ion-vdd", Iv.ion d ~vdd); ("ioff-vdd", Iv.ioff d ~vdd) ]
+  in
+  List.concat_map
+    (fun (tag, (phys : P.physical), t) ->
+      let vdd = if phys.P.vdd > 0.0 then phys.P.vdd else 0.25 in
+      let nfet = Compact.nfet ?t phys and pfet = Compact.pfet ?t phys in
+      let pair = { Circuits.Inverter.nfet; pfet } in
+      let sizing = Circuits.Inverter.balanced_sizing () in
+      let e = Analysis.Energy.analytic pair ~vdd:0.25 in
+      device_lines (tag ^ "-nfet") vdd nfet
+      @ device_lines (tag ^ "-pfet") vdd pfet
+      @ [ (Printf.sprintf "model-%s-eq5-250mV" tag, [ Analysis.Delay.eq5 pair ~sizing ~vdd:0.25 ]);
+          (Printf.sprintf "model-%s-eq5-vdd" tag, [ Analysis.Delay.eq5 pair ~sizing ~vdd ]);
+          ( Printf.sprintf "model-%s-energy-250mV" tag,
+            Analysis.Energy.[ e.vdd; e.e_dyn; e.e_leak; e.e_total; e.t_cycle ] ) ])
+    (selected @ hot_cold)
+
+let model_bit_tests =
+  [
+    u "the model chain reproduces its pinned bits" (fun () ->
+        let pinned =
+          In_channel.with_open_text (Test_util.bit_pins_path ()) In_channel.input_lines
+          |> List.filter (String.starts_with ~prefix:"model-")
+        in
+        let computed = model_pins () in
+        Alcotest.(check int) "pinned lines" (List.length computed) (List.length pinned);
+        List.iter2
+          (fun line (label, values) ->
+            match String.split_on_char ' ' line with
+            | l :: bits when String.equal l label ->
+              Test_util.check_all_bits label
+                (Array.of_list (List.map float_of_string bits))
+                (Array.of_list values)
+            | _ -> Alcotest.failf "expected a pin for %s, got %S" label line)
+          pinned computed);
+  ]
+
 let suite =
   [
     ("device.params", params_tests);
@@ -308,4 +384,5 @@ let suite =
     ("device.compact", compact_tests);
     ("device.iv_model", iv_tests);
     ("device.iv_eval", eval_tests);
+    ("device.model_bits", model_bit_tests);
   ]

@@ -60,11 +60,12 @@ let counter_value name =
 
 (* The floats test/gen_golden.ml pinned under [label] in
    golden/bit_pins.txt, one "label value..." line each in %h. *)
+let bit_pins_path () =
+  if Sys.file_exists "golden" then Filename.concat "golden" "bit_pins.txt"
+  else Filename.concat "test" (Filename.concat "golden" "bit_pins.txt")
+
 let bit_pin label =
-  let path =
-    if Sys.file_exists "golden" then Filename.concat "golden" "bit_pins.txt"
-    else Filename.concat "test" (Filename.concat "golden" "bit_pins.txt")
-  in
+  let path = bit_pins_path () in
   let lines = In_channel.with_open_text path In_channel.input_lines in
   match
     List.find_map
