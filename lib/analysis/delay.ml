@@ -1,10 +1,10 @@
-let k_d = 0.69
-
 let eq5 pair ~sizing ~vdd =
   let cl = Circuits.Inverter.load_capacitance pair sizing in
-  let i_n = sizing.Circuits.Inverter.wn *. Device.Iv_model.ion pair.Circuits.Inverter.nfet ~vdd in
-  let i_p = sizing.Circuits.Inverter.wp *. Device.Iv_model.ion pair.Circuits.Inverter.pfet ~vdd in
-  k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p))
+  Device.Eqs.Model.delay ~cl ~vdd
+    (Device.Eqs.Model.mean_current ~wn:sizing.Circuits.Inverter.wn
+       ~wp:sizing.Circuits.Inverter.wp
+       (Device.Iv_model.ion pair.Circuits.Inverter.nfet ~vdd)
+       (Device.Iv_model.ion pair.Circuits.Inverter.pfet ~vdd))
 
 type measured = { tp : float; tp_rise : float; tp_fall : float }
 

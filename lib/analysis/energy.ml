@@ -17,25 +17,20 @@ type breakdown = {
 let static_leak_current pair sizing ~vdd =
   (* In a static inverter exactly one device leaks per state; averaged over
      data, the mean leak is the N/P average. *)
-  let i_n =
-    sizing.Circuits.Inverter.wn *. Device.Iv_model.ioff pair.Circuits.Inverter.nfet ~vdd
-  in
-  let i_p =
-    sizing.Circuits.Inverter.wp *. Device.Iv_model.ioff pair.Circuits.Inverter.pfet ~vdd
-  in
-  0.5 *. (i_n +. i_p)
+  Device.Eqs.Model.mean_current ~wn:sizing.Circuits.Inverter.wn ~wp:sizing.Circuits.Inverter.wp
+    (Device.Iv_model.ioff pair.Circuits.Inverter.nfet ~vdd)
+    (Device.Iv_model.ioff pair.Circuits.Inverter.pfet ~vdd)
 
 let analytic ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default_stages)
     ?(alpha = default_alpha) pair ~vdd =
   if vdd <= 0.0 then invalid_arg "Energy.analytic: vdd must be positive";
-  let n = float_of_int stages in
-  let cl = Circuits.Inverter.load_capacitance pair sizing in
-  let tp = Delay.eq5 pair ~sizing ~vdd in
-  let t_cycle = n *. tp in
-  let e_dyn = alpha *. n *. cl *. vdd *. vdd in
-  let i_leak = n *. static_leak_current pair sizing ~vdd in
-  let e_leak = i_leak *. vdd *. t_cycle in
-  { vdd; e_dyn; e_leak; e_total = e_dyn +. e_leak; t_cycle }
+  let e =
+    Device.Eqs.Model.energy ~stages:(float_of_int stages) ~alpha
+      ~cl:(Circuits.Inverter.load_capacitance pair sizing) ~vdd
+      ~tp:(Delay.eq5 pair ~sizing ~vdd) ~i_leak:(static_leak_current pair sizing ~vdd)
+  in
+  let open Device.Eqs in
+  { vdd; e_dyn = e.e_dyn; e_leak = e.e_leak; e_total = e.e_total; t_cycle = e.t_cycle }
 
 let measured ?(stages = default_stages) ?(steps = 900) pair ~vdd =
   let sizing = Circuits.Inverter.balanced_sizing () and alpha = default_alpha in

@@ -83,7 +83,7 @@ let chain_delay_distributions ?(trials = 400) ?(stages = 30) pair ~vdds =
               b.(2) <- dvp.(k);
               Device.Iv_model.eval_shifted_into cp b;
               let i_p = wp *. b.(0) in
-              total := !total +. (Delay.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p)))
+              total := !total +. (Device.Eqs.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p)))
             done;
             !total)
           trial_ids

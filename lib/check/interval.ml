@@ -80,6 +80,13 @@ let mono_incr f i =
 
 let mono_decr f i = neg (mono_incr (fun x -> -.f x) i)
 
+(* [f] non-decreasing in its first argument, non-increasing in its second. *)
+let mono_incr_decr f a b =
+  let lo = f a.lo b.hi and hi = f a.hi b.lo in
+  if Float.is_nan lo || Float.is_nan hi then
+    raise (Invalid "Interval.mono_incr_decr: function returned NaN on a corner")
+  else make (down2 lo) (up2 hi)
+
 let exp i = mono_incr Stdlib.exp i
 
 (* [sqrt] on the nonnegative part only; the caller clamps (and flags)
@@ -105,8 +112,3 @@ let widen ~rel i =
   let r = Float.abs rel in
   let a = i.lo -. (r *. Float.abs i.lo) and b = i.hi +. (r *. Float.abs i.hi) in
   make (down a) (up b)
-
-(* log1p (exp x): the softplus kernel of the EKV interpolation, monotone
-   increasing; mirror the concrete implementation's large-x branch so that
-   endpoint evaluation agrees bit-for-bit with the model code. *)
-let softplus i = mono_incr (fun x -> if x > 40.0 then x else log1p (Stdlib.exp x)) i

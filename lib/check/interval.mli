@@ -35,12 +35,10 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val scale : float -> t -> t
-val inv : t -> t
-(** Reciprocal; a zero-straddling argument yields {!top} (the true image is
-    unbounded) — check {!straddles_zero} first when that case is a
-    diagnostic. *)
-
 val div : t -> t -> t
+(** A zero-straddling divisor yields {!top} (the true image is unbounded) —
+    check {!straddles_zero} first when that case is a diagnostic. *)
+
 val exp : t -> t
 val sqrt : t -> t
 val pow_const : t -> float -> t
@@ -60,5 +58,7 @@ val mono_incr : (float -> float) -> t -> t
     results outward by two ulps. *)
 
 val mono_decr : (float -> float) -> t -> t
-val softplus : t -> t
-(** The EKV [log1p (exp x)] kernel (with the model's large-x branch). *)
+
+val mono_incr_decr : (float -> float -> float) -> t -> t -> t
+(** Lift a function non-decreasing in its first argument and non-increasing
+    in its second by corner evaluation, stepping outward by two ulps. *)

@@ -1,23 +1,20 @@
-(* Interval abstract interpretation of the paper's model chain.
+(* The validity half of [subscale audit]: the paper's model chain
+   ({!Device.Eqs}, Eq. 1-8) run over the {!Interval} domain.
 
-   The concrete pipeline (Compact.build -> Iv_model -> Delay.eq5 ->
-   Energy.analytic) is re-executed over the {!Interval} domain: every
-   physical parameter becomes an interval, every derived quantity a
+   Every physical parameter becomes an interval, every derived quantity a
    guaranteed enclosure of all concrete values the parameter box can
-   produce.  The mirror follows the concrete formulas operation by
-   operation — including their branches (W_dep clamp at psi <= 0, the
-   softplus large-x branch, the halo-fraction min) — so enclosure is by
-   construction, and single-variable monotone stages (phi_F, mobility,
-   E_crit) are lifted by evaluating the *actual* library function at the
-   interval endpoints, which keeps audited and executed code from ever
-   drifting apart.
+   produce.  The chain is the model's own code: {!Device.Eqs.Make} applied
+   to an interval instance of its number signature, so audited and
+   executed formulas cannot drift apart.  The instance's hooks are where
+   an enclosure can leave an equation's domain (a zero-straddling divisor,
+   an exp overflow, a negative sqrt or log argument, L_eff <= 0); each
+   reports the equation it evaluates.
 
-   On top of the enclosures sit the AUD regime rules: where an interval
-   can leave the model's validity domain (weak inversion, Eq. 1; physical
-   S_S band, Eq. 2; positive L_eff; defined log/sqrt arguments; bounded
-   exp; non-zero divisors) a diagnostic names the violated equation and
-   the offending interval bound.  Because the arithmetic is sound, a
-   clean report is a proof: no point of the box can trip the hazard. *)
+   On top of the enclosures sit the AUD regime rules: the weak-inversion
+   premise of Eq. 1, the physical S_S band of Eq. 2, the on/off ratio of a
+   regenerative VTC and the V_min bracket of Eq. 7-8.  Because the
+   arithmetic is sound, a clean report is a proof: no point of the box can
+   trip the hazard. *)
 
 module I = Interval
 module P = Device.Params
@@ -86,36 +83,85 @@ type ctx = { what : string; mutable diags : Diagnostic.t list }
 
 let emit ctx d = ctx.diags <- d :: ctx.diags
 
-let checked_div ctx ~expr num den =
-  if I.straddles_zero den then
-    emit ctx
-      (Diagnostic.error ~rule:rule_div_zero ~location:ctx.what
-         (Printf.sprintf "%s: denominator interval %s straddles zero, so the quotient is unbounded"
-            expr (I.to_string den)));
-  I.div num den
-
 (* exp rounds to +infinity above ln(max_float) ~ 709.78; an interval whose
    upper bound can get there convicts a guaranteed-overflow input region. *)
 let exp_overflow = 709.7
 
-let checked_exp ctx ~expr x =
-  if I.hi x > exp_overflow then
-    emit ctx
-      (Diagnostic.error ~rule:rule_exp_overflow ~location:ctx.what
-         (Printf.sprintf
-            "%s: exponent upper bound %.4g exceeds ln(max_float) ~ 709.8 — exp overflows to infinity"
-            expr (I.hi x)));
-  I.exp x
+(* Floor used to keep propagating past a region already convicted (L_eff or
+   N_eff that can reach zero): the diagnostic has fired; the clamped
+   interval covers the surviving part of the box. *)
+let tiny = 1e-300
 
-let checked_sqrt ctx ~expr x =
-  if I.lo x < 0.0 then
-    emit ctx
-      (Diagnostic.error ~rule:rule_log_domain ~location:ctx.what
-         (Printf.sprintf "%s: sqrt argument lower bound %.4g < 0 — result is NaN" expr
-            (I.lo x)));
-  if I.hi x < 0.0 then I.top else I.sqrt x
+(* {2 The interval instance of the model chain} *)
 
-(* {2 Device propagation (mirror of Compact.build + Iv_model)} *)
+module Num (X : sig
+  val ctx : ctx
+end) : Device.Eqs.NUM with type t = I.t = struct
+  type t = I.t
+
+  let error ?hint rule msg =
+    emit X.ctx (Diagnostic.error ?hint ~rule ~location:X.ctx.what msg)
+
+  let const = I.point
+  let add = I.add
+  let sub = I.sub
+  let mul = I.mul
+  let neg = I.neg
+  let scale = I.scale
+  let pow = I.pow_const
+  let min = I.min_
+  let incr = I.mono_incr
+  let decr = I.mono_decr
+  let incr_decr = I.mono_incr_decr
+
+  let div expr num den =
+    if I.straddles_zero den then
+      error rule_div_zero
+        (Printf.sprintf "%s: denominator interval %s straddles zero, so the quotient is unbounded"
+           expr (I.to_string den));
+    I.div num den
+
+  let exp expr x =
+    if I.hi x > exp_overflow then
+      error rule_exp_overflow
+        (Printf.sprintf
+           "%s: exponent upper bound %.4g exceeds ln(max_float) ~ 709.8 — exp overflows to infinity"
+           expr (I.hi x));
+    I.exp x
+
+  let sqrt expr x =
+    if I.lo x < 0.0 then
+      error rule_log_domain
+        (Printf.sprintf "%s: sqrt argument lower bound %.4g < 0 — result is NaN" expr (I.lo x));
+    if I.hi x < 0.0 then I.top else I.sqrt x
+
+  let positive guard x =
+    let lo = I.lo x in
+    match guard with
+    | Device.Eqs.Gate_length ->
+      if lo <= 0.0 then
+        error rule_leff ~hint:"reduce the overlap fraction or lengthen L_poly"
+          (Printf.sprintf
+             "Eq. (2) geometry: L_eff = L_poly - 2 overlap has lower bound %.4g m <= 0 — the overlap consumes the gate (Compact.build rejects such a device)"
+             lo);
+      I.clamp_lo tiny x
+    | Device.Eqs.Doping ->
+      if lo <= 0.0 then
+        error rule_log_domain
+          (Printf.sprintf
+             "phi_F = v_T ln(N_eff/n_i) (Eq. 2a): N_eff lower bound %.4g m^-3 <= 0 — the Fermi potential is undefined"
+             lo);
+      I.clamp_lo 1.0 x
+    | Device.Eqs.Fermi_potential ->
+      if lo <= 0.0 then
+        error rule_log_domain
+          (Printf.sprintf
+             "Eq. (2a): phi_F lower bound %.4g V <= 0 (N_eff can fall below n_i) — Q_dep = sqrt(4 q eps_si N_eff phi_F) is NaN there"
+             lo);
+      x
+end
+
+(* {2 Device propagation} *)
 
 type derived = {
   xj : I.t;
@@ -143,159 +189,28 @@ type derived = {
    rounding (a few ulps); negligible against every rule threshold. *)
 let settle = I.widen ~rel:1e-12
 
-(* Floor used to keep propagating past a region already convicted (L_eff or
-   N_eff that can reach zero): the diagnostic has fired; the clamped
-   interval covers the surviving part of the box. *)
-let tiny = 1e-300
-
 let propagate_device ctx ~(cal : P.calibration) ~t ~polarity ~op_vdd (b : box) =
-  let vt = C.thermal_voltage t in
-  let pt = I.point in
-  let xj =
-    match b.xj with Some v -> v | None -> I.scale cal.P.xj_fraction b.lpoly
+  let module N = Num (struct
+    let ctx = ctx
+  end) in
+  let module E = Device.Eqs.Make (N) in
+  let d =
+    E.build cal ~t polarity ~lpoly:b.lpoly ~tox:b.tox ~nsub:b.nsub ~np_halo:b.np_halo ~xj:b.xj
+      ~overlap:b.overlap
   in
-  let overlap =
-    match b.overlap with Some v -> v | None -> I.scale cal.P.overlap_fraction b.lpoly
+  let open Device.Eqs in
+  let vth = E.vth cal ~vth0:d.vth0 ~vbi:d.vbi ~phi_f:d.phi_f ~leff:d.leff ~lt:d.lt ~vds:op_vdd in
+  let id vgs =
+    E.current ~t polarity ~m:d.m ~mu:d.mu ~cox:d.cox ~leff:d.leff ~neff:d.neff ~vth ~vgs
+      ~vds:op_vdd
   in
-  let leff = I.sub b.lpoly (I.scale 2.0 overlap) in
-  if I.lo leff <= 0.0 then
-    emit ctx
-      (Diagnostic.error ~rule:rule_leff ~location:ctx.what
-         ~hint:"reduce the overlap fraction or lengthen L_poly"
-         (Printf.sprintf
-            "Eq. (2) geometry: L_eff = L_poly - 2 overlap has lower bound %.4g m <= 0 — the overlap consumes the gate (Compact.build rejects such a device)"
-            (I.lo leff)));
-  let leff = I.clamp_lo tiny leff in
-  let halo_fraction =
-    I.min_ (pt 0.85)
-      (I.scale cal.P.k_halo (checked_div ctx ~expr:"halo fraction k_halo x_j/L_eff (Sec. 3.1)" xj leff))
-  in
-  let nhalo = I.add b.nsub b.np_halo in
-  let neff = I.add b.nsub (I.mul halo_fraction (I.sub nhalo b.nsub)) in
-  if I.lo neff <= 0.0 then
-    emit ctx
-      (Diagnostic.error ~rule:rule_log_domain ~location:ctx.what
-         (Printf.sprintf
-            "phi_F = v_T ln(N_eff/n_i) (Eq. 2a): N_eff lower bound %.4g m^-3 <= 0 — the Fermi potential is undefined"
-            (I.lo neff)));
-  let neff = I.clamp_lo 1.0 neff in
-  (* Monotone single-variable stages: lift the real library functions. *)
-  let phi_f = I.mono_incr (fun n -> Physics.Silicon.fermi_potential ~t n) neff in
-  if I.lo phi_f <= 0.0 then
-    emit ctx
-      (Diagnostic.error ~rule:rule_log_domain ~location:ctx.what
-         (Printf.sprintf
-            "Eq. (2a): phi_F lower bound %.4g V <= 0 (N_eff can fall below n_i) — Q_dep = sqrt(4 q eps_si N_eff phi_F) is NaN there"
-            (I.lo phi_f)));
-  let psi = I.scale 2.0 phi_f in
-  let wdep =
-    if I.hi psi <= 0.0 then pt 0.0
-    else
-      checked_sqrt ctx ~expr:"W_dep (Eq. 2a)"
-        (checked_div ctx ~expr:"W_dep^2 = 2 eps_si psi_s/(q N_eff)"
-           (I.scale (2.0 *. C.eps_si /. C.q) (I.clamp_lo 0.0 psi))
-           neff)
-  in
-  let cox = I.mono_decr (fun tox -> Device.Capacitance.oxide_area_capacitance ~tox) b.tox in
-  (* S_S, Eq. (2b): body factor x short-channel factor. *)
-  let tox_over_wdep = checked_div ctx ~expr:"T_ox/W_dep (Eq. 2b)" b.tox wdep in
-  let body = I.add (pt 1.0) (I.scale (cal.P.k_body *. 3.0) tox_over_wdep) in
-  let a = cal.P.lambda_xj_exp in
-  let lambda =
-    I.scale cal.P.k_lambda
-      (I.mul (I.pow_const xj a) (I.pow_const (I.mul b.tox wdep) (0.5 *. (1.0 -. a))))
-  in
-  let sce_exp =
-    checked_exp ctx ~expr:"SCE decay exp(-pi L_eff/2 lambda) (Eq. 2b)"
-      (I.neg (I.scale (Float.pi /. 2.0) (checked_div ctx ~expr:"L_eff/lambda" leff lambda)))
-  in
-  let sce = I.add (pt 1.0) (I.mul (I.scale (cal.P.k_sce *. 11.0) tox_over_wdep) sce_exp) in
-  let ss = I.add (I.scale (2.3 *. vt) (I.mul body sce)) (pt cal.P.ss_offset) in
-  let m = I.scale (1.0 /. (2.3 *. vt)) ss in
-  (* V_th0 (Eq. 2a) and the roll-off/DIBL geometry (Eq. 3). *)
-  let phi_gate = Physics.Silicon.fermi_potential ~t (C.per_cm3 1e20) in
-  let vfb = I.neg (I.add (pt phi_gate) phi_f) in
-  let qdep =
-    checked_sqrt ctx ~expr:"Q_dep = sqrt(4 q eps_si N_eff phi_F) (Eq. 2a)"
-      (I.scale (4.0 *. C.q *. C.eps_si) (I.mul neff phi_f))
-  in
-  let vth0 = I.add vfb (I.add (I.scale 2.0 phi_f) (checked_div ctx ~expr:"Q_dep/C_ox" qdep cox)) in
-  let vbi =
-    I.mono_incr (fun n -> Physics.Silicon.builtin_potential ~t n Device.Compact.sd_doping) neff
-  in
-  let lt = I.sqrt (I.scale (C.eps_si /. C.eps_ox) (I.mul b.tox wdep)) in
-  let carrier =
-    match polarity with
-    | P.Nfet -> Physics.Mobility.Electron
-    | P.Pfet -> Physics.Mobility.Hole
-  in
-  let mu = I.scale cal.P.mu_factor (I.mono_decr (fun n -> Physics.Mobility.channel ~t carrier n) neff) in
-  let cg =
-    I.add (I.mul cox leff) (I.scale 2.0 (I.add (I.mul cox overlap) (pt cal.P.fringe_cap)))
-  in
-  let cg_intrinsic = I.mul cox (I.add leff (I.scale 2.0 overlap)) in
-  let rolloff_exp =
-    checked_exp ctx ~expr:"roll-off exp(-L_eff/2 l_t) (Eq. 3)"
-      (I.neg (checked_div ctx ~expr:"L_eff/2 l_t" leff (I.scale 2.0 lt)))
-  in
-  let vth_at vds =
-    let rolloff =
-      I.neg
-        (I.scale cal.P.k_vth_sce
-           (I.mul
-              (I.add (I.scale 2.0 (I.sub vbi (I.scale 2.0 phi_f))) (I.scale cal.P.k_dibl vds))
-              rolloff_exp))
-    in
-    I.add vth0 (I.add rolloff (pt cal.P.vth_offset))
-  in
-  (* EKV drain current, Eq. (1) as implemented by Iv_model. *)
-  let ispec =
-    I.scale (2.0 *. vt *. vt)
-      (checked_div ctx ~expr:"I_spec = 2 m mu C_ox v_T^2/L_eff (Eq. 1)"
-         (I.mul (I.mul m mu) cox) leff)
-  in
-  let big_f v =
-    let l = I.softplus (I.scale 0.5 v) in
-    I.mul l l
-  in
-  let ec = I.mono_incr (fun n -> Physics.Mobility.critical_field carrier n) neff in
-  let id ~vgs ~vds =
-    let vp = checked_div ctx ~expr:"pinch-off (V_gs - V_th)/m (Eq. 1)" (I.sub vgs (vth_at vds)) m in
-    let uf = I.scale (1.0 /. vt) vp in
-    let ur = I.scale (1.0 /. vt) (I.sub vp vds) in
-    let i_norm = I.sub (big_f uf) (big_f ur) in
-    let vgt_eff = I.scale (2.0 *. vt) (checked_sqrt ctx ~expr:"sqrt F(u_f)" (big_f uf)) in
-    let sat =
-      I.inv
-        (I.add (pt 1.0)
-           (checked_div ctx ~expr:"velocity-saturation factor (Eq. 1)" vgt_eff (I.mul ec leff)))
-    in
-    I.mul (I.mul ispec i_norm) sat
-  in
-  let ion = id ~vgs:op_vdd ~vds:op_vdd in
-  let ioff = id ~vgs:(pt 0.0) ~vds:op_vdd in
-  let on_off = checked_div ctx ~expr:"I_on/I_off" ion ioff in
-  {
-    xj = settle xj;
-    overlap = settle overlap;
-    leff = settle leff;
-    neff = settle neff;
-    phi_f = settle phi_f;
-    wdep = settle wdep;
-    cox = settle cox;
-    ss = settle ss;
-    m = settle m;
-    vth0 = settle vth0;
-    vbi = settle vbi;
-    lt = settle lt;
-    mu = settle mu;
-    cg = settle cg;
-    cg_intrinsic = settle cg_intrinsic;
-    vth = settle (vth_at op_vdd);
-    ion = settle ion;
-    ioff = settle ioff;
-    on_off = settle on_off;
-  }
+  let ion = id op_vdd in
+  let ioff = id (I.point 0.0) in
+  let s = settle in
+  { xj = s d.xj; overlap = s d.overlap; leff = s d.leff; neff = s d.neff; phi_f = s d.phi_f;
+    wdep = s d.wdep; cox = s d.cox; ss = s d.ss; m = s d.m; vth0 = s d.vth0; vbi = s d.vbi;
+    lt = s d.lt; mu = s d.mu; cg = s d.cg; cg_intrinsic = s d.cg_intrinsic; vth = s vth;
+    ion = s ion; ioff = s ioff; on_off = s (N.div "I_on/I_off" ion ioff) }
 
 (* {2 Regime rules on the propagated enclosures} *)
 
@@ -374,7 +289,7 @@ let regime_checks ctx ~t ~op_vdd (d : derived) =
               (I.hi d.on_off) (I.to_string op_vdd)))
   end
 
-(* {2 Circuit propagation (mirror of Delay.eq5 + Energy.analytic)} *)
+(* {2 Circuit propagation} *)
 
 type circuit = {
   cl : I.t;
@@ -386,32 +301,22 @@ type circuit = {
 }
 
 let propagate_circuit ctx ~(cal : P.calibration) ~op_vdd ~(nfet : derived) ~(pfet : derived) =
+  let module E = Device.Eqs.Make (Num (struct
+    let ctx = ctx
+  end)) in
   let s = Circuits.Inverter.balanced_sizing () in
   let wn = s.Circuits.Inverter.wn and wp = s.Circuits.Inverter.wp in
-  let cl =
-    I.scale cal.P.load_factor (I.add (I.scale wn nfet.cg) (I.scale wp pfet.cg))
+  let cl = E.load_capacitance cal (E.width_sum ~wn ~wp nfet.cg pfet.cg) in
+  let tp = E.delay ~cl ~vdd:op_vdd (E.mean_current ~wn ~wp nfet.ion pfet.ion) in
+  let e =
+    E.energy
+      ~stages:(float_of_int Analysis.Energy.default_stages)
+      ~alpha:Analysis.Energy.default_alpha ~cl ~vdd:op_vdd ~tp
+      ~i_leak:(E.mean_current ~wn ~wp nfet.ioff pfet.ioff)
   in
-  let drive = I.scale 0.5 (I.add (I.scale wn nfet.ion) (I.scale wp pfet.ion)) in
-  let tp =
-    checked_div ctx ~expr:"t_p = 0.69 C_L V_dd / I_drive (Eq. 5)"
-      (I.scale Analysis.Delay.k_d (I.mul cl op_vdd))
-      drive
-  in
-  let n = float_of_int Analysis.Energy.default_stages in
-  let alpha = Analysis.Energy.default_alpha in
-  let t_cycle = I.scale n tp in
-  let e_dyn = I.scale (alpha *. n) (I.mul cl (I.mul op_vdd op_vdd)) in
-  let i_leak = I.scale (n *. 0.5) (I.add (I.scale wn nfet.ioff) (I.scale wp pfet.ioff)) in
-  let e_leak = I.mul i_leak (I.mul op_vdd t_cycle) in
-  let e_total = I.add e_dyn e_leak in
-  {
-    cl = settle cl;
-    tp = settle tp;
-    t_cycle = settle t_cycle;
-    e_dyn = settle e_dyn;
-    e_leak = settle e_leak;
-    e_total = settle e_total;
-  }
+  let open Device.Eqs in
+  { cl = settle cl; tp = settle tp; t_cycle = settle e.t_cycle; e_dyn = settle e.e_dyn;
+    e_leak = settle e.e_leak; e_total = settle e.e_total }
 
 let bracket_checks ctx ~t =
   (* AUD009 — the Eq. (7)-(8) energy model (and the V_min search built on

@@ -1,17 +1,20 @@
-(** Interval abstract interpretation of the paper's model chain — the
-    validity half of [subscale audit].
+(** The validity half of [subscale audit]: the paper's model chain
+    ({!Device.Eqs}, Eq. 1-8) run over the {!Interval} domain.
 
-    The concrete pipeline ([Device.Compact.build] → [Device.Iv_model] →
-    [Analysis.Delay.eq5] → [Analysis.Energy.analytic]) is re-executed over
-    the {!Interval} domain: each physical parameter becomes an interval,
-    each derived quantity a guaranteed enclosure of every concrete value
-    the parameter box can produce.  Soundness contract (the property the
-    qcheck suite exercises): for any concrete [Params.physical] inside a
-    {!box}, every concrete metric lies inside the corresponding {!derived}
-    / {!circuit} interval.
+    {!Device.Eqs.Make} applied to an interval instance of its number
+    signature gives, for each physical parameter interval, a guaranteed
+    enclosure of every value each derived quantity takes over the box.
+    It is the model's own code, in the model's operation order, so the
+    enclosures are sound by construction.  Soundness contract (the
+    property the qcheck suite exercises): for any concrete
+    [Params.physical] inside a {!box}, every concrete metric of
+    [Device.Compact.build], [Device.Iv_model], [Analysis.Delay.eq5] and
+    [Analysis.Energy.analytic] lies inside the corresponding {!derived} /
+    {!circuit} interval.
 
-    On top of the enclosures sit the regime rules, reported through
-    {!Diagnostic} with stable ids:
+    The instance's hooks report where an enclosure can leave an
+    equation's domain, and the regime rules sit on top of the enclosures,
+    all reported through {!Diagnostic} with stable ids:
 
     - [AUD001] — operating point can leave the weak-inversion domain of
       Eq. (1) (error once definitely past V_th + 2 m v_T);

@@ -1,5 +1,6 @@
-(** The assembled compact device: every derived model quantity computed once
-    from the physical parameters and calibration constants.  This record is
+(** The assembled compact device: every derived model quantity, computed once
+    by the model chain ({!Eqs.Model}) from the physical parameters and
+    calibration constants.  This record is
     what the circuit simulator, the analysis layer, and the scaling
     optimizers consume. *)
 
@@ -26,10 +27,6 @@ type t = {
           the paper's tau = C_g V_dd / I_on metric *)
   temperature : float;
 }
-
-val sd_doping : float
-(** Source/drain doping used for V_bi and the TCAD wells [m^-3] — exposed
-    so the validity auditor mirrors V_bi with the same constant. *)
 
 val key : t -> string
 (** Canonical content key over every field of the record (floats as exact

@@ -77,6 +77,7 @@ end
 val read_lpoly : physical -> float
 val read_tox : physical -> float
 val read_nsub : physical -> float
+val read_np_halo : physical -> float
 val read_xj : physical -> float option
 val read_overlap : physical -> float option
 

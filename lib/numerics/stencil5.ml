@@ -11,8 +11,8 @@
    dominant).  The five diagonals are views into that LU's value buffer,
    so assembly writes the matrix the factorization reads, with no copy.
    Everything is owned by [t], so a solver that reuses one stencil across
-   iterations allocates nothing per solve.  [mat_vec] and [set_row] apply
-   the Bigarray primitives directly, as [Sparse_lu]'s loops do. *)
+   iterations allocates nothing per solve.  [set_row] applies the Bigarray
+   primitives directly, as [Sparse_lu]'s loops do. *)
 
 module BA1 = Bigarray.Array1
 
@@ -81,28 +81,7 @@ let create ~n ~m =
 
 let order a = a.n
 let offset a = a.m
-let rhs a = a.rows.rhs
 let rows a = a.rows
-
-(* +-m before +-1: when m = 1 the two coincide, and +-m is the coupling. *)
-let diag_of a i j =
-  let { n; m; _ } = a in
-  if i < 0 || j < 0 || i >= n || j >= n then None
-  else
-    match j - i with
-    | 0 -> Some a.rows.diag
-    | d when d = -m -> Some a.rows.west
-    | d when d = m -> Some a.rows.east
-    | -1 when in_column ~n ~m i (-1) -> Some a.rows.south
-    | 1 when in_column ~n ~m i 1 -> Some a.rows.north
-    | _ -> None
-
-let get a i j = match diag_of a i j with Some d -> Fvec.get d i | None -> 0.0
-
-let set a i j v =
-  match diag_of a i j with
-  | Some d -> Fvec.set d i v
-  | None -> invalid_arg (Printf.sprintf "Stencil5.set: (%d, %d) off the stencil" i j)
 
 (* Write a whole row at once; entries the stencil does not hold (columns
    outside the matrix, ±1 across a mesh column) are simply never read, so
@@ -117,21 +96,6 @@ let set_row a i ~west ~south ~diag ~north ~east ~rhs:r =
   BA1.unsafe_set d.north i north;
   BA1.unsafe_set d.east i east;
   BA1.unsafe_set d.rhs i r
-
-let mat_vec a x y =
-  if Fvec.length x <> a.n || Fvec.length y <> a.n then
-    invalid_arg "Stencil5.mat_vec: dimension mismatch";
-  let { n; m; rows = { west; south; diag; north; east; _ }; _ } = a in
-  for i = 0 to n - 1 do
-    let s = ref (BA1.unsafe_get diag i *. BA1.unsafe_get x i) in
-    if i >= m then s := !s +. (BA1.unsafe_get west i *. BA1.unsafe_get x (i - m));
-    if in_column ~n ~m i (-1) then
-      s := !s +. (BA1.unsafe_get south i *. BA1.unsafe_get x (i - 1));
-    if in_column ~n ~m i 1 then
-      s := !s +. (BA1.unsafe_get north i *. BA1.unsafe_get x (i + 1));
-    if i + m < n then s := !s +. (BA1.unsafe_get east i *. BA1.unsafe_get x (i + m));
-    BA1.unsafe_set y i !s
-  done
 
 let factorizations = Obs.Metrics.counter "numerics.stencil5.factorizations"
 

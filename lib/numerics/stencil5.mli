@@ -28,17 +28,13 @@ val create : n:int -> m:int -> t
 val order : t -> int
 val offset : t -> int
 
-val rhs : t -> Fvec.t
-(** The right-hand-side buffer; assembly writes it, {!solve} reads it (and
-    leaves it intact). *)
-
 type rows = {
   west : Fvec.t;  (** A(i, i-m), indexed by row i *)
   south : Fvec.t;  (** A(i, i-1) *)
   diag : Fvec.t;  (** A(i, i) *)
   north : Fvec.t;  (** A(i, i+1) *)
   east : Fvec.t;  (** A(i, i+m) *)
-  rhs : Fvec.t;  (** the same buffer as {!rhs} *)
+  rhs : Fvec.t;  (** the right-hand side: assembly writes it, {!solve} reads it *)
 }
 (** The five diagonals and the right-hand side, each of length {!order}.
     Entries off the stencil — a column outside the matrix, or a [+-1]
@@ -50,25 +46,14 @@ val rows : t -> rows
     its six floats when it is not inlined (always, across libraries built
     with -opaque). *)
 
-val get : t -> int -> int -> float
-(** [get a i j] is A(i,j); zero off the stencil, including a [+-1] entry
-    across a mesh column. *)
-
-val set : t -> int -> int -> float -> unit
-(** Raises [Invalid_argument] when (i, j) is off the stencil: [j - i] not
-    one of 0, +-1, +-m, or a [+-1] across a mesh column. *)
-
 val set_row :
   t -> int -> west:float -> south:float -> diag:float -> north:float -> east:float ->
   rhs:float -> unit
 (** Write row [i] in one shot: [west] is A(i,i-m), [south] A(i,i-1),
     [north] A(i,i+1), [east] A(i,i+m).  Entries off the stencil (a column
     outside the matrix, a [+-1] across a mesh column) are stored but
-    ignored by {!factor}/{!solve}/{!mat_vec}, so any value will do there.
+    ignored by {!factor}/{!solve}, so any value will do there.
     An assembler that [set_row]s every row needs no zeroing pass first. *)
-
-val mat_vec : t -> Fvec.t -> Fvec.t -> unit
-(** [mat_vec a x y] writes A x into [y]. *)
 
 val factor : t -> unit
 (** LU-factor the diagonals into the value's own storage, row by row in

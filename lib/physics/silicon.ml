@@ -1,5 +1,3 @@
-let bandgap t = 1.17 -. (4.73e-4 *. t *. t /. (t +. 636.0))
-
 (* Misiakos & Tsamakis (1993): n_i in cm^-3; converted to m^-3. *)
 let intrinsic_density t = 5.29e19 *. ((t /. 300.0) ** 2.54) *. exp (-6726.0 /. t) *. 1e6
 
@@ -15,13 +13,6 @@ let depletion_width ~psi ~doping =
   if doping <= 0.0 then invalid_arg "Silicon.depletion_width: doping must be positive";
   if psi <= 0.0 then 0.0
   else sqrt (2.0 *. Constants.eps_si *. psi /. (Constants.q *. doping))
-
-let max_depletion_width n = depletion_width ~psi:(2.0 *. fermi_potential n) ~doping:n
-
-let debye_length n =
-  if n <= 0.0 then invalid_arg "Silicon.debye_length: doping must be positive";
-  let vt = Constants.thermal_voltage Constants.t_room in
-  sqrt (Constants.eps_si *. vt /. (Constants.q *. n))
 
 let builtin_potential ?(t = Constants.t_room) na nd =
   let ni = ni_at t in

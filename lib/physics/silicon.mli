@@ -1,9 +1,5 @@
-(** Bulk-silicon material models: intrinsic density, bandgap, Fermi levels,
+(** Bulk-silicon material models: intrinsic density, Fermi levels,
     depletion electrostatics.  Everything SI (see {!Constants}). *)
-
-val bandgap : float -> float
-(** [bandgap t] is the silicon bandgap [eV] at temperature [t] [K]
-    (Varshni fit). *)
 
 val intrinsic_density : float -> float
 (** [intrinsic_density t] is n_i [m^-3] at temperature [t] [K]
@@ -21,15 +17,6 @@ val depletion_width : psi:float -> doping:float -> float
 (** [depletion_width ~psi ~doping] is the depletion-approximation width
     W = sqrt(2 eps_si psi / (q N)) [m] under band bending [psi] [V] into a
     region doped [doping] [m^-3]. *)
-
-val max_depletion_width : float -> float
-(** [max_depletion_width n] is the maximum depletion width at the onset of
-    strong inversion, i.e. {!depletion_width} at psi = 2 phi_F, at room
-    temperature. *)
-
-val debye_length : float -> float
-(** [debye_length n] is the extrinsic Debye length
-    sqrt(eps_si vT / (q N)) [m] at room temperature. *)
 
 val builtin_potential : ?t:float -> float -> float -> float
 (** [builtin_potential na nd] is the built-in potential [V] of a step p-n

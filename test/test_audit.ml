@@ -78,19 +78,30 @@ let interval_op_tests =
 
 (* --- pipeline soundness: concrete metrics inside propagated enclosures - *)
 
+(* Every shipped base: the paper's tables plus each strategy's selected
+   device per node, whose sub-V_th ones set x_j and the overlap. *)
+let sound_bases =
+  lazy
+    (Array.of_list
+       (configs
+       @ List.concat_map
+           (fun node ->
+             List.map (fun kind -> fst (Scaling.Strategy.select kind node)) Scaling.Strategy.kinds)
+           Scaling.Roadmap.nodes))
+
 (* Sample a concrete parameter record inside a 10 %-widened box around a
    shipped configuration and check every audited metric of the concrete
    pipeline (Compact.build -> Iv_model -> Delay.eq5 -> Energy.analytic)
    lies inside the interval the abstract interpreter propagated for the
    box.  This is the auditor's defining contract. *)
 let gen_sound_point =
+  let factor = QCheck2.Gen.float_range 0.91 1.09 in
   QCheck2.Gen.(
-    pair (int_range 0 (List.length configs - 1))
-      (quad (float_range 0.91 1.09) (float_range 0.91 1.09) (float_range 0.91 1.09)
-         (float_range 0.91 1.09)))
+    pair (int_range 0 (List.length configs + (2 * List.length Scaling.Roadmap.nodes) - 1))
+      (pair (quad factor factor factor factor) (pair factor factor)))
 
-let soundness (idx, (f_l, f_t, f_n, f_h)) =
-  let base = List.nth configs idx in
+let soundness (idx, ((f_l, f_t, f_n, f_h), (f_x, f_o))) =
+  let base = (Lazy.force sound_bases).(idx) in
   let phys =
     {
       base with
@@ -98,7 +109,10 @@ let soundness (idx, (f_l, f_t, f_n, f_h)) =
       Pm.tox = base.Pm.tox *. f_t;
       Pm.nsub = base.Pm.nsub *. f_n;
       Pm.np_halo = base.Pm.np_halo *. f_h;
-      (* xj/overlap stay at the base value: the box keeps them as points *)
+      (* a set x_j or overlap is widened with the box; an unset one
+         follows L_poly *)
+      Pm.xj = Option.map (fun v -> v *. f_x) base.Pm.xj;
+      Pm.overlap = Option.map (fun v -> v *. f_o) base.Pm.overlap;
     }
   in
   let r = VR.audit_box ~op_vdd:(I.point op) (VR.box_of_physical ~widen:0.1 base) in
@@ -112,16 +126,20 @@ let soundness (idx, (f_l, f_t, f_n, f_h)) =
     true
   in
   let dev_inside tag (d : Device.Compact.t) (e : VR.derived) =
-    inside (tag ^ " leff") d.Device.Compact.leff e.VR.leff
-    && inside (tag ^ " neff") d.Device.Compact.neff e.VR.neff
-    && inside (tag ^ " ss") d.Device.Compact.ss e.VR.ss
-    && inside (tag ^ " m") d.Device.Compact.m e.VR.m
-    && inside (tag ^ " vth0") d.Device.Compact.vth0 e.VR.vth0
-    && inside (tag ^ " cg") d.Device.Compact.cg e.VR.cg
-    && inside (tag ^ " vth") (Device.Compact.vth d ~vds:op) e.VR.vth
-    && inside (tag ^ " ion") (Device.Iv_model.ion d ~vdd:op) e.VR.ion
-    && inside (tag ^ " ioff") (Device.Iv_model.ioff d ~vdd:op) e.VR.ioff
-    && inside (tag ^ " on/off") (Device.Iv_model.on_off_ratio d ~vdd:op) e.VR.on_off
+    let module C = Device.Compact in
+    List.for_all
+      (fun (what, conc, iv) -> inside (tag ^ " " ^ what) conc iv)
+      [ ("xj", d.C.xj, e.VR.xj); ("overlap", d.C.overlap, e.VR.overlap);
+        ("leff", d.C.leff, e.VR.leff); ("neff", d.C.neff, e.VR.neff);
+        ("phi_f", d.C.phi_f, e.VR.phi_f); ("wdep", d.C.wdep, e.VR.wdep);
+        ("cox", d.C.cox, e.VR.cox); ("ss", d.C.ss, e.VR.ss); ("m", d.C.m, e.VR.m);
+        ("vth0", d.C.vth0, e.VR.vth0); ("vbi", d.C.vbi, e.VR.vbi); ("lt", d.C.lt, e.VR.lt);
+        ("mu", d.C.mu, e.VR.mu); ("cg", d.C.cg, e.VR.cg);
+        ("cg_intrinsic", d.C.cg_intrinsic, e.VR.cg_intrinsic);
+        ("vth", C.vth d ~vds:op, e.VR.vth);
+        ("ion", Device.Iv_model.ion d ~vdd:op, e.VR.ion);
+        ("ioff", Device.Iv_model.ioff d ~vdd:op, e.VR.ioff);
+        ("on/off", Device.Iv_model.on_off_ratio d ~vdd:op, e.VR.on_off) ]
   in
   let b = Analysis.Energy.analytic pair ~vdd:op in
   dev_inside "nfet" nfet r.VR.nfet
@@ -133,9 +151,44 @@ let soundness (idx, (f_l, f_t, f_n, f_h)) =
   && inside "e_leak" b.Analysis.Energy.e_leak r.VR.circuit.VR.e_leak
   && inside "e_total" b.Analysis.Energy.e_total r.VR.circuit.VR.e_total
 
+(* Every shipped node/strategy pair's NFET and PFET, 130 nm included. *)
+let shipped_devices =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun node ->
+            List.concat_map
+              (fun kind ->
+                let _, pair = Scaling.Strategy.select kind node in
+                [ pair.Circuits.Inverter.nfet; pair.Circuits.Inverter.pfet ])
+              Scaling.Strategy.kinds)
+          Scaling.Roadmap.nodes_with_130))
+
+(* The audit's current is the model chain's: [Iv_model.eval_into], the
+   hot kernel, must compute the same bits from its hoisted terms. *)
+let same_current (k, vgs, vds) =
+  let d = (Lazy.force shipped_devices).(k) in
+  let b = [| vgs; vds; 0.0 |] in
+  Device.Iv_model.eval_into (Device.Iv_model.prepare d) b;
+  let module C = Device.Compact in
+  let i =
+    Device.Eqs.Model.current ~t:d.C.temperature d.C.polarity ~m:d.C.m ~mu:d.C.mu ~cox:d.C.cox
+      ~leff:d.C.leff ~neff:d.C.neff ~vth:(C.vth d ~vds) ~vgs ~vds
+  in
+  if not (Int64.equal (Int64.bits_of_float b.(0)) (Int64.bits_of_float i)) then
+    QCheck2.Test.fail_reportf "device %d at (%.17g, %.17g): eval_into %h, the chain %h" k vgs
+      vds b.(0) i;
+  true
+
 let soundness_tests =
   [ prop "concrete pipeline stays inside propagated enclosures" ~count:60 gen_sound_point
-      soundness ]
+      soundness;
+    prop "the model chain's current is eval_into's, bit for bit" ~count:300
+      QCheck2.Gen.(
+        triple
+          (int_range 0 ((4 * List.length Scaling.Roadmap.nodes_with_130) - 1))
+          (float_range (-0.2) 1.2) (float_range 0.0 1.2))
+      same_current ]
 
 (* --- directed validity rules ------------------------------------------ *)
 

@@ -1,8 +1,6 @@
 open Subscale
 module P = Device.Params
-module Sub = Device.Subthreshold
-module Th = Device.Threshold
-module Cap = Device.Capacitance
+module Model = Device.Eqs.Model
 module Compact = Device.Compact
 module Iv = Device.Iv_model
 module C = Physics.Constants
@@ -43,74 +41,94 @@ let params_tests =
           (cal.P.k_body > 0.0 && cal.P.k_sce > 0.0 && cal.P.k_lambda > 0.0));
   ]
 
+(* The 90 nm NFET's geometry on a 2 um gate: the short-channel terms of
+   Eq. 2b and Eq. 3 vanish there. *)
+let long_phys =
+  { phys90 with P.lpoly = 2e-6; xj = Some nfet90.Compact.xj; overlap = Some nfet90.Compact.overlap }
+
+let long90 = Compact.nfet long_phys
+
+(* The model's current (Eq. 1 in weak inversion) on the 90 nm NFET at a
+   fixed threshold, so the drain factor is seen without DIBL. *)
+let current90 ~vth ~vgs ~vds =
+  let d = nfet90 in
+  Model.current ~t:d.Compact.temperature d.Compact.polarity ~m:d.Compact.m ~mu:d.Compact.mu
+    ~cox:d.Compact.cox ~leff:d.Compact.leff ~neff:d.Compact.neff ~vth ~vgs ~vds
+
+(* Eq. 2b on the model's outputs; the default calibration keeps the
+   paper's k_body = 1 and adds no S_S offset. *)
+let body_factor (d : Compact.t) = 1.0 +. (3.0 *. d.Compact.phys.P.tox /. d.Compact.wdep)
+
 let subthreshold_tests =
   [
     u "slope factor is the paper's 1 + 3 Tox/Wdep" (fun () ->
-        Test_util.check_rel "m" ~rel:1e-12 1.3
-          (Sub.slope_factor ~tox:2e-9 ~wdep:20e-9 ()));
+        Test_util.check_rel "m" ~rel:1e-9 (body_factor long90) long90.Compact.m);
     u "short-channel factor vanishes for long channels" (fun () ->
-        Test_util.check_rel "factor" ~rel:1e-6 1.0
-          (Sub.short_channel_factor ~tox:2e-9 ~wdep:20e-9 ~leff:2e-6 ()));
+        Test_util.check_rel "2 um" ~rel:1e-6 1.0 (long90.Compact.m /. body_factor long90);
+        Alcotest.(check bool) "90 nm" true (nfet90.Compact.m /. body_factor nfet90 > 1.01));
     prop "short-channel factor decreases with length"
-      (QCheck2.Gen.float_range 15e-9 200e-9) (fun leff ->
-        Sub.short_channel_factor ~tox:2e-9 ~wdep:20e-9 ~leff ()
-        > Sub.short_channel_factor ~tox:2e-9 ~wdep:20e-9 ~leff:(1.3 *. leff) ());
+      (QCheck2.Gen.float_range 40e-9 400e-9) (fun lpoly ->
+        (* No halo, so N_eff and W_dep stay put and only L_eff moves. *)
+        let ss lpoly =
+          (Compact.nfet
+             { phys90 with P.lpoly; np_halo = 0.0; xj = Some 20e-9; overlap = Some 5e-9 })
+            .Compact.ss
+        in
+        ss lpoly > ss (1.3 *. lpoly));
     u "Eq. 2b exceeds the 60 mV/dec thermal limit" (fun () ->
-        Alcotest.(check bool) "limit" true
-          (Sub.inverse_slope ~tox:2e-9 ~wdep:20e-9 ~leff:50e-9 () > 0.0595));
-    u "xj-form lambda reduces to Eq. 2b form when omitted" (fun () ->
-        let a = Sub.inverse_slope ~tox:2e-9 ~wdep:20e-9 ~leff:50e-9 () in
-        let b = Sub.inverse_slope ~tox:2e-9 ~wdep:20e-9 ~leff:50e-9 ~xj:20e-9 () in
-        Alcotest.(check bool) "differ" true (Float.abs (a -. b) > 0.0 || a = b));
-    prop "Eq. 1 current has exact slope m vT" (QCheck2.Gen.float_range 0.0 0.3) (fun vgs ->
-        let m = 1.3 and vth = 0.4 and i0 = 1e-7 in
-        let i1 = Sub.current ~i0 ~m ~vth ~vgs ~vds:0.5 in
-        let i2 = Sub.current ~i0 ~m ~vth ~vgs:(vgs +. 0.01) ~vds:0.5 in
-        Float.abs (log (i2 /. i1) -. (0.01 /. (m *. vt))) < 1e-6);
+        List.iter
+          (fun p -> Alcotest.(check bool) "limit" true ((Compact.nfet p).Compact.ss > 0.0595))
+          (P.paper_table2 @ P.paper_table3));
+    u "i0 prefactor is positive and scales with 1/Leff" (fun () ->
+        let a = Iv.specific_current nfet90 in
+        let b = Iv.specific_current { nfet90 with Compact.leff = 2.0 *. nfet90.Compact.leff } in
+        Alcotest.(check bool) "positive" true (b > 0.0);
+        Test_util.check_rel "ratio" ~rel:1e-12 2.0 (a /. b));
+    prop "Eq. 1 current has exact slope m vT" (QCheck2.Gen.float_range (-1.2) (-0.9)) (fun vgs ->
+        (* Deep in weak inversion, where EKV's F(u) is e^u to 1e-8. *)
+        let vth = Compact.vth nfet90 ~vds:0.5 in
+        let i1 = current90 ~vth ~vgs ~vds:0.5 in
+        let i2 = current90 ~vth ~vgs:(vgs +. 0.01) ~vds:0.5 in
+        Float.abs (log (i2 /. i1) -. (0.01 /. (nfet90.Compact.m *. vt))) < 1e-6);
     u "Eq. 1 drain factor saturates after a few vT" (fun () ->
-        let at vds = Sub.current ~i0:1e-7 ~m:1.3 ~vth:0.4 ~vgs:0.2 ~vds in
+        let at vds = current90 ~vth:0.4 ~vgs:0.2 ~vds in
         Test_util.check_rel "saturated" ~rel:0.01 (at 0.2) (at 0.5));
     u "Eq. 1 current vanishes at vds = 0" (fun () ->
-        Test_util.check_float "zero" 0.0 (Sub.current ~i0:1e-7 ~m:1.3 ~vth:0.4 ~vgs:0.2 ~vds:0.0));
-    u "i0 prefactor is positive and scales with 1/Leff" (fun () ->
-        let a = Sub.i0_of_spec ~mu:0.02 ~cox:0.016 ~m:1.3 ~leff:50e-9 in
-        let b = Sub.i0_of_spec ~mu:0.02 ~cox:0.016 ~m:1.3 ~leff:100e-9 in
-        Test_util.check_rel "ratio" ~rel:1e-12 2.0 (a /. b));
+        Test_util.check_float "zero" 0.0 (current90 ~vth:0.4 ~vgs:0.2 ~vds:0.0));
   ]
 
 let threshold_tests =
   [
     u "long-channel Vth for a 90nm-class device is ~0.4-0.6 V" (fun () ->
-        let cox = Cap.oxide_area_capacitance ~tox:2.1e-9 in
-        Test_util.check_in_range "Vth0" ~lo:0.3 ~hi:0.7
-          (Th.long_channel ~neff:(C.per_cm3 2.5e18) ~cox ()));
+        Test_util.check_in_range "Vth0" ~lo:0.3 ~hi:0.7 nfet90.Compact.vth0);
     prop "long-channel Vth increases with doping" (QCheck2.Gen.float_range 1e24 1e25)
-      (fun neff ->
-        let cox = Cap.oxide_area_capacitance ~tox:2e-9 in
-        Th.long_channel ~neff:(1.5 *. neff) ~cox () > Th.long_channel ~neff ~cox ());
+      (fun nsub ->
+        let vth0 nsub = (Compact.nfet { long_phys with P.nsub }).Compact.vth0 in
+        vth0 (1.5 *. nsub) > vth0 nsub);
     u "roll-off is negative and strengthens with drain bias" (fun () ->
-        let args vds = Th.rolloff ~vbi:1.0 ~surface_potential:0.95 ~vds ~leff:30e-9 ~lt:10e-9 () in
-        Alcotest.(check bool) "negative" true (args 0.0 < 0.0);
-        Alcotest.(check bool) "DIBL" true (args 1.0 < args 0.0));
+        let rolloff vds = Compact.vth nfet90 ~vds -. nfet90.Compact.vth0 in
+        Alcotest.(check bool) "negative" true (rolloff 0.0 < 0.0);
+        Alcotest.(check bool) "DIBL" true (rolloff 1.0 < rolloff 0.0));
     u "roll-off vanishes for long channels" (fun () ->
         Test_util.check_in_range "tiny" ~lo:(-1e-6) ~hi:0.0
-          (Th.rolloff ~vbi:1.0 ~surface_potential:0.95 ~vds:1.0 ~leff:500e-9 ~lt:10e-9 ()));
+          (Compact.vth long90 ~vds:1.0 -. long90.Compact.vth0));
     u "characteristic length mixes oxide and depletion geometry" (fun () ->
         Test_util.check_rel "lt" ~rel:1e-9
-          (sqrt (C.eps_si *. 2e-9 *. 20e-9 /. C.eps_ox))
-          (Th.characteristic_length ~tox:2e-9 ~wdep:20e-9));
+          (sqrt (C.eps_si *. phys90.P.tox *. nfet90.Compact.wdep /. C.eps_ox))
+          nfet90.Compact.lt);
   ]
 
 let capacitance_tests =
   [
     u "oxide capacitance of 2.1 nm is ~16.4 mF/m^2" (fun () ->
-        Test_util.check_rel "cox" ~rel:0.01 1.64e-2 (Cap.oxide_area_capacitance ~tox:2.1e-9));
+        Test_util.check_rel "cox" ~rel:0.01 1.64e-2
+          (Compact.nfet { phys90 with P.tox = 2.1e-9 }).Compact.cox);
     u "gate capacitance decomposes into channel + 2 overlap terms" (fun () ->
-        let tox = 2e-9 and leff = 50e-9 and overlap = 8e-9 and fringe = 0.3e-9 in
-        let cox = Cap.oxide_area_capacitance ~tox in
+        let d = nfet90 and fringe = P.default_calibration.P.fringe_cap in
         Test_util.check_rel "cg" ~rel:1e-12
-          ((cox *. leff) +. (2.0 *. ((cox *. overlap) +. fringe)))
-          (Cap.gate ~fringe ~tox ~leff ~overlap ()));
+          ((d.Compact.cox *. d.Compact.leff)
+           +. (2.0 *. ((d.Compact.cox *. d.Compact.overlap) +. fringe)))
+          d.Compact.cg);
     u "fo1 load applies the load factor" (fun () ->
         let pair = Circuits.Inverter.pair_of_physical phys90 in
         let sizing = Circuits.Inverter.balanced_sizing () in

@@ -206,12 +206,21 @@ let on_stencil ~n ~m i d =
    north and east entry, used where the stencil has one. *)
 let assemble_pair ~n ~m off =
   let st = Stencil5.create ~n ~m in
+  let rows = Stencil5.rows st in
   let bd = Banded.create ~n ~kl:m ~ku:m in
   for i = 0 to n - 1 do
     let entry slot d =
       let v = off.((4 * i) + slot) in
       if on_stencil ~n ~m i d && not (Float.equal v 0.0) then begin
-        Stencil5.set st i (i + d) v;
+        (* +-m before +-1: when m = 1 the two coincide, and +-m is the
+           coupling. *)
+        let diagonal =
+          if d = -m then rows.Stencil5.west
+          else if d = m then rows.Stencil5.east
+          else if d < 0 then rows.Stencil5.south
+          else rows.Stencil5.north
+        in
+        Fvec.set diagonal i v;
         Banded.set bd i (i + d) v;
         Float.abs v
       end
@@ -222,7 +231,7 @@ let assemble_pair ~n ~m off =
     let nn = entry 2 1 in
     let e = entry 3 m in
     let d = w +. s +. nn +. e +. 1.0 in
-    Stencil5.set st i i d;
+    Fvec.set rows.Stencil5.diag i d;
     Banded.set bd i i d
   done;
   (st, bd)
@@ -232,7 +241,7 @@ let assemble_pair ~n ~m off =
 let solve_both ~n ~m off x_true =
   let st, bd = assemble_pair ~n ~m off in
   let rhs = Banded.mat_vec bd x_true in
-  Array.iteri (fun i v -> Fvec.set (Stencil5.rhs st) i v) rhs;
+  Array.iteri (fun i v -> Fvec.set (Stencil5.rows st).Stencil5.rhs i v) rhs;
   let dst = Fvec.create n in
   Stencil5.solve st ~dst;
   (Test_util.array_of_fvec dst, Banded.solve_in_place bd (Array.copy rhs))
@@ -296,25 +305,6 @@ let stencil5_tests =
            system is tridiagonal. *)
         let x, x_banded = solve_both ~n:12 ~m:1 off x_true in
         close x x_banded);
-    u "set rejects off-stencil entries, get reads zero off the stencil" (fun () ->
-        let a = Stencil5.create ~n:10 ~m:3 in
-        Test_util.check_float "off-stencil zero" 0.0 (Stencil5.get a 0 2);
-        Alcotest.check_raises "set off-stencil"
-          (Invalid_argument "Stencil5.set: (0, 2) off the stencil") (fun () ->
-            Stencil5.set a 0 2 1.0);
-        (* Row 3 starts a mesh column and row 5 ends one: their +-1
-           neighbours sit in the next column over, where the mesh has no
-           edge.  set_row still stores a value there, and nothing reads it. *)
-        Stencil5.set_row a 3 ~west:0.0 ~south:(-1.0) ~diag:1.0 ~north:0.0 ~east:0.0 ~rhs:0.0;
-        Stencil5.set_row a 5 ~west:0.0 ~south:0.0 ~diag:1.0 ~north:(-1.0) ~east:0.0 ~rhs:0.0;
-        Test_util.check_float "A(3, 2) across a column" 0.0 (Stencil5.get a 3 2);
-        Test_util.check_float "A(5, 6) across a column" 0.0 (Stencil5.get a 5 6);
-        Alcotest.check_raises "set across a column, below"
-          (Invalid_argument "Stencil5.set: (3, 2) off the stencil") (fun () ->
-            Stencil5.set a 3 2 1.0);
-        Alcotest.check_raises "set across a column, above"
-          (Invalid_argument "Stencil5.set: (5, 6) off the stencil") (fun () ->
-            Stencil5.set a 5 6 1.0));
     prop "solve matches Banded on random tensor-mesh systems, contact rows included"
       ~count:60 gen_stencil_shape
       (fun (n, m, off, x_true) ->
@@ -325,24 +315,17 @@ let stencil5_tests =
       (fun (n, m, off, x_true) ->
         let x1, _ = solve_both ~n ~m off x_true and x2, _ = solve_both ~n ~m off x_true in
         same_bits x1 x2);
-    prop "mat_vec matches Banded mat_vec" ~count:50
-      (gen_stencil_system ~n:18 ~m:4)
-      (fun (off, x) ->
-        let n = 18 and m = 4 in
-        let st, bd = assemble_pair ~n ~m off in
-        let y = Fvec.create n in
-        Stencil5.mat_vec st (Test_util.fvec_of_array x) y;
-        Vec.max_abs_diff (Test_util.array_of_fvec y) (Banded.mat_vec bd x) < 1e-12);
     u "set_row writes all five diagonals and the rhs" (fun () ->
         let a = Stencil5.create ~n:12 ~m:3 in
         Stencil5.set_row a 4 ~west:(-1.0) ~south:(-2.0) ~diag:7.0 ~north:(-3.0)
           ~east:(-0.5) ~rhs:4.0;
-        Test_util.check_float "west" (-1.0) (Stencil5.get a 4 1);
-        Test_util.check_float "south" (-2.0) (Stencil5.get a 4 3);
-        Test_util.check_float "diag" 7.0 (Stencil5.get a 4 4);
-        Test_util.check_float "north" (-3.0) (Stencil5.get a 4 5);
-        Test_util.check_float "east" (-0.5) (Stencil5.get a 4 7);
-        Test_util.check_float "rhs" 4.0 (Fvec.get (Stencil5.rhs a) 4));
+        let r = Stencil5.rows a in
+        Test_util.check_float "west" (-1.0) (Fvec.get r.Stencil5.west 4);
+        Test_util.check_float "south" (-2.0) (Fvec.get r.Stencil5.south 4);
+        Test_util.check_float "diag" 7.0 (Fvec.get r.Stencil5.diag 4);
+        Test_util.check_float "north" (-3.0) (Fvec.get r.Stencil5.north 4);
+        Test_util.check_float "east" (-0.5) (Fvec.get r.Stencil5.east 4);
+        Test_util.check_float "rhs" 4.0 (Fvec.get r.Stencil5.rhs 4));
     u "solve reuses the workspace across calls" (fun () ->
         (* Two different systems through one stencil: the second solve must
            be unaffected by the first one's factorization leftovers. *)
@@ -376,15 +359,16 @@ let stencil5_tests =
       gen_stencil_shape
       (fun (n, m, off, x_true) ->
         let st, bd = assemble_pair ~n ~m off in
-        Array.iteri (fun i v -> Fvec.set (Stencil5.rhs st) i v) (Banded.mat_vec bd x_true);
+        let rows = Stencil5.rows st in
+        Array.iteri (fun i v -> Fvec.set rows.Stencil5.rhs i v) (Banded.mat_vec bd x_true);
         let solved = Fvec.create n in
         Stencil5.solve st ~dst:solved;
         Stencil5.factor st;
-        let once = Fvec.copy (Stencil5.rhs st) in
+        let once = Fvec.copy rows.Stencil5.rhs in
         Stencil5.substitute st ~dst:once;
         (* A reassembly after the factor does not reach the factorization. *)
-        Fvec.fill (Stencil5.rows st).Stencil5.diag 1.0;
-        let twice = Fvec.copy (Stencil5.rhs st) in
+        Fvec.fill rows.Stencil5.diag 1.0;
+        let twice = Fvec.copy rows.Stencil5.rhs in
         Stencil5.substitute st ~dst:twice;
         same_bits (Test_util.array_of_fvec solved) (Test_util.array_of_fvec once)
         && same_bits (Test_util.array_of_fvec once) (Test_util.array_of_fvec twice));

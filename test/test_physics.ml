@@ -36,10 +36,6 @@ let silicon_tests =
     u "intrinsic density grows with temperature" (fun () ->
         Alcotest.(check bool) "ni(350) > ni(300)" true
           (Si.intrinsic_density 350.0 > Si.intrinsic_density 300.0));
-    u "bandgap at 300 K is ~1.12 eV" (fun () ->
-        Test_util.check_rel "Eg" ~rel:0.01 1.12 (Si.bandgap 300.0));
-    u "bandgap narrows with temperature" (fun () ->
-        Alcotest.(check bool) "Eg(400) < Eg(300)" true (Si.bandgap 400.0 < Si.bandgap 300.0));
     u "fermi potential of 1e18 cm^-3 is ~0.47 V" (fun () ->
         Test_util.check_rel "phi_F" ~rel:0.05 0.47 (Si.fermi_potential (C.per_cm3 1e18)));
     prop "fermi potential increases with doping" (positive_float 1e22 1e25) (fun n ->
@@ -55,16 +51,6 @@ let silicon_tests =
         > Si.depletion_width ~psi ~doping:1e24);
     u "depletion width at zero bending is zero" (fun () ->
         Test_util.check_float "W" 0.0 (Si.depletion_width ~psi:0.0 ~doping:1e24));
-    u "max depletion width matches depletion at 2 phi_F" (fun () ->
-        let n = C.per_cm3 2e18 in
-        Test_util.check_rel "Wdm" ~rel:1e-12
-          (Si.depletion_width ~psi:(2.0 *. Si.fermi_potential n) ~doping:n)
-          (Si.max_depletion_width n));
-    u "max depletion width of 2e18 cm^-3 is ~25 nm" (fun () ->
-        Test_util.check_in_range "Wdm" ~lo:15e-9 ~hi:35e-9
-          (Si.max_depletion_width (C.per_cm3 2e18)));
-    u "debye length of 1e18 cm^-3 is ~4 nm" (fun () ->
-        Test_util.check_in_range "Ld" ~lo:2e-9 ~hi:8e-9 (Si.debye_length (C.per_cm3 1e18)));
     u "builtin potential of 1e18/1e20 junction is ~1 V" (fun () ->
         Test_util.check_in_range "Vbi" ~lo:0.9 ~hi:1.15
           (Si.builtin_potential (C.per_cm3 1e18) (C.per_cm3 1e20)));

@@ -208,7 +208,7 @@ let all : meta list =
       title = "dimensional analysis: argument contradicts a seeded signature";
       fires_on =
         "calling a table-seeded function (`Silicon.fermi_potential`, \
-         `Subthreshold.current`, ...) with an argument whose inferred dimension \
+         `Mobility.channel`, ...) with an argument whose inferred dimension \
          differs from the table (passing a voltage where a doping density belongs)";
       stays_clean_on =
         "arguments matching the table, literals, and arguments the pass cannot \
@@ -253,8 +253,8 @@ let all : meta list =
       title = "buffer ownership: solver outputs must not alias inputs";
       fires_on =
         "a call whose mutated (output) buffer argument provably aliases another \
-         argument of the same call — `Fvec.blit v v`, `Stencil5.mat_vec a x x`, or the \
-         same aliasing through let-bindings and field projections";
+         argument of the same call — `Fvec.blit v v`, or the same aliasing through \
+         let-bindings and field projections";
       stays_clean_on =
         "distinct buffers, distinct record fields of one value (`s.sys` vs `s.work`), \
          and anything the root analysis cannot prove aliased (unknown never fires)" };

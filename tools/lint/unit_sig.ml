@@ -132,7 +132,7 @@ let constants =
     ("Constants.t_room", "K");
     ("Constants.vt_room", "V");
     ("Silicon.ni_room", "m^-3");
-    ("Compact.sd_doping", "m^-3");
+    ("Eqs.sd_doping", "m^-3");
     ("Compact.mobility_ratio", "1") ]
   |> List.map (fun (n, s) -> (n, u s))
 
@@ -151,12 +151,9 @@ let functions =
     ("Constants.pa_per_um", fn [ (Pos 0, "pA/um") ] "A/m");
     ("Constants.to_pa_per_um", fn [ (Pos 0, "A/m") ] "pA/um");
     (* Physics.Silicon *)
-    ("Silicon.bandgap", fn [ (Pos 0, "K") ] "eV");
     ("Silicon.intrinsic_density", fn [ (Pos 0, "K") ] "m^-3");
     ("Silicon.fermi_potential", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "V");
     ("Silicon.depletion_width", fn [ (Lab "psi", "V"); (Lab "doping", "m^-3") ] "m");
-    ("Silicon.max_depletion_width", fn [ (Pos 0, "m^-3") ] "m");
-    ("Silicon.debye_length", fn [ (Pos 0, "m^-3") ] "m");
     ("Silicon.builtin_potential", fn [ (Lab "t", "K"); (Pos 0, "m^-3"); (Pos 1, "m^-3") ] "V");
     ("Silicon.bulk_potential_of_net_doping", fn [ (Lab "t", "K"); (Pos 0, "m^-3") ] "V");
     (* Physics.Mobility (Pos 0 is the carrier variant — no spec) *)
@@ -167,24 +164,6 @@ let functions =
        "m^2/V/s");
     ("Mobility.channel", fn [ (Lab "t", "K"); (Pos 1, "m^-3") ] "m^2/V/s");
     ("Mobility.critical_field", fn [ (Pos 1, "m^-3") ] "V/m");
-    (* Device.Subthreshold — the Eq. 1-2 algebra *)
-    ("Subthreshold.slope_factor", fn [ (Lab "k_body", "1"); (Lab "tox", "m"); (Lab "wdep", "m") ] "1");
-    ("Subthreshold.short_channel_factor",
-     fn [ (Lab "k_sce", "1"); (Lab "k_lambda", "1"); (Lab "xj_exp", "1"); (Lab "xj", "m");
-          (Lab "tox", "m"); (Lab "wdep", "m"); (Lab "leff", "m") ]
-       "1");
-    ("Subthreshold.inverse_slope",
-     fn [ (Lab "k_body", "1"); (Lab "k_sce", "1"); (Lab "k_lambda", "1");
-          (Lab "ss_offset", "V/dec"); (Lab "t", "K"); (Lab "xj_exp", "1"); (Lab "xj", "m");
-          (Lab "tox", "m"); (Lab "wdep", "m"); (Lab "leff", "m") ]
-       "V/dec");
-    ("Subthreshold.current",
-     fn [ (Lab "i0", "A/m"); (Lab "m", "1"); (Lab "vth", "V"); (Lab "vgs", "V");
-          (Lab "vds", "V") ]
-       "A/m");
-    ("Subthreshold.i0_of_spec",
-     fn [ (Lab "mu", "m^2/V/s"); (Lab "cox", "F/m^2"); (Lab "m", "1"); (Lab "leff", "m") ]
-       "A/m");
     (* Device.Iv_model / Compact (Pos 0 is the compact record — no spec) *)
     ("Iv_model.specific_current", fn [] "A/m");
     ("Iv_model.id", fn [ (Lab "vgs", "V"); (Lab "vds", "V") ] "A/m");
