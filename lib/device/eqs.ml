@@ -83,16 +83,8 @@ module type S = sig
      [overlap] default to the calibration's fractions of [lpoly].  The
      calibration is read through the [Params.read_*] accessors. *)
   val build :
-    Params.calibration ->
-    t:float ->
-    Params.polarity ->
-    lpoly:num ->
-    tox:num ->
-    nsub:num ->
-    np_halo:num ->
-    xj:num option ->
-    overlap:num option ->
-    num device
+    Params.calibration -> t:float -> Params.polarity -> lpoly:num -> tox:num -> nsub:num ->
+    np_halo:num -> xj:num option -> overlap:num option -> num device
 
   (* V_th(V_ds) = V_th0 + the Eq. 3 roll-off and DIBL + the calibration
      offset. *)
@@ -105,17 +97,8 @@ module type S = sig
   (* The EKV drain current per width [A/m] at threshold [vth], without
      derivatives: [Iv_model.eval_into]'s current, bit for bit. *)
   val current :
-    t:float ->
-    Params.polarity ->
-    m:num ->
-    mu:num ->
-    cox:num ->
-    leff:num ->
-    neff:num ->
-    vth:num ->
-    vgs:num ->
-    vds:num ->
-    num
+    t:float -> Params.polarity -> m:num -> mu:num -> cox:num -> leff:num -> neff:num ->
+    vth:num -> vgs:num -> vds:num -> num
 
   (* [width_sum ~wn ~wp x_n x_p] is w_n x_n + w_p x_p: an inverter's gate
      capacitance [F] from its devices' C_g [F/m], or its summed current [A]
