@@ -1,7 +1,7 @@
 let eq5 pair ~sizing ~vdd =
   let cl = Circuits.Inverter.load_capacitance pair sizing in
-  Device.Eqs.Model.delay ~cl ~vdd
-    (Device.Eqs.Model.mean_current ~wn:sizing.Circuits.Inverter.wn
+  Device.Model.delay ~cl ~vdd
+    (Device.Model.mean_current ~wn:sizing.Circuits.Inverter.wn
        ~wp:sizing.Circuits.Inverter.wp
        (Device.Iv_model.ion pair.Circuits.Inverter.nfet ~vdd)
        (Device.Iv_model.ion pair.Circuits.Inverter.pfet ~vdd))

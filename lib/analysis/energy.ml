@@ -17,7 +17,7 @@ type breakdown = {
 let static_leak_current pair sizing ~vdd =
   (* In a static inverter exactly one device leaks per state; averaged over
      data, the mean leak is the N/P average. *)
-  Device.Eqs.Model.mean_current ~wn:sizing.Circuits.Inverter.wn ~wp:sizing.Circuits.Inverter.wp
+  Device.Model.mean_current ~wn:sizing.Circuits.Inverter.wn ~wp:sizing.Circuits.Inverter.wp
     (Device.Iv_model.ioff pair.Circuits.Inverter.nfet ~vdd)
     (Device.Iv_model.ioff pair.Circuits.Inverter.pfet ~vdd)
 
@@ -25,7 +25,7 @@ let analytic ?(sizing = Circuits.Inverter.balanced_sizing ()) ?(stages = default
     ?(alpha = default_alpha) pair ~vdd =
   if vdd <= 0.0 then invalid_arg "Energy.analytic: vdd must be positive";
   let e =
-    Device.Eqs.Model.energy ~stages:(float_of_int stages) ~alpha
+    Device.Model.energy ~stages:(float_of_int stages) ~alpha
       ~cl:(Circuits.Inverter.load_capacitance pair sizing) ~vdd
       ~tp:(Delay.eq5 pair ~sizing ~vdd) ~i_leak:(static_leak_current pair sizing ~vdd)
   in

@@ -8,11 +8,11 @@ let pair_of_physical ?cal phys =
   { nfet = Device.Compact.nfet ?cal phys; pfet = Device.Compact.pfet ?cal phys }
 
 let gate_capacitance pair sizing =
-  Device.Eqs.Model.width_sum ~wn:sizing.wn ~wp:sizing.wp pair.nfet.Device.Compact.cg
+  Device.Model.width_sum ~wn:sizing.wn ~wp:sizing.wp pair.nfet.Device.Compact.cg
     pair.pfet.Device.Compact.cg
 
 let load_capacitance pair sizing =
-  Device.Eqs.Model.load_capacitance pair.nfet.Device.Compact.cal (gate_capacitance pair sizing)
+  Device.Model.load_capacitance pair.nfet.Device.Compact.cal (gate_capacitance pair sizing)
 
 type dc_fixture = {
   circuit : Spice.Netlist.t;

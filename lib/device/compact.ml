@@ -25,7 +25,7 @@ type t = {
    characterization and cross-check it against the memo key coverage. *)
 let build ?(t = Physics.Constants.t_room) polarity cal (phys : Params.physical) =
   let d =
-    Eqs.Model.build cal ~t polarity ~lpoly:(Params.read_lpoly phys) ~tox:(Params.read_tox phys)
+    Model.build cal ~t polarity ~lpoly:(Params.read_lpoly phys) ~tox:(Params.read_tox phys)
       ~nsub:(Params.read_nsub phys) ~np_halo:(Params.read_np_halo phys)
       ~xj:(Params.read_xj phys) ~overlap:(Params.read_overlap phys)
   in
@@ -63,13 +63,13 @@ let nfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Nfet cal 
 let pfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Pfet cal phys
 
 let vth dev ~vds =
-  Eqs.Model.vth dev.cal ~vth0:dev.vth0 ~vbi:dev.vbi ~phi_f:dev.phi_f ~leff:dev.leff ~lt:dev.lt
+  Model.vth dev.cal ~vth0:dev.vth0 ~vbi:dev.vbi ~phi_f:dev.phi_f ~leff:dev.leff ~lt:dev.lt
     ~vds
 
 let with_vth_shift dev shift =
   { dev with cal = { dev.cal with Params.vth_offset = dev.cal.Params.vth_offset +. shift } }
 
-let dibl dev = Eqs.Model.dibl dev.cal ~leff:dev.leff ~lt:dev.lt
+let dibl dev = Model.dibl dev.cal ~leff:dev.leff ~lt:dev.lt
 
 let mobility_ratio =
   Physics.Mobility.channel Physics.Mobility.Electron (Physics.Constants.per_cm3 2e18)

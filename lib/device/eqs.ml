@@ -3,8 +3,8 @@
    Device geometry and doping give S_S (Eq. 2b), V_th (Eq. 2a with the
    Eq. 3 roll-off), the weak-inversion drain current (Eq. 1, in its EKV
    form), the FO1 delay (Eq. 5) and the energy per cycle (Eq. 7-8).
-   [Make] writes that chain over any [NUM].  Its float instance [Model] is
-   the model: [Compact.build], [Compact.vth], [Compact.dibl],
+   [Make] writes that chain over any [NUM].  Its float instance, [Model],
+   is the model: [Compact.build], [Compact.vth], [Compact.dibl],
    [Analysis.Delay.eq5] and [Analysis.Energy.analytic] call it.  The
    interval instance in [Check.Validity_rules] is the validity audit.
 
@@ -13,8 +13,9 @@
    like floats reproduces the model's bits, and an interval instance
    encloses every operation it performs.
 
-   This module is its two signatures and their instances, so it has no
-   separate interface: one would restate [NUM] and [S] word for word. *)
+   This module is its two signatures, the float operations and the
+   functor, so it has no separate interface: one would restate [NUM] and
+   [S] word for word. *)
 
 (* What [NUM.positive] guards. *)
 type guard =
@@ -46,6 +47,33 @@ module type NUM = sig
   val exp : string -> t -> t
   val sqrt : string -> t -> t
   val positive : guard -> t -> t
+end
+
+(* The float operations: the model's own arithmetic.  The hooks compute,
+   except that [positive] rejects L_eff <= 0 as [Compact.build] always
+   has. *)
+module Float_num : NUM with type t = float = struct
+  type t = float
+
+  let const x = x
+  let add a b = a +. b
+  let sub a b = a -. b
+  let mul a b = a *. b
+  let neg a = -.a
+  let scale k x = k *. x
+  let pow x c = x ** c
+  let min a b = Float.min a b
+  let incr f x = f x
+  let decr f x = f x
+  let incr_decr f x y = f x y
+  let div _ x y = x /. y
+  let exp _ x = Stdlib.exp x
+  let sqrt _ x = Stdlib.sqrt x
+
+  let positive guard x =
+    match guard with
+    | Gate_length when x <= 0.0 -> invalid_arg "Compact.build: overlap consumes the whole gate"
+    | Gate_length | Doping | Fermi_potential -> x
 end
 
 (* Every derived quantity of one device, as [Compact.t] holds it. *)
@@ -278,29 +306,3 @@ module Make (N : NUM) : S with type num = N.t = struct
     let e_leak = mul (mul (scale stages i_leak) vdd) t_cycle in
     { t_cycle; e_dyn; e_leak; e_total = add e_dyn e_leak }
 end
-
-(* The model.  Its hooks compute, except that [positive] rejects
-   L_eff <= 0 with [Invalid_argument]. *)
-module Model : S with type num = float = Make (struct
-  type t = float
-
-  let const x = x
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let neg = ( ~-. )
-  let scale k x = k *. x
-  let pow = ( ** )
-  let min = Float.min
-  let incr f x = f x
-  let decr f x = f x
-  let incr_decr f x y = f x y
-  let div _ x y = x /. y
-  let exp _ x = Stdlib.exp x
-  let sqrt _ x = Stdlib.sqrt x
-
-  let positive guard x =
-    match guard with
-    | Gate_length when x <= 0.0 -> invalid_arg "Compact.build: overlap consumes the whole gate"
-    | Gate_length | Doping | Fermi_potential -> x
-end)

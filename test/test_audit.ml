@@ -177,7 +177,7 @@ let same_current (k, vgs, vds) =
   Device.Iv_model.eval_into (Device.Iv_model.prepare d) b;
   let module C = Device.Compact in
   let i =
-    Device.Eqs.Model.current ~t:d.C.temperature d.C.polarity ~m:d.C.m ~mu:d.C.mu ~cox:d.C.cox
+    Device.Model.current ~t:d.C.temperature d.C.polarity ~m:d.C.m ~mu:d.C.mu ~cox:d.C.cox
       ~leff:d.C.leff ~neff:d.C.neff ~vth:(C.vth d ~vds) ~vgs ~vds
   in
   if not (Int64.equal (Int64.bits_of_float b.(0)) (Int64.bits_of_float i)) then

@@ -1,6 +1,6 @@
 open Subscale
 module P = Device.Params
-module Model = Device.Eqs.Model
+module Model = Device.Model
 module Compact = Device.Compact
 module Iv = Device.Iv_model
 module C = Physics.Constants
@@ -373,8 +373,49 @@ let model_pins () =
             Analysis.Energy.[ e.vdd; e.e_dyn; e.e_leak; e.e_total; e.t_cycle ] ) ])
     (selected @ hot_cold)
 
+(* [Model] is generated from [Make]'s text with [Float_num]'s operations;
+   the functor applied to [Float_num] is the reference it must match. *)
+module Ref = Device.Eqs.Make (Device.Eqs.Float_num)
+
+let model_is_ref (k, f, t, (vgs, vds)) =
+  let d = (Lazy.force shipped_devices).(k) in
+  let p = d.Compact.phys and cal = d.Compact.cal and pol = d.Compact.polarity in
+  let build b =
+    b cal ~t pol ~lpoly:(f *. p.P.lpoly) ~tox:p.P.tox ~nsub:(p.P.nsub /. f) ~np_halo:p.P.np_halo
+      ~xj:p.P.xj ~overlap:p.P.overlap
+  in
+  let m = build Model.build and r = build Ref.build in
+  let open Device.Eqs in
+  let vth_m = Model.vth cal ~vth0:m.vth0 ~vbi:m.vbi ~phi_f:m.phi_f ~leff:m.leff ~lt:m.lt ~vds
+  and vth_r = Ref.vth cal ~vth0:r.vth0 ~vbi:r.vbi ~phi_f:r.phi_f ~leff:r.leff ~lt:r.lt ~vds in
+  let current f (e : float Device.Eqs.device) vth =
+    f ~t pol ~m:e.m ~mu:e.mu ~cox:e.cox ~leff:e.leff ~neff:e.neff ~vth ~vgs ~vds
+  in
+  let i_m = current Model.current m vth_m and i_r = current Ref.current r vth_r in
+  let wn = 1e-6 and wp = 2e-6 in
+  let cl_m = Model.load_capacitance cal (Model.width_sum ~wn ~wp m.cg m.cg_intrinsic)
+  and cl_r = Ref.load_capacitance cal (Ref.width_sum ~wn ~wp r.cg r.cg_intrinsic) in
+  let tp_m = Model.delay ~cl:cl_m ~vdd:vds (Model.mean_current ~wn ~wp i_m i_m)
+  and tp_r = Ref.delay ~cl:cl_r ~vdd:vds (Ref.mean_current ~wn ~wp i_r i_r) in
+  let e_m = Model.energy ~stages:30.0 ~alpha:0.1 ~cl:cl_m ~vdd:vds ~tp:tp_m ~i_leak:i_m
+  and e_r = Ref.energy ~stages:30.0 ~alpha:0.1 ~cl:cl_r ~vdd:vds ~tp:tp_r ~i_leak:i_r in
+  List.for_all2
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+    [ m.xj; m.overlap; m.leff; m.neff; m.phi_f; m.wdep; m.cox; m.m; m.ss; m.vth0; m.vbi; m.lt;
+      m.mu; m.cg; m.cg_intrinsic; vth_m; Model.dibl cal ~leff:m.leff ~lt:m.lt; i_m; cl_m; tp_m;
+      e_m.t_cycle; e_m.e_dyn; e_m.e_leak; e_m.e_total ]
+    [ r.xj; r.overlap; r.leff; r.neff; r.phi_f; r.wdep; r.cox; r.m; r.ss; r.vth0; r.vbi; r.lt;
+      r.mu; r.cg; r.cg_intrinsic; vth_r; Ref.dibl cal ~leff:r.leff ~lt:r.lt; i_r; cl_r; tp_r;
+      e_r.t_cycle; e_r.e_dyn; e_r.e_leak; e_r.e_total ]
+
 let model_bit_tests =
   [
+    prop "Model is Make (Float_num), bit for bit" ~count:300
+      QCheck2.Gen.(
+        quad (int_bound 19) (float_range 0.8 1.25)
+          (oneofl [ 250.0; 300.0; 400.0 ])
+          (pair (float_range (-0.2) 1.2) (float_range 0.0 1.2)))
+      model_is_ref;
     u "the model chain reproduces its pinned bits" (fun () ->
         let pinned =
           In_channel.with_open_text (Test_util.bit_pins_path ()) In_channel.input_lines

@@ -51,6 +51,20 @@ let silicon_tests =
         > Si.depletion_width ~psi ~doping:1e24);
     u "depletion width at zero bending is zero" (fun () ->
         Test_util.check_float "W" 0.0 (Si.depletion_width ~psi:0.0 ~doping:1e24));
+    u "max depletion width matches depletion at 2 phi_F" (fun () ->
+        (* The compact model's W_dep is the maximum depletion width of its
+           effective doping. *)
+        let d = Device.Compact.nfet (List.hd Device.Params.paper_table2) in
+        let n = d.Device.Compact.neff in
+        Test_util.check_rel "Wdm" ~rel:1e-12
+          (Si.depletion_width ~psi:(2.0 *. Si.fermi_potential n) ~doping:n)
+          d.Device.Compact.wdep);
+    u "max depletion width of 2e18 cm^-3 is ~25 nm" (fun () ->
+        (* Without a halo the model's N_eff is N_sub. *)
+        let p = List.hd Device.Params.paper_table2 in
+        Test_util.check_in_range "Wdm" ~lo:15e-9 ~hi:35e-9
+          (Device.Compact.nfet { p with Device.Params.nsub = C.per_cm3 2e18; np_halo = 0.0 })
+            .Device.Compact.wdep);
     u "builtin potential of 1e18/1e20 junction is ~1 V" (fun () ->
         Test_util.check_in_range "Vbi" ~lo:0.9 ~hi:1.15
           (Si.builtin_potential (C.per_cm3 1e18) (C.per_cm3 1e20)));
