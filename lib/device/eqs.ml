@@ -3,9 +3,11 @@
    Device geometry and doping give S_S (Eq. 2b), V_th (Eq. 2a with the
    Eq. 3 roll-off), the weak-inversion drain current (Eq. 1, in its EKV
    form), the FO1 delay (Eq. 5) and the energy per cycle (Eq. 7-8).
-   [Make] writes that chain over any [NUM].  Its float instance, [Model],
-   is the model: [Compact.build], [Compact.vth], [Compact.dibl],
-   [Analysis.Delay.eq5] and [Analysis.Energy.analytic] call it.  The
+   [Make] writes that chain over any [NUM].  Its float instance is the
+   model, [Model]: [Compact.build], [Compact.vth], [Compact.dibl],
+   [Analysis.Delay.eq5] and [Analysis.Energy.analytic] call it.  [Model] is
+   compiled from this file's text, [Float_num]'s operations followed by
+   [Make]'s body (see dune), so its arithmetic is direct float code.  The
    interval instance in [Check.Validity_rules] is the validity audit.
 
    Each formula is written in the float model's operation order, with
@@ -51,7 +53,8 @@ end
 
 (* The float operations: the model's own arithmetic.  The hooks compute,
    except that [positive] rejects L_eff <= 0 as [Compact.build] always
-   has. *)
+   has.  model.awk copies this body and [Make]'s into [Model]; it finds
+   both by their first lines and their closing [end]s. *)
 module Float_num : NUM with type t = float = struct
   type t = float
 
