@@ -110,9 +110,15 @@ let k_d = 0.69
 module type S = sig
   type num
 
-  (* The derived quantities at lattice temperature [t] [K].  [xj] and
-     [overlap] default to the calibration's fractions of [lpoly].  The
-     calibration is read through the [Params.read_*] accessors. *)
+  (* The junction geometry [(xj, overlap, leff)]: [xj] and [overlap]
+     default to the calibration's fractions of [lpoly], and L_eff = L_poly
+     - 2 overlap passes the [Gate_length] guard.  The calibration is read
+     through the [Params.read_*] accessors. *)
+  val geometry :
+    Params.calibration -> lpoly:num -> xj:num option -> overlap:num option -> num * num * num
+
+  (* The derived quantities at lattice temperature [t] [K], from
+     [geometry]'s x_j, overlap and L_eff. *)
   val build :
     Params.calibration -> t:float -> Params.polarity -> lpoly:num -> tox:num -> nsub:num ->
     np_halo:num -> xj:num option -> overlap:num option -> num device
@@ -174,8 +180,7 @@ module Make (N : NUM) : S with type num = N.t = struct
 
   let one = const 1.0
 
-  let build cal ~t polarity ~lpoly ~tox ~nsub ~np_halo ~xj ~overlap =
-    let vt = Physics.Constants.thermal_voltage t in
+  let geometry cal ~lpoly ~xj ~overlap =
     let xj =
       match xj with Some v -> v | None -> scale (Params.read_xj_fraction cal) lpoly
     in
@@ -184,7 +189,11 @@ module Make (N : NUM) : S with type num = N.t = struct
       | Some v -> v
       | None -> scale (Params.read_overlap_fraction cal) lpoly
     in
-    let leff = positive Gate_length (sub lpoly (scale 2.0 overlap)) in
+    (xj, overlap, positive Gate_length (sub lpoly (scale 2.0 overlap)))
+
+  let build cal ~t polarity ~lpoly ~tox ~nsub ~np_halo ~xj ~overlap =
+    let vt = Physics.Constants.thermal_voltage t in
+    let xj, overlap, leff = geometry cal ~lpoly ~xj ~overlap in
     (* Channel-averaged halo weight: the pockets occupy a width ~ x_j on
        each side, so their share of the channel falls as the channel
        lengthens — the reason long-channel devices shed their halos (paper

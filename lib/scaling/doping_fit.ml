@@ -12,10 +12,13 @@ let cal = Device.Params.default_calibration
 
 let solve_for_ioff_uncached ~(base : Device.Params.physical) ~ioff_vdd ~target =
   (* The long-channel reference keeps the node's junction geometry (drawn
-     length changes, process does not). *)
-  let probe = Device.Compact.nfet ~cal base in
-  let geom_xj = Some probe.Device.Compact.xj in
-  let geom_ov = Some probe.Device.Compact.overlap in
+     length changes, process does not).  [geometry] also rejects a base
+     whose overlap consumes its gate, as its first build would. *)
+  let xj, overlap, _ =
+    Device.Model.geometry cal ~lpoly:(Device.Params.read_lpoly base)
+      ~xj:(Device.Params.read_xj base) ~overlap:(Device.Params.read_overlap base)
+  in
+  let geom_xj = Some xj and geom_ov = Some overlap in
   let ioff_long nsub =
     let phys =
       { base with Device.Params.nsub; np_halo = 0.0;

@@ -73,6 +73,17 @@ let roadmap_tests =
 
 let super_tests =
   [
+    u "a doping solve rejects an overlap that consumes the gate" (fun () ->
+        (* The 4x long-channel reference would keep a positive L_eff, so the
+           rejection must come before any solve, from the base's own
+           geometry. *)
+        let p = List.hd Device.Params.paper_table2 in
+        let base = { p with Device.Params.overlap = Some (0.6 *. p.Device.Params.lpoly) } in
+        Alcotest.check_raises "leff"
+          (Invalid_argument "Compact.build: overlap consumes the whole gate") (fun () ->
+            ignore
+              (Scaling.Doping_fit.solve_for_ioff ~base ~ioff_vdd:1.0 ~target:1e-7 ()
+                : Device.Params.physical)));
     slow "each node meets its leakage budget exactly" (fun () ->
         List.iter
           (fun s ->
