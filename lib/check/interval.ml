@@ -45,13 +45,19 @@ let neg i = { lo = -.i.hi; hi = -.i.lo }
 let add a b = { lo = down (a.lo +. b.lo); hi = up (a.hi +. b.hi) }
 let sub a b = add a (neg b)
 
+(* A rounded product keeps the sign of the exact one, even when it
+   underflows, so a +0.0 lower corner (or a -0.0 upper one) already bounds
+   it: only a nonzero corner steps out.  [Float.min] orders -0.0 below
+   +0.0, so a +0.0 minimum means no corner is negative. *)
 let mul a b =
   let c1 = a.lo *. b.lo and c2 = a.lo *. b.hi and c3 = a.hi *. b.lo and c4 = a.hi *. b.hi in
   if Float.is_nan c1 || Float.is_nan c2 || Float.is_nan c3 || Float.is_nan c4 then top
   else
+    let lo = Float.min (Float.min c1 c2) (Float.min c3 c4)
+    and hi = Float.max (Float.max c1 c2) (Float.max c3 c4) in
     {
-      lo = down (Float.min (Float.min c1 c2) (Float.min c3 c4));
-      hi = up (Float.max (Float.max c1 c2) (Float.max c3 c4));
+      lo = (if Float.equal lo 0.0 && not (Float.sign_bit lo) then lo else down lo);
+      hi = (if Float.equal hi 0.0 && Float.sign_bit hi then hi else up hi);
     }
 
 let scale k i = mul (point k) i

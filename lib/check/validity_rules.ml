@@ -112,7 +112,10 @@ end) : Device.Eqs.NUM with type t = I.t = struct
   let min = I.min_
   let incr = I.mono_incr
   let decr = I.mono_decr
-  let incr_decr = I.mono_incr_decr
+  (* The chain's one [incr_decr] is W_dep, which is 0 (psi <= 0) or a
+     square root, never negative: its stepped lower bound stops at +0.0,
+     so a W_dep that reaches 0 on the box makes no divisor straddle zero. *)
+  let incr_decr f a b = I.clamp_lo 0.0 (I.mono_incr_decr f a b)
 
   let div expr num den =
     if I.straddles_zero den then
