@@ -138,8 +138,25 @@ let render_request ?(id = Json.Null) req =
 
 let id_field = function Json.Null -> [] | id -> [ ("id", id) ]
 
-let ok_response ~id fields =
-  Json.render (Json.Obj ((("ok", Json.Bool true) :: id_field id) @ fields))
+(* [Json.render] writes an object compactly as '{', its members joined by
+   ',' and '}', so an ok response is its head, the id member and the body:
+   the fields' own object with its '{' turned into the ',' that joins them
+   to the head. *)
+let ok_head = {|{"ok":true|}
+
+let ok_body = function
+  | [] -> "}"
+  | fields ->
+    let body = Bytes.of_string (Json.render (Json.Obj fields)) in
+    Bytes.set body 0 ',';
+    Bytes.unsafe_to_string body
+
+let ok_response_of_body ~id body =
+  match id with
+  | Json.Null -> ok_head ^ body
+  | id -> String.concat "" [ ok_head; {|,"id":|}; Json.render id; body ]
+
+let ok_response ~id fields = ok_response_of_body ~id (ok_body fields)
 
 let error_response ~id msg =
   Json.render

@@ -50,7 +50,17 @@ val render_request : ?id:Report.Json.t -> request -> string
 
 val ok_response : id:Report.Json.t -> (string * Report.Json.t) list -> string
 (** [{"ok": true, "id": id, <fields>}] (the [id] field is omitted when
-    [Null]); no trailing newline. *)
+    [Null]); no trailing newline.  It is [ok_response_of_body ~id
+    (ok_body fields)]. *)
+
+val ok_body : (string * Report.Json.t) list -> string
+(** The bytes of an ok response after its [id] field: the fields, each
+    led by its ',', and the closing brace.  A body does not depend on the
+    id, so one rendering answers every request for the same value. *)
+
+val ok_response_of_body : id:Report.Json.t -> string -> string
+(** The ok response with [id] spliced in front of a rendered
+    {!ok_body}. *)
 
 val error_response : id:Report.Json.t -> string -> string
 (** [{"ok": false, "id": id, "error": msg}]; no trailing newline. *)

@@ -1,9 +1,11 @@
-(* The serving loop.  Single-threaded event loop over Unix.select.  A job
-   whose value a memo or the store already holds is answered on the loop;
-   only TCAD misses fan out over the shared Exec pool, one task per
-   coalesced job, so the daemon parallelizes across queries while each
-   TCAD run stays sequential (and therefore bit-reproducible).  A daemon
-   that only answers cached queries never creates the pool. *)
+(* The serving loop.  Single-threaded event loop over Unix.select.  A
+   request answered before, from a job keyed by that request alone, is
+   answered from the answer cache as it is parsed; a job whose value a
+   memo or the store already holds is answered on the loop; only TCAD
+   misses fan out over the shared Exec pool, one task per coalesced job,
+   so the daemon parallelizes across queries while each TCAD run stays
+   sequential (and therefore bit-reproducible).  A daemon that only
+   answers cached queries never creates the pool. *)
 
 module Json = Report.Json
 
@@ -19,6 +21,11 @@ let idvg_memo : Tcad.Extract.sweep Exec.Memo.t = Exec.Memo.create ~name:"serve.i
 let requests_counter = Obs.Metrics.counter "serve.requests"
 let errors_counter = Obs.Metrics.counter "serve.errors"
 let coalesced_counter = Obs.Metrics.counter "serve.coalesced"
+let answer_hits_counter = Obs.Metrics.counter "serve.answer_hits"
+
+(* The answer cache's budget: the bytes of the bodies it holds.  Clearing
+   it costs only the full path from the memo for what it held. *)
+let answer_budget = 1 lsl 20
 
 (* Every error response is built here, so [serve.errors] counts each one. *)
 let error_response ~id msg =
@@ -106,10 +113,10 @@ let health_fields store =
 
 (* --- compute jobs ----------------------------------------------------- *)
 
-(* Where an answer goes: connection id plus the connection-local request
-   sequence number (responses are written back in [seq] order), and the
-   request's echoed id. *)
-type slot = { conn_id : int; seq : int; echo : Json.t }
+(* Where an answer goes: the request's position in its batch (responses
+   are written back in batch order), its echoed id, and the request, the
+   answer cache's key. *)
+type slot = { pos : int; echo : Json.t; req : Protocol.request }
 
 type job =
   | J_dev of { node : int; strategy : string; slots : slot list }
@@ -135,13 +142,17 @@ let job_slots = function
   | J_dev { slots; _ } | J_char { slots; _ } -> slots
   | J_sweep { members; _ } -> List.map fst members
 
+(* A job's answer for each of its slots: an ok response's body
+   ([Protocol.ok_body]), or an error message. *)
+type answers = (slot * (string, string) result) list
+
 (* A job's value lives in one memo cell.  [find] answers the job from
    whichever tier holds the value, or is [None]; [compute] fills the cell
    and answers.  Both render through the job's one renderer: the two
    paths differ only in where the value comes from. *)
 type cell = {
-  find : unit -> (slot * string) list option;
-  compute : unit -> (slot * string) list;
+  find : unit -> answers option;
+  compute : unit -> answers;
 }
 
 let cell memo ~key ~compute render =
@@ -150,9 +161,10 @@ let cell memo ~key ~compute render =
     compute = (fun () -> render (Exec.Memo.compute memo ~key compute));
   }
 
-(* One ok response per slot, every body rendered from the same value. *)
+(* One body, rendered once, for every slot. *)
 let each slots fields v =
-  List.map (fun slot -> (slot, Protocol.ok_response ~id:slot.echo (fields v))) slots
+  let body = Ok (Protocol.ok_body (fields v)) in
+  List.map (fun slot -> (slot, body)) slots
 
 (* Resolves the job's device (a selection: a lookup once a tier holds
    it) and names its cell; a node or strategy the roadmap lacks is an
@@ -185,15 +197,29 @@ let cell_of_job job =
             List.map
               (fun (slot, idx) ->
                 ( slot,
-                  Protocol.ok_response ~id:slot.echo
-                    [ ("vd", num vd);
-                      ("vgs", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.vgs.(i)) idx));
-                      ("ids", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.ids.(i)) idx)) ]
+                  Ok
+                    (Protocol.ok_body
+                       [ ("vd", num vd);
+                         ("vgs", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.vgs.(i)) idx));
+                         ("ids", arr_of_floats (Array.map (fun i -> sweep.Tcad.Extract.ids.(i)) idx)) ])
                 ))
               members))
       (description ~node ~strategy)
 
-let failed job msg = List.map (fun slot -> (slot, error_response ~id:slot.echo msg)) (job_slots job)
+let failed job msg = List.map (fun slot -> (slot, Error msg)) (job_slots job)
+
+(* The request a job answers alone, if its answers depend on nothing
+   else, so the answer cache may keep them: a device evaluation, a
+   characterization (named by the job's own fields: a batch groups its
+   requests by structural equality, and the cache compares bits), or a
+   sweep of one request over that request's whole grid.  A member of a
+   coalesced sweep is answered off a grid its batch chose. *)
+let request_of_job = function
+  | J_dev { node; strategy; _ } -> Some (Protocol.Device { node; strategy })
+  | J_char { node; strategy; vdd; nx; ny; _ } -> Some (Protocol.Tcad { node; strategy; vdd; nx; ny })
+  | J_sweep { grid; members = [ (slot, idx) ]; _ } when Array.length idx = Array.length grid ->
+    Some slot.req
+  | J_sweep _ -> None
 
 (* One catch-all around the WHOLE per-job body, on the loop and on the
    pool alike: any failure — mesh keying, structure build (mesher
@@ -208,15 +234,15 @@ let guarded f = match f () with r -> r | exception e -> Error (Printexc.to_strin
    here; a miss comes back with its cell, for [run_job]. *)
 let answer_or_miss job =
   match guarded (fun () -> Result.map (fun c -> (c, c.find ())) (cell_of_job job)) with
-  | Error msg -> Either.Left (failed job msg)
-  | Ok (_, Some answers) -> Either.Left answers
+  | Error msg -> Either.Left (job, failed job msg)
+  | Ok (_, Some answers) -> Either.Left (job, answers)
   | Ok (c, None) -> Either.Right (job, c)
 
 (* On the loop (a device) or a pool domain (TCAD): compute a missed value. *)
 let run_job (job, c) =
   match guarded (fun () -> Ok (c.compute ())) with
-  | Ok answers -> answers
-  | Error msg -> failed job msg
+  | Ok answers -> (job, answers)
+  | Error msg -> (job, failed job msg)
 
 (* [pairs] grouped by key: one (key, values) per distinct key, keys in
    first-seen order, each key's values in input order. *)
@@ -239,12 +265,12 @@ let group pairs =
    identical characterizations to one J_char; Id-Vg boxes coalesce per
    device via Coalesce.plan.  Degenerate boxes are rejected here, before
    they can reach the planner, and come back as ready-made error
-   responses. *)
+   answers. *)
 let plan_jobs deferred =
   let rejects = ref [] and devs = ref [] and chars = ref [] and boxes = ref [] in
   List.iter
-    (fun (slot, req) ->
-      match req with
+    (fun slot ->
+      match slot.req with
       | Protocol.Device { node; strategy } -> devs := ((node, strategy), slot) :: !devs
       | Protocol.Tcad { node; strategy; vdd; nx; ny } ->
         chars := ((node, strategy, vdd, nx, ny), slot) :: !chars
@@ -252,7 +278,7 @@ let plan_jobs deferred =
         let box = { Coalesce.rid = 0; vd; vg_min; vg_max; points } in
         match Coalesce.grid_of_box box with
         | exception Invalid_argument msg ->
-          rejects := (slot, error_response ~id:slot.echo msg) :: !rejects
+          rejects := (slot, Error msg) :: !rejects
         | _ -> boxes := ((node, strategy, nx, ny), (slot, box)) :: !boxes)
       | Protocol.Ping | Protocol.Health | Protocol.Shutdown ->
         (* inline ops never reach the planner *)
@@ -282,13 +308,26 @@ let plan_jobs deferred =
   in
   (List.rev !rejects, dev_jobs @ char_jobs @ sweep_jobs)
 
+(* Each slot's response into [responses]; under [key], the job's ok body
+   into the answer cache too. *)
+let deliver cache responses ~key (answers : answers) =
+  List.iter
+    (fun (slot, answer) ->
+      responses.(slot.pos) <-
+        (match answer with
+        | Ok body ->
+          Option.iter (fun req -> Answer_cache.add cache req body) key;
+          Protocol.ok_response_of_body ~id:slot.echo body
+        | Error msg -> error_response ~id:slot.echo msg))
+    answers
+
+let pong_body = Protocol.ok_body [ ("pong", Json.Bool true) ]
+
 (* --- connection bookkeeping ------------------------------------------- *)
 
 type conn = {
   fd : Unix.file_descr;
-  conn_id : int;
   pending : Buffer.t; (* bytes read, not yet terminated by '\n' *)
-  mutable next_seq : int;
   mutable alive : bool;
 }
 
@@ -337,21 +376,43 @@ let read_lines chunk c =
     List.rev !lines
   end
 
-let write_all c s =
-  let data = s ^ "\n" in
-  let len = String.length data in
+(* The daemon's one output buffer: a connection's answers for one batch,
+   each followed by its '\n', leave in one write.  A batch whose answers
+   outgrow [home] writes from a larger buffer, which is dropped once
+   written, so one long sweep does not hold its size for the daemon's
+   life. *)
+type out = { home : Bytes.t; mutable buf : Bytes.t; mutable len : int }
+
+let out_create () =
+  let home = Bytes.create read_chunk_size in
+  { home; buf = home; len = 0 }
+
+let out_line o s =
+  let n = String.length s in
+  let need = o.len + n + 1 in
+  if need > Bytes.length o.buf then begin
+    let bigger = Bytes.create (Int.max need (2 * Bytes.length o.buf)) in
+    Bytes.blit o.buf 0 bigger 0 o.len;
+    o.buf <- bigger
+  end;
+  Bytes.blit_string s 0 o.buf o.len n;
+  Bytes.set o.buf (o.len + n) '\n';
+  o.len <- need
+
+let out_flush o c =
   let off = ref 0 in
   (* EINTR is a retry; any other write error (EPIPE, ECONNRESET, EIO,
      ...) means this client is gone — and that must never take the
      daemon with it. *)
   (try
-     while !off < len do
-       match Unix.write_substring c.fd data !off (len - !off) with
+     while !off < o.len do
+       match Unix.write c.fd o.buf !off (o.len - !off) with
        | n -> off := !off + n
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
      done
    with Unix.Unix_error (_, _, _) -> c.alive <- false);
-  ()
+  o.len <- 0;
+  o.buf <- o.home
 
 (* --- the loop --------------------------------------------------------- *)
 
@@ -441,7 +502,8 @@ let run ?on_ready config =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = Exec.Pool.task_minor_heap_words };
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let chunk = Bytes.create read_chunk_size in
-  let next_conn_id = ref 0 in
+  let out = out_create () in
+  let cache = Answer_cache.create ~budget:answer_budget in
   let running = ref true in
   while !running do
     let fds = listen_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
@@ -450,22 +512,15 @@ let run ?on_ready config =
       | r, _, _ -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
     in
-    (* 1. Accept and read: drain every complete line into one batch. *)
+    (* 1. Accept and read: drain every complete line into one batch, each
+       connection's lines together and in order. *)
     let batch = ref [] in
     List.iter
       (fun fd ->
         if fd = listen_fd then begin
           match Unix.accept listen_fd with
           | cfd, _ ->
-            incr next_conn_id;
-            Hashtbl.replace conns cfd
-              {
-                fd = cfd;
-                conn_id = !next_conn_id;
-                pending = Buffer.create 256;
-                next_seq = 0;
-                alive = true;
-              }
+            Hashtbl.replace conns cfd { fd = cfd; pending = Buffer.create 256; alive = true }
           | exception Unix.Unix_error (_, _, _) ->
             (* EINTR, ECONNABORTED, and fd exhaustion (EMFILE/ENFILE)
                are all transient accept failures: skip this round rather
@@ -475,59 +530,58 @@ let run ?on_ready config =
         else
           match Hashtbl.find_opt conns fd with
           | None -> ()
-          | Some c ->
-            List.iter
-              (fun line ->
-                let seq = c.next_seq in
-                c.next_seq <- seq + 1;
-                batch := (c, seq, line) :: !batch)
-              (read_lines chunk c))
+          | Some c -> List.iter (fun line -> batch := (c, line) :: !batch) (read_lines chunk c))
       readable;
     let batch = List.rev !batch in
-    (* 2. Parse; answer inline ops; queue compute ops. *)
-    let responses : (int * int, string) Hashtbl.t = Hashtbl.create 16 in
+    (* 2. Parse; answer inline ops and answer-cache hits; queue the rest. *)
+    let responses = Array.make (List.length batch) "" in
     let deferred = ref [] in
-    List.iter
-      (fun (c, seq, line) ->
+    List.iteri
+      (fun pos (_, line) ->
         Obs.Metrics.incr requests_counter;
-        let key = (c.conn_id, seq) in
         match Protocol.parse_request line with
-        | Error msg -> Hashtbl.replace responses key (error_response ~id:Json.Null msg)
+        | Error msg -> responses.(pos) <- error_response ~id:Json.Null msg
         | Ok { id; req } -> (
           match req with
-          | Protocol.Ping ->
-            Hashtbl.replace responses key (Protocol.ok_response ~id [ ("pong", Json.Bool true) ])
-          | Protocol.Health ->
-            Hashtbl.replace responses key (Protocol.ok_response ~id (health_fields store))
+          | Protocol.Ping -> responses.(pos) <- Protocol.ok_response_of_body ~id pong_body
+          | Protocol.Health -> responses.(pos) <- Protocol.ok_response ~id (health_fields store)
           | Protocol.Shutdown ->
             running := false;
-            Hashtbl.replace responses key
-              (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ])
-          | Protocol.Device _ | Protocol.Tcad _ | Protocol.Idvg _ ->
-            deferred := ({ conn_id = c.conn_id; seq; echo = id }, req) :: !deferred))
+            responses.(pos) <- Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ]
+          | Protocol.Device _ | Protocol.Tcad _ | Protocol.Idvg _ -> (
+            match Answer_cache.find cache req with
+            | Some body ->
+              Obs.Metrics.incr answer_hits_counter;
+              responses.(pos) <- Protocol.ok_response_of_body ~id body
+            | None -> deferred := { pos; echo = id; req } :: !deferred)))
       batch;
-    (* 3. Answer the hits here.  A device evaluation is a few ms of
+    (* 3. Answer the rest here.  A device evaluation is a few ms of
        compact-model work, less than creating the pool costs, so its
        misses compute here too; only TCAD misses fan out over the pool
-       ([Exec.map] of fewer than two items never touches it). *)
-    let rejects, jobs = plan_jobs (List.rev !deferred) in
-    let hits, misses = List.partition_map answer_or_miss jobs in
-    let dev_misses, tcad_misses =
-      List.partition (function J_dev _, _ -> true | (J_char _ | J_sweep _), _ -> false) misses
+       ([Exec.map] of fewer than two items never touches it).  A job keyed
+       by its request alone leaves its answers in the cache. *)
+    if !deferred <> [] then begin
+      let rejects, jobs = plan_jobs (List.rev !deferred) in
+      let hits, misses = List.partition_map answer_or_miss jobs in
+      let dev_misses, tcad_misses =
+        List.partition (function J_dev _, _ -> true | (J_char _ | J_sweep _), _ -> false) misses
+      in
+      let computed = List.map run_job dev_misses @ Exec.map run_job tcad_misses in
+      deliver cache responses ~key:None rejects;
+      List.iter
+        (fun (job, answers) -> deliver cache responses ~key:(request_of_job job) answers)
+        (hits @ computed)
+    end;
+    (* 4. Write responses back in request order, each connection's in one
+       write. *)
+    let rec write_back pos = function
+      | [] -> ()
+      | (c, _) :: rest ->
+        if c.alive then out_line out responses.(pos);
+        (match rest with (next, _) :: _ when next == c -> () | _ -> out_flush out c);
+        write_back (pos + 1) rest
     in
-    let computed = List.map run_job dev_misses @ Exec.map run_job tcad_misses in
-    List.iter
-      (List.iter (fun ((slot : slot), resp) ->
-           Hashtbl.replace responses (slot.conn_id, slot.seq) resp))
-      ((rejects :: hits) @ computed);
-    (* 4. Write responses back in per-connection request order. *)
-    List.iter
-      (fun (c, seq, _) ->
-        if c.alive then
-          match Hashtbl.find_opt responses (c.conn_id, seq) with
-          | Some resp -> write_all c resp
-          | None -> ())
-      batch;
+    write_back 0 batch;
     (match store with Some s -> Exec.Store.flush s | None -> ());
     (* 5. Reap dead connections. *)
     let dead = Hashtbl.fold (fun fd c acc -> if c.alive then acc else fd :: acc) conns [] in

@@ -5,13 +5,18 @@
     fanning compute-bound queries out over the shared {!Exec} pool.
 
     Each [select] round drains every complete request line from every
-    connection into one batch: overlapping Id–Vg boxes in the batch are
-    {!Coalesce}d into shared warm-started runs, identical device or
+    connection into one batch.  A [device], [tcad] or [idvg] request
+    bit-for-bit equal to one answered earlier by a job keyed by that
+    request alone is answered as it is parsed, from the {!Answer_cache}
+    (1 MiB of answer bodies, cleared when full; [serve.answer_hits]
+    counts its hits).  Of the rest, overlapping Id–Vg boxes in the batch
+    are {!Coalesce}d into shared warm-started runs, identical device or
     characterization requests collapse into one job, and responses are
-    written back in per-connection request order.  A [shutdown] request
-    answers, flushes the store, and returns from {!run}.
+    written back in per-connection request order, each connection's in
+    one write.  A [shutdown] request answers, flushes the store, and
+    returns from {!run}.
 
-    A cached answer is a key and a lookup on the loop: keys are built
+    A memo or store hit is a key and a lookup on the loop: keys are built
     from the request alone (no structure is built to name a mesh), each
     in one string of its exact size.  The loop's domain, which holds one
     batch's temporaries and is also the caller lane of a fan-out, runs on

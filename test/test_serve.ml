@@ -9,6 +9,7 @@ open Test_util
 module Json = Subscale.Report.Json
 module Protocol = Subscale.Serve.Protocol
 module Coalesce = Subscale.Serve.Coalesce
+module Answer_cache = Subscale.Serve.Answer_cache
 module Server = Subscale.Serve.Server
 module Store = Subscale.Exec.Store
 module Memo = Subscale.Exec.Memo
@@ -89,6 +90,26 @@ let protocol_tests =
         Alcotest.(check string) "ok shape" {|{"ok":true,"id":"q1","x":1.5}|} ok;
         let err = Protocol.error_response ~id:Json.Null "boom" in
         Alcotest.(check string) "error shape" {|{"ok":false,"error":"boom"}|} err);
+    case "an ok response is its head, the id and the body" (fun () ->
+        (* The answer cache splices ids into stored bodies: the bytes must
+           be the whole object's rendering, whatever the id and fields. *)
+        List.iter
+          (fun id ->
+            List.iter
+              (fun fields ->
+                let whole =
+                  Json.render
+                    (Json.Obj
+                       ((("ok", Json.Bool true)
+                        :: (match id with Json.Null -> [] | id -> [ ("id", id) ]))
+                       @ fields))
+                in
+                Alcotest.(check string) "spliced" whole
+                  (Protocol.ok_response_of_body ~id (Protocol.ok_body fields));
+                Alcotest.(check string) "composed" whole (Protocol.ok_response ~id fields))
+              [ []; [ ("x", Json.Num 1.5) ];
+                [ ("vgs", Json.Arr [ Json.Num 0.1; Json.Num (-0.0) ]); ("s", Json.Str "a\"b") ] ])
+          [ Json.Null; Json.Num 7.0; Json.Num 0.25; Json.Str "q1"; Json.Arr [ Json.Bool true ] ]);
     case "render emits floats with 17 significant digits" (fun () ->
         let v = 0.1 +. 0.2 in
         let rendered = Json.render (Json.Num v) in
@@ -345,6 +366,58 @@ let store_tests =
         Store.close s2);
   ]
 
+(* --- the answer cache -------------------------------------------------- *)
+
+let request line =
+  match Protocol.parse_request line with
+  | Ok { Protocol.req; _ } -> req
+  | Error msg -> Alcotest.failf "%s: %s" line msg
+
+let idvg_line vd =
+  Printf.sprintf
+    {|{"op":"idvg","node":90,"strategy":"sub","vd":%.17g,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12}|}
+    vd
+
+let answer_cache_tests =
+  [
+    case "keys compare floats by their bits" (fun () ->
+        let t = Answer_cache.create ~budget:1024 in
+        let vd = 0.05 in
+        Answer_cache.add t (request (idvg_line vd)) "a";
+        Alcotest.(check (option string)) "the same request" (Some "a")
+          (Answer_cache.find t (request (idvg_line vd)));
+        Alcotest.(check (option string)) "vd one ulp up" None
+          (Answer_cache.find t (request (idvg_line (Float.succ vd))));
+        Answer_cache.add t (request (idvg_line (Float.succ vd))) "b";
+        Alcotest.(check (option string)) "its own entry" (Some "b")
+          (Answer_cache.find t (request (idvg_line (Float.succ vd))));
+        let tcad vdd = request (Printf.sprintf {|{"op":"tcad","node":90,"strategy":"sub","vdd":%s}|} vdd) in
+        (match tcad "-0.0" with
+        | Protocol.Tcad { vdd; _ } ->
+          Alcotest.(check bool) "the parser keeps -0.0" true (Float.sign_bit vdd)
+        | _ -> Alcotest.fail "not a tcad request");
+        Answer_cache.add t (tcad "0.0") "plus";
+        Alcotest.(check (option string)) "-0.0 is not 0.0" None (Answer_cache.find t (tcad "-0.0"));
+        Answer_cache.add t (tcad "-0.0") "minus";
+        Alcotest.(check (list (option string))) "two entries" [ Some "plus"; Some "minus" ]
+          [ Answer_cache.find t (tcad "0.0"); Answer_cache.find t (tcad "-0.0") ]);
+    case "a body over the budget clears the table first" (fun () ->
+        let t = Answer_cache.create ~budget:10 in
+        let dev node = request (Printf.sprintf {|{"op":"device","node":%d,"strategy":"sub"}|} node) in
+        Answer_cache.add t (dev 90) "123456";
+        Answer_cache.add t (dev 65) "1234";
+        Alcotest.(check (list (option string))) "ten bytes fit" [ Some "123456"; Some "1234" ]
+          [ Answer_cache.find t (dev 90); Answer_cache.find t (dev 65) ];
+        Answer_cache.add t (dev 45) "1";
+        Alcotest.(check (list (option string))) "the eleventh clears the rest"
+          [ None; None; Some "1" ]
+          [ Answer_cache.find t (dev 90); Answer_cache.find t (dev 65); Answer_cache.find t (dev 45) ];
+        Answer_cache.add t (dev 32) "12345678901";
+        Alcotest.(check (list (option string))) "a body alone over the budget is not kept"
+          [ None; Some "1" ]
+          [ Answer_cache.find t (dev 32); Answer_cache.find t (dev 45) ]);
+  ]
+
 (* --- daemon end-to-end ------------------------------------------------ *)
 
 (* Run the server in a domain, hand the test a connected line client. *)
@@ -420,8 +493,85 @@ let expect_ok line =
     | _ -> Alcotest.failf "not an ok response: %s" line)
   | exception Json.Bad msg -> Alcotest.failf "bad response %s: %s" line msg
 
+(* A response's bytes after its id, checking the head and the id before
+   them. *)
+let after_id ~id response =
+  let head = {|{"ok":true|} ^ match id with None -> "" | Some id -> {|,"id":|} ^ id in
+  let n = String.length head in
+  if String.length response < n || String.sub response 0 n <> head then
+    Alcotest.failf "expected a response starting %s, got %s" head response;
+  String.sub response n (String.length response - n)
+
+(* [fields] is a request object without its closing brace. *)
+let with_id fields = function None -> fields ^ "}" | Some id -> fields ^ {|,"id":|} ^ id ^ "}"
+
+let answer_hits () = Test_util.counter_value "serve.answer_hits"
+
 let serve_tests =
   [
+    slow_case "daemon: a repeated request is answered from the cache, same bytes" (fun () ->
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            let ask fields id =
+              send fd [ with_id fields id ];
+              after_id ~id (recv fd)
+            in
+            List.iter
+              (fun fields ->
+                let before = answer_hits () in
+                let full = ask fields (Some "1") in
+                ignore (expect_ok ({|{"ok":true|} ^ full));
+                Alcotest.(check int) (fields ^ ": the first answer takes the full path") before
+                  (answer_hits ());
+                Alcotest.(check string) (fields ^ ": a string id") full (ask fields (Some {|"s"|}));
+                Alcotest.(check string) (fields ^ ": no id") full (ask fields None);
+                Alcotest.(check int) (fields ^ ": one hit per repeat") (before + 2) (answer_hits ()))
+              [ {|{"op":"device","node":90,"strategy":"sub"|};
+                {|{"op":"tcad","node":90,"strategy":"sub","vdd":0.9,"nx":16,"ny":12|};
+                {|{"op":"idvg","node":90,"strategy":"sub","vd":0.05,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12|} ];
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd));
+    slow_case "daemon: near-equal, coalesced and failed requests are not cached" (fun () ->
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            let ask lines =
+              send fd lines;
+              List.map (fun _ -> recv fd) lines
+            in
+            let hits = answer_hits () in
+            (* vd one ulp apart: two requests, two full paths. *)
+            List.iter
+              (fun line -> List.iter (fun r -> ignore (expect_ok r)) (ask [ line ]))
+              [ idvg_line 0.05; idvg_line (Float.succ 0.05) ];
+            Alcotest.(check int) "one ulp apart misses" hits (answer_hits ());
+            (* Two overlapping boxes in one batch coalesce; a member's answer
+               depends on its batch, so the box alone takes the full path,
+               and only then is it cached. *)
+            let box vg_min vg_max =
+              Printf.sprintf
+                {|{"op":"idvg","node":90,"strategy":"sub","vd":0.1,"vg_min":%g,"vg_max":%g,"points":3,"nx":16,"ny":12}|}
+                vg_min vg_max
+            in
+            List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2; box 0.1 0.3 ]);
+            List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2 ]);
+            Alcotest.(check int) "a coalesced member is not cached" hits (answer_hits ());
+            List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2 ]);
+            Alcotest.(check int) "the box asked alone is" (hits + 1) (answer_hits ());
+            let errors = Test_util.counter_value "serve.errors" in
+            List.iter
+              (fun line ->
+                match Json.field "ok" (Json.parse_exn line) with
+                | Json.Bool false -> ()
+                | _ -> Alcotest.failf "unknown node answered: %s" line)
+              (ask [ {|{"op":"device","node":14,"strategy":"sub"}|} ]
+              @ ask [ {|{"op":"device","node":14,"strategy":"sub"}|} ]);
+            Alcotest.(check int) "two error responses" (errors + 2)
+              (Test_util.counter_value "serve.errors");
+            Alcotest.(check int) "errors are not cached" (hits + 1) (answer_hits ());
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd));
     slow_case "daemon: inline ops, compute ops and shutdown over a socket" (fun () ->
         Memo.clear_all ();
         with_server (fun ~connect ~send ~recv ->
@@ -903,8 +1053,68 @@ let warm_minor_words f =
   f ();
   Gc.minor_words () -. minor0
 
+(* The minor words the daemon's domain allocates per request of [line]
+   at depth 1, once [prime] has been answered: a session of [n] requests
+   less a session of none, over [n].  A first session warms the memo
+   tables, so both measured sessions answer [prime] from them. *)
+let daemon_words_per_request ~prime line n =
+  let session n =
+    let path = Filename.concat (scratch_dir "serve-words") "s.sock" in
+    let ready = Atomic.make false in
+    let server =
+      Domain.spawn (fun () ->
+          let start = ref 0.0 in
+          Server.run
+            ~on_ready:(fun _ ->
+              start := Gc.minor_words ();
+              Atomic.set ready true)
+            { Server.listen = `Unix path; cache_dir = None };
+          Gc.minor_words () -. !start)
+    in
+    while not (Atomic.get ready) do
+      Domain.cpu_relax ()
+    done;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    let ic = Unix.in_channel_of_descr fd in
+    let ask line =
+      ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1));
+      ignore (expect_ok (input_line ic))
+    in
+    List.iter ask prime;
+    for _ = 1 to n do
+      ask line
+    done;
+    ask {|{"op":"shutdown"}|};
+    Unix.close fd;
+    Domain.join server
+  in
+  ignore (session 0);
+  let idle = session 0 in
+  (session n -. idle) /. float_of_int n
+
+let warm_queries =
+  [ ("ping", {|{"op":"ping","id":7}|}, 339.0);
+    ("device", {|{"op":"device","node":90,"strategy":"sub","id":7}|}, 489.0);
+    ("tcad", {|{"op":"tcad","node":90,"strategy":"sub","vdd":0.9,"nx":16,"ny":12,"id":7}|}, 623.0);
+    ( "idvg",
+      {|{"op":"idvg","node":90,"strategy":"sub","vd":0.05,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12,"id":7}|},
+      745.0 ) ]
+
 let warm_work_tests =
   [
+    slow_case "repeated warm requests cost the daemon a parse and a splice" (fun () ->
+        (* Measured: ping 339 words, device 489, tcad 623, idvg 745 (the
+           longer the line and the answer, the more the parse and the
+           splice cost).  With every answer rendered again from a memo
+           hit, a fresh table of responses per batch and a copy of each
+           answer to add its newline: 545, 1,428, 2,070 and 2,476. *)
+        List.iter
+          (fun (op, line, measured) ->
+            Test_util.check_in_range (op ^ ": minor words per request") ~lo:0.0
+              ~hi:(1.05 *. measured)
+              (daemon_words_per_request ~prime:[ line ] line 200))
+          warm_queries);
     case "a warm device query selects and evaluates from the memo" (fun () ->
         let words =
           warm_minor_words (fun () ->
@@ -958,6 +1168,7 @@ let suite =
     ("serve.protocol", protocol_tests);
     ("serve.coalesce", coalesce_tests);
     ("serve.store", store_tests);
+    ("serve.answer-cache", answer_cache_tests);
     ("serve.daemon", serve_tests);
     ("serve.warm-work", warm_work_tests);
   ]
