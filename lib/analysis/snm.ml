@@ -74,9 +74,17 @@ let inverter ?(engine = `Analytic) pair ~sizing ~vdd =
 
 let stage pair ~sizing ~vdd = Vtc.stage ~points pair ~sizing ~vdd
 
+(* Each domain's V_out buffer for [shifted]: a trial's curve dies with its
+   margins, so the trials a domain runs, one after another, share one
+   buffer, and no two domains share any. *)
+let shifted_vout = Domain.DLS.new_key (fun () -> ref [||])
+
 let shifted st ~dvn ~dvp =
   Obs.Metrics.incr evals_counter;
-  of_curve (Vtc.apply st ~dvn ~dvp)
+  let vout = Domain.DLS.get shifted_vout in
+  let k = Vtc.points st in
+  if Array.length !vout <> k then vout := Array.make k 0.0;
+  of_curve (Vtc.apply_into st ~dvn ~dvp !vout)
 
 (* Maximum-square method.  An axis-aligned square inscribed in a butterfly
    lobe with opposite corners on the two branches has its diagonal along a

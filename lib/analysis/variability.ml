@@ -21,7 +21,7 @@ type distribution = {
 let summarize samples =
   if Array.length samples = 0 then invalid_arg "Variability.summarize: empty";
   let sorted = Array.copy samples in
-  Array.sort compare sorted;
+  Numerics.Stats.sort sorted;
   let mean = Numerics.Stats.mean sorted in
   let sigma = Numerics.Stats.stddev sorted in
   let n = Array.length sorted in
@@ -83,6 +83,11 @@ let chain_delay_distributions ?(trials = 400) ?(stages = 30) pair ~vdds =
               b.(2) <- dvp.(k);
               Device.Iv_model.eval_shifted_into cp b;
               let i_p = wp *. b.(0) in
+              (* Eq. 5, Device.Model.delay ~cl ~vdd of the mean drive,
+                 written out: a call into Model would box its floats in
+                 this allocation-free loop.  test_analysis's "the trial
+                 loop's inline Eq. 5 is Model.delay, bit for bit" holds
+                 the two together. *)
               total := !total +. (Device.Eqs.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p)))
             done;
             !total)

@@ -86,7 +86,9 @@ let[@inline] clamp vdd v =
 (* Each sample keeps the unstaged evaluation order:
    num = (m_n (V_dd - V_th,p) + m_p V_th,n) + m_n m_p vT log((I_o,p / I_o,n) a / b),
    vin = num / (m_n + m_p). *)
-let apply st ~dvn ~dvp =
+let apply_into st ~dvn ~dvp vout =
+  if Array.length vout <> Array.length st.vin then
+    invalid_arg "Vtc.apply_into: buffer length mismatch";
   let b = Array.make 3 0.0 in
   b.(1) <- vds_sub;
   b.(2) <- dvn;
@@ -111,12 +113,16 @@ let apply st ~dvn ~dvp =
     xy.(0) <- (base +. (slope *. log (ratio *. st.high.(c).(o) /. st.low.(c).(o)))) /. m_sum;
     xy.(1) <- st.eps +. (st.step *. float_of_int i)
   in
-  let vout = Numerics.Interp.resample ~n:st.k ~sample st.vin in
+  Numerics.Interp.resample ~n:st.k ~sample st.vin ~dst:vout;
   (* Clamp to the rail interval. *)
   for j = 0 to Array.length vout - 1 do
     vout.(j) <- clamp vdd vout.(j)
   done;
   { vin = st.vin; vout }
+
+let points st = Array.length st.vin
+
+let apply st ~dvn ~dvp = apply_into st ~dvn ~dvp (Array.make (Array.length st.vin) 0.0)
 
 (* A fresh stage, applied once.  A shift of -0.0 is exact: x +. -0.0 = x
    for every x, zeros included, so every threshold keeps its bits. *)

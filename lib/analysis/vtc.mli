@@ -34,6 +34,15 @@ val apply : stage -> dvn:float -> dvp:float -> curve
     without building either device.  Every curve of one stage shares the
     stage's [vin] array: read it, do not write it. *)
 
+val points : stage -> int
+(** The sample count of the stage's curves. *)
+
+val apply_into : stage -> dvn:float -> dvp:float -> Numerics.Vec.t -> curve
+(** [apply_into st ~dvn ~dvp vout] is {!apply} with the curve's [vout]
+    written into the caller's [vout] (the stage's sample count) instead of
+    a fresh array: a Monte-Carlo trial reuses one buffer per domain.
+    Raises [Invalid_argument] on a buffer of another length. *)
+
 val spice :
   ?points:int -> Circuits.Inverter.pair -> sizing:Circuits.Inverter.sizing ->
   vdd:float -> curve

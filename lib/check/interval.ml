@@ -102,12 +102,17 @@ let sqrt i =
   let lo = if i.lo <= 0.0 then 0.0 else down (Stdlib.sqrt i.lo) in
   { lo; hi = up (Stdlib.sqrt i.hi) }
 
-(* x ** c for x >= 0, c a constant. *)
+(* x ** c for x >= 0, c a constant.  For c > 0, 0 ** c is exactly 0, so
+   a base that reaches 0 keeps an exact zero lower bound instead of one
+   stepped below it. *)
 let pow_const i c =
   if i.hi < 0.0 then raise (Invalid "Interval.pow_const: negative base");
   let clamped = { lo = Float.max i.lo 0.0; hi = i.hi } in
   if Float.equal c 0.0 then point 1.0
-  else if c > 0.0 then mono_incr (fun x -> x ** c) clamped
+  else if c > 0.0 then begin
+    let image = mono_incr (fun x -> x ** c) clamped in
+    if Float.equal clamped.lo 0.0 then { image with lo = 0.0 } else image
+  end
   else if Float.equal clamped.lo 0.0 then { lo = down2 (clamped.hi ** c); hi = infinity }
   else mono_decr (fun x -> x ** c) clamped
 

@@ -42,7 +42,8 @@ val div : t -> t -> t
 val exp : t -> t
 val sqrt : t -> t
 val pow_const : t -> float -> t
-(** [pow_const x c] is x{^c} for x >= 0 (negative parts are clamped away). *)
+(** [pow_const x c] is x{^c} for x >= 0 (negative parts are clamped away).
+    For [c > 0] a base reaching 0 gives the exact lower bound 0.0. *)
 
 val min_ : t -> t -> t
 val clamp_lo : float -> t -> t

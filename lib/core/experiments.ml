@@ -20,6 +20,9 @@ let validate_evaluation which (e : Scaling.Strategy.evaluation) =
 
 let make_context ?(with_130 = false) () =
   Obs.Trace.with_span ~cat:"experiments" "experiments.make_context" @@ fun () ->
+  (* A reproduction starts here, and every driver after it holds no more
+     than a task's working set: its domain runs on a task's heap. *)
+  Exec.Pool.use_task_heap ();
   let ctx =
     {
       super = Scaling.Strategy.trajectory ~with_130 Scaling.Strategy.Super_vth;

@@ -158,4 +158,10 @@ let map2 f xs ys =
   if List.length xs <> List.length ys then invalid_arg "Exec.map2: length mismatch";
   map (fun (x, y) -> f x y) (List.combine xs ys)
 
-let map_array f arr = Array.of_list (map f (Array.to_list arr))
+(* Where [map] would run sequentially in input order, [Array.map] gives
+   the same results without two lists of the items: a Monte-Carlo fan-out
+   at one job then keeps only its trial live, not every result so far. *)
+let map_array f arr =
+  let sequential = Array.length arr < 2 || jobs () = 1 || Atomic.get busy in
+  if sequential && Option.is_none (schedule_seed ()) then Array.map f arr
+  else Array.of_list (map f (Array.to_list arr))

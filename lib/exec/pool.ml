@@ -96,21 +96,31 @@ let rec worker_loop pool last_id =
     Mutex.unlock pool.mutex;
     worker_loop pool job.id
 
-(* A worker's minor heap, in words: 32k words is 256 KB, about an L2
+(* A task-sized minor heap, in words: 32k words is 256 KB, about an L2
    cache, against the runtime's default of 256k words (2 MB, all of it
    resident once the allocation pointer has swept it).  A worker only
    ever holds one task's temporaries, and a fanned-out task (a
    Monte-Carlo trial, a device characterization) keeps little alive, so
    the smaller heap costs only collections: a task that allocates more
    than 256 KB now triggers more minor collections, and in OCaml 5 every
-   minor collection stops all domains.  Minor heaps are sized per domain,
-   so [Gc.set] in a worker leaves the calling domain's heap, which may
-   hold a whole driver's working set, at its size. *)
+   minor collection stops all domains.  A reproduction's driver domain
+   and the serve loop hold no more: after [Gc.full_major] a driver of
+   `run everything` leaves 43-61k words live.  Minor heaps are sized per
+   domain, so [Gc.set] in one domain leaves every other domain's heap, and
+   a domain spawned later starts on the runtime's default. *)
 let task_minor_heap_words = 32 * 1024
+
+(* Shrinking a heap empties it, a minor collection; a heap already at the
+   task size or smaller is left alone, so a second call collects
+   nothing. *)
+let use_task_heap () =
+  let gc = Gc.get () in
+  if gc.Gc.minor_heap_size > task_minor_heap_words then
+    Gc.set { gc with Gc.minor_heap_size = task_minor_heap_words }
 
 let spawn_worker pool =
   Domain.spawn (fun () ->
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = task_minor_heap_words };
+      use_task_heap ();
       worker_loop pool 0)
 
 let create ~domains =

@@ -15,12 +15,23 @@ val create : domains:int -> t
 (** [domains] total lanes; the caller participates in every [map], so
     only [domains - 1] worker domains are spawned ([~domains:1] spawns
     none: the pool degenerates to a pure-sequential [List.map]).  Each
-    worker runs on a minor heap of {!task_minor_heap_words}, sized for
-    one task's temporaries; the calling domain's heap keeps its size. *)
+    worker runs on a minor heap of {!task_minor_heap_words} ({!use_task_heap}),
+    sized for one task's temporaries; the calling domain's heap keeps its
+    size. *)
 
 val task_minor_heap_words : int
 (** 32k words (256 KB): the minor heap of a domain that only ever holds
-    one task's temporaries — a pool worker, and the serve daemon's loop. *)
+    one task's temporaries.  Three kinds of domain run on it: a pool
+    worker, the serve daemon's loop ([Serve.Server.run], once its listener
+    is bound) and a reproduction's driver domain
+    ([Experiments.make_context]). *)
+
+val use_task_heap : unit -> unit
+(** Set the calling domain's minor heap to {!task_minor_heap_words} if it
+    is larger.  Shrinking the heap empties it (a minor collection); a
+    second call finds the heap at the task size and does nothing.  Other
+    domains keep their heaps, and a domain spawned later starts on the
+    runtime's default. *)
 
 val domains : t -> int
 val spawned : t -> int

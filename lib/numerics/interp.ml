@@ -34,15 +34,15 @@ let linear xs ys x =
   end
 
 (* One merge walk of a sorted grid against the table, which is produced
-   one sample at a time into a two-float buffer, so no sample is boxed:
-   the segment [i, i + 1] only moves right, and every branch and the
-   arithmetic are [linear]'s.  The last pass, at g = infinity, walks the
+   one sample at a time into a two-float buffer, so no sample is boxed,
+   and the results go into the caller's [dst]: the segment [i, i + 1]
+   only moves right, and every branch and the arithmetic are [linear]'s.  The last pass, at g = infinity, walks the
    rest of the table so an unsorted tail raises as [check] would. *)
-let resample ~n ~sample grid =
+let resample ~n ~sample grid ~(dst : Vec.t) =
   if n < 2 then invalid_arg "Interp.resample: need at least 2 points";
   let unsorted () = invalid_arg "Interp.resample: abscissae must be strictly increasing" in
   let m = Array.length grid in
-  let out = Array.make m 0.0 in
+  if Array.length dst <> m then invalid_arg "Interp.resample: dst length mismatch";
   let xy = [| 0.0; 0.0 |] in
   sample 0 xy;
   let x0 = xy.(0) and y0 = xy.(1) in
@@ -65,15 +65,14 @@ let resample ~n ~sample grid =
       if !xb <= !xa then unsorted ()
     done;
     if k < m then
-      out.(k) <-
+      dst.(k) <-
         (if g <= x0 then y0
          else if !xb <= g then !yb
          else begin
            let t = (g -. !xa) /. (!xb -. !xa) in
            ((1.0 -. t) *. !ya) +. (t *. !yb)
          end)
-  done;
-  out
+  done
 
 let crossings xs ys level =
   check xs ys "crossings";

@@ -251,10 +251,13 @@ let eliminate (work : Fvec.t) (lval : Fvec.t) (uval : Fvec.t) (udiag : Fvec.t) l
       done
   done
 
+let factorizations = Obs.Metrics.counter "numerics.sparse_lu.factorizations"
+
 (* Up-looking LU (IKJ): row i of A, permuted, is scattered into [work]
    over its pattern and eliminated; U on and right of the diagonal is
    then gathered out. *)
 let factor a =
+  Obs.Metrics.incr factorizations;
   let { sym = { n; perm; aptr; aent; lptr; lidx; uptr; uidx; _ }; values; lval; uval;
         udiag; work } = a in
   for i = 0 to n - 1 do

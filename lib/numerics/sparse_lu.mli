@@ -44,7 +44,9 @@ val factor : t -> unit
 (** LU-factor the values, row by row in the minimum-degree order, into the
     value's own storage, allocation-free.  The factorization holds until
     the next [factor]: later writes to {!values} do not reach it.  Raises
-    {!Zero_pivot} on a (near-)zero pivot. *)
+    {!Zero_pivot} on a (near-)zero pivot.  Each call bumps the
+    [numerics.sparse_lu.factorizations] counter, the MNA Newton's and
+    Stencil5's alike. *)
 
 val substitute : t -> dst:Fvec.t -> unit
 (** [substitute a ~dst] overwrites [dst] with A⁻¹ dst, A being the matrix

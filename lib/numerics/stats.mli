@@ -5,6 +5,11 @@ val mean : Vec.t -> float
 val stddev : Vec.t -> float
 (** Sample standard deviation (n-1 denominator); 0 for fewer than 2 points. *)
 
+val sort : Vec.t -> unit
+(** Sort in place into increasing order: bit for bit [Array.sort compare],
+    NaNs first and equal keys where it leaves them, without boxing an
+    element. *)
+
 val minimum : Vec.t -> float
 
 val maximum : Vec.t -> float

@@ -499,7 +499,7 @@ let run ?on_ready config =
      [on_ready], because shrinking the heap empties it, and promoting
      what the program's initialization left there takes 0.4-0.7 ms (on
      a 2-vCPU Xeon) that a client waiting to connect would wait for. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = Exec.Pool.task_minor_heap_words };
+  Exec.Pool.use_task_heap ();
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let chunk = Bytes.create read_chunk_size in
   let out = out_create () in

@@ -6,36 +6,46 @@ exception No_convergence of string
 
 type workspace
 (** Newton scratch for one analysis: the iterate, the residual (which the
-    solve overwrites with the update) and a {!Numerics.Sparse_lu.t} holding
-    the Jacobian's values and factors, sized to the system.  Every {!newton} run
-    overwrites all of it before reading it, so one workspace serves every
-    Newton run of an analysis (each source step, each transient step).  It
-    belongs to one analysis call: never share it between concurrent
-    solves. *)
+    solve overwrites with the update), a {!Numerics.Sparse_lu.t} holding
+    the Jacobian's values and factors, the sources' {!Mna.drive} and
+    values, and a MOSFET stamp's bias buffer, all sized to the system.
+    Every {!newton} run overwrites all of it but the drive before reading
+    it, so one workspace serves every Newton run of an analysis (each
+    source step, each transient step).  It belongs to one analysis call:
+    never share it between concurrent solves. *)
 
 val workspace : Mna.system -> workspace
-(** A workspace for Newton runs on this system's {!Mna.assemble}. *)
+(** A workspace for Newton runs on this system, its drive at time 0 and
+    scale 1. *)
+
+val drive : workspace -> Mna.drive
+(** The time and source scale the next {!newton} run solves at; a
+    transient sets the time of each step here. *)
+
+val iterate : workspace -> Numerics.Vec.t
+(** The workspace's iterate: after a {!newton} run that returned true, its
+    solution.  Not a copy: the next run overwrites it, and it may be
+    passed back as that run's [x0]. *)
 
 val newton :
   workspace ->
-  (x:Numerics.Vec.t -> f:Numerics.Fvec.t -> jac:Numerics.Fvec.t -> unit) ->
-  tol:float ->
+  Mna.system ->
+  overrides:(string * float) list ->
+  caps:Mna.cap_companion array ->
   max_iter:int ->
   Numerics.Vec.t ->
-  Numerics.Vec.t option
-(** [newton ws assemble ~tol ~max_iter x0]: damped Newton from [x0], which
-    is copied into [ws]'s iterate and not mutated.  The result is that
-    iterate itself, not a copy: the next run on [ws] overwrites it, and it
-    may be passed back as that run's [x0].  A run allocates a few words
-    whatever the system's size.  [assemble ~x ~f ~jac]
-    (typically a {!Mna.assemble} closure) overwrites [f] with F(x) and
-    [jac] with dF/dx's values, both taken from [ws]; the Jacobian is
-    factored without pivoting in the pattern's minimum-degree order.  Each
-    update is clamped to 0.3 in the infinity norm; converged when an
-    unclamped update is below [tol].  [None] on a zero pivot or after
-    [max_iter] iterations.
-    Raises [Invalid_argument] if [ws] is not sized to [x0].  Each iteration
-    bumps the [spice.newton.iterations] counter. *)
+  bool
+(** [newton ws sys ~overrides ~caps ~max_iter x0]: damped Newton from
+    [x0], which is copied into {!iterate} and not mutated, on
+    {!Mna.assemble} at [ws]'s drive ([overrides] and [caps] as there; the
+    sources are read once per run, by {!Mna.source_values}).  The Jacobian
+    is factored without pivoting in the pattern's minimum-degree order.
+    Each update is clamped to 0.3 in the infinity norm; true, with the
+    solution in {!iterate}, when an unclamped update is below 1e-9; false
+    on a zero pivot or after [max_iter] iterations.  A run allocates
+    nothing unless an override matches.  Raises [Invalid_argument] if
+    [ws] is not sized to [x0].  Each iteration bumps the
+    [spice.newton.iterations] counter. *)
 
 val solve :
   ?x0:Numerics.Vec.t ->

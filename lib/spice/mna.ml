@@ -124,12 +124,24 @@ let build circuit =
   let gmin_jac = Array.init n_nodes (fun nd -> jac nd nd) in
   let branch plus minus = [| jac plus plus; jac plus minus; jac minus minus; jac minus plus |] in
   let cap_index = ref 0 in
+  (* A circuit repeats few devices (an 8-bit adder's 224 transistors are
+     two), so each distinct device is prepared once and its coefficients
+     are shared by its stamps. *)
+  let prepared = ref [] in
+  let coeffs_of dev =
+    match List.assq_opt dev !prepared with
+    | Some coeffs -> coeffs
+    | None ->
+      let coeffs = Device.Iv_model.prepare dev in
+      prepared := (dev, coeffs) :: !prepared;
+      coeffs
+  in
   let mosfet sign { Netlist.dev; width; drain; gate; source } =
     let jac =
       [| jac drain drain; jac drain gate; jac drain source;
          jac source drain; jac source gate; jac source source |]
     in
-    Some (Mosfet { sign; coeffs = Device.Iv_model.prepare dev; width; drain; gate; source; jac })
+    Some (Mosfet { sign; coeffs = coeffs_of dev; width; drain; gate; source; jac })
   in
   let stamps =
     Netlist.elements circuit
@@ -270,11 +282,31 @@ let[@inline] add_branch kcl f jac plus minus slots i g =
   add_jac jac slots.(2) g;
   add_jac jac slots.(3) (-.g)
 
-let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~(f : Numerics.Fvec.t)
-    ~(jac : Numerics.Fvec.t) () =
+type drive = { mutable time : float; mutable scale : float }
+
+let source_values s d ~overrides (dst : float array) =
+  if Array.length dst <> Array.length s.vsources then
+    invalid_arg "Mna.source_values: buffer length mismatch";
+  for k = 0 to Array.length s.vsources - 1 do
+    let { name; wave; _ } = s.vsources.(k) in
+    (match List.assoc_opt name overrides with
+     | Some v -> dst.(k) <- v
+     | None ->
+       dst.(k) <- d.time;
+       Netlist.waveform_into wave dst k);
+    dst.(k) <- d.scale *. dst.(k)
+  done
+
+let assemble s d ~(values : float array) ~caps ~(bias : float array) ~x ~(f : Numerics.Fvec.t)
+    ~(jac : Numerics.Fvec.t) =
   let n = s.n and kcl = s.kcl in
   if Array.length x <> n || Numerics.Fvec.length f <> n || Numerics.Fvec.length jac <> s.n_slots
+     || Array.length values <> Array.length s.vsources
   then invalid_arg "Mna.assemble: vector length mismatch";
+  (* Capacitors are open unless [caps] holds a companion for each. *)
+  let dc = Array.length caps = 0 in
+  if not (dc || Array.length caps = Array.length s.caps) then
+    invalid_arg "Mna.assemble: caps length mismatch";
   Numerics.Fvec.fill f 0.0;
   Numerics.Fvec.fill jac 0.0;
   (* gmin to ground stabilizes floating nodes. *)
@@ -282,23 +314,20 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~(f : Nume
     add_current kcl f nd (gmin *. node_v x nd);
     add_jac jac s.gmin_jac.(nd) gmin
   done;
-  (* A MOSFET's bias in, its (id, gm, gds) out: see Iv_model.eval_into. *)
-  let bias = [| 0.0; 0.0; 0.0 |] in
   for k = 0 to Array.length s.stamps - 1 do
     match s.stamps.(k) with
     | Conductance { plus; minus; g; jac = slots } ->
       add_branch kcl f jac plus minus slots (g *. (node_v x plus -. node_v x minus)) g
     | Companion { idx; jac = slots } ->
-      (match caps with
-       | None -> ()
-       | Some companions ->
-         let c = companions.(idx) in
-         let p, m, _ = s.caps.(idx) in
-         add_branch kcl f jac p m slots
-           ((c.geq *. (node_v x p -. node_v x m)) -. c.ieq)
-           c.geq)
+      if not dc then begin
+        let c = caps.(idx) in
+        let p, m, _ = s.caps.(idx) in
+        add_branch kcl f jac p m slots
+          ((c.geq *. (node_v x p -. node_v x m)) -. c.ieq)
+          c.geq
+      end
     | Injection { plus; minus; amps } ->
-      let i = source_scale *. amps in
+      let i = d.scale *. amps in
       (* Current flows from + through the external circuit to -: it leaves
          the source at -, i.e. is injected into the circuit at -. *)
       add_current kcl f plus i;
@@ -308,7 +337,8 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~(f : Nume
          lower (N) or higher (P) potential acts as source.  [sign] maps a
          P-channel device onto the source-referenced magnitudes of the
          model; the conventional current into the drain terminal is [i_d],
-         with partials [d_vd], [d_vg], [d_vs]. *)
+         with partials [d_vd], [d_vg], [d_vs].  [bias] carries the bias in
+         and (id, gm, gds) out: see Iv_model.eval_into. *)
       let vd = node_v x drain and vg = node_v x gate and vs = node_v x source in
       let forward = sign *. (vd -. vs) >= 0.0 in
       if forward then begin
@@ -336,7 +366,7 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~(f : Nume
   done;
   (* Voltage sources: branch current unknowns and voltage constraints. *)
   for k = 0 to Array.length s.vsources - 1 do
-    let { name; plus; minus; wave; row; jac = slots } = s.vsources.(k) in
+    let { plus; minus; row; jac = slots; _ } = s.vsources.(k) in
     let ibr = x.(s.n_nodes - 1 + k) in
     (* Branch current flows + -> (through source) -> -, so it leaves the
        circuit at + and enters at -. *)
@@ -344,17 +374,7 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x ~(f : Nume
     add_current kcl f minus (-.ibr);
     add_jac jac slots.(0) 1.0;
     add_jac jac slots.(1) (-1.0);
-    let value =
-      match List.assoc_opt name overrides with
-      | Some v -> v
-      | None -> (
-        (* A DC level is read in place: Netlist's result would be boxed. *)
-        match wave with
-        | Netlist.Dc v -> v
-        | Netlist.Pulse _ | Netlist.Pwl _ -> Netlist.waveform_value wave time)
-    in
-    let target = source_scale *. value in
-    BA1.unsafe_set f row (node_v x plus -. node_v x minus -. target);
+    BA1.unsafe_set f row (node_v x plus -. node_v x minus -. values.(k));
     add_jac jac slots.(2) 1.0;
     add_jac jac slots.(3) (-1.0)
   done

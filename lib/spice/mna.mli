@@ -70,31 +70,46 @@ type cap_companion = { mutable geq : float; mutable ieq : float }
     branch current is geq (v_p - v_m) - ieq.  Mutable, so a transient
     updates one set in place every step. *)
 
+type drive = { mutable time : float; mutable scale : float }
+(** The independent sources' setting for one Newton run: the time their
+    waveforms are read at, and the factor that multiplies every source
+    value (1 but under source-stepping homotopy).  A record of floats
+    only is stored flat, so setting a field allocates nothing. *)
+
+val source_values :
+  system -> drive -> overrides:(string * float) list -> float array -> unit
+(** [source_values s d ~overrides dst] overwrites [dst], one entry per
+    voltage source in netlist order, with each source's value under [d]:
+    [d.scale] times its waveform at [d.time], or times its value in
+    [overrides] (how DC sweeps move their swept source).  The values hold
+    for a whole Newton run, so it reads each waveform once per run, not
+    once per {!assemble}.  Allocates nothing unless an override matches.
+    Raises [Invalid_argument] if [dst] is not one entry per source, and on
+    an empty [Pwl] waveform. *)
+
 val assemble :
   system ->
-  time:float ->
-  ?source_scale:float ->
-  ?overrides:(string * float) list ->
-  ?caps:cap_companion array ->
+  drive ->
+  values:float array ->
+  caps:cap_companion array ->
+  bias:float array ->
   x:Numerics.Vec.t ->
   f:Numerics.Fvec.t ->
   jac:Numerics.Fvec.t ->
-  unit ->
   unit
 (** Overwrite the caller-owned [f] (length {!size}) with the residual F(x)
     in equation order, and [jac], the value buffer of a
     {!Numerics.Sparse_lu.t} made from {!pattern}, with the Jacobian dF/dx
     (only its structural entries are stored); each MOSFET stamps its
-    analytic {!Device.Iv_model.eval_into}.  Every stamp reads [x] and
-    writes [f] and [jac] in place: a call allocates a few words whatever
-    the circuit's size.  [source_scale]
-    multiplies every independent source value (for source-stepping
-    homotopy).  A 1e-12 S leak conductance (gmin) ties every node to
-    ground.
-    [overrides] replaces the waveform value of named voltage sources — how
-    DC sweeps move their swept source.  Without [caps], capacitors are open
-    (DC); with [caps] (length {!n_caps}), each capacitor stamps its
-    companion model. *)
+    analytic {!Device.Iv_model.eval_into}, through the caller's [bias]
+    buffer (three floats).  Every stamp reads [x] and writes [f] and [jac]
+    in place: a call allocates nothing whatever the circuit's size.
+    [values] are the voltage sources' values from {!source_values}; the
+    drive's [scale] multiplies every current source.  A 1e-12 S leak
+    conductance (gmin) ties every node to ground.  With [caps] empty,
+    capacitors are open (DC); otherwise [caps] holds one companion per
+    capacitor ({!n_caps}), which it stamps.  Raises [Invalid_argument] on a
+    buffer of the wrong length. *)
 
 val cap_voltages : system -> Numerics.Vec.t -> Numerics.Vec.t -> unit
 (** [cap_voltages s x dst] overwrites [dst] (length {!n_caps}) with the

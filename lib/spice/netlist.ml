@@ -24,30 +24,36 @@ let pwl points =
   check points;
   Pwl points
 
-let waveform_value wave t =
+(* The value at the time [a.(i)] of a Pwl's points, clamped to the first
+   and last point.  The time is read from [a] and the value written there,
+   so no float is boxed. *)
+let rec pwl_into points (a : float array) i =
+  match points with
+  | [] -> ()
+  | [ (_, v) ] -> a.(i) <- v
+  | (t0, v0) :: ((t1, v1) :: _ as rest) ->
+    let t = a.(i) in
+    if t <= t0 then a.(i) <- v0
+    else if t <= t1 then a.(i) <- v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
+    else pwl_into rest a i
+
+let waveform_into wave (a : float array) i =
+  let t = a.(i) in
   match wave with
-  | Dc v -> v
+  | Dc v -> a.(i) <- v
   | Pulse { low; high; delay; rise; fall; width; period } ->
-    if t <= delay then low
-    else begin
-      let tau = mod_float (t -. delay) period in
-      if tau < rise then low +. ((high -. low) *. tau /. rise)
-      else if tau < rise +. width then high
-      else if tau < rise +. width +. fall then
-        high -. ((high -. low) *. (tau -. rise -. width) /. fall)
-      else low
-    end
-  | Pwl [] -> invalid_arg "Netlist.waveform_value: empty Pwl waveform"
-  | Pwl points ->
-    let rec walk = function
-      | [] -> 0.0
-      | [ (_, v) ] -> v
-      | (t0, v0) :: ((t1, v1) :: _ as rest) ->
-        if t <= t0 then v0
-        else if t <= t1 then v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
-        else walk rest
-    in
-    walk points
+    a.(i) <-
+      (if t <= delay then low
+       else begin
+         let tau = mod_float (t -. delay) period in
+         if tau < rise then low +. ((high -. low) *. tau /. rise)
+         else if tau < rise +. width then high
+         else if tau < rise +. width +. fall then
+           high -. ((high -. low) *. (tau -. rise -. width) /. fall)
+         else low
+       end)
+  | Pwl [] -> invalid_arg "Netlist.waveform_into: empty Pwl waveform"
+  | Pwl points -> pwl_into points a i
 
 type mosfet = {
   dev : Device.Compact.t;

@@ -24,10 +24,14 @@ val pwl : (float * float) list -> waveform
 (** Validated [Pwl] constructor.  Raises [Invalid_argument] on an empty
     point list or points that are not strictly increasing in time. *)
 
-val waveform_value : waveform -> float -> float
-(** Value of a source waveform at a given time (DC value at [t <= 0]).
-    Clamps to the first/last point of a [Pwl] outside its time span; raises
-    [Invalid_argument] on [Pwl []] (an empty waveform defines no value). *)
+val waveform_into : waveform -> float array -> int -> unit
+(** [waveform_into wave a i] replaces the time [a.(i)] with the value of
+    the source waveform at that time (DC value at [t <= 0]).  Clamps to the
+    first/last point of a [Pwl] outside its time span; raises
+    [Invalid_argument] on [Pwl []] (an empty waveform defines no value).
+    The time comes in and the value goes out through [a], so a call from
+    another module boxes no float: the solver reads every source once per
+    Newton run. *)
 
 type mosfet = {
   dev : Device.Compact.t;

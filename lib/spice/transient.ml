@@ -12,14 +12,14 @@ let steps_counter = Obs.Metrics.counter "spice.transient.steps"
    backward Euler from the capacitor voltages [vcap], or trapezoidal from
    [vcap] and the branch currents [icap] at the last accepted time point.
    [farads] holds each capacitor's value. *)
-let backward_euler_caps caps farads ~h vcap =
+let[@inline] backward_euler_caps caps farads ~h vcap =
   for i = 0 to Array.length caps - 1 do
     let c = caps.(i) in
     c.Mna.geq <- farads.(i) /. h;
     c.Mna.ieq <- c.Mna.geq *. vcap.(i)
   done
 
-let trapezoidal_caps caps farads ~h vcap icap =
+let[@inline] trapezoidal_caps caps farads ~h vcap icap =
   for i = 0 to Array.length caps - 1 do
     let c = caps.(i) in
     c.Mna.geq <- 2.0 *. farads.(i) /. h;
@@ -56,21 +56,30 @@ let grid ~what ~t_stop ~steps =
   let h = t_stop /. float_of_int steps in
   (h, int_of_float (ceil ((t_stop /. h) -. 1e-9)))
 
-(* The one integration loop.  [observe step t x] sees the initial state
-   (step 0, t = 0) and then every accepted step; [x] is the run's state
-   buffer, valid only during the call. *)
+(* [Float.min x y], bit for bit, without a call that would box its
+   floats. *)
+let[@inline] float_min (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+(* The time of the state an observer is shown: a record of one float is
+   stored flat, so a step sets it without boxing. *)
+type clock = { mutable now : float }
+
+(* The one integration loop.  [observe step clock x] sees the initial
+   state (step 0, [clock.now] = 0) and then every accepted step; [clock]
+   and [x], the run's state buffer, are valid only during the call. *)
 let integrate ~what ?x0 sys ~t_stop ~h ~n_steps observe =
   let nc = Mna.n_caps sys in
   let farads = Array.init nc (Mna.cap_farads sys) in
   (* Everything a step writes is allocated here, once: the Newton
      workspace, the companions and the capacitor state. *)
   let ws = Dcop.workspace sys in
+  let drive = Dcop.drive ws in
   let caps = Array.init nc (fun _ -> { Mna.geq = 0.0; ieq = 0.0 }) in
-  let newton_at ~time ~max_iter x0 =
-    Dcop.newton ws (fun ~x ~f ~jac -> Mna.assemble sys ~time ~caps ~x ~f ~jac ())
-      ~tol:1e-9 ~max_iter x0
-  in
-  (* The accepted state; Dcop.newton's result lives in [ws] and is copied
+  let newton ~max_iter x0 = Dcop.newton ws sys ~overrides:[] ~caps ~max_iter x0 in
+  (* The accepted state; a Newton solution lives in [ws] and is copied
      in. *)
   let x = match x0 with Some x -> Array.copy x | None -> Dcop.solve_in ws sys in
   (* Capacitor state: voltage across and branch current at the last accepted
@@ -78,41 +87,44 @@ let integrate ~what ?x0 sys ~t_stop ~h ~n_steps observe =
   let vcap = Array.make nc 0.0 and vmid = Array.make nc 0.0 in
   Mna.cap_voltages sys x vcap;
   let icap = Array.make nc 0.0 in
-  observe 0 0.0 x;
-  let t = ref 0.0 in
+  let clock = { now = 0.0 } in
+  observe 0 clock x;
   for step = 1 to n_steps do
-    let h_eff = Float.min h (t_stop -. !t) in
-    let t' = !t +. h_eff in
+    let t = clock.now in
+    let h_eff = float_min h (t_stop -. t) in
+    let t' = t +. h_eff in
     (* First step: backward Euler (damps trapezoidal start-up ringing). *)
     if step > 1 then trapezoidal_caps caps farads ~h:h_eff vcap icap
     else backward_euler_caps caps farads ~h:h_eff vcap;
+    drive.Mna.time <- t';
     let solved =
-      match newton_at ~time:t' ~max_iter:60 x with
-      | Some _ as solved -> solved
-      | None ->
+      newton ~max_iter:60 x
+      || begin
         (* Retry as two half-steps of backward Euler. *)
         let half = 0.5 *. h_eff in
         backward_euler_caps caps farads ~h:half vcap;
-        (match newton_at ~time:(!t +. half) ~max_iter:80 x with
-         | None -> None
-         | Some mid ->
-           Mna.cap_voltages sys mid vmid;
-           backward_euler_caps caps farads ~h:half vmid;
-           newton_at ~time:t' ~max_iter:80 mid)
+        drive.Mna.time <- t +. half;
+        newton ~max_iter:80 x
+        && begin
+          let mid = Dcop.iterate ws in
+          Mna.cap_voltages sys mid vmid;
+          backward_euler_caps caps farads ~h:half vmid;
+          drive.Mna.time <- t';
+          newton ~max_iter:80 mid
+        end
+      end
     in
-    match solved with
-    | None -> raise (Dcop.No_convergence (Printf.sprintf "transient stuck at t=%.3e s" t'))
-    | Some x' ->
-      if Numerics.Guard.is_enabled () then
-        ignore
-          (Numerics.Guard.vec
-             ~origin:(Printf.sprintf "Transient.%s: state at t=%.3e" what t')
-             x');
-      accept_caps sys caps x' vcap icap;
-      Array.blit x' 0 x 0 (Array.length x);
-      Obs.Metrics.incr steps_counter;
-      observe step t' x;
-      t := t'
+    if not solved then
+      raise (Dcop.No_convergence (Printf.sprintf "transient stuck at t=%.3e s" t'));
+    let x' = Dcop.iterate ws in
+    if Numerics.Guard.is_enabled () then
+      ignore
+        (Numerics.Guard.vec ~origin:(Printf.sprintf "Transient.%s: state at t=%.3e" what t') x');
+    accept_caps sys caps x' vcap icap;
+    Array.blit x' 0 x 0 (Array.length x);
+    Obs.Metrics.incr steps_counter;
+    clock.now <- t';
+    observe step clock x
   done
 
 let run ?x0 sys ~probes ~t_stop ~steps =
@@ -121,8 +133,8 @@ let run ?x0 sys ~probes ~t_stop ~steps =
   let unknowns = Array.map (unknown_of ~what:"run" sys) probes in
   let times = Array.make (n_steps + 1) 0.0 in
   let samples = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) probes in
-  integrate ~what:"run" ?x0 sys ~t_stop ~h ~n_steps (fun step t x ->
-      times.(step) <- t;
+  integrate ~what:"run" ?x0 sys ~t_stop ~h ~n_steps (fun step clock x ->
+      times.(step) <- clock.now;
       for k = 0 to Array.length unknowns - 1 do
         let u = unknowns.(k) in
         samples.(k).(step) <- (if u < 0 then 0.0 else x.(u))
@@ -142,10 +154,10 @@ let first_crossings sys ~node ~levels ~after ~t_stop ~steps =
       | Some tc when tc >= after -> found.(k) <- Some tc
       | Some _ | None -> ()
   in
-  integrate ~what:"first_crossings" sys ~t_stop ~h ~n_steps (fun step t x ->
+  integrate ~what:"first_crossings" sys ~t_stop ~h ~n_steps (fun step clock x ->
       times.(0) <- times.(1);
       values.(0) <- values.(1);
-      times.(1) <- t;
+      times.(1) <- clock.now;
       values.(1) <- (if u < 0 then 0.0 else x.(u));
       if step > 0 then List.iteri scan levels);
   Array.to_list found

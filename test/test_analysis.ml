@@ -264,30 +264,48 @@ let kernel_words f =
 let memory_tests =
   [
     u "snm_distribution of 50 trials: no per-trial device or sample garbage" (fun () ->
-        (* Measured: 18,573 minor words, of them 2.3k the one stage and
-           about 250 a trial (the 201-point V_out curve, the margins).
-           With a shifted pair, a VTC and a gain array per trial and a
-           boxed 804-sample walk: 354,480; with an Rng that boxed its
-           state, 21,367. *)
+        (* Measured: 5,723 minor words, of them 2.3k the one stage and
+           about 68 a trial: 50 for the margins and the curve's small
+           temporaries, the rest boxed floats at call boundaries.  The
+           201-point V_out curve is the domain's own buffer.  With a fresh
+           curve per trial, the results gathered in lists and the summary
+           sorted and folded polymorphically: 18,573; with a shifted
+           pair, a VTC and a gain array per trial and a boxed 804-sample
+           walk: 354,480; with an Rng that boxed its state, 21,367. *)
         let words =
           kernel_words (fun () -> Analysis.Variability.snm_distribution ~trials:50 pair ~vdd:0.3)
         in
-        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 18_573.0) words);
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 5_723.0) words);
     u "chain_delay_distribution of 20 trials: no per-stage device records" (fun () ->
-        (* Measured: 3,760 minor words, of them 2,400 the boxed results
-           of the 1,200 threshold draws; a stage's two I_on evaluations
-           allocate nothing.  With two shifted devices and two prepared
+        (* Measured: 2,841 minor words (3,760 with the trial results
+           gathered in lists and the summary sorted and folded
+           polymorphically), of them 2,400 the boxed results of the 1,200
+           threshold draws; a stage's two I_on evaluations allocate
+           nothing.  With two shifted devices and two prepared
            coefficient records per stage: 134,392; with an Rng that boxed
            its Int64 state, 37,354. *)
         let words =
           kernel_words (fun () ->
               Analysis.Variability.chain_delay_distribution ~trials:20 pair ~vdd:0.25)
         in
-        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 3_760.0) words);
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 2_841.0) words);
   ]
+
+(* A positive float spread over [10^lo, 10^hi]. *)
+let gen_decades lo hi = QCheck2.Gen.(map (fun e -> 10.0 ** e) (float_range lo hi))
 
 let delay_tests =
   [
+    prop "the trial loop's inline Eq. 5 is Model.delay, bit for bit" ~count:500
+      QCheck2.Gen.(
+        tup4 (gen_decades (-18.0) (-11.0)) (gen_decades (-1.5) 0.3) (gen_decades (-16.0) (-2.0))
+          (gen_decades (-16.0) (-2.0)))
+      (fun (cl, vdd, i_n, i_p) ->
+        (* Variability.chain_delay_distributions' stage delay, as written
+           there. *)
+        let inline = Device.Eqs.k_d *. cl *. vdd /. (0.5 *. (i_n +. i_p)) in
+        Int64.equal (Int64.bits_of_float inline)
+          (Int64.bits_of_float (Device.Model.delay ~cl ~vdd (0.5 *. (i_n +. i_p)))));
     u "Eq. 5 delay is positive and falls with supply" (fun () ->
         let d1 = Delay.eq5 pair ~sizing ~vdd:0.25 in
         let d2 = Delay.eq5 pair ~sizing ~vdd:0.35 in

@@ -188,7 +188,37 @@ let headline_tests =
         Test_util.check_in_range "win" ~lo:0.70 ~hi:0.95 (e_sub /. e_sup));
   ]
 
+(* A reproduction's domain holds only a task's working set, so
+   make_context puts it on the pool's task heap; minor heaps are sized per
+   domain, so the case runs in a domain of its own and checks that a
+   domain spawned afterwards starts on the runtime's default again. *)
+let heap_tests =
+  [
+    u "make_context runs its domain on the task heap, once" (fun () ->
+        let task = Exec.Pool.task_minor_heap_words in
+        let heap () = (Gc.get ()).Gc.minor_heap_size in
+        let before, after, collections =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let before = heap () in
+                 ignore (E.make_context ());
+                 let after = heap () in
+                 (* From an empty heap, so no allocation below can fill it. *)
+                 Gc.minor ();
+                 let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+                 Exec.Pool.use_task_heap ();
+                 let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+                 (before, after, c1 - c0)))
+        in
+        Alcotest.(check bool) "a fresh domain starts above the task heap" true (before > task);
+        Alcotest.(check int) "after make_context" task after;
+        Alcotest.(check int) "a second use_task_heap collects nothing" 0 collections;
+        Alcotest.(check int) "a domain spawned later starts on the default" before
+          (Domain.join (Domain.spawn heap)));
+  ]
+
 let suite =
   [ ("experiments.structure", structure_tests);
+    ("experiments.heap", heap_tests);
     ("experiments.registry", registry_tests);
     ("experiments.headline", headline_tests) ]

@@ -446,6 +446,12 @@ let table xs ys i (xy : float array) =
   xy.(0) <- xs.(i);
   xy.(1) <- ys.(i)
 
+(* [Interp.resample] into a fresh array. *)
+let resampled ~n ~sample grid =
+  let dst = Array.make (Array.length grid) 0.0 in
+  Interp.resample ~n ~sample grid ~dst;
+  dst
+
 let interp_tests =
   [
     u "linear interpolation hits nodes and midpoints" (fun () ->
@@ -474,7 +480,7 @@ let interp_tests =
       (fun (xs, ys, grid) ->
         same_bits
           (Array.map (Interp.linear xs ys) grid)
-          (Interp.resample ~n:(Array.length xs) ~sample:(table xs ys) grid));
+          (resampled ~n:(Array.length xs) ~sample:(table xs ys) grid));
     u "resample reads each table index once, in order" (fun () ->
         let seen = ref [] in
         let sample i xy =
@@ -482,18 +488,18 @@ let interp_tests =
           xy.(0) <- float_of_int i;
           xy.(1) <- float_of_int i
         in
-        ignore (Interp.resample ~n:6 ~sample [| -1.0; 0.5; 2.5; 2.5 |]);
+        ignore (resampled ~n:6 ~sample [| -1.0; 0.5; 2.5; 2.5 |]);
         Alcotest.(check (list int)) "indices" [ 0; 1; 2; 3; 4; 5 ] (List.rev !seen));
     u "resample rejects an unsorted table, even past the grid" (fun () ->
         let xs = [| 0.0; 1.0; 2.0; 2.0 |] in
         Alcotest.check_raises "order"
           (Invalid_argument "Interp.resample: abscissae must be strictly increasing")
           (fun () ->
-            ignore (Interp.resample ~n:4 ~sample:(table xs xs) [| 0.5 |]));
+            ignore (resampled ~n:4 ~sample:(table xs xs) [| 0.5 |]));
         Alcotest.check_raises "grid" (Invalid_argument "Interp.resample: grid must be non-decreasing")
           (fun () ->
             let xs = [| 0.0; 1.0 |] in
-            ignore (Interp.resample ~n:2 ~sample:(table xs xs) [| 0.5; 0.25 |])));
+            ignore (resampled ~n:2 ~sample:(table xs xs) [| 0.5; 0.25 |])));
     u "linear on an 804-point table does not box per element" (fun () ->
         (* Measured: 4 minor words per call (the boxed result).  Inferred at
            'a array, the ordering scan boxed every element it compared
@@ -585,6 +591,40 @@ let stats_tests =
         let xs = [| 3.0; -1.0; 4.0 |] in
         Test_util.check_float "min" (-1.0) (Stats.minimum xs);
         Test_util.check_float "max" 4.0 (Stats.maximum xs));
+    prop "sort is Array.sort compare, bit for bit" ~count:500
+      QCheck2.Gen.(
+        array_size (int_range 0 80)
+          (oneof
+             [ float_range (-3.0) 3.0;
+               oneofl
+                 [ 0.0; -0.0; 1.0; -1.0; Float.nan; Int64.float_of_bits 0x7ff0000000000001L;
+                   Float.infinity; Float.neg_infinity ] ]))
+      (fun xs ->
+        let reference = Array.copy xs and sorted = Array.copy xs in
+        Array.sort compare reference;
+        Stats.sort sorted;
+        Array.for_all2
+          (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+          reference sorted);
+    prop "mean and stddev are their left folds, bit for bit" ~count:300
+      QCheck2.Gen.(array_size (int_range 1 60) (float_range (-1e3) 1e3))
+      (fun xs ->
+        let n = float_of_int (Array.length xs) in
+        let mean = Array.fold_left ( +. ) 0.0 xs /. n in
+        let stddev =
+          if Array.length xs < 2 then 0.0
+          else sqrt (Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs /. (n -. 1.0))
+        in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        same mean (Stats.mean xs) && same stddev (Stats.stddev xs));
+    u "sorting 500 samples boxes no element" (fun () ->
+        (* Measured: 1,352 minor words, the boxed key each sift carries;
+           Array.sort compare made 30,191 here. *)
+        let xs = Array.init 500 (fun i -> sin (float_of_int i)) in
+        let minor0 = Gc.minor_words () in
+        Stats.sort xs;
+        Test_util.check_in_range "minor words" ~lo:0.0 ~hi:(1.05 *. 1_352.0)
+          (Gc.minor_words () -. minor0));
   ]
 
 let suite =
