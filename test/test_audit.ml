@@ -214,24 +214,6 @@ let validity_tests =
     u "widened box with zero-straddling I_off fires AUD003" (fun () ->
         check_fires "widen=0.2" "AUD003"
           (VR.audit_physical ~widen:0.2 ~op_vdd:op phys90).VR.diags);
-    u "a W_dep that reaches 0 straddles no divisor at widen=0.6" (fun () ->
-        (* W_dep is 0 or a square root: on the widened 90/65 nm sub boxes it
-           reaches 0, and neither T_ox/W_dep nor l_t's sqrt may see a
-           negative W_dep.  N_eff's reach below 0 is a real finding. *)
-        List.iter
-          (fun node ->
-            let phys =
-              match Scaling.Strategy.resolve ~node ~strategy:"sub" with
-              | Ok (_, _, phys, _) -> phys
-              | Error msg -> Alcotest.fail msg
-            in
-            let diags = (VR.audit_physical ~widen:0.6 ~op_vdd:op phys).VR.diags in
-            let reports sub = List.exists (fun d -> contains_sub d.Diag.message sub) diags in
-            let name what = Printf.sprintf "%d nm sub: %s" node what in
-            Alcotest.(check bool) (name "T_ox/W_dep") false (reports "T_ox/W_dep");
-            Alcotest.(check bool) (name "l_t sqrt") false (reports "l_t = sqrt");
-            Alcotest.(check bool) (name "phi_F") true (reports "phi_F = v_T ln(N_eff/n_i)"))
-          [ 90; 65 ]);
     u "pow_const keeps an exact zero, so lambda straddles nothing at widen=0.6" (fun () ->
         (* 0 ** c is exactly 0 for c > 0: a base reaching 0 gives a +0.0
            lower bound, not one stepped below it.  lambda = k x_j^a
@@ -260,6 +242,24 @@ let validity_tests =
            longer reports the AUD004 overflow it used to. *)
         Alcotest.(check bool) "90 nm paper device: no AUD004" false
           (List.mem "AUD004" (rules (VR.audit_physical ~widen:0.6 ~op_vdd:op phys90).VR.diags)));
+    u "a W_dep that reaches 0 straddles no divisor at widen=0.6" (fun () ->
+        (* W_dep is 0 or a square root: on the widened 90/65 nm sub boxes it
+           reaches 0, and neither T_ox/W_dep nor l_t's sqrt may see a
+           negative W_dep.  N_eff's reach below 0 is a real finding. *)
+        List.iter
+          (fun node ->
+            let phys =
+              match Scaling.Strategy.resolve ~node ~strategy:"sub" with
+              | Ok (_, _, phys, _) -> phys
+              | Error msg -> Alcotest.fail msg
+            in
+            let diags = (VR.audit_physical ~widen:0.6 ~op_vdd:op phys).VR.diags in
+            let reports sub = List.exists (fun d -> contains_sub d.Diag.message sub) diags in
+            let name what = Printf.sprintf "%d nm sub: %s" node what in
+            Alcotest.(check bool) (name "T_ox/W_dep") false (reports "T_ox/W_dep");
+            Alcotest.(check bool) (name "l_t sqrt") false (reports "l_t = sqrt");
+            Alcotest.(check bool) (name "phi_F") true (reports "phi_F = v_T ln(N_eff/n_i)"))
+          [ 90; 65 ]);
     u "overlap consuming the gate fires AUD007" (fun () ->
         let b = VR.box_of_physical phys90 in
         let b = { b with VR.overlap = Some (I.point (0.6 *. phys90.Pm.lpoly)) } in
