@@ -12,9 +12,10 @@ val make_context : ?with_130:bool -> unit -> context
 (** Runs the super-V_th and sub-V_th optimizers over the roadmap (and the
     130 nm back-extrapolation when [with_130], needed by Fig. 12).  A
     reproduction starts here, so it first puts the calling domain on the
-    task-sized minor heap ({!Exec.Pool.use_task_heap}): the domain keeps
-    that heap for the rest of its life, drivers included.  Other domains,
-    and domains spawned later, keep theirs. *)
+    task-sized minor heap ({!Exec.Pool.use_task_heap}), as a fan-out
+    ({!Exec.map}) would at its first one: the domain keeps that heap for
+    the rest of its life, drivers included, even at one job.  Other
+    domains, and domains spawned later, keep theirs. *)
 
 type output = { id : string; table : Report.Table.t; plots : string list }
 

@@ -130,7 +130,10 @@ let seq_map_ordered order f arr =
    whose count stays 0 never spawned a worker domain. *)
 let fanouts = Obs.Metrics.counter "exec.map.fanouts"
 
+(* The caller is a lane of the fan-out, so it runs tasks like a worker
+   and gets a worker's heap before the work is published. *)
 let fan_out ?order ~jobs:n xs f =
+  Pool.use_task_heap ();
   Obs.Metrics.incr fanouts;
   Obs.Trace.with_span ~cat:"exec"
     ~attrs:[ ("items", Obs.Trace.I (List.length xs)); ("jobs", Obs.Trace.I n) ]

@@ -33,7 +33,10 @@ val set_jobs : int -> unit
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Drop-in parallel [List.map]; order-preserving, exception-faithful.
     Each fan-out over the pool counts once in the [exec.map.fanouts]
-    metric. *)
+    metric.  The caller runs tasks beside the workers, so a fan-out first
+    puts it on their task-sized minor heap ({!Pool.use_task_heap}), where
+    it stays; the sequential paths (one job, fewer than two items, a map
+    nested in a fan-out) leave the caller's heap as it is. *)
 
 val map2 : ('a -> 'b -> 'c) -> 'a list -> 'b list -> 'c list
 val map_array : ('a -> 'b) -> 'a array -> 'b array

@@ -16,14 +16,15 @@ val create : domains:int -> t
     only [domains - 1] worker domains are spawned ([~domains:1] spawns
     none: the pool degenerates to a pure-sequential [List.map]).  Each
     worker runs on a minor heap of {!task_minor_heap_words} ({!use_task_heap}),
-    sized for one task's temporaries; the calling domain's heap keeps its
-    size. *)
+    sized for one task's temporaries; [map] leaves the calling domain's
+    heap as it is ({!Exec.map} is what moves its caller). *)
 
 val task_minor_heap_words : int
 (** 32k words (256 KB): the minor heap of a domain that only ever holds
-    one task's temporaries.  Three kinds of domain run on it: a pool
-    worker, the serve daemon's loop ([Serve.Server.run], once its listener
-    is bound) and a reproduction's driver domain
+    one task's temporaries.  Every domain that runs pool tasks is on it: a
+    pool worker, the caller of an {!Exec.map} fan-out (from the fan-out
+    on), the serve daemon's loop ([Serve.Server.run], once its listener is
+    bound) and a reproduction's driver domain
     ([Experiments.make_context]). *)
 
 val use_task_heap : unit -> unit

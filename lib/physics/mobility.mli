@@ -23,6 +23,14 @@ val channel : ?t:float -> carrier -> float -> float
     phonon scattering scales the bulk value as (T/300)^-1.5).  Surface
     scattering roughly halves the bulk value even at low field. *)
 
+type field = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Per-node values over a mesh (the layout of [Tcad.Field.t]). *)
+
+val channel_into : ?t:float -> carrier -> doping:field -> field -> unit
+(** [channel_into c ~doping dst] writes [channel ?t c doping.{k}] into
+    [dst.{k}] for every node of [dst], bit for bit, without boxing a float
+    per node. *)
+
 val critical_field : carrier -> float -> float
 (** [critical_field c n] is the lateral critical field E_c = 2 v_sat / mu
     [V/m] used by velocity-saturated drain-current models, at channel doping

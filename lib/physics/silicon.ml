@@ -18,11 +18,22 @@ let builtin_potential ?(t = Constants.t_room) na nd =
   let ni = ni_at t in
   Constants.thermal_voltage t *. log (na *. nd /. (ni *. ni))
 
+type field = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* asinh in log form; computed on |x| to avoid the catastrophic cancellation
-   of x + sqrt(x^2 + 1) for large negative x. *)
-let bulk_potential_of_net_doping ?(t = Constants.t_room) d =
-  let ni = ni_at t in
+   of x + sqrt(x^2 + 1) for large negative x.  One kernel for the point
+   function and the field loop, where no float is boxed. *)
+let[@inline] bulk_potential ~ni ~vt d =
   let x = d /. (2.0 *. ni) in
   let ax = Float.abs x in
   let asinh_ax = log (ax +. sqrt ((ax *. ax) +. 1.0)) in
-  Constants.thermal_voltage t *. (if x >= 0.0 then asinh_ax else -.asinh_ax)
+  vt *. (if x >= 0.0 then asinh_ax else -.asinh_ax)
+
+let bulk_potential_of_net_doping ?(t = Constants.t_room) d =
+  bulk_potential ~ni:(ni_at t) ~vt:(Constants.thermal_voltage t) d
+
+let bulk_potential_into ?(t = Constants.t_room) ~(net_doping : field) (dst : field) =
+  let ni = ni_at t and vt = Constants.thermal_voltage t in
+  for k = 0 to Bigarray.Array1.dim dst - 1 do
+    dst.{k} <- bulk_potential ~ni ~vt net_doping.{k}
+  done

@@ -27,3 +27,11 @@ val bulk_potential_of_net_doping : ?t:float -> float -> float
     potential [V] (relative to intrinsic) of a charge-neutral region with net
     doping [d] = N_D - N_A [m^-3], from exact charge neutrality:
     psi = vT asinh(d / 2 n_i).  Works for either sign of [d]. *)
+
+type field = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Per-node values over a mesh (the layout of [Tcad.Field.t]). *)
+
+val bulk_potential_into : ?t:float -> net_doping:field -> field -> unit
+(** [bulk_potential_into ~net_doping dst] writes
+    [bulk_potential_of_net_doping ?t net_doping.{k}] into [dst.{k}] for
+    every node of [dst], bit for bit, without boxing a float per node. *)

@@ -25,18 +25,34 @@ module Tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type t = { tbl : string Tbl.t; budget : int; mutable bytes : int }
+(* A request's first answer is only a sighting: most requests are asked
+   once, and their bodies would fill the budget for nothing. *)
+type entry = Seen | Body of string
+
+type t = { tbl : entry Tbl.t; budget : int; mutable bytes : int }
+
+let sighting_bytes = 192
 
 let create ~budget = { tbl = Tbl.create 64; budget; bytes = 0 }
-let find t req = Tbl.find_opt t.tbl req
+let find t req =
+  match Tbl.find_opt t.tbl req with Some (Body body) -> Some body | Some Seen | None -> None
+
+(* Make room for [n] more bytes: clear the table if they do not fit. *)
+let charge t n =
+  if t.bytes + n > t.budget then begin
+    Tbl.reset t.tbl;
+    t.bytes <- 0
+  end;
+  t.bytes <- t.bytes + n
 
 let add t req body =
   let n = String.length body in
-  if n <= t.budget && not (Tbl.mem t.tbl req) then begin
-    if t.bytes + n > t.budget then begin
-      Tbl.reset t.tbl;
-      t.bytes <- 0
-    end;
-    Tbl.add t.tbl req body;
-    t.bytes <- t.bytes + n
-  end
+  if n <= t.budget then
+    match Tbl.find_opt t.tbl req with
+    | Some (Body _) -> ()
+    | Some Seen ->
+      charge t n;
+      Tbl.replace t.tbl req (Body body)
+    | None ->
+      charge t sighting_bytes;
+      Tbl.replace t.tbl req Seen

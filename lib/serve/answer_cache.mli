@@ -3,19 +3,26 @@
 
     Keys compare bit for bit: two requests share an entry only if every
     float field has the same IEEE-754 bits, so [-0.0] and [0.0], or two
-    values one ulp apart, never do.  The table counts the bytes of its
-    bodies against a budget fixed at creation; an [add] that would go over
-    it clears the table first.  A table is not thread-safe: the select
-    loop alone uses it. *)
+    values one ulp apart, never do.  A body is kept on its request's
+    second answer: the first only records a sighting of the request, so a
+    request asked once leaves no body behind.  The table counts its bytes
+    against a budget fixed at creation, a body by its length and a
+    sighting as 192 bytes (about the memory an [idvg] request and its
+    table slot take); an [add] that would go over the budget
+    clears the table first.  A table is not thread-safe: the select loop
+    alone uses it. *)
 
 type t
 
 val create : budget:int -> t
-(** An empty table that holds at most [budget] bytes of bodies. *)
+(** An empty table that holds at most [budget] bytes of bodies and
+    sightings. *)
 
 val find : t -> Protocol.request -> string option
+(** The body kept for the request, if any; a sighting is not a body. *)
 
 val add : t -> Protocol.request -> string -> unit
-(** [add t req body] keeps [body] for [req], unless [req] already has an
-    entry or [body] alone is over the budget.  A body that does not fit
-    beside the others clears the table first. *)
+(** [add t req body] records [req]'s answer.  The first [add] of a request
+    records a sighting, the second keeps [body]; a request that already
+    has a body keeps it.  A body alone over the budget is neither kept nor
+    sighted.  What does not fit beside the rest clears the table first. *)

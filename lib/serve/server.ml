@@ -1,6 +1,6 @@
 (* The serving loop.  Single-threaded event loop over Unix.select.  A
-   request answered before, from a job keyed by that request alone, is
-   answered from the answer cache as it is parsed; a job whose value a
+   request answered twice before, from jobs keyed by that request alone,
+   is answered from the answer cache as it is parsed; a job whose value a
    memo or the store already holds is answered on the loop; only TCAD
    misses fan out over the shared Exec pool, one task per coalesced job,
    so the daemon parallelizes across queries while each TCAD run stays
@@ -23,8 +23,8 @@ let errors_counter = Obs.Metrics.counter "serve.errors"
 let coalesced_counter = Obs.Metrics.counter "serve.coalesced"
 let answer_hits_counter = Obs.Metrics.counter "serve.answer_hits"
 
-(* The answer cache's budget: the bytes of the bodies it holds.  Clearing
-   it costs only the full path from the memo for what it held. *)
+(* The answer cache's budget: the bytes of its bodies and sightings.
+   Clearing it costs only the full path from the memo for what it held. *)
 let answer_budget = 1 lsl 20
 
 (* Every error response is built here, so [serve.errors] counts each one. *)

@@ -6,10 +6,11 @@
 
     Each [select] round drains every complete request line from every
     connection into one batch.  A [device], [tcad] or [idvg] request
-    bit-for-bit equal to one answered earlier by a job keyed by that
-    request alone is answered as it is parsed, from the {!Answer_cache}
-    (1 MiB of answer bodies, cleared when full; [serve.answer_hits]
-    counts its hits).  Of the rest, overlapping Id–Vg boxes in the batch
+    bit-for-bit equal to one answered twice earlier by jobs keyed by
+    that request alone is answered as it is parsed, from the
+    {!Answer_cache} (1 MiB of answer bodies and first sightings, cleared
+    when full; a body is kept on its second answer, so a one-off request
+    leaves none; [serve.answer_hits] counts its hits).  Of the rest, overlapping Id–Vg boxes in the batch
     are {!Coalesce}d into shared warm-started runs, identical device or
     characterization requests collapse into one job, and responses are
     written back in per-connection request order, each connection's in
@@ -21,7 +22,8 @@
     in one string of its exact size.  The loop's domain, which holds one
     batch's temporaries and is also the caller lane of a fan-out, runs on
     the pool workers' task-sized minor heap
-    ({!Exec.Pool.task_minor_heap_words}) from its first [select]. *)
+    ({!Exec.Pool.task_minor_heap_words}) from its first [select], not
+    only from its first fan-out as any other caller of {!Exec.map}. *)
 
 type config = {
   listen : [ `Unix of string | `Tcp of string * int ];

@@ -1,12 +1,11 @@
-(** Doping-profile combinators.  A profile maps (x, y) [m] to a density
-    [m^-3]; donors and acceptors are kept separate and combined into a net
-    doping N_D - N_A by the device structure. *)
+(** Doping profiles.  A profile is a density [m^-3] over (x, y) [m];
+    donors and acceptors are kept separate and combined into a net doping
+    N_D - N_A by the device structure, which fills them onto its mesh with
+    {!sum_into}. *)
 
-type profile = x:float -> y:float -> float
+type profile
 
 val uniform : float -> profile
-
-val sum : profile list -> profile
 
 val gaussian2d :
   peak:float -> x0:float -> y0:float -> sigma_x:float -> sigma_y:float -> profile
@@ -25,4 +24,11 @@ val source_drain :
     [peak] inside the well and rolls off with straggle [lateral_sigma],
     positioned so the surface profile crosses [background] exactly at
     [junction] — the surface metallurgical junction.  The vertical Gaussian
-    is scaled so the profile falls to [background] at depth [xj]. *)
+    is scaled so the profile falls to [background] at depth [xj].  Raises
+    [Invalid_argument] unless [peak] exceeds [background]. *)
+
+val sum_into : Mesh.t -> Field.t -> profile list -> unit
+(** [sum_into mesh dst ps] sets every node of [dst] to the sum of [ps] at
+    the node's coordinates, added in list order from 0.  No float is boxed
+    per node.  Raises [Invalid_argument] if [dst] is not one value per
+    mesh node. *)

@@ -47,10 +47,6 @@ let index m ~ix ~iy =
     invalid_arg (Printf.sprintf "Mesh.index: (%d, %d) out of range" ix iy);
   (ix * m.ny) + iy
 
-let coords m k =
-  let ix = k / m.ny and iy = k mod m.ny in
-  (m.xs.(ix), m.ys.(iy))
-
 let dual_width_y m iy = m.wy.(iy)
 
 let find_nearest axis v =

@@ -26,9 +26,6 @@ val n_nodes : t -> int
 
 val index : t -> ix:int -> iy:int -> int
 
-val coords : t -> int -> float * float
-(** Node coordinates from the flat index. *)
-
 val dual_width_y : t -> int -> float
 (** [dual_width_y m iy] is the finite-volume box height around row [iy]
     (half-spacing on each interior side). *)

@@ -151,37 +151,34 @@ let build ?nx ?ny d =
   let drain_edge = x_g1 -. d.overlap in
   let lateral_sigma = 0.18 *. d.xj in
   let donors =
-    Doping.sum
-      [
-        Doping.source_drain ~peak:d.nsd ~junction:source_edge ~side:`Source ~xj:d.xj
-          ~background:d.nsub ~lateral_sigma;
-        Doping.source_drain ~peak:d.nsd ~junction:drain_edge ~side:`Drain ~xj:d.xj
-          ~background:d.nsub ~lateral_sigma;
-      ]
+    [ Doping.source_drain ~peak:d.nsd ~junction:source_edge ~side:`Source ~xj:d.xj
+        ~background:d.nsub ~lateral_sigma;
+      Doping.source_drain ~peak:d.nsd ~junction:drain_edge ~side:`Drain ~xj:d.xj
+        ~background:d.nsub ~lateral_sigma ]
   in
   let halo_y = d.halo_depth_frac *. d.xj in
   let halo_sigma = d.halo_sigma_frac *. d.xj in
   let acceptors =
-    Doping.sum
-      [
-        Doping.uniform d.nsub;
-        Doping.gaussian2d ~peak:d.np_halo ~x0:source_edge ~y0:halo_y ~sigma_x:halo_sigma
-          ~sigma_y:halo_sigma;
-        Doping.gaussian2d ~peak:d.np_halo ~x0:drain_edge ~y0:halo_y ~sigma_x:halo_sigma
-          ~sigma_y:halo_sigma;
-      ]
+    [ Doping.uniform d.nsub;
+      Doping.gaussian2d ~peak:d.np_halo ~x0:source_edge ~y0:halo_y ~sigma_x:halo_sigma
+        ~sigma_y:halo_sigma;
+      Doping.gaussian2d ~peak:d.np_halo ~x0:drain_edge ~y0:halo_y ~sigma_x:halo_sigma
+        ~sigma_y:halo_sigma ]
   in
+  (* The two fields hold the donors and the acceptors first, then their
+     combinations, node by node. *)
   let net_doping = Field.create n in
   let total_doping = Field.create n in
+  Doping.sum_into mesh total_doping donors;
+  Doping.sum_into mesh net_doping acceptors;
   (* [donors]/[acceptors] above are written for the N-channel layout (donor
      wells in an acceptor body); a P-channel device is its exact mirror, so
      the net doping simply flips sign. *)
   let sign = match d.polarity with Nchannel -> 1.0 | Pchannel -> -1.0 in
   for k = 0 to n - 1 do
-    let x, y = Mesh.coords mesh k in
-    let nd = donors ~x ~y and na = acceptors ~x ~y in
-    Field.set net_doping k (sign *. (nd -. na));
-    Field.set total_doping k (nd +. na)
+    let nd = total_doping.{k} and na = net_doping.{k} in
+    net_doping.{k} <- sign *. (nd -. na);
+    total_doping.{k} <- nd +. na
   done;
   (* Boundary classification. *)
   let boundary = Array.make n Interior in
@@ -208,20 +205,13 @@ let build ?nx ?ny d =
   done;
   (* Precomputed charge-neutral potentials: the equilibrium initial guess
      and the built-in part of every ohmic Dirichlet value. *)
-  let bulk_phi =
-    Field.init n (fun k ->
-        Physics.Silicon.bulk_potential_of_net_doping ~t:d.temperature (Field.get net_doping k))
-  in
-  let mobility_n =
-    Field.init n (fun k ->
-        Physics.Mobility.channel ~t:d.temperature Physics.Mobility.Electron
-          (Field.get total_doping k))
-  in
-  let mobility_p =
-    Field.init n (fun k ->
-        Physics.Mobility.channel ~t:d.temperature Physics.Mobility.Hole
-          (Field.get total_doping k))
-  in
+  let bulk_phi = Field.create n in
+  Physics.Silicon.bulk_potential_into ~t:d.temperature ~net_doping bulk_phi;
+  let mobility_n = Field.create n and mobility_p = Field.create n in
+  Physics.Mobility.channel_into ~t:d.temperature Physics.Mobility.Electron
+    ~doping:total_doping mobility_n;
+  Physics.Mobility.channel_into ~t:d.temperature Physics.Mobility.Hole ~doping:total_doping
+    mobility_p;
   (* n+ poly for the N-channel device, p+ poly for the P-channel mirror. *)
   let gate_potential_offset =
     sign *. Physics.Silicon.fermi_potential ~t:d.temperature d.gate_doping

@@ -128,6 +128,38 @@ let test_exec_map_short_lists () =
       Alcotest.(check (list int)) "pair" [ 2; 3 ] (Exec.map succ [ 1; 2 ]);
       Alcotest.(check int) "two items fan out once" (before + 1) (fanouts ()))
 
+(* A fan-out's caller is one of its lanes, so [Exec.map] puts it on the
+   task heap; the sequential paths run no task lane and leave the heap
+   alone.  Each case starts in a fresh domain, which is on the runtime's
+   default heap whatever the test's own domain did before. *)
+let test_exec_map_caller_heap () =
+  let heap () = (Gc.get ()).Gc.minor_heap_size in
+  let task = Pool.task_minor_heap_words in
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  let around_map xs =
+    in_fresh_domain (fun () ->
+        let before = heap () in
+        ignore (Exec.map succ xs);
+        (before, heap ()))
+  in
+  restore_jobs (fun () ->
+      Exec.set_jobs 2;
+      let before, after = around_map [ 1; 2 ] in
+      Alcotest.(check bool) "a fresh domain starts above the task heap" true (before > task);
+      Alcotest.(check int) "a fan-out's caller ends on the task heap" task after;
+      (* The inner map starts while the outer fan-out is in flight, so it
+         runs sequentially. *)
+      let nested =
+        Exec.map (fun i -> if i = 0 then Some (around_map [ 1; 2 ]) else None) [ 0; 1 ]
+      in
+      (match nested with
+      | [ Some (before, after); None ] ->
+        Alcotest.(check int) "a nested map leaves its caller's heap" before after
+      | _ -> Alcotest.fail "the outer map lost its items");
+      Exec.set_jobs 1;
+      let before, after = around_map [ 1; 2 ] in
+      Alcotest.(check int) "one job leaves its caller's heap" before after)
+
 (* --- Memo ----------------------------------------------------------- *)
 
 let stat name =
@@ -734,6 +766,7 @@ let suite =
         prop_pool_differential;
         case "exec: nested maps are sequential" test_exec_map_nested;
         case "exec: fewer than two items never fan out" test_exec_map_short_lists;
+        case "exec: a fan-out puts its caller on the task heap" test_exec_map_caller_heap;
         case "memo: hit/miss accounting" test_memo_counters;
         case "memo: a find miss counts nothing" test_memo_find;
         case "memo: disabled scope bypasses" test_memo_disabled;

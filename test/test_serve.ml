@@ -378,17 +378,22 @@ let idvg_line vd =
     {|{"op":"idvg","node":90,"strategy":"sub","vd":%.17g,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12}|}
     vd
 
+(* A body is kept on its request's second answer: [keep] answers twice. *)
+let keep t req body =
+  Answer_cache.add t req body;
+  Answer_cache.add t req body
+
 let answer_cache_tests =
   [
     case "keys compare floats by their bits" (fun () ->
-        let t = Answer_cache.create ~budget:1024 in
+        let t = Answer_cache.create ~budget:4096 in
         let vd = 0.05 in
-        Answer_cache.add t (request (idvg_line vd)) "a";
+        keep t (request (idvg_line vd)) "a";
         Alcotest.(check (option string)) "the same request" (Some "a")
           (Answer_cache.find t (request (idvg_line vd)));
         Alcotest.(check (option string)) "vd one ulp up" None
           (Answer_cache.find t (request (idvg_line (Float.succ vd))));
-        Answer_cache.add t (request (idvg_line (Float.succ vd))) "b";
+        keep t (request (idvg_line (Float.succ vd))) "b";
         Alcotest.(check (option string)) "its own entry" (Some "b")
           (Answer_cache.find t (request (idvg_line (Float.succ vd))));
         let tcad vdd = request (Printf.sprintf {|{"op":"tcad","node":90,"strategy":"sub","vdd":%s}|} vdd) in
@@ -396,23 +401,36 @@ let answer_cache_tests =
         | Protocol.Tcad { vdd; _ } ->
           Alcotest.(check bool) "the parser keeps -0.0" true (Float.sign_bit vdd)
         | _ -> Alcotest.fail "not a tcad request");
-        Answer_cache.add t (tcad "0.0") "plus";
+        keep t (tcad "0.0") "plus";
         Alcotest.(check (option string)) "-0.0 is not 0.0" None (Answer_cache.find t (tcad "-0.0"));
-        Answer_cache.add t (tcad "-0.0") "minus";
+        keep t (tcad "-0.0") "minus";
         Alcotest.(check (list (option string))) "two entries" [ Some "plus"; Some "minus" ]
           [ Answer_cache.find t (tcad "0.0"); Answer_cache.find t (tcad "-0.0") ]);
+    case "a body is kept on its request's second answer" (fun () ->
+        let t = Answer_cache.create ~budget:4096 in
+        let req = request (idvg_line 0.05) in
+        Answer_cache.add t req "first";
+        Alcotest.(check (option string)) "a first answer is a sighting" None (Answer_cache.find t req);
+        Answer_cache.add t req "second";
+        Alcotest.(check (option string)) "the second is kept" (Some "second")
+          (Answer_cache.find t req);
+        Answer_cache.add t req "third";
+        Alcotest.(check (option string)) "a kept body stays" (Some "second")
+          (Answer_cache.find t req));
     case "a body over the budget clears the table first" (fun () ->
-        let t = Answer_cache.create ~budget:10 in
+        (* A sighting counts 192 bytes: two sightings and ten bytes of
+           bodies fill this budget. *)
+        let t = Answer_cache.create ~budget:((2 * 192) + 10) in
         let dev node = request (Printf.sprintf {|{"op":"device","node":%d,"strategy":"sub"}|} node) in
-        Answer_cache.add t (dev 90) "123456";
-        Answer_cache.add t (dev 65) "1234";
+        keep t (dev 90) "123456";
+        keep t (dev 65) "1234";
         Alcotest.(check (list (option string))) "ten bytes fit" [ Some "123456"; Some "1234" ]
           [ Answer_cache.find t (dev 90); Answer_cache.find t (dev 65) ];
-        Answer_cache.add t (dev 45) "1";
-        Alcotest.(check (list (option string))) "the eleventh clears the rest"
+        keep t (dev 45) "1";
+        Alcotest.(check (list (option string))) "a third sighting clears the rest"
           [ None; None; Some "1" ]
           [ Answer_cache.find t (dev 90); Answer_cache.find t (dev 65); Answer_cache.find t (dev 45) ];
-        Answer_cache.add t (dev 32) "12345678901";
+        keep t (dev 32) (String.make ((2 * 192) + 11) '1');
         Alcotest.(check (list (option string))) "a body alone over the budget is not kept"
           [ None; Some "1" ]
           [ Answer_cache.find t (dev 32); Answer_cache.find t (dev 45) ]);
@@ -521,7 +539,8 @@ let serve_tests =
                 let before = answer_hits () in
                 let full = ask fields (Some "1") in
                 ignore (expect_ok ({|{"ok":true|} ^ full));
-                Alcotest.(check int) (fields ^ ": the first answer takes the full path") before
+                Alcotest.(check string) (fields ^ ": the second answer") full (ask fields (Some "1"));
+                Alcotest.(check int) (fields ^ ": the first two answers take the full path") before
                   (answer_hits ());
                 Alcotest.(check string) (fields ^ ": a string id") full (ask fields (Some {|"s"|}));
                 Alcotest.(check string) (fields ^ ": no id") full (ask fields None);
@@ -529,6 +548,26 @@ let serve_tests =
               [ {|{"op":"device","node":90,"strategy":"sub"|};
                 {|{"op":"tcad","node":90,"strategy":"sub","vdd":0.9,"nx":16,"ny":12|};
                 {|{"op":"idvg","node":90,"strategy":"sub","vd":0.05,"vg_min":0.0,"vg_max":0.2,"points":3,"nx":16,"ny":12|} ];
+            send fd [ {|{"op":"shutdown"}|} ];
+            ignore (expect_ok (recv fd));
+            Unix.close fd));
+    slow_case "daemon: a one-off idvg body is not kept, a repeated one is" (fun () ->
+        with_server (fun ~connect ~send ~recv ->
+            let fd = connect () in
+            let ask line =
+              send fd [ line ];
+              let response = recv fd in
+              ignore (expect_ok response);
+              response
+            in
+            let line = idvg_line 0.07 in
+            let hits = answer_hits () in
+            let first = ask line in
+            Alcotest.(check string) "asked again: the same bytes" first (ask line);
+            Alcotest.(check int) "the one-off body was not kept" hits (answer_hits ());
+            Alcotest.(check string) "asked a third time: the same bytes" first (ask line);
+            Alcotest.(check int) "the repeated one is answered from the cache" (hits + 1)
+              (answer_hits ());
             send fd [ {|{"op":"shutdown"}|} ];
             ignore (expect_ok (recv fd));
             Unix.close fd));
@@ -547,7 +586,7 @@ let serve_tests =
             Alcotest.(check int) "one ulp apart misses" hits (answer_hits ());
             (* Two overlapping boxes in one batch coalesce; a member's answer
                depends on its batch, so the box alone takes the full path,
-               and only then is it cached. *)
+               and only its second answer alone is cached. *)
             let box vg_min vg_max =
               Printf.sprintf
                 {|{"op":"idvg","node":90,"strategy":"sub","vd":0.1,"vg_min":%g,"vg_max":%g,"points":3,"nx":16,"ny":12}|}
@@ -555,9 +594,10 @@ let serve_tests =
             in
             List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2; box 0.1 0.3 ]);
             List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2 ]);
+            List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2 ]);
             Alcotest.(check int) "a coalesced member is not cached" hits (answer_hits ());
             List.iter (fun r -> ignore (expect_ok r)) (ask [ box 0.0 0.2 ]);
-            Alcotest.(check int) "the box asked alone is" (hits + 1) (answer_hits ());
+            Alcotest.(check int) "the box asked alone twice is" (hits + 1) (answer_hits ());
             let errors = Test_util.counter_value "serve.errors" in
             List.iter
               (fun line ->

@@ -1,6 +1,7 @@
 open Subscale
 module Mesh = Tcad.Mesh
 module Doping = Tcad.Doping
+module Field = Tcad.Field
 module Structure = Tcad.Structure
 module Poisson = Tcad.Poisson
 module Continuity = Tcad.Continuity
@@ -23,11 +24,13 @@ let lin_sweep =
 let mesh_tests =
   [
     u "index/coords are consistent" (fun () ->
+        (* Node loops over xs and ys (Doping.sum_into) rely on this order. *)
         let m = Mesh.make ~xs:[| 0.0; 1.0; 2.0; 4.0 |] ~ys:[| 0.0; 1.0; 3.0 |] in
-        let k = Mesh.index m ~ix:2 ~iy:1 in
-        let x, y = Mesh.coords m k in
-        Test_util.check_float "x" 2.0 x;
-        Test_util.check_float "y" 1.0 y);
+        for ix = 0 to 3 do
+          for iy = 0 to 2 do
+            Alcotest.(check int) "k = ix * ny + iy" ((ix * 3) + iy) (Mesh.index m ~ix ~iy)
+          done
+        done);
     u "index rejects out-of-range nodes" (fun () ->
         let m = Mesh.make ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 0.0; 1.0; 2.0 |] in
         Alcotest.check_raises "range" (Invalid_argument "Mesh.index: (3, 0) out of range")
@@ -49,44 +52,59 @@ let mesh_tests =
             ignore (Mesh.make ~xs:[| 0.0; 2.0; 1.0 |] ~ys:[| 0.0; 1.0; 2.0 |])));
   ]
 
+(* The sum of [profiles] at (x, y): the centre node of a 3x3 mesh around
+   the point, filled by Doping.sum_into. *)
+let doping_at profiles ~x ~y =
+  let axis c = [| c -. 1e-9; c; c +. 1e-9 |] in
+  let mesh = Mesh.make ~xs:(axis x) ~ys:(axis y) in
+  let dst = Field.create (Mesh.n_nodes mesh) in
+  Doping.sum_into mesh dst profiles;
+  dst.{Mesh.index mesh ~ix:1 ~iy:1}
+
 let doping_tests =
   [
     u "gaussian peaks at its centre" (fun () ->
-        let g = Doping.gaussian2d ~peak:1e24 ~x0:1e-8 ~y0:2e-8 ~sigma_x:1e-8 ~sigma_y:1e-8 in
+        let g =
+          doping_at [ Doping.gaussian2d ~peak:1e24 ~x0:1e-8 ~y0:2e-8 ~sigma_x:1e-8 ~sigma_y:1e-8 ]
+        in
         Test_util.check_float "peak" 1e24 (g ~x:1e-8 ~y:2e-8);
         Alcotest.(check bool) "decays" true (g ~x:3e-8 ~y:2e-8 < 1e24));
     u "source/drain profile crosses background at the junction" (fun () ->
         let junction = 50e-9 in
         let p =
-          Doping.source_drain ~peak:1e26 ~junction ~side:`Source ~xj:20e-9
-            ~background:1.5e24 ~lateral_sigma:4e-9
+          doping_at
+            [ Doping.source_drain ~peak:1e26 ~junction ~side:`Source ~xj:20e-9
+                ~background:1.5e24 ~lateral_sigma:4e-9 ]
         in
         Test_util.check_rel "at junction" ~rel:1e-6 1.5e24 (p ~x:junction ~y:0.0));
     u "source/drain profile falls to background at depth xj" (fun () ->
         let p =
-          Doping.source_drain ~peak:1e26 ~junction:50e-9 ~side:`Source ~xj:20e-9
-            ~background:1.5e24 ~lateral_sigma:4e-9
+          doping_at
+            [ Doping.source_drain ~peak:1e26 ~junction:50e-9 ~side:`Source ~xj:20e-9
+                ~background:1.5e24 ~lateral_sigma:4e-9 ]
         in
         Test_util.check_rel "at xj" ~rel:1e-6 1.5e24 (p ~x:0.0 ~y:20e-9));
     u "drain side mirrors the source side" (fun () ->
         let s =
-          Doping.source_drain ~peak:1e26 ~junction:40e-9 ~side:`Source ~xj:20e-9
-            ~background:1e24 ~lateral_sigma:4e-9
+          doping_at
+            [ Doping.source_drain ~peak:1e26 ~junction:40e-9 ~side:`Source ~xj:20e-9
+                ~background:1e24 ~lateral_sigma:4e-9 ]
         in
         let d =
-          Doping.source_drain ~peak:1e26 ~junction:60e-9 ~side:`Drain ~xj:20e-9
-            ~background:1e24 ~lateral_sigma:4e-9
+          doping_at
+            [ Doping.source_drain ~peak:1e26 ~junction:60e-9 ~side:`Drain ~xj:20e-9
+                ~background:1e24 ~lateral_sigma:4e-9 ]
         in
         Test_util.check_rel "mirror" ~rel:1e-9 (s ~x:45e-9 ~y:3e-9) (d ~x:55e-9 ~y:3e-9));
     u "sum combines profiles" (fun () ->
-        let p = Doping.sum [ Doping.uniform 1.0; Doping.uniform 2.0 ] in
+        let p = doping_at [ Doping.uniform 1.0; Doping.uniform 2.0 ] in
         Test_util.check_float "sum" 3.0 (p ~x:0.0 ~y:0.0));
     u "peak below background is rejected" (fun () ->
         Alcotest.check_raises "invalid"
           (Invalid_argument "Doping.source_drain: peak must exceed background") (fun () ->
             ignore
               (Doping.source_drain ~peak:1.0 ~junction:0.0 ~side:`Source ~xj:1e-8
-                 ~background:2.0 ~lateral_sigma:1e-9 ~x:0.0 ~y:0.0)));
+                 ~background:2.0 ~lateral_sigma:1e-9)));
   ]
 
 let structure_tests =

@@ -595,6 +595,30 @@ let memory_tests =
            node in any of the per-node loops is 2 words a node. *)
         Test_util.check_in_range "minor words per jump" ~lo:0.0 ~hi:(float_of_int nodes)
           (minor1 -. minor0));
+    u "Structure.build boxes no float per node" (fun () ->
+        let desc =
+          match Scaling.Strategy.resolve ~node:90 ~strategy:"sub" with
+          | Error e -> Alcotest.fail e
+          | Ok (_, _, _, pair) -> Device.Compact.to_tcad_description pair.Circuits.Inverter.nfet
+        in
+        let build_words ?nx ?ny nodes =
+          ignore (Structure.build ?nx ?ny desc);
+          let minor0 = Gc.minor_words () in
+          let dev = Structure.build ?nx ?ny desc in
+          let words = Gc.minor_words () -. minor0 in
+          Alcotest.(check int) "nodes" nodes (Tcad.Mesh.n_nodes dev.Structure.mesh);
+          words
+        in
+        (* Measured: 590 words on the serve mesh (27x21 nodes) and 646 on
+           the default mesh (27x29), the mesh lines and their spacings.
+           With the doping profiles as closures, the nodes' coordinates as
+           tuples and the mobilities and bulk potential computed by calls
+           per node, 42.1k and 57.9k: a boxed float per node is 1.1k words
+           on the serve mesh. *)
+        Test_util.check_in_range "serve mesh: minor words" ~lo:0.0 ~hi:(1.05 *. 590.0)
+          (build_words ~nx:16 ~ny:12 567);
+        Test_util.check_in_range "default mesh: minor words" ~lo:0.0 ~hi:(1.05 *. 646.0)
+          (build_words 783));
   ]
 
 let suite =
